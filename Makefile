@@ -12,9 +12,9 @@ RACE_PKGS ?= ./internal/server/... ./internal/metrics/... ./internal/core/... \
              ./internal/sched/... ./internal/telemetry/... ./internal/admission/... \
              ./internal/engine/... ./internal/jobs/... ./internal/insight/...
 
-.PHONY: ci fmt-check vet build test race race-all bench bench-snapshot bench-gate smoke clean
+.PHONY: ci fmt-check vet build test race race-all bench bench-smoke bench-snapshot bench-gate smoke clean
 
-ci: fmt-check vet build test race
+ci: fmt-check vet build test race bench-smoke
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -37,6 +37,12 @@ race-all:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# bench-smoke runs the analysis-path microbenchmarks (the eigensolver
+# and PCA at the pipeline's 10x142 and 13x142 shapes) once each, so
+# they keep compiling and running.
+bench-smoke:
+	$(GO) test -run '^$$' -bench 'EigenSym|FitPCA' -benchtime 1x ./internal/stats
 
 # bench-snapshot measures the key performance paths (characterization
 # fan-out, store-hit, both measurement engines over the full registry)

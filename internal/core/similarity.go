@@ -62,8 +62,11 @@ func (c *Characterization) Similarity(opts SimilarityOptions) (*Similarity, erro
 
 // SimilarityCtx is Similarity carrying a context so the analysis
 // stages land as "pca" and "cluster" spans on the request's trace.
-// The pipeline itself never blocks on ctx — PCA and clustering are
-// fast relative to measurement — so the context is observability-only.
+// The pipeline itself never checks ctx, so the context is
+// observability-only, although the analysis is not cheap: on a warm
+// request every measurement is a store hit, and the PCA's
+// eigendecomposition of a 142×142 correlation matrix (stats.EigenSym)
+// is most of the remaining time.
 func (c *Characterization) SimilarityCtx(ctx context.Context, opts SimilarityOptions) (*Similarity, error) {
 	matrix, cols, err := c.Matrix(opts.Metrics, opts.Machines)
 	if err != nil {

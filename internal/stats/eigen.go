@@ -11,11 +11,15 @@ import (
 // eigenvalues are sorted in descending order and vectors[i] is the
 // (unit-length) eigenvector for values[i]. Each eigenvector's sign is
 // normalized so that its largest-magnitude component is positive,
-// making results deterministic across runs.
+// making results deterministic across runs. Input with a NaN or ±Inf
+// entry is rejected.
 //
-// Jacobi is O(n^3) per sweep but unconditionally stable, exact enough
-// for correlation matrices of a few hundred metrics, and requires no
-// external dependencies — the right trade-off for this library.
+// Jacobi is unconditionally stable and needs no external dependencies,
+// but each sweep visits all n(n-1)/2 pairs at O(n) per rotation, so a
+// sweep is O(n^3). The analysis pipeline's largest input is a 142×142
+// correlation matrix (Table III metrics × 7 machines) of rank ≤ 12,
+// from 10–13 programs per sub-suite; it takes ~20–40 ms on one core,
+// which makes this the dominant cost of a warm Table V request.
 func EigenSym(a *Matrix) (values []float64, vectors [][]float64, err error) {
 	n := a.rows
 	if n != a.cols {
@@ -23,6 +27,9 @@ func EigenSym(a *Matrix) (values []float64, vectors [][]float64, err error) {
 	}
 	if n == 0 {
 		return nil, nil, ErrEmptyMatrix
+	}
+	if i, j, ok := firstNonFinite(a); ok {
+		return nil, nil, fmt.Errorf("stats: EigenSym requires finite entries (a[%d][%d]=%g)", i, j, a.At(i, j))
 	}
 	const symTol = 1e-8
 	for i := 0; i < n; i++ {
@@ -34,35 +41,42 @@ func EigenSym(a *Matrix) (values []float64, vectors [][]float64, err error) {
 		}
 	}
 
-	// Work on a copy; build up the accumulated rotation matrix V.
-	w := a.Clone()
-	v := NewMatrix(n, n)
+	// Work on a copy W of a, row-major. Accumulate the rotations in Vᵀ
+	// rather than V, so that updating V's columns p and q touches two
+	// contiguous rows.
+	w := a.Clone().data
+	vt := make([]float64, n*n)
 	for i := 0; i < n; i++ {
-		v.Set(i, i, 1)
+		vt[i*n+i] = 1
 	}
 
 	const (
 		maxSweeps = 100
 		eps       = 1e-12
 	)
+	skip := eps / float64(n*n)
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		off := 0.0
 		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				off += w.At(i, j) * w.At(i, j)
+			for _, x := range w[i*n+i+1 : i*n+n] {
+				off += x * x
 			}
 		}
 		if off < eps {
 			break
 		}
 		for p := 0; p < n-1; p++ {
+			rp, vp := w[p*n:p*n+n], vt[p*n:p*n+n]
 			for q := p + 1; q < n; q++ {
-				apq := w.At(p, q)
-				if math.Abs(apq) < eps/float64(n*n) {
+				// Reslicing to len(rp) and len(vp) lets the compiler
+				// drop the bounds checks in the row loops below.
+				rq, vq := w[q*n : q*n+n][:len(rp)], vt[q*n : q*n+n][:len(vp)]
+				apq := rp[q]
+				if math.Abs(apq) < skip {
 					continue
 				}
-				app := w.At(p, p)
-				aqq := w.At(q, q)
+				app := rp[p]
+				aqq := rq[q]
 				theta := (aqq - app) / (2 * apq)
 				var t float64
 				if theta >= 0 {
@@ -73,24 +87,23 @@ func EigenSym(a *Matrix) (values []float64, vectors [][]float64, err error) {
 				c := 1 / math.Sqrt(1+t*t)
 				s := t * c
 
-				// Apply the rotation J(p,q,theta): W = Jᵀ W J.
-				for k := 0; k < n; k++ {
-					wkp := w.At(k, p)
-					wkq := w.At(k, q)
-					w.Set(k, p, c*wkp-s*wkq)
-					w.Set(k, q, s*wkp+c*wkq)
+				// Apply the rotation J(p,q,theta): W = Jᵀ W J, columns
+				// first, then rows; then V = V J as rows of Vᵀ.
+				for kp, kq := p, q; kq < len(w); kp, kq = kp+n, kq+n {
+					wkp := w[kp]
+					wkq := w[kq]
+					w[kp] = c*wkp - s*wkq
+					w[kq] = s*wkp + c*wkq
 				}
-				for k := 0; k < n; k++ {
-					wpk := w.At(p, k)
-					wqk := w.At(q, k)
-					w.Set(p, k, c*wpk-s*wqk)
-					w.Set(q, k, s*wpk+c*wqk)
+				for k, wpk := range rp {
+					wqk := rq[k]
+					rp[k] = c*wpk - s*wqk
+					rq[k] = s*wpk + c*wqk
 				}
-				for k := 0; k < n; k++ {
-					vkp := v.At(k, p)
-					vkq := v.At(k, q)
-					v.Set(k, p, c*vkp-s*vkq)
-					v.Set(k, q, s*vkp+c*vkq)
+				for k, vkp := range vp {
+					vkq := vq[k]
+					vp[k] = c*vkp - s*vkq
+					vq[k] = s*vkp + c*vkq
 				}
 			}
 		}
@@ -102,7 +115,7 @@ func EigenSym(a *Matrix) (values []float64, vectors [][]float64, err error) {
 	}
 	pairs := make([]pair, n)
 	for i := 0; i < n; i++ {
-		pairs[i] = pair{w.At(i, i), i}
+		pairs[i] = pair{w[i*n+i], i}
 	}
 	sort.SliceStable(pairs, func(i, j int) bool { return pairs[i].val > pairs[j].val })
 
@@ -110,7 +123,7 @@ func EigenSym(a *Matrix) (values []float64, vectors [][]float64, err error) {
 	vectors = make([][]float64, n)
 	for r, p := range pairs {
 		values[r] = p.val
-		vec := v.Col(p.idx)
+		vec := append([]float64(nil), vt[p.idx*n:p.idx*n+n]...)
 		normalizeSign(vec)
 		vectors[r] = vec
 	}

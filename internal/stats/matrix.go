@@ -143,6 +143,17 @@ func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
 	return out, nil
 }
 
+// firstNonFinite returns the row and column of the first NaN or ±Inf
+// element of m in row-major order, and whether there is one.
+func firstNonFinite(m *Matrix) (i, j int, ok bool) {
+	for k, x := range m.data {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return k / m.cols, k % m.cols, true
+		}
+	}
+	return 0, 0, false
+}
+
 // ErrEmptyMatrix is returned by statistics that require at least one
 // row or column.
 var ErrEmptyMatrix = errors.New("stats: empty matrix")

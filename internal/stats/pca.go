@@ -45,13 +45,17 @@ type PCAOptions struct {
 // the rows of x (rows = programs, columns = metrics). It follows the
 // paper's methodology: standardize each metric to zero mean / unit
 // variance, eigendecompose the correlation matrix, and order
-// components by decreasing variance.
+// components by decreasing variance. Input with a NaN or ±Inf cell is
+// rejected before anything is standardized.
 func FitPCA(x *Matrix, opts PCAOptions) (*PCA, error) {
 	if x.Rows() < 2 {
 		return nil, fmt.Errorf("stats: PCA needs at least 2 observations, have %d", x.Rows())
 	}
 	if x.Cols() == 0 {
 		return nil, ErrEmptyMatrix
+	}
+	if i, j, ok := firstNonFinite(x); ok {
+		return nil, fmt.Errorf("stats: PCA input has a non-finite value at row %d, column %d (%g)", i, j, x.At(i, j))
 	}
 
 	means, err := x.ColumnMeans()

@@ -1,8 +1,10 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -226,5 +228,30 @@ func TestDominantVariables(t *testing.T) {
 	dom := p.DominantVariables(0, 2)
 	if dom[0] != 1 || dom[1] != 2 {
 		t.Fatalf("DominantVariables = %v, want [1 2]", dom)
+	}
+}
+
+func TestFitPCARejectsNonFinite(t *testing.T) {
+	x := correlatedData(4, 3)
+	x.Set(2, 1, math.Inf(1))
+	_, err := FitPCA(x, PCAOptions{})
+	if err == nil || !strings.Contains(err.Error(), "row 2, column 1") {
+		t.Fatalf("FitPCA with +Inf at (2,1): err = %v, want an error naming row 2, column 1", err)
+	}
+}
+
+// BenchmarkFitPCA fits PCA at the analysis pipeline's shape: 142
+// metric columns over 10 and 13 programs.
+func BenchmarkFitPCA(b *testing.B) {
+	for _, rows := range []int{10, 13} {
+		x := productionData(rows, 142, 1)
+		b.Run(fmt.Sprintf("%dx142", rows), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := FitPCA(x, PCAOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
