@@ -3,8 +3,9 @@
 # The full test suite under the race detector rebuilds fleet
 # characterizations, which the race runtime slows by ~20x (minutes per
 # Lab); `ci` therefore runs -race on the concurrent packages (server,
-# metrics, core, cluster, stats) where it has teeth, and `race-all`
-# remains available for the exhaustive run.
+# metrics, core, cluster, stats) where it has teeth, plus the analysis
+# fan-out tests of internal/experiments (`race-analysis`), and
+# `race-all` remains available for the exhaustive run.
 
 GO ?= go
 RACE_PKGS ?= ./internal/server/... ./internal/metrics/... ./internal/core/... \
@@ -12,9 +13,9 @@ RACE_PKGS ?= ./internal/server/... ./internal/metrics/... ./internal/core/... \
              ./internal/sched/... ./internal/telemetry/... ./internal/admission/... \
              ./internal/engine/... ./internal/jobs/... ./internal/insight/...
 
-.PHONY: ci fmt-check vet build test race race-all bench bench-smoke bench-snapshot bench-gate smoke clean
+.PHONY: ci fmt-check vet build test race race-analysis race-all bench bench-smoke bench-snapshot bench-gate smoke clean
 
-ci: fmt-check vet build test race bench-smoke
+ci: fmt-check vet build test race race-analysis bench-smoke
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -31,6 +32,13 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+
+# race-analysis race-checks the per-suite analysis fan-out in
+# internal/experiments without the package's full Lab-building suite:
+# the output pins, the fan-out helper, and the cold-then-warm store
+# pass, all on the analytic engine.
+race-analysis:
+	$(GO) test -race -run 'Pinned|TestPerSuiteOrder|TestTable5ColdThenWarmStore' ./internal/experiments
 
 race-all:
 	$(GO) test -race ./...

@@ -79,7 +79,9 @@ func CharacterizeScheduled(ctx context.Context, entries []Entry, machines []*mac
 // per-call worker pool), and a measurement engine (nil = the exact
 // trace-driven engine). Every (entry, machine) measurement is keyed by
 // the engine's tier, so analytic and exact records coexist in one
-// store without ever answering for each other.
+// store without ever answering for each other. With both a store and
+// a Runner, a pair already in the store is served directly and only
+// misses are submitted to the Runner.
 func CharacterizeWith(ctx context.Context, entries []Entry, machines []*machine.Machine, opts machine.RunOptions, st *store.Store, r Runner, eng engine.Engine) (*Characterization, error) {
 	if r == nil {
 		return characterizeStored(ctx, entries, machines, opts, st, eng)
@@ -89,28 +91,46 @@ func CharacterizeWith(ctx context.Context, entries []Entry, machines []*machine.
 		return nil, err
 	}
 
+	tier := tierOf(eng)
 	var (
 		mu       sync.Mutex
 		firstErr error
 		wg       sync.WaitGroup
 	)
+submit:
 	for _, e := range entries {
 		for _, m := range machines {
 			if ctx.Err() != nil {
-				break // canceled: stop submitting
+				break submit // canceled: stop submitting
 			}
 			e, m := e, m
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				key := store.KeyForEngine(m, e.Workload, opts, tierOf(eng))
-				v, err := r.Do(ctx, key.ID(), func(jctx context.Context) (any, error) {
-					return measureWith(jctx, st, m, e.Workload, opts, eng)
-				})
+				if ctx.Err() != nil {
+					return
+				}
+				// A store hit is served here, without a scheduler job;
+				// only a miss is submitted. The lookup stays on this
+				// goroutine so misses still leave the loop above in a
+				// tight burst and coalesce in the scheduler.
+				key := store.KeyForEngine(m, e.Workload, opts, tier)
 				var rc *machine.RawCounts
+				var err error
+				if st != nil {
+					rc, _ = st.Lookup(ctx, key)
+				}
+				if rc == nil {
+					var v any
+					v, err = r.Do(ctx, key.ID(), func(jctx context.Context) (any, error) {
+						return measureWith(jctx, st, key, m, e.Workload, opts, eng)
+					})
+					if err == nil {
+						rc = v.(*machine.RawCounts)
+					}
+				}
 				var sample *counters.Sample
 				if err == nil {
-					rc = v.(*machine.RawCounts)
 					sample, err = counters.FromRaw(m.Name(), m.Config().HasRAPL, rc)
 				}
 				mu.Lock()
@@ -187,6 +207,7 @@ func characterizeStored(ctx context.Context, entries []Entry, machines []*machin
 		return nil, err
 	}
 
+	tier := tierOf(eng)
 	type job struct {
 		entry Entry
 		mach  *machine.Machine
@@ -212,7 +233,11 @@ func characterizeStored(ctx context.Context, entries []Entry, machines []*machin
 				if ctx.Err() != nil {
 					continue // canceled: drain the queue without measuring
 				}
-				rc, err := measureWith(ctx, st, j.mach, j.entry.Workload, opts, eng)
+				var key store.Key
+				if st != nil {
+					key = store.KeyForEngine(j.mach, j.entry.Workload, opts, tier)
+				}
+				rc, err := measureWith(ctx, st, key, j.mach, j.entry.Workload, opts, eng)
 				var sample *counters.Sample
 				if err == nil {
 					sample, err = counters.FromRaw(j.mach.Name(), j.mach.Config().HasRAPL, rc)
@@ -251,13 +276,6 @@ feed:
 	return c, nil
 }
 
-// measure runs one (machine, workload) pair, through the store when
-// one is present so concurrent and repeated characterizations share
-// measurements.
-func measure(ctx context.Context, st *store.Store, m *machine.Machine, w machine.Workload, opts machine.RunOptions) (*machine.RawCounts, error) {
-	return measureWith(ctx, st, m, w, opts, nil)
-}
-
 // tierOf names an engine's store-key tier; the nil engine is exact.
 func tierOf(eng engine.Engine) string {
 	if eng == nil {
@@ -266,10 +284,12 @@ func tierOf(eng engine.Engine) string {
 	return string(eng.Tier())
 }
 
-// measureWith is measure on an explicit engine. A nil engine takes the
-// historical Simulate path (bit-identical to engine.Exact, and keyed
-// identically in the store).
-func measureWith(ctx context.Context, st *store.Store, m *machine.Machine, w machine.Workload, opts machine.RunOptions, eng engine.Engine) (*machine.RawCounts, error) {
+// measureWith runs one (machine, workload) pair on eng, through the
+// store under key when one is present, so concurrent and repeated
+// characterizations share measurements; key is unused without a store.
+// A nil engine takes the historical Simulate path (bit-identical to
+// engine.Exact, and keyed identically in the store).
+func measureWith(ctx context.Context, st *store.Store, key store.Key, m *machine.Machine, w machine.Workload, opts machine.RunOptions, eng engine.Engine) (*machine.RawCounts, error) {
 	run := func(rctx context.Context) (*machine.RawCounts, error) {
 		if eng == nil {
 			return Simulate(rctx, m, w, opts)
@@ -279,7 +299,6 @@ func measureWith(ctx context.Context, st *store.Store, m *machine.Machine, w mac
 	if st == nil {
 		return run(ctx)
 	}
-	key := store.KeyForEngine(m, w, opts, tierOf(eng))
 	return st.GetOrCompute(ctx, key, func(fctx context.Context) (*machine.RawCounts, error) {
 		if err := fctx.Err(); err != nil {
 			return nil, err // every waiter left before the run began

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -172,5 +174,99 @@ func waitForPool(t *testing.T, p *sched.Pool, cond func(sched.Stats) bool) {
 			t.Fatalf("timed out waiting for pool condition; stats %+v", p.Stats())
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestCharacterizeWithServesStoreHitsInline: with a store and a
+// scheduler, pairs already in the store never become scheduler jobs.
+// Over a fully warm store no job starts and every leaf is one hit;
+// over a half-warm store exactly the misses start. Both results equal
+// the store-less characterization.
+func TestCharacterizeWithServesStoreHitsInline(t *testing.T) {
+	entries := schedEntries(t, "505.mcf_r", "541.leela_r", "525.x264_r", "508.namd_r")
+	machines := testMachines(t)[:2]
+	opts := machine.RunOptions{Instructions: 2_000}
+	leaves := int64(len(entries) * len(machines))
+	ctx := context.Background()
+
+	want, err := characterizeStored(ctx, entries, machines, opts, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		warm []Entry // entries whose pairs are stored beforehand
+	}{
+		{"fully warm", entries},
+		{"half warm", entries[:2]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := store.Open(store.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := CharacterizeStored(ctx, tc.warm, machines, opts, st); err != nil {
+				t.Fatal(err)
+			}
+			misses := leaves - int64(len(tc.warm)*len(machines))
+			pool := sched.NewPool(2, nil)
+			before := st.Stats()
+
+			got, err := CharacterizeWith(ctx, entries, machines, opts, st, pool.Queue(0), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if started := pool.Stats().Started; started != misses {
+				t.Errorf("scheduler jobs started = %d, want %d (one per miss)", started, misses)
+			}
+			if hits := st.Stats().Hits - before.Hits; hits != leaves-misses {
+				t.Errorf("store hits = %d, want %d", hits, leaves-misses)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Error("characterization differs from the store-less one")
+			}
+		})
+	}
+}
+
+// countingRunner counts the submissions it forwards.
+type countingRunner struct {
+	Runner
+	n atomic.Int64
+}
+
+func (r *countingRunner) Do(ctx context.Context, key string, fn func(context.Context) (any, error)) (any, error) {
+	r.n.Add(1)
+	return r.Runner.Do(ctx, key, fn)
+}
+
+// TestCharacterizeWithPreCanceled: a context canceled before the call
+// returns its error without a single store lookup or scheduler
+// submission.
+func TestCharacterizeWithPreCanceled(t *testing.T) {
+	entries := schedEntries(t, "505.mcf_r", "541.leela_r")
+	machines := testMachines(t)[:2]
+	opts := machine.RunOptions{Instructions: 2_000}
+	st, err := store.Open(store.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Store the first entry's pairs, so a lookup would count a hit.
+	if _, err := CharacterizeStored(context.Background(), entries[:1], machines, opts, st); err != nil {
+		t.Fatal(err)
+	}
+	before := st.Stats()
+	r := &countingRunner{Runner: sched.NewPool(2, nil).Queue(0)}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := CharacterizeWith(ctx, entries, machines, opts, st, r, nil); err != context.Canceled {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	if after := st.Stats(); after.Hits != before.Hits || after.Misses != before.Misses {
+		t.Errorf("store traffic after a pre-canceled call: %+v, want %+v", after, before)
+	}
+	if n := r.n.Load(); n != 0 {
+		t.Errorf("scheduler submissions = %d, want 0", n)
 	}
 }

@@ -221,7 +221,8 @@ func (l *Lab) Fleet() ([]*machine.Machine, error) {
 // store (directly when the lab has none). Experiments that measure
 // outside the shared characterization — extra fidelities, replicas,
 // multi-copy runs — route through here so their measurements are
-// cached and persisted like everything else.
+// cached and persisted like everything else. A store hit is served
+// directly; only a miss goes to the lab's scheduler.
 func (l *Lab) RunStored(m *machine.Machine, w machine.Workload, opts machine.RunOptions) (*machine.RawCounts, error) {
 	st := l.state.store
 	eng := l.state.eng
@@ -230,6 +231,11 @@ func (l *Lab) RunStored(m *machine.Machine, w machine.Workload, opts machine.Run
 		tier = string(eng.Tier())
 	}
 	key := store.KeyForEngine(m, w, opts, tier)
+	if st != nil {
+		if rc, ok := st.Lookup(l.Context(), key); ok {
+			return rc, nil
+		}
+	}
 	compute := func(ctx context.Context) (*machine.RawCounts, error) {
 		if eng != nil {
 			return eng.Measure(ctx, m, w, opts)
@@ -258,6 +264,11 @@ func (l *Lab) RunStored(m *machine.Machine, w machine.Workload, opts machine.Run
 func (l *Lab) RunStoredMulti(m *machine.Machine, w machine.Workload, copies int, opts machine.RunOptions) (*machine.MultiCounts, error) {
 	st := l.state.store
 	key := store.KeyForMulti(m, w, copies, opts)
+	if st != nil {
+		if mc, ok := st.LookupMulti(l.Context(), key); ok {
+			return mc, nil
+		}
+	}
 	compute := func(ctx context.Context) (*machine.MultiCounts, error) {
 		return core.SimulateMulti(ctx, m, w, copies, opts)
 	}
@@ -291,6 +302,31 @@ func (l *Lab) suiteChar(s workloads.Suite) (*core.Characterization, error) {
 		labels = append(labels, p.Name)
 	}
 	return c.Select(labels)
+}
+
+// perSuite runs fn for every suite concurrently, one goroutine each,
+// and returns the results in suite order. If any call fails, it returns
+// the error of the first failing suite in suite order. The per-suite
+// analyses (PCA, clustering) are independent and CPU-bound, so on a
+// multi-core host they take about as long as the slowest one.
+func perSuite[T any](suites []workloads.Suite, fn func(workloads.Suite) (T, error)) ([]T, error) {
+	out := make([]T, len(suites))
+	errs := make([]error, len(suites))
+	var wg sync.WaitGroup
+	for i, s := range suites {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i], errs[i] = fn(s)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // selectChar returns the characterization restricted to the given

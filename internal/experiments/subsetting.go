@@ -76,15 +76,14 @@ type SubsetRow struct {
 // Table5 reproduces Table V: representative 3-benchmark subsets of the
 // four CPU2017 sub-suites, with their simulation-time reductions.
 func Table5(lab *Lab) ([]SubsetRow, error) {
-	var rows []SubsetRow
-	for _, suite := range []workloads.Suite{workloads.SpeedINT, workloads.RateINT, workloads.SpeedFP, workloads.RateFP} {
-		row, err := subsetForSuite(lab, suite, 3)
+	suites := []workloads.Suite{workloads.SpeedINT, workloads.RateINT, workloads.SpeedFP, workloads.RateFP}
+	return perSuite(suites, func(s workloads.Suite) (SubsetRow, error) {
+		row, err := subsetForSuite(lab, s, 3)
 		if err != nil {
-			return nil, err
+			return SubsetRow{}, err
 		}
-		rows = append(rows, *row)
-	}
-	return rows, nil
+		return *row, nil
+	})
 }
 
 func subsetForSuite(lab *Lab, suite workloads.Suite, k int) (*SubsetRow, error) {
@@ -187,15 +186,9 @@ func Fig6(lab *Lab) ([]*ValidationRow, error) {
 }
 
 func validateSuites(lab *Lab, suites ...workloads.Suite) ([]*ValidationRow, error) {
-	var rows []*ValidationRow
-	for _, s := range suites {
-		r, err := validateSuite(lab, s)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, r)
-	}
-	return rows, nil
+	return perSuite(suites, func(s workloads.Suite) (*ValidationRow, error) {
+		return validateSuite(lab, s)
+	})
 }
 
 // Table6 reproduces Table VI: identified-subset accuracy versus two

@@ -29,16 +29,20 @@ func RateSpeedTreeSimilarity(lab *Lab) ([]TreeSimilarityRow, error) {
 		{"INT rate vs speed", workloads.RateINT, workloads.SpeedINT},
 		{"FP rate vs speed", workloads.RateFP, workloads.SpeedFP},
 	}
-	var rows []TreeSimilarityRow
+	// The four dendrograms, in pair order: rate then speed per pair.
+	var suites []workloads.Suite
 	for _, p := range pairs {
-		rateDen, err := dendrogramFor(lab, p.rate)
-		if err != nil {
-			return nil, err
-		}
-		speedDen, err := dendrogramFor(lab, p.speed)
-		if err != nil {
-			return nil, err
-		}
+		suites = append(suites, p.rate, p.speed)
+	}
+	dens, err := perSuite(suites, func(s workloads.Suite) (*DendrogramResult, error) {
+		return dendrogramFor(lab, s)
+	})
+	if err != nil {
+		return nil, err
+	}
+	var rows []TreeSimilarityRow
+	for i, p := range pairs {
+		rateDen, speedDen := dens[2*i], dens[2*i+1]
 		// Pair by family: indices of each family's member in each tree.
 		rateIdx := indexByBase(p.rate, rateDen.Similarity.Labels)
 		speedIdx := indexByBase(p.speed, speedDen.Similarity.Labels)

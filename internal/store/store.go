@@ -93,12 +93,29 @@ type Key struct {
 // key, and the identity the shared scheduler (internal/sched)
 // deduplicates in-flight simulations by.
 func (k Key) ID() string {
-	return k.Machine + "|" + k.Workload +
-		"|i" + strconv.Itoa(k.Instructions) +
-		"|w" + strconv.Itoa(k.Warmup) +
-		"|c" + strconv.Itoa(k.Copies) +
-		"|e" + k.Engine +
-		"|" + k.Content
+	var buf [idBufLen]byte
+	return string(k.appendID(buf[:0]))
+}
+
+// idBufLen fits the identity of every key the fleet produces, so Lookup
+// can spell it into a stack buffer instead of allocating a string.
+const idBufLen = 160
+
+// appendID appends the key's canonical identity to b.
+func (k Key) appendID(b []byte) []byte {
+	b = append(b, k.Machine...)
+	b = append(b, '|')
+	b = append(b, k.Workload...)
+	b = append(b, "|i"...)
+	b = strconv.AppendInt(b, int64(k.Instructions), 10)
+	b = append(b, "|w"...)
+	b = strconv.AppendInt(b, int64(k.Warmup), 10)
+	b = append(b, "|c"...)
+	b = strconv.AppendInt(b, int64(k.Copies), 10)
+	b = append(b, "|e"...)
+	b = append(b, k.Engine...)
+	b = append(b, '|')
+	return append(b, k.Content...)
 }
 
 // id is the historical spelling of ID.
@@ -540,6 +557,44 @@ func (s *Store) GetMulti(key Key) (*machine.MultiCounts, bool) {
 	return mc, ok
 }
 
+// Lookup returns the resident single-copy record for key without
+// computing anything: the hit branch of GetOrCompute on its own, for
+// callers that serve hits inline and send only misses to a scheduler.
+// A hit counts in spec17_store_hits_total and, when ctx is traced,
+// records a store.get span; a miss counts nothing. The untraced path
+// does not allocate.
+func (s *Store) Lookup(ctx context.Context, key Key) (*machine.RawCounts, bool) {
+	return lookupIn(ctx, s, s.single, key)
+}
+
+// LookupMulti is Lookup for multi-copy (SPECrate-style) records.
+func (s *Store) LookupMulti(ctx context.Context, key Key) (*machine.MultiCounts, bool) {
+	return lookupIn(ctx, s, s.multi, key)
+}
+
+func lookupIn[V any](ctx context.Context, s *Store, table map[string]V, key Key) (V, bool) {
+	start := time.Now()
+	var buf [idBufLen]byte
+	s.mu.Lock()
+	// Indexing with string(bytes) directly does not allocate.
+	v, ok := table[string(key.appendID(buf[:0]))]
+	s.mu.Unlock()
+	if ok {
+		s.hit(ctx, key, start)
+	}
+	return v, ok
+}
+
+// hit accounts for one record served from memory since start.
+func (s *Store) hit(ctx context.Context, key Key, start time.Time) {
+	s.met.hits.Inc()
+	// Guarded so the untraced hit path — the daemon's hottest code —
+	// stays allocation-free.
+	if sp := telemetry.FromContext(ctx); sp != nil {
+		sp.Record("store.get", start, time.Now(), "key", key.id(), "hit", "true")
+	}
+}
+
 // GetOrCompute returns the record for key, computing it at most once
 // across all concurrent callers. The compute function receives a
 // context that is canceled when every caller waiting on this key has
@@ -594,12 +649,7 @@ func (s *Store) getOrCompute(ctx context.Context, key Key, kind string, compute 
 		s.mu.Lock()
 		if v, ok := s.lookup(kind, id); ok {
 			s.mu.Unlock()
-			s.met.hits.Inc()
-			// Guarded so the untraced hit path — the daemon's hottest
-			// code — stays allocation-free.
-			if sp := telemetry.FromContext(ctx); sp != nil {
-				sp.Record("store.get", start, time.Now(), "key", id, "hit", "true")
-			}
+			s.hit(ctx, key, start)
 			return v, nil
 		}
 		f, joined := s.flights[id]

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
 
@@ -439,5 +440,63 @@ func TestComputeErrorNotCached(t *testing.T) {
 	})
 	if err != nil || rc == nil {
 		t.Fatalf("retry after failed computation: %v", err)
+	}
+}
+
+// TestLookup: a hit is served and counted exactly once (with a
+// store.get span when traced), a miss counts nothing, and the untraced
+// hit path does not allocate.
+func TestLookup(t *testing.T) {
+	s, err := Open(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := testMachine(t)
+	w := testWorkload(t, "505.mcf_r")
+	key := KeyFor(m, w, testOpts)
+	multiKey := KeyForMulti(m, w, 2, testOpts)
+	ctx := context.Background()
+
+	if _, ok := s.Lookup(ctx, key); ok {
+		t.Fatal("lookup hit on an empty store")
+	}
+	if _, ok := s.LookupMulti(ctx, multiKey); ok {
+		t.Fatal("multi lookup hit on an empty store")
+	}
+	if st := s.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("misses counted: hits=%d misses=%d, want 0 and 0", st.Hits, st.Misses)
+	}
+
+	rc := &machine.RawCounts{Instructions: 42}
+	s.Put(key, rc)
+	if got, ok := s.Lookup(ctx, key); !ok || got != rc {
+		t.Fatalf("lookup = %p, %v; want the stored record", got, ok)
+	}
+	if st := s.Stats(); st.Hits != 1 || st.Misses != 0 {
+		t.Fatalf("after one hit: hits=%d misses=%d, want 1 and 0", st.Hits, st.Misses)
+	}
+	// A single-copy record never answers a multi-copy key.
+	if _, ok := s.LookupMulti(ctx, multiKey); ok {
+		t.Fatal("multi lookup served a single-copy record")
+	}
+
+	tracer := telemetry.NewTracer(telemetry.TracerConfig{})
+	tctx, root := tracer.StartTrace(ctx, "root", "")
+	if _, ok := s.Lookup(tctx, key); !ok {
+		t.Fatal("traced lookup missed")
+	}
+	root.End()
+	traces := tracer.Traces(telemetry.Filter{})
+	if len(traces) != 1 || len(traces[0].Root.Children) != 1 || traces[0].Root.Children[0].Name != "store.get" {
+		t.Fatalf("traced hit did not record one store.get span: %+v", traces)
+	}
+
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, ok := s.Lookup(ctx, key); !ok {
+			panic("warm lookup missed")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("untraced lookup hit allocates %.1f objects/op, want 0", allocs)
 	}
 }
