@@ -4,8 +4,9 @@
 # characterizations, which the race runtime slows by ~20x (minutes per
 # Lab); `ci` therefore runs -race on the concurrent packages (server,
 # metrics, core, cluster, stats) where it has teeth, plus the analysis
-# fan-out tests of internal/experiments (`race-analysis`), and
-# `race-all` remains available for the exhaustive run.
+# fan-out tests of internal/experiments (`race-analysis`) and concurrent
+# runs on one shared Machine, whose simulator state is pooled
+# (`race-machine`); `race-all` remains available for the exhaustive run.
 
 GO ?= go
 RACE_PKGS ?= ./internal/server/... ./internal/metrics/... ./internal/core/... \
@@ -13,9 +14,9 @@ RACE_PKGS ?= ./internal/server/... ./internal/metrics/... ./internal/core/... \
              ./internal/sched/... ./internal/telemetry/... ./internal/admission/... \
              ./internal/engine/... ./internal/jobs/... ./internal/insight/...
 
-.PHONY: ci fmt-check vet build test race race-analysis race-all bench bench-smoke bench-snapshot bench-gate smoke clean
+.PHONY: ci fmt-check vet build test race race-analysis race-machine race-all bench bench-smoke bench-snapshot bench-gate smoke clean
 
-ci: fmt-check vet build test race race-analysis bench-smoke
+ci: fmt-check vet build test race race-analysis race-machine bench-smoke
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -40,6 +41,13 @@ race:
 race-analysis:
 	$(GO) test -race -run 'Pinned|TestPerSuiteOrder|TestTable5ColdThenWarmStore' ./internal/experiments
 
+# race-machine race-checks concurrent Run calls on one shared Machine,
+# which hand simulator state through a sync.Pool: every concurrent
+# result must equal the serial one, and a reused state must equal a
+# freshly built one.
+race-machine:
+	$(GO) test -race -run 'TestConcurrentRunsShareMachine|TestRunReuseBitIdentical' ./internal/machine
+
 race-all:
 	$(GO) test -race ./...
 
@@ -47,10 +55,12 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # bench-smoke runs the analysis-path microbenchmarks (the eigensolver
-# and PCA at the pipeline's 10x142 and 13x142 shapes) once each, so
-# they keep compiling and running.
+# and PCA at the pipeline's 10x142 and 13x142 shapes) and the exact
+# leaf's fixed-cost microbenchmarks (one sampled-fidelity leaf, cache
+# priming) once each, so they keep compiling and running.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'EigenSym|FitPCA' -benchtime 1x ./internal/stats
+	$(GO) test -run '^$$' -bench 'ExactLeaf|Prime' -benchtime 1x ./internal/machine
 
 # bench-snapshot measures the key performance paths (characterization
 # fan-out, store-hit, both measurement engines over the full registry)

@@ -1,6 +1,7 @@
 package branch
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/rng"
@@ -185,5 +186,26 @@ func TestBiggerTableHelpsAliasing(t *testing.T) {
 	if bigP.MispredictRate() >= smallP.MispredictRate() {
 		t.Fatalf("large table (%v) should out-predict small table (%v) under aliasing",
 			bigP.MispredictRate(), smallP.MispredictRate())
+	}
+}
+
+// TestClearMatchesNew checks that Clear returns a trained predictor of
+// every kind to exactly the state New builds.
+func TestClearMatchesNew(t *testing.T) {
+	for _, kind := range []Kind{Bimodal, GShare, Tournament} {
+		cfg := Config{Kind: kind, TableBits: 10, HistoryBits: 8}
+		fresh, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, _ := New(cfg)
+		r := rng.New(9)
+		for i := 0; i < 5000; i++ {
+			p.Predict(r.Uint64n(1<<16)<<2, r.Bool(0.3))
+		}
+		p.Clear()
+		if !reflect.DeepEqual(p, fresh) {
+			t.Errorf("%v: Clear does not restore the New state", kind)
+		}
 	}
 }

@@ -36,6 +36,9 @@ func (c Config) Validate() error {
 	if sets&(sets-1) != 0 {
 		return fmt.Errorf("cache: set count %d not a power of two", sets)
 	}
+	if c.Ways > 255 {
+		return fmt.Errorf("cache: associativity %d exceeds supported maximum 255", c.Ways)
+	}
 	return nil
 }
 
@@ -72,10 +75,12 @@ func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	return newCache(cfg), nil
+}
+
+// newCache builds a cache from a validated cfg.
+func newCache(cfg Config) *Cache {
 	sets := cfg.Sets()
-	if cfg.Ways > 255 {
-		return nil, fmt.Errorf("cache: associativity %d exceeds supported maximum 255", cfg.Ways)
-	}
 	c := &Cache{
 		cfg:       cfg,
 		sets:      sets,
@@ -84,10 +89,18 @@ func New(cfg Config) (*Cache, error) {
 		setMask:   uint64(sets - 1),
 		lines:     make([]uint64, sets*cfg.Ways),
 	}
+	c.Clear()
+	return c
+}
+
+// Clear returns the cache to the state New builds: every way empty and
+// both counters zero. It lets one Cache serve many independent runs
+// without reallocating its tag array.
+func (c *Cache) Clear() {
 	for i := range c.lines {
 		c.lines[i] = invalidTag
 	}
-	return c, nil
+	c.accesses, c.misses = 0, 0
 }
 
 // Config returns the geometry the cache was built with.
@@ -146,6 +159,52 @@ func (c *Cache) MissRate() float64 {
 // references can be excluded from measurement.
 func (c *Cache) ResetStats() { c.accesses, c.misses = 0, 0 }
 
+// sweepMisses applies, in closed form, n Accesses at base, base+step,
+// ..., base+(n-1)*step, provided every one of them would miss: step is
+// the cache's line size, so the accesses touch n consecutive lines,
+// and the cache holds none of those lines. Each touched set then ends
+// with the last min(k, ways) of the k range lines that map to it, most
+// recent first, and its old contents shift down behind them — exactly
+// what k fills at MRU leave. It reports false, changing nothing, when
+// the precondition does not hold; the caller then replays the accesses
+// one by one.
+func (c *Cache) sweepMisses(base, step, n uint64) bool {
+	if step != uint64(c.cfg.LineBytes) {
+		return false
+	}
+	ways, sets := uint64(c.cfg.Ways), uint64(c.sets)
+	lo := base >> c.lineShift
+	hi := lo + n - 1
+	touched := min(n, sets)
+	for j := uint64(0); j < touched; j++ {
+		set := (lo + j) & c.setMask
+		for _, tag := range c.lines[set*ways : (set+1)*ways] {
+			if tag == invalidTag {
+				break // empty slots sink to the tail
+			}
+			if line := tag<<c.setShift | set; line >= lo && line <= hi {
+				return false
+			}
+		}
+	}
+	for j := uint64(0); j < touched; j++ {
+		set := (lo + j) & c.setMask
+		s := c.lines[set*ways : (set+1)*ways]
+		k := (n-1-j)>>c.setShift + 1 // range lines lo+j, lo+j+sets, ... map here
+		m := min(k, ways)
+		if m < ways {
+			copy(s[m:], s[:ways-m])
+		}
+		last := lo + j + (k-1)*sets
+		for p := uint64(0); p < m; p++ {
+			s[p] = (last - p*sets) >> c.setShift
+		}
+	}
+	c.accesses += n
+	c.misses += n
+	return true
+}
+
 // Hierarchy models the three-level structure shared by the machines in
 // Table IV: split L1 I/D, a unified (or split-per-core, modelled as
 // unified) L2, and an optional unified L3. Instruction and data misses
@@ -167,29 +226,50 @@ type HierarchyConfig struct {
 	L3           *Config
 }
 
+// Validate reports the first invalid level, prefixed with its name,
+// without allocating any level.
+func (cfg HierarchyConfig) Validate() error {
+	if err := cfg.L1I.Validate(); err != nil {
+		return fmt.Errorf("L1I: %w", err)
+	}
+	if err := cfg.L1D.Validate(); err != nil {
+		return fmt.Errorf("L1D: %w", err)
+	}
+	if err := cfg.L2.Validate(); err != nil {
+		return fmt.Errorf("L2: %w", err)
+	}
+	if cfg.L3 != nil {
+		if err := cfg.L3.Validate(); err != nil {
+			return fmt.Errorf("L3: %w", err)
+		}
+	}
+	return nil
+}
+
 // NewHierarchy builds the hierarchy, validating every level.
 func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
-	l1i, err := New(cfg.L1I)
-	if err != nil {
-		return nil, fmt.Errorf("L1I: %w", err)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	l1d, err := New(cfg.L1D)
-	if err != nil {
-		return nil, fmt.Errorf("L1D: %w", err)
-	}
-	l2, err := New(cfg.L2)
-	if err != nil {
-		return nil, fmt.Errorf("L2: %w", err)
-	}
-	h := &Hierarchy{L1I: l1i, L1D: l1d, L2: l2}
+	h := &Hierarchy{L1I: newCache(cfg.L1I), L1D: newCache(cfg.L1D), L2: newCache(cfg.L2)}
 	if cfg.L3 != nil {
-		l3, err := New(*cfg.L3)
-		if err != nil {
-			return nil, fmt.Errorf("L3: %w", err)
-		}
-		h.L3 = l3
+		h.L3 = newCache(*cfg.L3)
 	}
 	return h, nil
+}
+
+// Clear returns every level and counter to the state NewHierarchy
+// builds.
+func (h *Hierarchy) Clear() {
+	h.L1I.Clear()
+	h.L1D.Clear()
+	h.L2.Clear()
+	if h.L3 != nil {
+		h.L3.Clear()
+	}
+	h.l2IAccesses, h.l2IMisses = 0, 0
+	h.l2DAccesses, h.l2DMisses = 0, 0
+	h.l3Accesses, h.l3Misses = 0, 0
 }
 
 // FetchInstr simulates an instruction fetch of addr through the
@@ -231,6 +311,74 @@ func (h *Hierarchy) accessL3(addr uint64) int {
 	}
 	h.l3Misses++
 	return 3
+}
+
+// SweepData has exactly the effect, on tags, recency order and every
+// counter, of calling AccessData at base, base+line, base+2*line, ...
+// for every address below base+size, where line is the hierarchy's
+// smallest line size. It is how a run primes a data region.
+func (h *Hierarchy) SweepData(base, size uint64) {
+	h.sweep(h.L1D, h.AccessData, &h.l2DAccesses, &h.l2DMisses, base, size)
+}
+
+// SweepInstr is SweepData for instruction fetches: the effect of
+// FetchInstr at every smallest-line step of [base, base+size).
+func (h *Hierarchy) SweepInstr(base, size uint64) {
+	h.sweep(h.L1I, h.FetchInstr, &h.l2IAccesses, &h.l2IMisses, base, size)
+}
+
+// sweep walks the range down the hierarchy one level at a time. A
+// level that holds no line of the range misses on every access, so
+// it is updated in closed form (Cache.sweepMisses) and the whole range
+// goes on to the next level. The first level that holds some line of
+// the range — or whose lines are larger than the step — replays the
+// accesses one by one, for itself and every level below it.
+func (h *Hierarchy) sweep(l1 *Cache, access func(uint64) int, l2Accesses, l2Misses *uint64, base, size uint64) {
+	step := uint64(h.minLineBytes())
+	n := (size + step - 1) / step
+	if n == 0 {
+		return
+	}
+	if !l1.sweepMisses(base, step, n) {
+		for i := uint64(0); i < n; i++ {
+			access(base + i*step)
+		}
+		return
+	}
+	*l2Accesses += n
+	if !h.L2.sweepMisses(base, step, n) {
+		for i := uint64(0); i < n; i++ {
+			if !h.L2.Access(base + i*step) {
+				*l2Misses++
+				h.accessL3(base + i*step)
+			}
+		}
+		return
+	}
+	*l2Misses += n
+	if h.L3 == nil {
+		return
+	}
+	h.l3Accesses += n
+	if !h.L3.sweepMisses(base, step, n) {
+		for i := uint64(0); i < n; i++ {
+			if !h.L3.Access(base + i*step) {
+				h.l3Misses++
+			}
+		}
+		return
+	}
+	h.l3Misses += n
+}
+
+// minLineBytes is the smallest line size of any level: the step at
+// which a sweep touches every line of every level.
+func (h *Hierarchy) minLineBytes() int {
+	line := min(h.L1I.cfg.LineBytes, h.L1D.cfg.LineBytes, h.L2.cfg.LineBytes)
+	if h.L3 != nil {
+		line = min(line, h.L3.cfg.LineBytes)
+	}
+	return line
 }
 
 // Counts aggregates the hierarchy's miss statistics.

@@ -12,6 +12,7 @@ package machine
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/branch"
 	"repro/internal/cache"
@@ -52,9 +53,50 @@ type Config struct {
 	Power   power.Model
 }
 
-// Machine is a ready-to-run instance of a Config.
+// Machine is a ready-to-run instance of a Config. It is safe for
+// concurrent use: each Run takes its own simulator state.
 type Machine struct {
 	cfg Config
+	// state pools cleared *simState values between runs, so a run
+	// does not allocate and fill megabytes of tag arrays. It fills
+	// lazily: New and a Machine that never runs allocate none.
+	state sync.Pool
+}
+
+// simState is the simulator state one Run drives: what NewHierarchy,
+// tlb.NewHierarchy and branch.New build, kept between runs.
+type simState struct {
+	caches *cache.Hierarchy
+	tlbs   *tlb.Hierarchy
+	pred   *branch.Predictor
+}
+
+// getState returns freshly built or cleared simulator state.
+func (m *Machine) getState() (*simState, error) {
+	if s, ok := m.state.Get().(*simState); ok {
+		return s, nil
+	}
+	caches, err := cache.NewHierarchy(m.cfg.Caches)
+	if err != nil {
+		return nil, err
+	}
+	tlbs, err := tlb.NewHierarchy(m.cfg.TLBs)
+	if err != nil {
+		return nil, err
+	}
+	pred, err := branch.New(m.cfg.Predictor)
+	if err != nil {
+		return nil, err
+	}
+	return &simState{caches: caches, tlbs: tlbs, pred: pred}, nil
+}
+
+// putState clears s back to its constructors' state and pools it.
+func (m *Machine) putState(s *simState) {
+	s.caches.Clear()
+	s.tlbs.Clear()
+	s.pred.Clear()
+	m.state.Put(s)
 }
 
 // New validates cfg and returns a Machine.
@@ -68,15 +110,15 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.FreqGHz <= 0 {
 		return nil, fmt.Errorf("machine %s: frequency %v", cfg.Name, cfg.FreqGHz)
 	}
-	// Build all components once to validate geometry; Run rebuilds
-	// fresh state per workload.
-	if _, err := cache.NewHierarchy(cfg.Caches); err != nil {
+	// Validate geometry without building anything; the first Run
+	// builds the simulator state.
+	if err := cfg.Caches.Validate(); err != nil {
 		return nil, fmt.Errorf("machine %s: %w", cfg.Name, err)
 	}
-	if _, err := tlb.NewHierarchy(cfg.TLBs); err != nil {
+	if err := cfg.TLBs.Validate(); err != nil {
 		return nil, fmt.Errorf("machine %s: %w", cfg.Name, err)
 	}
-	if _, err := branch.New(cfg.Predictor); err != nil {
+	if err := cfg.Predictor.Validate(); err != nil {
 		return nil, fmt.Errorf("machine %s: %w", cfg.Name, err)
 	}
 	if err := cfg.Penalties.Validate(); err != nil {
@@ -221,23 +263,16 @@ func (m *Machine) Run(w Workload, opts RunOptions) (*RawCounts, error) {
 	if err != nil {
 		return nil, fmt.Errorf("machine %s: workload %q: %w", m.cfg.Name, w.Key, err)
 	}
-	caches, err := cache.NewHierarchy(m.cfg.Caches)
+	state, err := m.getState()
 	if err != nil {
 		return nil, err
 	}
-	tlbs, err := tlb.NewHierarchy(m.cfg.TLBs)
-	if err != nil {
-		return nil, err
-	}
-	pred, err := branch.New(m.cfg.Predictor)
-	if err != nil {
-		return nil, err
-	}
+	defer m.putState(state)
 
 	rc := &RawCounts{}
-	st := newSimStream(gen, caches, tlbs, pred, rc, 0)
+	st := newSimStream(gen, state.caches, state.tlbs, state.pred, rc, 0)
 
-	prime(caches, tlbs, spec)
+	prime(state.caches, state.tlbs, spec)
 	st.warmup(opts.WarmupInstructions)
 	st.resetStats()
 	st.measure(opts.Instructions)
@@ -276,9 +311,10 @@ func prime(caches *cache.Hierarchy, tlbs *tlb.Hierarchy, spec trace.Spec) {
 
 // primeOffset primes with the data regions shifted by offset — the
 // per-copy address-space displacement of multi-copy (SPECrate) runs.
+// Each region is swept through the caches at the hierarchy's smallest
+// line size, so every line of every level is touched.
 func primeOffset(caches *cache.Hierarchy, tlbs *tlb.Hierarchy, spec trace.Spec, offset uint64) {
 	const (
-		line     = 64
 		page     = 1 << tlb.PageShift
 		maxPrime = 8 << 20 // never prime more than any LLC could hold
 	)
@@ -286,9 +322,7 @@ func primeOffset(caches *cache.Hierarchy, tlbs *tlb.Hierarchy, spec trace.Spec, 
 		if size > maxPrime {
 			size = maxPrime
 		}
-		for off := uint64(0); off < size; off += line {
-			caches.AccessData(base + off)
-		}
+		caches.SweepData(base, size)
 		for off := uint64(0); off < size; off += page {
 			tlbs.TranslateData(base + off)
 		}
@@ -297,9 +331,7 @@ func primeOffset(caches *cache.Hierarchy, tlbs *tlb.Hierarchy, spec trace.Spec, 
 		if size > maxPrime/2 {
 			size = maxPrime / 2
 		}
-		for off := uint64(0); off < size; off += line {
-			caches.FetchInstr(base + off)
-		}
+		caches.SweepInstr(base, size)
 		for off := uint64(0); off < size; off += page {
 			tlbs.TranslateInstr(base + off)
 		}

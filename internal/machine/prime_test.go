@@ -3,15 +3,29 @@ package machine
 import (
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/trace"
 )
 
 // TestPrimeEstablishesSteadyState verifies the purpose of the priming
 // pass: a workload whose entire working set fits the caches must show
 // essentially zero misses from the very first measured instruction,
-// without needing a long warmup.
+// without needing a long warmup. The 32-byte-line machine pins that
+// priming steps by the hierarchy's line size: a fixed 64-byte step
+// primed only every other line there and missed L3 thousands of times.
 func TestPrimeEstablishesSteadyState(t *testing.T) {
-	m, err := New(SkylakeConfig())
+	line32 := SkylakeConfig()
+	line32.Name = "skylake-32B"
+	for _, c := range []*cache.Config{&line32.Caches.L1I, &line32.Caches.L1D, &line32.Caches.L2, line32.Caches.L3} {
+		c.LineBytes = 32
+	}
+	for _, cfg := range []Config{SkylakeConfig(), line32} {
+		t.Run(cfg.Name, func(t *testing.T) { testPrimeSteadyState(t, cfg) })
+	}
+}
+
+func testPrimeSteadyState(t *testing.T, cfg Config) {
+	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

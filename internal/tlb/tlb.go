@@ -46,16 +46,33 @@ type TLB struct {
 	c *cache.Cache
 }
 
+// cacheConfig is the page-granule cache geometry that models cfg.
+func (c Config) cacheConfig() cache.Config {
+	return cache.Config{
+		SizeBytes: c.Entries << PageShift,
+		Ways:      c.Ways,
+		LineBytes: 1 << PageShift,
+	}
+}
+
+// validateLevel checks cfg and the cache geometry New builds from it,
+// with New's error text.
+func validateLevel(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if err := cfg.cacheConfig().Validate(); err != nil {
+		return fmt.Errorf("tlb: %w", err)
+	}
+	return nil
+}
+
 // New builds a TLB level from cfg.
 func New(cfg Config) (*TLB, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := validateLevel(cfg); err != nil {
 		return nil, err
 	}
-	inner, err := cache.New(cache.Config{
-		SizeBytes: cfg.Entries << PageShift,
-		Ways:      cfg.Ways,
-		LineBytes: 1 << PageShift,
-	})
+	inner, err := cache.New(cfg.cacheConfig())
 	if err != nil {
 		return nil, fmt.Errorf("tlb: %w", err)
 	}
@@ -70,6 +87,9 @@ func (t *TLB) Stats() (lookups, misses uint64) { return t.c.Stats() }
 
 // ResetStats clears counters, keeping contents.
 func (t *TLB) ResetStats() { t.c.ResetStats() }
+
+// Clear returns the TLB to the state New builds: empty, counters zero.
+func (t *TLB) Clear() { t.c.Clear() }
 
 // Hierarchy is the two-level structure used by all simulated machines:
 // split L1 I/D TLBs and an optional unified second level. A miss in
@@ -86,6 +106,23 @@ type Hierarchy struct {
 type HierarchyConfig struct {
 	ITLB, DTLB Config
 	L2         *Config
+}
+
+// Validate reports the first invalid level, prefixed with its name,
+// without allocating any level.
+func (cfg HierarchyConfig) Validate() error {
+	if err := validateLevel(cfg.ITLB); err != nil {
+		return fmt.Errorf("ITLB: %w", err)
+	}
+	if err := validateLevel(cfg.DTLB); err != nil {
+		return fmt.Errorf("DTLB: %w", err)
+	}
+	if cfg.L2 != nil {
+		if err := validateLevel(*cfg.L2); err != nil {
+			return fmt.Errorf("L2 TLB: %w", err)
+		}
+	}
+	return nil
 }
 
 // NewHierarchy builds and validates the hierarchy.
@@ -154,6 +191,17 @@ func (h *Hierarchy) Counts() Counts {
 	c.ITLBLookups, c.ITLBMisses = h.ITLB.Stats()
 	c.DTLBLookups, c.DTLBMisses = h.DTLB.Stats()
 	return c
+}
+
+// Clear returns every level and counter to the state NewHierarchy
+// builds.
+func (h *Hierarchy) Clear() {
+	h.ITLB.Clear()
+	h.DTLB.Clear()
+	if h.L2 != nil {
+		h.L2.Clear()
+	}
+	h.l2Lookups, h.l2Misses, h.pageWalks = 0, 0, 0
 }
 
 // ResetStats clears all counters, keeping contents warm.

@@ -1,6 +1,7 @@
 package tlb
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/rng"
@@ -151,5 +152,50 @@ func TestRandomPagesMissMore(t *testing.T) {
 	lc, rc := local.Counts(), random.Counts()
 	if lc.PageWalks*100 >= rc.PageWalks {
 		t.Fatalf("random pages should walk far more: local %d vs random %d", lc.PageWalks, rc.PageWalks)
+	}
+}
+
+// TestClearMatchesNew checks that Clear returns a used hierarchy to
+// exactly the state NewHierarchy builds.
+func TestClearMatchesNew(t *testing.T) {
+	fresh := newHier(t, true)
+	h := newHier(t, true)
+	r := rng.New(5)
+	for i := 0; i < 2000; i++ {
+		h.TranslateData(r.Uint64n(1 << 30))
+		h.TranslateInstr(r.Uint64n(1 << 30))
+	}
+	h.Clear()
+	if !reflect.DeepEqual(h, fresh) {
+		t.Fatal("Hierarchy.Clear does not restore the NewHierarchy state")
+	}
+}
+
+// TestValidateErrorText pins HierarchyConfig.Validate to the error text
+// NewHierarchy reports, including the associativity limit of the
+// cache a TLB level is built on.
+func TestValidateErrorText(t *testing.T) {
+	ok := Config{Entries: 8, Ways: 8}
+	cases := []struct {
+		cfg  HierarchyConfig
+		want string
+	}{
+		{HierarchyConfig{ITLB: Config{Entries: 0, Ways: 1}, DTLB: ok},
+			"ITLB: tlb: non-positive geometry {Entries:0 Ways:1}"},
+		{HierarchyConfig{ITLB: ok, DTLB: Config{Entries: 64, Ways: 5}},
+			"DTLB: tlb: entries 64 not divisible by ways 5"},
+		{HierarchyConfig{ITLB: ok, DTLB: ok, L2: &Config{Entries: 96, Ways: 8}},
+			"L2 TLB: tlb: set count 12 not a power of two"},
+		{HierarchyConfig{ITLB: ok, DTLB: ok, L2: &Config{Entries: 512, Ways: 256}},
+			"L2 TLB: tlb: cache: associativity 256 exceeds supported maximum 255"},
+	}
+	for _, tc := range cases {
+		err := tc.cfg.Validate()
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("Validate() = %v, want %q", err, tc.want)
+		}
+		if _, err := NewHierarchy(tc.cfg); err == nil || err.Error() != tc.want {
+			t.Errorf("NewHierarchy() error = %v, want %q", err, tc.want)
+		}
 	}
 }

@@ -198,6 +198,11 @@ type branchState struct {
 	bias float64 // Bernoulli taken probability (easy/hard)
 }
 
+// coldBranch is the behaviour of every branch outside the hot loop:
+// strongly taken, drawn from no RNG. All cold blocks share this one
+// read-only value instead of a table entry each.
+var coldBranch = branchState{kind: easyBranch, bias: 0.995}
+
 // Generator produces the event stream for one workload. It is not
 // safe for concurrent use; create one per goroutine.
 type Generator struct {
@@ -207,8 +212,8 @@ type Generator struct {
 	nBlocks    int
 	hotBlocks  int
 	warmBlocks int
-	nKBlocks   int // kernel code blocks
-	branches   []branchState
+	nKBlocks   int           // kernel code blocks
+	branches   []branchState // hot blocks only; colder ones are coldBranch
 	kbranches  []branchState
 	streams    []uint64
 	streamSpan uint64
@@ -285,10 +290,10 @@ func NewGenerator(spec Spec, key string) (*Generator, error) {
 		g.nKBlocks = 1
 	}
 
-	g.branches = make([]branchState, g.nBlocks)
-	seedBranches(g.branches, g.hotBlocks, spec, g.rBranch)
+	g.branches = make([]branchState, g.hotBlocks)
+	seedBranches(g.branches, spec, g.rBranch)
 	g.kbranches = make([]branchState, g.nKBlocks)
-	seedBranches(g.kbranches, g.nKBlocks, spec, g.rBranch)
+	seedBranches(g.kbranches, spec, g.rBranch)
 
 	n := spec.MemStreams
 	if n <= 0 {
@@ -329,12 +334,13 @@ func NewGenerator(spec Spec, key string) (*Generator, error) {
 	return g, nil
 }
 
-// seedBranches assigns behaviour to the first hotCount blocks' branches
-// from the hard/correlated/easy mixture; branches of colder blocks are
-// uniformly strongly-taken, so their (rarely trained, heavily aliased)
-// predictor entries still agree — matching real programs, whose cold
-// paths remain predictable.
-func seedBranches(bs []branchState, hotCount int, spec Spec, r *rng.Rand) {
+// seedBranches assigns behaviour to the hot blocks' branches bs from
+// the hard/correlated/easy mixture. Branches of colder blocks are
+// uniformly strongly-taken (coldBranch), so their (rarely trained,
+// heavily aliased) predictor entries still agree — matching real
+// programs, whose cold paths remain predictable.
+func seedBranches(bs []branchState, spec Spec, r *rng.Rand) {
+	hotCount := len(bs)
 	// Solve for the easy branches' taken share so the hot mixture plus
 	// the cold-branch population hits TakenFrac overall:
 	//   taken = h*(e*0.5 + (1-e)*(P*0.5 + (1-P)*(q*0.98+0.01))) + (1-h)*0.99,
@@ -367,11 +373,6 @@ func seedBranches(bs []branchState, hotCount int, spec Spec, r *rng.Rand) {
 	head := nCorr - tail
 	for i := range bs {
 		b := &bs[i]
-		if i >= hotCount {
-			b.kind = easyBranch
-			b.bias = 0.995
-			continue
-		}
 		if i < head || i >= hotCount-tail {
 			b.kind = corrBranch
 			continue
@@ -456,13 +457,7 @@ func (g *Generator) Next(ev *Event) {
 	if g.blockPos == g.blockLen-1 {
 		// Block-terminating conditional branch.
 		ev.Kind = CondBranch
-		var b *branchState
-		if g.inKernel {
-			b = &g.kbranches[g.curBlock]
-		} else {
-			b = &g.branches[g.curBlock]
-		}
-		ev.Taken = g.outcome(b)
+		ev.Taken = g.outcome(g.branch(g.inKernel, g.curBlock))
 		g.blockPos = 0
 		return
 	}
@@ -555,13 +550,7 @@ func (g *Generator) FillBatch(evs []Event) {
 
 		if pos == blockLen-1 {
 			ev.Kind = CondBranch
-			var b *branchState
-			if inKernel {
-				b = &g.kbranches[curBlock]
-			} else {
-				b = &g.branches[curBlock]
-			}
-			ev.Taken = g.outcome(b)
+			ev.Taken = g.outcome(g.branch(inKernel, curBlock))
 			pos = 0
 			continue
 		}
@@ -593,6 +582,17 @@ func (g *Generator) FillBatch(evs []Event) {
 	}
 	g.blockPos = pos
 	g.curBlock = curBlock
+}
+
+// branch returns the behaviour of the branch ending block.
+func (g *Generator) branch(inKernel bool, block int) *branchState {
+	if inKernel {
+		return &g.kbranches[block]
+	}
+	if block < len(g.branches) {
+		return &g.branches[block]
+	}
+	return &coldBranch
 }
 
 // outcome produces one branch's next direction and updates the global
