@@ -3,16 +3,18 @@
 # The full test suite under the race detector rebuilds fleet
 # characterizations, which the race runtime slows by ~20x (minutes per
 # Lab); `ci` therefore runs -race on the concurrent packages (server,
-# metrics, core, cluster, stats) where it has teeth, plus the analysis
-# fan-out tests of internal/experiments (`race-analysis`) and concurrent
-# runs on one shared Machine, whose simulator state is pooled
-# (`race-machine`); `race-all` remains available for the exhaustive run.
+# flight, metrics, core, cluster, stats, ...) where it has teeth, plus
+# the analysis fan-out tests and the Lab's build coalescing in
+# internal/experiments (`race-analysis`) and concurrent runs on one
+# shared Machine, whose simulator state is pooled (`race-machine`);
+# `race-all` remains available for the exhaustive run.
 
 GO ?= go
 RACE_PKGS ?= ./internal/server/... ./internal/metrics/... ./internal/core/... \
              ./internal/cluster/... ./internal/stats/... ./internal/store/... \
              ./internal/sched/... ./internal/telemetry/... ./internal/admission/... \
-             ./internal/engine/... ./internal/jobs/... ./internal/insight/...
+             ./internal/engine/... ./internal/jobs/... ./internal/insight/... \
+             ./internal/flight/...
 
 .PHONY: ci fmt-check vet build test race race-analysis race-machine race-all bench bench-smoke bench-snapshot bench-gate smoke clean
 
@@ -36,10 +38,11 @@ race:
 
 # race-analysis race-checks the per-suite analysis fan-out in
 # internal/experiments without the package's full Lab-building suite:
-# the output pins, the fan-out helper, and the cold-then-warm store
-# pass, all on the analytic engine.
+# the output pins, the fan-out helper, the cold-then-warm store pass,
+# and a Lab build that outlives the caller that started it, all on the
+# analytic engine.
 race-analysis:
-	$(GO) test -race -run 'Pinned|TestPerSuiteOrder|TestTable5ColdThenWarmStore' ./internal/experiments
+	$(GO) test -race -run 'Pinned|TestPerSuiteOrder|TestTable5ColdThenWarmStore|TestLabBuildSurvivesLeaderCancel' ./internal/experiments
 
 # race-machine race-checks concurrent Run calls on one shared Machine,
 # which hand simulator state through a sync.Pool: every concurrent

@@ -68,7 +68,7 @@ func main() {
 	defer stop()
 
 	fmt.Fprintf(os.Stderr, "characterizing %d workloads on %d machines...\n", len(entries), len(fleet))
-	char, err := core.Characterize(ctx, entries, fleet, opts)
+	char, err := core.CharacterizeWith(ctx, entries, fleet, opts, nil, nil, nil)
 	if err != nil {
 		fatal(err)
 	}

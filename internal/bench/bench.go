@@ -106,7 +106,7 @@ func characterize(parallelism int) func(b *testing.B) {
 		opts := machine.RunOptions{Instructions: 20_000, WarmupInstructions: 4_000, Parallelism: parallelism}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Characterize(context.Background(), entries, fleet, opts); err != nil {
+			if _, err := core.CharacterizeWith(context.Background(), entries, fleet, opts, nil, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

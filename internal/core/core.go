@@ -11,7 +11,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -19,6 +18,7 @@ import (
 	"repro/internal/counters"
 	"repro/internal/engine"
 	"repro/internal/machine"
+	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/store"
 	"repro/internal/telemetry"
@@ -51,47 +51,34 @@ type Runner interface {
 	Do(ctx context.Context, key string, fn func(context.Context) (any, error)) (any, error)
 }
 
-// Characterize measures every entry on every machine. Runs are
-// independent and fan out across a worker pool (opts.Parallelism
-// workers; 0 = GOMAXPROCS, 1 = serial); results are stored by
-// (label, machine) and are deterministic regardless of scheduling.
-// Canceling ctx abandons the remaining measurements and returns the
-// context's error.
-func Characterize(ctx context.Context, entries []Entry, machines []*machine.Machine, opts machine.RunOptions) (*Characterization, error) {
-	return CharacterizeStored(ctx, entries, machines, opts, nil)
-}
-
-// CharacterizeScheduled is CharacterizeStored with the per-call
-// worker pool replaced by a shared Runner: every (entry, machine)
-// measurement is submitted to r under the store key's identity, so
-// concurrent characterizations sharing one scheduler — two batches
-// whose experiment sets overlap, two labs at the same fidelity —
-// deduplicate in-flight simulations and queue with global FIFO
-// fairness instead of oversubscribing the host. Results are
-// bit-identical to the unscheduled path. A nil Runner falls back to
-// CharacterizeStored.
-func CharacterizeScheduled(ctx context.Context, entries []Entry, machines []*machine.Machine, opts machine.RunOptions, st *store.Store, r Runner) (*Characterization, error) {
-	return CharacterizeWith(ctx, entries, machines, opts, st, r, nil)
-}
-
-// CharacterizeWith is the fully general characterization entry point:
-// a shared store (nil = measure directly), a shared Runner (nil = a
-// per-call worker pool), and a measurement engine (nil = the exact
-// trace-driven engine). Every (entry, machine) measurement is keyed by
-// the engine's tier, so analytic and exact records coexist in one
-// store without ever answering for each other. With both a store and
-// a Runner, a pair already in the store is served directly and only
-// misses are submitted to the Runner.
+// CharacterizeWith measures every entry on every machine, each
+// (entry, machine) pair once, through a shared store (nil = measure
+// directly), a shared Runner, and a measurement engine (nil = the exact
+// trace-driven engine). A nil Runner means a private scheduler pool of
+// opts.Parallelism workers (0 = GOMAXPROCS, 1 = serial). Every
+// measurement is submitted to the Runner under its store key's
+// identity, so concurrent characterizations sharing one scheduler —
+// two batches whose experiment sets overlap, two labs at the same
+// fidelity — deduplicate in-flight simulations and queue with global
+// FIFO fairness. The key carries the engine's tier, so analytic and
+// exact records coexist in one store without ever answering for each
+// other; a pair already in the store is served directly and only
+// misses go to the Runner. Results are stored by (label, machine) and
+// are deterministic regardless of scheduling. Canceling ctx abandons
+// the remaining measurements and returns the context's error.
 func CharacterizeWith(ctx context.Context, entries []Entry, machines []*machine.Machine, opts machine.RunOptions, st *store.Store, r Runner, eng engine.Engine) (*Characterization, error) {
-	if r == nil {
-		return characterizeStored(ctx, entries, machines, opts, st, eng)
-	}
 	c, err := newCharacterization(entries, machines)
 	if err != nil {
 		return nil, err
 	}
+	if eng == nil {
+		eng = engine.Exact{}
+	}
+	if r == nil {
+		r = sched.NewPool(opts.Parallelism, nil).Queue(0)
+	}
 
-	tier := tierOf(eng)
+	tier := string(eng.Tier())
 	var (
 		mu       sync.Mutex
 		firstErr error
@@ -157,7 +144,7 @@ submit:
 }
 
 // newCharacterization validates the inputs and allocates the empty
-// result maps shared by both measurement paths.
+// result maps.
 func newCharacterization(entries []Entry, machines []*machine.Machine) (*Characterization, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("core: no workloads to characterize")
@@ -191,133 +178,24 @@ func newCharacterization(entries []Entry, machines []*machine.Machine) (*Charact
 	return c, nil
 }
 
-// CharacterizeStored is Characterize backed by a measurement store:
-// every (entry, machine) pair already in st is served from it, every
-// pair computed lands in it, and concurrent characterizations sharing
-// st never simulate the same pair twice. The substrate is
-// deterministic, so the result is bit-identical to a store-free run.
-// A nil store measures directly.
-func CharacterizeStored(ctx context.Context, entries []Entry, machines []*machine.Machine, opts machine.RunOptions, st *store.Store) (*Characterization, error) {
-	return characterizeStored(ctx, entries, machines, opts, st, nil)
-}
-
-func characterizeStored(ctx context.Context, entries []Entry, machines []*machine.Machine, opts machine.RunOptions, st *store.Store, eng engine.Engine) (*Characterization, error) {
-	c, err := newCharacterization(entries, machines)
-	if err != nil {
-		return nil, err
-	}
-
-	tier := tierOf(eng)
-	type job struct {
-		entry Entry
-		mach  *machine.Machine
-	}
-	jobs := make(chan job)
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(entries)*len(machines) {
-		workers = len(entries) * len(machines)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				if ctx.Err() != nil {
-					continue // canceled: drain the queue without measuring
-				}
-				var key store.Key
-				if st != nil {
-					key = store.KeyForEngine(j.mach, j.entry.Workload, opts, tier)
-				}
-				rc, err := measureWith(ctx, st, key, j.mach, j.entry.Workload, opts, eng)
-				var sample *counters.Sample
-				if err == nil {
-					sample, err = counters.FromRaw(j.mach.Name(), j.mach.Config().HasRAPL, rc)
-				}
-				mu.Lock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = fmt.Errorf("core: %s on %s: %w", j.entry.Label, j.mach.Name(), err)
-					}
-				} else {
-					c.samples[j.entry.Label][j.mach.Name()] = sample
-					c.raw[j.entry.Label][j.mach.Name()] = rc
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-feed:
-	for _, e := range entries {
-		for _, m := range machines {
-			select {
-			case jobs <- job{entry: e, mach: m}:
-			case <-ctx.Done():
-				break feed
-			}
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return c, nil
-}
-
-// tierOf names an engine's store-key tier; the nil engine is exact.
-func tierOf(eng engine.Engine) string {
-	if eng == nil {
-		return string(engine.TierExact)
-	}
-	return string(eng.Tier())
-}
-
 // measureWith runs one (machine, workload) pair on eng, through the
 // store under key when one is present, so concurrent and repeated
-// characterizations share measurements; key is unused without a store.
-// A nil engine takes the historical Simulate path (bit-identical to
-// engine.Exact, and keyed identically in the store).
+// characterizations share measurements.
 func measureWith(ctx context.Context, st *store.Store, key store.Key, m *machine.Machine, w machine.Workload, opts machine.RunOptions, eng engine.Engine) (*machine.RawCounts, error) {
-	run := func(rctx context.Context) (*machine.RawCounts, error) {
-		if eng == nil {
-			return Simulate(rctx, m, w, opts)
-		}
-		return eng.Measure(rctx, m, w, opts)
-	}
 	if st == nil {
-		return run(ctx)
+		return eng.Measure(ctx, m, w, opts)
 	}
 	return st.GetOrCompute(ctx, key, func(fctx context.Context) (*machine.RawCounts, error) {
 		if err := fctx.Err(); err != nil {
 			return nil, err // every waiter left before the run began
 		}
-		return run(fctx)
+		return eng.Measure(fctx, m, w, opts)
 	})
 }
 
-// Simulate runs one workload on one machine, emitting a "simulate"
-// span on the context's trace — the leaf stage every other span tree
-// layer (scheduling, storage, analysis) is measured against.
-func Simulate(ctx context.Context, m *machine.Machine, w machine.Workload, opts machine.RunOptions) (*machine.RawCounts, error) {
-	_, span := telemetry.StartSpan(ctx, "simulate", "machine", m.Name(), "workload", w.Key)
-	rc, err := m.Run(w, opts)
-	span.End()
-	return rc, err
-}
-
-// SimulateMulti is Simulate for multi-copy (SPECrate-style) runs.
+// SimulateMulti runs copies concurrent copies of w on m (a SPECrate-
+// style run), emitting a "simulate" span on the context's trace like
+// engine.Exact does for single-copy runs.
 func SimulateMulti(ctx context.Context, m *machine.Machine, w machine.Workload, copies int, opts machine.RunOptions) (*machine.MultiCounts, error) {
 	_, span := telemetry.StartSpan(ctx, "simulate",
 		"machine", m.Name(), "workload", w.Key, "copies", strconv.Itoa(copies))

@@ -53,8 +53,8 @@ func getFixture(t *testing.T) *Characterization {
 			}
 			entries = append(entries, Entry{Label: p.Name, Workload: p.Workload()})
 		}
-		fixture, fixtureErr = Characterize(context.Background(), entries, testMachines(t),
-			machine.RunOptions{Instructions: 80_000, WarmupInstructions: 20_000})
+		fixture, fixtureErr = CharacterizeWith(context.Background(), entries, testMachines(t),
+			machine.RunOptions{Instructions: 80_000, WarmupInstructions: 20_000}, nil, nil, nil)
 	})
 	if fixtureErr != nil {
 		t.Fatal(fixtureErr)
@@ -84,22 +84,22 @@ func TestCharacterizeShape(t *testing.T) {
 
 func TestCharacterizeErrors(t *testing.T) {
 	ms := testMachines(t)
-	if _, err := Characterize(context.Background(), nil, ms, machine.RunOptions{}); err == nil {
+	if _, err := CharacterizeWith(context.Background(), nil, ms, machine.RunOptions{}, nil, nil, nil); err == nil {
 		t.Fatal("no entries must error")
 	}
 	p, _ := workloads.ByName("505.mcf_r")
 	e := Entry{Label: "x", Workload: p.Workload()}
-	if _, err := Characterize(context.Background(), []Entry{e}, nil, machine.RunOptions{}); err == nil {
+	if _, err := CharacterizeWith(context.Background(), []Entry{e}, nil, machine.RunOptions{}, nil, nil, nil); err == nil {
 		t.Fatal("no machines must error")
 	}
-	if _, err := Characterize(context.Background(), []Entry{e, e}, ms, machine.RunOptions{}); err == nil {
+	if _, err := CharacterizeWith(context.Background(), []Entry{e, e}, ms, machine.RunOptions{}, nil, nil, nil); err == nil {
 		t.Fatal("duplicate labels must error")
 	}
-	if _, err := Characterize(context.Background(), []Entry{{Label: "", Workload: p.Workload()}}, ms, machine.RunOptions{}); err == nil {
+	if _, err := CharacterizeWith(context.Background(), []Entry{{Label: "", Workload: p.Workload()}}, ms, machine.RunOptions{}, nil, nil, nil); err == nil {
 		t.Fatal("empty label must error")
 	}
 	bad := Entry{Label: "bad", Workload: machine.Workload{Key: "bad", ILP: 0}}
-	if _, err := Characterize(context.Background(), []Entry{bad}, ms, machine.RunOptions{Instructions: 1000}); err == nil {
+	if _, err := CharacterizeWith(context.Background(), []Entry{bad}, ms, machine.RunOptions{Instructions: 1000}, nil, nil, nil); err == nil {
 		t.Fatal("invalid workload must surface an error")
 	}
 }
@@ -108,11 +108,11 @@ func TestCharacterizeDeterministicAcrossParallelism(t *testing.T) {
 	p, _ := workloads.ByName("541.leela_r")
 	entries := []Entry{{Label: p.Name, Workload: p.Workload()}}
 	opts := machine.RunOptions{Instructions: 30_000, WarmupInstructions: 5_000}
-	a, err := Characterize(context.Background(), entries, testMachines(t), opts)
+	a, err := CharacterizeWith(context.Background(), entries, testMachines(t), opts, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Characterize(context.Background(), entries, testMachines(t), opts)
+	b, err := CharacterizeWith(context.Background(), entries, testMachines(t), opts, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

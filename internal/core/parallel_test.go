@@ -28,7 +28,7 @@ func TestCharacterizeParallelDeterministic(t *testing.T) {
 	for _, par := range []int{1, 0, 16} {
 		opts := base
 		opts.Parallelism = par
-		c, err := Characterize(context.Background(), entries, fleet, opts)
+		c, err := CharacterizeWith(context.Background(), entries, fleet, opts, nil, nil, nil)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}

@@ -34,12 +34,12 @@ func TestCharacterizeScheduledMatchesUnscheduled(t *testing.T) {
 	machines := testMachines(t)[:2]
 	opts := machine.RunOptions{Instructions: 2_000}
 
-	want, err := CharacterizeStored(context.Background(), entries, machines, opts, nil)
+	want, err := CharacterizeWith(context.Background(), entries, machines, opts, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pool := sched.NewPool(2, nil)
-	got, err := CharacterizeScheduled(context.Background(), entries, machines, opts, nil, pool.Queue(0))
+	got, err := CharacterizeWith(context.Background(), entries, machines, opts, nil, pool.Queue(0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestCharacterizeScheduledSharesMeasurements(t *testing.T) {
 	results := make(chan result, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			c, err := CharacterizeScheduled(context.Background(), entries, machines, opts, st, pool.Queue(0))
+			c, err := CharacterizeWith(context.Background(), entries, machines, opts, st, pool.Queue(0), nil)
 			results <- result{c, err}
 		}()
 	}
@@ -149,7 +149,7 @@ func TestCharacterizeScheduledCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := CharacterizeScheduled(ctx, entries, machines, machine.RunOptions{Instructions: 2_000}, nil, pool.Queue(0))
+		_, err := CharacterizeWith(ctx, entries, machines, machine.RunOptions{Instructions: 2_000}, nil, pool.Queue(0), nil)
 		done <- err
 	}()
 	waitForPool(t, pool, func(s sched.Stats) bool { return s.Depth > 0 })
@@ -189,7 +189,7 @@ func TestCharacterizeWithServesStoreHitsInline(t *testing.T) {
 	leaves := int64(len(entries) * len(machines))
 	ctx := context.Background()
 
-	want, err := characterizeStored(ctx, entries, machines, opts, nil, nil)
+	want, err := CharacterizeWith(ctx, entries, machines, opts, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestCharacterizeWithServesStoreHitsInline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := CharacterizeStored(ctx, tc.warm, machines, opts, st); err != nil {
+			if _, err := CharacterizeWith(ctx, tc.warm, machines, opts, st, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 			misses := leaves - int64(len(tc.warm)*len(machines))
@@ -252,7 +252,7 @@ func TestCharacterizeWithPreCanceled(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Store the first entry's pairs, so a lookup would count a hit.
-	if _, err := CharacterizeStored(context.Background(), entries[:1], machines, opts, st); err != nil {
+	if _, err := CharacterizeWith(context.Background(), entries[:1], machines, opts, st, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	before := st.Stats()

@@ -27,7 +27,7 @@ func TestStoreGoldenBitIdentical(t *testing.T) {
 	machines := testMachines(t)
 	opts := machine.RunOptions{Instructions: 40_000, WarmupInstructions: 10_000}
 
-	bare, err := Characterize(context.Background(), entries, machines, opts)
+	bare, err := CharacterizeWith(context.Background(), entries, machines, opts, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestStoreGoldenBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaCold, err := CharacterizeStored(context.Background(), entries, machines, opts, cold)
+	viaCold, err := CharacterizeWith(context.Background(), entries, machines, opts, cold, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestStoreGoldenBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaWarm, err := CharacterizeStored(context.Background(), entries, machines, opts, warm)
+	viaWarm, err := CharacterizeWith(context.Background(), entries, machines, opts, warm, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

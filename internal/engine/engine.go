@@ -3,8 +3,8 @@
 // measurement — the store-key grain — and two implementations exist:
 //
 //   - Exact drives the full trace-driven simulation substrate
-//     (internal/trace through internal/machine), bit-identical to the
-//     historical core.Simulate path.
+//     (internal/trace through internal/machine), bit-identical to
+//     machine.Run.
 //   - Analytic evaluates a closed-form model of the same substrate:
 //     miss rates, branch mispredicts, CPI-stack components, and power
 //     are derived directly from the workload specification and the

@@ -19,7 +19,7 @@ var (
 func lab(t *testing.T) *Lab {
 	t.Helper()
 	testLabOnce.Do(func() {
-		testLab = NewLab(machine.RunOptions{Instructions: 120_000, WarmupInstructions: 30_000})
+		testLab = NewLabWithEngine(machine.RunOptions{Instructions: 120_000, WarmupInstructions: 30_000}, nil, nil, nil)
 	})
 	if _, err := testLab.Characterization(); err != nil {
 		t.Fatal(err)

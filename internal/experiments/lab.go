@@ -8,35 +8,36 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/flight"
 	"repro/internal/machine"
+	"repro/internal/sched"
 	"repro/internal/store"
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
 
 // Lab owns the shared measurement state. The zero value is not usable;
-// create with NewLab. All experiments sharing a Lab reuse one fleet
-// characterization, so the expensive simulation work happens once.
-// The characterization fans the per-machine measurements out across
-// goroutines (see core.Characterize; bound it with
-// RunOptions.Parallelism) with deterministic results regardless of
-// scheduling, and Lab is safe for concurrent use — spec17d serves
-// many requests from one Lab.
+// create with NewLabWithEngine. All experiments sharing a Lab reuse one
+// fleet characterization, so the expensive simulation work happens
+// once. The characterization fans the per-machine measurements out
+// across the lab's scheduler (see core.CharacterizeWith) with
+// deterministic results regardless of scheduling, and Lab is safe for
+// concurrent use — spec17d serves many requests from one Lab.
 //
 // A Lab is a light handle over shared state, the way http.Request
 // carries its Context: WithContext returns a sibling handle whose
 // measurements abort when the context does, while the underlying
-// characterization stays shared. Backing the Lab with a
-// store.Store (NewLabWithStore) makes every measurement
-// content-addressed and persistent: overlapping labs never simulate
-// the same (machine, workload, options) pair twice, and a lab built
-// over a loaded snapshot is warm from its first experiment.
+// characterization stays shared. Backing the Lab with a store.Store
+// makes every measurement content-addressed and persistent:
+// overlapping labs never simulate the same (machine, workload,
+// options) pair twice, and a lab built over a loaded snapshot is warm
+// from its first experiment.
 type Lab struct {
 	ctx   context.Context // nil means context.Background()
 	state *labState
@@ -46,53 +47,45 @@ type Lab struct {
 // lab.
 type labState struct {
 	opts  machine.RunOptions
-	store *store.Store  // nil: measure directly
-	sched core.Runner   // nil: per-characterization worker pool
-	eng   engine.Engine // nil: the exact trace-driven engine
+	store *store.Store // nil: measure directly
+	sched core.Runner
+	eng   engine.Engine
 
-	mu       sync.Mutex
-	building chan struct{} // non-nil while one caller characterizes
-	done     bool
-	char     *core.Characterization
-	fleet    []*machine.Machine
-	err      error
+	// build coalesces the callers of the one fleet characterization;
+	// result holds its outcome once one is final.
+	build  flight.Group[*labResult]
+	result atomic.Pointer[labResult]
 }
 
-// NewLab returns a Lab measuring with the given run options (zero
-// value = machine defaults: 400k measured instructions per run).
-func NewLab(opts machine.RunOptions) *Lab {
-	return &Lab{state: &labState{opts: opts}}
+// labResult is the outcome of a fleet characterization: a success, or
+// an error that is not a cancellation.
+type labResult struct {
+	char  *core.Characterization
+	fleet []*machine.Machine
+	err   error
 }
 
-// NewLabWithStore returns a Lab whose measurements go through st.
-// A nil store is equivalent to NewLab.
-func NewLabWithStore(opts machine.RunOptions, st *store.Store) *Lab {
-	return &Lab{state: &labState{opts: opts, store: st}}
-}
-
-// NewLabWithSched returns a Lab whose measurements go through st and
-// are executed by r — a shared scheduler (sched.Pool via Queue) that
-// bounds simulation concurrency process-wide and deduplicates
-// in-flight work at the (machine × workload × options) grain across
-// every lab sharing it. Nil r is equivalent to NewLabWithStore; nil
-// st measures directly (the scheduler still deduplicates in-flight
-// submissions).
-func NewLabWithSched(opts machine.RunOptions, st *store.Store, r core.Runner) *Lab {
-	return &Lab{state: &labState{opts: opts, store: st, sched: r}}
-}
-
-// NewLabWithEngine is NewLabWithSched on an explicit measurement
-// engine: every measurement the lab makes — the shared fleet
-// characterization and the ad-hoc RunStored runs — goes through eng
-// and is store-keyed by its tier, so an analytic lab and an exact lab
-// backed by the same store never serve each other's records. A nil
-// engine measures exactly (identical to NewLabWithSched).
+// NewLabWithEngine returns a Lab measuring with the given run options
+// (zero value = machine defaults: 400k measured instructions per run).
+// Every measurement the lab makes — the shared fleet characterization
+// and the ad-hoc RunStored runs — goes through st (nil: measure
+// directly), is executed by r, and is measured by eng, store-keyed by
+// its tier, so an analytic lab and an exact lab backed by the same
+// store never serve each other's records. r is typically a queue on a
+// scheduler shared process-wide (sched.Pool), which bounds simulation
+// concurrency and deduplicates in-flight work at the (machine ×
+// workload × options) grain across every lab sharing it; nil means a
+// private pool of opts.Parallelism workers. A nil eng measures
+// exactly.
 func NewLabWithEngine(opts machine.RunOptions, st *store.Store, r core.Runner, eng engine.Engine) *Lab {
+	if r == nil {
+		r = sched.NewPool(opts.Parallelism, nil).Queue(0)
+	}
+	if eng == nil {
+		eng = engine.Exact{}
+	}
 	return &Lab{state: &labState{opts: opts, store: st, sched: r, eng: eng}}
 }
-
-// Engine returns the lab's measurement engine (nil means exact).
-func (l *Lab) Engine() engine.Engine { return l.state.eng }
 
 // WithContext returns a handle on the same lab whose operations abort
 // when ctx is canceled. The underlying characterization is shared:
@@ -124,7 +117,7 @@ var (
 // DefaultLab returns the process-wide Lab at default fidelity.
 func DefaultLab() *Lab {
 	defaultLabOnce.Do(func() {
-		defaultLab = NewLab(machine.RunOptions{})
+		defaultLab = NewLabWithEngine(machine.RunOptions{}, nil, nil, nil)
 	})
 	return defaultLab
 }
@@ -150,59 +143,46 @@ func Entries() []core.Entry {
 }
 
 // build runs the fleet characterization once, coalescing concurrent
-// callers onto one leader. A build aborted by the leader's context is
-// NOT cached as the lab's result — the next caller (or a waiter whose
-// own context is still live) takes over and rebuilds, cheaply when a
-// store holds the pairs the aborted build already measured.
+// callers onto one flight. The flight keeps running while any caller
+// still waits, even after the one that started it has left. A build
+// that every caller abandoned is not kept: the next caller starts
+// again, cheaply when a store holds the pairs already measured.
 func (l *Lab) build() (*core.Characterization, []*machine.Machine, error) {
 	s := l.state
-	ctx := l.Context()
-	for {
-		s.mu.Lock()
-		if s.done {
-			s.mu.Unlock()
-			return s.char, s.fleet, s.err
+	r := s.result.Load()
+	if r == nil {
+		var err error
+		if r, err, _ = s.build.Do(l.Context(), "", s.characterize); err != nil {
+			return nil, nil, err
 		}
-		if s.building != nil {
-			ch := s.building
-			s.mu.Unlock()
-			select {
-			case <-ch:
-				continue // leader finished or aborted; re-check
-			case <-ctx.Done():
-				return nil, nil, ctx.Err()
-			}
-		}
-		ch := make(chan struct{})
-		s.building = ch
-		s.mu.Unlock()
-
-		fleet, err := machine.Fleet()
-		var char *core.Characterization
-		if err == nil {
-			// Only the leader carries a characterize span; waiters that
-			// coalesced onto this build share the result, not the spans.
-			cctx, span := telemetry.StartSpan(ctx, "characterize",
-				"entries", fmt.Sprintf("%d", len(Entries())),
-				"machines", fmt.Sprintf("%d", len(fleet)))
-			char, err = core.CharacterizeWith(cctx, Entries(), fleet, s.opts, s.store, s.sched, s.eng)
-			span.End()
-		}
-
-		s.mu.Lock()
-		s.building = nil
-		if err == nil || !isCanceled(err) {
-			s.done = true
-			s.char, s.fleet, s.err = char, fleet, err
-		}
-		s.mu.Unlock()
-		close(ch)
-		return char, fleet, err
 	}
+	return r.char, r.fleet, r.err
 }
 
-func isCanceled(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+// characterize is the build flight: it characterizes the fleet and
+// keeps the outcome unless it is a cancellation.
+func (s *labState) characterize(ctx context.Context) (*labResult, error) {
+	if r := s.result.Load(); r != nil {
+		return r, nil // a flight that ended since the caller looked
+	}
+	fleet, err := machine.Fleet()
+	var char *core.Characterization
+	if err == nil {
+		// Only the flight carries a characterize span, on the trace of
+		// the caller that started it; callers that joined share the
+		// result, not the spans.
+		cctx, span := telemetry.StartSpan(ctx, "characterize",
+			"entries", fmt.Sprintf("%d", len(Entries())),
+			"machines", fmt.Sprintf("%d", len(fleet)))
+		char, err = core.CharacterizeWith(cctx, Entries(), fleet, s.opts, s.store, s.sched, s.eng)
+		span.End()
+	}
+	if flight.IsCanceled(err) {
+		return nil, err
+	}
+	r := &labResult{char: char, fleet: fleet, err: err}
+	s.result.Store(r)
+	return r, nil
 }
 
 // Characterization returns the shared fleet characterization.
@@ -224,70 +204,44 @@ func (l *Lab) Fleet() ([]*machine.Machine, error) {
 // cached and persisted like everything else. A store hit is served
 // directly; only a miss goes to the lab's scheduler.
 func (l *Lab) RunStored(m *machine.Machine, w machine.Workload, opts machine.RunOptions) (*machine.RawCounts, error) {
-	st := l.state.store
 	eng := l.state.eng
-	tier := string(engine.TierExact)
-	if eng != nil {
-		tier = string(eng.Tier())
-	}
-	key := store.KeyForEngine(m, w, opts, tier)
-	if st != nil {
-		if rc, ok := st.Lookup(l.Context(), key); ok {
-			return rc, nil
-		}
-	}
-	compute := func(ctx context.Context) (*machine.RawCounts, error) {
-		if eng != nil {
-			return eng.Measure(ctx, m, w, opts)
-		}
-		return core.Simulate(ctx, m, w, opts)
-	}
-	stored := func(ctx context.Context) (*machine.RawCounts, error) {
-		if st == nil {
-			return compute(ctx)
-		}
-		return st.GetOrCompute(ctx, key, compute)
-	}
-	if r := l.state.sched; r != nil {
-		v, err := r.Do(l.Context(), key.ID(), func(jctx context.Context) (any, error) {
-			return stored(jctx)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return v.(*machine.RawCounts), nil
-	}
-	return stored(l.Context())
+	return runStored(l, store.KeyForEngine(m, w, opts, string(eng.Tier())),
+		(*store.Store).Lookup, (*store.Store).GetOrCompute,
+		func(ctx context.Context) (*machine.RawCounts, error) { return eng.Measure(ctx, m, w, opts) })
 }
 
 // RunStoredMulti is RunStored for multi-copy (SPECrate-style) runs.
 func (l *Lab) RunStoredMulti(m *machine.Machine, w machine.Workload, copies int, opts machine.RunOptions) (*machine.MultiCounts, error) {
-	st := l.state.store
-	key := store.KeyForMulti(m, w, copies, opts)
-	if st != nil {
-		if mc, ok := st.LookupMulti(l.Context(), key); ok {
-			return mc, nil
-		}
-	}
-	compute := func(ctx context.Context) (*machine.MultiCounts, error) {
-		return core.SimulateMulti(ctx, m, w, copies, opts)
-	}
-	stored := func(ctx context.Context) (*machine.MultiCounts, error) {
-		if st == nil {
+	return runStored(l, store.KeyForMulti(m, w, copies, opts),
+		(*store.Store).LookupMulti, (*store.Store).GetOrComputeMulti,
+		func(ctx context.Context) (*machine.MultiCounts, error) {
 			return core.SimulateMulti(ctx, m, w, copies, opts)
-		}
-		return st.GetOrComputeMulti(ctx, key, compute)
-	}
-	if r := l.state.sched; r != nil {
-		v, err := r.Do(l.Context(), key.ID(), func(jctx context.Context) (any, error) {
-			return stored(jctx)
 		})
-		if err != nil {
-			return nil, err
+}
+
+// runStored serves key from the lab's store when it is resident, and
+// otherwise runs compute on the lab's scheduler, through the store.
+func runStored[V any](l *Lab, key store.Key,
+	lookup func(*store.Store, context.Context, store.Key) (V, bool),
+	getOrCompute func(*store.Store, context.Context, store.Key, func(context.Context) (V, error)) (V, error),
+	compute func(context.Context) (V, error)) (V, error) {
+	st := l.state.store
+	if st != nil {
+		if v, ok := lookup(st, l.Context(), key); ok {
+			return v, nil
 		}
-		return v.(*machine.MultiCounts), nil
 	}
-	return stored(l.Context())
+	v, err := l.state.sched.Do(l.Context(), key.ID(), func(jctx context.Context) (any, error) {
+		if st == nil {
+			return compute(jctx)
+		}
+		return getOrCompute(st, jctx, key, compute)
+	})
+	if err != nil {
+		var zero V
+		return zero, err
+	}
+	return v.(V), nil
 }
 
 // suiteChar returns the characterization restricted to one CPU2017

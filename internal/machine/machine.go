@@ -183,7 +183,7 @@ type RunOptions struct {
 	// Defaults to Instructions/5.
 	WarmupInstructions int
 	// Parallelism bounds the number of concurrent per-machine runs a
-	// fleet characterization may use (see core.Characterize). It does
+	// fleet characterization may use (see core.CharacterizeWith). It does
 	// not affect a single Run, and it never affects results — runs are
 	// deterministic regardless of scheduling. 0 means GOMAXPROCS;
 	// 1 forces fully serial measurement.

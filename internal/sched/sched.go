@@ -1,11 +1,12 @@
 // Package sched is the shared measurement scheduler: one bounded
 // worker pool through which every simulation in the process flows,
-// whoever asked for it. Where internal/server's singleflight
-// deduplicates at the *experiment* grain and internal/store at the
-// *persistence* grain, the scheduler deduplicates in-flight work at
-// the measurement grain — (machine × workload × canonical options),
-// the store's key — so two batches whose experiment sets overlap
-// share the underlying simulations instead of queueing them twice.
+// whoever asked for it. Where internal/server's flight deduplicates at
+// the *experiment* grain and internal/store's at the *persistence*
+// grain, the scheduler deduplicates in-flight work at the measurement
+// grain — (machine × workload × canonical options), the store's key —
+// so two batches whose experiment sets overlap share the underlying
+// simulations instead of queueing them twice. All three coalesce
+// through internal/flight.
 //
 // Structure:
 //
@@ -21,10 +22,10 @@
 //     joins it as a waiter instead of enqueueing a duplicate; the
 //     join is counted as a dedup hit.
 //
-// Cancellation follows the refcount convention used throughout the
-// repo: each waiter waits under its own context, and a job every one
-// of whose waiters has departed is canceled (if running) or removed
-// from the queue (if still pending) instead of burning a worker.
+// Cancellation follows internal/flight: each waiter waits under its
+// own context, and a job every one of whose waiters has departed is
+// canceled (if running) or removed from the queue (if still pending)
+// instead of burning a worker.
 package sched
 
 import (
@@ -34,14 +35,15 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/flight"
 	"repro/internal/metrics"
 	"repro/internal/telemetry"
 )
 
 // Shed errors. Both are terminal for every waiter of the affected
-// submission — unlike a context cancellation, they are never retried
-// by the waiter loop, so callers can map them to a load-shedding
-// response (429) in bounded time.
+// submission — unlike a flight abandoned by its waiters, they are
+// never retried, so callers can map them to a load-shedding response
+// (429) in bounded time.
 var (
 	// ErrQueueFull is returned by Do when the pool's pending queue is
 	// at MaxQueue and the submission would enqueue a new job.
@@ -80,29 +82,26 @@ func newPoolMetrics(r *metrics.Registry) poolMetrics {
 	}
 }
 
-// job is one keyed unit of work and everything waiting on it.
+// job is one keyed job's place in the pending FIFO: its leader waits
+// on ready for a worker slot.
 type job struct {
-	key   string
 	queue *Queue
-	fn    func(context.Context) (any, error)
 	// submitted is when the job entered the pending FIFO; the gap to
 	// dispatch is surfaced as a sched.wait span on the submitting
 	// request's trace.
 	submitted time.Time
+	// ready receives nil when a worker slot is granted, or
+	// ErrQueueTimeout when the job is shed. Buffered: the sender never
+	// blocks.
+	ready chan error
 
-	// Pending-list links; nil once started or abandoned.
+	// Pending-list links, guarded by Pool.mu; nil once dispatched,
+	// shed or abandoned.
 	prev, next *job
 	pending    bool
 	// shedTimer sheds the job if it waits longer than the pool's
 	// QueueWait; stopped at dispatch. Nil when QueueWait is zero.
 	shedTimer *time.Timer
-
-	done   chan struct{}
-	val    any
-	err    error
-	refs   int // waiters still interested, guarded by Pool.mu
-	ctx    context.Context
-	cancel context.CancelFunc
 }
 
 // PoolConfig configures a Pool. The zero value is usable: GOMAXPROCS
@@ -135,11 +134,13 @@ type Pool struct {
 	maxQueue  int
 	queueWait time.Duration
 
+	// flights coalesces submissions by key: a job is one flight.
+	flights flight.Group[any]
+
 	mu       sync.Mutex
 	running  int
 	npending int
-	jobs     map[string]*job // pending or running, by key
-	head     *job            // pending FIFO
+	head     *job // pending FIFO
 	tail     *job
 }
 
@@ -159,13 +160,14 @@ func NewPoolWith(cfg PoolConfig) *Pool {
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
-	return &Pool{
+	p := &Pool{
 		met:       newPoolMetrics(cfg.Metrics),
 		workers:   cfg.Workers,
 		maxQueue:  cfg.MaxQueue,
 		queueWait: cfg.QueueWait,
-		jobs:      make(map[string]*job),
 	}
+	p.flights.OnJoin = p.met.dedup.Inc
+	return p
 }
 
 // Queue is one submitter's handle on a Pool. Queues are cheap; create
@@ -243,7 +245,8 @@ func (p *Pool) pushPending(j *job) {
 	p.met.depth.Set(float64(p.npending))
 }
 
-// removePending unlinks j from the FIFO. Caller holds p.mu.
+// removePending unlinks j from the FIFO and stops its shed timer.
+// Caller holds p.mu.
 func (p *Pool) removePending(j *job) {
 	if j.prev != nil {
 		j.prev.next = j.next
@@ -257,6 +260,10 @@ func (p *Pool) removePending(j *job) {
 	}
 	j.prev, j.next = nil, nil
 	j.pending = false
+	if j.shedTimer != nil {
+		j.shedTimer.Stop()
+		j.shedTimer = nil
+	}
 	p.npending--
 	p.met.depth.Set(float64(p.npending))
 }
@@ -271,25 +278,21 @@ func (p *Pool) dispatch() {
 			continue // queue at cap: let later queues' jobs through
 		}
 		p.removePending(j)
-		if j.shedTimer != nil {
-			j.shedTimer.Stop()
-			j.shedTimer = nil
-		}
 		p.met.queueWait.Observe(time.Since(j.submitted).Seconds())
 		j.queue.running++
 		p.running++
 		p.met.inflight.Set(float64(p.running))
 		p.met.started.Inc()
-		go p.run(j)
+		j.ready <- nil
 		j = next
 	}
 }
 
 // shedPending fires when j's queue-wait timer expires. If the job is
-// still pending — no worker ever reached it — it is removed wholesale:
-// every waiter gets ErrQueueTimeout (terminal, never retried by the
-// waiter loop), the key is freed for fresh submissions, and the shed is
-// counted. A job already dispatched or abandoned is left alone.
+// still pending — no worker ever reached it — it is removed and its
+// leader gets ErrQueueTimeout, which the flight hands to every waiter
+// and which frees the key for fresh submissions. A job already
+// dispatched or abandoned is left alone.
 func (p *Pool) shedPending(j *job) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -297,33 +300,8 @@ func (p *Pool) shedPending(j *job) {
 		return // raced with dispatch or abandonment
 	}
 	p.removePending(j)
-	delete(p.jobs, j.key)
-	j.shedTimer = nil
-	j.err = ErrQueueTimeout
 	p.met.shed.Inc()
-	close(j.done)
-	j.cancel()
-}
-
-// run executes one job on a worker goroutine and wakes its waiters.
-func (p *Pool) run(j *job) {
-	// The queueing delay is request-visible latency the job's own
-	// execution spans never show; attribute it to the trace of the
-	// submission that created the job.
-	if sp := telemetry.FromContext(j.ctx); sp != nil {
-		sp.Record("sched.wait", j.submitted, time.Now(), "key", j.key)
-	}
-	v, err := j.fn(j.ctx)
-	p.mu.Lock()
-	j.val, j.err = v, err
-	delete(p.jobs, j.key)
-	j.queue.running--
-	p.running--
-	p.met.inflight.Set(float64(p.running))
-	close(j.done)
-	j.cancel()
-	p.dispatch()
-	p.mu.Unlock()
+	j.ready <- ErrQueueTimeout
 }
 
 // Do submits one keyed job and blocks until it completes or ctx is
@@ -335,77 +313,75 @@ func (p *Pool) run(j *job) {
 // waiters' departure resubmits, so a live caller always gets a result
 // or its own context error.
 func (q *Queue) Do(ctx context.Context, key string, fn func(context.Context) (any, error)) (any, error) {
-	p := q.pool
-	for {
-		p.mu.Lock()
-		j, ok := p.jobs[key]
-		if !ok {
-			// Only a brand-new job takes a queue slot; joining an
-			// existing one adds no work, so dedup passes even at the
-			// bound.
-			if p.maxQueue > 0 && p.npending >= p.maxQueue {
-				p.met.shed.Inc()
-				p.mu.Unlock()
-				return nil, ErrQueueFull
-			}
-			jctx, cancel := context.WithCancel(context.Background())
-			// The job context is deliberately detached from any one
-			// waiter's lifetime, but it inherits the creator's trace so
-			// the work done on the job's behalf lands in that request's
-			// span tree (joined waiters share the result, not the spans).
-			jctx = telemetry.WithSpan(jctx, telemetry.FromContext(ctx))
-			j = &job{
-				key: key, queue: q, fn: fn,
-				submitted: time.Now(),
-				done:      make(chan struct{}),
-				ctx:       jctx, cancel: cancel,
-			}
-			p.jobs[key] = j
-			p.pushPending(j)
-			if p.queueWait > 0 {
-				j.shedTimer = time.AfterFunc(p.queueWait, func() { p.shedPending(j) })
-			}
-			p.dispatch()
-		} else {
-			p.met.dedup.Inc()
+	v, err, _ := q.pool.flights.Do(ctx, key, func(jctx context.Context) (any, error) {
+		if err := q.acquire(jctx, key); err != nil {
+			return nil, err
 		}
-		j.refs++
-		p.mu.Unlock()
-
-		select {
-		case <-j.done:
-			p.mu.Lock()
-			j.refs--
-			p.mu.Unlock()
-			if isCanceled(j.err) && ctx.Err() == nil {
-				continue // job died of others' departure; resubmit
-			}
-			return j.val, j.err
-		case <-ctx.Done():
-			p.mu.Lock()
-			j.refs--
-			if j.refs == 0 {
-				if j.pending {
-					// Never started: drop it from the queue entirely.
-					// refs can only grow via p.jobs, so no new waiter
-					// can appear once the entry is gone.
-					p.removePending(j)
-					delete(p.jobs, j.key)
-					if j.shedTimer != nil {
-						j.shedTimer.Stop()
-						j.shedTimer = nil
-					}
-					j.cancel()
-				} else {
-					j.cancel() // running with no audience: stop it
-				}
-			}
-			p.mu.Unlock()
-			return nil, ctx.Err()
-		}
-	}
+		defer q.release()
+		return fn(jctx)
+	})
+	return v, err
 }
 
-func isCanceled(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+// acquire queues the job's leader in the pending FIFO and waits for a
+// worker slot. It fails with ErrQueueFull when the queue is at its
+// bound, with ErrQueueTimeout when the job is shed, and with the job
+// context's error when every waiter left first, which also drops the
+// job from the queue.
+func (q *Queue) acquire(jctx context.Context, key string) error {
+	p := q.pool
+	p.mu.Lock()
+	// Only a new job takes a queue slot; a dedup join adds no work, so
+	// it passes even at the bound.
+	if p.maxQueue > 0 && p.npending >= p.maxQueue {
+		p.met.shed.Inc()
+		p.mu.Unlock()
+		return ErrQueueFull
+	}
+	j := &job{queue: q, submitted: time.Now(), ready: make(chan error, 1)}
+	p.pushPending(j)
+	if p.queueWait > 0 {
+		j.shedTimer = time.AfterFunc(p.queueWait, func() { p.shedPending(j) })
+	}
+	p.dispatch()
+	p.mu.Unlock()
+
+	select {
+	case err := <-j.ready:
+		if err != nil {
+			return err
+		}
+	case <-jctx.Done():
+		p.mu.Lock()
+		if j.pending {
+			p.removePending(j) // never started: drop it from the queue
+			p.mu.Unlock()
+			return jctx.Err()
+		}
+		p.mu.Unlock()
+		// Dispatched or shed in the meantime.
+		if err := <-j.ready; err != nil {
+			return err
+		}
+		q.release()
+		return jctx.Err()
+	}
+	// The queueing delay is request-visible latency the job's own
+	// execution spans never show; attribute it to the trace of the
+	// submission that created the job.
+	if sp := telemetry.FromContext(jctx); sp != nil {
+		sp.Record("sched.wait", j.submitted, time.Now(), "key", key)
+	}
+	return nil
+}
+
+// release returns a worker slot held by one of q's jobs.
+func (q *Queue) release() {
+	p := q.pool
+	p.mu.Lock()
+	q.running--
+	p.running--
+	p.met.inflight.Set(float64(p.running))
+	p.dispatch()
+	p.mu.Unlock()
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/admission"
 	"repro/internal/engine"
 	"repro/internal/experiments"
+	"repro/internal/flight"
 	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/server/api"
@@ -313,7 +314,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				case errors.Is(err, sched.ErrQueueTimeout):
 					s.adm.CountRejection(admission.ReasonQueueTimeout)
 					code = codeTooManyRequests
-				case isContextErr(err):
+				case flight.IsCanceled(err):
 					code = codeCanceled
 					if r.Context().Err() == context.DeadlineExceeded {
 						code = codeDeadlineExceeded

@@ -177,7 +177,7 @@ func TestBatchDisconnectCancelsOnlyOwnWork(t *testing.T) {
 	defer bresp.Body.Close()
 	// B's table1 joined A's in-flight computation; fig1 is B's own.
 	waitFor("batch B to coalesce onto table1", func() bool {
-		return ctxOf("fig1") != nil && s.flight.waiting(cacheKey("table1", machine.RunOptions{}, engine.TierExact)) >= 1
+		return ctxOf("fig1") != nil && s.flight.Waiting(cacheKey("table1", machine.RunOptions{}, engine.TierExact)) >= 1
 	})
 
 	acancel() // batch A disconnects mid-stream

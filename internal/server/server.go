@@ -37,6 +37,7 @@ import (
 	"repro/internal/admission"
 	"repro/internal/engine"
 	"repro/internal/experiments"
+	"repro/internal/flight"
 	"repro/internal/insight"
 	"repro/internal/jobs"
 	"repro/internal/machine"
@@ -287,7 +288,7 @@ type Server struct {
 	routes  []routeDef
 	started time.Time
 
-	flight *group
+	flight flight.Group[any]
 	sem    chan struct{} // worker-pool slots (interactive requests)
 	// jobsSem bounds background (job-item) computations separately,
 	// and strictly below Workers when Workers > 1 — a sweep whose
@@ -354,7 +355,6 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		met:     newServerMetrics(cfg.Metrics),
 		started: time.Now(),
-		flight:  newGroup(),
 		sem:     make(chan struct{}, cfg.Workers),
 		pool: sched.NewPoolWith(sched.PoolConfig{
 			Workers:   cfg.SimWorkers,
@@ -523,7 +523,7 @@ func cacheKey(id string, opts machine.RunOptions, tier engine.Tier) string {
 // its own Labs on the capped jobs queue, so its leaf simulations can
 // never occupy every pool worker; the measurement store underneath is
 // shared, so the bytes computed are identical either way.
-func (s *Server) labFor(opts machine.RunOptions, tier engine.Tier, background bool) *experiments.Lab {
+func (s *Server) labFor(opts machine.RunOptions, tier engine.Tier, background bool) (*experiments.Lab, error) {
 	key := cacheKey("", opts, tier)
 	queue := s.queue
 	if background && s.jobsQueue != nil {
@@ -533,24 +533,26 @@ func (s *Server) labFor(opts machine.RunOptions, tier engine.Tier, background bo
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if v, ok := s.labs.get(key); ok {
-		return v.(*experiments.Lab)
+		return v.(*experiments.Lab), nil
 	}
-	// The exact tier keeps a nil engine: the historical Simulate path,
-	// bit-identical and identically store-keyed to engine.Exact.
-	var eng engine.Engine
-	if tier == engine.TierAnalytic {
-		eng = engine.Analytic{}
+	eng, err := engine.New(tier)
+	if err != nil {
+		return nil, err
 	}
 	lab := experiments.NewLabWithEngine(opts.Canonical(), s.cfg.Store, queue, eng)
 	s.labs.put(key, lab)
-	return lab
+	return lab, nil
 }
 
 // runExperiment is the default compute path: resolve the registry
 // entry (or the full report) and run it on the (fidelity, tier)'s
 // shared Lab under the flight's context.
 func (s *Server) runExperiment(ctx context.Context, id string, opts machine.RunOptions, tier engine.Tier, background bool) (any, error) {
-	lab := s.labFor(opts, tier, background).WithContext(ctx)
+	lab, err := s.labFor(opts, tier, background)
+	if err != nil {
+		return nil, err
+	}
+	lab = lab.WithContext(ctx)
 	if id == reportID {
 		return experiments.BuildReport(lab)
 	}
@@ -676,12 +678,9 @@ func (s *Server) fetch(ctx context.Context, id string, opts machine.RunOptions, 
 	s.mu.Unlock()
 	s.met.cacheMisses.Inc()
 
-	// The flight context outlives any one caller, so it inherits the
-	// leading caller's span explicitly; callers that coalesce onto the
-	// flight share its result, not its spans.
-	parentSpan := telemetry.FromContext(ctx)
-	val, err, joined := s.flight.do(ctx, key, func(fctx context.Context) (any, error) {
-		fctx = telemetry.WithSpan(fctx, parentSpan)
+	// The flight context carries the leading caller's span; callers
+	// that coalesce onto the flight share its result, not its spans.
+	val, err, joined := s.flight.Do(ctx, key, func(fctx context.Context) (any, error) {
 		sem := s.sem
 		if background {
 			sem = s.jobsSem
@@ -826,7 +825,7 @@ func (s *Server) writeComputeError(w http.ResponseWriter, r *http.Request, what 
 	case errors.Is(err, sched.ErrQueueTimeout):
 		s.adm.CountRejection(admission.ReasonQueueTimeout)
 		s.writeShed(w, err.Error(), 0)
-	case isContextErr(err):
+	case flight.IsCanceled(err):
 		if r.Context().Err() == context.DeadlineExceeded {
 			// The server-side deadline fired, not the client: own it.
 			writeError(w, http.StatusGatewayTimeout, codeDeadlineExceeded,

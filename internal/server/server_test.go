@@ -204,9 +204,9 @@ func TestCoalescing(t *testing.T) {
 	// Release the (single) computation only once every other request
 	// has joined its flight.
 	deadline := time.Now().Add(10 * time.Second)
-	for s.flight.waiting(key) < concurrent-1 {
+	for s.flight.Waiting(key) < concurrent-1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d waiters joined the flight", s.flight.waiting(key))
+			t.Fatalf("only %d waiters joined the flight", s.flight.Waiting(key))
 		}
 		time.Sleep(time.Millisecond)
 	}

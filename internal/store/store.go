@@ -11,10 +11,10 @@
 //   - An in-memory map serves repeated measurements of the same
 //     (machine, workload, options) triple instantly, across all
 //     experiments sharing the store.
-//   - A per-key singleflight coalesces concurrent requests for one
-//     uncomputed measurement onto a single simulation; waiters carry a
-//     context.Context, and a computation whose every waiter has gone
-//     away is canceled instead of burning a worker.
+//   - A per-key flight (internal/flight) coalesces concurrent requests
+//     for one uncomputed measurement onto a single simulation; waiters
+//     carry a context.Context, and a computation whose every waiter has
+//     gone away is canceled instead of burning a worker.
 //   - An optional on-disk JSON snapshot (atomic write-temp-rename)
 //     makes restarts warm: a daemon reloading its snapshot answers its
 //     first report without re-simulating anything.
@@ -43,9 +43,11 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/flight"
 	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/telemetry"
@@ -89,20 +91,12 @@ type Key struct {
 	Content string `json:"content"`
 }
 
-// ID returns the key's canonical string identity — the store's map
-// key, and the identity the shared scheduler (internal/sched)
-// deduplicates in-flight simulations by.
+// ID returns the key's canonical string identity: the identity the
+// store's flights and the shared scheduler (internal/sched) coalesce
+// in-flight simulations by. It is injective because Machine, Workload
+// and Engine never contain '|' (load skips records where they do).
 func (k Key) ID() string {
-	var buf [idBufLen]byte
-	return string(k.appendID(buf[:0]))
-}
-
-// idBufLen fits the identity of every key the fleet produces, so Lookup
-// can spell it into a stack buffer instead of allocating a string.
-const idBufLen = 160
-
-// appendID appends the key's canonical identity to b.
-func (k Key) appendID(b []byte) []byte {
+	b := make([]byte, 0, 160) // fits every key the fleet produces
 	b = append(b, k.Machine...)
 	b = append(b, '|')
 	b = append(b, k.Workload...)
@@ -115,11 +109,8 @@ func (k Key) appendID(b []byte) []byte {
 	b = append(b, "|e"...)
 	b = append(b, k.Engine...)
 	b = append(b, '|')
-	return append(b, k.Content...)
+	return string(append(b, k.Content...))
 }
-
-// id is the historical spelling of ID.
-func (k Key) id() string { return k.ID() }
 
 // contentHash hashes the full measurement identity: the machine's
 // configuration and the workload's spec, seed key, and ILP. JSON
@@ -223,15 +214,13 @@ type Stats struct {
 	Entries   int64 // records currently resident
 }
 
-// flight is one in-progress computation. The context given to the
-// compute function is canceled when every interested caller has gone
-// away, so abandoned simulations stop instead of burning a worker.
-type flight struct {
-	done   chan struct{}
-	val    any
-	err    error
-	refs   int // interested callers, guarded by Store.mu
-	cancel context.CancelFunc
+// table holds one kind of record (single- or multi-copy), keyed by
+// the structured Key so that snapshots and Range never parse an ID
+// back, with the flights (by Key.ID) computing the ones not yet
+// resident.
+type table[V any] struct {
+	recs    map[Key]V // guarded by Store.mu
+	flights flight.Group[V]
 }
 
 // Store is a concurrency-safe measurement store. Create with Open (or
@@ -240,10 +229,13 @@ type Store struct {
 	cfg Config
 	met storeMetrics
 
-	mu      sync.Mutex
-	single  map[string]*machine.RawCounts
-	multi   map[string]*machine.MultiCounts
-	flights map[string]*flight
+	mu     sync.Mutex
+	single table[*machine.RawCounts]
+	multi  table[*machine.MultiCounts]
+	// contents interns Key.Content: every fidelity of one (machine,
+	// workload) pair has the same content hash, so resident keys share
+	// one copy of it.
+	contents map[string]string
 
 	// gen counts record writes; savedGen is the gen captured by the
 	// last successful Save. They differ exactly when the store holds
@@ -266,11 +258,11 @@ func Open(cfg Config) (*Store, error) {
 		cfg.Log = log.Default()
 	}
 	s := &Store{
-		cfg:     cfg,
-		met:     newStoreMetrics(cfg.Metrics),
-		single:  make(map[string]*machine.RawCounts),
-		multi:   make(map[string]*machine.MultiCounts),
-		flights: make(map[string]*flight),
+		cfg:      cfg,
+		met:      newStoreMetrics(cfg.Metrics),
+		single:   table[*machine.RawCounts]{recs: make(map[Key]*machine.RawCounts)},
+		multi:    table[*machine.MultiCounts]{recs: make(map[Key]*machine.MultiCounts)},
+		contents: make(map[string]string),
 	}
 	if cfg.Path == "" {
 		return s, nil
@@ -320,19 +312,23 @@ func (s *Store) load() error {
 	n := 0
 	s.mu.Lock()
 	for _, e := range snap.Entries {
-		if e.Key.Machine == "" || e.Key.Workload == "" || e.Key.Content == "" {
-			continue // malformed record: skip, never serve
+		k := e.Key
+		if k.Machine == "" || k.Workload == "" || k.Content == "" ||
+			strings.ContainsRune(k.Machine+k.Workload+k.Engine, '|') {
+			// Malformed record: skip, never serve. A '|' inside a
+			// field would let two keys share one ID.
+			continue
 		}
 		switch {
 		case e.Multi != nil:
-			s.multi[e.Key.id()] = e.Multi
+			s.multi.recs[k] = e.Multi
 			n++
 		case e.Counts != nil:
-			s.single[e.Key.id()] = e.Counts
+			s.single.recs[k] = e.Counts
 			n++
 		}
 	}
-	total := len(s.single) + len(s.multi)
+	total := s.lenLocked()
 	s.mu.Unlock()
 	s.met.loaded.Add(float64(n))
 	s.met.entries.Set(float64(total))
@@ -348,16 +344,16 @@ func (s *Store) Save() error {
 	}
 	s.mu.Lock()
 	snap := snapshot{Version: snapshotVersion, Fingerprint: substrateFingerprint}
-	for id, rc := range s.single {
-		snap.Entries = append(snap.Entries, snapshotEntry{Key: keyFromID(id), Counts: rc})
+	for k, rc := range s.single.recs {
+		snap.Entries = append(snap.Entries, snapshotEntry{Key: k, Counts: rc})
 	}
-	for id, mc := range s.multi {
-		snap.Entries = append(snap.Entries, snapshotEntry{Key: keyFromID(id), Multi: mc})
+	for k, mc := range s.multi.recs {
+		snap.Entries = append(snap.Entries, snapshotEntry{Key: k, Multi: mc})
 	}
 	gen := s.gen
 	s.mu.Unlock()
 	sort.Slice(snap.Entries, func(i, j int) bool {
-		return snap.Entries[i].Key.id() < snap.Entries[j].Key.id()
+		return snap.Entries[i].Key.ID() < snap.Entries[j].Key.ID()
 	})
 	data, err := json.MarshalIndent(&snap, "", " ")
 	if err != nil {
@@ -475,43 +471,10 @@ func (s *Store) StartCheckpointing(interval time.Duration) (stop func()) {
 	}
 }
 
-// keyFromID reverses Key.id. The id is the only identity the maps
-// need; the structured Key is reconstructed for the snapshot so the
-// file stays introspectable.
-func keyFromID(id string) Key {
-	var k Key
-	// Fields were joined with '|'; Machine and Workload never contain
-	// one (SPEC-style names), and the numeric fields are prefixed.
-	parts := splitN(id, '|', 7)
-	if len(parts) != 7 {
-		return Key{Content: id} // defensive; ids are produced by Key.id
-	}
-	k.Machine = parts[0]
-	k.Workload = parts[1]
-	k.Instructions, _ = strconv.Atoi(parts[2][1:])
-	k.Warmup, _ = strconv.Atoi(parts[3][1:])
-	k.Copies, _ = strconv.Atoi(parts[4][1:])
-	k.Engine = parts[5][1:]
-	k.Content = parts[6]
-	return k
-}
-
-func splitN(s string, sep byte, n int) []string {
-	out := make([]string, 0, n)
-	start := 0
-	for i := 0; i < len(s) && len(out) < n-1; i++ {
-		if s[i] == sep {
-			out = append(out, s[start:i])
-			start = i + 1
-		}
-	}
-	return append(out, s[start:])
-}
-
 // Get returns the stored single-copy record for key, if present.
 func (s *Store) Get(key Key) (*machine.RawCounts, bool) {
 	s.mu.Lock()
-	rc, ok := s.single[key.id()]
+	rc, ok := s.single.recs[key]
 	s.mu.Unlock()
 	return rc, ok
 }
@@ -520,11 +483,22 @@ func (s *Store) Get(key Key) (*machine.RawCounts, bool) {
 // immutable by all parties.
 func (s *Store) Put(key Key, rc *machine.RawCounts) {
 	s.mu.Lock()
-	s.single[key.id()] = rc
-	s.gen++
-	n := len(s.single) + len(s.multi)
+	n := putLocked(s, &s.single, key, rc)
 	s.mu.Unlock()
 	s.met.entries.Set(float64(n))
+}
+
+// putLocked stores one record in t and returns the resident record
+// count. Caller holds s.mu.
+func putLocked[V any](s *Store, t *table[V], key Key, v V) int {
+	if c, ok := s.contents[key.Content]; ok {
+		key.Content = c
+	} else {
+		s.contents[key.Content] = key.Content
+	}
+	t.recs[key] = v
+	s.gen++
+	return s.lenLocked()
 }
 
 // Range visits every resident single-copy record. The record set is
@@ -535,15 +509,15 @@ func (s *Store) Put(key Key, rc *machine.RawCounts) {
 // records with their exact-tier twins.
 func (s *Store) Range(fn func(Key, *machine.RawCounts) bool) {
 	s.mu.Lock()
-	ids := make([]string, 0, len(s.single))
-	recs := make([]*machine.RawCounts, 0, len(s.single))
-	for id, rc := range s.single {
-		ids = append(ids, id)
+	keys := make([]Key, 0, len(s.single.recs))
+	recs := make([]*machine.RawCounts, 0, len(s.single.recs))
+	for k, rc := range s.single.recs {
+		keys = append(keys, k)
 		recs = append(recs, rc)
 	}
 	s.mu.Unlock()
-	for i, id := range ids {
-		if !fn(keyFromID(id), recs[i]) {
+	for i, k := range keys {
+		if !fn(k, recs[i]) {
 			return
 		}
 	}
@@ -552,7 +526,7 @@ func (s *Store) Range(fn func(Key, *machine.RawCounts) bool) {
 // GetMulti returns the stored multi-copy record for key, if present.
 func (s *Store) GetMulti(key Key) (*machine.MultiCounts, bool) {
 	s.mu.Lock()
-	mc, ok := s.multi[key.id()]
+	mc, ok := s.multi.recs[key]
 	s.mu.Unlock()
 	return mc, ok
 }
@@ -564,20 +538,18 @@ func (s *Store) GetMulti(key Key) (*machine.MultiCounts, bool) {
 // records a store.get span; a miss counts nothing. The untraced path
 // does not allocate.
 func (s *Store) Lookup(ctx context.Context, key Key) (*machine.RawCounts, bool) {
-	return lookupIn(ctx, s, s.single, key)
+	return lookupIn(ctx, s, &s.single, key)
 }
 
 // LookupMulti is Lookup for multi-copy (SPECrate-style) records.
 func (s *Store) LookupMulti(ctx context.Context, key Key) (*machine.MultiCounts, bool) {
-	return lookupIn(ctx, s, s.multi, key)
+	return lookupIn(ctx, s, &s.multi, key)
 }
 
-func lookupIn[V any](ctx context.Context, s *Store, table map[string]V, key Key) (V, bool) {
+func lookupIn[V any](ctx context.Context, s *Store, t *table[V], key Key) (V, bool) {
 	start := time.Now()
-	var buf [idBufLen]byte
 	s.mu.Lock()
-	// Indexing with string(bytes) directly does not allocate.
-	v, ok := table[string(key.appendID(buf[:0]))]
+	v, ok := t.recs[key]
 	s.mu.Unlock()
 	if ok {
 		s.hit(ctx, key, start)
@@ -591,7 +563,7 @@ func (s *Store) hit(ctx context.Context, key Key, start time.Time) {
 	// Guarded so the untraced hit path — the daemon's hottest code —
 	// stays allocation-free.
 	if sp := telemetry.FromContext(ctx); sp != nil {
-		sp.Record("store.get", start, time.Now(), "key", key.id(), "hit", "true")
+		sp.Record("store.get", start, time.Now(), "key", key.ID(), "hit", "true")
 	}
 }
 
@@ -602,124 +574,55 @@ func (s *Store) hit(ctx context.Context, key Key, start time.Time) {
 // caller's own ctx aborts only its wait, never another caller's
 // result.
 func (s *Store) GetOrCompute(ctx context.Context, key Key, compute func(context.Context) (*machine.RawCounts, error)) (*machine.RawCounts, error) {
-	v, err := s.getOrCompute(ctx, key, "single", func(fctx context.Context) (any, error) {
-		return compute(fctx)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*machine.RawCounts), nil
+	return getOrCompute(ctx, s, &s.single, key, compute)
 }
 
 // GetOrComputeMulti is GetOrCompute for multi-copy (SPECrate-style)
 // records.
 func (s *Store) GetOrComputeMulti(ctx context.Context, key Key, compute func(context.Context) (*machine.MultiCounts, error)) (*machine.MultiCounts, error) {
-	v, err := s.getOrCompute(ctx, key, "multi", func(fctx context.Context) (any, error) {
-		return compute(fctx)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*machine.MultiCounts), nil
+	return getOrCompute(ctx, s, &s.multi, key, compute)
 }
 
-// lookup returns the resident record for id in the given kind's table.
-func (s *Store) lookup(kind, id string) (any, bool) {
-	if kind == "multi" {
-		mc, ok := s.multi[id]
-		return mc, ok
+// getOrCompute looks key up in t and otherwise leads (or joins) the
+// key's flight, which writes the record into t before it returns.
+func getOrCompute[V any](ctx context.Context, s *Store, t *table[V], key Key, compute func(context.Context) (V, error)) (V, error) {
+	if v, ok := lookupIn(ctx, s, t, key); ok {
+		return v, nil
 	}
-	rc, ok := s.single[id]
-	return rc, ok
-}
-
-func (s *Store) storeResult(kind, id string, v any) {
-	if kind == "multi" {
-		s.multi[id] = v.(*machine.MultiCounts)
-	} else {
-		s.single[id] = v.(*machine.RawCounts)
-	}
-	s.gen++
-}
-
-func (s *Store) getOrCompute(ctx context.Context, key Key, kind string, compute func(context.Context) (any, error)) (any, error) {
-	id := key.id()
-	for {
-		start := time.Now()
-		s.mu.Lock()
-		if v, ok := s.lookup(kind, id); ok {
-			s.mu.Unlock()
-			s.hit(ctx, key, start)
+	id := key.ID()
+	v, err, _ := t.flights.Do(ctx, id, func(fctx context.Context) (V, error) {
+		// A flight for key may have stored the record since the
+		// lookup above.
+		if v, ok := lookupIn(fctx, s, t, key); ok {
 			return v, nil
 		}
-		f, joined := s.flights[id]
-		if !joined {
-			fctx, cancel := context.WithCancel(context.Background())
-			// The flight outlives any one waiter, but its work belongs
-			// to the trace of the request that opened it.
-			fctx = telemetry.WithSpan(fctx, telemetry.FromContext(ctx))
-			f = &flight{done: make(chan struct{}), cancel: cancel}
-			s.flights[id] = f
-			s.met.misses.Inc()
-			go func() {
-				v, err := compute(fctx)
-				putStart := time.Now()
-				s.mu.Lock()
-				if err == nil {
-					s.storeResult(kind, id, v)
-				}
-				n := len(s.single) + len(s.multi)
-				delete(s.flights, id)
-				s.mu.Unlock()
-				if err == nil {
-					if sp := telemetry.FromContext(fctx); sp != nil {
-						sp.Record("store.put", putStart, time.Now(), "key", id)
-					}
-				}
-				s.met.entries.Set(float64(n))
-				f.val, f.err = v, err
-				close(f.done)
-				cancel()
-			}()
+		s.met.misses.Inc()
+		v, err := compute(fctx)
+		if err != nil {
+			return v, err
 		}
-		f.refs++
+		putStart := time.Now()
+		s.mu.Lock()
+		n := putLocked(s, t, key, v)
 		s.mu.Unlock()
-
-		select {
-		case <-f.done:
-			s.mu.Lock()
-			f.refs--
-			s.mu.Unlock()
-			if isCancellation(f.err) && ctx.Err() == nil {
-				// The flight died because its *other* callers left
-				// before we joined the wait; this caller still wants
-				// the record — retry (warm partial state makes the
-				// retry cheap).
-				continue
-			}
-			return f.val, f.err
-		case <-ctx.Done():
-			s.mu.Lock()
-			f.refs--
-			if f.refs == 0 {
-				f.cancel() // nobody is listening: stop simulating
-			}
-			s.mu.Unlock()
-			return nil, ctx.Err()
+		if sp := telemetry.FromContext(fctx); sp != nil {
+			sp.Record("store.put", putStart, time.Now(), "key", id)
 		}
-	}
-}
-
-func isCancellation(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+		s.met.entries.Set(float64(n))
+		return v, nil
+	})
+	return v, err
 }
 
 // Len returns the number of resident records.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.single) + len(s.multi)
+	return s.lenLocked()
 }
+
+// lenLocked is Len for callers holding s.mu.
+func (s *Store) lenLocked() int { return len(s.single.recs) + len(s.multi.recs) }
 
 // Stats returns a snapshot of the store's counters.
 func (s *Store) Stats() Stats {

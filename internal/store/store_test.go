@@ -50,13 +50,13 @@ func TestKeyIdentity(t *testing.T) {
 	}
 
 	// A different workload, fidelity, or copy count is a different key.
-	if c := KeyFor(m, testWorkload(t, "541.leela_r"), testOpts); c.id() == a.id() {
+	if c := KeyFor(m, testWorkload(t, "541.leela_r"), testOpts); c.ID() == a.ID() {
 		t.Error("different workloads share a key")
 	}
-	if c := KeyFor(m, w, machine.RunOptions{Instructions: 6_000}); c.id() == a.id() {
+	if c := KeyFor(m, w, machine.RunOptions{Instructions: 6_000}); c.ID() == a.ID() {
 		t.Error("different fidelities share a key")
 	}
-	if c := KeyForMulti(m, w, 4, testOpts); c.id() == a.id() {
+	if c := KeyForMulti(m, w, 4, testOpts); c.ID() == a.ID() {
 		t.Error("multi-copy and single-copy share a key")
 	}
 
@@ -274,6 +274,74 @@ func TestSnapshotDefectsDegradeToRecompute(t *testing.T) {
 	// A missing file is a cold start, not a defect.
 	if _, err := Open(Config{Path: filepath.Join(dir, "nope.json")}); err != nil {
 		t.Errorf("missing snapshot produced error: %v", err)
+	}
+}
+
+// TestSnapshotRejectsSeparatorInKey: a snapshot record whose machine,
+// workload or engine contains the ID separator '|' is skipped at load,
+// so it is never served, and Save and Range (the checkpoint and the
+// drift monitor) handle the store without panicking.
+func TestSnapshotRejectsSeparatorInKey(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "snap.json")
+	s, err := Open(Config{Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := KeyFor(testMachine(t), testWorkload(t, "505.mcf_r"), testOpts)
+	s.Put(good, &machine.RawCounts{Instructions: 7})
+	if err := s.Save(); err != nil {
+		t.Fatal(err)
+	}
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []Key{good, good, good}
+	bad[0].Workload = "x||"
+	bad[1].Machine = "a|b"
+	bad[2].Engine = "e|"
+	data := mutateSnapshot(t, valid, func(m map[string]any) {
+		entries := m["entries"].([]any)
+		for _, k := range bad {
+			e := map[string]any{"key": k, "counts": entries[0].(map[string]any)["counts"]}
+			entries = append(entries, e)
+		}
+		m["entries"] = entries
+	})
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := Open(Config{Path: path})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if st.Len() != 1 {
+		t.Errorf("loaded %d records, want 1 (the bad ones skipped)", st.Len())
+	}
+	for _, k := range bad {
+		if _, ok := st.Get(k); ok {
+			t.Errorf("record with key %+v served", k)
+		}
+	}
+	if err := st.Save(); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	var keys []Key
+	st.Range(func(k Key, _ *machine.RawCounts) bool {
+		keys = append(keys, k)
+		return true
+	})
+	if len(keys) != 1 || keys[0] != good {
+		t.Errorf("Range visited %+v, want only %+v", keys, good)
+	}
+	reloaded, err := Open(Config{Path: path})
+	if err != nil || reloaded.Len() != 1 {
+		t.Errorf("reloading the saved snapshot: %d records, %v; want 1, nil", reloaded.Len(), err)
+	}
+	if rc, ok := reloaded.Get(good); !ok || rc.Instructions != 7 {
+		t.Errorf("good record after save and reload = %+v, %v", rc, ok)
 	}
 }
 

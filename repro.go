@@ -34,6 +34,8 @@
 package repro
 
 import (
+	"context"
+
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/machine"
@@ -52,7 +54,7 @@ type RunOptions = machine.RunOptions
 
 // NewLab returns a Lab measuring at the given fidelity. The zero
 // options give the default 400k measured instructions per run.
-func NewLab(opts RunOptions) *Lab { return experiments.NewLab(opts) }
+func NewLab(opts RunOptions) *Lab { return experiments.NewLabWithEngine(opts, nil, nil, nil) }
 
 // Store is a content-addressed, persistent measurement store. Labs
 // backed by one (NewLabWithStore) never measure the same (machine,
@@ -72,7 +74,7 @@ func OpenStore(cfg StoreConfig) (*Store, error) { return store.Open(cfg) }
 // NewLabWithStore returns a Lab whose measurements are cached in (and
 // served from) st. Results are bit-identical to a store-free Lab.
 func NewLabWithStore(opts RunOptions, st *Store) *Lab {
-	return experiments.NewLabWithStore(opts, st)
+	return experiments.NewLabWithEngine(opts, st, nil, nil)
 }
 
 // DefaultLab returns the shared, default-fidelity Lab.
@@ -135,7 +137,9 @@ var (
 var Fleet = machine.Fleet
 
 // Characterize measures workload entries on a machine fleet.
-var Characterize = core.Characterize
+func Characterize(ctx context.Context, entries []Entry, machines []*Machine, opts RunOptions) (*Characterization, error) {
+	return core.CharacterizeWith(ctx, entries, machines, opts, nil, nil, nil)
+}
 
 // DefaultSimilarityOptions returns the paper's analysis settings (all
 // metrics, all machines, Ward linkage, Kaiser criterion).
