@@ -16,7 +16,7 @@ RACE_PKGS ?= ./internal/server/... ./internal/metrics/... ./internal/core/... \
              ./internal/engine/... ./internal/jobs/... ./internal/insight/... \
              ./internal/flight/...
 
-.PHONY: ci fmt-check vet build test race race-analysis race-machine race-all bench bench-smoke bench-snapshot bench-gate smoke clean
+.PHONY: ci fmt-check vet build test race race-analysis race-machine race-all bench bench-smoke bench-snapshot bench-gate smoke loc clean
 
 ci: fmt-check vet build test race race-analysis race-machine bench-smoke
 
@@ -81,6 +81,14 @@ bench-gate:
 # report's trace in /v1/traces.
 smoke:
 	$(GO) run ./scripts/smoke
+
+# loc prints each package's non-test Go lines, not counting blank and
+# comment-only lines, then their total: the one line count that
+# simplification changes report.
+loc:
+	@find . -path ./.bench_build -prune -o -name '*.go' ! -name '*_test.go' -print | sort | \
+	xargs awk '!/^[[:space:]]*(\/\/|$$)/ { d = FILENAME; sub(/\/[^\/]*$$/, "", d); n[d]++; t++ } \
+		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
 clean:
 	$(GO) clean ./...

@@ -7,7 +7,7 @@
 //
 //	spec17d [-addr :8417] [-cache n] [-labs n] [-workers n]
 //	        [-sim-workers n] [-batch-concurrency n]
-//	        [-engine exact|analytic|auto] [-upgrade-workers n]
+//	        [-engine exact|analytic|auto]
 //	        [-store file] [-checkpoint d] [-drain d]
 //	        [-read-header-timeout d] [-read-timeout d] [-idle-timeout d]
 //	        [-rate-limit r] [-burst n] [-max-inflight n] [-max-queue n]
@@ -76,7 +76,6 @@ type daemonConfig struct {
 	simWorkers int
 	batchConc  int
 	eng        engine.Tier
-	upgradeWks int
 	storePath  string
 	checkpoint time.Duration
 	drain      time.Duration
@@ -123,7 +122,6 @@ func parseFlags(args []string, stderr io.Writer) (*daemonConfig, error) {
 	fs.IntVar(&cfg.simWorkers, "sim-workers", 0, "max concurrent leaf simulations across all labs (0 = GOMAXPROCS)")
 	fs.IntVar(&cfg.batchConc, "batch-concurrency", 4, "max experiments one batch request evaluates at once")
 	engFlag := fs.String("engine", "exact", "default measurement engine for requests without ?engine= (exact, analytic, auto)")
-	fs.IntVar(&cfg.upgradeWks, "upgrade-workers", 2, "max concurrent background exact upgrades of analytically-served auto requests (-1 disables)")
 	fs.StringVar(&cfg.storePath, "store", "", "measurement-store snapshot file: loaded at boot (warm start), persisted on shutdown")
 	fs.DurationVar(&cfg.checkpoint, "checkpoint", 0, "background store-checkpoint interval (0 disables; requires -store)")
 	fs.DurationVar(&cfg.drain, "drain", 30*time.Second, "graceful-shutdown drain timeout")
@@ -278,7 +276,6 @@ func main() {
 		SimWorkers:        cfg.simWorkers,
 		BatchConcurrency:  cfg.batchConc,
 		DefaultEngine:     cfg.eng,
-		UpgradeWorkers:    cfg.upgradeWks,
 		ReadHeaderTimeout: cfg.readHdrTO,
 		ReadTimeout:       cfg.readTO,
 		IdleTimeout:       cfg.idleTO,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -104,5 +105,29 @@ func TestLabBuildSurvivesLeaderCancel(t *testing.T) {
 	}
 	if !reflect.DeepEqual(r.c, want) {
 		t.Error("waiter's characterization differs from an uninterrupted build")
+	}
+}
+
+// shedFirst is a core.Runner that sheds its first submission the way a
+// full scheduler queue does and runs every later one.
+type shedFirst struct{ calls atomic.Int64 }
+
+func (r *shedFirst) Do(ctx context.Context, _ string, fn func(context.Context) (any, error)) (any, error) {
+	if r.calls.Add(1) == 1 {
+		return nil, sched.ErrQueueFull
+	}
+	return fn(ctx)
+}
+
+// TestLabDoesNotKeepShedError: a shed is about the queue at that
+// moment, not the lab, so the next Characterization builds afresh
+// instead of answering the stale shed until the lab is evicted.
+func TestLabDoesNotKeepShedError(t *testing.T) {
+	lab := NewLabWithEngine(machine.RunOptions{}, nil, &shedFirst{}, engine.Analytic{})
+	if _, err := lab.Characterization(); !errors.Is(err, sched.ErrQueueFull) {
+		t.Fatalf("first build error = %v, want sched.ErrQueueFull", err)
+	}
+	if _, err := lab.Characterization(); err != nil {
+		t.Fatalf("second build error = %v, want the characterization", err)
 	}
 }

@@ -322,9 +322,15 @@ func TestRequestTimeout504(t *testing.T) {
 
 // TestParseRunOptionsRejects is the table the parseRunOptions fix
 // demands: out-of-range values fail at parse time with the documented
-// message, and duplicated parameters are refused rather than silently
-// resolved by Query.Get's first-wins.
+// message, and duplicated parameters are refused (by the route
+// wrapper, ahead of parseRunOptions) rather than silently resolved by
+// Query.Get's first-wins.
 func TestParseRunOptionsRejects(t *testing.T) {
+	s, _ := newTestServer(Config{})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
 	cases := []struct {
 		query, wantSub string
 	}{
@@ -337,21 +343,19 @@ func TestParseRunOptionsRejects(t *testing.T) {
 		{"warmup=100&warmup=200", "at most once"},
 	}
 	for _, tc := range cases {
-		r := httptest.NewRequest(http.MethodGet, "/v1/report?"+tc.query, nil)
-		_, _, err := parseRunOptions(r)
-		if err == nil {
-			t.Errorf("%q: accepted, want error", tc.query)
+		code, body := get(t, ts, "/v1/report?"+tc.query)
+		if code != http.StatusBadRequest {
+			t.Errorf("%q: status %d, want 400", tc.query, code)
 			continue
 		}
-		if !strings.Contains(err.Error(), tc.wantSub) {
-			t.Errorf("%q: error %q, want it to mention %q", tc.query, err, tc.wantSub)
+		if !strings.Contains(string(body), tc.wantSub) {
+			t.Errorf("%q: body %s, want it to mention %q", tc.query, body, tc.wantSub)
 		}
 	}
 	// The boundary cases stay valid.
 	for _, q := range []string{"instructions=1", "warmup=0", "instructions=5000&warmup=100"} {
-		r := httptest.NewRequest(http.MethodGet, "/v1/report?"+q, nil)
-		if _, _, err := parseRunOptions(r); err != nil {
-			t.Errorf("%q: rejected valid options: %v", q, err)
+		if code, body := get(t, ts, "/v1/report?"+q); code != http.StatusOK {
+			t.Errorf("%q: rejected valid options: %d %s", q, code, body)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,13 +11,9 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/admission"
 	"repro/internal/engine"
 	"repro/internal/experiments"
-	"repro/internal/flight"
 	"repro/internal/machine"
-	"repro/internal/sched"
-	"repro/internal/server/api"
 	"repro/internal/telemetry"
 )
 
@@ -43,7 +38,8 @@ type batchRequest struct {
 	Warmup       int `json:"warmup,omitempty"`
 	// Concurrency caps how many of this batch's experiments are
 	// evaluated at once. Zero means the server default; values above
-	// the server's BatchConcurrency are clamped down to it.
+	// the server's BatchConcurrency are clamped down to it; negative
+	// values are rejected.
 	Concurrency int `json:"concurrency,omitempty"`
 	// Engine selects the measurement engine tier (exact, analytic, or
 	// auto) for every item. Empty means the server default.
@@ -109,13 +105,11 @@ func (lw *lineWriter) flushLocked() {
 // connection when the body limit trips (passing nil would panic there
 // in newer net/http, and silently skip the close in older ones); an
 // oversized body surfaces as *http.MaxBytesError for the caller to map
-// to 413.
+// to 413. The route wrapper has already vetted the query: POST takes
+// none.
 func parseBatchRequest(w http.ResponseWriter, r *http.Request) (batchRequest, error) {
 	var req batchRequest
 	if r.Method == http.MethodPost {
-		if len(r.URL.RawQuery) > 0 {
-			return req, fmt.Errorf("POST /v1/batch takes a JSON body, not query parameters")
-		}
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBodyBytes))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
@@ -124,18 +118,6 @@ func parseBatchRequest(w http.ResponseWriter, r *http.Request) (batchRequest, er
 		return req, nil
 	}
 	q := r.URL.Query()
-	for k := range q {
-		switch k {
-		case "experiments", "instructions", "warmup", "concurrency", "engine":
-		default:
-			return req, fmt.Errorf("unknown query parameter %q (valid: experiments, instructions, warmup, concurrency, engine)", k)
-		}
-	}
-	// Present-but-empty (?engine=, ?instructions=) is rejected, not
-	// silently mapped to the server default.
-	if err := api.NoEmptyParams(q); err != nil {
-		return req, err
-	}
 	req.Engine = q.Get("engine")
 	for _, part := range strings.Split(q.Get("experiments"), ",") {
 		if part = strings.TrimSpace(part); part != "" {
@@ -195,6 +177,42 @@ func resolveBatchIDs(ids []string) ([]string, error) {
 	return out, nil
 }
 
+// sweep is a validated batch or job request.
+type sweep struct {
+	ids  []string
+	opts machine.RunOptions
+	tier engine.Tier // as requested; empty means the server default
+	conc int         // items evaluated at once
+}
+
+// checkSweep validates a batch or job request — ids, fidelity limits,
+// engine tier, concurrency — and clamps its concurrency to the
+// server's BatchConcurrency. On failure it answers the 400 itself.
+func (s *Server) checkSweep(w http.ResponseWriter, req batchRequest) (sweep, bool) {
+	ids, err := resolveBatchIDs(req.Experiments)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, codeUnknownExperiment, err.Error(), experiments.SortedIDs())
+		return sweep{}, false
+	}
+	sw := sweep{ids: ids, conc: s.cfg.BatchConcurrency,
+		opts: machine.RunOptions{Instructions: req.Instructions, WarmupInstructions: req.Warmup}}
+	err = checkFidelity(sw.opts)
+	if err == nil && req.Engine != "" {
+		sw.tier, err = engine.ParseTier(req.Engine)
+	}
+	if err == nil && req.Concurrency < 0 {
+		err = fmt.Errorf("concurrency=%d: must be non-negative", req.Concurrency)
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, codeBadOptions, err.Error(), nil)
+		return sweep{}, false
+	}
+	if req.Concurrency > 0 {
+		sw.conc = min(sw.conc, req.Concurrency)
+	}
+	return sw, true
+}
+
 // handleBatch streams the requested experiments as NDJSON: one
 // {"id","status",...} line per experiment, flushed as each completes.
 // Validation failures are rejected with a regular JSON error before
@@ -217,28 +235,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeBadOptions, err.Error(), nil)
 		return
 	}
-	ids, err := resolveBatchIDs(req.Experiments)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, codeUnknownExperiment, err.Error(), experiments.SortedIDs())
+	sw, ok := s.checkSweep(w, req)
+	if !ok {
 		return
-	}
-	opts := machine.RunOptions{Instructions: req.Instructions, WarmupInstructions: req.Warmup}
-	if err := validateBatchOptions(opts); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadOptions, err.Error(), nil)
-		return
-	}
-	reqTier := s.cfg.DefaultEngine
-	if req.Engine != "" {
-		t, err := engine.ParseTier(req.Engine)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, codeBadOptions, err.Error(), nil)
-			return
-		}
-		reqTier = t
-	}
-	conc := s.cfg.BatchConcurrency
-	if req.Concurrency > 0 && req.Concurrency < conc {
-		conc = req.Concurrency
 	}
 
 	s.met.batchInflight.Inc()
@@ -254,11 +253,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	var (
 		wg    sync.WaitGroup
-		slots = make(chan struct{}, conc)
+		slots = make(chan struct{}, sw.conc)
 		ctx   = r.Context()
 	)
 	emit := lw.emit
-	for _, id := range ids {
+	for _, id := range sw.ids {
 		select {
 		case slots <- struct{}{}:
 		case <-ctx.Done():
@@ -275,11 +274,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			// each item pays as the stream reaches it, so one saturated
 			// client sheds individual lines while healthy items keep
 			// streaming instead of the whole batch 429ing up front.
-			itemCost := admission.Cost(opts.Instructions, 1)
-			if reqTier == engine.TierAnalytic || reqTier == engine.TierAuto {
-				itemCost /= analyticCostDivisor
-			}
-			if dec := s.adm.Admit(clientKey(r), itemCost); !dec.OK {
+			if dec := s.adm.Admit(clientKey(r), s.price(sw.opts.Instructions, 1, sw.tier)); !dec.OK {
 				emit(batchLine{ID: id, Status: "error",
 					ElapsedMS: time.Since(start).Milliseconds(),
 					Error: &errorDetail{Code: codeTooManyRequests,
@@ -290,56 +285,23 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			// single slow experiment is findable in /v1/traces without
 			// wading through the whole batch's tree. The parent_trace
 			// attribute links it back to the batch request's trace.
-			tier, upgrade := s.resolveTier(id, opts, reqTier)
-			if upgrade {
-				s.queueUpgrade(id, opts)
-			}
-			s.met.engineServed.With(string(tier)).Inc()
 			ictx, isp := s.cfg.Tracer.StartTrace(ctx, "batch.item", "",
-				"experiment", id, "engine", string(tier),
-				"parent_trace", telemetry.FromContext(ctx).TraceID())
-			val, cached, _, err := s.fetch(ictx, id, opts, tier, false)
+				"experiment", id, "parent_trace", telemetry.FromContext(ctx).TraceID())
+			res, err := s.serve(ictx, id, sw.opts, sw.tier, false)
 			isp.End()
 			elapsed := time.Since(start)
 			s.met.batchItems.With(id).Observe(elapsed.Seconds())
-			line := batchLine{ID: id, Status: "ok", Engine: string(tier), Cached: cached,
-				TraceID: isp.TraceID(), ElapsedMS: elapsed.Milliseconds()}
+			line := batchLine{ID: id, Status: "ok", Engine: string(res.tier), Cached: res.cached,
+				TraceID: isp.TraceID(), ElapsedMS: elapsed.Milliseconds(), Result: res.val}
 			if err != nil {
 				s.cfg.Log.Warn("batch item failed", "experiment", id, "err", err)
-				code := codeInternal
-				switch {
-				case errors.Is(err, sched.ErrQueueFull):
-					s.adm.CountRejection(admission.ReasonQueueFull)
-					code = codeTooManyRequests
-				case errors.Is(err, sched.ErrQueueTimeout):
-					s.adm.CountRejection(admission.ReasonQueueTimeout)
-					code = codeTooManyRequests
-				case flight.IsCanceled(err):
-					code = codeCanceled
-					if r.Context().Err() == context.DeadlineExceeded {
-						code = codeDeadlineExceeded
-					}
-				}
+				_, code := s.computeStatus(r, err)
 				line = batchLine{ID: id, Status: "error", TraceID: isp.TraceID(),
 					ElapsedMS: elapsed.Milliseconds(),
 					Error:     &errorDetail{Code: code, Message: err.Error()}}
-			} else {
-				line.Result = val
 			}
 			emit(line)
 		}(id)
 	}
 	wg.Wait()
-}
-
-// validateBatchOptions applies the same fidelity limits as the
-// per-experiment endpoint to a body-decoded request.
-func validateBatchOptions(opts machine.RunOptions) error {
-	if opts.Instructions > maxInstructions {
-		return fmt.Errorf("instructions=%d exceeds the maximum %d", opts.Instructions, maxInstructions)
-	}
-	if opts.WarmupInstructions > maxInstructions {
-		return fmt.Errorf("warmup=%d exceeds the maximum %d", opts.WarmupInstructions, maxInstructions)
-	}
-	return opts.Validate()
 }

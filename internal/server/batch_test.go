@@ -233,6 +233,8 @@ func TestBatchValidation(t *testing.T) {
 		{"unknown param", "/v1/batch?experiments=table1&typo=1", codeBadOptions},
 		{"bad instructions", "/v1/batch?experiments=table1&instructions=abc", codeBadOptions},
 		{"excess instructions", "/v1/batch?experiments=table1&instructions=999999999", codeBadOptions},
+		{"negative concurrency", "/v1/batch?experiments=table1&concurrency=-1", codeBadOptions},
+		{"repeated experiments", "/v1/batch?experiments=table1&experiments=table2", codeBadOptions},
 	}
 	for _, tc := range cases {
 		code, body := get(t, ts, tc.path)

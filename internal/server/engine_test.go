@@ -119,7 +119,7 @@ func TestEngineTiersCachedSeparately(t *testing.T) {
 }
 
 // TestEngineAutoUpgrades: the first auto request is served analytic
-// with an upgrade pending; once the background worker lands the exact
+// with an upgrade pending; once the background upgrade lands the exact
 // result, auto serves exact — and byte-for-byte what a direct
 // engine=exact request returns, because the upgrade runs the same
 // fetch path under the same cache key.
@@ -185,7 +185,7 @@ func TestEngineAutoUpgrades(t *testing.T) {
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Engine.Default != "exact" || st.Engine.UpgradeWorkers != 2 {
+	if st.Engine.Default != "exact" || st.Engine.UpgradeWorkers != cap(s.jobsSem) {
 		t.Errorf("status engine defaults = %+v", st.Engine)
 	}
 	if st.Engine.Queued < 1 || st.Engine.Done < 1 {
@@ -202,19 +202,40 @@ func TestEngineAutoUpgrades(t *testing.T) {
 	}
 }
 
-// TestEngineAutoWithoutWorkers: with upgrades disabled the auto tier
-// degrades gracefully — always analytic, never pending.
-func TestEngineAutoWithoutWorkers(t *testing.T) {
-	s, _ := newEngineTestServer(Config{UpgradeWorkers: -1})
+// TestEngineAutoUpgradeOnBackgroundLane: an exact upgrade computes on
+// the background lane, never in an interactive worker slot or on the
+// uncapped interactive queue, and the lane exists with the jobs
+// subsystem off, so auto still converges to exact there.
+func TestEngineAutoUpgradeOnBackgroundLane(t *testing.T) {
+	s := New(Config{JobsDisabled: true})
+	lanes := make(chan bool, 4)
+	s.compute = func(_ context.Context, id string, _ machine.RunOptions, tier engine.Tier, background bool) (any, error) {
+		if tier == engine.TierExact {
+			lanes <- background
+		}
+		return map[string]any{"id": id, "tier": string(tier)}, nil
+	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.Close()
 
-	for i := 0; i < 3; i++ {
-		er := getEngine(t, ts, "/v1/experiments/table1?engine=auto")
-		if er.Engine != "analytic" || er.UpgradePending {
-			t.Fatalf("request %d: engine=%q pending=%v, want analytic and no upgrade", i, er.Engine, er.UpgradePending)
+	if er := getEngine(t, ts, "/v1/experiments/table1?engine=auto"); er.Engine != "analytic" || !er.UpgradePending {
+		t.Fatalf("first auto request: engine=%q pending=%v, want analytic with an upgrade pending", er.Engine, er.UpgradePending)
+	}
+	select {
+	case background := <-lanes:
+		if !background {
+			t.Errorf("exact upgrade computed with background=false, want the background lane")
 		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("exact upgrade never computed")
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for getEngine(t, ts, "/v1/experiments/table1?engine=auto").Engine != "exact" {
+		if time.Now().After(deadline) {
+			t.Fatal("auto never converged to exact with jobs disabled")
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -22,24 +22,6 @@ import (
 // derivation (see insight.Recorder.History).
 func (s *Server) handleMetricsHistory(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	for k, vs := range q {
-		switch k {
-		case "name", "window":
-		default:
-			writeError(w, http.StatusBadRequest, codeBadOptions,
-				fmt.Sprintf("unknown query parameter %q (valid: name, window)", k), nil)
-			return
-		}
-		if len(vs) > 1 {
-			writeError(w, http.StatusBadRequest, codeBadOptions,
-				fmt.Sprintf("query parameter %q given %d times, want at most once", k, len(vs)), nil)
-			return
-		}
-	}
-	if err := api.NoEmptyParams(q); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadOptions, err.Error(), nil)
-		return
-	}
 	name := q.Get("name")
 	if name == "" {
 		writeError(w, http.StatusBadRequest, codeBadOptions,
@@ -77,12 +59,7 @@ type accuracyResponse struct {
 // handleAccuracy is GET /v1/accuracy: the drift monitor's running
 // totals and worst offenders. A scan runs first so the answer reflects
 // every upgrade that has landed, not just the last tick's.
-func (s *Server) handleAccuracy(w http.ResponseWriter, r *http.Request) {
-	if len(r.URL.Query()) != 0 {
-		writeError(w, http.StatusBadRequest, codeBadOptions,
-			"GET /v1/accuracy takes no query parameters", nil)
-		return
-	}
+func (s *Server) handleAccuracy(w http.ResponseWriter, _ *http.Request) {
 	d := s.cfg.Insight.Drift()
 	d.Scan()
 	writeJSON(w, http.StatusOK, accuracyResponse{
@@ -102,24 +79,6 @@ type eventsResponse struct {
 // range, ?limit= bounds the count (default 100).
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	for k, vs := range q {
-		switch k {
-		case "type", "since", "limit":
-		default:
-			writeError(w, http.StatusBadRequest, codeBadOptions,
-				fmt.Sprintf("unknown query parameter %q (valid: type, since, limit)", k), nil)
-			return
-		}
-		if len(vs) > 1 {
-			writeError(w, http.StatusBadRequest, codeBadOptions,
-				fmt.Sprintf("query parameter %q given %d times, want at most once", k, len(vs)), nil)
-			return
-		}
-	}
-	if err := api.NoEmptyParams(q); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadOptions, err.Error(), nil)
-		return
-	}
 	var typ insight.EventType
 	if v := q.Get("type"); v != "" {
 		known := insight.KnownEventTypes()

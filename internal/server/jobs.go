@@ -17,9 +17,7 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/admission"
 	"repro/internal/engine"
-	"repro/internal/experiments"
 	"repro/internal/jobs"
 	"repro/internal/machine"
 	"repro/internal/server/api"
@@ -41,22 +39,10 @@ const sseKeepalive = 15 * time.Second
 const exactSecondsPerCostToken = 0.1
 
 // estimateItemSeconds predicts one sweep item's execution time from
-// the admission cost model: cost tokens for the item's fidelity,
-// discounted like the admission charge when the analytic tier will
-// serve it, scaled to seconds. It deliberately mirrors runJobItem's
-// charging logic so the ETA and the budget drain at the same rate.
+// the admission price runJobItem charges for it, scaled to seconds, so
+// the ETA and the budget drain at the same rate.
 func (s *Server) estimateItemSeconds(spec jobs.Spec) float64 {
-	cost := admission.Cost(spec.Instructions, 1)
-	reqTier := s.cfg.DefaultEngine
-	if spec.Engine != "" {
-		if t, err := engine.ParseTier(spec.Engine); err == nil {
-			reqTier = t
-		}
-	}
-	if reqTier != engine.TierExact {
-		cost /= analyticCostDivisor
-	}
-	return cost * exactSecondsPerCostToken
+	return s.price(spec.Instructions, 1, engine.Tier(spec.Engine)) * exactSecondsPerCostToken
 }
 
 // newJobManager builds the jobs manager wired to this server: items
@@ -108,54 +94,29 @@ func (s *Server) newJobManager() {
 // Background admission blocks (AdmitWait) instead of shedding: a job
 // item has no client on the wire to retry, so it waits for the
 // submitter's bucket to refill — which is exactly what throttles a
-// registry-scale sweep below interactive traffic.
+// registry-scale sweep below interactive traffic. The spec's engine
+// was validated at submit; one corrupted in a restored snapshot fails
+// the item in engine.New.
 func (s *Server) runJobItem(ctx context.Context, j jobs.Job, item string) error {
 	opts := machine.RunOptions{Instructions: j.Spec.Instructions, WarmupInstructions: j.Spec.Warmup}
-	reqTier := s.cfg.DefaultEngine
-	if j.Spec.Engine != "" {
-		t, err := engine.ParseTier(j.Spec.Engine)
-		if err != nil {
-			return err // unreachable: validated at submit
-		}
-		reqTier = t
-	}
-	tier, upgrade := s.resolveTier(item, opts, reqTier)
-	if upgrade {
-		s.queueUpgrade(item, opts)
-	}
-	cost := admission.Cost(opts.Instructions, 1)
-	if tier == engine.TierAnalytic || reqTier == engine.TierAuto {
-		cost /= analyticCostDivisor
-	}
+	reqTier := engine.Tier(j.Spec.Engine)
 	// A separate "jobs:" bucket namespace: the sweep spends a budget of
 	// its own at the same refill rate, rather than draining the tokens
 	// the submitter's interactive requests are counting on.
-	if err := s.adm.AdmitWait(ctx, "jobs:"+j.Spec.Client, cost); err != nil {
+	if err := s.adm.AdmitWait(ctx, "jobs:"+j.Spec.Client, s.price(opts.Instructions, 1, reqTier)); err != nil {
 		return err
 	}
-	s.met.engineServed.With(string(tier)).Inc()
 	ictx, isp := s.cfg.Tracer.StartTrace(ctx, "job.item", "",
-		"experiment", item, "job", j.ID, "engine", string(tier),
-		"parent_trace", telemetry.FromContext(ctx).TraceID())
-	_, _, _, err := s.fetch(ictx, item, opts, tier, true)
+		"experiment", item, "job", j.ID, "parent_trace", telemetry.FromContext(ctx).TraceID())
+	_, err := s.serve(ictx, item, opts, reqTier, true)
 	isp.End()
 	return err
 }
 
 // jobSubmitRequest is the POST /v1/jobs body: a batch request plus
-// push-delivery options.
+// push delivery.
 type jobSubmitRequest struct {
-	// Experiments lists the sweep's experiment ids; "all" expands to
-	// the full registry, duplicates collapse.
-	Experiments []string `json:"experiments"`
-	// Instructions and Warmup select the fidelity, as on /v1/batch.
-	Instructions int `json:"instructions,omitempty"`
-	Warmup       int `json:"warmup,omitempty"`
-	// Engine selects the measurement tier for every item.
-	Engine string `json:"engine,omitempty"`
-	// Concurrency caps concurrently executing items (clamped to the
-	// server's batch concurrency).
-	Concurrency int `json:"concurrency,omitempty"`
+	batchRequest
 	// Webhook, when set, receives the job's terminal state by POST.
 	Webhook string `json:"webhook,omitempty"`
 }
@@ -181,21 +142,9 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("decoding job body: %v", err), nil)
 		return
 	}
-	ids, err := resolveBatchIDs(req.Experiments)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, codeUnknownExperiment, err.Error(), experiments.SortedIDs())
+	sw, ok := s.checkSweep(w, req.batchRequest)
+	if !ok {
 		return
-	}
-	opts := machine.RunOptions{Instructions: req.Instructions, WarmupInstructions: req.Warmup}
-	if err := validateBatchOptions(opts); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadOptions, err.Error(), nil)
-		return
-	}
-	if req.Engine != "" {
-		if _, err := engine.ParseTier(req.Engine); err != nil {
-			writeError(w, http.StatusBadRequest, codeBadOptions, err.Error(), nil)
-			return
-		}
 	}
 	if req.Webhook != "" {
 		u, err := url.Parse(req.Webhook)
@@ -205,22 +154,13 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if req.Concurrency < 0 {
-		writeError(w, http.StatusBadRequest, codeBadOptions,
-			fmt.Sprintf("concurrency=%d: must be non-negative", req.Concurrency), nil)
-		return
-	}
-	conc := req.Concurrency
-	if conc == 0 || conc > s.cfg.BatchConcurrency {
-		conc = s.cfg.BatchConcurrency
-	}
 
 	j, err := s.jobs.Submit(jobs.Spec{
-		Experiments:  ids,
+		Experiments:  sw.ids,
 		Instructions: req.Instructions,
 		Warmup:       req.Warmup,
 		Engine:       req.Engine,
-		Concurrency:  conc,
+		Concurrency:  sw.conc,
 		Webhook:      req.Webhook,
 		Client:       clientKey(r),
 	})
@@ -245,21 +185,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 // handleJobList is GET /v1/jobs: every retained job, newest first,
 // windowed by ?limit=/?offset= with X-Total-Count.
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	for k := range q {
-		switch k {
-		case "limit", "offset":
-		default:
-			writeError(w, http.StatusBadRequest, codeBadOptions,
-				fmt.Sprintf("unknown query parameter %q (valid: limit, offset)", k), nil)
-			return
-		}
-	}
-	if err := api.NoEmptyParams(q); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadOptions, err.Error(), nil)
-		return
-	}
-	page, err := api.ParsePage(q)
+	page, err := api.ParsePage(r.URL.Query())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadOptions, err.Error(), nil)
 		return
@@ -316,12 +242,6 @@ func (s *Server) handleJobResults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opts := machine.RunOptions{Instructions: j.Spec.Instructions, WarmupInstructions: j.Spec.Warmup}
-	reqTier := s.cfg.DefaultEngine
-	if j.Spec.Engine != "" {
-		if t, err := engine.ParseTier(j.Spec.Engine); err == nil {
-			reqTier = t
-		}
-	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	lw := newLineWriter(w)
@@ -329,16 +249,16 @@ func (s *Server) handleJobResults(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		switch it.Status {
 		case jobs.ItemDone:
-			tier, _ := s.resolveTier(it.ID, opts, reqTier)
-			val, cached, _, err := s.fetch(r.Context(), it.ID, opts, tier, true)
+			res, err := s.serve(r.Context(), it.ID, opts, engine.Tier(j.Spec.Engine), true)
 			if err != nil {
+				_, code := s.computeStatus(r, err)
 				lw.emit(batchLine{ID: it.ID, Status: "error",
 					ElapsedMS: time.Since(start).Milliseconds(),
-					Error:     &errorDetail{Code: codeInternal, Message: err.Error()}})
+					Error:     &errorDetail{Code: code, Message: err.Error()}})
 				continue
 			}
-			lw.emit(batchLine{ID: it.ID, Status: "ok", Engine: string(tier),
-				Cached: cached, ElapsedMS: time.Since(start).Milliseconds(), Result: val})
+			lw.emit(batchLine{ID: it.ID, Status: "ok", Engine: string(res.tier),
+				Cached: res.cached, ElapsedMS: time.Since(start).Milliseconds(), Result: res.val})
 		case jobs.ItemError:
 			lw.emit(batchLine{ID: it.ID, Status: "error",
 				Error: &errorDetail{Code: codeInternal, Message: it.Error}})

@@ -232,3 +232,55 @@ func TestEmptyParamRejected(t *testing.T) {
 		t.Errorf("empty-param requests started %d computations, want 0", n)
 	}
 }
+
+// TestStrictQueryEveryRoute: every route the instrument wrapper serves
+// rejects an unknown, a duplicated and a present-but-empty query
+// parameter with 400/bad_options before its handler runs — including
+// routes that take no parameters at all, and the repeated-experiments
+// batch that once streamed only its first list.
+func TestStrictQueryEveryRoute(t *testing.T) {
+	s, _, computations := newInsightTestServer(t, Config{})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	type probe struct{ method, path string }
+	var probes []probe
+	for _, rt := range s.routes {
+		if rt.raw {
+			continue
+		}
+		path := strings.ReplaceAll(rt.pattern, "{id}", "table1")
+		p := "bogus"
+		if len(rt.params) > 0 {
+			p = rt.params[0]
+		}
+		for _, q := range []string{"bogus=1", p + "=1&" + p + "=2", p + "="} {
+			probes = append(probes, probe{rt.method, path + "?" + q})
+		}
+	}
+	probes = append(probes,
+		probe{"GET", "/v1/batch?experiments=table1&experiments=table2"},
+		probe{"GET", "/v1/traces?limit=1&limit=2"},
+	)
+	for _, pr := range probes {
+		req, err := http.NewRequest(pr.method, ts.URL+pr.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", pr.method, pr.path, err)
+		}
+		var e errorEnvelope
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil || e.Error.Code != "bad_options" {
+			t.Errorf("%s %s: status %d code %q (decode err %v), want 400 bad_options",
+				pr.method, pr.path, resp.StatusCode, e.Error.Code, err)
+		}
+	}
+	if n := computations.Load(); n != 0 {
+		t.Errorf("rejected requests started %d computations, want 0", n)
+	}
+}

@@ -63,7 +63,7 @@ const maxInstructions = 10_000_000
 // analytic request consumes a proportionally smaller compute budget.
 const analyticCostDivisor = 50
 
-// upgradeQueueCap bounds the background exact-upgrade queue. Auto
+// upgradeQueueCap bounds the exact upgrades pending at once. Auto
 // requests beyond it are still answered (analytically); only the
 // upgrade is dropped, and a later auto request re-queues it.
 const upgradeQueueCap = 128
@@ -127,11 +127,6 @@ type Config struct {
 	// makes the daemon answer analytically and upgrade in the
 	// background by default.
 	DefaultEngine engine.Tier
-	// UpgradeWorkers bounds concurrent background exact upgrades of
-	// analytically-served auto requests. Defaults to 2; negative
-	// disables upgrading (auto then never converges to exact on its
-	// own).
-	UpgradeWorkers int
 	// JobsDisabled turns the async-job subsystem off: the /v1/jobs
 	// routes are not registered and no job state is loaded.
 	JobsDisabled bool
@@ -211,12 +206,6 @@ func (c Config) withDefaults() Config {
 	if c.JobsPath == "" && c.Store != nil && c.Store.Path() != "" {
 		c.JobsPath = c.Store.Path() + ".jobs"
 	}
-	if c.UpgradeWorkers == 0 {
-		c.UpgradeWorkers = 2
-	}
-	if c.UpgradeWorkers < 0 {
-		c.UpgradeWorkers = 0
-	}
 	if c.Metrics == nil {
 		c.Metrics = metrics.NewRegistry()
 	}
@@ -275,7 +264,7 @@ func newServerMetrics(r *metrics.Registry) serverMetrics {
 			"Background exact upgrades of analytically-served keys, by status (queued, done, failed, dropped).",
 			"status"),
 		upgradeDepth: r.Gauge("spec17d_engine_upgrade_queue_depth",
-			"Exact-upgrade jobs currently queued."),
+			"Exact upgrades pending: waiting for or holding a background-lane slot."),
 	}
 }
 
@@ -289,23 +278,22 @@ type Server struct {
 	started time.Time
 
 	flight flight.Group[any]
-	sem    chan struct{} // worker-pool slots (interactive requests)
-	// jobsSem bounds background (job-item) computations separately,
-	// and strictly below Workers when Workers > 1 — a sweep whose
-	// items all stall can never hold every worker slot an interactive
-	// request needs.
-	jobsSem chan struct{}
-	pool    *sched.Pool           // shared simulation scheduler
-	queue   *sched.Queue          // the server's queue on pool (uncapped)
-	adm     *admission.Controller // overload-protection gate
+	sem    chan struct{}         // worker-pool slots (interactive requests)
+	pool   *sched.Pool           // shared simulation scheduler
+	queue  *sched.Queue          // the server's queue on pool (uncapped)
+	adm    *admission.Controller // overload-protection gate
 
-	// jobs is the async-job subsystem (nil when JobsDisabled). Its
-	// items execute on jobsQueue — a scheduler queue capped one below
-	// the pool's worker count, so a registry-scale background sweep
-	// always leaves at least one simulation worker for interactive
-	// traffic.
-	jobs      *jobs.Manager
+	// The background lane runs job items and exact upgrades. jobsSem
+	// bounds its computations strictly below Workers when Workers > 1,
+	// and jobsQueue is a scheduler queue capped one below the pool's
+	// worker count, so background work whose items all stall can never
+	// hold every worker slot or simulation worker interactive traffic
+	// needs.
+	jobsSem   chan struct{}
 	jobsQueue *sched.Queue
+
+	// jobs is the async-job subsystem (nil when JobsDisabled).
+	jobs      *jobs.Manager
 	jobsStart sync.Once
 	// jobsRunner executes one job item; defaults to runJobItem.
 	// Overridable in tests (before the first Handler call) to observe
@@ -322,22 +310,19 @@ type Server struct {
 	results *lru // cacheKey -> experiment result
 	labs    *lru // (fidelity, engine) key -> *experiments.Lab
 
-	// upgradePending (guarded by mu) dedups queued exact upgrades by
-	// their exact-tier cache key.
+	// upgradePending (guarded by mu) dedups pending exact upgrades by
+	// their exact-tier cache key. upgradeCtx is canceled on shutdown.
 	upgradePending map[string]bool
-	upgradeCh      chan upgradeJob
 	upgradeCtx     context.Context
 	upgradeCancel  context.CancelFunc
-	upgradeWG      sync.WaitGroup
-	upgradeStop    sync.Once
 
 	// compute produces one experiment (or reportID) result at the
 	// given fidelity on the given concrete engine tier. Overridden in
 	// tests to observe and control the computation path; the default
 	// runs the experiment registry on a cached Lab. The context is the
 	// flight's: canceled when every waiting request has disconnected.
-	// background marks async-job work, which runs on the capped jobs
-	// scheduler queue instead of the interactive one.
+	// background marks job items and exact upgrades, which run on the
+	// background lane instead of the interactive one.
 	compute func(ctx context.Context, id string, opts machine.RunOptions, tier engine.Tier, background bool) (any, error)
 	// computeStarted, when set (tests), is invoked by the flight
 	// leader right before compute.
@@ -371,49 +356,20 @@ func New(cfg Config) *Server {
 		results:        newLRU(cfg.ResultCacheSize),
 		labs:           newLRU(cfg.LabCacheSize),
 		upgradePending: make(map[string]bool),
-		upgradeCh:      make(chan upgradeJob, upgradeQueueCap),
 	}
 	s.queue = s.pool.Queue(0)
+	s.jobsQueue = s.pool.Queue(max(s.pool.Workers()-1, 1))
+	s.jobsSem = make(chan struct{}, max(cfg.Workers-1, 1))
 	s.compute = s.runExperiment
 	s.upgradeCtx, s.upgradeCancel = context.WithCancel(context.Background())
-	for i := 0; i < cfg.UpgradeWorkers; i++ {
-		s.upgradeWG.Add(1)
-		go s.upgradeWorker()
-	}
 
 	if !cfg.JobsDisabled {
-		bg := s.pool.Workers() - 1
-		if bg < 1 {
-			bg = 1
-		}
-		s.jobsQueue = s.pool.Queue(bg)
-		// The worker-slot bound mirrors the queue cap: one below the
-		// interactive pool when possible, so background computations can
-		// never occupy every slot.
-		bgSem := cfg.Workers - 1
-		if bgSem < 1 {
-			bgSem = 1
-		}
-		s.jobsSem = make(chan struct{}, bgSem)
 		s.jobsRunner = s.runJobItem
 		s.newJobManager()
 	}
 
-	// The route table is the single source of truth for the mux, the
-	// 405 Allow computation, and the GET /v1 discovery document.
 	s.routes = s.routeTable()
-	s.mux = http.NewServeMux()
-	for _, rt := range s.routes {
-		if rt.raw {
-			s.mux.HandleFunc(rt.method+" "+rt.pattern, rt.h)
-			continue
-		}
-		s.mux.HandleFunc(rt.method+" "+rt.pattern, s.instrument(rt.pattern, rt.traced, rt.h))
-	}
-	// Everything else — unknown paths, and known paths with the wrong
-	// method (a method-mismatched request falls through to this
-	// pattern) — answers the same error envelope as real handlers.
-	s.mux.HandleFunc("/", s.instrument("fallback", false, s.handleFallback))
+	s.mux = s.newMux()
 	return s
 }
 
@@ -466,7 +422,7 @@ func (s *Server) ListenAndServe(addr string) error {
 // Serve.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
-	s.stopUpgrades()
+	s.upgradeCancel()
 	if s.jobs != nil {
 		// Graceful: interrupt running items, revert them to pending, and
 		// write a final checkpoint so the next boot resumes mid-sweep.
@@ -487,7 +443,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // before Serve or after Shutdown.
 func (s *Server) Close() error {
 	s.draining.Store(true)
-	s.stopUpgrades()
+	s.upgradeCancel()
 	if s.jobs != nil {
 		// SIGKILL-shaped: no final checkpoint — on-disk job state stays
 		// whatever the last per-item checkpoint wrote.
@@ -519,14 +475,14 @@ func cacheKey(id string, opts machine.RunOptions, tier engine.Tier) string {
 // labFor returns the Lab for one (fidelity, engine tier), creating and
 // caching it on first use. Labs build their fleet characterization
 // lazily, so creation is cheap; the LRU bound caps how many full
-// characterizations stay resident. Background (async-job) work gets
-// its own Labs on the capped jobs queue, so its leaf simulations can
-// never occupy every pool worker; the measurement store underneath is
+// characterizations stay resident. Background work gets its own Labs
+// on the capped background queue, so its leaf simulations can never
+// occupy every pool worker; the measurement store underneath is
 // shared, so the bytes computed are identical either way.
 func (s *Server) labFor(opts machine.RunOptions, tier engine.Tier, background bool) (*experiments.Lab, error) {
 	key := cacheKey("", opts, tier)
 	queue := s.queue
-	if background && s.jobsQueue != nil {
+	if background {
 		key = "jobs|" + key
 		queue = s.jobsQueue
 	}
@@ -561,105 +517,6 @@ func (s *Server) runExperiment(ctx context.Context, id string, opts machine.RunO
 		return nil, experiments.UnknownIDError(id)
 	}
 	return d.Run(lab)
-}
-
-// upgradeJob is one queued background exact re-measurement.
-type upgradeJob struct {
-	id   string
-	opts machine.RunOptions
-	key  string // exact-tier cache key, the pending-dedup identity
-}
-
-// resolveTier maps a requested tier onto the concrete tier this
-// request is served at. Auto serves exact when the exact result is
-// already cached and analytic otherwise; the second return reports
-// whether the caller should queue a background exact upgrade.
-func (s *Server) resolveTier(id string, opts machine.RunOptions, req engine.Tier) (engine.Tier, bool) {
-	if req != engine.TierAuto {
-		return req, false
-	}
-	s.mu.Lock()
-	_, ok := s.results.get(cacheKey(id, opts, engine.TierExact))
-	s.mu.Unlock()
-	if ok {
-		return engine.TierExact, false
-	}
-	return engine.TierAnalytic, true
-}
-
-// queueUpgrade enqueues a background exact re-measurement of (id,
-// opts), deduplicating against upgrades already queued or running.
-// Returns whether the upgrade is now pending (newly queued or already
-// in flight); a full queue drops the job — a later auto request will
-// re-queue it.
-func (s *Server) queueUpgrade(id string, opts machine.RunOptions) bool {
-	if s.cfg.UpgradeWorkers == 0 || s.draining.Load() {
-		return false
-	}
-	key := cacheKey(id, opts, engine.TierExact)
-	s.mu.Lock()
-	if s.upgradePending[key] {
-		s.mu.Unlock()
-		return true
-	}
-	s.upgradePending[key] = true
-	s.mu.Unlock()
-	select {
-	case s.upgradeCh <- upgradeJob{id: id, opts: opts, key: key}:
-		s.met.upgrades.With("queued").Inc()
-		s.met.upgradeDepth.Set(float64(len(s.upgradeCh)))
-		return true
-	default:
-		s.mu.Lock()
-		delete(s.upgradePending, key)
-		s.mu.Unlock()
-		s.met.upgrades.With("dropped").Inc()
-		return false
-	}
-}
-
-// upgradeWorker drains the upgrade queue: each job runs the ordinary
-// fetch path at the exact tier, so the result lands in the result
-// cache (and the measurements in the store) exactly as a direct
-// engine=exact request's would — later auto requests serve it
-// bit-identically.
-func (s *Server) upgradeWorker() {
-	defer s.upgradeWG.Done()
-	for {
-		select {
-		case <-s.upgradeCtx.Done():
-			return
-		case job := <-s.upgradeCh:
-			s.met.upgradeDepth.Set(float64(len(s.upgradeCh)))
-			_, _, _, err := s.fetch(s.upgradeCtx, job.id, job.opts, engine.TierExact, false)
-			s.mu.Lock()
-			delete(s.upgradePending, job.key)
-			s.mu.Unlock()
-			if err != nil {
-				s.met.upgrades.With("failed").Inc()
-				if s.upgradeCtx.Err() == nil {
-					s.cfg.Log.Warn("exact upgrade failed", "what", job.id, "err", err)
-				}
-			} else {
-				s.met.upgrades.With("done").Inc()
-				// The exact twin of an analytically-served key just
-				// landed in the store: let the drift monitor compare
-				// the pair now instead of waiting for its next tick.
-				if ins := s.cfg.Insight; ins != nil {
-					ins.Drift().Scan()
-				}
-			}
-		}
-	}
-}
-
-// stopUpgrades halts the background upgrade workers, canceling any
-// in-flight exact re-measurement they lead.
-func (s *Server) stopUpgrades() {
-	s.upgradeStop.Do(func() {
-		s.upgradeCancel()
-		s.upgradeWG.Wait()
-	})
 }
 
 // fetch returns the result for (id, opts), serving from cache when
@@ -724,38 +581,122 @@ func (s *Server) fetch(ctx context.Context, id string, opts machine.RunOptions, 
 	return val, false, joined, err
 }
 
+// serve answers one compute request for (id, opts) at the requested
+// tier: it merges the server default, resolves auto (exact when the
+// exact result is cached, else analytic with an exact upgrade queued),
+// counts the concrete tier served, tags the context's span with it,
+// and fetches the result. Every compute caller goes through here.
+func (s *Server) serve(ctx context.Context, id string, opts machine.RunOptions, reqTier engine.Tier, background bool) (served, error) {
+	if reqTier == "" {
+		reqTier = s.cfg.DefaultEngine
+	}
+	res := served{tier: reqTier}
+	if reqTier == engine.TierAuto {
+		s.mu.Lock()
+		_, ok := s.results.get(cacheKey(id, opts, engine.TierExact))
+		s.mu.Unlock()
+		if ok {
+			res.tier = engine.TierExact
+		} else {
+			res.tier = engine.TierAnalytic
+			res.upgrading = s.queueUpgrade(id, opts)
+		}
+	}
+	s.met.engineServed.With(string(res.tier)).Inc()
+	telemetry.FromContext(ctx).SetAttr("engine", string(res.tier))
+	var err error
+	res.val, res.cached, res.coalesced, err = s.fetch(ctx, id, opts, res.tier, background)
+	return res, err
+}
+
+// served is one answered compute request.
+type served struct {
+	val               any
+	tier              engine.Tier // the concrete tier that produced val
+	upgrading         bool        // an exact upgrade is pending (auto only)
+	cached, coalesced bool
+}
+
+// queueUpgrade starts a background exact re-measurement of (id, opts)
+// unless one is already pending, and reports whether one now is. At
+// most upgradeQueueCap upgrades are pending at once; past that the
+// upgrade is dropped, and a later auto request re-queues it.
+func (s *Server) queueUpgrade(id string, opts machine.RunOptions) bool {
+	if s.draining.Load() {
+		return false
+	}
+	key := cacheKey(id, opts, engine.TierExact)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.upgradePending[key] {
+		return true
+	}
+	if len(s.upgradePending) >= upgradeQueueCap {
+		s.met.upgrades.With("dropped").Inc()
+		return false
+	}
+	s.upgradePending[key] = true
+	s.met.upgradeDepth.Set(float64(len(s.upgradePending)))
+	s.met.upgrades.With("queued").Inc()
+	go s.upgrade(id, opts, key)
+	return true
+}
+
+// upgrade runs the ordinary fetch path at the exact tier on the
+// background lane, so the result lands in the result cache (and the
+// measurements in the store) exactly as a direct engine=exact
+// request's would — later auto requests serve it bit-identically.
+func (s *Server) upgrade(id string, opts machine.RunOptions, key string) {
+	_, _, _, err := s.fetch(s.upgradeCtx, id, opts, engine.TierExact, true)
+	s.mu.Lock()
+	delete(s.upgradePending, key)
+	s.met.upgradeDepth.Set(float64(len(s.upgradePending)))
+	s.mu.Unlock()
+	if err != nil {
+		s.met.upgrades.With("failed").Inc()
+		if s.upgradeCtx.Err() == nil {
+			s.cfg.Log.Warn("exact upgrade failed", "what", id, "err", err)
+		}
+		return
+	}
+	s.met.upgrades.With("done").Inc()
+	// The exact twin of an analytically-served key just landed in the
+	// store: let the drift monitor compare the pair now instead of
+	// waiting for its next tick.
+	if ins := s.cfg.Insight; ins != nil {
+		ins.Drift().Scan()
+	}
+}
+
+// price is the admission cost of n experiments at the given fidelity
+// on the requested tier (empty: the server default). Analytic and auto
+// requests, which serve analytically when cold, pay the estimator's
+// measured cost advantage.
+func (s *Server) price(instructions, n int, reqTier engine.Tier) float64 {
+	cost := admission.Cost(instructions, n)
+	if reqTier == "" {
+		reqTier = s.cfg.DefaultEngine
+	}
+	if reqTier == engine.TierAnalytic || reqTier == engine.TierAuto {
+		cost /= analyticCostDivisor
+	}
+	return cost
+}
+
 // parseRunOptions extracts ?instructions=, ?warmup=, and ?engine= and
-// validates them (options through machine.RunOptions.Validate, the
-// engine through engine.ParseTier). Unknown query parameters and
-// duplicated ones are rejected so typos fail loudly instead of
-// silently measuring at default fidelity — or on the wrong engine —
-// and range errors are caught right here at parse time. An absent
-// ?engine= returns the zero Tier; the caller substitutes the server's
-// default.
+// validates them (options through checkFidelity, the engine through
+// engine.ParseTier), so range errors are caught right here at parse
+// time. The route wrapper has already rejected unknown, duplicated
+// and empty parameters. An absent ?engine= returns the zero Tier; the
+// caller substitutes the server's default.
 func parseRunOptions(r *http.Request) (machine.RunOptions, engine.Tier, error) {
 	var opts machine.RunOptions
 	var tier engine.Tier
 	q := r.URL.Query()
-	for k, vs := range q {
-		if k != "instructions" && k != "warmup" && k != "engine" {
-			return opts, tier, fmt.Errorf("unknown query parameter %q (valid: instructions, warmup, engine)", k)
-		}
-		if len(vs) > 1 {
-			return opts, tier, fmt.Errorf("query parameter %q given %d times, want at most once", k, len(vs))
-		}
-	}
-	// Present-but-empty (?instructions=, ?warmup=, ?engine=) is
-	// rejected everywhere rather than silently reading as "absent".
-	if err := api.NoEmptyParams(q); err != nil {
-		return opts, tier, err
-	}
 	if v := q.Get("instructions"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
 			return opts, tier, fmt.Errorf("instructions=%q: must be a positive integer", v)
-		}
-		if n > maxInstructions {
-			return opts, tier, fmt.Errorf("instructions=%d exceeds the maximum %d", n, maxInstructions)
 		}
 		opts.Instructions = n
 	}
@@ -763,9 +704,6 @@ func parseRunOptions(r *http.Request) (machine.RunOptions, engine.Tier, error) {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
 			return opts, tier, fmt.Errorf("warmup=%q: must be a non-negative integer", v)
-		}
-		if n > maxInstructions {
-			return opts, tier, fmt.Errorf("warmup=%d exceeds the maximum %d", n, maxInstructions)
 		}
 		opts.WarmupInstructions = n
 	}
@@ -776,10 +714,19 @@ func parseRunOptions(r *http.Request) (machine.RunOptions, engine.Tier, error) {
 		}
 		tier = t
 	}
-	if err := opts.Validate(); err != nil {
-		return opts, tier, err
+	return opts, tier, checkFidelity(opts)
+}
+
+// checkFidelity applies the fidelity limits every compute endpoint
+// shares: the maxInstructions cap, then machine.RunOptions.Validate.
+func checkFidelity(opts machine.RunOptions) error {
+	if opts.Instructions > maxInstructions {
+		return fmt.Errorf("instructions=%d exceeds the maximum %d", opts.Instructions, maxInstructions)
 	}
-	return opts, tier, nil
+	if opts.WarmupInstructions > maxInstructions {
+		return fmt.Errorf("warmup=%d exceeds the maximum %d", opts.WarmupInstructions, maxInstructions)
+	}
+	return opts.Validate()
 }
 
 // Error-envelope codes. Every non-200 JSON response is
@@ -810,33 +757,40 @@ func writeError(w http.ResponseWriter, status int, code, message string, known [
 	api.WriteError(w, status, code, message, known)
 }
 
-// writeComputeError maps a computation failure onto the envelope:
-// scheduler sheds (queue full, queue-wait timeout) get
-// 429/too_many_requests with a Retry-After, a server-side deadline
-// expiry gets 504/deadline_exceeded, other cancellations (the client
-// has gone away, or the drain abandoned the wait) get 499/canceled,
-// and everything else 500/internal.
-func (s *Server) writeComputeError(w http.ResponseWriter, r *http.Request, what string, err error) {
-	s.cfg.Log.Error("compute failed", "what", what, "err", err)
+// computeStatus maps a computation failure to a status and error
+// code: scheduler sheds (queue full, queue-wait timeout) are
+// 429/too_many_requests and count as admission rejections, a
+// server-side deadline expiry is 504/deadline_exceeded, other
+// cancellations (the client has gone away, or the drain abandoned the
+// wait) are 499/canceled — the nginx "client closed request"
+// convention — and everything else is 500/internal.
+func (s *Server) computeStatus(r *http.Request, err error) (int, string) {
 	switch {
 	case errors.Is(err, sched.ErrQueueFull):
 		s.adm.CountRejection(admission.ReasonQueueFull)
-		s.writeShed(w, err.Error(), 0)
+		return http.StatusTooManyRequests, codeTooManyRequests
 	case errors.Is(err, sched.ErrQueueTimeout):
 		s.adm.CountRejection(admission.ReasonQueueTimeout)
+		return http.StatusTooManyRequests, codeTooManyRequests
+	case !flight.IsCanceled(err):
+		return http.StatusInternalServerError, codeInternal
+	case r.Context().Err() == context.DeadlineExceeded:
+		return http.StatusGatewayTimeout, codeDeadlineExceeded
+	}
+	return 499, codeCanceled
+}
+
+// writeComputeError answers a computation failure in the envelope,
+// with a Retry-After on a shed.
+func (s *Server) writeComputeError(w http.ResponseWriter, r *http.Request, what string, err error) {
+	s.cfg.Log.Error("compute failed", "what", what, "err", err)
+	switch status, code := s.computeStatus(r, err); status {
+	case http.StatusTooManyRequests:
 		s.writeShed(w, err.Error(), 0)
-	case flight.IsCanceled(err):
-		if r.Context().Err() == context.DeadlineExceeded {
-			// The server-side deadline fired, not the client: own it.
-			writeError(w, http.StatusGatewayTimeout, codeDeadlineExceeded,
-				"request exceeded the server-side deadline", nil)
-			return
-		}
-		// 499: the nginx "client closed request" convention; the
-		// client is usually gone, but keep the wire honest.
-		writeError(w, 499, codeCanceled, err.Error(), nil)
+	case http.StatusGatewayTimeout:
+		writeError(w, status, code, "request exceeded the server-side deadline", nil)
 	default:
-		writeError(w, http.StatusInternalServerError, codeInternal, err.Error(), nil)
+		writeError(w, status, code, err.Error(), nil)
 	}
 }
 
@@ -907,21 +861,7 @@ type catalogEntry struct {
 // the X-Total-Count header (and the total field), so paging clients
 // know when to stop without a sentinel request.
 func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	for k := range q {
-		switch k {
-		case "limit", "offset":
-		default:
-			writeError(w, http.StatusBadRequest, codeBadOptions,
-				fmt.Sprintf("unknown query parameter %q (valid: limit, offset)", k), nil)
-			return
-		}
-	}
-	if err := api.NoEmptyParams(q); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadOptions, err.Error(), nil)
-		return
-	}
-	page, err := api.ParsePage(q)
+	page, err := api.ParsePage(r.URL.Query())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadOptions, err.Error(), nil)
 		return
@@ -960,19 +900,6 @@ type experimentResponse struct {
 	Result         any  `json:"result"`
 }
 
-// reqTier merges the parsed tier with the server default and resolves
-// it to the concrete serving tier, queueing the auto upgrade.
-func (s *Server) reqTier(id string, opts machine.RunOptions, parsed engine.Tier) (tier engine.Tier, upgradePending bool) {
-	if parsed == "" {
-		parsed = s.cfg.DefaultEngine
-	}
-	tier, upgrade := s.resolveTier(id, opts, parsed)
-	if upgrade {
-		upgradePending = s.queueUpgrade(id, opts)
-	}
-	return tier, upgradePending
-}
-
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	if s.refuseDraining(w) {
 		return
@@ -984,18 +911,13 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 			experiments.UnknownIDError(id).Error(), experiments.SortedIDs())
 		return
 	}
-	opts, parsed, err := parseRunOptions(r)
+	opts, reqTier, err := parseRunOptions(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadOptions, err.Error(), nil)
 		return
 	}
-	tier, upgrading := s.reqTier(id, opts, parsed)
-	if sp := telemetry.FromContext(r.Context()); sp != nil {
-		sp.SetAttr("experiment", id)
-		sp.SetAttr("engine", string(tier))
-	}
-	s.met.engineServed.With(string(tier)).Inc()
-	val, cached, coalesced, err := s.fetch(r.Context(), id, opts, tier, false)
+	telemetry.FromContext(r.Context()).SetAttr("experiment", id)
+	res, err := s.serve(r.Context(), id, opts, reqTier, false)
 	if err != nil {
 		s.writeComputeError(w, r, id, err)
 		return
@@ -1007,11 +929,11 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		Kind:           d.Kind,
 		Instructions:   canon.Instructions,
 		Warmup:         canon.WarmupInstructions,
-		Engine:         string(tier),
-		UpgradePending: upgrading,
-		Cached:         cached,
-		Coalesced:      coalesced,
-		Result:         val,
+		Engine:         string(res.tier),
+		UpgradePending: res.upgrading,
+		Cached:         res.cached,
+		Coalesced:      res.coalesced,
+		Result:         res.val,
 	})
 }
 
@@ -1019,18 +941,13 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	if s.refuseDraining(w) {
 		return
 	}
-	opts, parsed, err := parseRunOptions(r)
+	opts, reqTier, err := parseRunOptions(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadOptions, err.Error(), nil)
 		return
 	}
-	tier, upgrading := s.reqTier(reportID, opts, parsed)
-	if sp := telemetry.FromContext(r.Context()); sp != nil {
-		sp.SetAttr("experiment", "report")
-		sp.SetAttr("engine", string(tier))
-	}
-	s.met.engineServed.With(string(tier)).Inc()
-	val, cached, coalesced, err := s.fetch(r.Context(), reportID, opts, tier, false)
+	telemetry.FromContext(r.Context()).SetAttr("experiment", "report")
+	res, err := s.serve(r.Context(), reportID, opts, reqTier, false)
 	if err != nil {
 		s.writeComputeError(w, r, "report", err)
 		return
@@ -1044,7 +961,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		Cached         bool   `json:"cached"`
 		Coalesced      bool   `json:"coalesced,omitempty"`
 		Report         any    `json:"report"`
-	}{canon.Instructions, canon.WarmupInstructions, string(tier), upgrading, cached, coalesced, val})
+	}{canon.Instructions, canon.WarmupInstructions, string(res.tier), res.upgrading, res.cached, res.coalesced, res.val})
 }
 
 // statusWriter captures the response code and body size for
@@ -1096,13 +1013,12 @@ func clientKey(r *http.Request) string {
 // priced individually as the stream reaches them. Unparseable options
 // price at the default (the 400 comes later, after admission).
 func (s *Server) estimateCost(r *http.Request, endpoint string) float64 {
-	instr, _ := strconv.Atoi(r.URL.Query().Get("instructions"))
-	var cost float64
+	n := 0
 	switch endpoint {
 	case "/v1/experiments/{id}":
-		cost = admission.Cost(instr, 1)
+		n = 1
 	case "/v1/report":
-		cost = admission.Cost(instr, len(experiments.Registry()))
+		n = len(experiments.Registry())
 	case "/v1/jobs":
 		// Submitting a sweep costs a flat token; the sweep's items are
 		// charged one by one (blocking, not shedding) as they execute.
@@ -1110,16 +1026,9 @@ func (s *Server) estimateCost(r *http.Request, endpoint string) float64 {
 	default:
 		return 0
 	}
-	// Analytic (and auto, which serves analytically when cold) requests
-	// are priced at the estimator's measured cost advantage.
-	eng := r.URL.Query().Get("engine")
-	if eng == "" {
-		eng = string(s.cfg.DefaultEngine)
-	}
-	if eng == string(engine.TierAnalytic) || eng == string(engine.TierAuto) {
-		cost /= analyticCostDivisor
-	}
-	return cost
+	q := r.URL.Query()
+	instr, _ := strconv.Atoi(q.Get("instructions"))
+	return s.price(instr, n, engine.Tier(q.Get("engine")))
 }
 
 // admit runs the admission gate for one compute request: claim a

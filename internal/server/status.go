@@ -12,7 +12,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/insight"
 	"repro/internal/jobs"
-	"repro/internal/server/api"
 	"repro/internal/telemetry"
 )
 
@@ -96,16 +95,19 @@ type cacheStatus struct {
 // engineStatus reports the measurement-engine configuration and the
 // background exact-upgrade pipeline's health.
 type engineStatus struct {
-	Default        string `json:"default"`
-	UpgradeWorkers int    `json:"upgrade_workers"`
-	UpgradeDepth   int    `json:"upgrade_queue_depth"`
-	UpgradePending int    `json:"upgrade_pending"`
-	Queued         int64  `json:"upgrades_queued"`
-	Done           int64  `json:"upgrades_done"`
-	Failed         int64  `json:"upgrades_failed,omitempty"`
-	Dropped        int64  `json:"upgrades_dropped,omitempty"`
-	ServedExact    int64  `json:"served_exact"`
-	ServedAnalytic int64  `json:"served_analytic"`
+	Default string `json:"default"`
+	// UpgradeWorkers is the background lane's computation slots, which
+	// upgrades share with job items; UpgradeDepth and UpgradePending
+	// both count the upgrades waiting for or holding one.
+	UpgradeWorkers int   `json:"upgrade_workers"`
+	UpgradeDepth   int   `json:"upgrade_queue_depth"`
+	UpgradePending int   `json:"upgrade_pending"`
+	Queued         int64 `json:"upgrades_queued"`
+	Done           int64 `json:"upgrades_done"`
+	Failed         int64 `json:"upgrades_failed,omitempty"`
+	Dropped        int64 `json:"upgrades_dropped,omitempty"`
+	ServedExact    int64 `json:"served_exact"`
+	ServedAnalytic int64 `json:"served_analytic"`
 }
 
 type traceStatus struct {
@@ -184,8 +186,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Unlock()
 	resp.Engine = engineStatus{
 		Default:        string(s.cfg.DefaultEngine),
-		UpgradeWorkers: s.cfg.UpgradeWorkers,
-		UpgradeDepth:   len(s.upgradeCh),
+		UpgradeWorkers: cap(s.jobsSem),
+		UpgradeDepth:   nPending,
 		UpgradePending: nPending,
 		Queued:         int64(snap.Value("spec17d_engine_upgrades_total", "queued")),
 		Done:           int64(snap.Value("spec17d_engine_upgrades_total", "done")),
@@ -231,21 +233,6 @@ type tracesResponse struct {
 // experiment attribute, ?limit= bounds the count.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	for k := range q {
-		switch k {
-		case "min_ms", "experiment", "limit":
-		default:
-			writeError(w, http.StatusBadRequest, codeBadOptions,
-				fmt.Sprintf("unknown query parameter %q (valid: min_ms, experiment, limit)", k), nil)
-			return
-		}
-	}
-	// ?experiment= (present but empty) would silently filter nothing;
-	// reject it like every other endpoint rejects empty parameters.
-	if err := api.NoEmptyParams(q); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadOptions, err.Error(), nil)
-		return
-	}
 	var f telemetry.Filter
 	if v := q.Get("min_ms"); v != "" {
 		ms, err := strconv.ParseFloat(v, 64)

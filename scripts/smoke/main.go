@@ -175,6 +175,14 @@ func main() {
 	}
 	fmt.Println("smoke: /v1/traces has the report trace with all pipeline stages")
 
+	// Query parameters are enforced from the route table: a repeated
+	// one is a 400, not a silent first-wins.
+	code, body = get(base, "/v1/traces?limit=1&limit=2")
+	if code != http.StatusBadRequest || !strings.Contains(string(body), `"bad_options"`) {
+		fatalf("/v1/traces?limit=1&limit=2: status %d body %s, want 400 bad_options", code, body)
+	}
+	fmt.Println("smoke: repeated query parameter rejected with 400")
+
 	// Insight plane: the sampled history of the request counter must
 	// appear once the recorder has ticked over the report traffic.
 	histDeadline := time.Now().Add(5 * time.Second)
@@ -429,5 +437,31 @@ func main() {
 		}
 	}
 	fmt.Println("smoke: -insight=false daemon 404s the insight routes")
+
+	// Auto-upgrades run on the background lane, which exists with the
+	// jobs subsystem off: the first auto answer is analytic with an
+	// upgrade pending, and polling converges to exact.
+	var auto struct {
+		Engine         string `json:"engine"`
+		UpgradePending bool   `json:"upgrade_pending"`
+	}
+	const autoPath = "/v1/experiments/table1?instructions=2000&engine=auto"
+	code, body = get(base2, autoPath)
+	if err := json.Unmarshal(body, &auto); code != http.StatusOK || err != nil ||
+		auto.Engine != "analytic" || !auto.UpgradePending {
+		fatalf("-jobs=false auto request: status %d body %s, want analytic with upgrade_pending", code, body)
+	}
+	deadline = time.Now().Add(2 * time.Minute)
+	for auto.Engine != "exact" {
+		if time.Now().After(deadline) {
+			fatalf("-jobs=false auto request never upgraded to exact: %s", body)
+		}
+		time.Sleep(100 * time.Millisecond)
+		code, body = get(base2, autoPath)
+		if err := json.Unmarshal(body, &auto); code != http.StatusOK || err != nil {
+			fatalf("-jobs=false auto poll: status %d body %s", code, body)
+		}
+	}
+	fmt.Println("smoke: -jobs=false daemon upgraded an auto request to exact")
 	fmt.Println("smoke: PASS")
 }
