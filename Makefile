@@ -39,10 +39,10 @@ race:
 # race-analysis race-checks the per-suite analysis fan-out in
 # internal/experiments without the package's full Lab-building suite:
 # the output pins, the fan-out helper, the cold-then-warm store pass,
-# and a Lab build that outlives the caller that started it, all on the
-# analytic engine.
+# a Lab build that outlives the caller that started it, and concurrent
+# analytic runs sharing one store, all on the analytic engine.
 race-analysis:
-	$(GO) test -race -run 'Pinned|TestPerSuiteOrder|TestTable5ColdThenWarmStore|TestLabBuildSurvivesLeaderCancel' ./internal/experiments
+	$(GO) test -race -run 'Pinned|TestPerSuiteOrder|TestTable5ColdThenWarmStore|TestLabBuildSurvivesLeaderCancel|TestAnalyticRunsComputeEachKeyOnce' ./internal/experiments
 
 # race-machine race-checks concurrent Run calls on one shared Machine,
 # which hand simulator state through a sync.Pool: every concurrent
@@ -58,12 +58,16 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # bench-smoke runs the analysis-path microbenchmarks (the eigensolver
-# and PCA at the pipeline's 10x142 and 13x142 shapes) and the exact
+# and PCA at the pipeline's 10x142 and 13x142 shapes), the exact
 # leaf's fixed-cost microbenchmarks (one sampled-fidelity leaf, cache
-# priming) once each, so they keep compiling and running.
+# priming) and the cold analytic path's (a registry sweep of
+# estimates, a cold analytic fleet characterization) once each, so
+# they keep compiling and running.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'EigenSym|FitPCA' -benchtime 1x ./internal/stats
 	$(GO) test -run '^$$' -bench 'ExactLeaf|Prime' -benchtime 1x ./internal/machine
+	$(GO) test -run '^$$' -bench 'AnalyticRegistry' -benchtime 1x ./internal/engine
+	$(GO) test -run '^$$' -bench 'CharacterizeColdAnalytic' -benchtime 1x ./internal/experiments
 
 # bench-snapshot measures the key performance paths (characterization
 # fan-out, store-hit, both measurement engines over the full registry)

@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"time"
 
 	"repro/internal/counters"
 	"repro/internal/engine"
@@ -55,20 +56,33 @@ type Runner interface {
 // (entry, machine) pair once, through a shared store (nil = measure
 // directly), a shared Runner, and a measurement engine (nil = the exact
 // trace-driven engine). A nil Runner means a private scheduler pool of
-// opts.Parallelism workers (0 = GOMAXPROCS, 1 = serial). Every
-// measurement is submitted to the Runner under its store key's
-// identity, so concurrent characterizations sharing one scheduler —
-// two batches whose experiment sets overlap, two labs at the same
-// fidelity — deduplicate in-flight simulations and queue with global
-// FIFO fairness. The key carries the engine's tier, so analytic and
-// exact records coexist in one store without ever answering for each
-// other; a pair already in the store is served directly and only
-// misses go to the Runner. Results are stored by (label, machine) and
-// are deterministic regardless of scheduling. Canceling ctx abandons
-// the remaining measurements and returns the context's error.
+// opts.Parallelism workers (0 = GOMAXPROCS, 1 = serial).
+//
+// The key carries the engine's tier, so analytic and exact records
+// coexist in one store without ever answering for each other. A pair
+// already in the store is served directly, without a scheduler job. A
+// pair whose key an earlier pair of this grid already missed is not
+// measured again: once the grid's runs finish, it is served from the
+// store. The remaining misses go to the Runner in runs of about
+// runTarget of work each (engine.Tier.LeafCost), submitted as each run
+// fills. An exact run is one measurement, submitted under its store
+// key's identity, so concurrent characterizations sharing one
+// scheduler — two batches whose experiment sets overlap, two labs at
+// the same fidelity — deduplicate in-flight simulations and queue with
+// global FIFO fairness. A run of cheap analytic measurements is one
+// job of its own, and each of its measurements still coalesces with
+// any concurrent one of the same key through the store.
+//
+// Results are stored by (label, machine) and are deterministic
+// regardless of scheduling; of several failed pairs, the first in grid
+// order is reported. Canceling ctx abandons the remaining measurements
+// and returns the context's error.
 func CharacterizeWith(ctx context.Context, entries []Entry, machines []*machine.Machine, opts machine.RunOptions, st *store.Store, r Runner, eng engine.Engine) (*Characterization, error) {
 	c, err := newCharacterization(entries, machines)
 	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if eng == nil {
@@ -78,69 +92,190 @@ func CharacterizeWith(ctx context.Context, entries []Entry, machines []*machine.
 		r = sched.NewPool(opts.Parallelism, nil).Queue(0)
 	}
 
-	tier := string(eng.Tier())
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-submit:
-	for _, e := range entries {
-		for _, m := range machines {
-			if ctx.Err() != nil {
-				break submit // canceled: stop submitting
-			}
-			e, m := e, m
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if ctx.Err() != nil {
-					return
-				}
-				// A store hit is served here, without a scheduler job;
-				// only a miss is submitted. The lookup stays on this
-				// goroutine so misses still leave the loop above in a
-				// tight burst and coalesce in the scheduler.
-				key := store.KeyForEngine(m, e.Workload, opts, tier)
-				var rc *machine.RawCounts
-				var err error
-				if st != nil {
-					rc, _ = st.Lookup(ctx, key)
-				}
-				if rc == nil {
-					var v any
-					v, err = r.Do(ctx, key.ID(), func(jctx context.Context) (any, error) {
-						return measureWith(jctx, st, key, m, e.Workload, opts, eng)
-					})
-					if err == nil {
-						rc = v.(*machine.RawCounts)
-					}
-				}
-				var sample *counters.Sample
-				if err == nil {
-					sample, err = counters.FromRaw(m.Name(), m.Config().HasRAPL, rc)
-				}
-				mu.Lock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = fmt.Errorf("core: %s on %s: %w", e.Label, m.Name(), err)
-					}
-				} else {
-					c.samples[e.Label][m.Name()] = sample
-					c.raw[e.Label][m.Name()] = rc
-				}
-				mu.Unlock()
-			}()
+	g := &grid{entries: entries, machines: machines, opts: opts, st: st, eng: eng}
+	kg := store.NewKeyGrid(machines, opts, string(eng.Tier()))
+	runLen := max(1, int(runTarget/eng.Tier().LeafCost()))
+
+	leaves := make([]leaf, len(entries)*len(machines))
+	missed := make(map[store.Key]*leaf)
+	var dups []*leaf
+	var cur *run
+	var wg sync.WaitGroup
+	submit := func() {
+		wg.Add(1)
+		go func(ru *run) {
+			defer wg.Done()
+			g.measureRun(ctx, r, ru)
+		}(cur)
+		cur = nil
+	}
+	var row []store.Key
+	for i := range leaves {
+		if ctx.Err() != nil {
+			break // canceled: stop submitting
 		}
+		j := i % len(machines)
+		if j == 0 {
+			// Keyed one entry at a time, so keying overlaps the first
+			// runs' work.
+			row = kg.Row(entries[i/len(machines)].Workload)
+		}
+		l := &leaves[i]
+		l.i, l.key = i, row[j]
+		if st != nil {
+			if rc, ok := st.Lookup(ctx, l.key); ok {
+				l.rc = rc
+				continue
+			}
+		}
+		if f, ok := missed[l.key]; ok {
+			l.first = f
+			dups = append(dups, l)
+			continue
+		}
+		missed[l.key] = l
+		if cur == nil {
+			cur = &run{leaves: make([]*leaf, 0, runLen)}
+		}
+		l.run = cur
+		cur.leaves = append(cur.leaves, l)
+		if len(cur.leaves) == runLen {
+			submit()
+		}
+	}
+	if cur != nil {
+		submit()
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if firstErr != nil {
-		return nil, firstErr
+
+	for _, l := range dups {
+		rc, err := l.first.result()
+		if err == nil && st != nil {
+			if hit, ok := st.Lookup(ctx, l.key); ok {
+				rc = hit
+			}
+		}
+		l.rc, l.err = rc, err
+	}
+	for i := range leaves {
+		l := &leaves[i]
+		e, m := g.pair(l)
+		rc, err := l.result()
+		var sample *counters.Sample
+		if err == nil {
+			sample, err = counters.FromRaw(m.Name(), m.Config().HasRAPL, rc)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: %s on %s: %w", e.Label, m.Name(), err)
+		}
+		c.samples[e.Label][m.Name()] = sample
+		c.raw[e.Label][m.Name()] = rc
 	}
 	return c, nil
+}
+
+// runTarget is the least estimated work (engine.Tier.LeafCost) one
+// scheduler job of a characterization carries: enough that the job's
+// own cost — a goroutine, the pool lock, a wake-up — is small beside
+// it. Analytic misses therefore travel ~20 to a job; an exact
+// measurement alone outweighs it.
+const runTarget = time.Millisecond
+
+// grid is one characterization's fixed inputs.
+type grid struct {
+	entries  []Entry
+	machines []*machine.Machine
+	opts     machine.RunOptions
+	st       *store.Store
+	eng      engine.Engine
+}
+
+// leaf is one (entry, machine) pair of the grid: entries[i/len(machines)]
+// on machines[i%len(machines)].
+type leaf struct {
+	i   int
+	key store.Key
+	// rc and err are the pair's outcome. A store hit sets rc at
+	// submission; a run's job sets them for its leaves.
+	rc  *machine.RawCounts
+	err error
+	// run is the run measuring the pair, if it missed; first is the
+	// earlier pair of the grid with the same key, if one missed first.
+	run   *run
+	first *leaf
+}
+
+// result is the leaf's outcome: its own, or its run's failure.
+func (l *leaf) result() (*machine.RawCounts, error) {
+	if l.run != nil && l.run.err != nil {
+		return nil, l.run.err
+	}
+	return l.rc, l.err
+}
+
+// run is a group of missed leaves measured by one scheduler job. err
+// is set by the goroutine that submitted the job, never by the job, so
+// a job outliving its canceled submitter writes nothing that goroutine
+// reads.
+type run struct {
+	leaves []*leaf
+	err    error
+}
+
+// pair returns the leaf's entry and machine.
+func (g *grid) pair(l *leaf) (Entry, *machine.Machine) {
+	n := len(g.machines)
+	return g.entries[l.i/n], g.machines[l.i%n]
+}
+
+// measureRun submits ru to r and waits for it. A one-leaf run is keyed
+// by its store key and returns its counts, so concurrent submissions
+// of the same measurement (another characterization, a Lab.RunStored)
+// share one job; a longer run writes its leaves' outcomes itself.
+func (g *grid) measureRun(ctx context.Context, r Runner, ru *run) {
+	if len(ru.leaves) == 1 {
+		l := ru.leaves[0]
+		v, err := r.Do(ctx, l.key.ID(), func(jctx context.Context) (any, error) {
+			return g.measure(jctx, l)
+		})
+		if err == nil {
+			l.rc = v.(*machine.RawCounts)
+		}
+		ru.err = err
+		return
+	}
+	// A longer run is keyed by its address, unique among runs in
+	// flight, so runs never coalesce: equal keys would not mean equal
+	// pairs. Its trace shows its first key and its length instead.
+	label := fmt.Sprintf("%s +%d", ru.leaves[0].key.ID(), len(ru.leaves)-1)
+	_, ru.err = r.Do(sched.WithLabel(ctx, label), fmt.Sprintf("run@%p", ru), func(jctx context.Context) (any, error) {
+		for _, l := range ru.leaves {
+			if err := jctx.Err(); err != nil {
+				return nil, err
+			}
+			l.rc, l.err = g.measure(jctx, l)
+		}
+		return nil, nil
+	})
+}
+
+// measure runs one leaf on the engine, through the store when there is
+// one: on the calling goroutine, coalescing with any concurrent
+// measurement of the same key.
+func (g *grid) measure(ctx context.Context, l *leaf) (*machine.RawCounts, error) {
+	e, m := g.pair(l)
+	if g.st == nil {
+		return g.eng.Measure(ctx, m, e.Workload, g.opts)
+	}
+	return g.st.GetOrCompute(ctx, l.key, func(fctx context.Context) (*machine.RawCounts, error) {
+		if err := fctx.Err(); err != nil {
+			return nil, err // every waiter left before the run began
+		}
+		return g.eng.Measure(fctx, m, e.Workload, g.opts)
+	})
 }
 
 // newCharacterization validates the inputs and allocates the empty
@@ -176,21 +311,6 @@ func newCharacterization(entries []Entry, machines []*machine.Machine) (*Charact
 		c.MachineNames = append(c.MachineNames, m.Name())
 	}
 	return c, nil
-}
-
-// measureWith runs one (machine, workload) pair on eng, through the
-// store under key when one is present, so concurrent and repeated
-// characterizations share measurements.
-func measureWith(ctx context.Context, st *store.Store, key store.Key, m *machine.Machine, w machine.Workload, opts machine.RunOptions, eng engine.Engine) (*machine.RawCounts, error) {
-	if st == nil {
-		return eng.Measure(ctx, m, w, opts)
-	}
-	return st.GetOrCompute(ctx, key, func(fctx context.Context) (*machine.RawCounts, error) {
-		if err := fctx.Err(); err != nil {
-			return nil, err // every waiter left before the run began
-		}
-		return eng.Measure(fctx, m, w, opts)
-	})
 }
 
 // SimulateMulti runs copies concurrent copies of w on m (a SPECrate-

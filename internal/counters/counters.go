@@ -75,22 +75,38 @@ func DCacheMetrics() []Metric {
 // ICacheMetrics returns the instruction-locality group of Figure 10(b).
 func ICacheMetrics() []Metric { return []Metric{L1IMPKI, L2IMPKI, ITLBMPMI} }
 
+// metricIndex places each metric in a Sample's value array: the base
+// metrics in canonical order, then the power metrics.
+var metricIndex = func() map[Metric]int {
+	idx := make(map[Metric]int, numMetrics)
+	for i, m := range append(BaseMetrics(), PowerMetrics()...) {
+		idx[m] = i
+	}
+	return idx
+}()
+
+// numBase and numMetrics size a Sample's value array.
+const (
+	numBase    = 19
+	numMetrics = numBase + 3
+)
+
 // Sample is the metric vector measured for one workload on one machine.
 type Sample struct {
 	// Machine is the measuring machine's name.
 	Machine string
 	// HasPower reports whether the power metrics are meaningful.
 	HasPower bool
-	values   map[Metric]float64
+	values   [numMetrics]float64 // indexed by metricIndex
 }
 
 // Value returns the sample's value for metric m.
 func (s *Sample) Value(m Metric) (float64, error) {
-	v, ok := s.values[m]
-	if !ok {
+	i, ok := metricIndex[m]
+	if !ok || (i >= numBase && !s.HasPower) {
 		return 0, fmt.Errorf("counters: machine %s has no metric %s", s.Machine, m)
 	}
-	return v, nil
+	return s.values[i], nil
 }
 
 // MustValue is Value for metrics known to exist; it panics otherwise.
@@ -123,36 +139,38 @@ func FromRaw(machineName string, hasPower bool, rc *machine.RawCounts) (*Sample,
 	pct := func(c uint64) float64 { return float64(c) / n * 100 }
 
 	intOps := rc.Instructions - rc.Loads - rc.Stores - rc.Branches - rc.FPOps - rc.SIMDOps
-	v := map[Metric]float64{
-		L1IMPKI: perKI(rc.Cache.L1IMisses),
-		L1DMPKI: perKI(rc.Cache.L1DMisses),
-		L2IMPKI: perKI(rc.Cache.L2IMisses),
-		L2DMPKI: perKI(rc.Cache.L2DMisses),
-		L3MPKI:  perKI(rc.Cache.L3Misses),
+	s := &Sample{Machine: machineName, HasPower: hasPower}
+	// In canonical order: BaseMetrics, then PowerMetrics.
+	s.values = [numMetrics]float64{
+		perKI(rc.Cache.L1IMisses),
+		perKI(rc.Cache.L1DMisses),
+		perKI(rc.Cache.L2IMisses),
+		perKI(rc.Cache.L2DMisses),
+		perKI(rc.Cache.L3Misses),
 
-		ITLBMPMI:     perMI(rc.TLB.ITLBMisses),
-		DTLBMPMI:     perMI(rc.TLB.DTLBMisses),
-		L2TLBMPMI:    perMI(rc.TLB.L2Misses),
-		PageWalksPMI: perMI(rc.TLB.PageWalks),
+		perMI(rc.TLB.ITLBMisses),
+		perMI(rc.TLB.DTLBMisses),
+		perMI(rc.TLB.L2Misses),
+		perMI(rc.TLB.PageWalks),
 
-		BranchMPKI: perKI(rc.Mispredicts),
-		TakenPKI:   perKI(rc.TakenBranches),
+		perKI(rc.Mispredicts),
+		perKI(rc.TakenBranches),
 
-		PctKernel: pct(rc.KernelInstrs),
-		PctUser:   100 - pct(rc.KernelInstrs),
-		PctInt:    pct(intOps),
-		PctFP:     pct(rc.FPOps),
-		PctLoad:   pct(rc.Loads),
-		PctStore:  pct(rc.Stores),
-		PctBranch: pct(rc.Branches),
-		PctSIMD:   pct(rc.SIMDOps),
+		pct(rc.KernelInstrs),
+		100 - pct(rc.KernelInstrs),
+		pct(intOps),
+		pct(rc.FPOps),
+		pct(rc.Loads),
+		pct(rc.Stores),
+		pct(rc.Branches),
+		pct(rc.SIMDOps),
 	}
 	if hasPower {
-		v[CorePower] = rc.Power.Core
-		v[LLCPower] = rc.Power.LLC
-		v[MemPower] = rc.Power.DRAM
+		s.values[numBase+0] = rc.Power.Core
+		s.values[numBase+1] = rc.Power.LLC
+		s.values[numBase+2] = rc.Power.DRAM
 	}
-	return &Sample{Machine: machineName, HasPower: hasPower, values: v}, nil
+	return s, nil
 }
 
 // ColumnID names one (machine, metric) variable in the assembled

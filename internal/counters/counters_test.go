@@ -26,7 +26,7 @@ func sampleRaw() *machine.RawCounts {
 			L2IMisses: 300, L2DMisses: 9_000, L3Misses: 2_500,
 		},
 		TLB: tlb.Counts{
-			ITLBMisses: 500, DTLBMisses: 8_000, L2Misses: 1_200, PageWalks: 1_200,
+			ITLBMisses: 500, DTLBMisses: 8_000, L2Misses: 1_300, PageWalks: 1_200,
 		},
 		Power: power.Breakdown{Core: 25, LLC: 3, DRAM: 5},
 	}
@@ -40,11 +40,14 @@ func TestFromRawMetricValues(t *testing.T) {
 	cases := map[Metric]float64{
 		L1DMPKI:      40,
 		L1IMPKI:      2,
+		L2IMPKI:      0.3,
 		L2DMPKI:      9,
 		L3MPKI:       2.5,
 		BranchMPKI:   6,
 		TakenPKI:     80,
+		ITLBMPMI:     500,
 		DTLBMPMI:     8000,
+		L2TLBMPMI:    1300,
 		PageWalksPMI: 1200,
 		PctLoad:      25,
 		PctStore:     10,
@@ -55,6 +58,7 @@ func TestFromRawMetricValues(t *testing.T) {
 		PctUser:      97,
 		PctInt:       46, // 100 - 25 - 10 - 12 - 5 - 2
 		CorePower:    25,
+		LLCPower:     3,
 		MemPower:     5,
 	}
 	for m, want := range cases {

@@ -4,7 +4,7 @@
 // rates per cache and TLB level, branch mispredicts, the CPI stack,
 // power — has a steady-state expectation that follows directly from
 // the workload specification and the machine geometry. Evaluating
-// those expectations costs a few microseconds instead of a simulation,
+// those expectations costs tens of microseconds instead of a simulation,
 // which is what makes interactive serving and wide scenario matrices
 // possible (the estimator tier of memory-centric characterization; cf.
 // Singh & Awasthi, arXiv:1910.00651).
@@ -85,11 +85,13 @@ type stream struct {
 // size/lineBytes lines uniformly at per-line rate
 // μ = arrival·lineBytes/size keeps the fraction 1−exp(−μT) of them
 // resident. T is the fixed point at which the resident fractions
-// exactly fill the capacity — found by bisection, deterministically.
-// Unlike a pure capacity partition, this keeps rate in the model: a
-// small working set referenced rarely (kernel code between bursts)
-// loses its lines to high-rate streaming traffic, exactly as the
-// simulator's true-LRU caches behave.
+// exactly fill the capacity — found by bisection, deterministically,
+// stopping at the first step that leaves both bounds unchanged (a
+// step is a pure function of the bounds, so every later one would
+// repeat it). Unlike a pure capacity partition, this keeps rate in the
+// model: a small working set referenced rarely (kernel code between
+// bursts) loses its lines to high-rate streaming traffic, exactly as
+// the simulator's true-LRU caches behave.
 //
 // The first window touch of each line additionally depends on the
 // state measurement started in: the line hits only if the warmup
@@ -99,24 +101,24 @@ type stream struct {
 // streams (kernel regions, giant footprints) — exactly the misses a
 // pure steady-state model misses.
 func levelMisses(capacity, lineBytes float64, streams []*stream, arrival []float64, n, warmup float64, split bool) []float64 {
-	live := false
+	// The live streams' sizes and per-line rates, in stream order (a
+	// level serves at most 11 streams, so both fit on the stack).
+	var sizeBuf, muBuf [16]float64
+	sizes, mus := sizeBuf[:0], muBuf[:0]
 	total := 0.0
 	for i, st := range streams {
 		if st.size > 0 && arrival[i] > 0 {
-			live = true
+			sizes = append(sizes, st.size)
+			mus = append(mus, arrival[i]*lineBytes/st.size)
 			total += st.size
 		}
 	}
 	t := math.Inf(1)
-	if live && total > capacity {
+	if len(sizes) > 0 && total > capacity {
 		occupancy := func(t float64) float64 {
 			sum := 0.0
-			for i, st := range streams {
-				if st.size <= 0 || arrival[i] <= 0 {
-					continue
-				}
-				mu := arrival[i] * lineBytes / st.size
-				sum += st.size * (1 - math.Exp(-mu*t))
+			for i, size := range sizes {
+				sum += size * (1 - math.Exp(-mus[i]*t))
 			}
 			return sum
 		}
@@ -127,8 +129,14 @@ func levelMisses(capacity, lineBytes float64, streams []*stream, arrival []float
 		for iter := 0; iter < 80; iter++ {
 			mid := (lo + hi) / 2
 			if occupancy(mid) < capacity {
+				if mid == lo {
+					break
+				}
 				lo = mid
 			} else {
+				if mid == hi {
+					break
+				}
 				hi = mid
 			}
 		}

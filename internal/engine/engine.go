@@ -20,6 +20,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"repro/internal/machine"
 	"repro/internal/telemetry"
@@ -36,6 +37,28 @@ const (
 	TierAnalytic Tier = "analytic"
 	TierAuto     Tier = "auto"
 )
+
+// Nominal wall time of one measurement on each tier, on a 2-vCPU host.
+// internal/core sizes its scheduler jobs from it and internal/server
+// prices admission by the ratio. The analytic figure is about a
+// registry sweep's per-leaf estimate time (BenchmarkAnalyticRegistry,
+// 40-55 µs). The exact figure is the analytic one times the 50x
+// registry speedup the analytic tier is held to; an exact leaf costs
+// more even at specbench's sampled fidelity (2.6-3.2 ms at 20000
+// measured and 4000 warmup instructions), so it fills a job alone.
+const (
+	AnalyticLeafCost = 50 * time.Microsecond
+	ExactLeafCost    = 50 * AnalyticLeafCost
+)
+
+// LeafCost returns the tier's nominal cost of one measurement. A tier
+// this package does not define is priced as exact.
+func (t Tier) LeafCost() time.Duration {
+	if t == TierAnalytic {
+		return AnalyticLeafCost
+	}
+	return ExactLeafCost
+}
 
 // ParseTier validates a user-supplied tier name. Unknown names are
 // rejected with the allowed set in the message — never silently mapped

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -129,5 +130,113 @@ func TestLabDoesNotKeepShedError(t *testing.T) {
 	}
 	if _, err := lab.Characterization(); err != nil {
 		t.Fatalf("second build error = %v, want the characterization", err)
+	}
+}
+
+// countingEngine is the analytic engine counting its measurements per
+// store key, with every measurement held until gate closes.
+type countingEngine struct {
+	engine.Analytic
+	gate <-chan struct{}
+	mu   sync.Mutex
+	n    map[string]int
+}
+
+func (e *countingEngine) Measure(ctx context.Context, m *machine.Machine, w machine.Workload, opts machine.RunOptions) (*machine.RawCounts, error) {
+	e.mu.Lock()
+	e.n[store.KeyForEngine(m, w, opts, string(engine.TierAnalytic)).ID()]++
+	e.mu.Unlock()
+	<-e.gate
+	return e.Analytic.Measure(ctx, m, w, opts)
+}
+
+// TestAnalyticRunsComputeEachKeyOnce: analytic misses travel in
+// multi-measurement runs whose scheduler keys never coalesce, so the
+// store's flights alone must keep two concurrent characterizations of
+// one grid, and a RunStored of one of its pairs, from measuring any key
+// twice. Every job is running at once before any measurement may
+// finish. Both characterizations equal an ungated one.
+func TestAnalyticRunsComputeEachKeyOnce(t *testing.T) {
+	fleet, err := machine.Fleet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, machines := Entries()[:12], fleet[:3]
+	opts := machine.RunOptions{Instructions: 30_000}
+	distinct := make(map[string]bool)
+	for _, e := range entries {
+		for _, m := range machines {
+			distinct[store.KeyForEngine(m, e.Workload, opts, string(engine.TierAnalytic)).ID()] = true
+		}
+	}
+	if len(distinct) == len(entries)*len(machines) {
+		t.Fatal("test grid has no repeated key; pick entries that share a workload")
+	}
+	perRun := int(time.Millisecond / engine.AnalyticLeafCost) // core's run target over the leaf cost
+	runs := (len(distinct) + perRun - 1) / perRun
+	if runs < 2 {
+		t.Fatalf("test grid makes %d run; it needs several", runs)
+	}
+
+	st, err := store.Open(store.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := sched.NewPool(2*runs+2, nil)
+	gate := make(chan struct{})
+	eng := &countingEngine{gate: gate, n: make(map[string]int)}
+
+	type result struct {
+		c   *core.Characterization
+		err error
+	}
+	results := make(chan result, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			c, err := core.CharacterizeWith(context.Background(), entries, machines, opts, st, pool.Queue(0), eng)
+			results <- result{c, err}
+		}()
+	}
+	lab := NewLabWithEngine(opts, st, pool.Queue(0), eng)
+	ran := make(chan error, 1)
+	go func() {
+		_, err := lab.RunStored(machines[1], entries[2].Workload, opts)
+		ran <- err
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for pool.Stats().Inflight < 2*runs+1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for every job to run; stats %+v", pool.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+
+	want, err := core.CharacterizeWith(context.Background(), entries, machines, opts, nil, nil, engine.Analytic{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		r := <-results
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		if !reflect.DeepEqual(r.c, want) {
+			t.Error("a concurrent characterization differs from an ungated one")
+		}
+	}
+	if err := <-ran; err != nil {
+		t.Fatal(err)
+	}
+	for id, n := range eng.n {
+		if n != 1 {
+			t.Errorf("%s measured %d times, want once", id, n)
+		}
+	}
+	if len(eng.n) != len(distinct) {
+		t.Errorf("%d keys measured, want %d", len(eng.n), len(distinct))
+	}
+	if misses := st.Stats().Misses; misses != int64(len(distinct)) {
+		t.Errorf("store misses = %d, want %d", misses, len(distinct))
 	}
 }

@@ -12,6 +12,11 @@
 // leaves, the flight's context is canceled too, so work nobody wants
 // stops. A live caller that joined a flight abandoned by the others
 // leads a fresh one.
+//
+// DoInline is the variant for a caller that can spend its own
+// goroutine on the work, as the measurement store's callers do: when
+// it leads, fn runs on that goroutine under the caller's context, so a
+// flight nobody joins costs no goroutine, context or channel.
 package flight
 
 import (
@@ -32,16 +37,20 @@ type Group[V any] struct {
 
 // call is one flight and the callers waiting on it.
 type call[V any] struct {
+	// done is closed when the flight ends. An inline flight makes it
+	// only when a first caller joins.
 	done chan struct{}
 	val  V
 	err  error
 	// refs counts callers still waiting and waiters counts callers
 	// that joined; abandoned is set when the last caller left while
-	// the flight was in progress. All three are guarded by Group.mu.
+	// the flight was in progress, or when an inline leader's context
+	// ended and fn failed. done, refs, waiters and abandoned are
+	// guarded by Group.mu.
 	refs      int
 	waiters   int
 	abandoned bool
-	cancel    context.CancelFunc
+	cancel    context.CancelFunc // nil for an inline flight
 }
 
 // Do runs fn once per concurrent set of callers with the same key and
@@ -51,9 +60,54 @@ type call[V any] struct {
 // reports whether this caller coalesced onto another caller's flight.
 // A caller whose own ctx ends gets ctx.Err().
 func (g *Group[V]) Do(ctx context.Context, key string, fn func(context.Context) (V, error)) (val V, err error, joined bool) {
+	return g.do(ctx, key, fn, false)
+}
+
+// DoInline is Do for a caller with a goroutine of its own to spend.
+// When no flight for key is in progress, the caller leads one inline:
+// fn runs on the caller's goroutine under ctx itself, and the caller
+// waits for nothing else. Callers arriving meanwhile, through Do or
+// DoInline, join it as they would join any flight. If fn fails after
+// the leader's ctx ended, the flight counts as abandoned, so a joined
+// caller still live leads a fresh one. When a flight is already in
+// progress, DoInline joins it exactly like Do.
+func (g *Group[V]) DoInline(ctx context.Context, key string, fn func(context.Context) (V, error)) (val V, err error, joined bool) {
+	return g.do(ctx, key, fn, true)
+}
+
+func (g *Group[V]) do(ctx context.Context, key string, fn func(context.Context) (V, error), inline bool) (val V, err error, joined bool) {
 	for {
-		var c *call[V]
-		c, joined = g.join(ctx, key, fn)
+		g.mu.Lock()
+		c, ok := g.calls[key]
+		switch {
+		case ok:
+			c.refs++
+			c.waiters++
+			if c.done == nil {
+				c.done = make(chan struct{})
+			}
+			g.mu.Unlock()
+			if g.OnJoin != nil {
+				g.OnJoin()
+			}
+		case inline:
+			c = g.startLocked(key, nil)
+			g.mu.Unlock()
+			v, err := fn(ctx)
+			g.finish(key, c, v, err, err != nil && ctx.Err() != nil)
+			return v, err, false
+		default:
+			fctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+			c = g.startLocked(key, cancel)
+			c.done = make(chan struct{})
+			g.mu.Unlock()
+			go func() {
+				v, err := fn(fctx)
+				g.finish(key, c, v, err, false)
+				cancel()
+			}()
+		}
+		joined = ok
 		select {
 		case <-c.done:
 			// abandoned is final once done is closed: leave only sets
@@ -69,40 +123,33 @@ func (g *Group[V]) Do(ctx context.Context, key string, fn func(context.Context) 
 	}
 }
 
-// join registers the caller on key's flight, starting one led by this
-// caller when none is in progress.
-func (g *Group[V]) join(ctx context.Context, key string, fn func(context.Context) (V, error)) (*call[V], bool) {
-	g.mu.Lock()
-	if c, ok := g.calls[key]; ok {
-		c.refs++
-		c.waiters++
-		g.mu.Unlock()
-		if g.OnJoin != nil {
-			g.OnJoin()
-		}
-		return c, true
-	}
+// startLocked registers a new flight for key, led by the caller.
+// Caller holds g.mu.
+func (g *Group[V]) startLocked(key string, cancel context.CancelFunc) *call[V] {
 	if g.calls == nil {
 		g.calls = make(map[string]*call[V])
 	}
-	fctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
-	c := &call[V]{done: make(chan struct{}), refs: 1, cancel: cancel}
+	c := &call[V]{refs: 1, cancel: cancel}
 	g.calls[key] = c
-	g.mu.Unlock()
-	go func() {
-		v, err := fn(fctx)
-		g.mu.Lock()
-		// Publish the result and wake the waiters in the same critical
-		// section that deletes the key: a caller that finds no flight
-		// under the lock can rely on the result being visible wherever
-		// fn stored it.
-		c.val, c.err = v, err
+	return c
+}
+
+// finish publishes c's result and ends the flight.
+func (g *Group[V]) finish(key string, c *call[V], v V, err error, abandoned bool) {
+	g.mu.Lock()
+	// Publish the result and wake the waiters in the same critical
+	// section that deletes the key: a caller that finds no flight
+	// under the lock can rely on the result being visible wherever fn
+	// stored it.
+	c.val, c.err = v, err
+	if abandoned {
+		c.abandoned = true
+	}
+	if c.done != nil {
 		close(c.done)
-		delete(g.calls, key)
-		g.mu.Unlock()
-		cancel()
-	}()
-	return c, false
+	}
+	delete(g.calls, key)
+	g.mu.Unlock()
 }
 
 // leave drops one waiting caller from c, canceling the flight when it
@@ -111,6 +158,8 @@ func (g *Group[V]) leave(key string, c *call[V]) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	c.refs--
+	// An inline leader keeps its reference until its flight ends, so
+	// only a goroutine-led flight, which has a cancel, reaches zero.
 	if c.refs == 0 && g.calls[key] == c {
 		c.abandoned = true
 		c.cancel()

@@ -340,3 +340,117 @@ func TestFlightOnJoin(t *testing.T) {
 		t.Errorf("OnJoin ran %d times, want 2", n)
 	}
 }
+
+// waitJoined waits until n callers have joined key's flight.
+func waitJoined(t *testing.T, g *Group[any], key string, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for g.Waiting(key) < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d callers joined", g.Waiting(key), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFlightDoInline: an inline leader runs fn on its own goroutine
+// under its own context, and callers arriving through Do and DoInline
+// join it and share its one result.
+func TestFlightDoInline(t *testing.T) {
+	type ctxKey struct{}
+	var g Group[any]
+	var executions atomic.Int64
+	release := make(chan struct{})
+	fn := func(context.Context) (any, error) {
+		executions.Add(1)
+		<-release
+		return 7, nil
+	}
+
+	ctx := context.WithValue(context.Background(), ctxKey{}, "leader")
+	type result struct {
+		v      any
+		err    error
+		joined bool
+	}
+	leader := make(chan result, 1)
+	go func() {
+		v, err, joined := g.DoInline(ctx, "k", func(fctx context.Context) (any, error) {
+			if fctx != ctx {
+				t.Error("inline fn must run under the leader's own context")
+			}
+			return fn(fctx)
+		})
+		leader <- result{v, err, joined}
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for executions.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("inline leader never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	joiners := make(chan result, 2)
+	go func() {
+		v, err, joined := g.Do(context.Background(), "k", fn)
+		joiners <- result{v, err, joined}
+	}()
+	go func() {
+		v, err, joined := g.DoInline(context.Background(), "k", fn)
+		joiners <- result{v, err, joined}
+	}()
+	waitJoined(t, &g, "k", 2)
+	close(release)
+
+	if r := <-leader; r.v != 7 || r.err != nil || r.joined {
+		t.Errorf("leader got %+v, want 7 led", r)
+	}
+	for i := 0; i < 2; i++ {
+		if r := <-joiners; r.v != 7 || r.err != nil || !r.joined {
+			t.Errorf("joiner got %+v, want 7 joined", r)
+		}
+	}
+	if n := executions.Load(); n != 1 {
+		t.Errorf("executions = %d, want 1", n)
+	}
+	if g.Waiting("k") != 0 || len(g.calls) != 0 {
+		t.Error("finished inline flight still registered")
+	}
+}
+
+// TestFlightDoInlineLeaderCanceled: when an inline leader's context
+// ends and fn fails, a caller that joined and is still live leads a
+// fresh flight instead of inheriting the cancellation.
+func TestFlightDoInlineLeaderCanceled(t *testing.T) {
+	var g Group[any]
+	lctx, lcancel := context.WithCancel(context.Background())
+	started := make(chan struct{})
+	lerr := make(chan error, 1)
+	go func() {
+		_, err, _ := g.DoInline(lctx, "k", func(fctx context.Context) (any, error) {
+			close(started)
+			<-fctx.Done()
+			return nil, fctx.Err()
+		})
+		lerr <- err
+	}()
+	<-started
+	wval := make(chan any, 1)
+	go func() {
+		v, err, _ := g.Do(context.Background(), "k", func(context.Context) (any, error) {
+			return "fresh", nil
+		})
+		if err != nil {
+			t.Errorf("waiter: %v", err)
+		}
+		wval <- v
+	}()
+	waitJoined(t, &g, "k", 1)
+	lcancel()
+	if err := <-lerr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader error = %v, want context.Canceled", err)
+	}
+	if v := <-wval; v != "fresh" {
+		t.Errorf("waiter got %v, want a fresh flight's result", v)
+	}
+}

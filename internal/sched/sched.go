@@ -370,9 +370,24 @@ func (q *Queue) acquire(jctx context.Context, key string) error {
 	// execution spans never show; attribute it to the trace of the
 	// submission that created the job.
 	if sp := telemetry.FromContext(jctx); sp != nil {
-		sp.Record("sched.wait", j.submitted, time.Now(), "key", key)
+		label := key
+		if l, ok := jctx.Value(labelKey{}).(string); ok {
+			label = l
+		}
+		sp.Record("sched.wait", j.submitted, time.Now(), "key", label)
 	}
 	return nil
+}
+
+// labelKey is the context key of a job's trace label.
+type labelKey struct{}
+
+// WithLabel returns ctx carrying label, which a job led under the
+// returned context shows as its sched.wait span's key attribute in
+// place of its key. It is for a job whose key means nothing to a
+// reader: one unique only so that it coalesces with no other job.
+func WithLabel(ctx context.Context, label string) context.Context {
+	return context.WithValue(ctx, labelKey{}, label)
 }
 
 // release returns a worker slot held by one of q's jobs.

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -507,4 +509,34 @@ func TestQueueWaitAbandonRace(t *testing.T) {
 		s := p.Stats()
 		return s.Depth == 0 && s.Inflight == 0
 	})
+}
+
+// TestWithLabelNamesWaitSpan: a job's sched.wait span carries its key,
+// or the label its leader's context carries.
+func TestWithLabelNamesWaitSpan(t *testing.T) {
+	tr := telemetry.NewTracer(telemetry.TracerConfig{})
+	ctx, root := tr.StartTrace(context.Background(), "test", "trace-1")
+	q := NewPool(1, nil).Queue(0)
+	noop := func(context.Context) (any, error) { return nil, nil }
+	if _, err := q.Do(ctx, "plain", noop); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.Do(WithLabel(ctx, "readable"), "run@0x1", noop); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+
+	traces := tr.Traces(telemetry.Filter{})
+	if len(traces) != 1 {
+		t.Fatalf("got %d traces, want 1", len(traces))
+	}
+	var keys []string
+	for _, c := range traces[0].Root.Children {
+		if c.Name == "sched.wait" {
+			keys = append(keys, c.Attrs["key"])
+		}
+	}
+	if fmt.Sprint(keys) != "[plain readable]" {
+		t.Errorf("sched.wait keys = %q, want [plain readable]", keys)
+	}
 }

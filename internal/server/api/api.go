@@ -16,9 +16,11 @@ package api
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"strconv"
+	"sync"
 )
 
 // Error-envelope codes. Stable: clients switch on these strings, so
@@ -55,10 +57,35 @@ type Envelope struct {
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // the status line is already out; nothing to recover
+	jw := jsonWriters.Get().(*jsonWriter)
+	jw.to = w
+	// On an error the status line is already out; nothing to recover.
+	// A json.Encoder whose Write failed keeps failing, so only an
+	// encoder that succeeded goes back to the pool.
+	if err := jw.enc.Encode(v); err == nil {
+		jw.to = nil
+		jsonWriters.Put(jw)
+	}
 }
+
+// jsonWriter is an indenting encoder kept across responses: it writes
+// each response in one Write to the writer in to. A kept encoder keeps
+// its indent buffer, so a response does not allocate an indented copy
+// of its body; on a result-cache hit that copy would be most of the
+// request's garbage, and garbage sets how often the collector runs.
+type jsonWriter struct {
+	to  io.Writer
+	enc *json.Encoder
+}
+
+func (jw *jsonWriter) Write(p []byte) (int, error) { return jw.to.Write(p) }
+
+var jsonWriters = sync.Pool{New: func() any {
+	jw := &jsonWriter{}
+	jw.enc = json.NewEncoder(jw)
+	jw.enc.SetIndent("", "  ")
+	return jw
+}}
 
 // WriteError writes the uniform error envelope.
 func WriteError(w http.ResponseWriter, status int, code, message string, known []string) {

@@ -1,7 +1,9 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http/httptest"
 	"net/url"
 	"strings"
@@ -77,6 +79,33 @@ func TestParsePageAndWindow(t *testing.T) {
 		q, _ := url.ParseQuery(raw)
 		if _, err := ParsePage(q); err == nil {
 			t.Errorf("%q: want error", raw)
+		}
+	}
+}
+
+// failingWriter is a response whose body writes fail, as they do once
+// a client has gone.
+type failingWriter struct{ *httptest.ResponseRecorder }
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("client gone") }
+
+// TestWriteJSONReusesEncoders: WriteJSON's bytes equal a fresh
+// indenting json.Encoder's, response after response, also after a
+// response whose write failed.
+func TestWriteJSONReusesEncoders(t *testing.T) {
+	v := map[string]any{"id": "table1", "rows": []float64{1.5, 2, 1e-9}, "html": "<a&b>"}
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		WriteJSON(failingWriter{httptest.NewRecorder()}, 200, v)
+		rec := httptest.NewRecorder()
+		WriteJSON(rec, 200, v)
+		if got := rec.Body.String(); got != want.String() {
+			t.Fatalf("response %d:\n%s\nwant\n%s", i, got, want.String())
 		}
 	}
 }

@@ -58,10 +58,9 @@ const reportID = "__report__"
 const maxInstructions = 10_000_000
 
 // analyticCostDivisor discounts the admission price of analytic (and
-// auto) requests: the closed-form estimator is benchmarked at better
-// than 50× the exact engine's throughput over the full registry, so an
-// analytic request consumes a proportionally smaller compute budget.
-const analyticCostDivisor = 50
+// auto) requests by the tiers' nominal leaf-cost ratio: an analytic
+// request consumes a proportionally smaller compute budget.
+const analyticCostDivisor = float64(engine.ExactLeafCost / engine.AnalyticLeafCost)
 
 // upgradeQueueCap bounds the exact upgrades pending at once. Auto
 // requests beyond it are still answered (analytically); only the

@@ -32,6 +32,7 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -112,31 +113,32 @@ func (k Key) ID() string {
 	return string(append(b, k.Content...))
 }
 
-// contentHash hashes the full measurement identity: the machine's
-// configuration and the workload's spec, seed key, and ILP. JSON
+// encodeJSON is the bytes a json.Encoder writes for v: its JSON form
+// and a newline. Encoding cannot fail on the plain structs hashed
+// here; the error is dropped so the key constructors stay infallible.
+func encodeJSON(v any) []byte {
+	var buf bytes.Buffer
+	_ = json.NewEncoder(&buf).Encode(v)
+	return buf.Bytes()
+}
+
+// contentHash hashes the full measurement identity: the encoded
+// machine configuration followed by the encoded workload (spec, seed
+// key and ILP), as the first 32 hex digits of their SHA-256. JSON
 // marshalling of these structs is deterministic (fixed field order),
 // so equal inputs hash equally.
-func contentHash(cfg machine.Config, w machine.Workload) string {
+func contentHash(cfg, w []byte) string {
 	h := sha256.New()
-	enc := json.NewEncoder(h)
-	// Encode cannot fail on these plain structs; ignore the error so
-	// the hash helper stays infallible for callers.
-	_ = enc.Encode(cfg)
-	_ = enc.Encode(w)
-	return hex.EncodeToString(h.Sum(nil))[:32]
+	h.Write(cfg)
+	h.Write(w)
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0])[:16])
 }
 
 // KeyFor returns the store key of a single-copy measurement of w on m
 // under the canonical form of opts.
 func KeyFor(m *machine.Machine, w machine.Workload, opts machine.RunOptions) Key {
-	c := opts.Canonical()
-	return Key{
-		Machine:      m.Name(),
-		Workload:     w.Key,
-		Instructions: c.Instructions,
-		Warmup:       c.WarmupInstructions,
-		Content:      contentHash(m.Config(), w),
-	}
+	return KeyForEngine(m, w, opts, "exact")
 }
 
 // KeyForMulti returns the store key of a copies-way multi-copy
@@ -148,15 +150,54 @@ func KeyForMulti(m *machine.Machine, w machine.Workload, copies int, opts machin
 }
 
 // KeyForEngine returns the store key of a single-copy measurement of w
-// on m as produced by the named engine tier. The exact tier is
-// normalized to the empty string so exact records keep the identity
-// they had before engine tiers existed (old snapshots stay warm).
+// on m as produced by the named engine tier: the one-machine grid's
+// key for w.
 func KeyForEngine(m *machine.Machine, w machine.Workload, opts machine.RunOptions, engineTier string) Key {
-	k := KeyFor(m, w, opts)
-	if engineTier != "exact" {
-		k.Engine = engineTier
+	return NewKeyGrid([]*machine.Machine{m}, opts, engineTier).Row(w)[0]
+}
+
+// KeyGrid keys a grid of measurements: workloads on every machine of
+// a fleet, at one fidelity, on one engine tier. It is the one place a
+// Key is built. It encodes each machine's configuration once, and each
+// Row encodes its workload once, so keying a whole grid hashes every
+// pair from those same bytes.
+type KeyGrid struct {
+	machines []*machine.Machine
+	cfgs     [][]byte // encoded configurations, in machine order
+	opts     machine.RunOptions
+	engine   string
+}
+
+// NewKeyGrid returns the grid of machines under the canonical form of
+// opts on the named engine tier. The exact tier is normalized to the
+// empty string so exact records keep the identity they had before
+// engine tiers existed (old snapshots stay warm).
+func NewKeyGrid(machines []*machine.Machine, opts machine.RunOptions, engineTier string) *KeyGrid {
+	if engineTier == "exact" {
+		engineTier = ""
 	}
-	return k
+	g := &KeyGrid{machines: machines, cfgs: make([][]byte, len(machines)), opts: opts.Canonical(), engine: engineTier}
+	for j, m := range machines {
+		g.cfgs[j] = encodeJSON(m.Config())
+	}
+	return g
+}
+
+// Row returns w's key on every machine of the grid, in machine order.
+func (g *KeyGrid) Row(w machine.Workload) []Key {
+	enc := encodeJSON(w)
+	keys := make([]Key, len(g.machines))
+	for j, m := range g.machines {
+		keys[j] = Key{
+			Machine:      m.Name(),
+			Workload:     w.Key,
+			Instructions: g.opts.Instructions,
+			Warmup:       g.opts.WarmupInstructions,
+			Engine:       g.engine,
+			Content:      contentHash(g.cfgs[j], enc),
+		}
+	}
+	return keys
 }
 
 // Config configures a Store. The zero value is a usable, memory-only
@@ -568,11 +609,14 @@ func (s *Store) hit(ctx context.Context, key Key, start time.Time) {
 }
 
 // GetOrCompute returns the record for key, computing it at most once
-// across all concurrent callers. The compute function receives a
-// context that is canceled when every caller waiting on this key has
-// gone away — a lone disconnected client cancels its simulation. The
-// caller's own ctx aborts only its wait, never another caller's
-// result.
+// across all concurrent callers. A caller that finds no computation of
+// key in progress runs compute itself, on its own goroutine and under
+// its own ctx (flight.Group.DoInline), so a miss nobody else wants
+// costs no goroutine; callers arriving meanwhile wait for its result.
+// A waiting caller's ctx aborts only its own wait. If the computing
+// caller's ctx ends and compute fails, a waiting caller still live
+// computes key afresh, so no caller's result hangs on another's
+// context.
 func (s *Store) GetOrCompute(ctx context.Context, key Key, compute func(context.Context) (*machine.RawCounts, error)) (*machine.RawCounts, error) {
 	return getOrCompute(ctx, s, &s.single, key, compute)
 }
@@ -590,7 +634,7 @@ func getOrCompute[V any](ctx context.Context, s *Store, t *table[V], key Key, co
 		return v, nil
 	}
 	id := key.ID()
-	v, err, _ := t.flights.Do(ctx, id, func(fctx context.Context) (V, error) {
+	v, err, _ := t.flights.DoInline(ctx, id, func(fctx context.Context) (V, error) {
 		// A flight for key may have stored the record since the
 		// lookup above.
 		if v, ok := lookupIn(fctx, s, t, key); ok {

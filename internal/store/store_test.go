@@ -2,6 +2,8 @@ package store
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -567,4 +569,74 @@ func TestLookup(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("untraced lookup hit allocates %.1f objects/op, want 0", allocs)
 	}
+}
+
+// TestKeyGridMatchesKeyForEngine: the keys of a grid reused across
+// rows equal KeyForEngine's one-pair keys, and both equal a reference
+// built field by field with the content hash the store has always
+// used, on every registry workload (input sets included) on every
+// fleet machine, for both engine tiers. So content hashes, and the
+// snapshots keyed by them, never change.
+func TestKeyGridMatchesKeyForEngine(t *testing.T) {
+	fleet, err := machine.Fleet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ws []machine.Workload
+	for _, p := range workloads.All() {
+		ws = append(ws, p.Workload())
+		for i := 1; p.InputSets > 1 && i <= p.InputSets; i++ {
+			ws = append(ws, p.WorkloadInput(i))
+		}
+	}
+	opts := machine.RunOptions{Instructions: 20_000, WarmupInstructions: 4_000, Parallelism: 3}
+	for _, tier := range []string{"exact", "analytic"} {
+		engine := tier
+		if tier == "exact" {
+			engine = ""
+		}
+		grid := NewKeyGrid(fleet, opts, tier)
+		for _, w := range ws {
+			row := grid.Row(w)
+			if len(row) != len(fleet) {
+				t.Fatalf("%s: %s: %d keys, want %d", tier, w.Key, len(row), len(fleet))
+			}
+			for j, m := range fleet {
+				want := Key{
+					Machine:      m.Name(),
+					Workload:     w.Key,
+					Instructions: 20_000,
+					Warmup:       4_000,
+					Engine:       engine,
+					Content:      referenceContentHash(t, m.Config(), w),
+				}
+				if got := row[j]; got != want {
+					t.Fatalf("%s: %s on %s: grid key %+v, want %+v", tier, w.Key, m.Name(), got, want)
+				}
+				if got := KeyForEngine(m, w, opts, tier); got != want {
+					t.Fatalf("%s: %s on %s: KeyForEngine %+v, want %+v", tier, w.Key, m.Name(), got, want)
+				}
+			}
+		}
+	}
+	// The hash itself is pinned, not only its agreement with the reference.
+	if got := KeyFor(testMachine(t), testWorkload(t, "505.mcf_r"), testOpts).Content; got != "c713162b4a1f3ab3d82cf71d35bec096" {
+		t.Errorf("content hash = %s, want the pinned c713162b4a1f3ab3d82cf71d35bec096", got)
+	}
+}
+
+// referenceContentHash is the content hash as the store first defined
+// it: one json.Encoder writing the configuration and then the workload
+// into a SHA-256, cut to 32 hex digits.
+func referenceContentHash(t *testing.T, cfg machine.Config, w machine.Workload) string {
+	t.Helper()
+	h := sha256.New()
+	enc := json.NewEncoder(h)
+	if err := enc.Encode(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Encode(w); err != nil {
+		t.Fatal(err)
+	}
+	return hex.EncodeToString(h.Sum(nil))[:32]
 }
