@@ -6,19 +6,18 @@
 //
 //	spec17 [-exp id[,id...]] [-instructions n] [-warmup n] [-width n] [-store file] [-engine exact|analytic]
 //
-// Experiment ids: table1 table2 fig1 fig2 fig3 fig4 table5 fig5 fig6
-// table6 fig7 fig8 table7 ratespeed fig9 fig10 table8 fig11 fig12
-// fig13 table9, the extensions table9-extended rate-scaling
-// tree-similarity noise, the ablations ablation-linkage
-// ablation-weighting ablation-pcs subset-sweep, or "all" (default).
+// -exp takes ids from the experiment registry (an unknown id lists
+// them), or "all" (default) for every experiment in registry order.
 //
-// -svg DIR writes every figure as an SVG file; -json FILE writes every
-// result as one JSON document.
+// -svg DIR writes every figure as an SVG file; -json FILE writes the
+// experiments.Report as one JSON document.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -35,26 +34,40 @@ import (
 )
 
 func main() {
+	os.Exit(spec17(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// spec17 runs the command on args, writing results to stdout and
+// diagnostics to stderr. It returns the exit status: 0 on success, 1
+// when a run fails, 2 for bad usage.
+func spec17(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("spec17", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp       = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
-		instrs    = flag.Int("instructions", 400_000, "measured instructions per workload per machine")
-		warmup    = flag.Int("warmup", 0, "warmup instructions (default instructions/5)")
-		parallel  = flag.Int("parallelism", 0, "max concurrent measurements (0 = GOMAXPROCS)")
-		width     = flag.Int("width", 60, "plot width in columns")
-		jsonOut   = flag.String("json", "", "write every experiment's result as JSON to this file ('-' = stdout) and exit")
-		svgDir    = flag.String("svg", "", "write the paper's figures as SVG files into this directory and exit")
-		storePath = flag.String("store", "", "measurement-store snapshot file: loaded before measuring, persisted on exit")
-		engFlag   = flag.String("engine", "exact", "measurement engine: exact (trace-driven simulation) or analytic (closed-form estimator)")
+		exp       = fs.String("exp", "all", "comma-separated experiment ids, or 'all'")
+		instrs    = fs.Int("instructions", 400_000, "measured instructions per workload per machine")
+		warmup    = fs.Int("warmup", 0, "warmup instructions (default instructions/5)")
+		parallel  = fs.Int("parallelism", 0, "max concurrent measurements (0 = GOMAXPROCS)")
+		width     = fs.Int("width", 60, "plot width in columns")
+		jsonOut   = fs.String("json", "", "write the experiment report as JSON to this file ('-' = stdout) and exit")
+		svgDir    = fs.String("svg", "", "write the paper's figures as SVG files into this directory and exit")
+		storePath = fs.String("store", "", "measurement-store snapshot file: loaded before measuring, persisted on exit")
+		engFlag   = fs.String("engine", "exact", "measurement engine: exact (trace-driven simulation) or analytic (closed-form estimator)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	// "auto" is a serving policy (analytic now, exact in the
 	// background); a one-shot batch run has no background to upgrade in,
 	// so the CLI only accepts the two concrete tiers.
 	tier, err := engine.ParseTier(*engFlag)
 	if err != nil || tier == engine.TierAuto {
-		fmt.Fprintf(os.Stderr, "spec17: -engine=%q: must be exact or analytic\n", *engFlag)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "spec17: -engine=%q: must be exact or analytic\n", *engFlag)
+		return 2
 	}
 	var eng engine.Engine
 	if tier == engine.TierAnalytic {
@@ -67,13 +80,23 @@ func main() {
 		Parallelism:        *parallel,
 	}
 	if err := opts.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "spec17: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "spec17: %v\n", err)
+		return 2
+	}
+
+	// -json and -svg ignore -exp; text mode runs the selected
+	// experiments.
+	var descs []experiments.Descriptor
+	if *jsonOut == "" && *svgDir == "" {
+		if descs, err = selectExperiments(*exp); err != nil {
+			fmt.Fprintf(stderr, "spec17: -exp: %v\n", err)
+			return 2
+		}
 	}
 
 	// Diagnostics (store warnings, persist failures) go through the
 	// structured logger; experiment results stay plain stdout.
-	logger := telemetry.NewLogger(os.Stderr, telemetry.LevelInfo)
+	logger := telemetry.NewLogger(stderr, telemetry.LevelInfo)
 
 	st, err := store.Open(store.Config{Path: *storePath, Log: logger.Std("store")})
 	if err != nil {
@@ -82,484 +105,253 @@ func main() {
 	// One scheduler bounds every simulation the process runs —
 	// including the out-of-characterization measurements (sensitivity
 	// sweeps, replicas, multi-copy runs) the per-characterization
-	// parallelism option never covered.
-	// and no queue bounds: a local batch run wants every measurement it
-	// asked for, however long the queue, unlike the daemon's shed-early
-	// policy.
+	// parallelism option never covered — and no queue bound: a local
+	// batch run wants every measurement it asked for, however long the
+	// queue, unlike the daemon's shed-early policy.
 	pool := sched.NewPoolWith(sched.PoolConfig{Workers: *parallel})
 	lab := experiments.NewLabWithEngine(opts, st, pool.Queue(0), eng)
 
-	if err := run(lab, *exp, *width, *jsonOut, *svgDir); err != nil {
-		// Persist what was measured even on failure: the next run
-		// resumes from it.
-		if serr := st.Save(); serr != nil {
-			logger.Error("persisting store", "err", serr)
+	switch {
+	case *jsonOut != "":
+		err = writeJSONReport(stdout, lab, *jsonOut)
+	case *svgDir != "":
+		err = writeSVGs(stdout, lab, *svgDir)
+	default:
+		err = runText(stdout, lab, descs, *width)
+	}
+	// Persist what was measured even on failure: the next run resumes
+	// from it.
+	if serr := st.Save(); serr != nil {
+		logger.Error("persisting store", "err", serr)
+		if err == nil {
+			return 1
 		}
+	}
+	if err != nil {
 		logger.Error("run failed", "err", err)
-		os.Exit(1)
+		return 1
 	}
-	if err := st.Save(); err != nil {
-		logger.Error("persisting store", "err", err)
-		os.Exit(1)
-	}
+	return 0
 }
 
-func run(lab *experiments.Lab, exp string, width int, jsonOut, svgDir string) error {
-	if jsonOut != "" {
-		return writeJSONReport(lab, jsonOut)
-	}
-	if svgDir != "" {
-		return writeSVGs(lab, svgDir)
-	}
-
-	runners := textRunners()
-	var ids []string
+// selectExperiments resolves -exp to registry descriptors: every one
+// for "all", otherwise each listed id in the order given. An unknown
+// id's error wraps experiments.UnknownIDError, which lists the valid
+// ids.
+func selectExperiments(exp string) ([]experiments.Descriptor, error) {
 	if exp == "all" {
-		ids = experiments.IDs()
-	} else {
-		for _, id := range strings.Split(exp, ",") {
-			id = strings.TrimSpace(strings.ToLower(id))
-			if _, ok := experiments.Lookup(id); !ok {
-				fmt.Fprintf(os.Stderr, "spec17: unknown experiment %q\nvalid experiments:\n", id)
-				for _, known := range experiments.SortedIDs() {
-					fmt.Fprintf(os.Stderr, "  %s\n", known)
-				}
-				os.Exit(2)
+		return experiments.Registry(), nil
+	}
+	var descs []experiments.Descriptor
+	for _, id := range strings.Split(exp, ",") {
+		id = strings.TrimSpace(strings.ToLower(id))
+		d, ok := experiments.Lookup(id)
+		if !ok {
+			return nil, experiments.UnknownIDError(id)
+		}
+		descs = append(descs, d)
+	}
+	return descs, nil
+}
+
+// runText runs each descriptor on the lab and prints its title as a
+// framed header followed by the rendered result.
+func runText(w io.Writer, lab *experiments.Lab, descs []experiments.Descriptor, width int) error {
+	for _, d := range descs {
+		res, err := d.Run(lab)
+		if err != nil {
+			return fmt.Errorf("%s: %w", d.ID, err)
+		}
+		header(w, d.Title)
+		if err := render(w, res, width); err != nil {
+			return fmt.Errorf("%s: %w", d.ID, err)
+		}
+		fmt.Fprintln(w)
+	}
+	return nil
+}
+
+func header(w io.Writer, title string) {
+	fmt.Fprintln(w, strings.Repeat("=", len(title)))
+	fmt.Fprintln(w, title)
+	fmt.Fprintln(w, strings.Repeat("=", len(title)))
+}
+
+// render prints one experiment result for the terminal, choosing the
+// layout by the result's type.
+func render(w io.Writer, res any, width int) error {
+	switch res := res.(type) {
+	case []experiments.Table1Row:
+		fmt.Fprintf(w, "%-18s %-14s %10s %7s %7s %8s %7s %9s\n",
+			"benchmark", "suite", "icount(B)", "load%", "store%", "branch%", "CPI", "paper CPI")
+		for _, r := range res {
+			fmt.Fprintf(w, "%-18s %-14s %10.0f %7.2f %7.2f %8.2f %7.2f %9.2f\n",
+				r.Name, r.Suite, r.ICountB, r.PctLoad, r.PctStore, r.PctBranch, r.CPI, r.PaperCPI)
+		}
+	case []experiments.RangeRow:
+		fmt.Fprintf(w, "%-12s %-14s %10s %10s\n", "metric", "suite", "min", "max")
+		for _, r := range res {
+			fmt.Fprintf(w, "%-12s %-14s %10.2f %10.2f\n", r.Metric, r.Suite, r.Min, r.Max)
+		}
+	case []experiments.StackRow:
+		fmt.Fprint(w, experiments.RenderStacks(res, width))
+	case *experiments.DendrogramResult:
+		fmt.Fprintf(w, "%d PCs retained (Kaiser), %.0f%% of variance; most distinct: %s\n\n",
+			res.NumPCs, res.VarCovered*100, res.MostDistinct)
+		fmt.Fprint(w, res.Similarity.Dendrogram.Render(width))
+	case []experiments.SubsetRow:
+		for _, r := range res {
+			fmt.Fprintf(w, "%-14s  subset: %s\n", r.Suite, strings.Join(r.Subset, ", "))
+			fmt.Fprintf(w, "%-14s  cut at linkage %.2f, simulation-time reduction %.1fx\n",
+				"", r.CutHeight, r.SimTimeReduction)
+			for i, cl := range r.Clusters {
+				fmt.Fprintf(w, "%-14s    cluster %d: %s\n", "", i+1, strings.Join(cl, ", "))
 			}
-			ids = append(ids, id)
 		}
-	}
-
-	for _, id := range ids {
-		if err := runners[id](lab, width); err != nil {
-			return fmt.Errorf("%s: %w", id, err)
-		}
-		fmt.Println()
-	}
-	return nil
-}
-
-// textRunners maps every registry experiment id to its terminal
-// renderer. The ids and ordering come from experiments.Registry —
-// the same identity spec17d serves over HTTP — and a test asserts
-// the two sets stay equal.
-func textRunners() map[string]func(*experiments.Lab, int) error {
-	return map[string]func(*experiments.Lab, int) error{
-		"table1":    runTable1,
-		"table2":    runTable2,
-		"fig1":      runFig1,
-		"fig2":      runDendro(experiments.Fig2, "Figure 2: SPECspeed INT dendrogram"),
-		"fig3":      runDendro(experiments.Fig3, "Figure 3: SPECspeed FP dendrogram"),
-		"fig4":      runDendro(experiments.Fig4, "Figure 4: SPECrate FP dendrogram"),
-		"table5":    runTable5,
-		"fig5":      runValidation(experiments.Fig5, "Figure 5: INT subset validation"),
-		"fig6":      runValidation(experiments.Fig6, "Figure 6: FP subset validation"),
-		"table6":    runTable6,
-		"fig7":      runInputSets(experiments.Fig7, "Figure 7: INT input-set similarity"),
-		"fig8":      runInputSets(experiments.Fig8, "Figure 8: FP input-set similarity"),
-		"table7":    runTable7,
-		"ratespeed": runRateSpeed,
-		"fig9":      runFig9,
-		"fig10":     runFig10,
-		"table8":    runTable8,
-		"fig11":     runFig11,
-		"fig12":     runFig12,
-		"fig13":     runFig13,
-		"table9":    runTable9,
-		// Ablations of the methodology's design choices (not in the paper).
-		"ablation-linkage":   runAblateLinkage,
-		"ablation-weighting": runAblateWeighting,
-		"ablation-pcs":       runAblatePCs,
-		"subset-sweep":       runSubsetSweep,
-		"table9-extended":    runTable9Extended,
-		"rate-scaling":       runRateScaling,
-		"tree-similarity":    runTreeSimilarity,
-		"noise":              runNoise,
-	}
-}
-
-func header(title string) {
-	fmt.Println(strings.Repeat("=", len(title)))
-	fmt.Println(title)
-	fmt.Println(strings.Repeat("=", len(title)))
-}
-
-func runTable1(lab *experiments.Lab, _ int) error {
-	rows, err := experiments.Table1(lab)
-	if err != nil {
-		return err
-	}
-	header("Table I: dynamic instruction count, instruction mix, and CPI (Skylake)")
-	fmt.Printf("%-18s %-14s %10s %7s %7s %8s %7s %9s\n",
-		"benchmark", "suite", "icount(B)", "load%", "store%", "branch%", "CPI", "paper CPI")
-	for _, r := range rows {
-		fmt.Printf("%-18s %-14s %10.0f %7.2f %7.2f %8.2f %7.2f %9.2f\n",
-			r.Name, r.Suite, r.ICountB, r.PctLoad, r.PctStore, r.PctBranch, r.CPI, r.PaperCPI)
-	}
-	return nil
-}
-
-func runTable2(lab *experiments.Lab, _ int) error {
-	rows, err := experiments.Table2(lab)
-	if err != nil {
-		return err
-	}
-	header("Table II: metric ranges per sub-suite (Skylake)")
-	fmt.Printf("%-12s %-14s %10s %10s\n", "metric", "suite", "min", "max")
-	for _, r := range rows {
-		fmt.Printf("%-12s %-14s %10.2f %10.2f\n", r.Metric, r.Suite, r.Min, r.Max)
-	}
-	return nil
-}
-
-func runFig1(lab *experiments.Lab, width int) error {
-	rows, err := experiments.Fig1(lab)
-	if err != nil {
-		return err
-	}
-	header("Figure 1: CPI stacks of the SPECrate benchmarks (Skylake)")
-	fmt.Print(experiments.RenderStacks(rows, width))
-	return nil
-}
-
-func runDendro(f func(*experiments.Lab) (*experiments.DendrogramResult, error), title string) func(*experiments.Lab, int) error {
-	return func(lab *experiments.Lab, width int) error {
-		d, err := f(lab)
-		if err != nil {
-			return err
-		}
-		header(title)
-		fmt.Printf("%d PCs retained (Kaiser), %.0f%% of variance; most distinct: %s\n\n",
-			d.NumPCs, d.VarCovered*100, d.MostDistinct)
-		fmt.Print(d.Similarity.Dendrogram.Render(width))
-		return nil
-	}
-}
-
-func runTable5(lab *experiments.Lab, _ int) error {
-	rows, err := experiments.Table5(lab)
-	if err != nil {
-		return err
-	}
-	header("Table V: representative 3-benchmark subsets")
-	for _, r := range rows {
-		fmt.Printf("%-14s  subset: %s\n", r.Suite, strings.Join(r.Subset, ", "))
-		fmt.Printf("%-14s  cut at linkage %.2f, simulation-time reduction %.1fx\n",
-			"", r.CutHeight, r.SimTimeReduction)
-		for i, cl := range r.Clusters {
-			fmt.Printf("%-14s    cluster %d: %s\n", "", i+1, strings.Join(cl, ", "))
-		}
-	}
-	return nil
-}
-
-func runValidation(f func(*experiments.Lab) ([]*experiments.ValidationRow, error), title string) func(*experiments.Lab, int) error {
-	return func(lab *experiments.Lab, _ int) error {
-		rows, err := f(lab)
-		if err != nil {
-			return err
-		}
-		header(title)
-		for _, r := range rows {
-			fmt.Printf("%s — subset %s\n", r.Suite, strings.Join(r.Subset, ", "))
+	case []*experiments.ValidationRow:
+		for _, r := range res {
+			fmt.Fprintf(w, "%s — subset %s\n", r.Suite, strings.Join(r.Subset, ", "))
 			var systems []string
 			for s := range r.Identified.PerSystem {
 				systems = append(systems, s)
 			}
 			sort.Strings(systems)
 			for _, s := range systems {
-				fmt.Printf("  %-22s error %5.1f%%\n", s, r.Identified.PerSystem[s]*100)
+				fmt.Fprintf(w, "  %-22s error %5.1f%%\n", s, r.Identified.PerSystem[s]*100)
 			}
-			fmt.Printf("  %-22s avg %6.1f%%  max %5.1f%%\n", "overall",
+			fmt.Fprintf(w, "  %-22s avg %6.1f%%  max %5.1f%%\n", "overall",
 				r.Identified.Avg*100, r.Identified.Max*100)
 		}
-		return nil
-	}
-}
-
-func runTable6(lab *experiments.Lab, _ int) error {
-	rows, err := experiments.Table6(lab)
-	if err != nil {
-		return err
-	}
-	header("Table VI: identified subsets vs random subsets (avg error)")
-	fmt.Print(experiments.RenderTable6(rows))
-	return nil
-}
-
-func runInputSets(f func(*experiments.Lab) (*experiments.InputSetResult, error), title string) func(*experiments.Lab, int) error {
-	return func(lab *experiments.Lab, width int) error {
-		res, err := f(lab)
-		if err != nil {
-			return err
-		}
-		header(title)
-		fmt.Printf("%d PCs retained, %.0f%% of variance\n\n", res.NumPCs, res.VarCovered*100)
-		fmt.Print(res.Similarity.Dendrogram.Render(width))
-		fmt.Println("\ninput-set cohesion (max within-benchmark distance / median pairwise):")
+	case experiments.Table6Result:
+		fmt.Fprint(w, experiments.RenderTable6(res))
+	case *experiments.InputSetResult:
+		fmt.Fprintf(w, "%d PCs retained, %.0f%% of variance\n\n", res.NumPCs, res.VarCovered*100)
+		fmt.Fprint(w, res.Similarity.Dendrogram.Render(width))
+		fmt.Fprintln(w, "\ninput-set cohesion (max within-benchmark distance / median pairwise):")
 		var names []string
 		for n := range res.Cohesion {
 			names = append(names, n)
 		}
 		sort.Strings(names)
 		for _, n := range names {
-			fmt.Printf("  %-18s %.2f\n", n, res.Cohesion[n])
+			fmt.Fprintf(w, "  %-18s %.2f\n", n, res.Cohesion[n])
 		}
-		return nil
-	}
-}
-
-func runTable7(lab *experiments.Lab, _ int) error {
-	rows, err := experiments.Table7(lab)
-	if err != nil {
-		return err
-	}
-	header("Table VII: representative input sets")
-	for _, r := range rows {
-		fmt.Printf("  %-18s input set %d\n", r.Benchmark, r.Input)
-	}
-	return nil
-}
-
-func runRateSpeed(lab *experiments.Lab, _ int) error {
-	rows, err := experiments.RateSpeed(lab)
-	if err != nil {
-		return err
-	}
-	header("Section IV-D: rate vs speed similarity (sorted by distance)")
-	for _, r := range rows {
-		mark := ""
-		if r.Divergent {
-			mark = "  <- divergent"
+	case []experiments.RepresentativeInput:
+		for _, r := range res {
+			fmt.Fprintf(w, "  %-18s input set %d\n", r.Benchmark, r.Input)
 		}
-		fmt.Printf("  %-12s %6.2f%s\n", r.Base, r.Distance, mark)
-	}
-	return nil
-}
-
-func runFig9(lab *experiments.Lab, width int) error {
-	res, err := experiments.Fig9(lab)
-	if err != nil {
-		return err
-	}
-	header("Figure 9: CPU2017 in the branch-behaviour PC space")
-	fmt.Print(experiments.RenderScatter(res, width, 20))
-	return nil
-}
-
-func runFig10(lab *experiments.Lab, width int) error {
-	dc, ic, err := experiments.Fig10(lab)
-	if err != nil {
-		return err
-	}
-	header("Figure 10a: data-cache PC space")
-	fmt.Print(experiments.RenderScatter(dc, width, 20))
-	header("Figure 10b: instruction-cache PC space")
-	fmt.Print(experiments.RenderScatter(ic, width, 20))
-	return nil
-}
-
-func runTable8(lab *experiments.Lab, _ int) error {
-	rows, err := experiments.Table8(lab)
-	if err != nil {
-		return err
-	}
-	header("Table VIII: application domains and covering benchmarks")
-	for _, r := range rows {
-		fmt.Printf("%-28s run: %s\n", r.Domain, strings.Join(r.Recommended, ", "))
-	}
-	return nil
-}
-
-func runFig11(lab *experiments.Lab, _ int) error {
-	planes, uncovered, err := experiments.Fig11(lab)
-	if err != nil {
-		return err
-	}
-	header("Figure 11: CPU2017 vs CPU2006 workload-space coverage")
-	for _, pl := range planes {
-		fmt.Printf("  %-8s hull area 2017 %7.1f | 2006 %7.1f | CPU2017 outside CPU2006: %4.0f%%\n",
-			pl.Plane, pl.Area2017, pl.Area2006, pl.FracOutside*100)
-	}
-	fmt.Printf("  CPU2006 benchmarks not covered by CPU2017: %s\n", strings.Join(uncovered, ", "))
-	return nil
-}
-
-func runFig12(lab *experiments.Lab, width int) error {
-	cov, scatter, err := experiments.Fig12(lab)
-	if err != nil {
-		return err
-	}
-	header("Figure 12: power-characteristic PC space (RAPL machines)")
-	fmt.Printf("  hull area 2017 %.1f | 2006 %.1f | outside: %.0f%%\n\n",
-		cov.Area2017, cov.Area2006, cov.FracOutside*100)
-	fmt.Print(experiments.RenderScatter(scatter, width, 18))
-	return nil
-}
-
-func runFig13(lab *experiments.Lab, width int) error {
-	res, err := experiments.Fig13(lab)
-	if err != nil {
-		return err
-	}
-	header("Figure 13: CPU2017 vs EDA, graph, and database workloads")
-	fmt.Print(res.Similarity.Dendrogram.Render(width))
-	fmt.Println("\nnearest CPU2017 benchmark (distance / median pairwise):")
-	var names []string
-	for _, p := range workloads.Emerging() {
-		names = append(names, p.Name)
-	}
-	for _, n := range names {
-		fmt.Printf("  %-12s -> %-18s %.2f\n", n, res.NearestCPU2017[n], res.NormDistance[n])
-	}
-	return nil
-}
-
-func runAblateLinkage(lab *experiments.Lab, _ int) error {
-	rows, err := experiments.AblateLinkage(lab)
-	if err != nil {
-		return err
-	}
-	header("Ablation: linkage method vs subset quality")
-	fmt.Printf("%-14s %-9s %7s  %-22s %s\n", "suite", "linkage", "error", "most distinct", "subset")
-	for _, r := range rows {
-		fmt.Printf("%-14s %-9s %6.1f%%  %-22s %s\n",
-			r.Suite, r.Method, r.AvgError*100, r.MostDistinct, strings.Join(r.Subset, ", "))
-	}
-	return nil
-}
-
-func runAblateWeighting(lab *experiments.Lab, _ int) error {
-	rows, err := experiments.AblateScoreWeighting(lab)
-	if err != nil {
-		return err
-	}
-	header("Ablation: sqrt-eigenvalue weighting of PC scores")
-	for _, r := range rows {
-		fmt.Printf("%-14s weighted: %-55s\n", r.Suite, strings.Join(r.WeightedSubset, ", "))
-		fmt.Printf("%-14s unweighted: %-53s agree=%v\n", "", strings.Join(r.UnweightedSubset, ", "), r.Agree)
-	}
-	return nil
-}
-
-func runAblatePCs(lab *experiments.Lab, _ int) error {
-	rows, err := experiments.AblatePCSelection(lab)
-	if err != nil {
-		return err
-	}
-	header("Ablation: Kaiser criterion vs 90% variance target")
-	fmt.Printf("%-14s %10s %12s %13s\n", "suite", "Kaiser PCs", "90%-var PCs", "subsets agree")
-	for _, r := range rows {
-		fmt.Printf("%-14s %10d %12d %13v\n", r.Suite, r.KaiserPCs, r.VariancePCs, r.SubsetsAgree)
-	}
-	return nil
-}
-
-func runSubsetSweep(lab *experiments.Lab, _ int) error {
-	rows, err := experiments.SubsetSizeSweep(lab, 6)
-	if err != nil {
-		return err
-	}
-	header("Subset-size sweep: validation error and time saving vs k")
-	fmt.Printf("%-14s %3s %8s %12s\n", "suite", "k", "error", "time saving")
-	for _, r := range rows {
-		fmt.Printf("%-14s %3d %7.1f%% %11.1fx\n", r.Suite, r.K, r.AvgError*100, r.SimTimeReduction)
-	}
-	return nil
-}
-
-func runRateScaling(lab *experiments.Lab, _ int) error {
-	rows, err := experiments.RateScaling(lab, nil, []int{1, 2, 4, 8})
-	if err != nil {
-		return err
-	}
-	header("SPECrate scaling: throughput vs concurrent copies (Skylake, shared LLC)")
-	fmt.Printf("%-18s %6s %12s %11s %14s\n", "benchmark", "copies", "throughput", "efficiency", "L3 MPKI/copy")
-	for _, r := range rows {
-		fmt.Printf("%-18s %6d %12.3f %10.0f%% %14.2f\n",
-			r.Benchmark, r.Copies, r.Throughput, r.Efficiency*100, r.L3MPKIPerCopy)
-	}
-	return nil
-}
-
-func runNoise(lab *experiments.Lab, _ int) error {
-	rows, err := experiments.MeasurementNoise(lab, nil, 5)
-	if err != nil {
-		return err
-	}
-	header("Sampling noise: metric variation across independent trace samples")
-	fmt.Printf("%-18s %8s   per-metric CV\n", "benchmark", "max CV")
-	for _, r := range rows {
-		fmt.Printf("%-18s %7.1f%%   ", r.Benchmark, r.MaxCV*100)
-		for _, m := range []string{"l1d_mpki", "l2d_mpki", "l3_mpki", "l1i_mpki", "branch_mpki", "dtlb_mpmi"} {
-			fmt.Printf("%s=%.1f%% ", m, r.CV[m]*100)
+	case []experiments.RateSpeedRow:
+		for _, r := range res {
+			mark := ""
+			if r.Divergent {
+				mark = "  <- divergent"
+			}
+			fmt.Fprintf(w, "  %-12s %6.2f%s\n", r.Base, r.Distance, mark)
 		}
-		fmt.Println()
+	case *experiments.ScatterResult:
+		fmt.Fprint(w, experiments.RenderScatter(res, width, 20))
+	case *experiments.Fig10Result:
+		fmt.Fprintln(w, "Figure 10a: data-cache PC space")
+		fmt.Fprint(w, experiments.RenderScatter(res.DCache, width, 20))
+		fmt.Fprintln(w, "Figure 10b: instruction-cache PC space")
+		fmt.Fprint(w, experiments.RenderScatter(res.ICache, width, 20))
+	case []experiments.DomainRow:
+		for _, r := range res {
+			fmt.Fprintf(w, "%-28s run: %s\n", r.Domain, strings.Join(r.Recommended, ", "))
+		}
+	case *experiments.Fig11Result:
+		for _, pl := range res.Planes {
+			fmt.Fprintf(w, "  %-8s hull area 2017 %7.1f | 2006 %7.1f | CPU2017 outside CPU2006: %4.0f%%\n",
+				pl.Plane, pl.Area2017, pl.Area2006, pl.FracOutside*100)
+		}
+		fmt.Fprintf(w, "  CPU2006 benchmarks not covered by CPU2017: %s\n", strings.Join(res.Uncovered, ", "))
+	case *experiments.Fig12Result:
+		fmt.Fprintf(w, "  hull area 2017 %.1f | 2006 %.1f | outside: %.0f%%\n\n",
+			res.Coverage.Area2017, res.Coverage.Area2006, res.Coverage.FracOutside*100)
+		fmt.Fprint(w, experiments.RenderScatter(res.Scatter, width, 18))
+	case *experiments.EmergingResult:
+		fmt.Fprint(w, res.Similarity.Dendrogram.Render(width))
+		fmt.Fprintln(w, "\nnearest CPU2017 benchmark (distance / median pairwise):")
+		for _, p := range workloads.Emerging() {
+			fmt.Fprintf(w, "  %-12s -> %-18s %.2f\n", p.Name, res.NearestCPU2017[p.Name], res.NormDistance[p.Name])
+		}
+	case []experiments.SensitivityTable:
+		for _, t := range res {
+			fmt.Fprintf(w, "%s:\n", t.Structure)
+			fmt.Fprintf(w, "  High:   %s\n", strings.Join(t.High, ", "))
+			fmt.Fprintf(w, "  Medium: %s\n", strings.Join(t.Medium, ", "))
+			fmt.Fprintf(w, "  Low:    %s\n", strings.Join(t.Low, ", "))
+		}
+	case []experiments.LinkageRow:
+		fmt.Fprintf(w, "%-14s %-9s %7s  %-22s %s\n", "suite", "linkage", "error", "most distinct", "subset")
+		for _, r := range res {
+			fmt.Fprintf(w, "%-14s %-9s %6.1f%%  %-22s %s\n",
+				r.Suite, r.Method, r.AvgError*100, r.MostDistinct, strings.Join(r.Subset, ", "))
+		}
+	case []experiments.WeightingRow:
+		for _, r := range res {
+			fmt.Fprintf(w, "%-14s weighted: %-55s\n", r.Suite, strings.Join(r.WeightedSubset, ", "))
+			fmt.Fprintf(w, "%-14s unweighted: %-53s agree=%v\n", "", strings.Join(r.UnweightedSubset, ", "), r.Agree)
+		}
+	case []experiments.PCSelectionRow:
+		fmt.Fprintf(w, "%-14s %10s %12s %13s\n", "suite", "Kaiser PCs", "90%-var PCs", "subsets agree")
+		for _, r := range res {
+			fmt.Fprintf(w, "%-14s %10d %12d %13v\n", r.Suite, r.KaiserPCs, r.VariancePCs, r.SubsetsAgree)
+		}
+	case []experiments.SubsetSizeRow:
+		fmt.Fprintf(w, "%-14s %3s %8s %12s\n", "suite", "k", "error", "time saving")
+		for _, r := range res {
+			fmt.Fprintf(w, "%-14s %3d %7.1f%% %11.1fx\n", r.Suite, r.K, r.AvgError*100, r.SimTimeReduction)
+		}
+	case []experiments.RateScalingRow:
+		fmt.Fprintf(w, "%-18s %6s %12s %11s %14s\n", "benchmark", "copies", "throughput", "efficiency", "L3 MPKI/copy")
+		for _, r := range res {
+			fmt.Fprintf(w, "%-18s %6d %12.3f %10.0f%% %14.2f\n",
+				r.Benchmark, r.Copies, r.Throughput, r.Efficiency*100, r.L3MPKIPerCopy)
+		}
+	case []experiments.TreeSimilarityRow:
+		for _, r := range res {
+			fmt.Fprintf(w, "%-20s r = %.3f over %d shared families\n", r.Pair, r.Correlation, len(r.Families))
+		}
+	case []experiments.NoiseRow:
+		fmt.Fprintf(w, "%-18s %8s   per-metric CV\n", "benchmark", "max CV")
+		for _, r := range res {
+			fmt.Fprintf(w, "%-18s %7.1f%%   ", r.Benchmark, r.MaxCV*100)
+			for _, m := range []string{"l1d_mpki", "l2d_mpki", "l3_mpki", "l1i_mpki", "branch_mpki", "dtlb_mpmi"} {
+				fmt.Fprintf(w, "%s=%.1f%% ", m, r.CV[m]*100)
+			}
+			fmt.Fprintln(w)
+		}
+	default:
+		return fmt.Errorf("no text renderer for result type %T", res)
 	}
 	return nil
 }
 
-func runTreeSimilarity(lab *experiments.Lab, _ int) error {
-	rows, err := experiments.RateSpeedTreeSimilarity(lab)
-	if err != nil {
-		return err
-	}
-	header("Dendrogram similarity: rate vs speed (cophenetic correlation)")
-	for _, r := range rows {
-		fmt.Printf("%-20s r = %.3f over %d shared families\n", r.Pair, r.Correlation, len(r.Families))
-	}
-	return nil
-}
-
-func runTable9Extended(lab *experiments.Lab, _ int) error {
-	tables, err := experiments.Table9Extended(lab)
-	if err != nil {
-		return err
-	}
-	header("Extended sensitivity: all hardware structures")
-	for _, t := range tables {
-		fmt.Printf("%s:\n", t.Structure)
-		fmt.Printf("  High:   %s\n", strings.Join(t.High, ", "))
-		fmt.Printf("  Medium: %s\n", strings.Join(t.Medium, ", "))
-		fmt.Printf("  Low:    %s\n", strings.Join(t.Low, ", "))
-	}
-	return nil
-}
-
-func runTable9(lab *experiments.Lab, _ int) error {
-	tables, err := experiments.Table9(lab)
-	if err != nil {
-		return err
-	}
-	header("Table IX: sensitivity to branch predictor, L1 D-cache, and D-TLB configuration")
-	for _, t := range tables {
-		fmt.Printf("%s:\n", t.Structure)
-		fmt.Printf("  High:   %s\n", strings.Join(t.High, ", "))
-		fmt.Printf("  Medium: %s\n", strings.Join(t.Medium, ", "))
-		fmt.Printf("  Low:    %s\n", strings.Join(t.Low, ", "))
-	}
-	return nil
-}
-
-func writeJSONReport(lab *experiments.Lab, path string) error {
+// writeJSONReport writes the experiments.Report to path, or to stdout
+// for "-".
+func writeJSONReport(stdout io.Writer, lab *experiments.Lab, path string) error {
 	report, err := experiments.BuildReport(lab)
 	if err != nil {
 		return err
 	}
-	w := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	if path == "-" {
+		return report.WriteJSON(stdout)
 	}
-	return report.WriteJSON(w)
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := report.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
-// writeSVGs renders every figure of the paper into dir.
-func writeSVGs(lab *experiments.Lab, dir string) error {
+// writeSVGs renders every figure of the paper into dir, naming each
+// file it writes on w.
+func writeSVGs(w io.Writer, lab *experiments.Lab, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -572,7 +364,7 @@ func writeSVGs(lab *experiments.Lab, dir string) error {
 			f.Close()
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		fmt.Printf("wrote %s\n", filepath.Join(dir, name))
+		fmt.Fprintf(w, "wrote %s\n", filepath.Join(dir, name))
 		return f.Close()
 	}
 

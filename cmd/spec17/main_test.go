@@ -1,24 +1,64 @@
 package main
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/experiments"
 )
 
-// TestRunnersMatchRegistry pins the CLI's renderer set to the
-// experiment registry: every servable experiment has a text renderer,
-// and no renderer exists for an id the registry doesn't know.
-func TestRunnersMatchRegistry(t *testing.T) {
-	runners := textRunners()
-	for _, id := range experiments.IDs() {
-		if runners[id] == nil {
-			t.Errorf("registry id %q has no text renderer", id)
-		}
+// TestTextRendersRegistry runs text mode for every experiment and
+// checks that each registry title is printed as a framed header
+// exactly once, in registry order.
+func TestTextRendersRegistry(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := spec17([]string{"-engine", "analytic", "-instructions", "2000"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
 	}
-	for id := range runners {
-		if _, ok := experiments.Lookup(id); !ok {
-			t.Errorf("renderer %q has no registry entry", id)
+	out := stdout.String()
+	last := -1
+	for _, d := range experiments.Registry() {
+		rule := strings.Repeat("=", len(d.Title))
+		framed := rule + "\n" + d.Title + "\n" + rule + "\n"
+		if n := strings.Count(out, framed); n != 1 {
+			t.Errorf("%s: framed header %q printed %d times, want 1", d.ID, d.Title, n)
+			continue
+		}
+		at := strings.Index(out, framed)
+		if at < last {
+			t.Errorf("%s: header out of registry order", d.ID)
+		}
+		last = at
+	}
+}
+
+func TestUnknownExperimentExits2(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := spec17([]string{"-exp", "table1,nope"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("exit %d, want 2", code)
+	}
+	if want := experiments.UnknownIDError("nope").Error(); !strings.Contains(stderr.String(), want) {
+		t.Errorf("stderr %q does not contain %q", stderr.String(), want)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("stdout = %q, want nothing", stdout.String())
+	}
+}
+
+// TestUnrenderableResultFails: a result type with no text renderer
+// fails the run with an error naming the experiment and the type.
+func TestUnrenderableResultFails(t *testing.T) {
+	d := experiments.Descriptor{ID: "mystery", Title: "Mystery", Run: func(*experiments.Lab) (any, error) {
+		return struct{ X int }{}, nil
+	}}
+	err := runText(&bytes.Buffer{}, nil, []experiments.Descriptor{d}, 60)
+	if err == nil {
+		t.Fatal("runText succeeded on a result type with no renderer")
+	}
+	for _, want := range []string{"mystery", "struct { X int }"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
 		}
 	}
 }

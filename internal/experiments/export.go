@@ -6,10 +6,14 @@ import (
 	"io"
 )
 
-// Report bundles every experiment's result into one JSON-serializable
-// document, for downstream plotting or regression tracking. Heavy
-// in-memory objects (fitted PCA spaces, dendrogram trees) are omitted;
-// the rendered forms and the numbers the paper reports are included.
+// Report bundles experiment results into one JSON-serializable
+// document, for downstream plotting or regression tracking: GET
+// /v1/report and spec17 -json both serve it. It holds 25 of the
+// registry's 29 experiments — every one but fig5, fig6 (Table6 carries
+// their rows), table9-extended and noise — plus the rate-INT
+// dendrogram, which has no registry entry. Heavy in-memory objects
+// (fitted PCA spaces, dendrogram trees) are omitted; the rendered
+// forms and the numbers the paper reports are included.
 type Report struct {
 	Table1 []Table1Row
 	Table2 []RangeRow
@@ -46,89 +50,77 @@ type Report struct {
 	SubsetSweep       []SubsetSizeRow
 }
 
-// BuildReport runs every experiment (and ablation) on the lab.
+// BuildReport runs the report's experiments on the lab through their
+// registry descriptors, so each field holds exactly what the same id
+// serves on its own. The first failure is returned as "id: err".
 func BuildReport(lab *Lab) (*Report, error) {
 	r := &Report{}
+	var (
+		fig10 *Fig10Result
+		fig11 *Fig11Result
+		fig12 *Fig12Result
+	)
+	for _, fill := range []func(*Lab) error{
+		into("table1", &r.Table1),
+		into("table2", &r.Table2),
+		into("fig1", &r.Fig1),
+		into("fig2", &r.Fig2),
+		into("fig3", &r.Fig3),
+		into("fig4", &r.Fig4),
+		into("table5", &r.Table5),
+		into("table6", (*Table6Result)(&r.Table6)), // same underlying type
+		into("fig7", &r.Fig7),
+		into("fig8", &r.Fig8),
+		into("table7", &r.Table7),
+		into("ratespeed", &r.RateSpeed),
+		into("fig9", &r.Fig9),
+		into("fig10", &fig10),
+		into("table8", &r.Table8),
+		into("fig11", &fig11),
+		into("fig12", &fig12),
+		into("fig13", &r.Fig13),
+		into("table9", &r.Table9),
+		into("ablation-linkage", &r.AblationLinkage),
+		into("ablation-weighting", &r.AblationWeighting),
+		into("ablation-pcs", &r.AblationPCs),
+		into("subset-sweep", &r.SubsetSweep),
+		into("rate-scaling", &r.RateScaling),
+		into("tree-similarity", &r.TreeSimilarity),
+	} {
+		if err := fill(lab); err != nil {
+			return nil, err
+		}
+	}
+	r.Fig10DCache, r.Fig10ICache = fig10.DCache, fig10.ICache
+	r.Fig11Planes, r.Fig11Uncovered = fig11.Planes, fig11.Uncovered
+	r.Fig12Coverage = fig12.Coverage
+
 	var err error
-	if r.Table1, err = Table1(lab); err != nil {
-		return nil, fmt.Errorf("table1: %w", err)
-	}
-	if r.Table2, err = Table2(lab); err != nil {
-		return nil, fmt.Errorf("table2: %w", err)
-	}
-	if r.Fig1, err = Fig1(lab); err != nil {
-		return nil, fmt.Errorf("fig1: %w", err)
-	}
-	if r.Fig2, err = Fig2(lab); err != nil {
-		return nil, fmt.Errorf("fig2: %w", err)
-	}
-	if r.Fig3, err = Fig3(lab); err != nil {
-		return nil, fmt.Errorf("fig3: %w", err)
-	}
-	if r.Fig4, err = Fig4(lab); err != nil {
-		return nil, fmt.Errorf("fig4: %w", err)
-	}
 	if r.RateINT, err = RateINTDendrogram(lab); err != nil {
 		return nil, fmt.Errorf("rate-int dendrogram: %w", err)
 	}
-	if r.Table5, err = Table5(lab); err != nil {
-		return nil, fmt.Errorf("table5: %w", err)
-	}
-	if r.Table6, err = Table6(lab); err != nil {
-		return nil, fmt.Errorf("table6: %w", err)
-	}
-	if r.Fig7, err = Fig7(lab); err != nil {
-		return nil, fmt.Errorf("fig7: %w", err)
-	}
-	if r.Fig8, err = Fig8(lab); err != nil {
-		return nil, fmt.Errorf("fig8: %w", err)
-	}
-	if r.Table7, err = Table7(lab); err != nil {
-		return nil, fmt.Errorf("table7: %w", err)
-	}
-	if r.RateSpeed, err = RateSpeed(lab); err != nil {
-		return nil, fmt.Errorf("ratespeed: %w", err)
-	}
-	if r.Fig9, err = Fig9(lab); err != nil {
-		return nil, fmt.Errorf("fig9: %w", err)
-	}
-	if r.Fig10DCache, r.Fig10ICache, err = Fig10(lab); err != nil {
-		return nil, fmt.Errorf("fig10: %w", err)
-	}
-	if r.Table8, err = Table8(lab); err != nil {
-		return nil, fmt.Errorf("table8: %w", err)
-	}
-	if r.Fig11Planes, r.Fig11Uncovered, err = Fig11(lab); err != nil {
-		return nil, fmt.Errorf("fig11: %w", err)
-	}
-	if r.Fig12Coverage, _, err = Fig12(lab); err != nil {
-		return nil, fmt.Errorf("fig12: %w", err)
-	}
-	if r.Fig13, err = Fig13(lab); err != nil {
-		return nil, fmt.Errorf("fig13: %w", err)
-	}
-	if r.Table9, err = Table9(lab); err != nil {
-		return nil, fmt.Errorf("table9: %w", err)
-	}
-	if r.AblationLinkage, err = AblateLinkage(lab); err != nil {
-		return nil, fmt.Errorf("ablation-linkage: %w", err)
-	}
-	if r.AblationWeighting, err = AblateScoreWeighting(lab); err != nil {
-		return nil, fmt.Errorf("ablation-weighting: %w", err)
-	}
-	if r.AblationPCs, err = AblatePCSelection(lab); err != nil {
-		return nil, fmt.Errorf("ablation-pcs: %w", err)
-	}
-	if r.SubsetSweep, err = SubsetSizeSweep(lab, 6); err != nil {
-		return nil, fmt.Errorf("subset-sweep: %w", err)
-	}
-	if r.RateScaling, err = RateScaling(lab, nil, []int{1, 2, 4, 8}); err != nil {
-		return nil, fmt.Errorf("rate-scaling: %w", err)
-	}
-	if r.TreeSimilarity, err = RateSpeedTreeSimilarity(lab); err != nil {
-		return nil, fmt.Errorf("tree-similarity: %w", err)
-	}
 	return r, nil
+}
+
+// into returns a step that runs registry experiment id and stores its
+// result in *dst, failing if the result is not a T.
+func into[T any](id string, dst *T) func(*Lab) error {
+	return func(lab *Lab) error {
+		d, ok := Lookup(id)
+		if !ok {
+			return UnknownIDError(id)
+		}
+		v, err := d.Run(lab)
+		if err != nil {
+			return fmt.Errorf("%s: %w", id, err)
+		}
+		res, ok := v.(T)
+		if !ok {
+			return fmt.Errorf("%s: result is %T, want %T", id, v, res)
+		}
+		*dst = res
+		return nil
+	}
 }
 
 // WriteJSON emits the report as indented JSON.

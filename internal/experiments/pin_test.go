@@ -32,6 +32,12 @@ const (
 	treeSimPinSHA256 = "cc512690a4f2e9204090669474a0f533cde9a4f5ca266eacd690a521279ecedb"
 )
 
+// reportPinSHA256 pins BuildReport on the same Lab: the SHA-256 of the
+// whole report's JSON encoding followed by a newline. It holds the
+// report that GET /v1/report and spec17 -json serve to the bytes of
+// the experiments it bundles.
+const reportPinSHA256 = "00e3d09d06529f8a795a7564ef6b19ec519552740e089af891c121440f90c980"
+
 func TestAnalysisOutputPinned(t *testing.T) {
 	lab := NewLabWithEngine(machine.RunOptions{}, nil, nil, engine.Analytic{})
 	t5, err := Table5(lab)
@@ -85,6 +91,17 @@ func TestSuiteAnalysesPinned(t *testing.T) {
 		if got := pinHash(t, v); got != pin.want {
 			t.Errorf("%s JSON SHA-256 = %s, want %s", pin.name, got, pin.want)
 		}
+	}
+}
+
+func TestReportPinned(t *testing.T) {
+	lab := NewLabWithEngine(machine.RunOptions{}, nil, nil, engine.Analytic{})
+	r, err := BuildReport(lab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pinHash(t, r); got != reportPinSHA256 {
+		t.Errorf("BuildReport JSON SHA-256 = %s, want %s", got, reportPinSHA256)
 	}
 }
 

@@ -10,10 +10,11 @@ import (
 // spec17 -exp spelling), a human title, a coarse kind, and a runner
 // producing the experiment's JSON-serializable result from a Lab.
 //
-// The registry is the single source of truth for experiment identity:
-// cmd/spec17 resolves -exp ids against it, the spec17d server builds
-// its catalog, 404 bodies, and cache keys from it, and BuildReport
-// covers the same set.
+// The registry is the single source of truth for experiment identity,
+// and Run is how callers dispatch by id: cmd/spec17's text mode runs
+// the descriptors -exp selects, the spec17d server builds its catalog,
+// 404 bodies, and cache keys from them, and BuildReport fills its
+// fields from them (see Report for which experiments it holds).
 type Descriptor struct {
 	// ID is the stable experiment identifier, e.g. "table5" or
 	// "ablation-linkage". IDs are lowercase and never reused.

@@ -191,9 +191,14 @@ func validateSuites(lab *Lab, suites ...workloads.Suite) ([]*ValidationRow, erro
 	})
 }
 
+// Table6Result is Table VI: one validation row per sub-suite. It is
+// named so that renderers can tell it from Figures 5 and 6, which
+// carry the same rows but present their per-system errors.
+type Table6Result []*ValidationRow
+
 // Table6 reproduces Table VI: identified-subset accuracy versus two
 // random subsets across all four sub-suites.
-func Table6(lab *Lab) ([]*ValidationRow, error) {
+func Table6(lab *Lab) (Table6Result, error) {
 	return validateSuites(lab,
 		workloads.SpeedINT, workloads.RateINT, workloads.SpeedFP, workloads.RateFP)
 }

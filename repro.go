@@ -223,7 +223,7 @@ var (
 	ExperimentIDs = experiments.IDs
 	// LookupExperiment resolves one experiment id.
 	LookupExperiment = experiments.Lookup
-	// BuildReport runs every experiment into one JSON-serializable
-	// report.
+	// BuildReport runs the experiments the report bundles into one
+	// JSON-serializable document; see experiments.Report for which.
 	BuildReport = experiments.BuildReport
 )

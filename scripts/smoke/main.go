@@ -1,9 +1,11 @@
-// Command smoke is `make smoke`: it boots a real spec17d on a free
+// Command smoke is `make smoke`: it runs the spec17 CLI on two
+// experiments and an unknown id, then boots a real spec17d on a free
 // port, walks the observability surface — /v1/healthz, /v1/status,
 // /metrics, one traced /v1/report at tiny fidelity — and asserts the
 // report's trace landed in /v1/traces with the pipeline stages
-// visible. It exercises the built binary, not the handler in-process,
-// so flag parsing, logging, and the HTTP stack are all on the hook.
+// visible. It exercises the built binaries, not the code in-process,
+// so flag parsing, exit codes, logging, and the HTTP stack are all on
+// the hook.
 //
 // Exit status is 0 on success; any failure prints a diagnostic and
 // exits 1. No external tools (curl, jq) are needed.
@@ -21,6 +23,8 @@ import (
 	"path/filepath"
 	"strings"
 	"time"
+
+	"repro/internal/experiments"
 )
 
 func fatalf(format string, args ...any) {
@@ -42,19 +46,38 @@ func get(base, path string) (int, []byte) {
 }
 
 func main() {
-	// Build the daemon into a temp dir so the smoke test always runs
-	// what the tree currently says.
+	// Build both commands into a temp dir so the smoke test always
+	// runs what the tree currently says.
 	tmp, err := os.MkdirTemp("", "spec17d-smoke")
 	if err != nil {
 		fatalf("mktemp: %v", err)
 	}
 	defer os.RemoveAll(tmp)
-	bin := filepath.Join(tmp, "spec17d")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/spec17d")
-	build.Stdout, build.Stderr = os.Stdout, os.Stderr
-	if err := build.Run(); err != nil {
-		fatalf("building spec17d: %v", err)
+	bin, cli := filepath.Join(tmp, "spec17d"), filepath.Join(tmp, "spec17")
+	for _, cmd := range []string{"spec17d", "spec17"} {
+		build := exec.Command("go", "build", "-o", filepath.Join(tmp, cmd), "./cmd/"+cmd)
+		build.Stdout, build.Stderr = os.Stdout, os.Stderr
+		if err := build.Run(); err != nil {
+			fatalf("building %s: %v", cmd, err)
+		}
 	}
+
+	// The CLI prints each selected experiment under its registry title,
+	// and rejects an unknown id with exit status 2.
+	out, err := exec.Command(cli, "-engine", "analytic", "-instructions", "2000", "-exp", "table6,fig10").Output()
+	if err != nil {
+		fatalf("spec17 -exp table6,fig10: %v", err)
+	}
+	for _, id := range []string{"table6", "fig10"} {
+		if d, _ := experiments.Lookup(id); !strings.Contains(string(out), "\n"+d.Title+"\n") {
+			fatalf("spec17 -exp table6,fig10: output lacks the %s title %q", id, d.Title)
+		}
+	}
+	err = exec.Command(cli, "-exp", "nope").Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+		fatalf("spec17 -exp nope: %v, want exit status 2", err)
+	}
+	fmt.Println("smoke: spec17 printed table6 and fig10 under their registry titles; unknown id exits 2")
 
 	// Pick a free port by binding and releasing it.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
