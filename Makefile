@@ -39,10 +39,11 @@ race:
 # race-analysis race-checks the per-suite analysis fan-out in
 # internal/experiments without the package's full Lab-building suite:
 # the output pins, the fan-out helper, the cold-then-warm store pass,
-# a Lab build that outlives the caller that started it, and concurrent
-# analytic runs sharing one store, all on the analytic engine.
+# a Lab build that outlives the caller that started it, concurrent
+# analytic runs sharing one store, and a RunStored of a pair inside a
+# run that holds the only worker, all on the analytic engine.
 race-analysis:
-	$(GO) test -race -run 'Pinned|TestPerSuiteOrder|TestTable5ColdThenWarmStore|TestLabBuildSurvivesLeaderCancel|TestAnalyticRunsComputeEachKeyOnce' ./internal/experiments
+	$(GO) test -race -run 'Pinned|TestPerSuiteOrder|TestTable5ColdThenWarmStore|TestLabBuildSurvivesLeaderCancel|TestAnalyticRunsComputeEachKeyOnce|TestAnalyticRunStoredTakesNoSlot' ./internal/experiments
 
 # race-machine race-checks concurrent Run calls on one shared Machine,
 # which hand simulator state through a sync.Pool: every concurrent

@@ -110,9 +110,8 @@ func runDaemon(snapshot string) daemonStats {
 	interactiveTraffic(base)
 
 	stats.storeMisses = metric(base, "spec17_store_misses_total")
-	fmt.Printf("store: hits %g, misses (simulations) %g, sched dedup hits %g\n",
-		metric(base, "spec17_store_hits_total"), stats.storeMisses,
-		metric(base, "spec17_sched_dedup_hits_total"))
+	fmt.Printf("store: hits %g, misses (simulations) %g\n",
+		metric(base, "spec17_store_hits_total"), stats.storeMisses)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

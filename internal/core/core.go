@@ -43,20 +43,20 @@ type Characterization struct {
 	raw     map[string]map[string]*machine.RawCounts // label -> machine -> raw counts
 }
 
-// Runner schedules one keyed measurement. Implementations may bound
-// concurrency, impose queueing policy, and deduplicate concurrent
-// submissions by key (*sched.Queue is the canonical one). The fn
-// passed to Do runs under a Runner-owned context; the caller's ctx
-// only aborts its own wait.
+// Runner grants worker slots to measurement jobs. Implementations may
+// bound concurrency and impose queueing policy (*sched.Queue is the
+// canonical one). Do runs fn on the caller's goroutine under ctx once
+// the job holds a slot; label names the job on ctx's trace.
 type Runner interface {
-	Do(ctx context.Context, key string, fn func(context.Context) (any, error)) (any, error)
+	Do(ctx context.Context, label string, fn func(context.Context) error) error
 }
 
 // CharacterizeWith measures every entry on every machine, each
-// (entry, machine) pair once, through a shared store (nil = measure
-// directly), a shared Runner, and a measurement engine (nil = the exact
-// trace-driven engine). A nil Runner means a private scheduler pool of
-// opts.Parallelism workers (0 = GOMAXPROCS, 1 = serial).
+// (entry, machine) pair once, through a shared store (nil = a private
+// memory-only one), a shared Runner, and a measurement engine (nil =
+// the exact trace-driven engine). A nil Runner means a private
+// scheduler pool of opts.Parallelism workers (0 = GOMAXPROCS, 1 =
+// serial).
 //
 // The key carries the engine's tier, so analytic and exact records
 // coexist in one store without ever answering for each other. A pair
@@ -65,13 +65,10 @@ type Runner interface {
 // measured again: once the grid's runs finish, it is served from the
 // store. The remaining misses go to the Runner in runs of about
 // runTarget of work each (engine.Tier.LeafCost), submitted as each run
-// fills. An exact run is one measurement, submitted under its store
-// key's identity, so concurrent characterizations sharing one
-// scheduler — two batches whose experiment sets overlap, two labs at
-// the same fidelity — deduplicate in-flight simulations and queue with
-// global FIFO fairness. A run of cheap analytic measurements is one
-// job of its own, and each of its measurements still coalesces with
-// any concurrent one of the same key through the store.
+// fills. Every measurement coalesces with any concurrent one of the
+// same key — another characterization, a Lab.RunStored — through the
+// store's flight for it (see Stored); runs queue with the Runner's
+// FIFO fairness.
 //
 // Results are stored by (label, machine) and are deterministic
 // regardless of scheduling; of several failed pairs, the first in grid
@@ -91,10 +88,13 @@ func CharacterizeWith(ctx context.Context, entries []Entry, machines []*machine.
 	if r == nil {
 		r = sched.NewPool(opts.Parallelism, nil).Queue(0)
 	}
+	if st == nil {
+		st, _ = store.Open(store.Config{}) // a memory-only Open never fails
+	}
 
 	g := &grid{entries: entries, machines: machines, opts: opts, st: st, eng: eng}
 	kg := store.NewKeyGrid(machines, opts, string(eng.Tier()))
-	runLen := max(1, int(runTarget/eng.Tier().LeafCost()))
+	runLen := leavesPerRun(eng.Tier())
 
 	leaves := make([]leaf, len(entries)*len(machines))
 	missed := make(map[store.Key]*leaf)
@@ -122,11 +122,9 @@ func CharacterizeWith(ctx context.Context, entries []Entry, machines []*machine.
 		}
 		l := &leaves[i]
 		l.i, l.key = i, row[j]
-		if st != nil {
-			if rc, ok := st.Lookup(ctx, l.key); ok {
-				l.rc = rc
-				continue
-			}
+		if rc, ok := st.Lookup(ctx, l.key); ok {
+			l.rc = rc
+			continue
 		}
 		if f, ok := missed[l.key]; ok {
 			l.first = f
@@ -153,7 +151,7 @@ func CharacterizeWith(ctx context.Context, entries []Entry, machines []*machine.
 
 	for _, l := range dups {
 		rc, err := l.first.result()
-		if err == nil && st != nil {
+		if err == nil {
 			if hit, ok := st.Lookup(ctx, l.key); ok {
 				rc = hit
 			}
@@ -183,6 +181,33 @@ func CharacterizeWith(ctx context.Context, entries []Entry, machines []*machine.
 // it. Analytic misses therefore travel ~20 to a job; an exact
 // measurement alone outweighs it.
 const runTarget = time.Millisecond
+
+// leavesPerRun is the number of tier's measurements one job carries.
+func leavesPerRun(tier engine.Tier) int { return max(1, int(runTarget/tier.LeafCost())) }
+
+// Stored returns key's record through getOrCompute — a store's
+// GetOrCompute or GetOrComputeMulti — computing a miss with compute.
+// An exact measurement is a job of its own: it enters the store's
+// flight first and takes a worker slot of r only to lead it, so a
+// caller joining another's measurement holds no slot or worker while
+// it waits. A lone measurement of a tier that travels in runs
+// (analytic) is worth no job: it is computed inline, without a slot.
+// So no flight's leader waits for a slot while a run, which holds its
+// slot across its leaves' flights, can join it.
+func Stored[V any](ctx context.Context, r Runner, tier engine.Tier, key store.Key,
+	getOrCompute func(context.Context, store.Key, func(context.Context) (V, error)) (V, error),
+	compute func(context.Context) (V, error)) (V, error) {
+	if leavesPerRun(tier) > 1 {
+		return getOrCompute(ctx, key, compute)
+	}
+	return getOrCompute(ctx, key, func(fctx context.Context) (v V, err error) {
+		err = r.Do(fctx, key.ID(), func(jctx context.Context) error {
+			v, err = compute(jctx)
+			return err
+		})
+		return v, err
+	})
+}
 
 // grid is one characterization's fixed inputs.
 type grid struct {
@@ -216,10 +241,7 @@ func (l *leaf) result() (*machine.RawCounts, error) {
 	return l.rc, l.err
 }
 
-// run is a group of missed leaves measured by one scheduler job. err
-// is set by the goroutine that submitted the job, never by the job, so
-// a job outliving its canceled submitter writes nothing that goroutine
-// reads.
+// run is a group of missed leaves measured by one scheduler job.
 type run struct {
 	leaves []*leaf
 	err    error
@@ -231,51 +253,34 @@ func (g *grid) pair(l *leaf) (Entry, *machine.Machine) {
 	return g.entries[l.i/n], g.machines[l.i%n]
 }
 
-// measureRun submits ru to r and waits for it. A one-leaf run is keyed
-// by its store key and returns its counts, so concurrent submissions
-// of the same measurement (another characterization, a Lab.RunStored)
-// share one job; a longer run writes its leaves' outcomes itself.
+// measureRun measures ru's leaves through the store on r and waits
+// for them. A one-leaf run is a Stored measurement; a longer run takes
+// one slot for all its leaves and shows its first key and its length
+// on the trace.
 func (g *grid) measureRun(ctx context.Context, r Runner, ru *run) {
 	if len(ru.leaves) == 1 {
 		l := ru.leaves[0]
-		v, err := r.Do(ctx, l.key.ID(), func(jctx context.Context) (any, error) {
-			return g.measure(jctx, l)
-		})
-		if err == nil {
-			l.rc = v.(*machine.RawCounts)
-		}
-		ru.err = err
+		l.rc, ru.err = Stored(ctx, r, g.eng.Tier(), l.key, g.st.GetOrCompute, g.measurer(l))
 		return
 	}
-	// A longer run is keyed by its address, unique among runs in
-	// flight, so runs never coalesce: equal keys would not mean equal
-	// pairs. Its trace shows its first key and its length instead.
 	label := fmt.Sprintf("%s +%d", ru.leaves[0].key.ID(), len(ru.leaves)-1)
-	_, ru.err = r.Do(sched.WithLabel(ctx, label), fmt.Sprintf("run@%p", ru), func(jctx context.Context) (any, error) {
+	ru.err = r.Do(ctx, label, func(jctx context.Context) error {
 		for _, l := range ru.leaves {
 			if err := jctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
-			l.rc, l.err = g.measure(jctx, l)
+			l.rc, l.err = g.st.GetOrCompute(jctx, l.key, g.measurer(l))
 		}
-		return nil, nil
+		return nil
 	})
 }
 
-// measure runs one leaf on the engine, through the store when there is
-// one: on the calling goroutine, coalescing with any concurrent
-// measurement of the same key.
-func (g *grid) measure(ctx context.Context, l *leaf) (*machine.RawCounts, error) {
+// measurer returns the computation of one leaf on the engine.
+func (g *grid) measurer(l *leaf) func(context.Context) (*machine.RawCounts, error) {
 	e, m := g.pair(l)
-	if g.st == nil {
+	return func(ctx context.Context) (*machine.RawCounts, error) {
 		return g.eng.Measure(ctx, m, e.Workload, g.opts)
 	}
-	return g.st.GetOrCompute(ctx, l.key, func(fctx context.Context) (*machine.RawCounts, error) {
-		if err := fctx.Err(); err != nil {
-			return nil, err // every waiter left before the run began
-		}
-		return g.eng.Measure(fctx, m, e.Workload, g.opts)
-	})
 }
 
 // newCharacterization validates the inputs and allocates the empty

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -60,12 +61,50 @@ func TestCharacterizeScheduledMatchesUnscheduled(t *testing.T) {
 	}
 }
 
+// joinCounter is a context counting the calls to its Done method. A
+// characterization whose every pair another one is already measuring
+// calls Done only to wait on those measurements' store flights, once
+// per join, so the count is how many it has joined.
+type joinCounter struct {
+	context.Context
+	n atomic.Int64
+}
+
+func (c *joinCounter) Done() <-chan struct{} {
+	c.n.Add(1)
+	return c.Context.Done()
+}
+
+// holdWorker occupies the only worker of p until the returned release
+// is called, which waits for the worker to be free again.
+func holdWorker(t *testing.T, p *sched.Pool) (release func()) {
+	t.Helper()
+	gate, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		p.Queue(0).Do(context.Background(), "blocker", func(context.Context) error {
+			<-gate
+			return nil
+		})
+	}()
+	waitForPool(t, p, func(s sched.Stats) bool { return s.Inflight == 1 })
+	return func() {
+		close(gate)
+		<-done
+	}
+}
+
+type charResult struct {
+	c   *Characterization
+	err error
+}
+
 // TestCharacterizeScheduledSharesMeasurements is the batch-overlap
 // invariant end to end: two characterizations of the same entries
-// submitted through one shared scheduler perform each simulation
-// exactly once. The pool's only worker is held by a blocker job until
-// the second characterization has joined every one of the first's
-// pending jobs, so the dedup cannot be timing luck.
+// through one shared scheduler perform each simulation exactly once,
+// and the second joins the first's store flights without taking a
+// queue slot. The pool's only worker is held until every join has
+// happened, so the sharing cannot be timing luck.
 func TestCharacterizeScheduledSharesMeasurements(t *testing.T) {
 	entries := schedEntries(t, "505.mcf_r", "541.leela_r")
 	machines := testMachines(t)[:2]
@@ -77,38 +116,24 @@ func TestCharacterizeScheduledSharesMeasurements(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := sched.NewPool(1, nil)
+	release := holdWorker(t, pool)
 
-	// Hold the single worker so every measurement of both
-	// characterizations is still pending when the overlap happens.
-	release := make(chan struct{})
-	blockerDone := make(chan struct{})
-	go func() {
-		defer close(blockerDone)
-		pool.Queue(0).Do(context.Background(), "blocker", func(context.Context) (any, error) {
-			<-release
-			return nil, nil
-		})
-	}()
-	waitForPool(t, pool, func(s sched.Stats) bool { return s.Inflight == 1 })
-
-	type result struct {
-		c   *Characterization
-		err error
-	}
-	results := make(chan result, 2)
-	for i := 0; i < 2; i++ {
+	results := make(chan charResult, 2)
+	characterize := func(ctx context.Context) {
 		go func() {
-			c, err := CharacterizeWith(context.Background(), entries, machines, opts, st, pool.Queue(0), nil)
-			results <- result{c, err}
+			c, err := CharacterizeWith(ctx, entries, machines, opts, st, pool.Queue(0), nil)
+			results <- charResult{c, err}
 		}()
 	}
-	// Both characterizations have fanned out: pairs jobs queued, and
-	// the latecomer joined every one of them.
-	waitForPool(t, pool, func(s sched.Stats) bool {
-		return s.Depth == pairs && s.DedupHits >= int64(pairs)
-	})
-	close(release)
-	<-blockerDone
+	characterize(context.Background())
+	waitForPool(t, pool, func(s sched.Stats) bool { return s.Depth == pairs })
+	joiner := &joinCounter{Context: context.Background()}
+	characterize(joiner)
+	waitUntil(t, "second characterization to join", func() bool { return joiner.n.Load() == int64(pairs) })
+	if d := pool.Stats().Depth; d != pairs {
+		t.Errorf("queue depth = %d after the joins, want %d (a joiner takes no slot)", d, pairs)
+	}
+	release()
 
 	for i := 0; i < 2; i++ {
 		r := <-results
@@ -119,13 +144,63 @@ func TestCharacterizeScheduledSharesMeasurements(t *testing.T) {
 			t.Fatalf("characterization has %d labels, want %d", len(r.c.Labels), len(entries))
 		}
 	}
-	// Every pair simulated once: the store led exactly `pairs`
-	// computations, and the scheduler deduplicated the rest.
-	if misses := st.Stats().Misses; misses != int64(pairs) {
-		t.Errorf("simulations = %d, want %d (overlapping characterizations must share)", misses, pairs)
+	// Every pair simulated once, and every join counted as a hit.
+	if s := st.Stats(); s.Misses != int64(pairs) || s.Hits != int64(pairs) {
+		t.Errorf("store misses, hits = %d, %d; want %d, %d", s.Misses, s.Hits, pairs, pairs)
 	}
-	if hits := pool.Stats().DedupHits; hits < int64(pairs) {
-		t.Errorf("sched dedup hits = %d, want >= %d", hits, pairs)
+	if started := pool.Stats().Started; started != int64(pairs)+1 {
+		t.Errorf("jobs started = %d, want %d (the blocker and one per pair)", started, pairs+1)
+	}
+}
+
+// TestCharacterizeSurvivesCanceledOverlap: when the first of two
+// overlapping characterizations is canceled while its measurements
+// still wait for the pool, the second, which joined their store
+// flights, measures them itself and returns the unscheduled result.
+func TestCharacterizeSurvivesCanceledOverlap(t *testing.T) {
+	entries := schedEntries(t, "505.mcf_r", "541.leela_r")
+	machines := testMachines(t)[:2]
+	opts := machine.RunOptions{Instructions: 2_000}
+	pairs := len(entries) * len(machines)
+
+	want, err := CharacterizeWith(context.Background(), entries, machines, opts, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(store.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := sched.NewPool(1, nil)
+	release := holdWorker(t, pool)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	first := make(chan error, 1)
+	go func() {
+		_, err := CharacterizeWith(ctx, entries, machines, opts, st, pool.Queue(0), nil)
+		first <- err
+	}()
+	waitForPool(t, pool, func(s sched.Stats) bool { return s.Depth == pairs })
+	joiner := &joinCounter{Context: context.Background()}
+	second := make(chan charResult, 1)
+	go func() {
+		c, err := CharacterizeWith(joiner, entries, machines, opts, st, pool.Queue(0), nil)
+		second <- charResult{c, err}
+	}()
+	waitUntil(t, "second characterization to join", func() bool { return joiner.n.Load() == int64(pairs) })
+
+	cancel()
+	if err := <-first; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled characterization err = %v, want context.Canceled", err)
+	}
+	release()
+	r := <-second
+	if r.err != nil {
+		t.Fatalf("surviving characterization: %v", r.err)
+	}
+	if !reflect.DeepEqual(r.c, want) {
+		t.Error("surviving characterization differs from the unscheduled one")
 	}
 }
 
@@ -136,15 +211,8 @@ func TestCharacterizeScheduledCancellation(t *testing.T) {
 	entries := schedEntries(t, "505.mcf_r", "541.leela_r")
 	machines := testMachines(t)[:2]
 	pool := sched.NewPool(1, nil)
-
 	// Hold the worker so nothing can finish, then cancel.
-	release := make(chan struct{})
-	defer close(release)
-	go pool.Queue(0).Do(context.Background(), "blocker", func(context.Context) (any, error) {
-		<-release
-		return nil, nil
-	})
-	waitForPool(t, pool, func(s sched.Stats) bool { return s.Inflight == 1 })
+	defer holdWorker(t, pool)()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -168,10 +236,15 @@ func TestCharacterizeScheduledCancellation(t *testing.T) {
 
 func waitForPool(t *testing.T, p *sched.Pool, cond func(sched.Stats) bool) {
 	t.Helper()
+	waitUntil(t, "pool condition", func() bool { return cond(p.Stats()) })
+}
+
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for !cond(p.Stats()) {
+	for !cond() {
 		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for pool condition; stats %+v", p.Stats())
+			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -235,9 +308,9 @@ type countingRunner struct {
 	n atomic.Int64
 }
 
-func (r *countingRunner) Do(ctx context.Context, key string, fn func(context.Context) (any, error)) (any, error) {
+func (r *countingRunner) Do(ctx context.Context, label string, fn func(context.Context) error) error {
 	r.n.Add(1)
-	return r.Runner.Do(ctx, key, fn)
+	return r.Runner.Do(ctx, label, fn)
 }
 
 // TestCharacterizeWithPreCanceled: a context canceled before the call

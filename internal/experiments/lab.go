@@ -48,7 +48,7 @@ type Lab struct {
 // lab.
 type labState struct {
 	opts  machine.RunOptions
-	store *store.Store // nil: measure directly
+	store *store.Store
 	sched core.Runner
 	eng   engine.Engine
 
@@ -69,16 +69,19 @@ type labResult struct {
 // NewLabWithEngine returns a Lab measuring with the given run options
 // (zero value = machine defaults: 400k measured instructions per run).
 // Every measurement the lab makes — the shared fleet characterization
-// and the ad-hoc RunStored runs — goes through st (nil: measure
-// directly), is executed by r, and is measured by eng, store-keyed by
-// its tier, so an analytic lab and an exact lab backed by the same
-// store never serve each other's records. r is typically a queue on a
-// scheduler shared process-wide (sched.Pool), which bounds simulation
-// concurrency and deduplicates in-flight work at the (machine ×
-// workload × options) grain across every lab sharing it; nil means a
-// private pool of opts.Parallelism workers. A nil eng measures
-// exactly.
+// and the ad-hoc RunStored runs — goes through st (nil: a private
+// memory-only store), is executed by r, and is measured by eng,
+// store-keyed by its tier, so an analytic lab and an exact lab backed
+// by the same store never serve each other's records. Sharing st is
+// what deduplicates in-flight work at the (machine × workload ×
+// options) grain across labs. r is typically a queue on a scheduler
+// shared process-wide (sched.Pool), which bounds simulation
+// concurrency; nil means a private pool of opts.Parallelism workers. A
+// nil eng measures exactly.
 func NewLabWithEngine(opts machine.RunOptions, st *store.Store, r core.Runner, eng engine.Engine) *Lab {
+	if st == nil {
+		st, _ = store.Open(store.Config{}) // a memory-only Open never fails
+	}
 	if r == nil {
 		r = sched.NewPool(opts.Parallelism, nil).Queue(0)
 	}
@@ -103,8 +106,8 @@ func (l *Lab) Context() context.Context {
 	return context.Background()
 }
 
-// Store returns the lab's measurement store (nil when measuring
-// directly).
+// Store returns the lab's measurement store (a private memory-only one
+// when the lab was made without one).
 func (l *Lab) Store() *store.Store { return l.state.store }
 
 // Options returns the lab's run options.
@@ -201,50 +204,27 @@ func (l *Lab) Fleet() ([]*machine.Machine, error) {
 }
 
 // RunStored measures one workload on one machine through the lab's
-// store (directly when the lab has none). Experiments that measure
-// outside the shared characterization — extra fidelities, replicas,
-// multi-copy runs — route through here so their measurements are
-// cached and persisted like everything else. A store hit is served
-// directly; only a miss goes to the lab's scheduler.
+// store. Experiments that measure outside the shared characterization
+// — extra fidelities, replicas, multi-copy runs — route through here
+// so their measurements are cached and persisted like everything else.
+// A store hit, or a join onto a concurrent measurement of the same
+// key, is served without a scheduler job, and so is a lone analytic
+// estimate (see core.Stored).
 func (l *Lab) RunStored(m *machine.Machine, w machine.Workload, opts machine.RunOptions) (*machine.RawCounts, error) {
-	eng := l.state.eng
-	return runStored(l, store.KeyForEngine(m, w, opts, string(eng.Tier())),
-		(*store.Store).Lookup, (*store.Store).GetOrCompute,
-		func(ctx context.Context) (*machine.RawCounts, error) { return eng.Measure(ctx, m, w, opts) })
+	s := l.state
+	tier := s.eng.Tier()
+	return core.Stored(l.Context(), s.sched, tier, store.KeyForEngine(m, w, opts, string(tier)), s.store.GetOrCompute,
+		func(ctx context.Context) (*machine.RawCounts, error) { return s.eng.Measure(ctx, m, w, opts) })
 }
 
-// RunStoredMulti is RunStored for multi-copy (SPECrate-style) runs.
+// RunStoredMulti is RunStored for multi-copy (SPECrate-style) runs,
+// which are always exact simulations.
 func (l *Lab) RunStoredMulti(m *machine.Machine, w machine.Workload, copies int, opts machine.RunOptions) (*machine.MultiCounts, error) {
-	return runStored(l, store.KeyForMulti(m, w, copies, opts),
-		(*store.Store).LookupMulti, (*store.Store).GetOrComputeMulti,
+	s := l.state
+	return core.Stored(l.Context(), s.sched, engine.TierExact, store.KeyForMulti(m, w, copies, opts), s.store.GetOrComputeMulti,
 		func(ctx context.Context) (*machine.MultiCounts, error) {
 			return core.SimulateMulti(ctx, m, w, copies, opts)
 		})
-}
-
-// runStored serves key from the lab's store when it is resident, and
-// otherwise runs compute on the lab's scheduler, through the store.
-func runStored[V any](l *Lab, key store.Key,
-	lookup func(*store.Store, context.Context, store.Key) (V, bool),
-	getOrCompute func(*store.Store, context.Context, store.Key, func(context.Context) (V, error)) (V, error),
-	compute func(context.Context) (V, error)) (V, error) {
-	st := l.state.store
-	if st != nil {
-		if v, ok := lookup(st, l.Context(), key); ok {
-			return v, nil
-		}
-	}
-	v, err := l.state.sched.Do(l.Context(), key.ID(), func(jctx context.Context) (any, error) {
-		if st == nil {
-			return compute(jctx)
-		}
-		return getOrCompute(st, jctx, key, compute)
-	})
-	if err != nil {
-		var zero V
-		return zero, err
-	}
-	return v.(V), nil
 }
 
 // suiteChar returns the characterization restricted to one CPU2017

@@ -113,9 +113,9 @@ func TestLabBuildSurvivesLeaderCancel(t *testing.T) {
 // full scheduler queue does and runs every later one.
 type shedFirst struct{ calls atomic.Int64 }
 
-func (r *shedFirst) Do(ctx context.Context, _ string, fn func(context.Context) (any, error)) (any, error) {
+func (r *shedFirst) Do(ctx context.Context, _ string, fn func(context.Context) error) error {
 	if r.calls.Add(1) == 1 {
-		return nil, sched.ErrQueueFull
+		return sched.ErrQueueFull
 	}
 	return fn(ctx)
 }
@@ -150,11 +150,12 @@ func (e *countingEngine) Measure(ctx context.Context, m *machine.Machine, w mach
 	return e.Analytic.Measure(ctx, m, w, opts)
 }
 
-// TestAnalyticRunsComputeEachKeyOnce: analytic misses travel in
-// multi-measurement runs whose scheduler keys never coalesce, so the
-// store's flights alone must keep two concurrent characterizations of
-// one grid, and a RunStored of one of its pairs, from measuring any key
-// twice. Every job is running at once before any measurement may
+// TestAnalyticRunsComputeEachKeyOnce: the store's flights alone keep
+// two concurrent characterizations of one grid, whose analytic misses
+// travel in multi-measurement runs, and a RunStored of one of its
+// pairs from measuring any key twice. Every run of both
+// characterizations holds a worker, and the RunStored measures (a lone
+// analytic estimate takes no worker), before any measurement may
 // finish. Both characterizations equal an ungated one.
 func TestAnalyticRunsComputeEachKeyOnce(t *testing.T) {
 	fleet, err := machine.Fleet()
@@ -203,10 +204,18 @@ func TestAnalyticRunsComputeEachKeyOnce(t *testing.T) {
 		_, err := lab.RunStored(machines[1], entries[2].Workload, opts)
 		ran <- err
 	}()
+	// The runs of the two characterizations share their first keys:
+	// one of each pair measures, the other joins. The RunStored's pair
+	// sits inside a run, so it leads that key.
+	measuring := func() int {
+		eng.mu.Lock()
+		defer eng.mu.Unlock()
+		return len(eng.n)
+	}
 	deadline := time.Now().Add(10 * time.Second)
-	for pool.Stats().Inflight < 2*runs+1 {
+	for pool.Stats().Inflight != 2*runs || measuring() != runs+1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for every job to run; stats %+v", pool.Stats())
+			t.Fatalf("timed out waiting for every run and the RunStored; stats %+v, %d keys measuring", pool.Stats(), measuring())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -238,5 +247,67 @@ func TestAnalyticRunsComputeEachKeyOnce(t *testing.T) {
 	}
 	if misses := st.Stats().Misses; misses != int64(len(distinct)) {
 		t.Errorf("store misses = %d, want %d", misses, len(distinct))
+	}
+}
+
+// TestAnalyticRunStoredTakesNoSlot: on a one-worker pool, a RunStored
+// of a pair inside a run that holds the worker measures at once,
+// without a worker. Had it led the pair's flight and then waited for
+// the worker, the run would reach the pair, wait on that flight, and
+// never free the worker.
+func TestAnalyticRunStoredTakesNoSlot(t *testing.T) {
+	fleet, err := machine.Fleet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, machines := Entries()[:4], fleet[:3]
+	opts := machine.RunOptions{Instructions: 30_000}
+	st, err := store.Open(store.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := sched.NewPool(1, nil)
+	gate := make(chan struct{})
+	eng := gatedEngine{gate: gate}
+
+	chars := make(chan error, 1)
+	go func() {
+		_, err := core.CharacterizeWith(context.Background(), entries, machines, opts, st, pool.Queue(0), eng)
+		chars <- err
+	}()
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s; stats %+v", what, pool.Stats())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// The grid's one run holds the worker, its first measurement at the
+	// gate.
+	waitFor("the run to hold the worker", func() bool { return st.Stats().Misses == 1 })
+	lab := NewLabWithEngine(opts, st, pool.Queue(0), eng)
+	ran := make(chan error, 1)
+	go func() {
+		_, err := lab.RunStored(machines[2], entries[1].Workload, opts)
+		ran <- err
+	}()
+	waitFor("RunStored to measure", func() bool { return st.Stats().Misses == 2 })
+	if s := pool.Stats(); s.Depth != 0 || s.Started != 1 {
+		t.Errorf("RunStored queued a job: %+v", s)
+	}
+	close(gate)
+
+	for what, c := range map[string]chan error{"characterization": chars, "RunStored": ran} {
+		select {
+		case err := <-c:
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s deadlocked", what)
+		}
 	}
 }

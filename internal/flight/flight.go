@@ -1,9 +1,10 @@
 // Package flight coalesces concurrent calls for the same key onto one
 // execution — a context-aware singleflight, and the one such primitive
-// on the daemon's request path: the result cache (internal/server),
-// the Lab's fleet build (internal/experiments), the scheduler's jobs
-// (internal/sched) and the measurement store (internal/store) all
-// coalesce through it.
+// on the daemon's request path. Each grain of work coalesces at one
+// point, through it: an experiment result in the result cache
+// (internal/server), the fleet characterization in the Lab's build
+// (internal/experiments), and a measurement in the measurement store
+// (internal/store).
 //
 // The first caller for a key leads: it starts fn on a flight-owned
 // goroutine. Callers arriving while that flight is in progress join it
@@ -27,10 +28,6 @@ import (
 
 // Group coalesces calls by key. The zero value is ready to use.
 type Group[V any] struct {
-	// OnJoin, when set, is called each time a caller joins a flight
-	// already in progress, before it starts waiting.
-	OnJoin func()
-
 	mu    sync.Mutex
 	calls map[string]*call[V]
 }
@@ -87,9 +84,6 @@ func (g *Group[V]) do(ctx context.Context, key string, fn func(context.Context) 
 				c.done = make(chan struct{})
 			}
 			g.mu.Unlock()
-			if g.OnJoin != nil {
-				g.OnJoin()
-			}
 		case inline:
 			c = g.startLocked(key, nil)
 			g.mu.Unlock()

@@ -310,37 +310,6 @@ func TestFlightContextCarriesLeaderValues(t *testing.T) {
 	}
 }
 
-// TestFlightOnJoin: OnJoin runs once per joining caller, before the
-// flight completes.
-func TestFlightOnJoin(t *testing.T) {
-	var joins atomic.Int64
-	g := Group[any]{OnJoin: func() { joins.Add(1) }}
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			g.Do(context.Background(), "k", func(context.Context) (any, error) {
-				<-release
-				return nil, nil
-			})
-		}()
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for joins.Load() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("OnJoin ran %d times before release, want 2", joins.Load())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	wg.Wait()
-	if n := joins.Load(); n != 2 {
-		t.Errorf("OnJoin ran %d times, want 2", n)
-	}
-}
-
 // waitJoined waits until n callers have joined key's flight.
 func waitJoined(t *testing.T, g *Group[any], key string, n int) {
 	t.Helper()

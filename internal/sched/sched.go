@@ -1,31 +1,24 @@
 // Package sched is the shared measurement scheduler: one bounded
 // worker pool through which every simulation in the process flows,
-// whoever asked for it. Where internal/server's flight deduplicates at
-// the *experiment* grain and internal/store's at the *persistence*
-// grain, the scheduler deduplicates in-flight work at the measurement
-// grain — (machine × workload × canonical options), the store's key —
-// so two batches whose experiment sets overlap share the underlying
-// simulations instead of queueing them twice. All three coalesce
-// through internal/flight.
+// whoever asked for it. It grants worker slots and does not coalesce:
+// a measurement's one coalescing point is its store flight
+// (internal/store), which a caller joins before it asks for a slot, so
+// a caller sharing another's measurement never reaches the pool.
 //
 // Structure:
 //
-//   - A Pool owns the workers and a global FIFO of pending jobs.
+//   - A Pool owns the worker slots and a global FIFO of pending jobs.
 //     Jobs start strictly in submission order (fairness across
 //     requests), bounded by the pool's worker count.
 //   - A Queue is one submitter's handle on the pool — a batch, a
 //     request, a CLI run — with an optional concurrency cap of its
 //     own, so one enormous batch cannot monopolize the workers while
 //     other queues' jobs starve behind it.
-//   - Do submits one keyed job. If a job with the same key is already
-//     pending or running (submitted through *any* queue), the caller
-//     joins it as a waiter instead of enqueueing a duplicate; the
-//     join is counted as a dedup hit.
+//   - Do waits for a slot, runs the job on the caller's goroutine
+//     under the caller's context, and releases the slot.
 //
-// Cancellation follows internal/flight: each waiter waits under its
-// own context, and a job every one of whose waiters has departed is
-// canceled (if running) or removed from the queue (if still pending)
-// instead of burning a worker.
+// A caller whose context ends while its job is still pending leaves
+// the queue at once, so abandoned work never occupies a worker.
 package sched
 
 import (
@@ -35,22 +28,19 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/flight"
 	"repro/internal/metrics"
 	"repro/internal/telemetry"
 )
 
-// Shed errors. Both are terminal for every waiter of the affected
-// submission — unlike a flight abandoned by its waiters, they are
+// Shed errors. Do returns them without running the job, and they are
 // never retried, so callers can map them to a load-shedding response
 // (429) in bounded time.
 var (
 	// ErrQueueFull is returned by Do when the pool's pending queue is
-	// at MaxQueue and the submission would enqueue a new job.
+	// at MaxQueue.
 	ErrQueueFull = errors.New("sched: pending queue full")
-	// ErrQueueTimeout is returned by Do when a pending job waited
-	// longer than the pool's QueueWait without reaching a worker and
-	// was shed.
+	// ErrQueueTimeout is returned by Do when its job waited longer
+	// than the pool's QueueWait without reaching a worker and was shed.
 	ErrQueueTimeout = errors.New("sched: queue-wait timeout")
 )
 
@@ -58,7 +48,6 @@ var (
 type poolMetrics struct {
 	depth     *metrics.Gauge     // jobs queued, not yet started
 	inflight  *metrics.Gauge     // jobs running right now
-	dedup     *metrics.Counter   // submissions that joined an existing job
 	started   *metrics.Counter   // jobs actually handed to a worker
 	shed      *metrics.Counter   // jobs rejected or timed out before starting
 	queueWait *metrics.Histogram // pending time of dispatched jobs
@@ -70,10 +59,8 @@ func newPoolMetrics(r *metrics.Registry) poolMetrics {
 			"Scheduler jobs queued and waiting for a worker."),
 		inflight: r.Gauge("spec17_sched_inflight",
 			"Scheduler jobs running right now."),
-		dedup: r.Counter("spec17_sched_dedup_hits_total",
-			"Submissions that joined an already pending or running job with the same key."),
 		started: r.Counter("spec17_sched_jobs_started_total",
-			"Jobs handed to a worker (deduplicated submissions excluded)."),
+			"Jobs handed to a worker."),
 		shed: r.Counter("spec17_sched_shed_total",
 			"Jobs shed before starting: rejected by the queue bound or timed out waiting."),
 		queueWait: r.Histogram("spec17_sched_queue_wait_seconds",
@@ -82,13 +69,12 @@ func newPoolMetrics(r *metrics.Registry) poolMetrics {
 	}
 }
 
-// job is one keyed job's place in the pending FIFO: its leader waits
+// job is one submission's place in the pending FIFO: its caller waits
 // on ready for a worker slot.
 type job struct {
 	queue *Queue
 	// submitted is when the job entered the pending FIFO; the gap to
-	// dispatch is surfaced as a sched.wait span on the submitting
-	// request's trace.
+	// dispatch is surfaced as a sched.wait span on the caller's trace.
 	submitted time.Time
 	// ready receives nil when a worker slot is granted, or
 	// ErrQueueTimeout when the job is shed. Buffered: the sender never
@@ -110,14 +96,12 @@ type PoolConfig struct {
 	// Workers bounds concurrently running jobs (<= 0: GOMAXPROCS).
 	Workers int
 	// MaxQueue bounds the pending FIFO. A submission that would
-	// enqueue a new job beyond the bound fails with ErrQueueFull
-	// instead of queueing without bound; dedup joins onto already
-	// pending or running jobs are always allowed (they add no work).
-	// 0 means unbounded.
+	// enqueue a job beyond the bound fails with ErrQueueFull instead
+	// of queueing without bound. 0 means unbounded.
 	MaxQueue int
 	// QueueWait bounds how long a pending job may wait for a worker.
-	// A job pending longer is shed: removed from the queue, and every
-	// waiter gets ErrQueueTimeout — better to fail fast than to start
+	// A job pending longer is shed: removed from the queue, and its
+	// caller gets ErrQueueTimeout — better to fail fast than to start
 	// work whose audience gave up long ago. 0 disables.
 	QueueWait time.Duration
 	// Metrics receives the spec17_sched_* instruments. Nil uses a
@@ -125,7 +109,7 @@ type PoolConfig struct {
 	Metrics *metrics.Registry
 }
 
-// Pool is a bounded, keyed, FIFO worker pool shared by any number of
+// Pool is a bounded FIFO of worker slots shared by any number of
 // Queues. Create with NewPool or NewPoolWith; the zero value is not
 // usable.
 type Pool struct {
@@ -133,9 +117,6 @@ type Pool struct {
 	workers   int
 	maxQueue  int
 	queueWait time.Duration
-
-	// flights coalesces submissions by key: a job is one flight.
-	flights flight.Group[any]
 
 	mu       sync.Mutex
 	running  int
@@ -160,14 +141,12 @@ func NewPoolWith(cfg PoolConfig) *Pool {
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
-	p := &Pool{
+	return &Pool{
 		met:       newPoolMetrics(cfg.Metrics),
 		workers:   cfg.Workers,
 		maxQueue:  cfg.MaxQueue,
 		queueWait: cfg.QueueWait,
 	}
-	p.flights.OnJoin = p.met.dedup.Inc
-	return p
 }
 
 // Queue is one submitter's handle on a Pool. Queues are cheap; create
@@ -183,8 +162,7 @@ type Queue struct {
 
 // Queue returns a new submission handle. cap bounds how many of the
 // queue's jobs may run concurrently (<= 0: no per-queue bound — the
-// pool's worker count is the only limit). Jobs joined by dedup count
-// against the queue that first submitted them.
+// pool's worker count is the only limit).
 func (p *Pool) Queue(cap int) *Queue {
 	return &Queue{pool: p, cap: cap}
 }
@@ -196,25 +174,14 @@ func (p *Pool) Workers() int { return p.workers }
 // pool's worker count bounds it).
 func (q *Queue) Cap() int { return q.cap }
 
-// Running returns how many of this queue's jobs currently hold a
-// worker. Background submitters (async job sweeps) surface this in
-// /v1/status so an operator can see how much of the simulation pool
-// background work is occupying.
-func (q *Queue) Running() int {
-	q.pool.mu.Lock()
-	defer q.pool.mu.Unlock()
-	return q.running
-}
-
 // Stats is a point-in-time snapshot of the pool's counters, for tests
 // and callers that want to wait for the queue to settle.
 type Stats struct {
-	Depth     int   // jobs queued, not yet started
-	Inflight  int   // jobs running
-	DedupHits int64 // submissions that joined an existing job
-	Started   int64 // jobs handed to a worker
-	Shed      int64 // jobs shed by the queue bound or the wait timeout
-	MaxQueue  int   // configured pending bound (0: unbounded)
+	Depth    int   // jobs queued, not yet started
+	Inflight int   // jobs running
+	Started  int64 // jobs handed to a worker
+	Shed     int64 // jobs shed by the queue bound or the wait timeout
+	MaxQueue int   // configured pending bound (0: unbounded)
 }
 
 // Stats returns the pool's current counters.
@@ -222,12 +189,11 @@ func (p *Pool) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return Stats{
-		Depth:     p.npending,
-		Inflight:  p.running,
-		DedupHits: int64(p.met.dedup.Value()),
-		Started:   int64(p.met.started.Value()),
-		Shed:      int64(p.met.shed.Value()),
-		MaxQueue:  p.maxQueue,
+		Depth:    p.npending,
+		Inflight: p.running,
+		Started:  int64(p.met.started.Value()),
+		Shed:     int64(p.met.shed.Value()),
+		MaxQueue: p.maxQueue,
 	}
 }
 
@@ -290,9 +256,8 @@ func (p *Pool) dispatch() {
 
 // shedPending fires when j's queue-wait timer expires. If the job is
 // still pending — no worker ever reached it — it is removed and its
-// leader gets ErrQueueTimeout, which the flight hands to every waiter
-// and which frees the key for fresh submissions. A job already
-// dispatched or abandoned is left alone.
+// caller gets ErrQueueTimeout. A job already dispatched or abandoned is
+// left alone.
 func (p *Pool) shedPending(j *job) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -304,35 +269,26 @@ func (p *Pool) shedPending(j *job) {
 	j.ready <- ErrQueueTimeout
 }
 
-// Do submits one keyed job and blocks until it completes or ctx is
-// canceled. If a job with the same key is already pending or running,
-// the caller joins it (a dedup hit) instead of enqueueing a second
-// copy — fn is then never called. fn receives a job-owned context,
-// canceled when every waiter has departed; the caller's ctx only ever
-// aborts its own wait. A caller whose joined job was killed by *other*
-// waiters' departure resubmits, so a live caller always gets a result
-// or its own context error.
-func (q *Queue) Do(ctx context.Context, key string, fn func(context.Context) (any, error)) (any, error) {
-	v, err, _ := q.pool.flights.Do(ctx, key, func(jctx context.Context) (any, error) {
-		if err := q.acquire(jctx, key); err != nil {
-			return nil, err
-		}
-		defer q.release()
-		return fn(jctx)
-	})
-	return v, err
+// Do waits for a worker slot, runs fn on the caller's goroutine under
+// ctx, and releases the slot when fn returns. The time the job waited
+// pending is recorded as a sched.wait span on ctx's trace, with label
+// as its key attribute. Do fails without running fn with
+// ErrQueueFull when the pending queue is at its bound, with
+// ErrQueueTimeout when the job is shed, and with ctx's error when ctx
+// ends first, which also drops the job from the queue.
+func (q *Queue) Do(ctx context.Context, label string, fn func(context.Context) error) error {
+	if err := q.acquire(ctx, label); err != nil {
+		return err
+	}
+	defer q.release()
+	return fn(ctx)
 }
 
-// acquire queues the job's leader in the pending FIFO and waits for a
-// worker slot. It fails with ErrQueueFull when the queue is at its
-// bound, with ErrQueueTimeout when the job is shed, and with the job
-// context's error when every waiter left first, which also drops the
-// job from the queue.
-func (q *Queue) acquire(jctx context.Context, key string) error {
+// acquire queues a job in the pending FIFO and waits for its worker
+// slot.
+func (q *Queue) acquire(ctx context.Context, label string) error {
 	p := q.pool
 	p.mu.Lock()
-	// Only a new job takes a queue slot; a dedup join adds no work, so
-	// it passes even at the bound.
 	if p.maxQueue > 0 && p.npending >= p.maxQueue {
 		p.met.shed.Inc()
 		p.mu.Unlock()
@@ -346,48 +302,32 @@ func (q *Queue) acquire(jctx context.Context, key string) error {
 	p.dispatch()
 	p.mu.Unlock()
 
+	var err error
 	select {
-	case err := <-j.ready:
-		if err != nil {
-			return err
-		}
-	case <-jctx.Done():
+	case err = <-j.ready:
+	case <-ctx.Done():
 		p.mu.Lock()
 		if j.pending {
 			p.removePending(j) // never started: drop it from the queue
 			p.mu.Unlock()
-			return jctx.Err()
+			return ctx.Err()
 		}
 		p.mu.Unlock()
-		// Dispatched or shed in the meantime.
-		if err := <-j.ready; err != nil {
-			return err
-		}
-		q.release()
-		return jctx.Err()
+		err = <-j.ready // dispatched or shed in the meantime
+	}
+	if err != nil {
+		return err
+	}
+	if err := ctx.Err(); err != nil {
+		q.release() // granted as the caller left: run nothing
+		return err
 	}
 	// The queueing delay is request-visible latency the job's own
-	// execution spans never show; attribute it to the trace of the
-	// submission that created the job.
-	if sp := telemetry.FromContext(jctx); sp != nil {
-		label := key
-		if l, ok := jctx.Value(labelKey{}).(string); ok {
-			label = l
-		}
+	// spans never show; attribute it to the caller's trace.
+	if sp := telemetry.FromContext(ctx); sp != nil {
 		sp.Record("sched.wait", j.submitted, time.Now(), "key", label)
 	}
 	return nil
-}
-
-// labelKey is the context key of a job's trace label.
-type labelKey struct{}
-
-// WithLabel returns ctx carrying label, which a job led under the
-// returned context shows as its sched.wait span's key attribute in
-// place of its key. It is for a job whose key means nothing to a
-// reader: one unique only so that it coalesces with no other job.
-func WithLabel(ctx context.Context, label string) context.Context {
-	return context.WithValue(ctx, labelKey{}, label)
 }
 
 // release returns a worker slot held by one of q's jobs.

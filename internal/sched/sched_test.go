@@ -24,55 +24,6 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-func TestDedupSharesOneExecution(t *testing.T) {
-	p := NewPool(2, nil)
-	qa, qb := p.Queue(0), p.Queue(0)
-
-	var execs atomic.Int64
-	release := make(chan struct{})
-	fn := func(context.Context) (any, error) {
-		execs.Add(1)
-		<-release
-		return "shared", nil
-	}
-
-	const waiters = 8
-	results := make(chan any, 2*waiters)
-	var wg sync.WaitGroup
-	for i := 0; i < waiters; i++ {
-		for _, q := range []*Queue{qa, qb} {
-			wg.Add(1)
-			go func(q *Queue) {
-				defer wg.Done()
-				v, err := q.Do(context.Background(), "k", fn)
-				if err != nil {
-					t.Errorf("Do: %v", err)
-				}
-				results <- v
-			}(q)
-		}
-	}
-	// Every submission after the first must register as a dedup hit
-	// before the job is released, so the test cannot pass by lucky
-	// sequential timing.
-	waitFor(t, "dedup joins", func() bool { return p.Stats().DedupHits == 2*waiters-1 })
-	close(release)
-	wg.Wait()
-	close(results)
-
-	if n := execs.Load(); n != 1 {
-		t.Errorf("executions = %d, want 1", n)
-	}
-	for v := range results {
-		if v != "shared" {
-			t.Errorf("result = %v, want shared", v)
-		}
-	}
-	if s := p.Stats(); s.Started != 1 || s.Depth != 0 || s.Inflight != 0 {
-		t.Errorf("stats after drain = %+v", s)
-	}
-}
-
 func TestFIFOOrder(t *testing.T) {
 	p := NewPool(1, nil)
 	q := p.Queue(0)
@@ -80,9 +31,9 @@ func TestFIFOOrder(t *testing.T) {
 	// Block the single worker, then enqueue jobs 0..n; they must run
 	// in submission order.
 	blocker := make(chan struct{})
-	go q.Do(context.Background(), "blocker", func(context.Context) (any, error) {
+	go q.Do(context.Background(), "blocker", func(context.Context) error {
 		<-blocker
-		return nil, nil
+		return nil
 	})
 	waitFor(t, "blocker running", func() bool { return p.Stats().Inflight == 1 })
 
@@ -95,11 +46,11 @@ func TestFIFOOrder(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			q.Do(context.Background(), fmt.Sprintf("job-%d", i), func(context.Context) (any, error) {
+			q.Do(context.Background(), fmt.Sprintf("job-%d", i), func(context.Context) error {
 				mu.Lock()
 				order = append(order, i)
 				mu.Unlock()
-				return nil, nil
+				return nil
 			})
 		}()
 		// Serialize submission so the FIFO order is deterministic.
@@ -123,24 +74,24 @@ func TestQueueCapDoesNotStarveOthers(t *testing.T) {
 
 	aRelease := make(chan struct{})
 	aStarted := make(chan string, 4)
-	go qa.Do(context.Background(), "a1", func(context.Context) (any, error) {
+	go qa.Do(context.Background(), "a1", func(context.Context) error {
 		aStarted <- "a1"
 		<-aRelease
-		return nil, nil
+		return nil
 	})
 	waitFor(t, "a1 running", func() bool { return p.Stats().Inflight == 1 })
 
 	// a2 queues behind a1 (queue A cap = 1) even though a worker is free.
-	go qa.Do(context.Background(), "a2", func(context.Context) (any, error) {
+	go qa.Do(context.Background(), "a2", func(context.Context) error {
 		aStarted <- "a2"
-		return nil, nil
+		return nil
 	})
 	waitFor(t, "a2 queued", func() bool { return p.Stats().Depth == 1 })
 
 	// Queue B submitted later must start immediately on the free worker.
 	done := make(chan struct{})
 	go func() {
-		qb.Do(context.Background(), "b1", func(context.Context) (any, error) { return "b", nil })
+		qb.Do(context.Background(), "b1", func(context.Context) error { return nil })
 		close(done)
 	}()
 	select {
@@ -167,7 +118,7 @@ func TestPoolBound(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			q.Do(context.Background(), fmt.Sprintf("j%d", i), func(context.Context) (any, error) {
+			q.Do(context.Background(), fmt.Sprintf("j%d", i), func(context.Context) error {
 				n := inflight.Add(1)
 				for {
 					m := peak.Load()
@@ -177,7 +128,7 @@ func TestPoolBound(t *testing.T) {
 				}
 				time.Sleep(5 * time.Millisecond)
 				inflight.Add(-1)
-				return nil, nil
+				return nil
 			})
 		}()
 	}
@@ -187,9 +138,9 @@ func TestPoolBound(t *testing.T) {
 	}
 }
 
-// TestLastWaiterCancelsRunningJob: a running job whose only waiter
-// departs has its context canceled; a pending job is dropped from the
-// queue outright.
+// TestCancellation: a running job runs under its caller's context, so
+// the caller's cancellation reaches it; a pending job whose caller
+// departs is dropped from the queue outright.
 func TestCancellation(t *testing.T) {
 	p := NewPool(1, nil)
 	q := p.Queue(0)
@@ -199,31 +150,29 @@ func TestCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := q.Do(ctx, "running", func(jctx context.Context) (any, error) {
+		errc <- q.Do(ctx, "running", func(jctx context.Context) error {
 			close(started)
 			<-jctx.Done()
 			close(canceled)
-			return nil, jctx.Err()
+			return jctx.Err()
 		})
-		errc <- err
 	}()
 	<-started
 
-	// A pending job behind it, whose waiter also departs: it must be
+	// A pending job behind it, whose caller also departs: it must be
 	// dropped from the queue without ever running.
 	pctx, pcancel := context.WithCancel(context.Background())
 	perrc := make(chan error, 1)
 	go func() {
-		_, err := q.Do(pctx, "pending", func(context.Context) (any, error) {
-			t.Error("pending job ran after its only waiter departed")
-			return nil, nil
+		perrc <- q.Do(pctx, "pending", func(context.Context) error {
+			t.Error("pending job ran after its caller departed")
+			return nil
 		})
-		perrc <- err
 	}()
 	waitFor(t, "pending job queued", func() bool { return p.Stats().Depth == 1 })
 	pcancel()
 	if err := <-perrc; !errors.Is(err, context.Canceled) {
-		t.Errorf("pending waiter error = %v, want context.Canceled", err)
+		t.Errorf("pending caller error = %v, want context.Canceled", err)
 	}
 	waitFor(t, "pending job dropped", func() bool { return p.Stats().Depth == 0 })
 
@@ -231,106 +180,23 @@ func TestCancellation(t *testing.T) {
 	select {
 	case <-canceled:
 	case <-time.After(5 * time.Second):
-		t.Fatal("running job's context not canceled after last waiter left")
+		t.Fatal("running job's context not canceled after its caller left")
 	}
 	if err := <-errc; !errors.Is(err, context.Canceled) {
-		t.Errorf("running waiter error = %v, want context.Canceled", err)
+		t.Errorf("running caller error = %v, want context.Canceled", err)
 	}
 	waitFor(t, "pool idle", func() bool { s := p.Stats(); return s.Depth == 0 && s.Inflight == 0 })
 
-	// The abandoned key is not poisoned: a fresh submission runs.
-	v, err := q.Do(context.Background(), "running", func(context.Context) (any, error) { return 42, nil })
-	if err != nil || v != 42 {
-		t.Errorf("resubmission after abandonment = %v, %v", v, err)
+	// The freed slot serves a fresh submission.
+	ran := false
+	if err := q.Do(context.Background(), "after", func(context.Context) error { ran = true; return nil }); err != nil || !ran {
+		t.Errorf("submission after cancellation: ran %v, err %v", ran, err)
 	}
 }
 
-// TestSurvivorKeepsSharedJobAlive is the batch-disconnect invariant at
-// the scheduler layer: two waiters share one job; one departs; the
-// job keeps running for the survivor.
-func TestSurvivorKeepsSharedJobAlive(t *testing.T) {
-	p := NewPool(1, nil)
-	qa, qb := p.Queue(0), p.Queue(0)
-
-	started := make(chan struct{})
-	release := make(chan struct{})
-	fn := func(jctx context.Context) (any, error) {
-		close(started)
-		select {
-		case <-release:
-			return "done", nil
-		case <-jctx.Done():
-			return nil, jctx.Err()
-		}
-	}
-
-	actx, acancel := context.WithCancel(context.Background())
-	aerr := make(chan error, 1)
-	go func() {
-		_, err := qa.Do(actx, "shared", fn)
-		aerr <- err
-	}()
-	<-started
-
-	bval := make(chan any, 1)
-	go func() {
-		v, err := qb.Do(context.Background(), "shared", fn)
-		if err != nil {
-			t.Errorf("survivor: %v", err)
-		}
-		bval <- v
-	}()
-	waitFor(t, "survivor joined", func() bool { return p.Stats().DedupHits == 1 })
-
-	acancel() // waiter A disconnects mid-flight
-	if err := <-aerr; !errors.Is(err, context.Canceled) {
-		t.Errorf("departed waiter error = %v", err)
-	}
-	// The job must still be live for B: release it and check B's value.
-	close(release)
-	select {
-	case v := <-bval:
-		if v != "done" {
-			t.Errorf("survivor got %v, want done", v)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("survivor never got the shared result — job was canceled by the other waiter's departure")
-	}
-}
-
-func TestErrorPropagatesToAllWaiters(t *testing.T) {
-	p := NewPool(2, nil)
-	q := p.Queue(0)
-	boom := errors.New("boom")
-	release := make(chan struct{})
-
-	var wg sync.WaitGroup
-	errs := make(chan error, 4)
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, err := q.Do(context.Background(), "bad", func(context.Context) (any, error) {
-				<-release
-				return nil, boom
-			})
-			errs <- err
-		}()
-	}
-	waitFor(t, "waiters joined", func() bool { return p.Stats().DedupHits == 3 })
-	close(release)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if !errors.Is(err, boom) {
-			t.Errorf("waiter error = %v, want boom", err)
-		}
-	}
-}
-
-// TestStress hammers the pool from many goroutines with overlapping
-// keys and random cancellation; run under -race this is the
-// scheduler's data-race net.
+// TestStress hammers the pool from many goroutines and queues with
+// random cancellation; run under -race this is the scheduler's
+// data-race net.
 func TestStress(t *testing.T) {
 	p := NewPool(4, nil)
 	var execs atomic.Int64
@@ -347,16 +213,15 @@ func TestStress(t *testing.T) {
 				if i%7 == 0 {
 					ctx, cancel = context.WithTimeout(ctx, time.Microsecond)
 				}
-				key := fmt.Sprintf("k%d", (g+i)%10)
-				v, err := q.Do(ctx, key, func(context.Context) (any, error) {
+				err := q.Do(ctx, fmt.Sprintf("g%d-%d", g, i), func(context.Context) error {
 					execs.Add(1)
-					return key, nil
+					return nil
 				})
 				if cancel != nil {
 					cancel()
 				}
-				if err == nil && v != key {
-					t.Errorf("got %v for %s", v, key)
+				if err != nil && !errors.Is(err, context.DeadlineExceeded) {
+					t.Errorf("unexpected err: %v", err)
 				}
 			}
 		}()
@@ -368,26 +233,30 @@ func TestStress(t *testing.T) {
 	}
 }
 
-// TestQueueFull: submissions that would enqueue a new job beyond
-// MaxQueue fail promptly with ErrQueueFull; dedup joins onto an
-// existing job still pass at the bound.
+// TestQueueFull: a submission that would enqueue a job beyond MaxQueue
+// fails promptly with ErrQueueFull, and passes again once the queue
+// drains.
 func TestQueueFull(t *testing.T) {
 	p := NewPoolWith(PoolConfig{Workers: 1, MaxQueue: 1})
 	q := p.Queue(0)
 
 	release := make(chan struct{})
-	blocker := func(context.Context) (any, error) { <-release; return "v", nil }
+	blocker := func(context.Context) error { <-release; return nil }
 
 	// Occupy the single worker...
-	go q.Do(context.Background(), "running", blocker)
+	done := make(chan error, 2)
+	go func() { done <- q.Do(context.Background(), "running", blocker) }()
 	waitFor(t, "worker busy", func() bool { return p.Stats().Inflight == 1 })
 	// ...and the single queue slot.
-	go q.Do(context.Background(), "queued", blocker)
+	go func() { done <- q.Do(context.Background(), "queued", blocker) }()
 	waitFor(t, "queue full", func() bool { return p.Stats().Depth == 1 })
 
-	// A new key must be rejected, promptly.
+	// One more job must be rejected, promptly, without running.
 	start := time.Now()
-	_, err := q.Do(context.Background(), "overflow", blocker)
+	err := q.Do(context.Background(), "overflow", func(context.Context) error {
+		t.Error("rejected job ran")
+		return nil
+	})
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
@@ -398,64 +267,57 @@ func TestQueueFull(t *testing.T) {
 		t.Errorf("Shed = %d, want 1", got)
 	}
 
-	// Joining the pending or the running job adds no work: allowed.
-	joined := make(chan error, 2)
-	go func() { _, err := q.Do(context.Background(), "queued", blocker); joined <- err }()
-	go func() { _, err := q.Do(context.Background(), "running", blocker); joined <- err }()
-	waitFor(t, "dedup joins at the bound", func() bool { return p.Stats().DedupHits >= 2 })
-
 	close(release)
 	for i := 0; i < 2; i++ {
-		if err := <-joined; err != nil {
-			t.Errorf("dedup join failed at the bound: %v", err)
+		if err := <-done; err != nil {
+			t.Errorf("admitted job failed: %v", err)
 		}
 	}
 	// After the queue drains, fresh submissions pass again.
-	if _, err := q.Do(context.Background(), "after", func(context.Context) (any, error) { return 1, nil }); err != nil {
+	if err := q.Do(context.Background(), "after", func(context.Context) error { return nil }); err != nil {
 		t.Errorf("submission after drain failed: %v", err)
 	}
 }
 
 // TestQueueWaitTimeout: a pending job nobody dispatches within
-// QueueWait is shed — every waiter gets ErrQueueTimeout, the key is
-// freed, and the pool's bookkeeping (jobs map, pending count) is clean.
+// QueueWait is shed — its caller gets ErrQueueTimeout, the job never
+// runs, and the pool's bookkeeping is clean.
 func TestQueueWaitTimeout(t *testing.T) {
 	p := NewPoolWith(PoolConfig{Workers: 1, QueueWait: 30 * time.Millisecond})
 	q := p.Queue(0)
 
 	release := make(chan struct{})
-	go q.Do(context.Background(), "hog", func(context.Context) (any, error) { <-release; return "v", nil })
+	go q.Do(context.Background(), "hog", func(context.Context) error { <-release; return nil })
 	waitFor(t, "worker busy", func() bool { return p.Stats().Inflight == 1 })
 
 	var started atomic.Int64
-	const waiters = 3
-	errs := make(chan error, waiters)
-	for i := 0; i < waiters; i++ {
+	const callers = 3
+	errs := make(chan error, callers)
+	for i := 0; i < callers; i++ {
 		go func() {
-			_, err := q.Do(context.Background(), "doomed", func(context.Context) (any, error) {
+			errs <- q.Do(context.Background(), "doomed", func(context.Context) error {
 				started.Add(1)
-				return nil, nil
+				return nil
 			})
-			errs <- err
 		}()
 	}
-	for i := 0; i < waiters; i++ {
+	for i := 0; i < callers; i++ {
 		if err := <-errs; !errors.Is(err, ErrQueueTimeout) {
-			t.Fatalf("waiter err = %v, want ErrQueueTimeout", err)
+			t.Fatalf("caller err = %v, want ErrQueueTimeout", err)
 		}
 	}
 	if n := started.Load(); n != 0 {
-		t.Errorf("shed job ran %d times, want 0", n)
+		t.Errorf("shed jobs ran %d times, want 0", n)
 	}
-	if got := p.Stats().Shed; got != 1 {
-		t.Errorf("Shed = %d, want 1", got)
+	if got := p.Stats().Shed; got != callers {
+		t.Errorf("Shed = %d, want %d", got, callers)
 	}
 
-	// The key is free again: a fresh submission under the same key runs
-	// once the worker frees up.
+	// A fresh submission runs once the worker frees up.
 	close(release)
-	if v, err := q.Do(context.Background(), "doomed", func(context.Context) (any, error) { return "second life", nil }); err != nil || v != "second life" {
-		t.Errorf("resubmission after shed = %v, %v", v, err)
+	ran := false
+	if err := q.Do(context.Background(), "doomed", func(context.Context) error { ran = true; return nil }); err != nil || !ran {
+		t.Errorf("submission after shed: ran %v, err %v", ran, err)
 	}
 	s := p.Stats()
 	if s.Depth != 0 || s.Inflight != 0 {
@@ -468,26 +330,26 @@ func TestQueueWaitTimeout(t *testing.T) {
 func TestQueueWaitTimerStoppedOnDispatch(t *testing.T) {
 	p := NewPoolWith(PoolConfig{Workers: 1, QueueWait: 20 * time.Millisecond})
 	q := p.Queue(0)
-	v, err := q.Do(context.Background(), "quick", func(context.Context) (any, error) {
+	err := q.Do(context.Background(), "quick", func(context.Context) error {
 		time.Sleep(60 * time.Millisecond) // outlive QueueWait while running
-		return "ok", nil
+		return nil
 	})
-	if err != nil || v != "ok" {
-		t.Fatalf("Do = %v, %v; want ok, nil", v, err)
+	if err != nil {
+		t.Fatalf("Do = %v, want nil", err)
 	}
 	if got := p.Stats().Shed; got != 0 {
 		t.Errorf("Shed = %d, want 0 (job was dispatched, not shed)", got)
 	}
 }
 
-// TestQueueWaitAbandonRace: waiters abandoning a pending job around
-// the same time its shed timer fires must not double-free anything.
+// TestQueueWaitAbandonRace: callers abandoning pending jobs around the
+// same time their shed timers fire must not double-free anything.
 func TestQueueWaitAbandonRace(t *testing.T) {
 	p := NewPoolWith(PoolConfig{Workers: 1, QueueWait: time.Millisecond})
 	q := p.Queue(0)
 
 	release := make(chan struct{})
-	go q.Do(context.Background(), "hog", func(context.Context) (any, error) { <-release; return nil, nil })
+	go q.Do(context.Background(), "hog", func(context.Context) error { <-release; return nil })
 	waitFor(t, "worker busy", func() bool { return p.Stats().Inflight == 1 })
 
 	var wg sync.WaitGroup
@@ -497,7 +359,7 @@ func TestQueueWaitAbandonRace(t *testing.T) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), time.Duration(i%3)*time.Millisecond)
 			defer cancel()
-			_, err := q.Do(ctx, fmt.Sprintf("k%d", i), func(context.Context) (any, error) { return nil, nil })
+			err := q.Do(ctx, fmt.Sprintf("k%d", i), func(context.Context) error { return nil })
 			if err != nil && !errors.Is(err, ErrQueueTimeout) && !errors.Is(err, context.DeadlineExceeded) {
 				t.Errorf("unexpected err: %v", err)
 			}
@@ -511,18 +373,22 @@ func TestQueueWaitAbandonRace(t *testing.T) {
 	})
 }
 
-// TestWithLabelNamesWaitSpan: a job's sched.wait span carries its key,
-// or the label its leader's context carries.
-func TestWithLabelNamesWaitSpan(t *testing.T) {
+// TestWaitSpanCarriesLabel: Do runs fn under the caller's context, and
+// the job's sched.wait span on that context's trace carries the label
+// Do was given.
+func TestWaitSpanCarriesLabel(t *testing.T) {
 	tr := telemetry.NewTracer(telemetry.TracerConfig{})
 	ctx, root := tr.StartTrace(context.Background(), "test", "trace-1")
 	q := NewPool(1, nil).Queue(0)
-	noop := func(context.Context) (any, error) { return nil, nil }
-	if _, err := q.Do(ctx, "plain", noop); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q.Do(WithLabel(ctx, "readable"), "run@0x1", noop); err != nil {
-		t.Fatal(err)
+	for _, label := range []string{"first", "second"} {
+		if err := q.Do(ctx, label, func(jctx context.Context) error {
+			if jctx != ctx {
+				t.Error("fn ran under a context other than the caller's")
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	root.End()
 
@@ -536,7 +402,7 @@ func TestWithLabelNamesWaitSpan(t *testing.T) {
 			keys = append(keys, c.Attrs["key"])
 		}
 	}
-	if fmt.Sprint(keys) != "[plain readable]" {
-		t.Errorf("sched.wait keys = %q, want [plain readable]", keys)
+	if fmt.Sprint(keys) != "[first second]" {
+		t.Errorf("sched.wait keys = %q, want [first second]", keys)
 	}
 }

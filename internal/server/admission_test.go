@@ -199,10 +199,11 @@ func TestQueueSaturation429(t *testing.T) {
 	s, _ := newTestServer(Config{SimWorkers: 1, MaxQueue: 1, Workers: 8})
 	release := make(chan struct{})
 	s.compute = func(ctx context.Context, id string, _ machine.RunOptions, _ engine.Tier, _ bool) (any, error) {
-		return s.queue.Do(ctx, id, func(context.Context) (any, error) {
+		err := s.queue.Do(ctx, id, func(context.Context) error {
 			<-release
-			return "v", nil
+			return nil
 		})
+		return "v", err
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -257,10 +258,11 @@ func TestQueueWaitTimeout429(t *testing.T) {
 	s, _ := newTestServer(Config{SimWorkers: 1, QueueWait: 30 * time.Millisecond, Workers: 8})
 	release := make(chan struct{})
 	s.compute = func(ctx context.Context, id string, _ machine.RunOptions, _ engine.Tier, _ bool) (any, error) {
-		return s.queue.Do(ctx, id, func(context.Context) (any, error) {
+		err := s.queue.Do(ctx, id, func(context.Context) error {
 			<-release
-			return "v", nil
+			return nil
 		})
+		return "v", err
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

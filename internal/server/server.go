@@ -285,9 +285,11 @@ type Server struct {
 	// The background lane runs job items and exact upgrades. jobsSem
 	// bounds its computations strictly below Workers when Workers > 1,
 	// and jobsQueue is a scheduler queue capped one below the pool's
-	// worker count, so background work whose items all stall can never
-	// hold every worker slot or simulation worker interactive traffic
-	// needs.
+	// worker count when it has more than one, so background work whose
+	// items all stall can never hold every worker slot or simulation
+	// worker interactive traffic needs. Where Workers or the pool has
+	// just one, the lane may take it and interactive work queues
+	// behind it.
 	jobsSem   chan struct{}
 	jobsQueue *sched.Queue
 
@@ -475,9 +477,10 @@ func cacheKey(id string, opts machine.RunOptions, tier engine.Tier) string {
 // caching it on first use. Labs build their fleet characterization
 // lazily, so creation is cheap; the LRU bound caps how many full
 // characterizations stay resident. Background work gets its own Labs
-// on the capped background queue, so its leaf simulations can never
-// occupy every pool worker; the measurement store underneath is
-// shared, so the bytes computed are identical either way.
+// on the capped background queue, so its leaf simulations never
+// occupy every pool worker of a pool with more than one; the
+// measurement store underneath is shared, so the bytes computed are
+// identical either way.
 func (s *Server) labFor(opts machine.RunOptions, tier engine.Tier, background bool) (*experiments.Lab, error) {
 	key := cacheKey("", opts, tier)
 	queue := s.queue

@@ -57,8 +57,9 @@ type jobsStatus struct {
 	jobs.Stats
 	Workers int `json:"workers"`
 	// QueueCap is the background queue's concurrency cap on the shared
-	// simulation pool (always below the pool's worker count, so sweeps
-	// cannot starve interactive traffic).
+	// simulation pool: one below the pool's worker count, so sweeps
+	// cannot starve interactive traffic, except on a one-worker pool,
+	// where it is 1.
 	QueueCap int    `json:"queue_cap"`
 	Path     string `json:"path,omitempty"`
 }
@@ -73,13 +74,12 @@ type storeStatus struct {
 }
 
 type schedStatus struct {
-	Workers   int   `json:"workers"`
-	Depth     int   `json:"queue_depth"`
-	MaxQueue  int   `json:"max_queue,omitempty"`
-	Inflight  int   `json:"inflight"`
-	DedupHits int64 `json:"dedup_hits"`
-	Started   int64 `json:"started"`
-	Shed      int64 `json:"shed,omitempty"`
+	Workers  int   `json:"workers"`
+	Depth    int   `json:"queue_depth"`
+	MaxQueue int   `json:"max_queue,omitempty"`
+	Inflight int   `json:"inflight"`
+	Started  int64 `json:"started"`
+	Shed     int64 `json:"shed,omitempty"`
 }
 
 type cacheStatus struct {
@@ -152,13 +152,12 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	}
 	ps := s.pool.Stats()
 	resp.Sched = schedStatus{
-		Workers:   s.pool.Workers(),
-		Depth:     ps.Depth,
-		MaxQueue:  ps.MaxQueue,
-		Inflight:  ps.Inflight,
-		DedupHits: ps.DedupHits,
-		Started:   ps.Started,
-		Shed:      ps.Shed,
+		Workers:  s.pool.Workers(),
+		Depth:    ps.Depth,
+		MaxQueue: ps.MaxQueue,
+		Inflight: ps.Inflight,
+		Started:  ps.Started,
+		Shed:     ps.Shed,
 	}
 	resp.Admission = s.adm.Snapshot()
 	s.mu.Lock()

@@ -12,9 +12,10 @@
 //     (machine, workload, options) triple instantly, across all
 //     experiments sharing the store.
 //   - A per-key flight (internal/flight) coalesces concurrent requests
-//     for one uncomputed measurement onto a single simulation; waiters
-//     carry a context.Context, and a computation whose every waiter has
-//     gone away is canceled instead of burning a worker.
+//     for one uncomputed measurement onto a single simulation. It is
+//     the process's one coalescing point for a measurement: callers
+//     join it before they ask the scheduler (internal/sched) for a
+//     worker, so a caller sharing another's measurement takes none.
 //   - An optional on-disk JSON snapshot (atomic write-temp-rename)
 //     makes restarts warm: a daemon reloading its snapshot answers its
 //     first report without re-simulating anything.
@@ -93,9 +94,9 @@ type Key struct {
 }
 
 // ID returns the key's canonical string identity: the identity the
-// store's flights and the shared scheduler (internal/sched) coalesce
-// in-flight simulations by. It is injective because Machine, Workload
-// and Engine never contain '|' (load skips records where they do).
+// store's flights coalesce in-flight simulations by. It is injective
+// because Machine, Workload and Engine never contain '|' (load skips
+// records where they do).
 func (k Key) ID() string {
 	b := make([]byte, 0, 160) // fits every key the fleet produces
 	b = append(b, k.Machine...)
@@ -232,7 +233,7 @@ type storeMetrics struct {
 func newStoreMetrics(r *metrics.Registry) storeMetrics {
 	return storeMetrics{
 		hits: r.Counter("spec17_store_hits_total",
-			"Measurements served from the store without simulating."),
+			"Measurements served from the store without simulating: resident records and joins onto another caller's computation."),
 		misses: r.Counter("spec17_store_misses_total",
 			"Measurements the store had to compute (simulations led)."),
 		loaded: r.Counter("spec17_store_loaded_entries_total",
@@ -248,7 +249,7 @@ func newStoreMetrics(r *metrics.Registry) storeMetrics {
 
 // Stats is a snapshot of the store's counters.
 type Stats struct {
-	Hits      int64 // measurements served from memory
+	Hits      int64 // measurements served without computing: resident or joined
 	Misses    int64 // measurements computed (simulations led)
 	Loaded    int64 // records restored from the snapshot at open
 	Persisted int64 // records written across all saves
@@ -564,14 +565,6 @@ func (s *Store) Range(fn func(Key, *machine.RawCounts) bool) {
 	}
 }
 
-// GetMulti returns the stored multi-copy record for key, if present.
-func (s *Store) GetMulti(key Key) (*machine.MultiCounts, bool) {
-	s.mu.Lock()
-	mc, ok := s.multi.recs[key]
-	s.mu.Unlock()
-	return mc, ok
-}
-
 // Lookup returns the resident single-copy record for key without
 // computing anything: the hit branch of GetOrCompute on its own, for
 // callers that serve hits inline and send only misses to a scheduler.
@@ -580,11 +573,6 @@ func (s *Store) GetMulti(key Key) (*machine.MultiCounts, bool) {
 // does not allocate.
 func (s *Store) Lookup(ctx context.Context, key Key) (*machine.RawCounts, bool) {
 	return lookupIn(ctx, s, &s.single, key)
-}
-
-// LookupMulti is Lookup for multi-copy (SPECrate-style) records.
-func (s *Store) LookupMulti(ctx context.Context, key Key) (*machine.MultiCounts, bool) {
-	return lookupIn(ctx, s, &s.multi, key)
 }
 
 func lookupIn[V any](ctx context.Context, s *Store, t *table[V], key Key) (V, bool) {
@@ -598,7 +586,7 @@ func lookupIn[V any](ctx context.Context, s *Store, t *table[V], key Key) (V, bo
 	return v, ok
 }
 
-// hit accounts for one record served from memory since start.
+// hit accounts for one record served without computing since start.
 func (s *Store) hit(ctx context.Context, key Key, start time.Time) {
 	s.met.hits.Inc()
 	// Guarded so the untraced hit path — the daemon's hottest code —
@@ -612,11 +600,11 @@ func (s *Store) hit(ctx context.Context, key Key, start time.Time) {
 // across all concurrent callers. A caller that finds no computation of
 // key in progress runs compute itself, on its own goroutine and under
 // its own ctx (flight.Group.DoInline), so a miss nobody else wants
-// costs no goroutine; callers arriving meanwhile wait for its result.
-// A waiting caller's ctx aborts only its own wait. If the computing
-// caller's ctx ends and compute fails, a waiting caller still live
-// computes key afresh, so no caller's result hangs on another's
-// context.
+// costs no goroutine; callers arriving meanwhile wait for its result,
+// and each that receives it counts as a hit. A waiting caller's ctx
+// aborts only its own wait. If the computing caller's ctx ends and
+// compute fails, a waiting caller still live computes key afresh, so
+// no caller's result hangs on another's context.
 func (s *Store) GetOrCompute(ctx context.Context, key Key, compute func(context.Context) (*machine.RawCounts, error)) (*machine.RawCounts, error) {
 	return getOrCompute(ctx, s, &s.single, key, compute)
 }
@@ -628,13 +616,16 @@ func (s *Store) GetOrComputeMulti(ctx context.Context, key Key, compute func(con
 }
 
 // getOrCompute looks key up in t and otherwise leads (or joins) the
-// key's flight, which writes the record into t before it returns.
+// key's flight, which writes the record into t before it returns. A
+// caller that joins counts one hit, whose store.get span covers its
+// wait, so hits plus misses count every request.
 func getOrCompute[V any](ctx context.Context, s *Store, t *table[V], key Key, compute func(context.Context) (V, error)) (V, error) {
 	if v, ok := lookupIn(ctx, s, t, key); ok {
 		return v, nil
 	}
 	id := key.ID()
-	v, err, _ := t.flights.DoInline(ctx, id, func(fctx context.Context) (V, error) {
+	start := time.Now()
+	v, err, joined := t.flights.DoInline(ctx, id, func(fctx context.Context) (V, error) {
 		// A flight for key may have stored the record since the
 		// lookup above.
 		if v, ok := lookupIn(fctx, s, t, key); ok {
@@ -655,6 +646,9 @@ func getOrCompute[V any](ctx context.Context, s *Store, t *table[V], key Key, co
 		s.met.entries.Set(float64(n))
 		return v, nil
 	})
+	if joined && err == nil {
+		s.hit(ctx, key, start)
+	}
 	return v, err
 }
 

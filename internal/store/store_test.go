@@ -13,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/machine"
 	"repro/internal/telemetry"
@@ -124,14 +125,11 @@ func TestGetOrComputeCachesAndCoalesces(t *testing.T) {
 	if n := computes.Load(); n != 1 {
 		t.Errorf("computes after repeat = %d, want 1", n)
 	}
+	// Every request counts once: the one computation as a miss, each
+	// joiner and later lookup as a hit.
 	st := s.Stats()
-	if st.Misses != 1 {
-		t.Errorf("misses = %d, want 1", st.Misses)
-	}
-	// Coalesced joiners are neither hits nor misses; the sequential
-	// repeat above is a guaranteed memory hit.
-	if st.Hits < 1 {
-		t.Errorf("hits = %d, want >= 1", st.Hits)
+	if st.Misses != 1 || st.Hits != callers {
+		t.Errorf("hits, misses = %d, %d; want %d, 1", st.Hits, st.Misses, callers)
 	}
 	if st.Entries != 1 {
 		t.Errorf("entries = %d, want 1", st.Entries)
@@ -485,6 +483,63 @@ func TestGetOrComputeCancellation(t *testing.T) {
 	}
 }
 
+// TestJoinCountsOneHit: of two concurrent GetOrCompute calls on one
+// key, the one that joins the other's computation counts one hit, and
+// when traced records a store.get span covering its wait.
+func TestJoinCountsOneHit(t *testing.T) {
+	s, err := Open(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := testMachine(t)
+	w := testWorkload(t, "505.mcf_r")
+	key := KeyFor(m, w, testOpts)
+
+	started, release := make(chan struct{}), make(chan struct{})
+	led := make(chan error, 1)
+	go func() {
+		_, err := s.GetOrCompute(context.Background(), key, func(context.Context) (*machine.RawCounts, error) {
+			close(started)
+			<-release
+			return m.Run(w, testOpts)
+		})
+		led <- err
+	}()
+	<-started
+	tracer := telemetry.NewTracer(telemetry.TracerConfig{})
+	tctx, root := tracer.StartTrace(context.Background(), "root", "")
+	joined := make(chan error, 1)
+	go func() {
+		_, err := s.GetOrCompute(tctx, key, func(context.Context) (*machine.RawCounts, error) {
+			t.Error("joiner computed")
+			return nil, nil
+		})
+		joined <- err
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.single.flights.Waiting(key.ID()) != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for the second caller to join")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	for _, c := range []chan error{led, joined} {
+		if err := <-c; err != nil {
+			t.Fatal(err)
+		}
+	}
+	root.End()
+
+	if st := s.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("hits, misses = %d, %d; want 1, 1", st.Hits, st.Misses)
+	}
+	traces := tracer.Traces(telemetry.Filter{})
+	if len(traces) != 1 || len(traces[0].Root.Children) != 1 || traces[0].Root.Children[0].Name != "store.get" {
+		t.Fatalf("traced join did not record one store.get span: %+v", traces)
+	}
+}
+
 // TestComputeErrorNotCached checks that a failed computation is not
 // stored: the next caller retries.
 func TestComputeErrorNotCached(t *testing.T) {
@@ -524,14 +579,10 @@ func TestLookup(t *testing.T) {
 	m := testMachine(t)
 	w := testWorkload(t, "505.mcf_r")
 	key := KeyFor(m, w, testOpts)
-	multiKey := KeyForMulti(m, w, 2, testOpts)
 	ctx := context.Background()
 
 	if _, ok := s.Lookup(ctx, key); ok {
 		t.Fatal("lookup hit on an empty store")
-	}
-	if _, ok := s.LookupMulti(ctx, multiKey); ok {
-		t.Fatal("multi lookup hit on an empty store")
 	}
 	if st := s.Stats(); st.Hits != 0 || st.Misses != 0 {
 		t.Fatalf("misses counted: hits=%d misses=%d, want 0 and 0", st.Hits, st.Misses)
@@ -545,11 +596,6 @@ func TestLookup(t *testing.T) {
 	if st := s.Stats(); st.Hits != 1 || st.Misses != 0 {
 		t.Fatalf("after one hit: hits=%d misses=%d, want 1 and 0", st.Hits, st.Misses)
 	}
-	// A single-copy record never answers a multi-copy key.
-	if _, ok := s.LookupMulti(ctx, multiKey); ok {
-		t.Fatal("multi lookup served a single-copy record")
-	}
-
 	tracer := telemetry.NewTracer(telemetry.TracerConfig{})
 	tctx, root := tracer.StartTrace(ctx, "root", "")
 	if _, ok := s.Lookup(tctx, key); !ok {
