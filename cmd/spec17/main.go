@@ -102,14 +102,11 @@ func spec17(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		logger.Warn("opening store; starting cold", "err", err)
 	}
-	// One scheduler bounds every simulation the process runs —
+	// One scheduler bounds every simulation the process runs,
 	// including the out-of-characterization measurements (sensitivity
 	// sweeps, replicas, multi-copy runs) the per-characterization
-	// parallelism option never covered — and no queue bound: a local
-	// batch run wants every measurement it asked for, however long the
-	// queue, unlike the daemon's shed-early policy.
-	pool := sched.NewPoolWith(sched.PoolConfig{Workers: *parallel})
-	lab := experiments.NewLabWithEngine(opts, st, pool.Queue(0), eng)
+	// parallelism option never covered.
+	lab := experiments.NewLabWithEngine(opts, st, sched.NewPool(*parallel, nil).Queue(0), eng)
 
 	switch {
 	case *jsonOut != "":

@@ -10,7 +10,7 @@
 //	        [-engine exact|analytic|auto]
 //	        [-store file] [-checkpoint d] [-drain d]
 //	        [-read-header-timeout d] [-read-timeout d] [-idle-timeout d]
-//	        [-rate-limit r] [-burst n] [-max-inflight n] [-max-queue n]
+//	        [-rate-limit r] [-burst n] [-max-inflight n]
 //	        [-request-timeout d]
 //	        [-jobs] [-max-jobs n] [-job-workers n] [-webhook-timeout d]
 //	        [-trace] [-trace-ring n] [-trace-slow d]
@@ -86,7 +86,6 @@ type daemonConfig struct {
 	rateLimit float64
 	burst     float64
 	maxInflt  int
-	maxQueue  int
 	requestTO time.Duration
 
 	jobs       bool
@@ -131,8 +130,7 @@ func parseFlags(args []string, stderr io.Writer) (*daemonConfig, error) {
 	fs.Float64Var(&cfg.rateLimit, "rate-limit", 0, "per-client admission tokens per second, one token = one default-fidelity experiment (0 disables)")
 	fs.Float64Var(&cfg.burst, "burst", 0, "per-client admission bucket capacity (0 = max(rate-limit, 1))")
 	fs.IntVar(&cfg.maxInflt, "max-inflight", 0, "max concurrently admitted compute requests across all clients (0 = unlimited)")
-	fs.IntVar(&cfg.maxQueue, "max-queue", 0, "max simulations pending in the scheduler before shedding with 429 (0 = unbounded)")
-	fs.DurationVar(&cfg.requestTO, "request-timeout", 0, "server-side deadline per compute request, and max scheduler queue wait (0 disables)")
+	fs.DurationVar(&cfg.requestTO, "request-timeout", 0, "server-side deadline per compute request (0 disables)")
 	fs.BoolVar(&cfg.jobs, "jobs", true, "serve the async-job endpoints (/v1/jobs)")
 	fs.IntVar(&cfg.maxJobs, "max-jobs", 256, "max retained job records; submitting past it evicts the oldest finished job")
 	fs.IntVar(&cfg.jobWorkers, "job-workers", 2, "max jobs executing concurrently")
@@ -170,7 +168,6 @@ func parseFlags(args []string, stderr io.Writer) (*daemonConfig, error) {
 		{"rate-limit", cfg.rateLimit < 0},
 		{"burst", cfg.burst < 0},
 		{"max-inflight", cfg.maxInflt < 0},
-		{"max-queue", cfg.maxQueue < 0},
 		{"request-timeout", cfg.requestTO < 0},
 		{"max-jobs", cfg.maxJobs < 0},
 		{"job-workers", cfg.jobWorkers < 0},
@@ -282,8 +279,6 @@ func main() {
 		RateLimit:         cfg.rateLimit,
 		Burst:             cfg.burst,
 		MaxInFlight:       cfg.maxInflt,
-		MaxQueue:          cfg.maxQueue,
-		QueueWait:         cfg.requestTO,
 		RequestTimeout:    cfg.requestTO,
 		JobsDisabled:      !cfg.jobs,
 		MaxJobs:           cfg.maxJobs,

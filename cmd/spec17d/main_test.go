@@ -144,7 +144,6 @@ func TestParseFlagsInvalidAdmission(t *testing.T) {
 		{[]string{"-rate-limit", "-1"}, "-rate-limit"},
 		{[]string{"-burst", "-0.5"}, "-burst"},
 		{[]string{"-max-inflight", "-2"}, "-max-inflight"},
-		{[]string{"-max-queue", "-1"}, "-max-queue"},
 		{[]string{"-request-timeout", "-3s"}, "-request-timeout"},
 		{[]string{"-max-jobs", "-1"}, "-max-jobs"},
 		{[]string{"-job-workers", "-2"}, "-job-workers"},
@@ -169,7 +168,7 @@ func TestParseFlagsAdmission(t *testing.T) {
 	var buf strings.Builder
 	cfg, err := parseFlags([]string{
 		"-rate-limit", "2.5", "-burst", "10",
-		"-max-inflight", "32", "-max-queue", "64",
+		"-max-inflight", "32",
 		"-request-timeout", "45s",
 	}, &buf)
 	if err != nil {
@@ -178,8 +177,8 @@ func TestParseFlagsAdmission(t *testing.T) {
 	if cfg.rateLimit != 2.5 || cfg.burst != 10 {
 		t.Errorf("rateLimit = %v, burst = %v", cfg.rateLimit, cfg.burst)
 	}
-	if cfg.maxInflt != 32 || cfg.maxQueue != 64 {
-		t.Errorf("maxInflt = %d, maxQueue = %d", cfg.maxInflt, cfg.maxQueue)
+	if cfg.maxInflt != 32 {
+		t.Errorf("maxInflt = %d, want 32", cfg.maxInflt)
 	}
 	if cfg.requestTO != 45*time.Second {
 		t.Errorf("requestTO = %v, want 45s", cfg.requestTO)

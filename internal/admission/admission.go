@@ -19,7 +19,10 @@
 //   - A global in-flight limiter bounding concurrently admitted
 //     compute requests, independent of per-client budgets.
 //
-// Rejections are counted in spec17_admission_rejected_total{reason}.
+// These are the daemon's only load shedding: a request is refused
+// whole, before any of its work starts, and an admitted request is
+// never shed part-way. Rejections are counted in
+// spec17_admission_rejected_total{reason}.
 // Every method on a nil *Controller admits, so call sites need no
 // enabled-checks.
 package admission
@@ -39,11 +42,6 @@ import (
 const (
 	ReasonRateLimited = "rate_limited" // per-client token bucket empty
 	ReasonInFlight    = "inflight"     // global in-flight limit reached
-	// ReasonQueueFull and ReasonQueueTimeout are recorded by the server
-	// when the scheduler (not the controller) sheds work, so one metric
-	// family covers every shed path.
-	ReasonQueueFull    = "queue_full"
-	ReasonQueueTimeout = "queue_timeout"
 )
 
 // DefaultCostInstructions is the instruction count that costs one
@@ -276,14 +274,6 @@ func (c *Controller) ReleaseInFlight() {
 	}
 }
 
-// CountRejection records a shed decided outside the controller (the
-// scheduler's queue bounds) in the same rejected-by-reason family.
-func (c *Controller) CountRejection(reason string) {
-	if c != nil {
-		c.rejected.With(reason).Inc()
-	}
-}
-
 // Snapshot is a point-in-time view of the controller, for /v1/status.
 type Snapshot struct {
 	RateLimit   float64          `json:"rate_limit"`
@@ -310,7 +300,7 @@ func (c *Controller) Snapshot() Snapshot {
 		InFlight:    c.inflight.Load(),
 		Clients:     clients,
 	}
-	for _, reason := range []string{ReasonRateLimited, ReasonInFlight, ReasonQueueFull, ReasonQueueTimeout} {
+	for _, reason := range []string{ReasonRateLimited, ReasonInFlight} {
 		if n := int64(c.rejected.With(reason).Value()); n > 0 {
 			if s.Rejected == nil {
 				s.Rejected = make(map[string]int64)

@@ -196,7 +196,6 @@ func TestNilControllerAdmits(t *testing.T) {
 		t.Error("nil controller rejected AcquireInFlight")
 	}
 	c.ReleaseInFlight()
-	c.CountRejection(ReasonQueueFull)
 	if s := c.Snapshot(); s.InFlight != 0 {
 		t.Errorf("nil snapshot = %+v", s)
 	}
@@ -266,7 +265,6 @@ func TestRejectionMetrics(t *testing.T) {
 		t.Fatal("first in-flight acquisition failed")
 	}
 	c.AcquireInFlight() // inflight rejection
-	c.CountRejection(ReasonQueueFull)
 
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
@@ -275,7 +273,6 @@ func TestRejectionMetrics(t *testing.T) {
 	for _, want := range []string{
 		`spec17_admission_rejected_total{reason="rate_limited"} 1`,
 		`spec17_admission_rejected_total{reason="inflight"} 1`,
-		`spec17_admission_rejected_total{reason="queue_full"} 1`,
 	} {
 		if !strings.Contains(b.String(), want) {
 			t.Errorf("/metrics missing %q:\n%s", want, b.String())
@@ -283,7 +280,7 @@ func TestRejectionMetrics(t *testing.T) {
 	}
 
 	snap := c.Snapshot()
-	if snap.Rejected[ReasonRateLimited] != 1 || snap.Rejected[ReasonInFlight] != 1 || snap.Rejected[ReasonQueueFull] != 1 {
+	if snap.Rejected[ReasonRateLimited] != 1 || snap.Rejected[ReasonInFlight] != 1 || len(snap.Rejected) != 2 {
 		t.Errorf("snapshot rejected = %v", snap.Rejected)
 	}
 }

@@ -8,7 +8,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -59,7 +58,7 @@ type labState struct {
 }
 
 // labResult is the outcome of a fleet characterization: a success, or
-// an error that is neither a cancellation nor a shed.
+// an error that is not a cancellation.
 type labResult struct {
 	char  *core.Characterization
 	fleet []*machine.Machine
@@ -149,9 +148,8 @@ func Entries() []core.Entry {
 // build runs the fleet characterization once, coalescing concurrent
 // callers onto one flight. The flight keeps running while any caller
 // still waits, even after the one that started it has left. A build
-// that every caller abandoned, or that the scheduler shed, is not
-// kept: the next caller starts again, cheaply when a store holds the
-// pairs already measured.
+// that every caller abandoned is not kept: the next caller starts
+// again, cheaply when a store holds the pairs already measured.
 func (l *Lab) build() (*core.Characterization, []*machine.Machine, error) {
 	s := l.state
 	r := s.result.Load()
@@ -165,8 +163,8 @@ func (l *Lab) build() (*core.Characterization, []*machine.Machine, error) {
 }
 
 // characterize is the build flight: it characterizes the fleet and
-// keeps the outcome unless it is a cancellation or a scheduler shed,
-// which say nothing about the next attempt.
+// keeps the outcome unless it is a cancellation, which says nothing
+// about the next attempt.
 func (s *labState) characterize(ctx context.Context) (*labResult, error) {
 	if r := s.result.Load(); r != nil {
 		return r, nil // a flight that ended since the caller looked
@@ -183,7 +181,7 @@ func (s *labState) characterize(ctx context.Context) (*labResult, error) {
 		char, err = core.CharacterizeWith(cctx, Entries(), fleet, s.opts, s.store, s.sched, s.eng)
 		span.End()
 	}
-	if flight.IsCanceled(err) || errors.Is(err, sched.ErrQueueFull) || errors.Is(err, sched.ErrQueueTimeout) {
+	if flight.IsCanceled(err) {
 		return nil, err
 	}
 	r := &labResult{char: char, fleet: fleet, err: err}

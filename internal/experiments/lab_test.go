@@ -109,24 +109,26 @@ func TestLabBuildSurvivesLeaderCancel(t *testing.T) {
 	}
 }
 
-// shedFirst is a core.Runner that sheds its first submission the way a
-// full scheduler queue does and runs every later one.
-type shedFirst struct{ calls atomic.Int64 }
+// cancelFirst is a core.Runner that fails its first submission with
+// context.Canceled, the way a slot wait whose callers all left does,
+// and runs every later one.
+type cancelFirst struct{ calls atomic.Int64 }
 
-func (r *shedFirst) Do(ctx context.Context, _ string, fn func(context.Context) error) error {
+func (r *cancelFirst) Do(ctx context.Context, _ string, fn func(context.Context) error) error {
 	if r.calls.Add(1) == 1 {
-		return sched.ErrQueueFull
+		return context.Canceled
 	}
 	return fn(ctx)
 }
 
-// TestLabDoesNotKeepShedError: a shed is about the queue at that
-// moment, not the lab, so the next Characterization builds afresh
-// instead of answering the stale shed until the lab is evicted.
-func TestLabDoesNotKeepShedError(t *testing.T) {
-	lab := NewLabWithEngine(machine.RunOptions{}, nil, &shedFirst{}, engine.Analytic{})
-	if _, err := lab.Characterization(); !errors.Is(err, sched.ErrQueueFull) {
-		t.Fatalf("first build error = %v, want sched.ErrQueueFull", err)
+// TestLabDoesNotKeepCanceledBuild: a canceled build is about the
+// callers that left, not the lab, so the next Characterization builds
+// afresh instead of answering the stale cancellation until the lab is
+// evicted.
+func TestLabDoesNotKeepCanceledBuild(t *testing.T) {
+	lab := NewLabWithEngine(machine.RunOptions{}, nil, &cancelFirst{}, engine.Analytic{})
+	if _, err := lab.Characterization(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("first build error = %v, want context.Canceled", err)
 	}
 	if _, err := lab.Characterization(); err != nil {
 		t.Fatalf("second build error = %v, want the characterization", err)

@@ -24,8 +24,8 @@ const (
 	// EventBandViolation: an analytic result disagreed with its exact
 	// twin beyond the committed engine.Tolerances band for a metric.
 	EventBandViolation EventType = "band_violation"
-	// EventShedSpike: admission rejections plus scheduler sheds jumped
-	// by more than shedSpikeThreshold within one sampling interval.
+	// EventShedSpike: admission rejections jumped by more than
+	// shedSpikeThreshold within one sampling interval.
 	EventShedSpike EventType = "shed_spike"
 	// EventSlowTrace: a request trace exceeded the tracer's slow
 	// threshold (the same condition that logs the span tree).

@@ -30,8 +30,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// shedSpikeThreshold is how many admission rejections plus scheduler
-// sheds within one sampling interval count as a spike.
+// shedSpikeThreshold is how many admission rejections within one
+// sampling interval count as a spike.
 const shedSpikeThreshold = 10
 
 // shedSpikeCooldown rate-limits shed_spike events: a sustained
@@ -196,10 +196,10 @@ func (p *Plane) Tick() {
 }
 
 // detectShedSpike raises a shed_spike event when the tick-over-tick
-// growth of admission rejections plus scheduler sheds crosses the
-// threshold — the signal that the daemon has started refusing work.
+// growth of admission rejections crosses the threshold — the signal
+// that the daemon has started refusing work.
 func (p *Plane) detectShedSpike(snap metrics.Snapshot, now time.Time) {
-	shed := snap.Value("spec17_sched_shed_total")
+	var shed float64
 	if fs, ok := snap.Family("spec17_admission_rejected_total"); ok {
 		for _, ss := range fs.Series {
 			shed += ss.Value

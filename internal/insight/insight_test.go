@@ -328,13 +328,13 @@ func TestSLOBurnAndTransitionEvent(t *testing.T) {
 
 func TestShedSpikeDetection(t *testing.T) {
 	reg := metrics.NewRegistry()
-	shed := reg.Counter("spec17_sched_shed_total", "sheds")
 	rejected := reg.CounterVec("spec17_admission_rejected_total", "rejections", "reason")
 	clk := newTestClock()
 	p := newTestPlane(t, reg, clk, SLOConfig{})
 
 	p.Tick() // baseline
-	shed.Add(6)
+	// Every reason counts toward the spike.
+	rejected.With("inflight").Add(6)
 	rejected.With("rate_limited").Add(6)
 	clk.advance(5 * time.Second)
 	p.Tick()
@@ -342,14 +342,14 @@ func TestShedSpikeDetection(t *testing.T) {
 		t.Fatalf("shed_spike events = %d, want 1", got)
 	}
 	// A second spike inside the cooldown is the same incident.
-	shed.Add(20)
+	rejected.With("rate_limited").Add(20)
 	clk.advance(5 * time.Second)
 	p.Tick()
 	if got := len(p.Events().Events(EventShedSpike, time.Time{}, 0)); got != 1 {
 		t.Fatalf("shed_spike events inside cooldown = %d, want 1", got)
 	}
 	// Past the cooldown a sustained overload may fire again.
-	shed.Add(20)
+	rejected.With("inflight").Add(20)
 	clk.advance(2 * time.Minute)
 	p.Tick()
 	if got := len(p.Events().Events(EventShedSpike, time.Time{}, 0)); got != 2 {

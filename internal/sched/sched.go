@@ -18,12 +18,13 @@
 //     under the caller's context, and releases the slot.
 //
 // A caller whose context ends while its job is still pending leaves
-// the queue at once, so abandoned work never occupies a worker.
+// the queue at once, so abandoned work never occupies a worker. The
+// pool never sheds a job: shedding load is the admission layer's
+// decision, made once per request before any of its jobs exist.
 package sched
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"sync"
 	"time"
@@ -32,24 +33,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Shed errors. Do returns them without running the job, and they are
-// never retried, so callers can map them to a load-shedding response
-// (429) in bounded time.
-var (
-	// ErrQueueFull is returned by Do when the pool's pending queue is
-	// at MaxQueue.
-	ErrQueueFull = errors.New("sched: pending queue full")
-	// ErrQueueTimeout is returned by Do when its job waited longer
-	// than the pool's QueueWait without reaching a worker and was shed.
-	ErrQueueTimeout = errors.New("sched: queue-wait timeout")
-)
-
 // poolMetrics bundles the scheduler's instruments.
 type poolMetrics struct {
 	depth     *metrics.Gauge     // jobs queued, not yet started
 	inflight  *metrics.Gauge     // jobs running right now
 	started   *metrics.Counter   // jobs actually handed to a worker
-	shed      *metrics.Counter   // jobs rejected or timed out before starting
 	queueWait *metrics.Histogram // pending time of dispatched jobs
 }
 
@@ -61,8 +49,6 @@ func newPoolMetrics(r *metrics.Registry) poolMetrics {
 			"Scheduler jobs running right now."),
 		started: r.Counter("spec17_sched_jobs_started_total",
 			"Jobs handed to a worker."),
-		shed: r.Counter("spec17_sched_shed_total",
-			"Jobs shed before starting: rejected by the queue bound or timed out waiting."),
 		queueWait: r.Histogram("spec17_sched_queue_wait_seconds",
 			"Time dispatched jobs spent pending before a worker picked them up.",
 			nil),
@@ -76,47 +62,20 @@ type job struct {
 	// submitted is when the job entered the pending FIFO; the gap to
 	// dispatch is surfaced as a sched.wait span on the caller's trace.
 	submitted time.Time
-	// ready receives nil when a worker slot is granted, or
-	// ErrQueueTimeout when the job is shed. Buffered: the sender never
-	// blocks.
-	ready chan error
+	// ready is closed when a worker slot is granted.
+	ready chan struct{}
 
-	// Pending-list links, guarded by Pool.mu; nil once dispatched,
-	// shed or abandoned.
+	// Pending-list links, guarded by Pool.mu; nil once dispatched or
+	// abandoned.
 	prev, next *job
 	pending    bool
-	// shedTimer sheds the job if it waits longer than the pool's
-	// QueueWait; stopped at dispatch. Nil when QueueWait is zero.
-	shedTimer *time.Timer
-}
-
-// PoolConfig configures a Pool. The zero value is usable: GOMAXPROCS
-// workers, an unbounded queue, no queue-wait shedding.
-type PoolConfig struct {
-	// Workers bounds concurrently running jobs (<= 0: GOMAXPROCS).
-	Workers int
-	// MaxQueue bounds the pending FIFO. A submission that would
-	// enqueue a job beyond the bound fails with ErrQueueFull instead
-	// of queueing without bound. 0 means unbounded.
-	MaxQueue int
-	// QueueWait bounds how long a pending job may wait for a worker.
-	// A job pending longer is shed: removed from the queue, and its
-	// caller gets ErrQueueTimeout — better to fail fast than to start
-	// work whose audience gave up long ago. 0 disables.
-	QueueWait time.Duration
-	// Metrics receives the spec17_sched_* instruments. Nil uses a
-	// private registry.
-	Metrics *metrics.Registry
 }
 
 // Pool is a bounded FIFO of worker slots shared by any number of
-// Queues. Create with NewPool or NewPoolWith; the zero value is not
-// usable.
+// Queues. Create with NewPool; the zero value is not usable.
 type Pool struct {
-	met       poolMetrics
-	workers   int
-	maxQueue  int
-	queueWait time.Duration
+	met     poolMetrics
+	workers int
 
 	mu       sync.Mutex
 	running  int
@@ -130,23 +89,13 @@ type Pool struct {
 // instruments (spec17_sched_*) land in reg; nil uses a private
 // registry.
 func NewPool(workers int, reg *metrics.Registry) *Pool {
-	return NewPoolWith(PoolConfig{Workers: workers, Metrics: reg})
-}
-
-// NewPoolWith returns a pool enforcing cfg.
-func NewPoolWith(cfg PoolConfig) *Pool {
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = metrics.NewRegistry()
+	if reg == nil {
+		reg = metrics.NewRegistry()
 	}
-	return &Pool{
-		met:       newPoolMetrics(cfg.Metrics),
-		workers:   cfg.Workers,
-		maxQueue:  cfg.MaxQueue,
-		queueWait: cfg.QueueWait,
-	}
+	return &Pool{met: newPoolMetrics(reg), workers: workers}
 }
 
 // Queue is one submitter's handle on a Pool. Queues are cheap; create
@@ -180,8 +129,6 @@ type Stats struct {
 	Depth    int   // jobs queued, not yet started
 	Inflight int   // jobs running
 	Started  int64 // jobs handed to a worker
-	Shed     int64 // jobs shed by the queue bound or the wait timeout
-	MaxQueue int   // configured pending bound (0: unbounded)
 }
 
 // Stats returns the pool's current counters.
@@ -192,8 +139,6 @@ func (p *Pool) Stats() Stats {
 		Depth:    p.npending,
 		Inflight: p.running,
 		Started:  int64(p.met.started.Value()),
-		Shed:     int64(p.met.shed.Value()),
-		MaxQueue: p.maxQueue,
 	}
 }
 
@@ -211,8 +156,7 @@ func (p *Pool) pushPending(j *job) {
 	p.met.depth.Set(float64(p.npending))
 }
 
-// removePending unlinks j from the FIFO and stops its shed timer.
-// Caller holds p.mu.
+// removePending unlinks j from the FIFO. Caller holds p.mu.
 func (p *Pool) removePending(j *job) {
 	if j.prev != nil {
 		j.prev.next = j.next
@@ -226,10 +170,6 @@ func (p *Pool) removePending(j *job) {
 	}
 	j.prev, j.next = nil, nil
 	j.pending = false
-	if j.shedTimer != nil {
-		j.shedTimer.Stop()
-		j.shedTimer = nil
-	}
 	p.npending--
 	p.met.depth.Set(float64(p.npending))
 }
@@ -249,33 +189,17 @@ func (p *Pool) dispatch() {
 		p.running++
 		p.met.inflight.Set(float64(p.running))
 		p.met.started.Inc()
-		j.ready <- nil
+		close(j.ready)
 		j = next
 	}
-}
-
-// shedPending fires when j's queue-wait timer expires. If the job is
-// still pending — no worker ever reached it — it is removed and its
-// caller gets ErrQueueTimeout. A job already dispatched or abandoned is
-// left alone.
-func (p *Pool) shedPending(j *job) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !j.pending {
-		return // raced with dispatch or abandonment
-	}
-	p.removePending(j)
-	p.met.shed.Inc()
-	j.ready <- ErrQueueTimeout
 }
 
 // Do waits for a worker slot, runs fn on the caller's goroutine under
 // ctx, and releases the slot when fn returns. The time the job waited
 // pending is recorded as a sched.wait span on ctx's trace, with label
-// as its key attribute. Do fails without running fn with
-// ErrQueueFull when the pending queue is at its bound, with
-// ErrQueueTimeout when the job is shed, and with ctx's error when ctx
-// ends first, which also drops the job from the queue.
+// as its key attribute. Do fails without running fn only with ctx's
+// error, when ctx ends before the slot is granted; a pending job whose
+// ctx ends is dropped from the queue.
 func (q *Queue) Do(ctx context.Context, label string, fn func(context.Context) error) error {
 	if err := q.acquire(ctx, label); err != nil {
 		return err
@@ -289,22 +213,13 @@ func (q *Queue) Do(ctx context.Context, label string, fn func(context.Context) e
 func (q *Queue) acquire(ctx context.Context, label string) error {
 	p := q.pool
 	p.mu.Lock()
-	if p.maxQueue > 0 && p.npending >= p.maxQueue {
-		p.met.shed.Inc()
-		p.mu.Unlock()
-		return ErrQueueFull
-	}
-	j := &job{queue: q, submitted: time.Now(), ready: make(chan error, 1)}
+	j := &job{queue: q, submitted: time.Now(), ready: make(chan struct{})}
 	p.pushPending(j)
-	if p.queueWait > 0 {
-		j.shedTimer = time.AfterFunc(p.queueWait, func() { p.shedPending(j) })
-	}
 	p.dispatch()
 	p.mu.Unlock()
 
-	var err error
 	select {
-	case err = <-j.ready:
+	case <-j.ready:
 	case <-ctx.Done():
 		p.mu.Lock()
 		if j.pending {
@@ -312,11 +227,7 @@ func (q *Queue) acquire(ctx context.Context, label string) error {
 			p.mu.Unlock()
 			return ctx.Err()
 		}
-		p.mu.Unlock()
-		err = <-j.ready // dispatched or shed in the meantime
-	}
-	if err != nil {
-		return err
+		p.mu.Unlock() // dispatched in the meantime: the slot is ours
 	}
 	if err := ctx.Err(); err != nil {
 		q.release() // granted as the caller left: run nothing

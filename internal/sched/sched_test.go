@@ -233,146 +233,6 @@ func TestStress(t *testing.T) {
 	}
 }
 
-// TestQueueFull: a submission that would enqueue a job beyond MaxQueue
-// fails promptly with ErrQueueFull, and passes again once the queue
-// drains.
-func TestQueueFull(t *testing.T) {
-	p := NewPoolWith(PoolConfig{Workers: 1, MaxQueue: 1})
-	q := p.Queue(0)
-
-	release := make(chan struct{})
-	blocker := func(context.Context) error { <-release; return nil }
-
-	// Occupy the single worker...
-	done := make(chan error, 2)
-	go func() { done <- q.Do(context.Background(), "running", blocker) }()
-	waitFor(t, "worker busy", func() bool { return p.Stats().Inflight == 1 })
-	// ...and the single queue slot.
-	go func() { done <- q.Do(context.Background(), "queued", blocker) }()
-	waitFor(t, "queue full", func() bool { return p.Stats().Depth == 1 })
-
-	// One more job must be rejected, promptly, without running.
-	start := time.Now()
-	err := q.Do(context.Background(), "overflow", func(context.Context) error {
-		t.Error("rejected job ran")
-		return nil
-	})
-	if !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("err = %v, want ErrQueueFull", err)
-	}
-	if d := time.Since(start); d > 2*time.Second {
-		t.Errorf("rejection took %v, want prompt", d)
-	}
-	if got := p.Stats().Shed; got != 1 {
-		t.Errorf("Shed = %d, want 1", got)
-	}
-
-	close(release)
-	for i := 0; i < 2; i++ {
-		if err := <-done; err != nil {
-			t.Errorf("admitted job failed: %v", err)
-		}
-	}
-	// After the queue drains, fresh submissions pass again.
-	if err := q.Do(context.Background(), "after", func(context.Context) error { return nil }); err != nil {
-		t.Errorf("submission after drain failed: %v", err)
-	}
-}
-
-// TestQueueWaitTimeout: a pending job nobody dispatches within
-// QueueWait is shed — its caller gets ErrQueueTimeout, the job never
-// runs, and the pool's bookkeeping is clean.
-func TestQueueWaitTimeout(t *testing.T) {
-	p := NewPoolWith(PoolConfig{Workers: 1, QueueWait: 30 * time.Millisecond})
-	q := p.Queue(0)
-
-	release := make(chan struct{})
-	go q.Do(context.Background(), "hog", func(context.Context) error { <-release; return nil })
-	waitFor(t, "worker busy", func() bool { return p.Stats().Inflight == 1 })
-
-	var started atomic.Int64
-	const callers = 3
-	errs := make(chan error, callers)
-	for i := 0; i < callers; i++ {
-		go func() {
-			errs <- q.Do(context.Background(), "doomed", func(context.Context) error {
-				started.Add(1)
-				return nil
-			})
-		}()
-	}
-	for i := 0; i < callers; i++ {
-		if err := <-errs; !errors.Is(err, ErrQueueTimeout) {
-			t.Fatalf("caller err = %v, want ErrQueueTimeout", err)
-		}
-	}
-	if n := started.Load(); n != 0 {
-		t.Errorf("shed jobs ran %d times, want 0", n)
-	}
-	if got := p.Stats().Shed; got != callers {
-		t.Errorf("Shed = %d, want %d", got, callers)
-	}
-
-	// A fresh submission runs once the worker frees up.
-	close(release)
-	ran := false
-	if err := q.Do(context.Background(), "doomed", func(context.Context) error { ran = true; return nil }); err != nil || !ran {
-		t.Errorf("submission after shed: ran %v, err %v", ran, err)
-	}
-	s := p.Stats()
-	if s.Depth != 0 || s.Inflight != 0 {
-		t.Errorf("pool not clean after shed: %+v", s)
-	}
-}
-
-// TestQueueWaitTimerStoppedOnDispatch: a job that reaches a worker
-// before QueueWait expires completes normally and is never shed.
-func TestQueueWaitTimerStoppedOnDispatch(t *testing.T) {
-	p := NewPoolWith(PoolConfig{Workers: 1, QueueWait: 20 * time.Millisecond})
-	q := p.Queue(0)
-	err := q.Do(context.Background(), "quick", func(context.Context) error {
-		time.Sleep(60 * time.Millisecond) // outlive QueueWait while running
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Do = %v, want nil", err)
-	}
-	if got := p.Stats().Shed; got != 0 {
-		t.Errorf("Shed = %d, want 0 (job was dispatched, not shed)", got)
-	}
-}
-
-// TestQueueWaitAbandonRace: callers abandoning pending jobs around the
-// same time their shed timers fire must not double-free anything.
-func TestQueueWaitAbandonRace(t *testing.T) {
-	p := NewPoolWith(PoolConfig{Workers: 1, QueueWait: time.Millisecond})
-	q := p.Queue(0)
-
-	release := make(chan struct{})
-	go q.Do(context.Background(), "hog", func(context.Context) error { <-release; return nil })
-	waitFor(t, "worker busy", func() bool { return p.Stats().Inflight == 1 })
-
-	var wg sync.WaitGroup
-	for i := 0; i < 50; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), time.Duration(i%3)*time.Millisecond)
-			defer cancel()
-			err := q.Do(ctx, fmt.Sprintf("k%d", i), func(context.Context) error { return nil })
-			if err != nil && !errors.Is(err, ErrQueueTimeout) && !errors.Is(err, context.DeadlineExceeded) {
-				t.Errorf("unexpected err: %v", err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(release)
-	waitFor(t, "pool drains", func() bool {
-		s := p.Stats()
-		return s.Depth == 0 && s.Inflight == 0
-	})
-}
-
 // TestWaitSpanCarriesLabel: Do runs fn under the caller's context, and
 // the job's sched.wait span on that context's trace carries the label
 // Do was given.

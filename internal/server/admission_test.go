@@ -18,7 +18,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/machine"
-	"repro/internal/sched"
 )
 
 // getWithHeaders is get with extra request headers.
@@ -188,115 +187,6 @@ func TestMaxInFlight429(t *testing.T) {
 	// The slot was released: the next request passes.
 	if code, body := get(t, ts, "/v1/experiments/table2"); code != http.StatusOK {
 		t.Errorf("request after release: %d (%s)", code, body)
-	}
-}
-
-// TestQueueSaturation429 drives the real scheduler to saturation: one
-// worker busy, one job queued, so the next distinct submission hits
-// ErrQueueFull and must come back as a prompt 429 — not a hang — with
-// Retry-After reflecting the backlog.
-func TestQueueSaturation429(t *testing.T) {
-	s, _ := newTestServer(Config{SimWorkers: 1, MaxQueue: 1, Workers: 8})
-	release := make(chan struct{})
-	s.compute = func(ctx context.Context, id string, _ machine.RunOptions, _ engine.Tier, _ bool) (any, error) {
-		err := s.queue.Do(ctx, id, func(context.Context) error {
-			<-release
-			return nil
-		})
-		return "v", err
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	ids := experiments.SortedIDs()
-	if len(ids) < 3 {
-		t.Fatalf("registry has %d experiments, need 3", len(ids))
-	}
-	codes := make(chan int, 2)
-	for _, id := range ids[:2] {
-		go func(id string) {
-			code, _ := get(t, ts, "/v1/experiments/"+id)
-			codes <- code
-		}(id)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st := s.pool.Stats()
-		if st.Inflight == 1 && st.Depth == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("scheduler never saturated: %+v", st)
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	start := time.Now()
-	resp, body := getWithHeaders(t, ts, "/v1/experiments/"+ids[2], nil)
-	requireShedEnvelope(t, resp, body)
-	if d := time.Since(start); d > 5*time.Second {
-		t.Errorf("shed response took %v, want bounded", d)
-	}
-	if v := metricValue(t, ts, "spec17_sched_shed_total"); v != 1 {
-		t.Errorf("spec17_sched_shed_total = %v, want 1", v)
-	}
-	if v := metricValue(t, ts, `spec17_admission_rejected_total{reason="queue_full"}`); v != 1 {
-		t.Errorf("rejected_total{queue_full} = %v, want 1", v)
-	}
-
-	close(release)
-	for i := 0; i < 2; i++ {
-		if code := <-codes; code != http.StatusOK {
-			t.Errorf("saturating request %d finished %d, want 200", i, code)
-		}
-	}
-}
-
-// TestQueueWaitTimeout429: a job that waits out the pool's QueueWait
-// is shed with 429, and the scheduler's bookkeeping drains cleanly.
-func TestQueueWaitTimeout429(t *testing.T) {
-	s, _ := newTestServer(Config{SimWorkers: 1, QueueWait: 30 * time.Millisecond, Workers: 8})
-	release := make(chan struct{})
-	s.compute = func(ctx context.Context, id string, _ machine.RunOptions, _ engine.Tier, _ bool) (any, error) {
-		err := s.queue.Do(ctx, id, func(context.Context) error {
-			<-release
-			return nil
-		})
-		return "v", err
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	ids := experiments.SortedIDs()
-	hog := make(chan int, 1)
-	go func() {
-		code, _ := get(t, ts, "/v1/experiments/"+ids[0])
-		hog <- code
-	}()
-	waitForStats(t, s, func(st sched.Stats) bool { return st.Inflight == 1 })
-
-	// The second request queues behind the hog and times out.
-	resp, body := getWithHeaders(t, ts, "/v1/experiments/"+ids[1], nil)
-	requireShedEnvelope(t, resp, body)
-	if v := metricValue(t, ts, `spec17_admission_rejected_total{reason="queue_timeout"}`); v != 1 {
-		t.Errorf("rejected_total{queue_timeout} = %v, want 1", v)
-	}
-
-	close(release)
-	if code := <-hog; code != http.StatusOK {
-		t.Errorf("hog finished %d, want 200", code)
-	}
-	waitForStats(t, s, func(st sched.Stats) bool { return st.Depth == 0 && st.Inflight == 0 })
-}
-
-func waitForStats(t *testing.T, s *Server, cond func(sched.Stats) bool) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for !cond(s.pool.Stats()) {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for scheduler state: %+v", s.pool.Stats())
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 

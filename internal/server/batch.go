@@ -295,7 +295,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				TraceID: isp.TraceID(), ElapsedMS: elapsed.Milliseconds(), Result: res.val}
 			if err != nil {
 				s.cfg.Log.Warn("batch item failed", "experiment", id, "err", err)
-				_, code := s.computeStatus(r, err)
+				_, code := computeStatus(r, err)
 				line = batchLine{ID: id, Status: "error", TraceID: isp.TraceID(),
 					ElapsedMS: elapsed.Milliseconds(),
 					Error:     &errorDetail{Code: code, Message: err.Error()}}

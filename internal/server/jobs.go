@@ -166,7 +166,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	})
 	switch {
 	case errors.Is(err, jobs.ErrTooManyJobs):
-		s.writeShed(w, err.Error(), 0)
+		writeShed(w, err.Error(), 0)
 		return
 	case errors.Is(err, jobs.ErrClosed):
 		writeError(w, http.StatusServiceUnavailable, codeDraining, err.Error(), nil)
@@ -251,7 +251,7 @@ func (s *Server) handleJobResults(w http.ResponseWriter, r *http.Request) {
 		case jobs.ItemDone:
 			res, err := s.serve(r.Context(), it.ID, opts, engine.Tier(j.Spec.Engine), true)
 			if err != nil {
-				_, code := s.computeStatus(r, err)
+				_, code := computeStatus(r, err)
 				lw.emit(batchLine{ID: it.ID, Status: "error",
 					ElapsedMS: time.Since(start).Milliseconds(),
 					Error:     &errorDetail{Code: code, Message: err.Error()}})

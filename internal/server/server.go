@@ -23,7 +23,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -111,13 +110,6 @@ type Config struct {
 	// MaxInFlight bounds concurrently admitted compute requests across
 	// all clients. 0 disables the limit.
 	MaxInFlight int
-	// MaxQueue bounds the scheduler's pending queue; submissions beyond
-	// it are shed with 429 instead of queueing without bound. 0 means
-	// unbounded.
-	MaxQueue int
-	// QueueWait bounds how long a scheduled job may sit queued before
-	// being shed (429). 0 disables.
-	QueueWait time.Duration
 	// RequestTimeout is the server-side deadline for compute requests;
 	// a request still working when it expires answers 504. 0 disables.
 	RequestTimeout time.Duration
@@ -342,12 +334,7 @@ func New(cfg Config) *Server {
 		met:     newServerMetrics(cfg.Metrics),
 		started: time.Now(),
 		sem:     make(chan struct{}, cfg.Workers),
-		pool: sched.NewPoolWith(sched.PoolConfig{
-			Workers:   cfg.SimWorkers,
-			MaxQueue:  cfg.MaxQueue,
-			QueueWait: cfg.QueueWait,
-			Metrics:   cfg.Metrics,
-		}),
+		pool:    sched.NewPool(cfg.SimWorkers, cfg.Metrics),
 		adm: admission.New(admission.Config{
 			Rate:        cfg.RateLimit,
 			Burst:       cfg.Burst,
@@ -760,20 +747,13 @@ func writeError(w http.ResponseWriter, status int, code, message string, known [
 }
 
 // computeStatus maps a computation failure to a status and error
-// code: scheduler sheds (queue full, queue-wait timeout) are
-// 429/too_many_requests and count as admission rejections, a
-// server-side deadline expiry is 504/deadline_exceeded, other
+// code: a server-side deadline expiry is 504/deadline_exceeded, other
 // cancellations (the client has gone away, or the drain abandoned the
 // wait) are 499/canceled — the nginx "client closed request"
-// convention — and everything else is 500/internal.
-func (s *Server) computeStatus(r *http.Request, err error) (int, string) {
+// convention — and everything else is 500/internal. An admitted
+// computation is never shed, so none of them is a 429.
+func computeStatus(r *http.Request, err error) (int, string) {
 	switch {
-	case errors.Is(err, sched.ErrQueueFull):
-		s.adm.CountRejection(admission.ReasonQueueFull)
-		return http.StatusTooManyRequests, codeTooManyRequests
-	case errors.Is(err, sched.ErrQueueTimeout):
-		s.adm.CountRejection(admission.ReasonQueueTimeout)
-		return http.StatusTooManyRequests, codeTooManyRequests
 	case !flight.IsCanceled(err):
 		return http.StatusInternalServerError, codeInternal
 	case r.Context().Err() == context.DeadlineExceeded:
@@ -782,13 +762,10 @@ func (s *Server) computeStatus(r *http.Request, err error) (int, string) {
 	return 499, codeCanceled
 }
 
-// writeComputeError answers a computation failure in the envelope,
-// with a Retry-After on a shed.
+// writeComputeError answers a computation failure in the envelope.
 func (s *Server) writeComputeError(w http.ResponseWriter, r *http.Request, what string, err error) {
 	s.cfg.Log.Error("compute failed", "what", what, "err", err)
-	switch status, code := s.computeStatus(r, err); status {
-	case http.StatusTooManyRequests:
-		s.writeShed(w, err.Error(), 0)
+	switch status, code := computeStatus(r, err); status {
 	case http.StatusGatewayTimeout:
 		writeError(w, status, code, "request exceeded the server-side deadline", nil)
 	default:
@@ -797,30 +774,17 @@ func (s *Server) writeComputeError(w http.ResponseWriter, r *http.Request, what 
 }
 
 // retryAfterSeconds turns a rejection into integer Retry-After
-// seconds: at least the admission layer's own refill estimate, at
-// least the time the scheduler's current backlog needs to clear one
-// queue slot (1 + depth/workers, each job assumed to take on the
-// order of a second), clamped to [1s, 5m].
-func (s *Server) retryAfterSeconds(hint time.Duration) int {
-	secs := int(math.Ceil(hint.Seconds()))
-	st := s.pool.Stats()
-	if byDepth := 1 + st.Depth/s.pool.Workers(); byDepth > secs {
-		secs = byDepth
-	}
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 300 {
-		secs = 300
-	}
-	return secs
+// seconds: the admission layer's own earliest-retry estimate, clamped
+// to [1s, 5m].
+func retryAfterSeconds(hint time.Duration) int {
+	return min(max(int(math.Ceil(hint.Seconds())), 1), 300)
 }
 
 // writeShed answers 429/too_many_requests with a Retry-After header.
 // hint, when nonzero, is the admission layer's own earliest-retry
-// estimate; the queue-depth floor applies either way.
-func (s *Server) writeShed(w http.ResponseWriter, message string, hint time.Duration) {
-	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds(hint)))
+// estimate.
+func writeShed(w http.ResponseWriter, message string, hint time.Duration) {
+	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(hint)))
 	writeError(w, http.StatusTooManyRequests, codeTooManyRequests, message, nil)
 }
 
@@ -1049,14 +1013,14 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, endpoint string) 
 	}
 	if !s.adm.AcquireInFlight() {
 		record(admission.ReasonInFlight)
-		s.writeShed(w, "too many requests in flight; retry later", 0)
+		writeShed(w, "too many requests in flight; retry later", 0)
 		return nil, false
 	}
 	cost := s.estimateCost(r, endpoint)
 	if dec := s.adm.Admit(clientKey(r), cost); !dec.OK {
 		s.adm.ReleaseInFlight()
 		record(dec.Reason)
-		s.writeShed(w, fmt.Sprintf("rate limit exceeded (request cost %.3g tokens)", cost), dec.RetryAfter)
+		writeShed(w, fmt.Sprintf("rate limit exceeded (request cost %.3g tokens)", cost), dec.RetryAfter)
 		return nil, false
 	}
 	record("admitted")

@@ -1,0 +1,126 @@
+//go:build !race
+
+package server
+
+import (
+	"net/http"
+	"net/http/httptest"
+	"testing"
+	"time"
+
+	"repro/internal/jobs"
+	"repro/internal/sched"
+	"repro/internal/store"
+)
+
+// fleetLeaves is the leaf count of one fleet characterization: every
+// characterized entry on each of the seven Table IV machines.
+const fleetLeaves = 686
+
+// newShedTestServer is a server on the real compute path over a
+// private memory store, returned with that store.
+func newShedTestServer(t *testing.T, cfg Config) (*Server, *store.Store, *httptest.Server) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("real fleet characterization")
+	}
+	st, err := store.Open(store.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Store = st
+	s := New(cfg)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+	return s, st, ts
+}
+
+// waitForPool polls the server's scheduler until cond holds.
+func waitForPool(t *testing.T, s *Server, what string, cond func(sched.Stats) bool) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for !cond(s.pool.Stats()) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s: %+v", what, s.pool.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestInFlightBoundShedsWholeRequests: under MaxInFlight 1 the only
+// shed is at the door. A lone cold exact build on a two-worker pool
+// runs every one of its leaves and answers 200; a concurrent compute
+// request is refused whole with 429 and starts no leaf of its own.
+func TestInFlightBoundShedsWholeRequests(t *testing.T) {
+	s, st, ts := newShedTestServer(t, Config{MaxInFlight: 1, SimWorkers: 2})
+	admitted := make(chan struct{})
+	release := make(chan struct{})
+	s.computeStarted = func(string) {
+		close(admitted)
+		<-release
+	}
+
+	first := make(chan int, 1)
+	go func() {
+		code, _ := get(t, ts, "/v1/experiments/table1?instructions=2000&warmup=400")
+		first <- code
+	}()
+	<-admitted
+
+	// A different fidelity, so an admitted second request would have
+	// started leaves of its own.
+	resp, body := getWithHeaders(t, ts, "/v1/experiments/table1?instructions=3000&warmup=400", nil)
+	requireShedEnvelope(t, resp, body)
+	close(release)
+	if code := <-first; code != http.StatusOK {
+		t.Fatalf("lone cold exact build answered %d, want 200", code)
+	}
+	if misses := st.Stats().Misses; misses != fleetLeaves {
+		t.Errorf("store misses = %d, want %d", misses, fleetLeaves)
+	}
+	if v := metricValue(t, ts, "spec17_sched_jobs_started_total"); v != fleetLeaves {
+		t.Errorf("spec17_sched_jobs_started_total = %v, want %d", v, fleetLeaves)
+	}
+}
+
+// TestRetryAfterIgnoresQueueDepth: a request shed while a cold exact
+// build has hundreds of leaves queued is told to retry within
+// seconds, not after a delay scaled by the scheduler's backlog.
+func TestRetryAfterIgnoresQueueDepth(t *testing.T) {
+	s, _, ts := newShedTestServer(t, Config{MaxInFlight: 1, SimWorkers: 2})
+	first := make(chan int, 1)
+	go func() {
+		code, _ := get(t, ts, "/v1/experiments/table1?instructions=20000&warmup=4000")
+		first <- code
+	}()
+	waitForPool(t, s, "a deep leaf backlog", func(st sched.Stats) bool { return st.Depth >= 100 })
+
+	resp, body := getWithHeaders(t, ts, "/v1/experiments/table2", nil)
+	if secs := requireShedEnvelope(t, resp, body); secs > 5 {
+		t.Errorf("Retry-After = %d, want <= 5", secs)
+	}
+	if code := <-first; code != http.StatusOK {
+		t.Errorf("build answered %d, want 200", code)
+	}
+}
+
+// TestJobOutlivesRequestTimeout: the request timeout is a deadline on
+// interactive requests only. A job has no client on the wire, so its
+// leaves may wait in the scheduler far longer than the timeout and
+// the job still finishes.
+func TestJobOutlivesRequestTimeout(t *testing.T) {
+	_, _, ts := newShedTestServer(t, Config{SimWorkers: 2, RequestTimeout: 100 * time.Millisecond})
+	j := submitJob(t, ts, map[string]any{
+		"experiments":  []string{"table1"},
+		"instructions": 2000,
+		"warmup":       400,
+		"engine":       "exact",
+	})
+	j = waitJobDone(t, ts, j.ID)
+	if j.State != jobs.StateDone || len(j.Items) != 1 || j.Items[0].Status != jobs.ItemDone {
+		t.Fatalf("job = state %s, items %+v; want done with its item done", j.State, j.Items)
+	}
+}

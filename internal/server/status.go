@@ -76,10 +76,8 @@ type storeStatus struct {
 type schedStatus struct {
 	Workers  int   `json:"workers"`
 	Depth    int   `json:"queue_depth"`
-	MaxQueue int   `json:"max_queue,omitempty"`
 	Inflight int   `json:"inflight"`
 	Started  int64 `json:"started"`
-	Shed     int64 `json:"shed,omitempty"`
 }
 
 type cacheStatus struct {
@@ -154,10 +152,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	resp.Sched = schedStatus{
 		Workers:  s.pool.Workers(),
 		Depth:    ps.Depth,
-		MaxQueue: ps.MaxQueue,
 		Inflight: ps.Inflight,
 		Started:  ps.Started,
-		Shed:     ps.Shed,
 	}
 	resp.Admission = s.adm.Snapshot()
 	s.mu.Lock()

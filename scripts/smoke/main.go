@@ -27,8 +27,20 @@ import (
 	"repro/internal/experiments"
 )
 
+// daemons holds a kill function per spec17d started; stopDaemons
+// runs them, on success and on failure alike, so no daemon outlives
+// the smoke test.
+var daemons []func()
+
+func stopDaemons() {
+	for _, stop := range daemons {
+		stop()
+	}
+}
+
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "smoke: FAIL: "+format+"\n", args...)
+	stopDaemons()
 	os.Exit(1)
 }
 
@@ -43,6 +55,44 @@ func get(base, path string) (int, []byte) {
 		fatalf("GET %s: reading body: %v", path, err)
 	}
 	return resp.StatusCode, body
+}
+
+// startDaemon boots the spec17d binary on a free port with args and
+// waits until it answers /v1/healthz. It returns the daemon's base
+// URL.
+func startDaemon(bin, what string, args ...string) string {
+	// Pick a free port by binding and releasing it.
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		fatalf("picking a port for the %s: %v", what, err)
+	}
+	addr := l.Addr().String()
+	l.Close()
+	base := "http://" + addr
+
+	daemon := exec.Command(bin, append([]string{"-addr", addr}, args...)...)
+	daemon.Stdout, daemon.Stderr = os.Stdout, os.Stderr
+	if err := daemon.Start(); err != nil {
+		fatalf("starting the %s: %v", what, err)
+	}
+	daemons = append(daemons, func() {
+		daemon.Process.Kill()
+		daemon.Wait()
+	})
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Get(base + "/v1/healthz")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				return base
+			}
+		}
+		if time.Now().After(deadline) {
+			fatalf("%s not live after 10s", what)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
 }
 
 func main() {
@@ -79,15 +129,6 @@ func main() {
 	}
 	fmt.Println("smoke: spec17 printed table6 and fig10 under their registry titles; unknown id exits 2")
 
-	// Pick a free port by binding and releasing it.
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fatalf("picking a port: %v", err)
-	}
-	addr := l.Addr().String()
-	l.Close()
-	base := "http://" + addr
-
 	// -trace-slow high enough that the daemon never dumps a full span
 	// tree into the CI log; the flag still goes through parsing. The
 	// near-zero -rate-limit gives every client a one-token bucket that
@@ -95,32 +136,9 @@ func main() {
 	// must be shed — driving the admission path end to end.
 	// -insight-interval short enough that the history rings fill while
 	// the smoke test watches.
-	daemon := exec.Command(bin, "-addr", addr, "-trace-slow", "5m", "-rate-limit", "0.01",
+	defer stopDaemons()
+	base := startDaemon(bin, "daemon", "-trace-slow", "5m", "-rate-limit", "0.01",
 		"-insight-interval", "200ms")
-	daemon.Stdout, daemon.Stderr = os.Stdout, os.Stderr
-	if err := daemon.Start(); err != nil {
-		fatalf("starting spec17d: %v", err)
-	}
-	defer func() {
-		daemon.Process.Kill()
-		daemon.Wait()
-	}()
-
-	// Wait for liveness.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := http.Get(base + "/v1/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			fatalf("daemon not live after 10s")
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
 	fmt.Println("smoke: /v1/healthz live")
 
 	// /v1/status must report an enabled tracer and a running scheduler.
@@ -423,36 +441,7 @@ func main() {
 	// A daemon booted with -insight=false must not have the insight
 	// routes at all: 404 through the ordinary fallback, not an empty
 	// 200 — clients can trust the discovery document.
-	l2, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fatalf("picking a second port: %v", err)
-	}
-	addr2 := l2.Addr().String()
-	l2.Close()
-	base2 := "http://" + addr2
-	daemon2 := exec.Command(bin, "-addr", addr2, "-insight=false", "-jobs=false")
-	daemon2.Stdout, daemon2.Stderr = os.Stdout, os.Stderr
-	if err := daemon2.Start(); err != nil {
-		fatalf("starting insight-less spec17d: %v", err)
-	}
-	defer func() {
-		daemon2.Process.Kill()
-		daemon2.Wait()
-	}()
-	deadline = time.Now().Add(10 * time.Second)
-	for {
-		resp, err := http.Get(base2 + "/v1/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			fatalf("insight-less daemon not live after 10s")
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+	base2 := startDaemon(bin, "insight-less daemon", "-insight=false", "-jobs=false")
 	for _, path := range []string{"/v1/metrics/history?name=x", "/v1/accuracy", "/v1/events"} {
 		code, body := get(base2, path)
 		if code != http.StatusNotFound || !strings.Contains(string(body), "no such endpoint") {
@@ -474,7 +463,7 @@ func main() {
 		auto.Engine != "analytic" || !auto.UpgradePending {
 		fatalf("-jobs=false auto request: status %d body %s, want analytic with upgrade_pending", code, body)
 	}
-	deadline = time.Now().Add(2 * time.Minute)
+	deadline := time.Now().Add(2 * time.Minute)
 	for auto.Engine != "exact" {
 		if time.Now().After(deadline) {
 			fatalf("-jobs=false auto request never upgraded to exact: %s", body)
@@ -486,5 +475,44 @@ func main() {
 		}
 	}
 	fmt.Println("smoke: -jobs=false daemon upgraded an auto request to exact")
+
+	// -request-timeout is a deadline on interactive requests only: a
+	// job of a cold exact fleet build, whose leaves queue far longer
+	// than the timeout, still finishes.
+	base3 := startDaemon(bin, "request-timeout daemon", "-request-timeout", "100ms", "-sim-workers", "2")
+	req, _ = http.NewRequest("POST", base3+"/v1/jobs", strings.NewReader(
+		`{"experiments":["table1"],"instructions":2000,"warmup":400,"engine":"exact"}`))
+	req.Header.Set("Content-Type", "application/json")
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		fatalf("request-timeout job submit: %v", err)
+	}
+	rbody, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err := json.Unmarshal(rbody, &job); resp.StatusCode != http.StatusAccepted || err != nil || job.ID == "" {
+		fatalf("request-timeout job submit: status %d body %s, want 202 with a job id", resp.StatusCode, rbody)
+	}
+	var state struct {
+		State string `json:"state"`
+		Items []struct {
+			Status string `json:"status"`
+			Error  string `json:"error"`
+		} `json:"items"`
+	}
+	deadline = time.Now().Add(2 * time.Minute)
+	for state.State != "done" {
+		if time.Now().After(deadline) || state.State == "failed" || state.State == "cancelled" {
+			fatalf("request-timeout job: %s, want done", body)
+		}
+		time.Sleep(50 * time.Millisecond)
+		code, body = get(base3, "/v1/jobs/"+job.ID)
+		if err := json.Unmarshal(body, &state); code != http.StatusOK || err != nil {
+			fatalf("request-timeout job poll: status %d body %s", code, body)
+		}
+	}
+	if len(state.Items) != 1 || state.Items[0].Status != "done" {
+		fatalf("request-timeout job: %s, want its one item done", body)
+	}
+	fmt.Println("smoke: a cold exact job outlived -request-timeout 100ms and finished done")
 	fmt.Println("smoke: PASS")
 }
