@@ -13,6 +13,7 @@ package repro
 import (
 	"context"
 	"io"
+	"log/slog"
 	"sync"
 	"testing"
 	"time"
@@ -357,7 +358,7 @@ func TestStoreHitFastPathAllocsWithInsight(t *testing.T) {
 	plane := insight.New(insight.Config{
 		Metrics:  metrics.NewRegistry(),
 		Store:    st,
-		Log:      telemetry.NewLogger(io.Discard, telemetry.LevelError+1),
+		Log:      telemetry.NewLogger(io.Discard, slog.LevelError+1),
 		Interval: time.Hour,
 	})
 	defer plane.Stop()

@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
@@ -96,9 +97,9 @@ func spec17(args []string, stdout, stderr io.Writer) int {
 
 	// Diagnostics (store warnings, persist failures) go through the
 	// structured logger; experiment results stay plain stdout.
-	logger := telemetry.NewLogger(stderr, telemetry.LevelInfo)
+	logger := telemetry.NewLogger(stderr, slog.LevelInfo)
 
-	st, err := store.Open(store.Config{Path: *storePath, Log: logger.Std("store")})
+	st, err := store.Open(store.Config{Path: *storePath, Log: logger})
 	if err != nil {
 		logger.Warn("opening store; starting cold", "err", err)
 	}

@@ -51,6 +51,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -103,7 +104,7 @@ type daemonConfig struct {
 	sloLatencyMS    int
 
 	pprofAddr string
-	logLevel  telemetry.Level
+	logLevel  slog.Level
 }
 
 // parseFlags parses the daemon's command line. Errors (including an
@@ -143,17 +144,10 @@ func parseFlags(args []string, stderr io.Writer) (*daemonConfig, error) {
 	fs.IntVar(&cfg.insightRing, "insight-ring", 360, "history samples retained per metric series")
 	fs.IntVar(&cfg.sloLatencyMS, "slo-latency-ms", 500, "per-request latency objective for SLO burn tracking, in milliseconds (0 disables)")
 	fs.StringVar(&cfg.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this address (empty disables; keep it private)")
-	logLevel := fs.String("log-level", "info", "minimum log level (debug, info, warn, error)")
+	fs.TextVar(&cfg.logLevel, "log-level", slog.LevelInfo, "minimum log `level` (debug, info, warn, error)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	lv, err := telemetry.ParseLevel(*logLevel)
-	if err != nil {
-		fmt.Fprintf(stderr, "invalid value %q for flag -log-level: %v\n", *logLevel, err)
-		fs.Usage()
-		return nil, err
-	}
-	cfg.logLevel = lv
 	tier, err := engine.ParseTier(*engFlag)
 	if err != nil {
 		fmt.Fprintf(stderr, "invalid value %q for flag -engine: %v\n", *engFlag, err)
@@ -233,7 +227,7 @@ func main() {
 		tracer = telemetry.NewTracer(tcfg)
 	}
 
-	scfg := store.Config{Path: cfg.storePath, Metrics: reg, Log: logger.Std("store")}
+	scfg := store.Config{Path: cfg.storePath, Metrics: reg, Log: logger}
 	if plane != nil {
 		scfg.OnCheckpointError = plane.OnCheckpointError
 	}
@@ -358,7 +352,7 @@ func main() {
 // the API address so profiling is never reachable through whatever
 // exposes the service — an explicit mux rather than DefaultServeMux,
 // so importing pprof cannot leak handlers onto the API.
-func servePprof(addr string, logger *telemetry.Logger) {
+func servePprof(addr string, logger *slog.Logger) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -375,7 +369,7 @@ func servePprof(addr string, logger *telemetry.Logger) {
 
 // saveStore persists the measurement store after the drain, so every
 // measurement the process made warms the next one.
-func saveStore(st *store.Store, logger *telemetry.Logger) error {
+func saveStore(st *store.Store, logger *slog.Logger) error {
 	if st.Path() == "" {
 		return nil
 	}

@@ -3,11 +3,10 @@ package main
 import (
 	"errors"
 	"flag"
+	"log/slog"
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/telemetry"
 )
 
 func TestParseFlagsDefaults(t *testing.T) {
@@ -31,7 +30,7 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if cfg.pprofAddr != "" {
 		t.Errorf("pprofAddr = %q, want empty", cfg.pprofAddr)
 	}
-	if cfg.logLevel != telemetry.LevelInfo {
+	if cfg.logLevel != slog.LevelInfo {
 		t.Errorf("logLevel = %v, want info", cfg.logLevel)
 	}
 	if cfg.drain != 30*time.Second {
@@ -96,7 +95,7 @@ func TestParseFlagsValid(t *testing.T) {
 	if cfg.pprofAddr != "localhost:6060" {
 		t.Errorf("pprofAddr = %q", cfg.pprofAddr)
 	}
-	if cfg.logLevel != telemetry.LevelDebug {
+	if cfg.logLevel != slog.LevelDebug {
 		t.Errorf("logLevel = %v, want debug", cfg.logLevel)
 	}
 	if cfg.storePath != "/tmp/s.json" || cfg.drain != 5*time.Second {

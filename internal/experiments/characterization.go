@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/counters"
@@ -181,12 +180,5 @@ func bytesRepeat(c byte, n int) []byte {
 	for i := range out {
 		out[i] = c
 	}
-	return out
-}
-
-// SortRowsByCPI orders Table 1 rows by descending measured CPI.
-func SortRowsByCPI(rows []Table1Row) []Table1Row {
-	out := append([]Table1Row(nil), rows...)
-	sort.Slice(out, func(i, j int) bool { return out[i].CPI > out[j].CPI })
 	return out
 }

@@ -9,11 +9,11 @@ package insight
 // spec17d_insight_events_total{type}; GET /v1/events serves the ring.
 
 import (
+	"log/slog"
 	"sync"
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/telemetry"
 )
 
 // EventType names one anomaly class. The set is closed: handlers
@@ -67,7 +67,7 @@ type Event struct {
 type EventLog struct {
 	capacity int
 	ctr      *metrics.CounterVec
-	log      *telemetry.Logger
+	log      *slog.Logger
 	now      func() time.Time
 
 	mu   sync.Mutex
@@ -76,7 +76,7 @@ type EventLog struct {
 	seq  uint64
 }
 
-func newEventLog(capacity int, reg *metrics.Registry, log *telemetry.Logger, now func() time.Time) *EventLog {
+func newEventLog(capacity int, reg *metrics.Registry, log *slog.Logger, now func() time.Time) *EventLog {
 	return &EventLog{
 		capacity: capacity,
 		ctr: reg.CounterVec("spec17d_insight_events_total",

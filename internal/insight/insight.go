@@ -20,6 +20,7 @@ package insight
 
 import (
 	"fmt"
+	"log/slog"
 	"os"
 	"strconv"
 	"sync"
@@ -49,7 +50,7 @@ type Config struct {
 	Store *store.Store
 	// Log mirrors every emitted event. Defaults to an info-level
 	// structured logger on stderr.
-	Log *telemetry.Logger
+	Log *slog.Logger
 	// Interval is the sampling period. Defaults to 5s.
 	Interval time.Duration
 	// Ring is the per-series history ring capacity (Interval × Ring of
@@ -66,7 +67,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Log == nil {
-		c.Log = telemetry.NewLogger(os.Stderr, telemetry.LevelInfo)
+		c.Log = telemetry.NewLogger(os.Stderr, slog.LevelInfo)
 	}
 	if c.Interval <= 0 {
 		c.Interval = 5 * time.Second

@@ -3,6 +3,7 @@ package insight
 import (
 	"errors"
 	"io"
+	"log/slog"
 	"testing"
 	"time"
 
@@ -21,8 +22,8 @@ func newTestClock() *testClock {
 func (c *testClock) now() time.Time          { return c.t }
 func (c *testClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
-func quietLog() *telemetry.Logger {
-	return telemetry.NewLogger(io.Discard, telemetry.LevelError+1)
+func quietLog() *slog.Logger {
+	return telemetry.NewLogger(io.Discard, slog.LevelError+1)
 }
 
 func newTestPlane(t *testing.T, reg *metrics.Registry, clk *testClock, slo SLOConfig) *Plane {

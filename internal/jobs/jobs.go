@@ -30,6 +30,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math"
 	"os"
 	"sync"
@@ -247,7 +248,7 @@ type Config struct {
 	Metrics *metrics.Registry
 	// Log receives lifecycle and delivery warnings. Defaults to an
 	// info-level logger on stderr.
-	Log *telemetry.Logger
+	Log *slog.Logger
 }
 
 func (c Config) withDefaults() Config {
@@ -262,7 +263,7 @@ func (c Config) withDefaults() Config {
 		c.Metrics = metrics.NewRegistry()
 	}
 	if c.Log == nil {
-		c.Log = telemetry.NewLogger(os.Stderr, telemetry.LevelInfo)
+		c.Log = telemetry.NewLogger(os.Stderr, slog.LevelInfo)
 	}
 	return c
 }

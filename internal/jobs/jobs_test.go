@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -22,7 +23,7 @@ import (
 func quietCfg(r Runner) Config {
 	return Config{
 		Runner: r,
-		Log:    telemetry.NewLogger(io.Discard, telemetry.LevelError),
+		Log:    telemetry.NewLogger(io.Discard, slog.LevelError),
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/insight"
-	"repro/internal/server/api"
 )
 
 // handleMetricsHistory is GET /v1/metrics/history: one metric family's
@@ -41,7 +40,7 @@ func (s *Server) handleMetricsHistory(w http.ResponseWriter, r *http.Request) {
 	ins := s.cfg.Insight
 	h, ok := ins.Recorder().History(name, window, ins.Interval(), time.Now())
 	if !ok {
-		writeError(w, http.StatusNotFound, api.CodeNotFound,
+		writeError(w, http.StatusNotFound, codeNotFound,
 			fmt.Sprintf("no sampled metric named %q", name), ins.Recorder().Names())
 		return
 	}

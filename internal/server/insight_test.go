@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -61,7 +62,7 @@ func newInsightTestServer(t *testing.T, cfg Config) (*Server, *insight.Plane, *a
 		cfg.Store = st
 	}
 	if cfg.Log == nil {
-		cfg.Log = telemetry.NewLogger(io.Discard, telemetry.LevelError+1)
+		cfg.Log = telemetry.NewLogger(io.Discard, slog.LevelError+1)
 	}
 	plane := insight.New(insight.Config{
 		Metrics: cfg.Metrics,

@@ -3,8 +3,8 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -156,7 +156,7 @@ func TestReportTraceSpanTree(t *testing.T) {
 		t.Skip("real fleet characterization (~6s)")
 	}
 	var logBuf syncBuffer
-	logger := telemetry.NewLogger(&logBuf, telemetry.LevelInfo)
+	logger := telemetry.NewLogger(&logBuf, slog.LevelInfo)
 	reg := metrics.NewRegistry()
 	st, err := store.Open(store.Config{Metrics: reg})
 	if err != nil {
@@ -235,22 +235,4 @@ func TestReportTraceSpanTree(t *testing.T) {
 		t.Errorf("trace root duration %v vs access-log duration %v: want root <= logged within 1s",
 			rootDur, loggedDur)
 	}
-}
-
-// syncBuffer is a bytes.Buffer safe for the logger's concurrent use.
-type syncBuffer struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (b *syncBuffer) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.Write(p)
-}
-
-func (b *syncBuffer) String() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.String()
 }

@@ -20,7 +20,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/jobs"
 	"repro/internal/machine"
-	"repro/internal/server/api"
 	"repro/internal/telemetry"
 )
 
@@ -185,13 +184,13 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 // handleJobList is GET /v1/jobs: every retained job, newest first,
 // windowed by ?limit=/?offset= with X-Total-Count.
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
-	page, err := api.ParsePage(r.URL.Query())
+	page, err := parsePage(r.URL.Query())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadOptions, err.Error(), nil)
 		return
 	}
 	all := s.jobs.List()
-	lo, hi := page.Window(len(all))
+	lo, hi := page.window(len(all))
 	w.Header().Set("X-Total-Count", strconv.Itoa(len(all)))
 	writeJSON(w, http.StatusOK, struct {
 		Total  int        `json:"total"`

@@ -12,8 +12,6 @@ import (
 	"net/http"
 	"slices"
 	"strings"
-
-	"repro/internal/server/api"
 )
 
 // routeDef is one registered endpoint.
@@ -142,7 +140,7 @@ func strictQuery(params []string, h http.HandlerFunc) http.HandlerFunc {
 			}
 		}
 		if err == nil {
-			err = api.NoEmptyParams(q)
+			err = noEmptyParams(q)
 		}
 		if err != nil {
 			writeError(w, http.StatusBadRequest, codeBadOptions, err.Error(), nil)
@@ -195,12 +193,12 @@ func (s *Server) handleFallback(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(allowed) > 0 {
 		w.Header().Set("Allow", strings.Join(allowed, ", "))
-		writeError(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed,
+		writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed,
 			fmt.Sprintf("method %s is not allowed for %s (allowed: %s)",
 				r.Method, r.URL.Path, strings.Join(allowed, ", ")), nil)
 		return
 	}
-	writeError(w, http.StatusNotFound, api.CodeNotFound,
+	writeError(w, http.StatusNotFound, codeNotFound,
 		fmt.Sprintf("no such endpoint: %s %s (see GET /v1 for the API surface)",
 			r.Method, r.URL.Path), nil)
 }

@@ -24,6 +24,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"math"
 	"net"
 	"net/http"
@@ -42,7 +43,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/sched"
-	"repro/internal/server/api"
 	"repro/internal/store"
 	"repro/internal/telemetry"
 )
@@ -146,7 +146,7 @@ type Config struct {
 	Metrics *metrics.Registry
 	// Log receives access lines and request-level errors. Defaults to
 	// an info-level structured logger on stderr.
-	Log *telemetry.Logger
+	Log *slog.Logger
 	// Tracer records per-request span trees, served by GET /v1/traces.
 	// Nil disables tracing entirely: no X-Trace-Id header, no trace
 	// ids in batch lines, and no per-request allocations for spans.
@@ -201,7 +201,7 @@ func (c Config) withDefaults() Config {
 		c.Metrics = metrics.NewRegistry()
 	}
 	if c.Log == nil {
-		c.Log = telemetry.NewLogger(os.Stderr, telemetry.LevelInfo)
+		c.Log = telemetry.NewLogger(os.Stderr, slog.LevelInfo)
 	}
 	return c
 }
@@ -718,34 +718,6 @@ func checkFidelity(opts machine.RunOptions) error {
 	return opts.Validate()
 }
 
-// Error-envelope codes. Every non-200 JSON response is
-// {"error":{"code","message"}} with one of these codes, so clients
-// switch on a stable string instead of parsing messages. The codes
-// (and the envelope itself) are defined once in internal/server/api
-// and shared by every layer, including the mux fallbacks.
-const (
-	codeUnknownExperiment = api.CodeUnknownExperiment
-	codeUnknownJob        = api.CodeUnknownJob
-	codeBadOptions        = api.CodeBadOptions
-	codeDraining          = api.CodeDraining
-	codeCanceled          = api.CodeCanceled
-	codeInternal          = api.CodeInternal
-	codeTooManyRequests   = api.CodeTooManyRequests
-	codeDeadlineExceeded  = api.CodeDeadlineExceeded
-	codeBodyTooLarge      = api.CodeBodyTooLarge
-	codeJobNotDone        = api.CodeJobNotDone
-)
-
-// errorDetail is the error half of the envelope (see api.ErrorDetail).
-type errorDetail = api.ErrorDetail
-
-// errorEnvelope aliases the api envelope for the test suite.
-type errorEnvelope = api.Envelope
-
-func writeError(w http.ResponseWriter, status int, code, message string, known []string) {
-	api.WriteError(w, status, code, message, known)
-}
-
 // computeStatus maps a computation failure to a status and error
 // code: a server-side deadline expiry is 504/deadline_exceeded, other
 // cancellations (the client has gone away, or the drain abandoned the
@@ -799,10 +771,6 @@ func (s *Server) refuseDraining(w http.ResponseWriter) bool {
 	return true
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	api.WriteJSON(w, code, v)
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
@@ -827,13 +795,13 @@ type catalogEntry struct {
 // the X-Total-Count header (and the total field), so paging clients
 // know when to stop without a sentinel request.
 func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
-	page, err := api.ParsePage(r.URL.Query())
+	page, err := parsePage(r.URL.Query())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadOptions, err.Error(), nil)
 		return
 	}
 	descs := experiments.Registry()
-	lo, hi := page.Window(len(descs))
+	lo, hi := page.window(len(descs))
 	entries := make([]catalogEntry, 0, hi-lo)
 	for _, d := range descs[lo:hi] {
 		entries = append(entries, catalogEntry{ID: d.ID, Title: d.Title, Kind: d.Kind})
@@ -1077,15 +1045,14 @@ func (s *Server) instrument(endpoint string, traced bool, h http.HandlerFunc) ht
 		dur := time.Since(start)
 		s.met.requests.With(endpoint, strconv.Itoa(sw.code)).Inc()
 		s.met.latency.With(endpoint).Observe(dur.Seconds())
-		if s.cfg.Log.Enabled(telemetry.LevelInfo) {
-			kv := []any{
-				"method", r.Method, "path", r.URL.Path, "endpoint", endpoint,
-				"status", sw.code, "bytes", sw.bytes, "dur", dur,
-			}
-			if span != nil {
-				kv = append(kv, "trace", span.TraceID())
-			}
-			s.cfg.Log.Info("request", kv...)
+		// Sized for the optional trace, so the slice stays on the stack.
+		attrs := append(make([]slog.Attr, 0, 7),
+			slog.String("method", r.Method), slog.String("path", r.URL.Path),
+			slog.String("endpoint", endpoint), slog.Int("status", sw.code),
+			slog.Int64("bytes", sw.bytes), slog.Duration("dur", dur))
+		if span != nil {
+			attrs = append(attrs, slog.String("trace", span.TraceID()))
 		}
+		s.cfg.Log.LogAttrs(r.Context(), slog.LevelInfo, "request", attrs...)
 	}
 }

@@ -2,11 +2,15 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/store"
@@ -257,4 +261,61 @@ func TestTracingDisabledIsInvisible(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestAccessLogKeyOrder pins the access line's keys and their order:
+// time level msg=request method path endpoint status bytes dur, then
+// trace when the request was traced.
+func TestAccessLogKeyOrder(t *testing.T) {
+	var logBuf syncBuffer
+	s := newTracedServer(Config{Log: telemetry.NewLogger(&logBuf, slog.LevelInfo)})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, err := ts.Client().Get(ts.URL + "/v1/experiments/table1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	traceID := resp.Header.Get("X-Trace-Id")
+	if traceID == "" {
+		t.Fatal("traced request has no X-Trace-Id")
+	}
+	if code, _ := get(t, ts, "/healthz"); code != http.StatusOK {
+		t.Fatalf("healthz status %d", code)
+	}
+
+	lines := strings.Split(strings.TrimSuffix(logBuf.String(), "\n"), "\n")
+	want := []*regexp.Regexp{
+		regexp.MustCompile(`^time=\S+Z level=info msg=request method=GET path=/v1/experiments/table1 ` +
+			`endpoint=/v1/experiments/\{id\} status=200 bytes=[1-9]\d* dur=\S+ trace=` + regexp.QuoteMeta(traceID) + `$`),
+		regexp.MustCompile(`^time=\S+Z level=info msg=request method=GET path=/healthz ` +
+			`endpoint=/healthz status=200 bytes=3 dur=\S+$`),
+	}
+	if len(lines) != len(want) {
+		t.Fatalf("got %d log lines, want %d:\n%s", len(lines), len(want), logBuf.String())
+	}
+	for i, re := range want {
+		if !re.MatchString(lines[i]) {
+			t.Errorf("line %d = %q\nwant %s", i, lines[i], re)
+		}
+	}
+}
+
+// syncBuffer is a bytes.Buffer safe for the logger's concurrent use.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }

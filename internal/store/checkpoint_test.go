@@ -1,10 +1,14 @@
 package store
 
 import (
+	"log/slog"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // waitForCheckpoint polls until the store has performed at least n
@@ -151,4 +155,44 @@ func TestCheckpointMemoryOnlyNoop(t *testing.T) {
 		t.Error("memory-only store reports dirty")
 	}
 	stop()
+}
+
+// TestCheckpointFailureLogsWarn: a failed checkpoint is a warning
+// tagged component=store, so a warn-level logger still shows it. The
+// snapshot directory is replaced by a plain file rather than made
+// read-only, since mode bits do not stop a process running as root.
+func TestCheckpointFailureLogsWarn(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "snap")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var log strings.Builder
+	s, err := Open(Config{
+		Path: filepath.Join(dir, "measurements.json"),
+		Log:  telemetry.NewLogger(&log, slog.LevelWarn),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Interval far longer than the test: only stop's flush saves.
+	stop := s.StartCheckpointing(time.Hour)
+	m := testMachine(t)
+	w := testWorkload(t, "505.mcf_r")
+	rc, err := m.Run(w, testOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Put(KeyFor(m, w, testOpts), rc)
+	stop()
+
+	lines := strings.Split(strings.TrimSuffix(log.String(), "\n"), "\n")
+	if len(lines) != 1 || !strings.Contains(lines[0], ` level=warn msg="checkpoint failed" component=store err=`) {
+		t.Fatalf("log = %q, want one warn checkpoint line tagged component=store", log.String())
+	}
 }

@@ -40,7 +40,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
@@ -210,9 +210,9 @@ type Config struct {
 	// Metrics receives the store's instruments (spec17_store_*).
 	// Defaults to a private registry.
 	Metrics *metrics.Registry
-	// Log receives load/persist warnings. Defaults to the standard
-	// logger.
-	Log *log.Logger
+	// Log receives checkpoint warnings, tagged component=store.
+	// Defaults to an info-level logger on stderr.
+	Log *slog.Logger
 	// OnCheckpointError, when set, is invoked (from the checkpoint
 	// goroutine) for every failed background save — how the insight
 	// plane turns a silently-logged persistence failure into a typed
@@ -297,8 +297,9 @@ func Open(cfg Config) (*Store, error) {
 		cfg.Metrics = metrics.NewRegistry()
 	}
 	if cfg.Log == nil {
-		cfg.Log = log.Default()
+		cfg.Log = telemetry.NewLogger(os.Stderr, slog.LevelInfo)
 	}
+	cfg.Log = cfg.Log.With("component", "store")
 	s := &Store{
 		cfg:      cfg,
 		met:      newStoreMetrics(cfg.Metrics),
@@ -482,7 +483,7 @@ func (s *Store) StartCheckpointing(interval time.Duration) (stop func()) {
 			return
 		}
 		if err := s.Save(); err != nil {
-			s.cfg.Log.Printf("store: checkpoint: %v", err)
+			s.cfg.Log.Warn("checkpoint failed", "err", err)
 			if s.cfg.OnCheckpointError != nil {
 				s.cfg.OnCheckpointError(err)
 			}

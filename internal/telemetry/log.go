@@ -1,222 +1,44 @@
 package telemetry
 
 import (
-	"fmt"
 	"io"
-	"log"
-	"strconv"
+	"log/slog"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 )
 
-// Level is a log severity.
-type Level int32
+// LevelInfo is the daemon's default minimum level, so a caller can
+// build the default logger from this package alone.
+const LevelInfo = slog.LevelInfo
 
-// Severities, least to most severe.
-const (
-	LevelDebug Level = iota
-	LevelInfo
-	LevelWarn
-	LevelError
-)
-
-// String returns the level's lowercase name.
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	case LevelError:
-		return "error"
-	}
-	return "level(" + strconv.Itoa(int(l)) + ")"
-}
-
-// ParseLevel parses a level name (debug, info, warn, error).
-func ParseLevel(s string) (Level, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "debug":
-		return LevelDebug, nil
-	case "info":
-		return LevelInfo, nil
-	case "warn", "warning":
-		return LevelWarn, nil
-	case "error":
-		return LevelError, nil
-	}
-	return LevelInfo, fmt.Errorf("unknown log level %q (valid: debug, info, warn, error)", s)
-}
-
-// Logger emits leveled key=value structured log lines:
+// NewLogger returns a logger writing lines at or above min to w in the
+// daemon's key=value format:
 //
 //	time=2026-08-06T12:00:00.000Z level=info msg=serving addr=:8417
 //
-// Values containing spaces or special characters are quoted. A nil
-// *Logger discards everything, so optional logging needs no checks.
-// Loggers are safe for concurrent use.
-type Logger struct {
-	w    io.Writer
-	mu   *sync.Mutex // shared by With-derived loggers over one writer
-	min  *atomic.Int32
-	base []string // alternating key, value, appended to every line
-	now  func() time.Time
+// It is slog's text handler with the time in UTC and the level in
+// lowercase; values holding spaces, quotes or '=' are quoted.
+func NewLogger(w io.Writer, min slog.Level) *slog.Logger {
+	return slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{
+		Level:       min,
+		ReplaceAttr: replaceAttr,
+	}))
 }
 
-// NewLogger returns a Logger writing lines at or above min to w.
-func NewLogger(w io.Writer, min Level) *Logger {
-	l := &Logger{w: w, mu: &sync.Mutex{}, min: &atomic.Int32{}, now: time.Now}
-	l.min.Store(int32(min))
-	return l
-}
-
-// With returns a logger that appends the given key=value pairs to
-// every line — a component tag, a request id. The child shares the
-// parent's writer, lock, and level.
-func (l *Logger) With(kv ...any) *Logger {
-	if l == nil {
-		return nil
+func replaceAttr(groups []string, a slog.Attr) slog.Attr {
+	if len(groups) > 0 {
+		return a
 	}
-	base := append(append([]string(nil), l.base...), pairs(kv)...)
-	return &Logger{w: l.w, mu: l.mu, min: l.min, base: base, now: l.now}
-}
-
-// SetLevel changes the minimum emitted level.
-func (l *Logger) SetLevel(min Level) {
-	if l == nil {
-		return
-	}
-	l.min.Store(int32(min))
-}
-
-// Enabled reports whether lines at lv would be emitted.
-func (l *Logger) Enabled(lv Level) bool {
-	return l != nil && int32(lv) >= l.min.Load()
-}
-
-// Debug logs at debug level. kv are alternating key, value pairs.
-func (l *Logger) Debug(msg string, kv ...any) { l.log(LevelDebug, msg, kv) }
-
-// Info logs at info level.
-func (l *Logger) Info(msg string, kv ...any) { l.log(LevelInfo, msg, kv) }
-
-// Warn logs at warn level.
-func (l *Logger) Warn(msg string, kv ...any) { l.log(LevelWarn, msg, kv) }
-
-// Error logs at error level.
-func (l *Logger) Error(msg string, kv ...any) { l.log(LevelError, msg, kv) }
-
-func (l *Logger) log(lv Level, msg string, kv []any) {
-	if !l.Enabled(lv) {
-		return
-	}
-	var b strings.Builder
-	b.Grow(96)
-	b.WriteString("time=")
-	b.WriteString(l.now().UTC().Format("2006-01-02T15:04:05.000Z"))
-	b.WriteString(" level=")
-	b.WriteString(lv.String())
-	b.WriteString(" msg=")
-	b.WriteString(quoteIfNeeded(msg))
-	for i := 0; i+1 < len(l.base); i += 2 {
-		writePair(&b, l.base[i], l.base[i+1])
-	}
-	ps := pairs(kv)
-	for i := 0; i+1 < len(ps); i += 2 {
-		writePair(&b, ps[i], ps[i+1])
-	}
-	b.WriteByte('\n')
-	l.mu.Lock()
-	_, _ = io.WriteString(l.w, b.String())
-	l.mu.Unlock()
-}
-
-func writePair(b *strings.Builder, k, v string) {
-	b.WriteByte(' ')
-	b.WriteString(k)
-	b.WriteByte('=')
-	b.WriteString(quoteIfNeeded(v))
-}
-
-// pairs renders alternating key, value arguments into strings. A
-// trailing key with no value gets "(missing)"; non-string keys are
-// rendered with fmt, so a malformed call degrades into a readable line
-// instead of a panic.
-func pairs(kv []any) []string {
-	if len(kv) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(kv)+1)
-	for i := 0; i < len(kv); i += 2 {
-		out = append(out, formatValue(kv[i]))
-		if i+1 < len(kv) {
-			out = append(out, formatValue(kv[i+1]))
-		} else {
-			out = append(out, "(missing)")
+	// A caller's own "time" or "level" attribute reaches here too, so
+	// rewrite only values of the built-in kinds.
+	switch a.Key {
+	case slog.TimeKey:
+		if a.Value.Kind() == slog.KindTime {
+			a.Value = slog.TimeValue(a.Value.Time().UTC())
+		}
+	case slog.LevelKey:
+		if lv, ok := a.Value.Any().(slog.Level); ok {
+			a.Value = slog.StringValue(strings.ToLower(lv.String()))
 		}
 	}
-	return out
-}
-
-func formatValue(v any) string {
-	switch x := v.(type) {
-	case string:
-		return x
-	case error:
-		return x.Error()
-	case time.Duration:
-		return x.String()
-	case fmt.Stringer:
-		return x.String()
-	case float64:
-		return strconv.FormatFloat(x, 'g', -1, 64)
-	case int:
-		return strconv.Itoa(x)
-	case int64:
-		return strconv.FormatInt(x, 10)
-	case uint64:
-		return strconv.FormatUint(x, 10)
-	case bool:
-		return strconv.FormatBool(x)
-	case nil:
-		return "<nil>"
-	}
-	return fmt.Sprint(v)
-}
-
-// quoteIfNeeded quotes values that would break key=value parsing:
-// empty strings and anything containing spaces, quotes, '=', or
-// non-printable characters.
-func quoteIfNeeded(s string) string {
-	if s == "" {
-		return `""`
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c <= ' ' || c == '"' || c == '=' || c >= 0x7f {
-			return strconv.Quote(s)
-		}
-	}
-	return s
-}
-
-// Std returns a standard-library logger whose every line is re-emitted
-// through l at info level with component=name — the bridge for code
-// that still takes a *log.Logger (the measurement store).
-func (l *Logger) Std(name string) *log.Logger {
-	return log.New(stdWriter{l: l, component: name}, "", 0)
-}
-
-type stdWriter struct {
-	l         *Logger
-	component string
-}
-
-func (w stdWriter) Write(p []byte) (int, error) {
-	w.l.Info(strings.TrimRight(string(p), "\n"), "component", w.component)
-	return len(p), nil
+	return a
 }

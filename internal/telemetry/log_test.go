@@ -2,42 +2,51 @@ package telemetry
 
 import (
 	"errors"
+	"log/slog"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 )
 
-// fixedNow pins the logger clock for deterministic lines.
-func fixedNow() time.Time {
-	return time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
-}
-
-func testLogger(min Level) (*Logger, *strings.Builder) {
-	var b strings.Builder
-	l := NewLogger(&b, min)
-	l.now = fixedNow
-	return l, &b
-}
-
+// TestLogFormat: a line's time is UTC with millisecond precision even
+// when the local zone is not, and its level is lowercase.
 func TestLogFormat(t *testing.T) {
-	l, b := testLogger(LevelDebug)
-	l.Info("serving", "addr", ":8417", "workers", 2)
-	got := b.String()
-	want := `time=2026-08-06T12:00:00.000Z level=info msg=serving addr=:8417 workers=2` + "\n"
-	if got != want {
-		t.Errorf("line = %q, want %q", got, want)
+	defer func(loc *time.Location) { time.Local = loc }(time.Local)
+	time.Local = time.FixedZone("EST", -5*3600)
+
+	var b strings.Builder
+	before := time.Now().Truncate(time.Millisecond)
+	NewLogger(&b, LevelInfo).Info("serving", "addr", ":8417", "workers", 2)
+	after := time.Now()
+
+	line := b.String()
+	re := regexp.MustCompile(`^time=(\S+) level=info msg=serving addr=:8417 workers=2\n$`)
+	m := re.FindStringSubmatch(line)
+	if m == nil {
+		t.Fatalf("line = %q, want %s", line, re)
+	}
+	if !strings.HasSuffix(m[1], "Z") || len(m[1]) != len("2006-01-02T15:04:05.000Z") {
+		t.Fatalf("time %q is not UTC with milliseconds", m[1])
+	}
+	at, err := time.Parse(time.RFC3339Nano, m[1])
+	if err != nil || at.Before(before) || at.After(after) {
+		t.Fatalf("time %q (%v) outside [%v, %v]", m[1], err, before.UTC(), after.UTC())
 	}
 }
 
 func TestLogQuoting(t *testing.T) {
-	l, b := testLogger(LevelDebug)
-	l.Warn("bad thing happened", "err", errors.New(`parse "x": fail`), "empty", "")
+	var b strings.Builder
+	NewLogger(&b, LevelInfo).Warn("bad thing happened",
+		"err", errors.New(`parse "x": fail`), "eq", "a=b", "empty", "", "plain", "ok")
 	got := b.String()
 	for _, want := range []string{
+		"level=warn",
 		`msg="bad thing happened"`,
 		`err="parse \"x\": fail"`,
+		`eq="a=b"`,
 		`empty=""`,
-		"level=warn",
+		" plain=ok\n",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("line %q missing %q", got, want)
@@ -46,7 +55,8 @@ func TestLogQuoting(t *testing.T) {
 }
 
 func TestLogLevels(t *testing.T) {
-	l, b := testLogger(LevelWarn)
+	var b strings.Builder
+	l := NewLogger(&b, slog.LevelWarn)
 	l.Debug("d")
 	l.Info("i")
 	l.Warn("w")
@@ -55,75 +65,25 @@ func TestLogLevels(t *testing.T) {
 	if strings.Contains(got, "level=debug") || strings.Contains(got, "level=info") {
 		t.Errorf("below-threshold lines emitted:\n%s", got)
 	}
-	if !strings.Contains(got, "level=warn") || !strings.Contains(got, "level=error") {
+	if !strings.Contains(got, "level=warn msg=w\n") || !strings.Contains(got, "level=error msg=e\n") {
 		t.Errorf("at-threshold lines missing:\n%s", got)
-	}
-	l.SetLevel(LevelDebug)
-	l.Debug("now visible")
-	if !strings.Contains(b.String(), "now visible") {
-		t.Error("SetLevel did not lower the threshold")
 	}
 }
 
 func TestLogWith(t *testing.T) {
-	l, b := testLogger(LevelInfo)
-	child := l.With("component", "store")
-	child.Info("loaded", "records", 7)
-	got := b.String()
-	if !strings.Contains(got, "component=store") || !strings.Contains(got, "records=7") {
-		t.Errorf("With attrs missing: %q", got)
+	var b strings.Builder
+	NewLogger(&b, LevelInfo).With("component", "store").Info("loaded", "records", 7)
+	if got := b.String(); !strings.HasSuffix(got, " level=info msg=loaded component=store records=7\n") {
+		t.Errorf("With line = %q", got)
 	}
 }
 
-func TestLogValueKinds(t *testing.T) {
-	l, b := testLogger(LevelInfo)
-	l.Info("kinds",
-		"dur", 1500*time.Millisecond,
-		"f", 0.25,
-		"b", true,
-		"n", nil,
-		"odd") // trailing key without value
-	got := b.String()
-	for _, want := range []string{"dur=1.5s", "f=0.25", "b=true", "n=<nil>", "odd=(missing)"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("line %q missing %q", got, want)
-		}
-	}
-}
-
-func TestNilLoggerSafe(t *testing.T) {
-	var l *Logger
-	l.Info("ignored")
-	l.Error("ignored", "k", "v")
-	if l.With("k", "v") != nil {
-		t.Error("nil.With must stay nil")
-	}
-	if l.Enabled(LevelError) {
-		t.Error("nil logger reports enabled")
-	}
-}
-
-func TestStdBridge(t *testing.T) {
-	l, b := testLogger(LevelInfo)
-	std := l.Std("store")
-	std.Printf("snapshot %s: %d records", "f.json", 3)
-	got := b.String()
-	if !strings.Contains(got, `msg="snapshot f.json: 3 records"`) || !strings.Contains(got, "component=store") {
-		t.Errorf("std bridge line = %q", got)
-	}
-}
-
-func TestParseLevel(t *testing.T) {
-	for in, want := range map[string]Level{
-		"debug": LevelDebug, "INFO": LevelInfo, "Warn": LevelWarn,
-		"warning": LevelWarn, "error": LevelError,
-	} {
-		got, err := ParseLevel(in)
-		if err != nil || got != want {
-			t.Errorf("ParseLevel(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseLevel("loud"); err == nil {
-		t.Error("ParseLevel accepted garbage")
+// TestLogCallerTimeLevelKeys: a caller's own time and level attributes
+// pass through as logged.
+func TestLogCallerTimeLevelKeys(t *testing.T) {
+	var b strings.Builder
+	NewLogger(&b, LevelInfo).Info("alarm", "time", "soon", "level", "High")
+	if got := b.String(); !strings.HasSuffix(got, " level=info msg=alarm time=soon level=High\n") {
+		t.Errorf("line = %q", got)
 	}
 }

@@ -1,8 +1,9 @@
 // Package telemetry is the dependency-free observability layer of the
-// reproduction: request tracing and structured logging, threaded
-// through the measurement pipeline via context.Context so the server,
-// the experiment lab, the scheduler, and the store all emit spans
-// without importing each other.
+// reproduction: request tracing, threaded through the measurement
+// pipeline via context.Context so the server, the experiment lab, the
+// scheduler, and the store all emit spans without importing each
+// other, and NewLogger, the log/slog text logger every component logs
+// through.
 //
 // Model:
 //
@@ -31,6 +32,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"log/slog"
 	"sync"
 	"time"
 
@@ -63,7 +65,7 @@ type TracerConfig struct {
 	// Nil uses a private registry.
 	Metrics *metrics.Registry
 	// Log receives slow-trace lines. Nil logs nothing.
-	Log *Logger
+	Log *slog.Logger
 	// OnSlow, when set alongside a positive SlowThreshold, receives
 	// every finished trace that crossed the threshold (after it has
 	// been snapshotted into the ring). The insight plane hooks this to
@@ -168,17 +170,6 @@ type spanKey struct{}
 func FromContext(ctx context.Context) *Span {
 	s, _ := ctx.Value(spanKey{}).(*Span)
 	return s
-}
-
-// WithSpan attaches s to the context. It is how detached contexts —
-// singleflight and scheduler job contexts, which outlive any one
-// caller — inherit the trace of the request that created the work. A
-// nil span returns ctx unchanged.
-func WithSpan(ctx context.Context, s *Span) context.Context {
-	if s == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, spanKey{}, s)
 }
 
 // StartTrace opens a new trace rooted at a span named name and returns

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"context"
+	"log/slog"
 	"strings"
 	"sync"
 	"testing"
@@ -159,7 +160,7 @@ func TestStageHistogramRecorded(t *testing.T) {
 func TestSlowTraceLogged(t *testing.T) {
 	var buf strings.Builder
 	var mu sync.Mutex
-	lg := NewLogger(syncWriter{&mu, &buf}, LevelDebug)
+	lg := NewLogger(syncWriter{&mu, &buf}, slog.LevelDebug)
 	tr := NewTracer(TracerConfig{SlowThreshold: time.Millisecond, Log: lg})
 
 	_, fast := tr.StartTrace(context.Background(), "r", "fastone")
