@@ -62,12 +62,13 @@ bench:
 # and PCA at the pipeline's 10x142 and 13x142 shapes), the exact
 # leaf's fixed-cost microbenchmarks (one sampled-fidelity leaf, cache
 # priming) and the cold analytic path's (a registry sweep of
-# estimates, a cold analytic fleet characterization) once each, so
-# they keep compiling and running.
+# estimates, the characteristic-time solver alone, a cold analytic
+# fleet characterization) once each, so they keep compiling and
+# running.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'EigenSym|FitPCA' -benchtime 1x ./internal/stats
 	$(GO) test -run '^$$' -bench 'ExactLeaf|Prime' -benchtime 1x ./internal/machine
-	$(GO) test -run '^$$' -bench 'AnalyticRegistry' -benchtime 1x ./internal/engine
+	$(GO) test -run '^$$' -bench 'AnalyticRegistry|LevelMisses' -benchtime 1x ./internal/engine
 	$(GO) test -run '^$$' -bench 'CharacterizeColdAnalytic' -benchtime 1x ./internal/experiments
 
 # bench-snapshot measures the key performance paths (characterization

@@ -19,6 +19,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/branch"
 	"repro/internal/cache"
@@ -34,8 +35,10 @@ import (
 const instrBytes = 4
 
 // Analytic is the closed-form estimation engine. It is deterministic,
-// allocation-light, and O(#streams log #streams) per measurement —
-// no trace generation, no per-event work.
+// allocation-light, and O(#streams × solver steps) per measurement:
+// each cache or TLB level solves for its characteristic time in ~11
+// occupancy sums over its streams. No trace generation, no per-event
+// work.
 type Analytic struct{}
 
 // Tier returns TierAnalytic.
@@ -85,13 +88,11 @@ type stream struct {
 // size/lineBytes lines uniformly at per-line rate
 // μ = arrival·lineBytes/size keeps the fraction 1−exp(−μT) of them
 // resident. T is the fixed point at which the resident fractions
-// exactly fill the capacity — found by bisection, deterministically,
-// stopping at the first step that leaves both bounds unchanged (a
-// step is a pure function of the bounds, so every later one would
-// repeat it). Unlike a pure capacity partition, this keeps rate in the
-// model: a small working set referenced rarely (kernel code between
-// bursts) loses its lines to high-rate streaming traffic, exactly as
-// the simulator's true-LRU caches behave.
+// exactly fill the capacity (characteristicTime). Unlike a pure
+// capacity partition, this keeps rate in the model: a small working
+// set referenced rarely (kernel code between bursts) loses its lines
+// to high-rate streaming traffic, exactly as the simulator's true-LRU
+// caches behave.
 //
 // The first window touch of each line additionally depends on the
 // state measurement started in: the line hits only if the warmup
@@ -115,32 +116,10 @@ func levelMisses(capacity, lineBytes float64, streams []*stream, arrival []float
 	}
 	t := math.Inf(1)
 	if len(sizes) > 0 && total > capacity {
-		occupancy := func(t float64) float64 {
-			sum := 0.0
-			for i, size := range sizes {
-				sum += size * (1 - math.Exp(-mus[i]*t))
-			}
-			return sum
+		if recordSolve != nil {
+			recordSolve(capacity, slices.Clone(sizes), slices.Clone(mus))
 		}
-		lo, hi := 0.0, 1.0
-		for occupancy(hi) < capacity && hi < 1e15 {
-			hi *= 2
-		}
-		for iter := 0; iter < 80; iter++ {
-			mid := (lo + hi) / 2
-			if occupancy(mid) < capacity {
-				if mid == lo {
-					break
-				}
-				lo = mid
-			} else {
-				if mid == hi {
-					break
-				}
-				hi = mid
-			}
-		}
-		t = (lo + hi) / 2
+		t = characteristicTime(capacity, sizes, mus)
 	}
 
 	miss := make([]float64, len(streams))
@@ -178,6 +157,189 @@ func levelMisses(capacity, lineBytes float64, streams []*stream, arrival []float
 		miss[i] = ((refs-distinct)*(1-h) + distinct*(1-hStart)) / n
 	}
 	return miss
+}
+
+// occupancy returns the bytes a level holds at characteristic time t,
+// Σ size·(1−e^(−μt)) over its live streams, and that sum's slope in t,
+// Σ size·μ·e^(−μt), from one math.Exp per stream.
+func occupancy(sizes, mus []float64, t float64) (occ, slope float64) {
+	for i, size := range sizes {
+		e := math.Exp(-mus[i] * t)
+		occ += size * (1 - e)
+		slope += size * mus[i] * e
+	}
+	return occ, slope
+}
+
+// recordSolve, when set, receives a copy of each characteristic-time
+// solve's inputs; BenchmarkLevelMisses sets it to collect a registry
+// machine's real levels. (A copy, so that sizes and mus stay on
+// levelMisses' stack.)
+var recordSolve func(capacity float64, sizes, mus []float64)
+
+// characteristicTime returns T for a level of the given capacity over
+// live streams of the given sizes and per-line rates. T is defined by
+// a bisection: double hi from 1 while occupancy(hi) < capacity and
+// hi < 1e15, bisect [0, hi] for at most 80 steps, stopping at the
+// first step that leaves both bounds unchanged (a step is a pure
+// function of the bounds, so every later one would repeat it), and
+// take the midpoint of the final bounds.
+//
+// Walking that path costs ~74 occupancy sums, so the search first
+// brackets T (newtonBracket, then narrowBracket) and then replays the
+// bisection step by step, evaluating occupancy only at points inside
+// the bracket: every point at or below `below` is known to fall short
+// of the capacity, and every point at or above `above` to fill it.
+// Each point the replay does evaluate narrows the bracket further.
+// The replay takes the bisection's own steps, so its 80-step cap, its
+// 1e15 escape and its final midpoint come out as they are, and T is
+// the same float bit for bit (TestLevelMissesMatchesReference). Over
+// a registry × fleet sweep a solve takes ~11 occupancy sums.
+//
+// The one assumption is that math.Exp is monotone over float64
+// (TestExpMonotone): then −μt, e^(−μt), each term and their
+// left-to-right sum are each monotone in t, so the computed occupancy
+// is too, and one evaluation decides every point on its side. Were
+// math.Exp to step backwards somewhere, a point inside the skipped
+// range could compare differently from the bound that decided it, and
+// T could differ from the bisection's in its last bits.
+func characteristicTime(capacity float64, sizes, mus []float64) float64 {
+	below, above, last := newtonBracket(capacity, sizes, mus)
+	below, above = narrowBracket(capacity, sizes, mus, below, above, last)
+	short := func(t float64) bool {
+		if t <= below {
+			return true
+		}
+		if t >= above {
+			return false
+		}
+		if occ, _ := occupancy(sizes, mus, t); occ < capacity {
+			below = t
+			return true
+		}
+		above = t
+		return false
+	}
+	lo, hi := 0.0, 1.0
+	for short(hi) && hi < 1e15 {
+		hi *= 2
+	}
+	for iter := 0; iter < 80; iter++ {
+		mid := (lo + hi) / 2
+		if short(mid) {
+			if mid == lo {
+				break
+			}
+			lo = mid
+		} else {
+			if mid == hi {
+				break
+			}
+			hi = mid
+		}
+	}
+	return (lo + hi) / 2
+}
+
+// maxNewtonSteps bounds newtonBracket. Newton converges in a handful
+// of steps, except where it creeps an ulp or two a step across a
+// plateau of the computed occupancy (a large, slow stream's term moves
+// only when its e^(−μt) changes by an ulp); a bracket that ends early
+// leaves more of the bisection for the replay to evaluate.
+const maxNewtonSteps = 16
+
+// newtonBracket runs Newton's method on occupancy(t) − capacity and
+// returns the tightest bounds its iterates certify,
+// occupancy(below) < capacity ≤ occupancy(above), and the last
+// iterate. `below` starts at 0, where occupancy is 0 (no point the
+// bisection evaluates lies at or below it), and `above` at +Inf.
+// Newton starts where the upper bounds size·min(1, μt) of the
+// occupancy terms fill the capacity, at or below T. Occupancy is
+// concave, so in exact arithmetic every iterate stays below T and
+// climbs toward it; in floats one may land at or past T, and the next
+// steps back. It stops when a step would leave the open bracket, which
+// is how it ends once converged to within rounding, or after
+// maxNewtonSteps iterates.
+func newtonBracket(capacity float64, sizes, mus []float64) (below, above, t float64) {
+	below, above = 0, math.Inf(1)
+	t = saturationStart(capacity, sizes, mus)
+	if !(t > below && t < above) {
+		return below, above, below
+	}
+	for step := 1; ; step++ {
+		occ, slope := occupancy(sizes, mus, t)
+		if occ < capacity {
+			below = t
+		} else {
+			above = t
+		}
+		next := t + (capacity-occ)/slope
+		if !(next > below && next < above) || step == maxNewtonSteps {
+			return below, above, t
+		}
+		t = next
+	}
+}
+
+// saturationStart returns the t at which Σ size·min(1, μt), an upper
+// bound on occupancy(t), reaches the capacity: Newton's method on that
+// concave piecewise-linear bound, which lands on it in at most one
+// step per stream.
+func saturationStart(capacity float64, sizes, mus []float64) float64 {
+	t := 0.0
+	for range sizes {
+		full, slope := 0.0, 0.0
+		for i, size := range sizes {
+			if mus[i]*t >= 1 {
+				full += size
+			} else {
+				slope += size * mus[i]
+			}
+		}
+		next := (capacity - full) / slope
+		if !(next > t) {
+			break
+		}
+		t = next
+	}
+	return t
+}
+
+// maxNarrowSteps bounds narrowBracket's probes.
+const maxNarrowSteps = 8
+
+// narrowBracket probes outward from Newton's last iterate t toward T,
+// 1, 2, 4, … ulps at a time: upward if t falls short of the capacity,
+// downward if it fills it. Each probe on t's side of T becomes the new
+// bound there; the first on the far side closes the bracket. It stops
+// early if a probe reaches the bound already on the far side; if it
+// runs out of probes first, the bracket stays as wide as Newton left
+// it, and the replay evaluates the rest as the bisection does.
+func narrowBracket(capacity float64, sizes, mus []float64, below, above, t float64) (float64, float64) {
+	up := t == below
+	gap := math.Nextafter(t, math.Inf(1)) - t
+	for i := 0; i < maxNarrowSteps; i++ {
+		if up {
+			t += gap
+		} else {
+			t -= gap
+		}
+		if !(t > below && t < above) {
+			break
+		}
+		occ, _ := occupancy(sizes, mus, t)
+		short := occ < capacity
+		if short {
+			below = t
+		} else {
+			above = t
+		}
+		if short != up {
+			break
+		}
+		gap *= 2
+	}
+	return below, above
 }
 
 // sumSide totals the rates of one side's streams (instruction or data).
