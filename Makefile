@@ -60,14 +60,14 @@ bench:
 
 # bench-smoke runs the analysis-path microbenchmarks (the eigensolver
 # and PCA at the pipeline's 10x142 and 13x142 shapes), the exact
-# leaf's fixed-cost microbenchmarks (one sampled-fidelity leaf, cache
-# priming) and the cold analytic path's (a registry sweep of
-# estimates, the characteristic-time solver alone, a cold analytic
-# fleet characterization) once each, so they keep compiling and
-# running.
+# leaf's fixed-cost microbenchmarks (one sampled-fidelity leaf, one
+# 4-copy RunMulti leaf, clearing and priming a hierarchy) and the cold
+# analytic path's (a registry sweep of estimates, the
+# characteristic-time solver alone, a cold analytic fleet
+# characterization) once each, so they keep compiling and running.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'EigenSym|FitPCA' -benchtime 1x ./internal/stats
-	$(GO) test -run '^$$' -bench 'ExactLeaf|Prime' -benchtime 1x ./internal/machine
+	$(GO) test -run '^$$' -bench 'ExactLeaf|RunMulti|Prime' -benchtime 1x ./internal/machine
 	$(GO) test -run '^$$' -bench 'AnalyticRegistry|LevelMisses' -benchtime 1x ./internal/engine
 	$(GO) test -run '^$$' -bench 'CharacterizeColdAnalytic' -benchtime 1x ./internal/experiments
 

@@ -2,7 +2,6 @@ package cache
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"repro/internal/rng"
@@ -87,11 +86,14 @@ func touchRange(c *Cache, r *rng.Rand, base, size uint64) {
 
 // TestSweepMatchesAccess checks SweepData and SweepInstr against the
 // per-access loop they replace, on whole hierarchies: tags, recency
-// order and every counter must be identical.
+// order and every counter must be identical. The swept hierarchy is
+// one reused across cases and cleared between them, as a machine's
+// pooled state is.
 func TestSweepMatchesAccess(t *testing.T) {
 	r := rng.New(15)
 	sizes := []uint64{0, 1, 63, 64, 65, 1000, 4 << 10, 5<<10 + 17, 16 << 10, 40<<10 + 3}
 	for _, g := range sweepGeometries() {
+		got, _ := NewHierarchy(g.cfg)
 		for _, pre := range sweepPreStates {
 			for i := 0; i < 40; i++ {
 				size := sizes[r.Intn(len(sizes))]
@@ -103,7 +105,7 @@ func TestSweepMatchesAccess(t *testing.T) {
 				name := fmt.Sprintf("%s/%s/base=%#x/size=%d/instr=%v", g.name, pre.name, base, size, instr)
 
 				want, _ := NewHierarchy(g.cfg)
-				got, _ := NewHierarchy(g.cfg)
+				got.Clear()
 				seed := r.Uint64()
 				pre.fill(want, rng.New(seed), base, size)
 				pre.fill(got, rng.New(seed), base, size)
@@ -121,9 +123,8 @@ func TestSweepMatchesAccess(t *testing.T) {
 				} else {
 					got.SweepData(base, size)
 				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: sweep state differs from the per-access loop\ncounts got  %+v\ncounts want %+v",
-						name, got.Counts(), want.Counts())
+				if d := diffHierarchies(got, want); d != "" {
+					t.Fatalf("%s: sweep state differs from the per-access loop: %s", name, d)
 				}
 			}
 		}
@@ -133,11 +134,24 @@ func TestSweepMatchesAccess(t *testing.T) {
 // TestSweepMissesClosedForm pins that the closed form is what runs on
 // a level that holds none of the range — so TestSweepMatchesAccess
 // compares it, not only the fallback — and that a level holding one
-// line of the range declines without changing anything.
+// line of the range declines without changing anything observable.
+// The caches under test are used and cleared first.
 func TestSweepMissesClosedForm(t *testing.T) {
 	cfg := Config{SizeBytes: 4 << 10, Ways: 4, LineBytes: 64} // 16 sets
 	const base, n = 0x10_0010, 100                            // unaligned; k > ways in every set
-	got, want := newCache(cfg), newCache(cfg)
+	used := func() *Cache {
+		c := newCache(cfg)
+		c.sweepMisses(base, 64, 2*n)
+		for i := uint64(0); i < 2*n; i += 3 {
+			c.Access(base + i*64)
+		}
+		c.Clear()
+		if d := diffState(c.state(), newCache(cfg).state()); d != "" {
+			t.Fatalf("a cleared cache differs from a new one: %s", d)
+		}
+		return c
+	}
+	got, want := used(), newCache(cfg)
 	got.Access(0x90_0000) // a line outside the range
 	want.Access(0x90_0000)
 	if !got.sweepMisses(base, 64, n) {
@@ -146,18 +160,18 @@ func TestSweepMissesClosedForm(t *testing.T) {
 	for i := uint64(0); i < n; i++ {
 		want.Access(base + i*64)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("closed form differs from the per-access loop")
+	if d := diffState(got.state(), want.state()); d != "" {
+		t.Fatalf("closed form differs from the per-access loop: %s", d)
 	}
 
-	held := newCache(cfg)
+	held := used()
 	held.Access(base + 50*64)
-	before := append([]uint64(nil), held.lines...)
+	before := held.state()
 	if held.sweepMisses(base, 64, n) {
 		t.Fatal("a cache holding a line of the range must decline the closed form")
 	}
-	if !reflect.DeepEqual(held.lines, before) {
-		t.Fatal("a declined closed form must leave the cache unchanged")
+	if d := diffState(held.state(), before); d != "" {
+		t.Fatalf("a declined closed form must leave the cache unchanged: %s", d)
 	}
 	if newCache(cfg).sweepMisses(base, 32, n) {
 		t.Fatal("a step other than the line size must decline the closed form")
@@ -165,26 +179,33 @@ func TestSweepMissesClosedForm(t *testing.T) {
 }
 
 // TestClearMatchesNew checks that Clear returns a used cache and
-// hierarchy to exactly the state their constructors build.
+// hierarchy — primed by sweeps as well as accessed — to exactly the
+// observable state their constructors build: every counter zero and
+// every set empty.
 func TestClearMatchesNew(t *testing.T) {
 	cfg := sweepGeometries()[0].cfg
 	fresh, _ := NewHierarchy(cfg)
 	h, _ := NewHierarchy(cfg)
 	r := rng.New(3)
+	h.SweepInstr(1<<24, 6<<10)
+	h.SweepData(1<<20, 20<<10)
+	h.SweepData(1<<20, 2<<10)
 	for i := 0; i < 5000; i++ {
 		h.AccessData(r.Uint64n(1 << 20))
 		h.FetchInstr(r.Uint64n(1 << 20))
 	}
+	h.SweepData(1<<22, 20<<10)
 	h.Clear()
-	if !reflect.DeepEqual(h, fresh) {
-		t.Fatal("Hierarchy.Clear does not restore the NewHierarchy state")
+	if d := diffHierarchies(h, fresh); d != "" {
+		t.Fatalf("Hierarchy.Clear does not restore the NewHierarchy state: %s", d)
 	}
 
 	c, _ := New(small())
 	c.Access(0x40)
+	c.sweepMisses(0x1000, 64, 5)
 	c.Clear()
-	if want, _ := New(small()); !reflect.DeepEqual(c, want) {
-		t.Fatal("Cache.Clear does not restore the New state")
+	if want, _ := New(small()); diffState(c.state(), want.state()) != "" {
+		t.Fatalf("Cache.Clear does not restore the New state: %s", diffState(c.state(), want.state()))
 	}
 }
 

@@ -58,8 +58,8 @@ type Config struct {
 type Machine struct {
 	cfg Config
 	// state pools cleared *simState values between runs, so a run
-	// does not allocate and fill megabytes of tag arrays. It fills
-	// lazily: New and a Machine that never runs allocate none.
+	// does not allocate megabytes of tag arrays. It fills lazily: New
+	// and a Machine that never runs allocate none.
 	state sync.Pool
 }
 
@@ -71,7 +71,9 @@ type simState struct {
 	pred   *branch.Predictor
 }
 
-// getState returns freshly built or cleared simulator state.
+// getState returns freshly built or cleared simulator state. Neither
+// has written its cache and TLB tag arrays: a set is written out when
+// priming or the run first touches it.
 func (m *Machine) getState() (*simState, error) {
 	if s, ok := m.state.Get().(*simState); ok {
 		return s, nil
@@ -92,6 +94,9 @@ func (m *Machine) getState() (*simState, error) {
 }
 
 // putState clears s back to its constructors' state and pools it.
+// Clearing the caches and TLBs rewrites no tag array — it bumps each
+// level's generation, which marks every set empty — so it costs the
+// same whatever the run touched; the predictor's tables are rewritten.
 func (m *Machine) putState(s *simState) {
 	s.caches.Clear()
 	s.tlbs.Clear()

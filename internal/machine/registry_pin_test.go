@@ -111,3 +111,25 @@ func BenchmarkExactLeaf(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRunMulti measures one 4-copy (SPECrate-style) leaf per op at
+// the registry pins' sampled fidelity, cycling through workloads.All()
+// × Fleet() like BenchmarkExactLeaf. RunMulti builds fresh simulator
+// state for every run — private L1/L2 caches, TLBs and predictors per
+// copy, one shared L3 — and primes each copy, so this watches what
+// that fixed cost adds to a multi-copy leaf.
+func BenchmarkRunMulti(b *testing.B) {
+	fleet, err := machine.Fleet()
+	if err != nil {
+		b.Fatal(err)
+	}
+	profiles := workloads.All()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := profiles[i/len(fleet)%len(profiles)]
+		if _, err := fleet[i%len(fleet)].RunMulti(p.Workload(), 4, pinOpts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
