@@ -64,12 +64,15 @@ bench:
 # 4-copy RunMulti leaf, clearing and priming a hierarchy) and the cold
 # analytic path's (a registry sweep of estimates, the
 # characteristic-time solver alone, a cold analytic fleet
-# characterization) once each, so they keep compiling and running.
+# characterization) and the server's result-cache hit (a table1-sized
+# and a fig10-sized cached result through the whole handler) once
+# each, so they keep compiling and running.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'EigenSym|FitPCA' -benchtime 1x ./internal/stats
 	$(GO) test -run '^$$' -bench 'ExactLeaf|RunMulti|Prime' -benchtime 1x ./internal/machine
 	$(GO) test -run '^$$' -bench 'AnalyticRegistry|LevelMisses' -benchtime 1x ./internal/engine
 	$(GO) test -run '^$$' -bench 'CharacterizeColdAnalytic' -benchtime 1x ./internal/experiments
+	$(GO) test -run '^$$' -bench 'CachedExperiment' -benchtime 1x ./internal/server
 
 # bench-snapshot measures the key performance paths (characterization
 # fan-out, store-hit, both measurement engines over the full registry)

@@ -69,17 +69,53 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	}
 }
 
-// jsonWriter is an indenting encoder kept across responses: it writes
-// each response in one Write to the writer in to. A kept encoder keeps
-// its indent buffer, so a response does not allocate an indented copy
-// of its body; on a result-cache hit that copy would be most of the
-// request's garbage, and garbage sets how often the collector runs.
-type jsonWriter struct {
-	to  io.Writer
-	enc *json.Encoder
+// Splices writeResult writes between an envelope and the encoded
+// result it carries, and after the result.
+var (
+	resultField = []byte(",\n  \"result\": ")
+	reportField = []byte(",\n  \"report\": ")
+	envelopeEnd = []byte("\n}\n")
+)
+
+// writeResult answers 200 with envelope — a struct with no result
+// field — followed by body, an encodeResult encoding, as the
+// envelope's last field. The envelope's closing envelopeEnd is held
+// back while the encoder writes it, field and body follow, and then
+// envelopeEnd: the bytes writeJSON gives for the envelope with the
+// result value as its last field, without encoding the result again.
+func writeResult(w http.ResponseWriter, envelope any, field, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	jw := jsonWriters.Get().(*jsonWriter)
+	jw.to, jw.trim = w, len(envelopeEnd)
+	if err := jw.enc.Encode(envelope); err != nil {
+		return // client gone; a failed encoder stays out of the pool
+	}
+	jw.to, jw.trim = nil, 0
+	jsonWriters.Put(jw)
+	// A write fails only once the client is gone, and then every later
+	// one fails at once too: there is nothing to recover.
+	_, _ = w.Write(field)
+	_, _ = w.Write(body)
+	_, _ = w.Write(envelopeEnd)
 }
 
-func (jw *jsonWriter) Write(p []byte) (int, error) { return jw.to.Write(p) }
+// jsonWriter is an indenting encoder kept across responses: it writes
+// each response in one Write to the writer in to, less its last trim
+// bytes. A kept encoder keeps its indent buffer, so a response does
+// not allocate an indented copy of its body.
+type jsonWriter struct {
+	to   io.Writer
+	trim int
+	enc  *json.Encoder
+}
+
+func (jw *jsonWriter) Write(p []byte) (int, error) {
+	if _, err := jw.to.Write(p[:len(p)-jw.trim]); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
 
 var jsonWriters = sync.Pool{New: func() any {
 	jw := &jsonWriter{}

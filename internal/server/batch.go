@@ -58,10 +58,12 @@ type batchLine struct {
 	// request, linked via its parent_trace attribute) so one slow line
 	// can be looked up in /v1/traces directly. Omitted when tracing is
 	// disabled.
-	TraceID   string       `json:"trace_id,omitempty"`
-	ElapsedMS int64        `json:"elapsed_ms"`
-	Result    any          `json:"result,omitempty"`
-	Error     *errorDetail `json:"error,omitempty"`
+	TraceID   string `json:"trace_id,omitempty"`
+	ElapsedMS int64  `json:"elapsed_ms"`
+	// Result is the cached encoded result; the line's encoder compacts
+	// it, which gives exactly json.Marshal's bytes for the value.
+	Result json.RawMessage `json:"result,omitempty"`
+	Error  *errorDetail    `json:"error,omitempty"`
 }
 
 // lineWriter serializes NDJSON result lines onto one response,
@@ -292,7 +294,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			elapsed := time.Since(start)
 			s.met.batchItems.With(id).Observe(elapsed.Seconds())
 			line := batchLine{ID: id, Status: "ok", Engine: string(res.tier), Cached: res.cached,
-				TraceID: isp.TraceID(), ElapsedMS: elapsed.Milliseconds(), Result: res.val}
+				TraceID: isp.TraceID(), ElapsedMS: elapsed.Milliseconds(), Result: res.body}
 			if err != nil {
 				s.cfg.Log.Warn("batch item failed", "experiment", id, "err", err)
 				_, code := computeStatus(r, err)

@@ -257,7 +257,7 @@ func (s *Server) handleJobResults(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			lw.emit(batchLine{ID: it.ID, Status: "ok", Engine: string(res.tier),
-				Cached: res.cached, ElapsedMS: time.Since(start).Milliseconds(), Result: res.val})
+				Cached: res.cached, ElapsedMS: time.Since(start).Milliseconds(), Result: res.body})
 		case jobs.ItemError:
 			lw.emit(batchLine{ID: it.ID, Status: "error",
 				Error: &errorDetail{Code: codeInternal, Message: it.Error}})

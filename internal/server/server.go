@@ -12,17 +12,19 @@
 //	GET /healthz
 //	GET /metrics                         Prometheus text exposition
 //
-// Results are cached by (experiment id, canonical RunOptions); the
-// measurement substrate is deterministic, so cached entries never
-// expire — identical options reproduce identical bytes. Concurrent
-// requests for the same uncached key coalesce onto one computation,
-// and at most Config.Workers computations run at once, so a stampede
-// of distinct fidelities degrades into an orderly queue instead of
-// characterizing the fleet N times concurrently.
+// Results are cached by (experiment id, canonical RunOptions), encoded
+// once when computed; the measurement substrate is deterministic, so
+// cached entries never expire — identical options reproduce identical
+// bytes. Concurrent requests for the same uncached key coalesce onto
+// one computation, and at most Config.Workers computations run at
+// once, so a stampede of distinct fidelities degrades into an orderly
+// queue instead of characterizing the fleet N times concurrently.
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"log/slog"
 	"math"
@@ -268,7 +270,7 @@ type Server struct {
 	routes  []routeDef
 	started time.Time
 
-	flight flight.Group[any]
+	flight flight.Group[[]byte]
 	sem    chan struct{}         // worker-pool slots (interactive requests)
 	pool   *sched.Pool           // shared simulation scheduler
 	queue  *sched.Queue          // the server's queue on pool (uncapped)
@@ -300,7 +302,7 @@ type Server struct {
 	draining atomic.Bool
 
 	mu      sync.Mutex
-	results *lru // cacheKey -> experiment result
+	results *lru // cacheKey -> encoded result (see encodeResult)
 	labs    *lru // (fidelity, engine) key -> *experiments.Lab
 
 	// upgradePending (guarded by mu) dedups pending exact upgrades by
@@ -508,25 +510,47 @@ func (s *Server) runExperiment(ctx context.Context, id string, opts machine.RunO
 	return d.Run(lab)
 }
 
-// fetch returns the result for (id, opts), serving from cache when
-// possible, coalescing concurrent misses for the same key onto one
-// computation, and bounding concurrent computations by the worker
-// pool. Canceling ctx abandons this caller's wait; a computation all
+// encodeResult encodes a computed result once, as the bytes every
+// response carrying it writes: indented for depth 1 of a response
+// envelope (its first line unprefixed, every later one prefixed), so
+// writeResult splices them in as they are, and compacted back by the
+// NDJSON lines' encoder. On a traced request the encode is an "encode"
+// span on the flight leader's trace.
+func encodeResult(ctx context.Context, v any) ([]byte, error) {
+	_, span := telemetry.StartSpan(ctx, "encode")
+	b, err := json.MarshalIndent(v, "  ", "  ")
+	if span != nil {
+		span.SetAttr("bytes", strconv.Itoa(len(b)))
+		span.End()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("encoding result: %w", err)
+	}
+	// MarshalIndent sizes its buffer for twice the compact encoding;
+	// the cache keeps the bytes, not that spare capacity.
+	return bytes.Clone(b), nil
+}
+
+// fetch returns the encoded result for (id, opts), serving from cache
+// when possible, coalescing concurrent misses for the same key onto
+// one computation, and bounding concurrent computations by the worker
+// pool. A result that fails to encode fails the flight and is not
+// cached. Canceling ctx abandons this caller's wait; a computation all
 // of whose callers have disconnected is itself canceled.
-func (s *Server) fetch(ctx context.Context, id string, opts machine.RunOptions, tier engine.Tier, background bool) (val any, cached, coalesced bool, err error) {
+func (s *Server) fetch(ctx context.Context, id string, opts machine.RunOptions, tier engine.Tier, background bool) (body []byte, cached, coalesced bool, err error) {
 	key := cacheKey(id, opts, tier)
 	s.mu.Lock()
 	if v, ok := s.results.get(key); ok {
 		s.mu.Unlock()
 		s.met.cacheHits.Inc()
-		return v, true, false, nil
+		return v.([]byte), true, false, nil
 	}
 	s.mu.Unlock()
 	s.met.cacheMisses.Inc()
 
 	// The flight context carries the leading caller's span; callers
 	// that coalesce onto the flight share its result, not its spans.
-	val, err, joined := s.flight.Do(ctx, key, func(fctx context.Context) (any, error) {
+	body, err, joined := s.flight.Do(ctx, key, func(fctx context.Context) ([]byte, error) {
 		sem := s.sem
 		if background {
 			sem = s.jobsSem
@@ -543,7 +567,7 @@ func (s *Server) fetch(ctx context.Context, id string, opts machine.RunOptions, 
 		s.mu.Lock()
 		if v, ok := s.results.get(key); ok {
 			s.mu.Unlock()
-			return v, nil
+			return v.([]byte), nil
 		}
 		s.mu.Unlock()
 
@@ -557,17 +581,21 @@ func (s *Server) fetch(ctx context.Context, id string, opts machine.RunOptions, 
 		if err != nil {
 			return nil, err
 		}
+		b, err := encodeResult(fctx, v)
+		if err != nil {
+			return nil, err
+		}
 		s.mu.Lock()
-		s.results.put(key, v)
+		s.results.put(key, b)
 		n := s.results.len()
 		s.mu.Unlock()
 		s.met.cacheEntries.Set(float64(n))
-		return v, nil
+		return b, nil
 	})
 	if joined {
 		s.met.coalesced.Inc()
 	}
-	return val, false, joined, err
+	return body, false, joined, err
 }
 
 // serve answers one compute request for (id, opts) at the requested
@@ -594,14 +622,14 @@ func (s *Server) serve(ctx context.Context, id string, opts machine.RunOptions, 
 	s.met.engineServed.With(string(res.tier)).Inc()
 	telemetry.FromContext(ctx).SetAttr("engine", string(res.tier))
 	var err error
-	res.val, res.cached, res.coalesced, err = s.fetch(ctx, id, opts, res.tier, background)
+	res.body, res.cached, res.coalesced, err = s.fetch(ctx, id, opts, res.tier, background)
 	return res, err
 }
 
 // served is one answered compute request.
 type served struct {
-	val               any
-	tier              engine.Tier // the concrete tier that produced val
+	body              []byte      // the result, as encodeResult wrote it
+	tier              engine.Tier // the concrete tier that produced body
 	upgrading         bool        // an exact upgrade is pending (auto only)
 	cached, coalesced bool
 }
@@ -815,7 +843,9 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 	}{len(descs), len(entries), lo, entries})
 }
 
-// experimentResponse is the /v1/experiments/{id} body.
+// experimentResponse is the /v1/experiments/{id} envelope; the body
+// is the envelope with the result spliced in after it, as a last
+// "result" field (see writeResult).
 type experimentResponse struct {
 	ID           string `json:"id"`
 	Title        string `json:"title"`
@@ -831,7 +861,17 @@ type experimentResponse struct {
 	UpgradePending bool `json:"upgrade_pending,omitempty"`
 	Cached         bool `json:"cached"`
 	Coalesced      bool `json:"coalesced,omitempty"`
-	Result         any  `json:"result"`
+}
+
+// reportResponse is the /v1/report envelope; the report is spliced in
+// after it as a last "report" field.
+type reportResponse struct {
+	Instructions   int    `json:"instructions"`
+	Warmup         int    `json:"warmup"`
+	Engine         string `json:"engine"`
+	UpgradePending bool   `json:"upgrade_pending,omitempty"`
+	Cached         bool   `json:"cached"`
+	Coalesced      bool   `json:"coalesced,omitempty"`
 }
 
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
@@ -857,7 +897,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	canon := opts.Canonical()
-	writeJSON(w, http.StatusOK, experimentResponse{
+	writeResult(w, experimentResponse{
 		ID:             d.ID,
 		Title:          d.Title,
 		Kind:           d.Kind,
@@ -867,8 +907,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		UpgradePending: res.upgrading,
 		Cached:         res.cached,
 		Coalesced:      res.coalesced,
-		Result:         res.val,
-	})
+	}, resultField, res.body)
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -887,15 +926,8 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	canon := opts.Canonical()
-	writeJSON(w, http.StatusOK, struct {
-		Instructions   int    `json:"instructions"`
-		Warmup         int    `json:"warmup"`
-		Engine         string `json:"engine"`
-		UpgradePending bool   `json:"upgrade_pending,omitempty"`
-		Cached         bool   `json:"cached"`
-		Coalesced      bool   `json:"coalesced,omitempty"`
-		Report         any    `json:"report"`
-	}{canon.Instructions, canon.WarmupInstructions, string(res.tier), res.upgrading, res.cached, res.coalesced, res.val})
+	writeResult(w, reportResponse{canon.Instructions, canon.WarmupInstructions,
+		string(res.tier), res.upgrading, res.cached, res.coalesced}, reportField, res.body)
 }
 
 // statusWriter captures the response code and body size for
