@@ -16,9 +16,9 @@ RACE_PKGS ?= ./internal/server/... ./internal/metrics/... ./internal/core/... \
              ./internal/engine/... ./internal/jobs/... ./internal/insight/... \
              ./internal/flight/...
 
-.PHONY: ci fmt-check vet build test race race-analysis race-machine race-all bench bench-smoke bench-snapshot bench-gate smoke loc clean
+.PHONY: ci fmt-check vet build test race race-analysis race-machine race-all fuzz bench bench-smoke bench-snapshot bench-gate smoke loc clean
 
-ci: fmt-check vet build test race race-analysis race-machine bench-smoke
+ci: fmt-check vet build test race race-analysis race-machine fuzz bench-smoke
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -54,6 +54,12 @@ race-machine:
 
 race-all:
 	$(GO) test -race ./...
+
+# fuzz runs each native fuzz target for a bounded time, starting from
+# its committed seed corpus under testdata/fuzz/. A failing input is
+# written there too, and then fails plain `go test` until fixed.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRunOptions$$' -fuzztime 10s ./internal/server
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

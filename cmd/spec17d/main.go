@@ -14,8 +14,7 @@
 //	        [-request-timeout d]
 //	        [-jobs] [-max-jobs n] [-job-workers n] [-webhook-timeout d]
 //	        [-trace] [-trace-ring n] [-trace-slow d]
-//	        [-insight] [-insight-interval d] [-insight-ring n]
-//	        [-slo-latency-ms n]
+//	        [-insight] [-insight-interval d] [-slo-latency-ms n]
 //	        [-pprof-addr addr] [-log-level level]
 //
 // Endpoints:
@@ -100,7 +99,6 @@ type daemonConfig struct {
 
 	insight         bool
 	insightInterval time.Duration
-	insightRing     int
 	sloLatencyMS    int
 
 	pprofAddr string
@@ -140,8 +138,7 @@ func parseFlags(args []string, stderr io.Writer) (*daemonConfig, error) {
 	fs.IntVar(&cfg.traceRing, "trace-ring", 256, "finished traces to retain in memory")
 	fs.DurationVar(&cfg.traceSlow, "trace-slow", 0, "log the full span tree of traces slower than this (0 disables)")
 	fs.BoolVar(&cfg.insight, "insight", true, "run the self-monitoring plane (/v1/metrics/history, /v1/accuracy, /v1/events)")
-	fs.DurationVar(&cfg.insightInterval, "insight-interval", 5*time.Second, "insight sampling period")
-	fs.IntVar(&cfg.insightRing, "insight-ring", 360, "history samples retained per metric series")
+	fs.DurationVar(&cfg.insightInterval, "insight-interval", 5*time.Second, "insight sampling period; history keeps the SLO's 1h slow window at this period")
 	fs.IntVar(&cfg.sloLatencyMS, "slo-latency-ms", 500, "per-request latency objective for SLO burn tracking, in milliseconds (0 disables)")
 	fs.StringVar(&cfg.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this address (empty disables; keep it private)")
 	fs.TextVar(&cfg.logLevel, "log-level", slog.LevelInfo, "minimum log `level` (debug, info, warn, error)")
@@ -166,7 +163,6 @@ func parseFlags(args []string, stderr io.Writer) (*daemonConfig, error) {
 		{"max-jobs", cfg.maxJobs < 0},
 		{"job-workers", cfg.jobWorkers < 0},
 		{"insight-interval", cfg.insightInterval < 0},
-		{"insight-ring", cfg.insightRing < 0},
 		{"slo-latency-ms", cfg.sloLatencyMS < 0},
 	} {
 		if check.bad {
@@ -202,11 +198,9 @@ func main() {
 	var plane *insight.Plane
 	if cfg.insight {
 		plane = insight.New(insight.Config{
-			Metrics:   reg,
-			Log:       logger,
-			Interval:  cfg.insightInterval,
-			Ring:      cfg.insightRing,
-			EventRing: 256,
+			Metrics:  reg,
+			Log:      logger,
+			Interval: cfg.insightInterval,
 			SLO: insight.SLOConfig{
 				Latency: time.Duration(cfg.sloLatencyMS) * time.Millisecond,
 			},
@@ -252,8 +246,8 @@ func main() {
 		plane.AttachStore(st)
 		plane.Start()
 		defer plane.Stop()
-		logger.Info("insight plane sampling", "interval", cfg.insightInterval,
-			"ring", cfg.insightRing, "slo_latency_ms", cfg.sloLatencyMS)
+		logger.Info("insight plane sampling", "interval", plane.Interval(),
+			"ring", plane.Recorder().Capacity(), "slo_latency_ms", cfg.sloLatencyMS)
 	}
 
 	if cfg.pprofAddr != "" {

@@ -185,8 +185,9 @@ func TestParseFlagsAdmission(t *testing.T) {
 }
 
 // Insight flags default to an enabled plane at a 5s cadence, land in
-// the config verbatim, and reject negative values at parse time (exit
-// 2 in main) with stderr naming the offending flag.
+// the config verbatim, and reject negative values (and the removed
+// -insight-ring) at parse time (exit 2 in main) with stderr naming the
+// offending flag.
 func TestParseFlagsInsight(t *testing.T) {
 	var buf strings.Builder
 	cfg, err := parseFlags(nil, &buf)
@@ -199,16 +200,12 @@ func TestParseFlagsInsight(t *testing.T) {
 	if cfg.insightInterval != 5*time.Second {
 		t.Errorf("insightInterval = %v, want 5s", cfg.insightInterval)
 	}
-	if cfg.insightRing != 360 {
-		t.Errorf("insightRing = %d, want 360", cfg.insightRing)
-	}
 	if cfg.sloLatencyMS != 500 {
 		t.Errorf("sloLatencyMS = %d, want 500", cfg.sloLatencyMS)
 	}
 
 	cfg, err = parseFlags([]string{
-		"-insight=false", "-insight-interval", "1s",
-		"-insight-ring", "60", "-slo-latency-ms", "250",
+		"-insight=false", "-insight-interval", "1s", "-slo-latency-ms", "250",
 	}, &buf)
 	if err != nil {
 		t.Fatalf("parseFlags() = %v; stderr:\n%s", err, buf.String())
@@ -216,9 +213,9 @@ func TestParseFlagsInsight(t *testing.T) {
 	if cfg.insight {
 		t.Error("insight = true, want false")
 	}
-	if cfg.insightInterval != time.Second || cfg.insightRing != 60 || cfg.sloLatencyMS != 250 {
-		t.Errorf("insightInterval = %v, insightRing = %d, sloLatencyMS = %d",
-			cfg.insightInterval, cfg.insightRing, cfg.sloLatencyMS)
+	if cfg.insightInterval != time.Second || cfg.sloLatencyMS != 250 {
+		t.Errorf("insightInterval = %v, sloLatencyMS = %d",
+			cfg.insightInterval, cfg.sloLatencyMS)
 	}
 
 	for _, tc := range []struct {
@@ -226,8 +223,8 @@ func TestParseFlagsInsight(t *testing.T) {
 		flag string
 	}{
 		{[]string{"-insight-interval", "-1s"}, "-insight-interval"},
-		{[]string{"-insight-ring", "-8"}, "-insight-ring"},
 		{[]string{"-slo-latency-ms", "-100"}, "-slo-latency-ms"},
+		{[]string{"-insight-ring", "60"}, "-insight-ring"}, // removed: history spans the SLO window
 	} {
 		var buf strings.Builder
 		_, err := parseFlags(tc.args, &buf)

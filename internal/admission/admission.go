@@ -50,6 +50,11 @@ const (
 // costs exactly 1.
 const DefaultCostInstructions = 400_000
 
+// maxClients bounds the bucket table; beyond it, fully refilled
+// buckets (for which eviction is free) are swept, then the least
+// recently used one is dropped.
+const maxClients = 4096
+
 // Cost charges a request by instructions × workloads, in tokens. One
 // workload at the default fidelity costs 1; cost scales linearly in
 // both dimensions and never drops below 1, so even a cache hit spends
@@ -80,10 +85,6 @@ type Config struct {
 	// MaxInFlight bounds concurrently admitted compute requests across
 	// all clients. 0 disables the in-flight limit.
 	MaxInFlight int
-	// MaxClients bounds the bucket table; beyond it, fully refilled
-	// buckets (for which eviction is free) are swept, then the least
-	// recently used one is dropped. Defaults to 4096.
-	MaxClients int
 	// Metrics receives spec17_admission_rejected_total. Nil uses a
 	// private registry.
 	Metrics *metrics.Registry
@@ -121,17 +122,15 @@ type Controller struct {
 
 	inflight atomic.Int64
 
-	mu      sync.Mutex
-	buckets map[string]*bucket
+	mu         sync.Mutex
+	buckets    map[string]*bucket
+	maxClients int // maxClients, or less in tests
 }
 
 // New returns a Controller enforcing cfg.
 func New(cfg Config) *Controller {
 	if cfg.Rate > 0 && cfg.Burst <= 0 {
 		cfg.Burst = math.Max(cfg.Rate, 1)
-	}
-	if cfg.MaxClients <= 0 {
-		cfg.MaxClients = 4096
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
@@ -144,7 +143,8 @@ func New(cfg Config) *Controller {
 		rejected: cfg.Metrics.CounterVec("spec17_admission_rejected_total",
 			"Requests rejected by the admission layer, by reason.",
 			"reason"),
-		buckets: make(map[string]*bucket),
+		buckets:    make(map[string]*bucket),
+		maxClients: maxClients,
 	}
 }
 
@@ -223,12 +223,12 @@ func (c *Controller) AdmitWait(ctx context.Context, client string, cost float64)
 }
 
 // evictLocked makes room for one more bucket when the table is at
-// MaxClients: first sweep out buckets that have fully refilled
+// maxClients: first sweep out buckets that have fully refilled
 // (evicting one is semantically free — the client would start from a
 // full bucket anyway), then drop the least recently used bucket.
 // Caller holds c.mu.
 func (c *Controller) evictLocked(now time.Time) {
-	if len(c.buckets) < c.cfg.MaxClients {
+	if len(c.buckets) < c.maxClients {
 		return
 	}
 	var lruKey string
@@ -242,7 +242,7 @@ func (c *Controller) evictLocked(now time.Time) {
 			lruKey, lruUse = k, b.lastUse
 		}
 	}
-	if len(c.buckets) >= c.cfg.MaxClients && lruKey != "" {
+	if len(c.buckets) >= c.maxClients && lruKey != "" {
 		delete(c.buckets, lruKey)
 	}
 }

@@ -220,7 +220,8 @@ func TestInFlightLimit(t *testing.T) {
 
 func TestClientEviction(t *testing.T) {
 	clk := newFakeClock()
-	c := New(Config{Rate: 1, Burst: 2, MaxClients: 4, Now: clk.Now})
+	c := New(Config{Rate: 1, Burst: 2, Now: clk.Now})
+	c.maxClients = 4
 	// Fill the table with drained buckets (cost 2 = whole burst), so
 	// the free-eviction sweep finds nothing and LRU kicks in.
 	for i := 0; i < 4; i++ {
@@ -229,7 +230,7 @@ func TestClientEviction(t *testing.T) {
 	}
 	c.Admit("client-new", 2)
 	if got := c.Snapshot().Clients; got > 4 {
-		t.Errorf("bucket table grew to %d, want <= MaxClients=4", got)
+		t.Errorf("bucket table grew to %d, want <= maxClients=4", got)
 	}
 	// The oldest (client-0) was evicted; it starts over with a full
 	// bucket, while client-3 (retained) is still drained.
@@ -243,7 +244,8 @@ func TestClientEviction(t *testing.T) {
 
 func TestClientEvictionPrefersRefilled(t *testing.T) {
 	clk := newFakeClock()
-	c := New(Config{Rate: 100, Burst: 1, MaxClients: 2, Now: clk.Now})
+	c := New(Config{Rate: 100, Burst: 1, Now: clk.Now})
+	c.maxClients = 2
 	c.Admit("old-but-refilled", 1)
 	clk.Advance(time.Second) // fully refills old-but-refilled
 	c.Admit("drained", 1)
@@ -289,7 +291,8 @@ func TestRejectionMetrics(t *testing.T) {
 // counter under -race: many goroutines, many clients, concurrent
 // acquire/release.
 func TestConcurrentAdmission(t *testing.T) {
-	c := New(Config{Rate: 1000, Burst: 50, MaxInFlight: 8, MaxClients: 16})
+	c := New(Config{Rate: 1000, Burst: 50, MaxInFlight: 8})
+	c.maxClients = 16
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -60,15 +60,14 @@ type Runner interface {
 //
 // The key carries the engine's tier, so analytic and exact records
 // coexist in one store without ever answering for each other. A pair
-// already in the store is served directly, without a scheduler job. A
-// pair whose key an earlier pair of this grid already missed is not
-// measured again: once the grid's runs finish, it is served from the
-// store. The remaining misses go to the Runner in runs of about
-// runTarget of work each (engine.Tier.LeafCost), submitted as each run
-// fills. Every measurement coalesces with any concurrent one of the
-// same key — another characterization, a Lab.RunStored — through the
-// store's flight for it (see Stored); runs queue with the Runner's
-// FIFO fairness.
+// already in the store is served directly, without a scheduler job.
+// The misses go to the Runner in runs of about runTarget of work each
+// (engine.Tier.LeafCost), submitted as each run fills. Every
+// measurement coalesces with any concurrent one of the same key —
+// another pair of this grid, another characterization, a
+// Lab.RunStored — through the store's flight for it (see Stored), so
+// a key the grid repeats is measured once; runs queue with the
+// Runner's FIFO fairness.
 //
 // Results are stored by (label, machine) and are deterministic
 // regardless of scheduling; of several failed pairs, the first in grid
@@ -97,8 +96,6 @@ func CharacterizeWith(ctx context.Context, entries []Entry, machines []*machine.
 	runLen := leavesPerRun(eng.Tier())
 
 	leaves := make([]leaf, len(entries)*len(machines))
-	missed := make(map[store.Key]*leaf)
-	var dups []*leaf
 	var cur *run
 	var wg sync.WaitGroup
 	submit := func() {
@@ -126,12 +123,6 @@ func CharacterizeWith(ctx context.Context, entries []Entry, machines []*machine.
 			l.rc = rc
 			continue
 		}
-		if f, ok := missed[l.key]; ok {
-			l.first = f
-			dups = append(dups, l)
-			continue
-		}
-		missed[l.key] = l
 		if cur == nil {
 			cur = &run{leaves: make([]*leaf, 0, runLen)}
 		}
@@ -149,15 +140,6 @@ func CharacterizeWith(ctx context.Context, entries []Entry, machines []*machine.
 		return nil, err
 	}
 
-	for _, l := range dups {
-		rc, err := l.first.result()
-		if err == nil {
-			if hit, ok := st.Lookup(ctx, l.key); ok {
-				rc = hit
-			}
-		}
-		l.rc, l.err = rc, err
-	}
 	for i := range leaves {
 		l := &leaves[i]
 		e, m := g.pair(l)
@@ -227,10 +209,8 @@ type leaf struct {
 	// submission; a run's job sets them for its leaves.
 	rc  *machine.RawCounts
 	err error
-	// run is the run measuring the pair, if it missed; first is the
-	// earlier pair of the grid with the same key, if one missed first.
-	run   *run
-	first *leaf
+	// run is the run measuring the pair, if it missed.
+	run *run
 }
 
 // result is the leaf's outcome: its own, or its run's failure.

@@ -186,15 +186,15 @@ var recordSolve func(capacity float64, sizes, mus []float64)
 // take the midpoint of the final bounds.
 //
 // Walking that path costs ~74 occupancy sums, so the search first
-// brackets T (newtonBracket, then narrowBracket) and then replays the
-// bisection step by step, evaluating occupancy only at points inside
+// brackets T (newtonBracket) and then replays the bisection step by
+// step, evaluating occupancy only at points inside
 // the bracket: every point at or below `below` is known to fall short
 // of the capacity, and every point at or above `above` to fill it.
 // Each point the replay does evaluate narrows the bracket further.
 // The replay takes the bisection's own steps, so its 80-step cap, its
 // 1e15 escape and its final midpoint come out as they are, and T is
 // the same float bit for bit (TestLevelMissesMatchesReference). Over
-// a registry × fleet sweep a solve takes ~11 occupancy sums.
+// a registry × fleet sweep a solve takes ~12 occupancy sums.
 //
 // The one assumption is that math.Exp is monotone over float64
 // (TestExpMonotone): then −μt, e^(−μt), each term and their
@@ -204,8 +204,7 @@ var recordSolve func(capacity float64, sizes, mus []float64)
 // range could compare differently from the bound that decided it, and
 // T could differ from the bisection's in its last bits.
 func characteristicTime(capacity float64, sizes, mus []float64) float64 {
-	below, above, last := newtonBracket(capacity, sizes, mus)
-	below, above = narrowBracket(capacity, sizes, mus, below, above, last)
+	below, above := newtonBracket(capacity, sizes, mus)
 	short := func(t float64) bool {
 		if t <= below {
 			return true
@@ -250,9 +249,9 @@ const maxNewtonSteps = 16
 
 // newtonBracket runs Newton's method on occupancy(t) − capacity and
 // returns the tightest bounds its iterates certify,
-// occupancy(below) < capacity ≤ occupancy(above), and the last
-// iterate. `below` starts at 0, where occupancy is 0 (no point the
-// bisection evaluates lies at or below it), and `above` at +Inf.
+// occupancy(below) < capacity ≤ occupancy(above). `below` starts at
+// 0, where occupancy is 0 (no point the bisection evaluates lies at or
+// below it), and `above` at +Inf.
 // Newton starts where the upper bounds size·min(1, μt) of the
 // occupancy terms fill the capacity, at or below T. Occupancy is
 // concave, so in exact arithmetic every iterate stays below T and
@@ -260,11 +259,11 @@ const maxNewtonSteps = 16
 // steps back. It stops when a step would leave the open bracket, which
 // is how it ends once converged to within rounding, or after
 // maxNewtonSteps iterates.
-func newtonBracket(capacity float64, sizes, mus []float64) (below, above, t float64) {
+func newtonBracket(capacity float64, sizes, mus []float64) (below, above float64) {
 	below, above = 0, math.Inf(1)
-	t = saturationStart(capacity, sizes, mus)
+	t := saturationStart(capacity, sizes, mus)
 	if !(t > below && t < above) {
-		return below, above, below
+		return below, above
 	}
 	for step := 1; ; step++ {
 		occ, slope := occupancy(sizes, mus, t)
@@ -275,7 +274,7 @@ func newtonBracket(capacity float64, sizes, mus []float64) (below, above, t floa
 		}
 		next := t + (capacity-occ)/slope
 		if !(next > below && next < above) || step == maxNewtonSteps {
-			return below, above, t
+			return below, above
 		}
 		t = next
 	}
@@ -303,43 +302,6 @@ func saturationStart(capacity float64, sizes, mus []float64) float64 {
 		t = next
 	}
 	return t
-}
-
-// maxNarrowSteps bounds narrowBracket's probes.
-const maxNarrowSteps = 8
-
-// narrowBracket probes outward from Newton's last iterate t toward T,
-// 1, 2, 4, … ulps at a time: upward if t falls short of the capacity,
-// downward if it fills it. Each probe on t's side of T becomes the new
-// bound there; the first on the far side closes the bracket. It stops
-// early if a probe reaches the bound already on the far side; if it
-// runs out of probes first, the bracket stays as wide as Newton left
-// it, and the replay evaluates the rest as the bisection does.
-func narrowBracket(capacity float64, sizes, mus []float64, below, above, t float64) (float64, float64) {
-	up := t == below
-	gap := math.Nextafter(t, math.Inf(1)) - t
-	for i := 0; i < maxNarrowSteps; i++ {
-		if up {
-			t += gap
-		} else {
-			t -= gap
-		}
-		if !(t > below && t < above) {
-			break
-		}
-		occ, _ := occupancy(sizes, mus, t)
-		short := occ < capacity
-		if short {
-			below = t
-		} else {
-			above = t
-		}
-		if short != up {
-			break
-		}
-		gap *= 2
-	}
-	return below, above
 }
 
 // sumSide totals the rates of one side's streams (instruction or data).

@@ -191,11 +191,11 @@ func TestLevelMissesMatchesReference(t *testing.T) {
 		if occ, _ := occupancy(sizes, mus, hi); occ == capacity {
 			reached.tie++
 		}
-		below, above, last := newtonBracket(capacity, sizes, mus)
+		below, above := newtonBracket(capacity, sizes, mus)
 		if !math.IsInf(above, 1) {
 			reached.overshoot++
 		}
-		if below, above = narrowBracket(capacity, sizes, mus, below, above, last); below == 0 || math.IsInf(above, 1) {
+		if below == 0 || math.IsInf(above, 1) {
 			reached.open++
 		}
 	}

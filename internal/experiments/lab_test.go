@@ -109,6 +109,58 @@ func TestLabBuildSurvivesLeaderCancel(t *testing.T) {
 	}
 }
 
+// TestExactGridRepeatsMeasuredOnce: Entries repeats workloads (a
+// multi-input benchmark's primary input is its input set 1), and an
+// exact characterization measures each repeated key once. The store's
+// flight is the one dedup: a repeat joins the key's measurement or
+// hits its record, so misses and scheduler jobs equal the distinct
+// keys and every other leaf is a hit, with one worker or two.
+func TestExactGridRepeatsMeasuredOnce(t *testing.T) {
+	fleet, err := machine.Fleet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	machines := fleet[:2]
+	opts := machine.RunOptions{Instructions: 2_000}
+	entries := Entries()
+	leaves := int64(len(entries) * len(machines))
+	keys := make(map[store.Key]bool)
+	for _, e := range entries {
+		for _, m := range machines {
+			keys[store.KeyForEngine(m, e.Workload, opts, string(engine.TierExact))] = true
+		}
+	}
+	distinct := int64(len(keys))
+	if distinct == leaves {
+		t.Fatal("Entries repeats no workload; the test needs a repeated key")
+	}
+	var want *core.Characterization
+	for _, workers := range []int{1, 2} {
+		st, err := store.Open(store.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool := sched.NewPool(workers, nil)
+		got, err := core.CharacterizeWith(context.Background(), entries, machines, opts, st, pool.Queue(0), engine.Exact{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := st.Stats()
+		if s.Misses != distinct || s.Hits != leaves-distinct {
+			t.Errorf("%d workers: store misses, hits = %d, %d; want %d, %d",
+				workers, s.Misses, s.Hits, distinct, leaves-distinct)
+		}
+		if started := pool.Stats().Started; started != distinct {
+			t.Errorf("%d workers: scheduler jobs = %d, want %d (one per distinct key)", workers, started, distinct)
+		}
+		if want == nil {
+			want = got
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("%d workers: characterization differs from the 1-worker one", workers)
+		}
+	}
+}
+
 // cancelFirst is a core.Runner that fails its first submission with
 // context.Canceled, the way a slot wait whose callers all left does,
 // and runs every later one.

@@ -4,8 +4,10 @@ package insight
 // answer "how much"; events answer "what happened, when" — a tolerance
 // band violated, a shed spike, a slow request, a checkpoint that
 // failed to persist, a webhook whose retries ran out, an SLO starting
-// to burn. Every event is mirrored to the structured log (so an
-// operator tailing stderr sees it live) and counted in
+// to burn. Every event reaches the structured log once (so an operator
+// tailing stderr sees it live): the plane logs the anomalies it
+// detects, and the tracer, store and jobs log the ones they report
+// through the plane's hooks. Each is counted in
 // spec17d_insight_events_total{type}; GET /v1/events serves the ring.
 
 import (
@@ -86,8 +88,23 @@ func newEventLog(capacity int, reg *metrics.Registry, log *slog.Logger, now func
 	}
 }
 
-// Emit records one event, mirrors it to the log, and counts it.
+// Emit records one event, mirrors it to the log, and counts it. It is
+// for anomalies the plane itself detects; one another component has
+// already logged is only recorded.
 func (e *EventLog) Emit(typ EventType, msg string, attrs map[string]string) {
+	e.record(typ, msg, attrs)
+	if e.log != nil {
+		kv := make([]any, 0, 4+2*len(attrs))
+		kv = append(kv, "type", string(typ), "msg", msg)
+		for k, v := range attrs {
+			kv = append(kv, k, v)
+		}
+		e.log.Warn("insight event", kv...)
+	}
+}
+
+// record adds one event to the ring and counts it, without logging.
+func (e *EventLog) record(typ EventType, msg string, attrs map[string]string) {
 	ev := Event{Time: e.now(), Type: typ, Message: msg, Attrs: attrs}
 	e.mu.Lock()
 	e.seq++
@@ -100,14 +117,6 @@ func (e *EventLog) Emit(typ EventType, msg string, attrs map[string]string) {
 	}
 	e.mu.Unlock()
 	e.ctr.With(string(typ)).Inc()
-	if e.log != nil {
-		kv := make([]any, 0, 4+2*len(attrs))
-		kv = append(kv, "type", string(typ), "msg", msg)
-		for k, v := range attrs {
-			kv = append(kv, k, v)
-		}
-		e.log.Warn("insight event", kv...)
-	}
 }
 
 // Events returns recorded events newest-first, filtered by type (""

@@ -39,6 +39,9 @@ const shedSpikeThreshold = 10
 // overload is one incident, not one event per tick.
 const shedSpikeCooldown = time.Minute
 
+// eventRing bounds the anomaly-event ring.
+const eventRing = 256
+
 // Config configures a Plane. Metrics is required; everything else has
 // a usable default.
 type Config struct {
@@ -48,17 +51,14 @@ type Config struct {
 	// Store, when set, enables the accuracy-drift monitor. May also be
 	// attached later via AttachStore (before Start).
 	Store *store.Store
-	// Log mirrors every emitted event. Defaults to an info-level
-	// structured logger on stderr.
+	// Log receives the events the plane detects itself (the hooks'
+	// callers log theirs). Defaults to an info-level structured logger
+	// on stderr.
 	Log *slog.Logger
-	// Interval is the sampling period. Defaults to 5s.
+	// Interval is the sampling period. Defaults to 5s. The history
+	// rings hold the SLO's slow window at this period, so their memory
+	// scales with slowWindow/Interval (721 samples a series at 5s).
 	Interval time.Duration
-	// Ring is the per-series history ring capacity (Interval × Ring of
-	// lookback). Defaults to 360 — half an hour at the default
-	// interval.
-	Ring int
-	// EventRing bounds the anomaly-event ring. Defaults to 256.
-	EventRing int
 	// SLO sets the per-endpoint objectives.
 	SLO SLOConfig
 	// Now overrides the clock (tests).
@@ -71,12 +71,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Interval <= 0 {
 		c.Interval = 5 * time.Second
-	}
-	if c.Ring <= 0 {
-		c.Ring = 360
-	}
-	if c.EventRing <= 0 {
-		c.EventRing = 256
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -130,16 +124,23 @@ func New(cfg Config) *Plane {
 	cfg = cfg.withDefaults()
 	p := &Plane{
 		cfg: cfg,
-		rec: newRecorder(cfg.Ring),
+		rec: newRecorder(historySamples(cfg.Interval)),
 		samples: cfg.Metrics.Counter("spec17d_insight_samples_total",
 			"Sampling ticks the insight recorder has performed."),
 		quit: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	p.events = newEventLog(cfg.EventRing, cfg.Metrics, cfg.Log, cfg.Now)
+	p.events = newEventLog(eventRing, cfg.Metrics, cfg.Log, cfg.Now)
 	p.drift = newDrift(cfg.Store, cfg.Metrics, p.events, cfg.Now)
 	p.slo = newSLOMonitor(cfg.SLO, p.events)
 	return p
+}
+
+// historySamples is the ring capacity that keeps a sample taken
+// slowWindow ago at the given sampling period, so the slow SLO window
+// reads from the point where it begins.
+func historySamples(interval time.Duration) int {
+	return int((slowWindow+interval-1)/interval) + 1
 }
 
 // AttachStore enables the drift monitor against st. Call before Start
@@ -252,11 +253,14 @@ func (p *Plane) Status() Status {
 	}
 }
 
+// The hooks below record anomalies that the component calling them has
+// already logged, so they add an event without a second log line.
+
 // OnSlowTrace adapts the plane to telemetry.TracerConfig.OnSlow: every
 // slow trace becomes a slow_trace event carrying the trace id, so the
 // operator pivots from the event straight to GET /v1/traces.
 func (p *Plane) OnSlowTrace(td *telemetry.TraceData) {
-	p.events.Emit(EventSlowTrace,
+	p.events.record(EventSlowTrace,
 		fmt.Sprintf("trace %s took %.0fms", td.TraceID, td.DurationMS),
 		map[string]string{
 			"trace":  td.TraceID,
@@ -266,7 +270,7 @@ func (p *Plane) OnSlowTrace(td *telemetry.TraceData) {
 
 // OnCheckpointError adapts the plane to store.Config.OnCheckpointError.
 func (p *Plane) OnCheckpointError(err error) {
-	p.events.Emit(EventCheckpointFailure,
+	p.events.record(EventCheckpointFailure,
 		"background store checkpoint failed: "+err.Error(), nil)
 }
 
@@ -281,6 +285,6 @@ func (p *Plane) OnWebhookExhausted(jobID, url string, attempts int, lastErr erro
 	if lastErr != nil {
 		attrs["error"] = lastErr.Error()
 	}
-	p.events.Emit(EventWebhookExhausted,
+	p.events.record(EventWebhookExhausted,
 		fmt.Sprintf("webhook for job %s lost after %d attempts", jobID, attempts), attrs)
 }

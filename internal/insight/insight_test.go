@@ -1,9 +1,15 @@
 package insight
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"io"
 	"log/slog"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -29,13 +35,11 @@ func quietLog() *slog.Logger {
 func newTestPlane(t *testing.T, reg *metrics.Registry, clk *testClock, slo SLOConfig) *Plane {
 	t.Helper()
 	p := New(Config{
-		Metrics:   reg,
-		Log:       quietLog(),
-		Interval:  5 * time.Second,
-		Ring:      8,
-		EventRing: 4,
-		SLO:       slo,
-		Now:       clk.now,
+		Metrics:  reg,
+		Log:      quietLog(),
+		Interval: 5 * time.Second,
+		SLO:      slo,
+		Now:      clk.now,
 	})
 	t.Cleanup(p.Stop)
 	return p
@@ -280,11 +284,7 @@ func TestSLOBurnAndTransitionEvent(t *testing.T) {
 	latency := reg.HistogramVec("spec17d_request_duration_seconds", "latency",
 		[]float64{0.1, 0.5, 1}, "endpoint")
 	clk := newTestClock()
-	p := newTestPlane(t, reg, clk, SLOConfig{
-		Latency:       500 * time.Millisecond,
-		LatencyTarget: 0.95,
-		ErrorTarget:   0.999,
-	})
+	p := newTestPlane(t, reg, clk, SLOConfig{Latency: 500 * time.Millisecond})
 
 	// Baseline tick with the series present but empty.
 	requests.With("/v1/report", "200").Add(0)
@@ -324,6 +324,40 @@ func TestSLOBurnAndTransitionEvent(t *testing.T) {
 	p.Tick()
 	if got := len(p.Events().Events(EventSLOBurn, time.Time{}, 0)); got != 1 {
 		t.Fatalf("slo_burn events after sustained burn = %d, want 1", got)
+	}
+}
+
+// TestSLOSlowWindowSeesItsStart: at the default sampling interval the
+// history rings reach back the whole slow window, so errors 59 minutes
+// old still count toward the slow burn rate. A ring shorter than the
+// window would have dropped them and read the burn as 0.
+func TestSLOSlowWindowSeesItsStart(t *testing.T) {
+	reg := metrics.NewRegistry()
+	requests := reg.CounterVec("spec17d_requests_total", "requests", "endpoint", "code")
+	clk := newTestClock()
+	p := New(Config{Metrics: reg, Log: quietLog(), Now: clk.now})
+	t.Cleanup(p.Stop)
+
+	requests.With("/v1/report", "200").Add(0)
+	requests.With("/v1/report", "500").Add(0)
+	p.Tick()
+	requests.With("/v1/report", "200").Add(90)
+	requests.With("/v1/report", "500").Add(10)
+	for elapsed := time.Duration(0); elapsed < 59*time.Minute; elapsed += p.Interval() {
+		clk.advance(p.Interval())
+		p.Tick()
+	}
+
+	st := p.Status()
+	if len(st.SLO) != 1 {
+		t.Fatalf("slo endpoints = %+v", st.SLO)
+	}
+	// 10% errors against a 0.1% budget.
+	if got := st.SLO[0].ErrorBurnSlow; got < 99 || got > 101 {
+		t.Errorf("slow error burn 59 min after the errors = %v, want 100", got)
+	}
+	if got := st.SLO[0].ErrorBurnFast; got != 0 {
+		t.Errorf("fast error burn 59 min after the errors = %v, want 0", got)
 	}
 }
 
@@ -376,6 +410,92 @@ func TestPlaneHooks(t *testing.T) {
 	evs := p.Events().Events(EventWebhookExhausted, time.Time{}, 0)
 	if len(evs) != 1 || evs[0].Attrs["job"] != "job-1" || evs[0].Attrs["attempts"] != "5" {
 		t.Fatalf("webhook_exhausted events = %+v", evs)
+	}
+}
+
+// lockedBuffer is a log sink safe for the goroutines that log.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (w *lockedBuffer) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.b.Write(p)
+}
+
+// count returns how many logged lines contain every one of subs.
+func (w *lockedBuffer) count(subs ...string) int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	n := 0
+	for _, line := range strings.Split(w.b.String(), "\n") {
+		match := line != ""
+		for _, sub := range subs {
+			match = match && strings.Contains(line, sub)
+		}
+		if match {
+			n++
+		}
+	}
+	return n
+}
+
+// TestHookedAnomaliesLogOnce: with one logger shared by the tracer,
+// the store and the plane, as spec17d wires them, a slow trace and a
+// failed checkpoint each give one warn line, from the component that
+// hit it, and one event. The hooks add no line of their own.
+func TestHookedAnomaliesLogOnce(t *testing.T) {
+	var logs lockedBuffer
+	log := telemetry.NewLogger(&logs, slog.LevelInfo)
+	reg := metrics.NewRegistry()
+	p := New(Config{Metrics: reg, Log: log, Interval: time.Hour})
+	t.Cleanup(p.Stop)
+
+	tracer := telemetry.NewTracer(telemetry.TracerConfig{
+		Capacity: 4, SlowThreshold: time.Nanosecond, Metrics: reg, Log: log, OnSlow: p.OnSlowTrace,
+	})
+	_, root := tracer.StartTrace(context.Background(), "http.request", "")
+	time.Sleep(time.Millisecond)
+	root.End()
+
+	// Replacing the snapshot's directory by a plain file fails every
+	// save.
+	dir := filepath.Join(t.TempDir(), "snap")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(store.Config{
+		Path: filepath.Join(dir, "store.json"), Metrics: reg, Log: log,
+		OnCheckpointError: p.OnCheckpointError,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st.Put(store.Key{Machine: "m", Workload: "w", Instructions: 1000, Content: "c"}, syntheticCounts(1))
+	st.StartCheckpointing(time.Hour)() // only stop's flush saves
+
+	for _, c := range []struct {
+		typ EventType
+		msg string
+	}{
+		{EventSlowTrace, `msg="slow trace"`},
+		{EventCheckpointFailure, `msg="checkpoint failed"`},
+	} {
+		events := len(p.Events().Events(c.typ, time.Time{}, 0))
+		if lines := logs.count("level=warn", c.msg); events != 1 || lines != 1 {
+			t.Errorf("%s: %d events, %d warn lines; want 1 and 1", c.typ, events, lines)
+		}
+	}
+	if got := logs.count("level=warn"); got != 2 {
+		t.Errorf("%d warn lines, want 2 (one per anomaly):\n%s", got, logs.b.String())
 	}
 }
 

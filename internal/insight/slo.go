@@ -17,39 +17,25 @@ import (
 	"time"
 )
 
+// The objectives' targets and burn-rate windows.
+const (
+	// latencyTarget is the fraction of requests expected to meet
+	// SLOConfig.Latency.
+	latencyTarget = 0.95
+	// errorTarget is the fraction of requests expected to answer
+	// without a 5xx.
+	errorTarget = 0.999
+	fastWindow  = 5 * time.Minute
+	slowWindow  = time.Hour
+)
+
 // SLOConfig sets the per-endpoint objectives. The zero value disables
-// the latency objective and applies the defaults below to the rest.
+// the latency objective.
 type SLOConfig struct {
-	// Latency is the per-request latency objective; LatencyTarget of
+	// Latency is the per-request latency objective; latencyTarget of
 	// requests should finish within it. 0 disables latency burn
 	// tracking.
 	Latency time.Duration
-	// LatencyTarget is the fraction of requests expected to meet
-	// Latency. Defaults to 0.95.
-	LatencyTarget float64
-	// ErrorTarget is the fraction of requests expected to answer
-	// without a 5xx. Defaults to 0.999.
-	ErrorTarget float64
-	// FastWindow and SlowWindow are the burn-rate windows. Default
-	// 5m / 1h.
-	FastWindow time.Duration
-	SlowWindow time.Duration
-}
-
-func (c SLOConfig) withDefaults() SLOConfig {
-	if c.LatencyTarget <= 0 || c.LatencyTarget >= 1 {
-		c.LatencyTarget = 0.95
-	}
-	if c.ErrorTarget <= 0 || c.ErrorTarget >= 1 {
-		c.ErrorTarget = 0.999
-	}
-	if c.FastWindow <= 0 {
-		c.FastWindow = 5 * time.Minute
-	}
-	if c.SlowWindow <= 0 {
-		c.SlowWindow = time.Hour
-	}
-	return c
 }
 
 // EndpointSLO is one endpoint's burn-rate snapshot, served inside
@@ -81,7 +67,7 @@ type sloMonitor struct {
 }
 
 func newSLOMonitor(cfg SLOConfig, events *EventLog) *sloMonitor {
-	return &sloMonitor{cfg: cfg.withDefaults(), events: events, burning: make(map[string]bool)}
+	return &sloMonitor{cfg: cfg, events: events, burning: make(map[string]bool)}
 }
 
 // evaluate recomputes every endpoint's burn rates from the recorder.
@@ -106,12 +92,12 @@ func (m *sloMonitor) evaluate(rec *Recorder, now time.Time) []EndpointSLO {
 	for _, ep := range names {
 		s := EndpointSLO{Endpoint: ep}
 		var fastTotal float64
-		s.ErrorBurnFast, fastTotal = m.errorBurn(rec, ep, m.cfg.FastWindow, now)
-		s.ErrorBurnSlow, _ = m.errorBurn(rec, ep, m.cfg.SlowWindow, now)
+		s.ErrorBurnFast, fastTotal = m.errorBurn(rec, ep, fastWindow, now)
+		s.ErrorBurnSlow, _ = m.errorBurn(rec, ep, slowWindow, now)
 		s.Requests = fastTotal
 		if m.cfg.Latency > 0 {
-			s.LatencyBurnFast = m.latencyBurn(rec, ep, m.cfg.FastWindow, now)
-			s.LatencyBurnSlow = m.latencyBurn(rec, ep, m.cfg.SlowWindow, now)
+			s.LatencyBurnFast = m.latencyBurn(rec, ep, fastWindow, now)
+			s.LatencyBurnSlow = m.latencyBurn(rec, ep, slowWindow, now)
 		}
 		s.Burning = (s.ErrorBurnFast > 1 && s.ErrorBurnSlow > 1) ||
 			(s.LatencyBurnFast > 1 && s.LatencyBurnSlow > 1)
@@ -135,7 +121,7 @@ func (m *sloMonitor) evaluate(rec *Recorder, now time.Time) []EndpointSLO {
 
 // errorBurn returns the endpoint's 5xx budget burn over the window and
 // the total in-window requests: the observed error fraction divided by
-// the budget (1 − ErrorTarget).
+// the budget (1 − errorTarget).
 func (m *sloMonitor) errorBurn(rec *Recorder, endpoint string, window time.Duration, now time.Time) (burn, totalReq float64) {
 	var errs float64
 	for _, lv := range rec.labelSets("spec17d_requests_total") {
@@ -154,14 +140,14 @@ func (m *sloMonitor) errorBurn(rec *Recorder, endpoint string, window time.Durat
 	if totalReq == 0 {
 		return 0, 0
 	}
-	return (errs / totalReq) / (1 - m.cfg.ErrorTarget), totalReq
+	return (errs / totalReq) / (1 - errorTarget), totalReq
 }
 
 // latencyBurn returns the endpoint's latency budget burn over the
 // window: the fraction of requests slower than the objective — read
 // from the latency histogram's bucket deltas, counting buckets whose
 // upper bound fits inside the objective as "good" — divided by the
-// budget (1 − LatencyTarget).
+// budget (1 − latencyTarget).
 func (m *sloMonitor) latencyBurn(rec *Recorder, endpoint string, window time.Duration, now time.Time) float64 {
 	bounds, deltas, count, ok := rec.histWindow(
 		"spec17d_request_duration_seconds", []string{endpoint}, window, now)
@@ -176,5 +162,5 @@ func (m *sloMonitor) latencyBurn(rec *Recorder, endpoint string, window time.Dur
 		}
 	}
 	bad := float64(count-good) / float64(count)
-	return bad / (1 - m.cfg.LatencyTarget)
+	return bad / (1 - latencyTarget)
 }

@@ -16,6 +16,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/insight"
+	"repro/internal/metrics"
 	"repro/internal/telemetry"
 )
 
@@ -324,7 +326,7 @@ func TestWebhookRetryThenDeliver(t *testing.T) {
 	defer sink.Close()
 
 	cfg := quietCfg(okRunner)
-	cfg.Webhook = WebhookConfig{Backoff: time.Millisecond, MaxAttempts: 5}
+	cfg.Webhook = WebhookConfig{backoff: time.Millisecond}
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -363,7 +365,7 @@ func TestWebhookGivesUpAfterMaxAttempts(t *testing.T) {
 	defer sink.Close()
 
 	cfg := quietCfg(okRunner)
-	cfg.Webhook = WebhookConfig{Backoff: time.Millisecond, MaxAttempts: 2}
+	cfg.Webhook = WebhookConfig{backoff: time.Millisecond}
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -379,7 +381,7 @@ func TestWebhookGivesUpAfterMaxAttempts(t *testing.T) {
 	// the next boot), so closing early would end the loop at one attempt.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if got, _ := m.Get(j.ID); got.WebhookAttempts == 2 {
+		if got, _ := m.Get(j.ID); got.WebhookAttempts == webhookAttempts {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -388,13 +390,77 @@ func TestWebhookGivesUpAfterMaxAttempts(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	m.Close()
-	if hits.Load() != 2 {
-		t.Errorf("sink hit %d times, want 2", hits.Load())
+	if hits.Load() != webhookAttempts {
+		t.Errorf("sink hit %d times, want %d", hits.Load(), webhookAttempts)
 	}
-	if got, _ := m.Get(j.ID); got.WebhookDelivered || got.WebhookAttempts != 2 {
+	if got, _ := m.Get(j.ID); got.WebhookDelivered || got.WebhookAttempts != webhookAttempts {
 		t.Errorf("delivery record = delivered=%v attempts=%d", got.WebhookDelivered, got.WebhookAttempts)
 	}
 }
+
+// TestWebhookExhaustedLogsOnce: with one logger shared by the jobs
+// manager and the insight plane, as spec17d wires them, a webhook that
+// runs out of attempts gives one warn line, from jobs, and one event.
+// Each failed attempt before it logs at info.
+func TestWebhookExhaustedLogsOnce(t *testing.T) {
+	var logs strings.Builder
+	var mu sync.Mutex
+	log := telemetry.NewLogger(writerFunc(func(p []byte) (int, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		return logs.Write(p)
+	}), slog.LevelInfo)
+	plane := insight.New(insight.Config{Metrics: metrics.NewRegistry(), Log: log, Interval: time.Hour})
+	defer plane.Stop()
+
+	cfg := quietCfg(okRunner)
+	cfg.Log = log
+	cfg.Webhook = WebhookConfig{backoff: time.Millisecond, Client: &http.Client{Transport: failingTransport{}}}
+	cfg.OnWebhookExhausted = plane.OnWebhookExhausted
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Start()
+	j, err := m.Submit(Spec{Experiments: []string{"a"}, Webhook: "http://unreachable.invalid/hook"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for len(plane.Events().Events(insight.EventWebhookExhausted, time.Time{}, 0)) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no webhook_exhausted event")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	m.Close()
+
+	mu.Lock()
+	out := logs.String()
+	mu.Unlock()
+	var warns, infos int
+	for _, line := range strings.Split(out, "\n") {
+		switch {
+		case strings.Contains(line, "level=warn"):
+			warns++
+			if !strings.Contains(line, `msg="jobs: webhook exhausted"`) || !strings.Contains(line, j.ID) {
+				t.Errorf("unexpected warn line: %s", line)
+			}
+		case strings.Contains(line, `level=info msg="jobs: webhook delivery failed"`):
+			infos++
+		}
+	}
+	if warns != 1 || infos != webhookAttempts {
+		t.Errorf("%d warn lines and %d failed-attempt info lines, want 1 and %d:\n%s", warns, infos, webhookAttempts, out)
+	}
+	if n := len(plane.Events().Events(insight.EventWebhookExhausted, time.Time{}, 0)); n != 1 {
+		t.Errorf("%d webhook_exhausted events, want 1", n)
+	}
+}
+
+type writerFunc func([]byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
 // TestRedeliverAfterRestart: a crash between job completion and
 // webhook delivery redelivers at the next boot.
@@ -404,7 +470,7 @@ func TestRedeliverAfterRestart(t *testing.T) {
 	// Phase 1: job completes but every delivery attempt fails.
 	cfg1 := quietCfg(okRunner)
 	cfg1.Path = path
-	cfg1.Webhook = WebhookConfig{Backoff: time.Millisecond, MaxAttempts: 1,
+	cfg1.Webhook = WebhookConfig{backoff: time.Millisecond,
 		Client: &http.Client{Transport: failingTransport{}}}
 	m1, err := New(cfg1)
 	if err != nil {
@@ -426,7 +492,7 @@ func TestRedeliverAfterRestart(t *testing.T) {
 	defer sink.Close()
 	cfg2 := quietCfg(okRunner)
 	cfg2.Path = path
-	cfg2.Webhook = WebhookConfig{Backoff: time.Millisecond, MaxAttempts: 3,
+	cfg2.Webhook = WebhookConfig{backoff: time.Millisecond,
 		Client: rewriteClient(sink.URL)}
 	m2, err := New(cfg2)
 	if err != nil {

@@ -17,6 +17,13 @@ import (
 	"time"
 )
 
+// webhookAttempts bounds delivery attempts per terminal transition.
+const webhookAttempts = 5
+
+// webhookBackoff is the first retry delay; it doubles per attempt,
+// capped at 30s.
+const webhookBackoff = 250 * time.Millisecond
+
 // WebhookConfig bounds terminal-state callback delivery.
 type WebhookConfig struct {
 	// Timeout bounds one delivery attempt. <= 0 defaults to 5s.
@@ -24,26 +31,19 @@ type WebhookConfig struct {
 	// Disabled turns webhook delivery off entirely (jobs still record
 	// the URL; nothing is sent).
 	Disabled bool
-	// MaxAttempts bounds attempts per terminal transition. <= 0
-	// defaults to 5.
-	MaxAttempts int
-	// Backoff is the first retry delay; it doubles per attempt, capped
-	// at 30s. <= 0 defaults to 250ms.
-	Backoff time.Duration
 	// Client overrides the HTTP client (tests). Nil uses a plain
 	// http.Client; per-attempt deadlines come from Timeout.
 	Client *http.Client
+	// backoff is webhookBackoff, or less in tests.
+	backoff time.Duration
 }
 
 func (c WebhookConfig) withDefaults() WebhookConfig {
 	if c.Timeout <= 0 {
 		c.Timeout = 5 * time.Second
 	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 5
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 250 * time.Millisecond
+	if c.backoff <= 0 {
+		c.backoff = webhookBackoff
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{}
@@ -73,7 +73,8 @@ func (m *Manager) deliverAsync(j Job) {
 }
 
 // deliver POSTs the job's terminal record, retrying with exponential
-// backoff up to MaxAttempts. Success is any 2xx.
+// backoff up to webhookAttempts. Success is any 2xx. A failed attempt
+// logs at info; running out of attempts logs one warn.
 func (m *Manager) deliver(j Job) {
 	body, err := json.Marshal(webhookPayload{Event: "job." + string(j.State), Job: j})
 	if err != nil {
@@ -81,10 +82,10 @@ func (m *Manager) deliver(j Job) {
 		return
 	}
 	wh := m.cfg.Webhook
-	backoff := wh.Backoff
+	backoff := wh.backoff
 	attempts := 0
 	var lastErr error
-	for attempts < wh.MaxAttempts {
+	for attempts < webhookAttempts {
 		if m.ctx.Err() != nil {
 			break // shutdown; redelivery happens at next boot
 		}
@@ -96,9 +97,9 @@ func (m *Manager) deliver(j Job) {
 			m.recordDelivery(j.ID, attempts, true)
 			return
 		}
-		m.cfg.Log.Warn("jobs: webhook delivery failed",
+		m.cfg.Log.Info("jobs: webhook delivery failed",
 			"job", j.ID, "attempt", attempts, "error", err.Error())
-		if attempts < wh.MaxAttempts {
+		if attempts < webhookAttempts {
 			m.met.webhooks.With("retry").Inc()
 			t := time.NewTimer(backoff)
 			select {
@@ -115,7 +116,12 @@ func (m *Manager) deliver(j Job) {
 	m.recordDelivery(j.ID, attempts, false)
 	// Exhausted (as opposed to interrupted by shutdown, which redelivers
 	// at next boot): surface the terminal loss to whoever is listening.
-	if attempts >= wh.MaxAttempts && m.cfg.OnWebhookExhausted != nil {
+	if attempts < webhookAttempts {
+		return
+	}
+	m.cfg.Log.Warn("jobs: webhook exhausted", "job", j.ID, "url", j.Spec.Webhook,
+		"attempts", attempts, "error", lastErr.Error())
+	if m.cfg.OnWebhookExhausted != nil {
 		m.cfg.OnWebhookExhausted(j.ID, j.Spec.Webhook, attempts, lastErr)
 	}
 }

@@ -329,9 +329,9 @@ func TestBatchItemShedding(t *testing.T) {
 }
 
 // TestMaxHeaderBytes431: Serve's http.Server must bound header memory;
-// a header larger than the configured cap is cut off with 431.
+// a header larger than the cap is cut off with 431.
 func TestMaxHeaderBytes431(t *testing.T) {
-	s, _ := newTestServer(Config{MaxHeaderBytes: 4 << 10})
+	s, _ := newTestServer(Config{})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -344,7 +344,7 @@ func TestMaxHeaderBytes431(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("X-Padding", strings.Repeat("a", 64<<10))
+	req.Header.Set("X-Padding", strings.Repeat("a", 2*maxHeaderBytes))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatalf("oversized-header request failed outright: %v", err)

@@ -68,6 +68,9 @@ const analyticCostDivisor = float64(engine.ExactLeafCost / engine.AnalyticLeafCo
 // upgrade is dropped, and a later auto request re-queues it.
 const upgradeQueueCap = 128
 
+// maxHeaderBytes bounds per-connection request-header memory.
+const maxHeaderBytes = 64 << 10
+
 // Config configures a Server. The zero value is usable: every field
 // has a sensible default.
 type Config struct {
@@ -99,9 +102,6 @@ type Config struct {
 	// IdleTimeout bounds how long a keep-alive connection may sit idle
 	// between requests. Defaults to 2m.
 	IdleTimeout time.Duration
-	// MaxHeaderBytes bounds per-connection request-header memory.
-	// Defaults to 64 KiB.
-	MaxHeaderBytes int
 	// RateLimit is the per-client admission refill rate in tokens per
 	// second (one token = one experiment at default fidelity; see
 	// admission.Cost). 0 (the default) disables rate limiting.
@@ -180,9 +180,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 2 * time.Minute
-	}
-	if c.MaxHeaderBytes <= 0 {
-		c.MaxHeaderBytes = 64 << 10
 	}
 	if c.DefaultEngine == "" {
 		c.DefaultEngine = engine.TierExact
@@ -386,7 +383,7 @@ func (s *Server) Serve(l net.Listener) error {
 		ReadHeaderTimeout: s.cfg.ReadHeaderTimeout,
 		ReadTimeout:       s.cfg.ReadTimeout,
 		IdleTimeout:       s.cfg.IdleTimeout,
-		MaxHeaderBytes:    s.cfg.MaxHeaderBytes,
+		MaxHeaderBytes:    maxHeaderBytes,
 	}
 	s.httpMu.Lock()
 	s.httpSrv = srv
@@ -532,11 +529,15 @@ func encodeResult(ctx context.Context, v any) ([]byte, error) {
 }
 
 // fetch returns the encoded result for (id, opts), serving from cache
-// when possible, coalescing concurrent misses for the same key onto
-// one computation, and bounding concurrent computations by the worker
-// pool. A result that fails to encode fails the flight and is not
-// cached. Canceling ctx abandons this caller's wait; a computation all
-// of whose callers have disconnected is itself canceled.
+// when possible, coalescing concurrent misses for the same key and
+// lane onto one computation, and bounding concurrent computations by
+// the lane's worker slots. Flights are keyed by lane, the way labFor
+// keys Labs, so an interactive request never waits in a background
+// flight queued on jobsSem, nor background work rides an interactive
+// slot; the result cache is shared. A result that fails to encode
+// fails the flight and is not cached. Canceling ctx abandons this
+// caller's wait; a computation all of whose callers have disconnected
+// is itself canceled.
 func (s *Server) fetch(ctx context.Context, id string, opts machine.RunOptions, tier engine.Tier, background bool) (body []byte, cached, coalesced bool, err error) {
 	key := cacheKey(id, opts, tier)
 	s.mu.Lock()
@@ -550,11 +551,11 @@ func (s *Server) fetch(ctx context.Context, id string, opts machine.RunOptions, 
 
 	// The flight context carries the leading caller's span; callers
 	// that coalesce onto the flight share its result, not its spans.
-	body, err, joined := s.flight.Do(ctx, key, func(fctx context.Context) ([]byte, error) {
-		sem := s.sem
-		if background {
-			sem = s.jobsSem
-		}
+	flightKey, sem := key, s.sem
+	if background {
+		flightKey, sem = "jobs|"+key, s.jobsSem
+	}
+	body, err, joined := s.flight.Do(ctx, flightKey, func(fctx context.Context) ([]byte, error) {
 		select {
 		case sem <- struct{}{}: // acquire a worker slot
 		case <-fctx.Done():

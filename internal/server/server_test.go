@@ -625,3 +625,91 @@ func TestRequestMetricsRecorded(t *testing.T) {
 		}
 	}
 }
+
+// doneCounter counts Done calls. fetch makes its first once it waits
+// on its flight, so a positive count means the flight is registered.
+type doneCounter struct {
+	context.Context
+	n atomic.Int64
+}
+
+func (c *doneCounter) Done() <-chan struct{} {
+	c.n.Add(1)
+	return c.Context.Done()
+}
+
+// TestFetchFlightsKeyedByLane: an interactive request never joins a
+// background flight. With the only background slot held by a stalled
+// table1 and a background table2 flight queued behind it, an
+// interactive table2 computes on its own lane at once; the queued
+// background flight then finds the result cached.
+func TestFetchFlightsKeyedByLane(t *testing.T) {
+	s := New(Config{Workers: 2, JobsDisabled: true})
+	defer s.Close()
+	stalled := make(chan struct{})
+	release := make(chan struct{})
+	var table2 atomic.Int64
+	s.compute = func(ctx context.Context, id string, _ machine.RunOptions, _ engine.Tier, _ bool) (any, error) {
+		if id == "table1" {
+			close(stalled)
+			select {
+			case <-release:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		} else {
+			table2.Add(1)
+		}
+		return map[string]any{"id": id}, nil
+	}
+	ctx, opts := context.Background(), machine.RunOptions{}
+	bg := make(chan error, 2)
+	go func() {
+		_, _, _, err := s.fetch(ctx, "table1", opts, engine.TierExact, true)
+		bg <- err
+	}()
+	<-stalled
+	queued := &doneCounter{Context: ctx}
+	go func() {
+		_, _, _, err := s.fetch(queued, "table2", opts, engine.TierExact, true)
+		bg <- err
+	}()
+	for deadline := time.Now().Add(10 * time.Second); queued.n.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("background table2 flight never started")
+		}
+	}
+
+	type result struct {
+		coalesced bool
+		err       error
+	}
+	interactive := make(chan result, 1)
+	go func() {
+		_, _, coalesced, err := s.fetch(ctx, "table2", opts, engine.TierExact, false)
+		interactive <- result{coalesced, err}
+	}()
+	var r result
+	select {
+	case r = <-interactive:
+	case <-time.After(5 * time.Second):
+		t.Error("interactive fetch waited behind the stalled background lane")
+		close(release)
+		r = <-interactive
+		release = nil
+	}
+	if r.err != nil || r.coalesced {
+		t.Errorf("interactive fetch: coalesced=%v err=%v, want its own computation", r.coalesced, r.err)
+	}
+	if release != nil {
+		close(release)
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-bg; err != nil {
+			t.Errorf("background fetch: %v", err)
+		}
+	}
+	if n := table2.Load(); n != 1 {
+		t.Errorf("table2 computed %d times, want 1", n)
+	}
+}
