@@ -60,6 +60,7 @@ race-all:
 # written there too, and then fails plain `go test` until fixed.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRunOptions$$' -fuzztime 10s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzStoreOpen$$' -fuzztime 10s ./internal/store
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -345,26 +345,25 @@ func TestStoreHitFastPathAllocs(t *testing.T) {
 }
 
 // TestStoreHitFastPathAllocsWithInsight extends the same contract to
-// the insight plane: drift scanning and metric sampling run entirely
-// off the request path (a ticker goroutine and store.Range), so a
+// the insight plane: metric sampling runs on a ticker goroutine and
+// drift scoring on the put that completes a pair (store.OnPair), so a
 // store with a live plane attached — even one that has already
-// scanned — must keep the identical warm-hit allocation bound. A
+// sampled — must keep the identical warm-hit allocation bound. A
 // future per-Get drift hook would trip this immediately.
 func TestStoreHitFastPathAllocsWithInsight(t *testing.T) {
-	st, err := store.Open(store.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	plane := insight.New(insight.Config{
 		Metrics:  metrics.NewRegistry(),
-		Store:    st,
 		Log:      telemetry.NewLogger(io.Discard, slog.LevelError+1),
 		Interval: time.Hour,
 	})
 	defer plane.Stop()
+	st, err := store.Open(store.Config{OnPair: plane.Drift().ObservePair})
+	if err != nil {
+		t.Fatal(err)
+	}
 	key := store.Key{Machine: "m", Workload: "w", Instructions: 400_000, Content: "deadbeef"}
 	st.Put(key, &machine.RawCounts{})
-	plane.Tick() // sample the registry and scan the store once
+	plane.Tick() // sample the registry once
 	ctx := context.Background()
 	compute := func(context.Context) (*machine.RawCounts, error) {
 		panic("compute called on a warm hit")

@@ -105,6 +105,9 @@ type daemonConfig struct {
 	logLevel  slog.Level
 }
 
+// minInsightInterval is the shortest -insight-interval accepted.
+const minInsightInterval = time.Second
+
 // parseFlags parses the daemon's command line. Errors (including an
 // invalid duration or log level) are printed to stderr naming the
 // offending flag, and the returned error tells main to exit 2 —
@@ -138,7 +141,7 @@ func parseFlags(args []string, stderr io.Writer) (*daemonConfig, error) {
 	fs.IntVar(&cfg.traceRing, "trace-ring", 256, "finished traces to retain in memory")
 	fs.DurationVar(&cfg.traceSlow, "trace-slow", 0, "log the full span tree of traces slower than this (0 disables)")
 	fs.BoolVar(&cfg.insight, "insight", true, "run the self-monitoring plane (/v1/metrics/history, /v1/accuracy, /v1/events)")
-	fs.DurationVar(&cfg.insightInterval, "insight-interval", 5*time.Second, "insight sampling period; history keeps the SLO's 1h slow window at this period")
+	fs.DurationVar(&cfg.insightInterval, "insight-interval", 5*time.Second, "insight sampling period, at least 1s; history keeps the SLO's 1h slow window at this period")
 	fs.IntVar(&cfg.sloLatencyMS, "slo-latency-ms", 500, "per-request latency objective for SLO burn tracking, in milliseconds (0 disables)")
 	fs.StringVar(&cfg.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this address (empty disables; keep it private)")
 	fs.TextVar(&cfg.logLevel, "log-level", slog.LevelInfo, "minimum log `level` (debug, info, warn, error)")
@@ -162,7 +165,6 @@ func parseFlags(args []string, stderr io.Writer) (*daemonConfig, error) {
 		{"request-timeout", cfg.requestTO < 0},
 		{"max-jobs", cfg.maxJobs < 0},
 		{"job-workers", cfg.jobWorkers < 0},
-		{"insight-interval", cfg.insightInterval < 0},
 		{"slo-latency-ms", cfg.sloLatencyMS < 0},
 	} {
 		if check.bad {
@@ -171,6 +173,14 @@ func parseFlags(args []string, stderr io.Writer) (*daemonConfig, error) {
 			fs.Usage()
 			return nil, err
 		}
+	}
+	// The history rings hold the SLO's slow window at this period, so
+	// their memory grows as 1/interval: ~4 MB at 5s, ~17 MB at 1s.
+	if cfg.insightInterval < minInsightInterval {
+		err := fmt.Errorf("must be at least %v", minInsightInterval)
+		fmt.Fprintf(stderr, "invalid value %v for flag -insight-interval: %v\n", cfg.insightInterval, err)
+		fs.Usage()
+		return nil, err
 	}
 	return cfg, nil
 }
@@ -192,9 +202,8 @@ func main() {
 	reg := metrics.NewRegistry()
 
 	// The insight plane is created before the tracer and the store so
-	// both can deliver their anomaly hooks (slow traces, checkpoint
-	// failures) into its event ring; the store itself is attached
-	// afterwards, once it exists.
+	// both can deliver their hooks (slow traces, checkpoint failures,
+	// analytic/exact pairs) into it.
 	var plane *insight.Plane
 	if cfg.insight {
 		plane = insight.New(insight.Config{
@@ -224,6 +233,7 @@ func main() {
 	scfg := store.Config{Path: cfg.storePath, Metrics: reg, Log: logger}
 	if plane != nil {
 		scfg.OnCheckpointError = plane.OnCheckpointError
+		scfg.OnPair = plane.Drift().ObservePair
 	}
 	st, err := store.Open(scfg)
 	if err != nil {
@@ -243,7 +253,6 @@ func main() {
 	}
 
 	if plane != nil {
-		plane.AttachStore(st)
 		plane.Start()
 		defer plane.Stop()
 		logger.Info("insight plane sampling", "interval", plane.Interval(),

@@ -185,8 +185,9 @@ func TestParseFlagsAdmission(t *testing.T) {
 }
 
 // Insight flags default to an enabled plane at a 5s cadence, land in
-// the config verbatim, and reject negative values (and the removed
-// -insight-ring) at parse time (exit 2 in main) with stderr naming the
+// the config verbatim, and reject negative values, an interval under
+// the 1s floor (the history rings grow as 1/interval), and the removed
+// -insight-ring at parse time (exit 2 in main) with stderr naming the
 // offending flag.
 func TestParseFlagsInsight(t *testing.T) {
 	var buf strings.Builder
@@ -223,6 +224,7 @@ func TestParseFlagsInsight(t *testing.T) {
 		flag string
 	}{
 		{[]string{"-insight-interval", "-1s"}, "-insight-interval"},
+		{[]string{"-insight-interval", "500ms"}, "-insight-interval"},
 		{[]string{"-slo-latency-ms", "-100"}, "-slo-latency-ms"},
 		{[]string{"-insight-ring", "60"}, "-insight-ring"}, // removed: history spans the SLO window
 	} {

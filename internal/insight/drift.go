@@ -4,22 +4,24 @@ package insight
 // analytically first and upgrades to exact in the background, which
 // means the store routinely holds *both* measurements of one
 // (machine, workload, fidelity) identity — the analytic record under
-// Key.Engine="analytic" and its exact twin under Engine="". Each Scan
-// pairs them up and replays the cross-validation contract in
-// production: every metric's relative disagreement is expressed as
-// the fraction of its committed engine.Tolerances band it consumes
-// (Band.Ratio), fed into spec17d_engine_drift_ratio{metric}, and a
-// ratio above 1 — an answer the daemon already served that the exact
-// engine later contradicted beyond contract — raises a
+// Key.Engine="analytic" and its exact twin under Engine="". The store
+// hands each pair to ObservePair once, when its second record lands
+// (store.Config.OnPair), and the monitor replays the cross-validation
+// contract in production: every metric's relative disagreement is
+// expressed as the fraction of its committed engine.Tolerances band it
+// consumes (Band.Ratio), fed into spec17d_engine_drift_ratio{metric},
+// and a ratio above 1 — an answer the daemon already served that the
+// exact engine later contradicted beyond contract — raises a
 // band_violation event. GET /v1/accuracy serves the running totals
-// and the worst offenders.
+// and the worst offenders. The totals cover the pairs this process
+// formed: records loaded from a snapshot form none, so a restart does
+// not raise its predecessor's violations again.
 
 import (
 	"fmt"
 	"sort"
 	"strconv"
 	"sync"
-	"time"
 
 	"repro/internal/counters"
 	"repro/internal/engine"
@@ -60,18 +62,16 @@ type AccuracyStatus struct {
 	// Violations counts samples whose band ratio exceeded 1.
 	Violations int64 `json:"violations"`
 	// WorstRatio is the largest band consumption ever observed.
-	WorstRatio float64    `json:"worst_ratio"`
-	LastScan   *time.Time `json:"last_scan,omitempty"`
+	WorstRatio float64 `json:"worst_ratio"`
 	// Worst lists the most band-consuming (machine, workload, metric)
 	// cells, capped at 16.
 	Worst []Offender `json:"worst,omitempty"`
 }
 
-// Drift pairs analytic store records with their exact twins and scores
-// the disagreement. Safe for concurrent use.
+// Drift scores the disagreement between analytic store records and
+// their exact twins. Safe for concurrent use.
 type Drift struct {
 	events *EventLog
-	now    func() time.Time
 
 	ratio      *metrics.HistogramVec
 	pairsCtr   *metrics.Counter
@@ -80,21 +80,17 @@ type Drift struct {
 	powerOnce sync.Once
 	hasPower  map[string]bool
 
-	mu       sync.Mutex
-	st       *store.Store
-	compared map[string]bool
-	pairs    int64
-	samples  int64
-	nviol    int64
-	worst    float64
-	cells    map[string]*Offender
-	lastScan time.Time
+	mu      sync.Mutex
+	pairs   int64
+	samples int64
+	nviol   int64
+	worst   float64
+	cells   map[string]*Offender
 }
 
-func newDrift(st *store.Store, reg *metrics.Registry, events *EventLog, now func() time.Time) *Drift {
+func newDrift(reg *metrics.Registry, events *EventLog) *Drift {
 	return &Drift{
 		events: events,
-		now:    now,
 		ratio: reg.HistogramVec("spec17d_engine_drift_ratio",
 			"Analytic-vs-exact disagreement per compared metric, as the fraction of the tolerance band consumed (>1 = violation).",
 			[]float64{0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1, 1.5, 2, 4},
@@ -103,79 +99,16 @@ func newDrift(st *store.Store, reg *metrics.Registry, events *EventLog, now func
 			"Analytic/exact record pairs compared by the drift monitor."),
 		violations: reg.Counter("spec17d_engine_drift_violations_total",
 			"Drift samples whose disagreement exceeded the committed tolerance band."),
-		st:       st,
-		compared: make(map[string]bool),
-		cells:    make(map[string]*Offender),
+		cells: make(map[string]*Offender),
 	}
-}
-
-// attachStore sets the store scanned for pairs; call before the plane
-// starts.
-func (d *Drift) attachStore(st *store.Store) {
-	d.mu.Lock()
-	d.st = st
-	d.mu.Unlock()
-}
-
-// Scan walks the store for analytic records whose exact twin has
-// landed and compares each previously-unseen pair. Records are
-// immutable and the engines deterministic, so one comparison per pair
-// is definitive — the dedup map makes repeated scans cheap. Returns
-// how many new pairs were compared.
-func (d *Drift) Scan() int {
-	d.mu.Lock()
-	st := d.st
-	d.mu.Unlock()
-	if st == nil {
-		return 0
-	}
-	type pair struct {
-		key      store.Key
-		analytic *machine.RawCounts
-		exact    *machine.RawCounts
-	}
-	var pairs []pair
-	st.Range(func(k store.Key, rc *machine.RawCounts) bool {
-		if k.Engine != string(engine.TierAnalytic) || k.Copies != 0 {
-			return true
-		}
-		id := k.ID()
-		d.mu.Lock()
-		seen := d.compared[id]
-		d.mu.Unlock()
-		if seen {
-			return true
-		}
-		twin := k
-		twin.Engine = "" // the exact tier's normalized identity
-		if xrec, ok := st.Get(twin); ok {
-			pairs = append(pairs, pair{key: k, analytic: rc, exact: xrec})
-		}
-		return true
-	})
-	n := 0
-	for _, p := range pairs {
-		d.mu.Lock()
-		already := d.compared[p.key.ID()]
-		if !already {
-			d.compared[p.key.ID()] = true
-		}
-		d.mu.Unlock()
-		if already {
-			continue // lost a race with a concurrent Scan
-		}
-		d.ObservePair(p.key, p.analytic, p.exact)
-		n++
-	}
-	d.mu.Lock()
-	d.lastScan = d.now()
-	d.mu.Unlock()
-	return n
 }
 
 // ObservePair scores one analytic record against its exact twin:
 // every Table III metric the machine measures, plus the CPI
-// pseudo-metric, against its engine.Tolerances band.
+// pseudo-metric, against its engine.Tolerances band. It is the
+// store's OnPair hook: records are immutable and the engines
+// deterministic, so the one comparison the store makes per pair is
+// definitive.
 func (d *Drift) ObservePair(key store.Key, analytic, exact *machine.RawCounts) {
 	hp := d.machineHasPower(key.Machine)
 	aSample, aErr := counters.FromRaw(key.Machine, hp, analytic)
@@ -265,10 +198,6 @@ func (d *Drift) Status() AccuracyStatus {
 		Samples:    d.samples,
 		Violations: d.nviol,
 		WorstRatio: d.worst,
-	}
-	if !d.lastScan.IsZero() {
-		t := d.lastScan
-		st.LastScan = &t
 	}
 	worst := make([]Offender, 0, len(d.cells))
 	for _, c := range d.cells {

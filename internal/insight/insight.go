@@ -1,21 +1,23 @@
 // Package insight is spec17d's self-monitoring plane: the daemon
 // watching itself with no external dependencies. Four cooperating
-// pieces share one sampling loop:
+// pieces:
 //
 //   - a metric-history recorder capturing the whole metrics registry
 //     into bounded in-memory rings (GET /v1/metrics/history);
 //   - an accuracy-drift monitor comparing analytically-served results
 //     against the exact re-measurements the auto tier lands in the
-//     background (GET /v1/accuracy);
+//     background, once per pair as the store forms it
+//     (GET /v1/accuracy);
 //   - a typed anomaly-event ring — band violations, shed spikes, slow
 //     traces, checkpoint failures, exhausted webhooks, SLO burns
 //     (GET /v1/events);
 //   - per-endpoint SLO burn rates derived from the recorder's own
 //     rings (inside GET /v1/status).
 //
-// Everything is strictly bounded in memory and costs nothing on the
-// request path: sampling happens on a background ticker, and a daemon
-// built without a Plane serves byte-identical responses.
+// Everything is strictly bounded in memory. Sampling happens on a
+// background ticker; the one request-path cost is scoring a drift
+// pair, paid by the put that completes it. A daemon built without a
+// Plane serves byte-identical responses.
 package insight
 
 import (
@@ -27,7 +29,6 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/store"
 	"repro/internal/telemetry"
 )
 
@@ -48,9 +49,6 @@ type Config struct {
 	// Metrics is the registry to sample (and where the plane's own
 	// instruments land).
 	Metrics *metrics.Registry
-	// Store, when set, enables the accuracy-drift monitor. May also be
-	// attached later via AttachStore (before Start).
-	Store *store.Store
 	// Log receives the events the plane detects itself (the hooks'
 	// callers log theirs). Defaults to an info-level structured logger
 	// on stderr.
@@ -131,7 +129,7 @@ func New(cfg Config) *Plane {
 		done: make(chan struct{}),
 	}
 	p.events = newEventLog(eventRing, cfg.Metrics, cfg.Log, cfg.Now)
-	p.drift = newDrift(cfg.Store, cfg.Metrics, p.events, cfg.Now)
+	p.drift = newDrift(cfg.Metrics, p.events)
 	p.slo = newSLOMonitor(cfg.SLO, p.events)
 	return p
 }
@@ -142,11 +140,6 @@ func New(cfg Config) *Plane {
 func historySamples(interval time.Duration) int {
 	return int((slowWindow+interval-1)/interval) + 1
 }
-
-// AttachStore enables the drift monitor against st. Call before Start
-// (the daemon opens its store after wiring the plane into the store's
-// checkpoint-error hook, so the two attach in opposite order).
-func (p *Plane) AttachStore(st *store.Store) { p.drift.attachStore(st) }
 
 // Start launches the sampling loop. Safe to call once.
 func (p *Plane) Start() {
@@ -178,8 +171,8 @@ func (p *Plane) Stop() {
 }
 
 // Tick performs one sampling pass: snapshot the registry, append to
-// the history rings, scan for new drift pairs, recompute SLO burn
-// rates, and check for shed spikes. Exported so tests (and the
+// the history rings, recompute SLO burn rates, and check for shed
+// spikes. Exported so tests (and the
 // handlers' freshness needs) can drive the plane deterministically.
 func (p *Plane) Tick() {
 	p.tickMu.Lock()
@@ -188,7 +181,6 @@ func (p *Plane) Tick() {
 	snap := p.cfg.Metrics.Snapshot()
 	p.rec.sample(snap, now)
 	p.samples.Inc()
-	p.drift.Scan()
 	slo := p.slo.evaluate(p.rec, now)
 	p.mu.Lock()
 	p.nsamples++

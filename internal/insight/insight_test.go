@@ -219,17 +219,23 @@ func putPair(t *testing.T, st *store.Store, workload string, analytic, exact *ma
 	return k
 }
 
-func TestDriftScanInBand(t *testing.T) {
+// newPairedDrift returns a drift monitor with its event log, and a
+// memory-only store that hands it every pair as it forms.
+func newPairedDrift(t *testing.T) (*Drift, *EventLog, *store.Store) {
+	t.Helper()
 	reg := metrics.NewRegistry()
-	clk := newTestClock()
-	st, _ := store.Open(store.Config{})
-	events := newEventLog(16, reg, quietLog(), clk.now)
-	d := newDrift(st, reg, events, clk.now)
-
-	putPair(t, st, "wl-agree", syntheticCounts(10), syntheticCounts(10))
-	if n := d.Scan(); n != 1 {
-		t.Fatalf("Scan compared %d pairs, want 1", n)
+	events := newEventLog(16, reg, quietLog(), newTestClock().now)
+	d := newDrift(reg, events)
+	st, err := store.Open(store.Config{OnPair: d.ObservePair})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return d, events, st
+}
+
+func TestDriftPairInBand(t *testing.T) {
+	d, _, st := newPairedDrift(t)
+	putPair(t, st, "wl-agree", syntheticCounts(10), syntheticCounts(10))
 	status := d.Status()
 	if status.Pairs != 1 || status.Samples == 0 {
 		t.Fatalf("status = %+v", status)
@@ -237,29 +243,17 @@ func TestDriftScanInBand(t *testing.T) {
 	if status.Violations != 0 || status.WorstRatio != 0 {
 		t.Fatalf("identical records drifted: %+v", status)
 	}
-	// Records are immutable: rescans find nothing new.
-	if n := d.Scan(); n != 0 {
-		t.Fatalf("rescan compared %d pairs, want 0", n)
-	}
-	if got := d.Status().Pairs; got != 1 {
-		t.Fatalf("pairs after rescan = %d, want 1", got)
-	}
 }
 
-func TestDriftScanViolation(t *testing.T) {
-	reg := metrics.NewRegistry()
-	clk := newTestClock()
-	st, _ := store.Open(store.Config{})
-	events := newEventLog(16, reg, quietLog(), clk.now)
-	d := newDrift(st, reg, events, clk.now)
-
+func TestDriftPairViolation(t *testing.T) {
+	d, events, st := newPairedDrift(t)
 	// 100 vs 10 mispredicts per 1000 instructions: 100 MPKI vs 10 MPKI
 	// against BranchMPKI's band {Abs: 3.5, Rel: 0.60} → ratio ≈ 1.42.
 	putPair(t, st, "wl-drift", syntheticCounts(100), syntheticCounts(10))
-	if n := d.Scan(); n != 1 {
-		t.Fatalf("Scan compared %d pairs, want 1", n)
-	}
 	status := d.Status()
+	if status.Pairs != 1 {
+		t.Fatalf("pairs = %d, want 1", status.Pairs)
+	}
 	if status.Violations != 1 {
 		t.Fatalf("violations = %d, want 1", status.Violations)
 	}
@@ -275,6 +269,46 @@ func TestDriftScanViolation(t *testing.T) {
 	}
 	if evs[0].Attrs["metric"] != "branch_mpki" || evs[0].Attrs["machine"] != "test-machine" {
 		t.Fatalf("event attrs = %+v", evs[0].Attrs)
+	}
+}
+
+// TestDriftRestartDoesNotRealert: a store reopened from a snapshot
+// that holds a violating pair hands the monitor no pair, so the
+// restarted process raises no band_violation its predecessor already
+// raised.
+func TestDriftRestartDoesNotRealert(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "snap.json")
+	before, err := store.Open(store.Config{Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	putPair(t, before, "wl-drift", syntheticCounts(100), syntheticCounts(10))
+	if err := before.Save(); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := metrics.NewRegistry()
+	events := newEventLog(16, reg, quietLog(), newTestClock().now)
+	d := newDrift(reg, events)
+	fired := 0
+	after, err := store.Open(store.Config{Path: path, OnPair: func(k store.Key, a, x *machine.RawCounts) {
+		fired++
+		d.ObservePair(k, a, x)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Len() != 2 {
+		t.Fatalf("reloaded %d records, want 2", after.Len())
+	}
+	if fired != 0 {
+		t.Errorf("OnPair fired %d times for a reloaded pair, want 0", fired)
+	}
+	if st := d.Status(); st.Pairs != 0 || st.Violations != 0 {
+		t.Errorf("status after restart = %+v, want no pairs", st)
+	}
+	if evs := events.Events(EventBandViolation, time.Time{}, 0); len(evs) != 0 {
+		t.Errorf("restart re-raised %d band_violation events", len(evs))
 	}
 }
 

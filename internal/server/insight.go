@@ -49,21 +49,19 @@ func (s *Server) handleMetricsHistory(w http.ResponseWriter, r *http.Request) {
 
 // accuracyResponse is the GET /v1/accuracy body.
 type accuracyResponse struct {
-	// Enabled reports whether the drift monitor has a store to scan —
-	// without one there is nothing to pair.
+	// Enabled reports whether the server has a store — without one
+	// there is nothing to pair.
 	Enabled bool `json:"enabled"`
 	insight.AccuracyStatus
 }
 
 // handleAccuracy is GET /v1/accuracy: the drift monitor's running
-// totals and worst offenders. A scan runs first so the answer reflects
-// every upgrade that has landed, not just the last tick's.
+// totals and worst offenders. The store scores each pair as it forms,
+// so the answer already reflects every upgrade that has landed.
 func (s *Server) handleAccuracy(w http.ResponseWriter, _ *http.Request) {
-	d := s.cfg.Insight.Drift()
-	d.Scan()
 	writeJSON(w, http.StatusOK, accuracyResponse{
 		Enabled:        s.cfg.Store != nil,
-		AccuracyStatus: d.Status(),
+		AccuracyStatus: s.cfg.Insight.Drift().Status(),
 	})
 }
 

@@ -54,29 +54,25 @@ func newInsightTestServer(t *testing.T, cfg Config) (*Server, *insight.Plane, *a
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
-	if cfg.Store == nil {
-		st, err := store.Open(store.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Store = st
-	}
 	if cfg.Log == nil {
 		cfg.Log = telemetry.NewLogger(io.Discard, slog.LevelError+1)
 	}
 	plane := insight.New(insight.Config{
 		Metrics: cfg.Metrics,
-		Store:   cfg.Store,
 		Log:     cfg.Log,
-		// The loop never ticks on its own inside a test; the handlers'
-		// own freshness scans drive the drift monitor.
+		// The loop never ticks on its own inside a test; the store
+		// feeds the drift monitor each pair as it forms.
 		Interval: time.Hour,
 	})
 	t.Cleanup(plane.Stop)
 	cfg.Insight = plane
+	st, err := store.Open(store.Config{OnPair: plane.Drift().ObservePair})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Store = st
 
 	s := New(cfg)
-	st := cfg.Store
 	var computations atomic.Int64
 	s.compute = func(_ context.Context, id string, opts machine.RunOptions, tier engine.Tier, _ bool) (any, error) {
 		computations.Add(1)
@@ -140,9 +136,9 @@ func TestInsightDriftEndToEnd(t *testing.T) {
 		t.Fatalf("first auto request: engine=%q pending=%v, want analytic/pending", first.Engine, first.UpgradePending)
 	}
 
-	// The background upgrade lands the exact twin; /v1/accuracy scans
-	// on every GET, so it reports the pair as soon as both records
-	// exist. Identical synthetic counts → zero band consumption.
+	// The background upgrade lands the exact twin; the store scores the
+	// pair on that put, so /v1/accuracy reports it as soon as both
+	// records exist. Identical synthetic counts → zero band consumption.
 	var acc accuracyBody
 	deadline := time.Now().Add(10 * time.Second)
 	for {

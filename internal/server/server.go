@@ -155,10 +155,10 @@ type Config struct {
 	Tracer *telemetry.Tracer
 	// Insight is the self-monitoring plane (internal/insight). When
 	// set, the server registers GET /v1/metrics/history, /v1/accuracy,
-	// and /v1/events, reports insight state in /v1/status, and nudges
-	// the drift monitor whenever a background exact upgrade lands. Nil
-	// disables all of it — the routes 404 and compute responses are
-	// byte-identical.
+	// and /v1/events, and reports insight state in /v1/status. The
+	// drift monitor is fed by the store (store.Config.OnPair), not by
+	// the server. Nil disables all of it — the routes 404 and compute
+	// responses are byte-identical.
 	Insight *insight.Plane
 }
 
@@ -678,12 +678,6 @@ func (s *Server) upgrade(id string, opts machine.RunOptions, key string) {
 		return
 	}
 	s.met.upgrades.With("done").Inc()
-	// The exact twin of an analytically-served key just landed in the
-	// store: let the drift monitor compare the pair now instead of
-	// waiting for its next tick.
-	if ins := s.cfg.Insight; ins != nil {
-		ins.Drift().Scan()
-	}
 }
 
 // price is the admission cost of n experiments at the given fidelity

@@ -218,6 +218,14 @@ type Config struct {
 	// plane turns a silently-logged persistence failure into a typed
 	// operator event. The snapshot on disk stays intact either way.
 	OnCheckpointError func(error)
+	// OnPair, when set, is called once for every analytic record that
+	// has its exact twin: same key, Engine "analytic" against "". The
+	// put that completes a pair calls it on the storing goroutine
+	// after the lock is released; puts are serialized, so exactly one
+	// of a pair's two puts sees the other. Records loaded from the
+	// snapshot form no pairs. The insight plane's drift monitor scores
+	// pairs here.
+	OnPair func(analyticKey Key, analytic, exact *machine.RawCounts)
 }
 
 // storeMetrics bundles the store's instruments.
@@ -257,9 +265,8 @@ type Stats struct {
 }
 
 // table holds one kind of record (single- or multi-copy), keyed by
-// the structured Key so that snapshots and Range never parse an ID
-// back, with the flights (by Key.ID) computing the ones not yet
-// resident.
+// the structured Key so that snapshots never parse an ID back, with
+// the flights (by Key.ID) computing the ones not yet resident.
 type table[V any] struct {
 	recs    map[Key]V // guarded by Store.mu
 	flights flight.Group[V]
@@ -525,15 +532,24 @@ func (s *Store) Get(key Key) (*machine.RawCounts, bool) {
 // Put stores a single-copy record. Records must be treated as
 // immutable by all parties.
 func (s *Store) Put(key Key, rc *machine.RawCounts) {
-	s.mu.Lock()
-	n := putLocked(s, &s.single, key, rc)
-	s.mu.Unlock()
-	s.met.entries.Set(float64(n))
+	put(s, &s.single, key, rc)
 }
 
-// putLocked stores one record in t and returns the resident record
-// count. Caller holds s.mu.
-func putLocked[V any](s *Store, t *table[V], key Key, v V) int {
+// analyticEngine is Key.Engine of the analytic tier's records, whose
+// exact twins carry Engine "".
+const analyticEngine = "analytic"
+
+// put stores one record in t. A new single-copy record that completes
+// an analytic/exact pair goes to cfg.OnPair once the lock is released.
+func put[V any](s *Store, t *table[V], key Key, v V) {
+	var analyticKey Key
+	var analytic, exact *machine.RawCounts
+	s.mu.Lock()
+	if s.cfg.OnPair != nil {
+		if _, had := t.recs[key]; !had {
+			analyticKey, analytic, exact = s.pairLocked(key, v)
+		}
+	}
 	if c, ok := s.contents[key.Content]; ok {
 		key.Content = c
 	} else {
@@ -541,29 +557,33 @@ func putLocked[V any](s *Store, t *table[V], key Key, v V) int {
 	}
 	t.recs[key] = v
 	s.gen++
-	return s.lenLocked()
+	n := s.lenLocked()
+	s.mu.Unlock()
+	s.met.entries.Set(float64(n))
+	if analytic != nil && exact != nil {
+		s.cfg.OnPair(analyticKey, analytic, exact)
+	}
 }
 
-// Range visits every resident single-copy record. The record set is
-// captured under the lock and visited outside it, so fn may freely
-// call back into the store (Get, Put); records are immutable by
-// contract, so the copies stay valid. Returning false stops the walk.
-// The insight plane's drift monitor uses this to pair analytic-tier
-// records with their exact-tier twins.
-func (s *Store) Range(fn func(Key, *machine.RawCounts) bool) {
-	s.mu.Lock()
-	keys := make([]Key, 0, len(s.single.recs))
-	recs := make([]*machine.RawCounts, 0, len(s.single.recs))
-	for k, rc := range s.single.recs {
-		keys = append(keys, k)
-		recs = append(recs, rc)
+// pairLocked returns the analytic/exact pair that storing v under key
+// completes: v and its resident engine twin, analytic first. A
+// multi-copy record, a record of another engine, or one whose twin is
+// not resident returns nils. Caller holds s.mu.
+func (s *Store) pairLocked(key Key, v any) (analyticKey Key, analytic, exact *machine.RawCounts) {
+	rc, single := v.(*machine.RawCounts)
+	if !single {
+		return Key{}, nil, nil
 	}
-	s.mu.Unlock()
-	for i, k := range keys {
-		if !fn(k, recs[i]) {
-			return
-		}
+	twin := key
+	switch key.Engine {
+	case "":
+		twin.Engine = analyticEngine
+		return twin, s.single.recs[twin], rc
+	case analyticEngine:
+		twin.Engine = ""
+		return key, rc, s.single.recs[twin]
 	}
+	return Key{}, nil, nil
 }
 
 // Lookup returns the resident single-copy record for key without
@@ -638,13 +658,10 @@ func getOrCompute[V any](ctx context.Context, s *Store, t *table[V], key Key, co
 			return v, err
 		}
 		putStart := time.Now()
-		s.mu.Lock()
-		n := putLocked(s, t, key, v)
-		s.mu.Unlock()
+		put(s, t, key, v)
 		if sp := telemetry.FromContext(fctx); sp != nil {
 			sp.Record("store.put", putStart, time.Now(), "key", id)
 		}
-		s.met.entries.Set(float64(n))
 		return v, nil
 	})
 	if joined && err == nil {

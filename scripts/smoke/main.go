@@ -134,11 +134,11 @@ func main() {
 	// near-zero -rate-limit gives every client a one-token bucket that
 	// essentially never refills, so the second compute request below
 	// must be shed — driving the admission path end to end.
-	// -insight-interval short enough that the history rings fill while
-	// the smoke test watches.
+	// -insight-interval at its 1s floor, so the history rings fill
+	// while the smoke test watches.
 	defer stopDaemons()
 	base := startDaemon(bin, "daemon", "-trace-slow", "5m", "-rate-limit", "0.01",
-		"-insight-interval", "200ms")
+		"-insight-interval", "1s")
 	fmt.Println("smoke: /v1/healthz live")
 
 	// /v1/status must report an enabled tracer and a running scheduler.
