@@ -55,12 +55,15 @@ race-machine:
 race-all:
 	$(GO) test -race ./...
 
-# fuzz runs each native fuzz target for a bounded time, starting from
-# its committed seed corpus under testdata/fuzz/. A failing input is
-# written there too, and then fails plain `go test` until fixed.
+# fuzz runs each native fuzz target (the query-string parser, the
+# store snapshot loader, the machine-config decoder) for a bounded
+# time, starting from its committed seed corpus under testdata/fuzz/.
+# A failing input is written there too, and then fails plain `go test`
+# until fixed.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRunOptions$$' -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreOpen$$' -fuzztime 10s ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzParseConfigs$$' -fuzztime 10s ./internal/machine
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

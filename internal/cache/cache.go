@@ -29,7 +29,9 @@ func (c Config) Validate() error {
 	if c.LineBytes&(c.LineBytes-1) != 0 {
 		return fmt.Errorf("cache: line size %d not a power of two", c.LineBytes)
 	}
-	if c.SizeBytes%(c.LineBytes*c.Ways) != 0 {
+	// A line larger than SizeBytes/Ways cannot divide the size, and
+	// testing that first keeps LineBytes*Ways from overflowing.
+	if c.LineBytes > c.SizeBytes/c.Ways || c.SizeBytes%(c.LineBytes*c.Ways) != 0 {
 		return fmt.Errorf("cache: size %d not divisible by ways*line (%d*%d)", c.SizeBytes, c.Ways, c.LineBytes)
 	}
 	sets := c.SizeBytes / (c.LineBytes * c.Ways)

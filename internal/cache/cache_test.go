@@ -13,9 +13,10 @@ func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{SizeBytes: 0, Ways: 1, LineBytes: 64},
 		{SizeBytes: 1024, Ways: 0, LineBytes: 64},
-		{SizeBytes: 1024, Ways: 2, LineBytes: 48},       // not power of two
-		{SizeBytes: 1000, Ways: 2, LineBytes: 64},       // not divisible
-		{SizeBytes: 64 * 3 * 1, Ways: 1, LineBytes: 64}, // 3 sets, not pow2
+		{SizeBytes: 1024, Ways: 2, LineBytes: 48},         // not power of two
+		{SizeBytes: 1000, Ways: 2, LineBytes: 64},         // not divisible
+		{SizeBytes: 64 * 3 * 1, Ways: 1, LineBytes: 64},   // 3 sets, not pow2
+		{SizeBytes: 1 << 20, Ways: 4, LineBytes: 1 << 62}, // ways*line overflows to 0
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -11,7 +11,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -496,12 +495,4 @@ func (c *Characterization) MetricRange(labels []string, machineName string, metr
 		}
 	}
 	return min, max, nil
-}
-
-// SortedLabels returns the labels in lexicographic order (the stored
-// order is preserved in Labels).
-func (c *Characterization) SortedLabels() []string {
-	out := append([]string(nil), c.Labels...)
-	sort.Strings(out)
-	return out
 }

@@ -9,10 +9,13 @@
 // possible (the estimator tier of memory-centric characterization; cf.
 // Singh & Awasthi, arXiv:1910.00651).
 //
-// The model mirrors internal/trace's generator construction piece by
-// piece (block geometry, branch seeding, region mixtures, kernel
-// bursts); see docs/ENGINES.md for the derivation and the tolerance
-// bands tying it to the exact engine.
+// The model reads the generator's construction from trace.NewLayout
+// (block geometry, mix thresholds, the easy branches' taken share,
+// kernel entry, stride streams) and machine's prime caps rather than
+// deriving them again. What it assumes on its own — how the prime pass
+// ages each stream, the branch-miss closed forms, the kernel data's
+// hot share — is set out in docs/ENGINES.md, with the tolerance bands
+// tying it to the exact engine.
 package engine
 
 import (
@@ -30,9 +33,6 @@ import (
 	"repro/internal/tlb"
 	"repro/internal/trace"
 )
-
-// instrBytes mirrors the trace generator's fixed instruction encoding.
-const instrBytes = 4
 
 // Analytic is the closed-form estimation engine. It is deterministic,
 // allocation-light, and O(#streams × solver steps) per measurement:
@@ -315,6 +315,44 @@ func sumSide(streams []*stream, rates []float64, wantInstr bool) float64 {
 	return total
 }
 
+// The stream tables: four code streams (the hot loop, the warm and
+// cold annuli of user code, kernel code), then seven data streams.
+const nCode, nData = 4, 7
+
+// sides is one level's misses per instruction on each side.
+type sides struct{ instr, data float64 }
+
+// cascade runs one hierarchy of caches or TLBs at a grain of `grain`
+// bytes over the code and data streams: a first level split into an
+// instruction side of capacity l1i and a data side of capacity l1d,
+// then each unified level of the given capacities in turn, stopping at
+// the first that is zero (absent). Each deeper level sees only the
+// upstream misses as its arrival rates. Levels past the last read zero.
+func cascade(code *[nCode]stream, data *[nData]stream, grain, n, wu, l1i, l1d float64, unified ...float64) (miss [3]sides) {
+	var all [nCode + nData]*stream
+	var arr [nCode + nData]float64
+	for i := range code {
+		all[i] = &code[i]
+	}
+	for i := range data {
+		all[nCode+i] = &data[i]
+	}
+	for i, st := range all {
+		arr[i] = st.rate
+	}
+	copy(arr[:], levelMisses(l1i, grain, all[:nCode], arr[:nCode], n, wu, true))
+	copy(arr[nCode:], levelMisses(l1d, grain, all[nCode:], arr[nCode:], n, wu, true))
+	miss[0] = sides{sumSide(all[:], arr[:], true), sumSide(all[:], arr[:], false)}
+	for lvl, capacity := range unified {
+		if capacity == 0 {
+			break
+		}
+		copy(arr[:], levelMisses(capacity, grain, all[:], arr[:], n, wu, false))
+		miss[lvl+1] = sides{sumSide(all[:], arr[:], true), sumSide(all[:], arr[:], false)}
+	}
+	return miss
+}
+
 // counterMiss is the stationary mispredict rate of a two-bit
 // saturating counter observing Bernoulli(p) outcomes: the birth-death
 // chain over states 0..3 with up-probability p has stationary weights
@@ -379,91 +417,41 @@ func estimate(m *machine.Machine, w machine.Workload, opts machine.RunOptions) (
 	n := float64(opts.Instructions)
 	wu := float64(opts.WarmupInstructions)
 
-	// Code geometry, exactly as the generator derives it.
-	blockLen := int(1/spec.BranchFrac + 0.5)
-	if blockLen < 2 {
-		blockLen = 2
-	}
-	blockBytes := uint64(blockLen * instrBytes)
-	nBlocks := int(spec.CodeBytes / blockBytes)
-	if nBlocks < 1 {
-		nBlocks = 1
-	}
-	hotBlocks := int(spec.HotCodeBytes / blockBytes)
-	if hotBlocks < 1 {
-		hotBlocks = 1
-	}
-	if hotBlocks > nBlocks {
-		hotBlocks = nBlocks
-	}
-	warmCode := spec.WarmCodeBytes
-	if warmCode == 0 {
-		warmCode = 96 << 10
-	}
-	warmBlocks := int(warmCode / blockBytes)
-	if warmBlocks < hotBlocks {
-		warmBlocks = hotBlocks
-	}
-	if warmBlocks > nBlocks {
-		warmBlocks = nBlocks
-	}
-	nKBlocks := int(trace.KernelCodeBytes / blockBytes)
-	if nKBlocks < 1 {
-		nKBlocks = 1
-	}
+	// The generator's layout: code geometry, mix thresholds, the easy
+	// branches' taken share, kernel entry and the stride streams.
+	l := trace.NewLayout(spec)
 
 	// Instruction mix: one branch per block; the other slots split by
 	// the generator's renormalized load/store/ALU probabilities.
-	bl := float64(blockLen)
+	bl := float64(l.BlockLen)
 	branchRate := 1 / bl
 	slots := (bl - 1) / bl
-	nonBranch := 1 - spec.BranchFrac
-	pl := spec.LoadFrac / nonBranch
-	ps := spec.StoreFrac / nonBranch
-	loadRate := slots * pl
-	storeRate := slots * ps
+	loadRate := slots * l.PLoad
+	storeRate := slots * l.PStore
 	var simdRate, fpRate float64
-	if alu := 1 - pl - ps; alu > 0 {
-		simd := math.Min(spec.SIMDFrac/nonBranch, alu)
-		fp := math.Min((spec.SIMDFrac+spec.FPFrac)/nonBranch, alu) - simd
+	if l.PALU > 0 {
+		simd := math.Min(l.PSIMD, l.PALU)
+		fp := math.Min(l.PSIMDFP, l.PALU) - simd
 		simdRate = slots * simd
 		fpRate = slots * fp
 	}
 
-	// Kernel residency: episodes of 8 blocks entered with the
+	// Kernel residency: episodes of KernelBurst blocks entered at the
 	// generator's rate, giving a stationary kernel fraction that equals
 	// KernelFrac until the entry probability saturates.
-	kf := 0.0
-	if spec.KernelFrac > 0 {
-		const burst = 8.0
-		enter := spec.KernelFrac / (burst * (1 - spec.KernelFrac))
-		if enter > 1 || math.IsInf(enter, 1) {
-			enter = 1
-		}
-		kf = burst * enter / (burst*enter + 1)
-	}
+	const burst = float64(trace.KernelBurst)
+	kf := burst * l.EnterKernel / (burst*l.EnterKernel + 1)
 
-	// Branch behaviour. Replicate the generator's solve for the easy
-	// branches' taken split (including its 0.99 cold-taken constant),
-	// then take expectations over the seeded mixture — correlated
-	// branches occupy an int(P·hot) block run, the rest are hard with
-	// probability BranchEntropy, and cold blocks are 0.995-taken easy.
+	// Branch behaviour: expectations over the seeded mixture, from the
+	// generator's easy-taken share (solved with its 0.99 cold-taken
+	// constant) — correlated branches occupy an int(P·hot) block run,
+	// the rest are hard with probability BranchEntropy, and cold blocks
+	// are 0.995-taken easy.
 	e, pat, h := spec.BranchEntropy, spec.PatternFrac, spec.HotCodeFrac
-	q := 0.5
-	if rest := (1 - e) * (1 - pat); rest > 0 && h > 0 {
-		hotTaken := (spec.TakenFrac - (1-h)*0.99) / h
-		q = (hotTaken - e*0.5 - (1-e)*pat*0.5) / rest
-		q = (q - 0.005) / 0.99
-		if q < 0 {
-			q = 0
-		}
-		if q > 1 {
-			q = 1
-		}
-	}
+	q := l.EasyTaken
 	qTaken := 0.005 + 0.99*q
 
-	hb, wb, nb := float64(hotBlocks), float64(warmBlocks), float64(nBlocks)
+	hb, wb, nb := float64(l.HotBlocks), float64(l.WarmBlocks), float64(l.Blocks)
 	// Residency of user branch executions (and fetched blocks) over the
 	// mixture-seeded hot region vs the cold remainder: the hot loop
 	// runs h of the blocks, and excursions (95% warm / 5% anywhere)
@@ -475,7 +463,7 @@ func estimate(m *machine.Machine, w machine.Workload, opts machine.RunOptions) (
 	corrFrac := func(count int) float64 {
 		return float64(int(pat*float64(count))) / float64(count)
 	}
-	pcU, pcK := corrFrac(hotBlocks), corrFrac(nKBlocks)
+	pcU, pcK := corrFrac(l.HotBlocks), corrFrac(l.KernelBlocks)
 
 	easyMiss := counterMiss(0.995)
 	mixTaken := func(pc float64) float64 {
@@ -493,13 +481,6 @@ func estimate(m *machine.Machine, w machine.Workload, opts machine.RunOptions) (
 	// block identities.
 	tblEntries := float64(uint64(1) << uint(cfg.Predictor.TableBits))
 	histLen := float64(cfg.Predictor.HistoryBits)
-	enter := 0.0
-	if spec.KernelFrac > 0 {
-		enter = spec.KernelFrac / (8 * (1 - spec.KernelFrac))
-		if enter > 1 || math.IsInf(enter, 1) {
-			enter = 1
-		}
-	}
 	horizon := n + wu
 	kernExec := branchRate * kf
 
@@ -530,7 +511,7 @@ func estimate(m *machine.Machine, w machine.Workload, opts machine.RunOptions) (
 	}
 	tK := mixTaken(pcK)
 	initMissK := 1 - tK
-	kEntries := float64(nKBlocks)
+	kEntries := float64(l.KernelBlocks)
 	if kEntries > tblEntries {
 		kEntries = tblEntries
 	}
@@ -560,7 +541,7 @@ func estimate(m *machine.Machine, w machine.Workload, opts machine.RunOptions) (
 	// they cost table capacity (see `pairs`), not fresh-entry misses.
 	nu := 0.005 + (1-h)*2*qTaken*(1-qTaken)
 	rhoNu := 1 - math.Pow(1-nu, histLen)
-	scramble := 1 - math.Pow(1-enter, histLen)
+	scramble := 1 - math.Pow(1-l.EnterKernel, histLen)
 
 	var userMiss, kernMiss float64
 	switch cfg.Predictor.Kind {
@@ -626,61 +607,38 @@ func estimate(m *machine.Machine, w machine.Workload, opts machine.RunOptions) (
 	khB := float64(trace.KernelHotDataBytes)
 	kdB := float64(trace.KernelDataBytes)
 
-	// The stride component advances 8 bytes per reference: 7 of every
-	// 8 references re-touch the current 64-byte line (guaranteed L1D
-	// hits), and the 8th behaves as a sequential scan over the
-	// footprint. TLB-side the always-hit fraction is 511/512.
-	dataStreams := []*stream{
-		{size: hotB, rate: uData * r1},
-		{size: midB - hotB, rate: uData * r2},
-		{size: warmB - midB, rate: uData * r3},
-		{size: fpB - warmB, rate: uData * r4},
-		{size: fpB, rate: uData * sf / 8}, // stride line-scan
-		{size: khB, rate: kData * (0.8 + 0.2*khB/kdB)},
-		{size: kdB - khB, rate: kData * 0.2 * (kdB - khB) / kdB},
-	}
-
-	// Code streams. Fetch events fire on 64-byte line transitions:
-	// sequentially every 16 instructions, plus one per control-flow
-	// discontinuity — every block boundary except hot-loop blocks
-	// following hot-loop blocks, which are contiguous (probability h²).
-	// Kernel block picks are uniformly random, so every kernel block
-	// boundary is a discontinuity.
-	hotCodeB := float64(hotBlocks) * float64(blockBytes)
-	warmAnnB := float64(warmBlocks-hotBlocks) * float64(blockBytes)
-	coldAnnB := float64(nBlocks-warmBlocks) * float64(blockBytes)
-	kCodeB := float64(nKBlocks) * float64(blockBytes)
-	// Sequential fetches cross a line every 16 instructions; control
-	// flow additionally lands on a fresh line on every off-path jump
-	// (probability 1−h per block transition — the hot loop's cyclic
-	// advance is PC-contiguous), split over the jump target mixture:
-	// 95% uniform over the warm prefix (which includes the hot blocks),
-	// 5% uniform over all of the code.
-	seqFetch := (1.0 / 16) * (1 - kf)
+	// Code streams: the hot loop, the warm and cold annuli of user code,
+	// and kernel code. Control flow lands on a fresh line (or page) on
+	// every off-path jump (probability 1−h per block transition — the
+	// hot loop's cyclic advance is PC-contiguous), split over the jump
+	// target mixture: 95% uniform over the warm prefix (which includes
+	// the hot blocks), 5% uniform over all of the code. Kernel block
+	// picks are uniformly random, so every kernel block boundary is a
+	// discontinuity.
+	blockB := float64(l.BlockBytes)
+	hotCodeB := float64(l.HotBlocks) * blockB
+	warmAnnB := float64(l.WarmBlocks-l.HotBlocks) * blockB
+	coldAnnB := float64(l.Blocks-l.WarmBlocks) * blockB
+	kCodeB := float64(l.KernelBlocks) * blockB
 	jumpRate := (1 - h) / bl * (1 - kf)
 	tgtHot := 0.95*hb/wb + 0.05*hb/nb
 	tgtWarm := 0.95*(wb-hb)/wb + 0.05*(wb-hb)/nb
 	tgtCold := 0.05 * (nb - wb) / nb
-	kFetch := (1.0/16 + 1/bl) * kf
-	codeStreams := []*stream{
-		{size: hotCodeB, rate: seqFetch*wMix + jumpRate*tgtHot, instr: true},
-		{size: warmAnnB, rate: seqFetch*wWarm + jumpRate*tgtWarm, instr: true},
-		{size: coldAnnB, rate: seqFetch*wCold + jumpRate*tgtCold, instr: true},
-		{size: kCodeB, rate: kFetch, instr: true},
-	}
 
 	// Reconstruct what the simulator's prime() pass left behind. The
-	// sequence (kernel code, kernel data, user code up to 4MB, then warm
-	// →mid→hot data capped at 8MB, hot code last) means each stream's
-	// primed lines are aged by exactly the bytes scanned after them; the
-	// cold annuli and anything past the caps start cold by design.
-	const maxPrimeD, maxPrimeC = float64(8 << 20), float64(4 << 20)
+	// sequence (kernel code, kernel data, user code up to its cap, then
+	// warm→mid→hot data up to theirs, hot code last) means each
+	// stream's primed lines are aged by exactly the bytes scanned after
+	// them; the cold annuli and anything past the caps start cold by
+	// design. The prime pass touched the TLBs on the same scans at page
+	// stride, so the TLB streams share this state.
+	maxPrimeD, maxPrimeC := float64(machine.PrimeDataCap), float64(machine.PrimeCodeCap)
 	kcP, kdP := 0.0, 0.0
 	if spec.KernelFrac > 0 {
 		kcP = math.Min(kCodeB, maxPrimeC)
 		kdP = math.Min(kdB, maxPrimeD)
 	}
-	ucP := math.Min(float64(nBlocks)*float64(blockBytes), maxPrimeC)
+	ucP := math.Min(float64(l.Blocks)*blockB, maxPrimeC)
 	warmP := math.Min(warmB, maxPrimeD)
 	midP := math.Min(midB, maxPrimeD)
 	hotP := math.Min(hotB, maxPrimeD)
@@ -699,127 +657,101 @@ func estimate(m *machine.Machine, w machine.Workload, opts machine.RunOptions) (
 		}
 		return f
 	}
-	dataStreams[0].prime = primeInfo{frac: annFrac(hotP, 0, hotB), afterSide: 0, afterAll: hcP}
-	dataStreams[1].prime = primeInfo{frac: annFrac(midP, hotB, midB), afterSide: hotP, afterAll: hotP + hcP}
-	dataStreams[2].prime = primeInfo{frac: annFrac(warmP, midB, warmB), afterSide: midP + hotP, afterAll: midP + hotP + hcP}
-	// dataStreams[3], the cold annulus, is deliberately never primed.
-	dataStreams[4].prime = primeInfo{frac: warmP / fpB, afterSide: midP + hotP, afterAll: midP + hotP + hcP}
-	dataStreams[5].prime = primeInfo{frac: 1,
-		afterSide: math.Max(0, kdP-khB) + warmP + midP + hotP,
-		afterAll:  math.Max(0, kdP-khB) + ucP + warmP + midP + hotP + hcP}
-	dataStreams[6].prime = primeInfo{frac: 1,
-		afterSide: warmP + midP + hotP,
-		afterAll:  ucP + warmP + midP + hotP + hcP}
-	codeStreams[0].prime = primeInfo{frac: annFrac(hcP, 0, hotCodeB)}
-	codeStreams[1].prime = primeInfo{frac: annFrac(ucP, hotCodeB, hotCodeB+warmAnnB),
-		afterSide: math.Max(0, ucP-hotCodeB-warmAnnB) + hcP,
-		afterAll:  math.Max(0, ucP-hotCodeB-warmAnnB) + hcP + warmP + midP + hotP}
-	codeStreams[2].prime = primeInfo{frac: annFrac(ucP, hotCodeB+warmAnnB, hotCodeB+warmAnnB+coldAnnB),
-		afterSide: hcP,
-		afterAll:  hcP + warmP + midP + hotP}
-	codeStreams[3].prime = primeInfo{frac: kcP / kCodeB,
-		afterSide: ucP + hcP,
-		afterAll:  kdP + ucP + hcP + warmP + midP + hotP}
+	codePrime := [nCode]primeInfo{
+		{frac: annFrac(hcP, 0, hotCodeB)},
+		{frac: annFrac(ucP, hotCodeB, hotCodeB+warmAnnB),
+			afterSide: math.Max(0, ucP-hotCodeB-warmAnnB) + hcP,
+			afterAll:  math.Max(0, ucP-hotCodeB-warmAnnB) + hcP + warmP + midP + hotP},
+		{frac: annFrac(ucP, hotCodeB+warmAnnB, hotCodeB+warmAnnB+coldAnnB),
+			afterSide: hcP,
+			afterAll:  hcP + warmP + midP + hotP},
+		{frac: kcP / kCodeB,
+			afterSide: ucP + hcP,
+			afterAll:  kdP + ucP + hcP + warmP + midP + hotP},
+	}
+	dataPrime := [nData]primeInfo{
+		{frac: annFrac(hotP, 0, hotB), afterSide: 0, afterAll: hcP},
+		{frac: annFrac(midP, hotB, midB), afterSide: hotP, afterAll: hotP + hcP},
+		{frac: annFrac(warmP, midB, warmB), afterSide: midP + hotP, afterAll: midP + hotP + hcP},
+		{}, // the cold annulus is deliberately never primed
+		{frac: warmP / fpB, afterSide: midP + hotP, afterAll: midP + hotP + hcP},
+		{frac: 1,
+			afterSide: math.Max(0, kdP-khB) + warmP + midP + hotP,
+			afterAll:  math.Max(0, kdP-khB) + ucP + warmP + midP + hotP + hcP},
+		{frac: 1,
+			afterSide: warmP + midP + hotP,
+			afterAll:  ucP + warmP + midP + hotP + hcP},
+	}
 
-	// Cache cascade: split L1, unified L2, optional unified L3. Each
-	// deeper level sees only the upstream misses as its arrival rates.
-	const lineBytes = 64
-	baseRates := func(ss []*stream) []float64 {
-		out := make([]float64, len(ss))
-		for i, st := range ss {
-			out[i] = st.rate
+	// The two stream tables at a grain of `grain` bytes, a cache line or
+	// a page. Instruction fetches (translations) fire on grain
+	// transitions: sequentially every grain/InstrBytes instructions,
+	// plus the jumps; codeStreams also returns their total rate. Data
+	// references each look up, but the stride component advances
+	// StrideStep bytes a reference, so all but one in grain/StrideStep
+	// re-touch the current line (page) and always hit: only that one
+	// behaves as a sequential scan over the footprint.
+	codeStreams := func(grain float64) (ss [nCode]stream, fetchRate float64) {
+		seq := trace.InstrBytes / grain * (1 - kf)
+		kFetch := (trace.InstrBytes/grain + 1/bl) * kf
+		ss = [nCode]stream{
+			{size: hotCodeB, rate: seq*wMix + jumpRate*tgtHot, instr: true, prime: codePrime[0]},
+			{size: warmAnnB, rate: seq*wWarm + jumpRate*tgtWarm, instr: true, prime: codePrime[1]},
+			{size: coldAnnB, rate: seq*wCold + jumpRate*tgtCold, instr: true, prime: codePrime[2]},
+			{size: kCodeB, rate: kFetch, instr: true, prime: codePrime[3]},
 		}
-		return out
+		return ss, seq + jumpRate + kFetch
 	}
-	arrCodeL1 := baseRates(codeStreams)
-	arrDataL1 := baseRates(dataStreams)
-	all := append(append([]*stream{}, codeStreams...), dataStreams...)
-	arrL2 := append(
-		levelMisses(float64(cfg.Caches.L1I.SizeBytes), lineBytes, codeStreams, arrCodeL1, n, wu, true),
-		levelMisses(float64(cfg.Caches.L1D.SizeBytes), lineBytes, dataStreams, arrDataL1, n, wu, true)...)
-	arrL3 := levelMisses(float64(cfg.Caches.L2.SizeBytes), lineBytes, all, arrL2, n, wu, false)
-	var arrMem []float64
+	dataStreams := func(grain float64) [nData]stream {
+		return [nData]stream{
+			{size: hotB, rate: uData * r1, prime: dataPrime[0]},
+			{size: midB - hotB, rate: uData * r2, prime: dataPrime[1]},
+			{size: warmB - midB, rate: uData * r3, prime: dataPrime[2]},
+			{size: fpB - warmB, rate: uData * r4, prime: dataPrime[3]},
+			{size: fpB, rate: uData * sf / (grain / trace.StrideStep), prime: dataPrime[4]},
+			{size: khB, rate: kData * (0.8 + 0.2*khB/kdB), prime: dataPrime[5]},
+			{size: kdB - khB, rate: kData * 0.2 * (kdB - khB) / kdB, prime: dataPrime[6]},
+		}
+	}
+
+	// Cache cascade: split L1, unified L2, optional unified L3.
+	const lineBytes = 64
+	code, fetchRate := codeStreams(lineBytes)
+	data := dataStreams(lineBytes)
+	l3 := 0.0
 	if cfg.Caches.L3 != nil {
-		arrMem = levelMisses(float64(cfg.Caches.L3.SizeBytes), lineBytes, all, arrL3, n, wu, false)
+		l3 = float64(cfg.Caches.L3.SizeBytes)
 	}
+	cm := cascade(&code, &data, lineBytes, n, wu, float64(cfg.Caches.L1I.SizeBytes),
+		float64(cfg.Caches.L1D.SizeBytes), float64(cfg.Caches.L2.SizeBytes), l3)
 
-	fetchRate := seqFetch + jumpRate + kFetch
-	l1iMiss := sumSide(all, arrL2, true)
-	l1dMiss := sumSide(all, arrL2, false)
-	l2iMiss := sumSide(all, arrL3, true)
-	l2dMiss := sumSide(all, arrL3, false)
-	var l3iMiss, l3dMiss float64
-	if arrMem != nil {
-		l3iMiss = sumSide(all, arrMem, true)
-		l3dMiss = sumSide(all, arrMem, false)
-	}
-
-	// TLB cascade over the same working sets at page granularity.
-	// Instruction-side translations fire on page transitions
-	// (sequentially every 1024 instructions plus discontinuities);
-	// data-side translations fire on every load and store, with the
-	// stride component page-resident 511 of 512 references.
-	seqIT := (1.0 / 1024) * (1 - kf)
-	kIT := (1.0/1024 + 1/bl) * kf
-	itStreams := []*stream{
-		{size: hotCodeB, rate: seqIT*wMix + jumpRate*tgtHot, instr: true},
-		{size: warmAnnB, rate: seqIT*wWarm + jumpRate*tgtWarm, instr: true},
-		{size: coldAnnB, rate: seqIT*wCold + jumpRate*tgtCold, instr: true},
-		{size: kCodeB, rate: kIT, instr: true},
-	}
-	dtStreams := []*stream{
-		{size: hotB, rate: uData * r1},
-		{size: midB - hotB, rate: uData * r2},
-		{size: warmB - midB, rate: uData * r3},
-		{size: fpB - warmB, rate: uData * r4},
-		{size: fpB, rate: uData * sf / 512}, // stride page-scan
-		{size: khB, rate: kData * (0.8 + 0.2*khB/kdB)},
-		{size: kdB - khB, rate: kData * 0.2 * (kdB - khB) / kdB},
-	}
-	// The prime pass touched the TLBs on the same scans at page stride,
-	// so the streams inherit the cache-side prime state.
-	for i := range itStreams {
-		itStreams[i].prime = codeStreams[i].prime
-	}
-	for i := range dtStreams {
-		dtStreams[i].prime = dataStreams[i].prime
-	}
+	// TLB cascade over the same working sets at page grain: split
+	// I/D TLBs, optional unified L2 TLB.
 	pageBytes := float64(uint64(1) << tlb.PageShift)
-	arrITL1 := baseRates(itStreams)
-	arrDTL1 := baseRates(dtStreams)
-	allT := append(append([]*stream{}, itStreams...), dtStreams...)
-	arrTL2 := append(
-		levelMisses(float64(cfg.TLBs.ITLB.Entries)*pageBytes, pageBytes, itStreams, arrITL1, n, wu, true),
-		levelMisses(float64(cfg.TLBs.DTLB.Entries)*pageBytes, pageBytes, dtStreams, arrDTL1, n, wu, true)...)
-	itlbMiss := sumSide(allT, arrTL2, true)
-	dtlbMiss := sumSide(allT, arrTL2, false)
-	var l2tlbMiss float64
+	itCode, itRate := codeStreams(pageBytes)
+	dtData := dataStreams(pageBytes)
+	l2t := 0.0
 	if cfg.TLBs.L2 != nil {
-		walks := levelMisses(float64(cfg.TLBs.L2.Entries)*pageBytes, pageBytes, allT, arrTL2, n, wu, false)
-		l2tlbMiss = sumSide(allT, walks, true) + sumSide(allT, walks, false)
+		l2t = float64(cfg.TLBs.L2.Entries) * pageBytes
 	}
+	tm := cascade(&itCode, &dtData, pageBytes, n, wu, float64(cfg.TLBs.ITLB.Entries)*pageBytes,
+		float64(cfg.TLBs.DTLB.Entries)*pageBytes, l2t)
+	dtlbMiss := tm[0].data
+	l2tlbMiss := tm[1].instr + tm[1].data
 
-	// The generator's MemStreams stride pointers sit streamSpan apart.
+	// The generator's stride pointers sit StreamSpan apart.
 	// When that spacing is a multiple of a TLB's set stride, every
 	// stream's current page indexes the same set; with fewer ways than
 	// streams the set thrashes under LRU (a move-to-front stack over
 	// nStr equally-hot pages hits only for the Ways most recent), and
 	// nearly half the stride references miss a TLB their pages would
 	// trivially fit in.
-	nStr := spec.MemStreams
-	if nStr <= 0 {
-		nStr = 4
-	}
-	span := spec.FootprintBytes / uint64(nStr)
-	if span < 64 {
-		span = 64
-	}
 	strideThrash := func(c tlb.Config) float64 {
 		setStride := uint64(c.Entries/c.Ways) << tlb.PageShift
-		if nStr <= c.Ways || span < setStride || span%setStride != 0 {
+		if l.Streams <= c.Ways || l.StreamSpan < setStride || l.StreamSpan%setStride != 0 {
 			return 0
 		}
-		return 1 - float64(c.Ways)/float64(nStr)
+		return 1 - float64(c.Ways)/float64(l.Streams)
 	}
 	if extra := uData * sf * strideThrash(cfg.TLBs.DTLB); extra > 0 {
 		dtlbMiss += extra
@@ -848,30 +780,30 @@ func estimate(m *machine.Machine, w machine.Workload, opts machine.RunOptions) (
 	}
 	rc.Cache = cache.Counts{
 		L1IAccesses: cnt(fetchRate),
-		L1IMisses:   cnt(l1iMiss),
+		L1IMisses:   cnt(cm[0].instr),
 		L1DAccesses: rc.Loads + rc.Stores,
-		L1DMisses:   cnt(l1dMiss),
-		L2IAccesses: cnt(l1iMiss),
-		L2IMisses:   cnt(l2iMiss),
-		L2DAccesses: cnt(l1dMiss),
-		L2DMisses:   cnt(l2dMiss),
+		L1DMisses:   cnt(cm[0].data),
+		L2IAccesses: cnt(cm[0].instr),
+		L2IMisses:   cnt(cm[1].instr),
+		L2DAccesses: cnt(cm[0].data),
+		L2DMisses:   cnt(cm[1].data),
 	}
 	if cfg.Caches.L3 != nil {
-		rc.Cache.L3Accesses = cnt(l2iMiss + l2dMiss)
-		rc.Cache.L3Misses = cnt(l3iMiss + l3dMiss)
+		rc.Cache.L3Accesses = cnt(cm[1].instr + cm[1].data)
+		rc.Cache.L3Misses = cnt(cm[2].instr + cm[2].data)
 	}
 	rc.TLB = tlb.Counts{
-		ITLBLookups: cnt(seqIT + jumpRate + kIT),
-		ITLBMisses:  cnt(itlbMiss),
+		ITLBLookups: cnt(itRate),
+		ITLBMisses:  cnt(tm[0].instr),
 		DTLBLookups: rc.Loads + rc.Stores,
 		DTLBMisses:  cnt(dtlbMiss),
 	}
 	if cfg.TLBs.L2 != nil {
-		rc.TLB.L2Lookups = cnt(itlbMiss + dtlbMiss)
+		rc.TLB.L2Lookups = cnt(tm[0].instr + dtlbMiss)
 		rc.TLB.L2Misses = cnt(l2tlbMiss)
 		rc.TLB.PageWalks = rc.TLB.L2Misses
 	} else {
-		rc.TLB.PageWalks = cnt(itlbMiss + dtlbMiss)
+		rc.TLB.PageWalks = cnt(tm[0].instr + dtlbMiss)
 	}
 
 	in := cpistack.Inputs{
@@ -885,9 +817,9 @@ func estimate(m *machine.Machine, w machine.Workload, opts machine.RunOptions) (
 	}
 	if cfg.Caches.L3 != nil {
 		in.L2IMissToL3 = rc.Cache.L2IMisses
-		in.L3IMissToMem = cnt(l3iMiss)
+		in.L3IMissToMem = cnt(cm[2].instr)
 		in.L2DMissToL3 = rc.Cache.L2DMisses
-		in.L3DMissToMem = cnt(l3dMiss)
+		in.L3DMissToMem = cnt(cm[2].data)
 	} else {
 		in.L2IMissToMem = rc.Cache.L2IMisses
 		in.L3DMissToMem = rc.Cache.L2DMisses

@@ -109,9 +109,6 @@ func (l *Lab) Context() context.Context {
 // when the lab was made without one).
 func (l *Lab) Store() *store.Store { return l.state.store }
 
-// Options returns the lab's run options.
-func (l *Lab) Options() machine.RunOptions { return l.state.opts }
-
 var (
 	defaultLab     *Lab
 	defaultLabOnce sync.Once
@@ -262,20 +259,6 @@ func perSuite[T any](suites []workloads.Suite, fn func(workloads.Suite) (T, erro
 		}
 	}
 	return out, nil
-}
-
-// selectChar returns the characterization restricted to the given
-// profiles' primary inputs.
-func (l *Lab) selectChar(profiles []workloads.Profile) (*core.Characterization, error) {
-	c, err := l.Characterization()
-	if err != nil {
-		return nil, err
-	}
-	labels := make([]string, 0, len(profiles))
-	for _, p := range profiles {
-		labels = append(labels, p.Name)
-	}
-	return c.Select(labels)
 }
 
 // SuiteNames returns the primary-input labels of a sub-suite.

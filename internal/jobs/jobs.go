@@ -677,7 +677,7 @@ func (m *Manager) runJob(id string) {
 		finish(StatePending)
 		return
 	}
-	done, failed := t.job.Counts()
+	_, failed := t.job.Counts()
 	final := StateDone
 	if len(t.job.Items) > 0 && failed == len(t.job.Items) {
 		final = StateFailed
@@ -686,7 +686,6 @@ func (m *Manager) runJob(id string) {
 	fin := time.Now()
 	t.job.State = final
 	t.job.Finished = &fin
-	_ = done
 	j := t.job.clone()
 	m.mu.Unlock()
 

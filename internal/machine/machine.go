@@ -314,18 +314,22 @@ func prime(caches *cache.Hierarchy, tlbs *tlb.Hierarchy, spec trace.Spec) {
 	primeOffset(caches, tlbs, spec, 0)
 }
 
+// PrimeDataCap and PrimeCodeCap bound the bytes a run primes of any
+// one data or code region: never more than any LLC could hold.
+const (
+	PrimeDataCap = 8 << 20
+	PrimeCodeCap = PrimeDataCap / 2
+)
+
 // primeOffset primes with the data regions shifted by offset — the
 // per-copy address-space displacement of multi-copy (SPECrate) runs.
 // Each region is swept through the caches at the hierarchy's smallest
 // line size, so every line of every level is touched.
 func primeOffset(caches *cache.Hierarchy, tlbs *tlb.Hierarchy, spec trace.Spec, offset uint64) {
-	const (
-		page     = 1 << tlb.PageShift
-		maxPrime = 8 << 20 // never prime more than any LLC could hold
-	)
+	const page = 1 << tlb.PageShift
 	primeData := func(base, size uint64) {
-		if size > maxPrime {
-			size = maxPrime
+		if size > PrimeDataCap {
+			size = PrimeDataCap
 		}
 		caches.SweepData(base, size)
 		for off := uint64(0); off < size; off += page {
@@ -333,8 +337,8 @@ func primeOffset(caches *cache.Hierarchy, tlbs *tlb.Hierarchy, spec trace.Spec, 
 		}
 	}
 	primeCode := func(base, size uint64) {
-		if size > maxPrime/2 {
-			size = maxPrime / 2
+		if size > PrimeCodeCap {
+			size = PrimeCodeCap
 		}
 		caches.SweepInstr(base, size)
 		for off := uint64(0); off < size; off += page {

@@ -33,31 +33,20 @@ type FamilySnapshot struct {
 	Series     []SeriesSnapshot
 }
 
-// Range visits every registered family in registration order with a
-// point-in-time snapshot of its series. Each family is captured under
-// its own lock (the same discipline WritePrometheus uses), so a
+// Snapshot captures every registered family, in registration order,
+// with a point-in-time snapshot of its series. Each family is captured
+// under its own lock (the same discipline WritePrometheus uses), so a
 // snapshot is self-consistent per family even while observations land
-// concurrently. Returning false from fn stops the walk.
-func (r *Registry) Range(fn func(FamilySnapshot) bool) {
+// concurrently. The result is detached: mutating it never touches the
+// registry, and later observations never mutate it.
+func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	fams := append([]*family(nil), r.families...)
 	r.mu.Unlock()
-	for _, f := range fams {
-		if !fn(f.snapshot()) {
-			return
-		}
-	}
-}
-
-// Snapshot captures every family via Range. The result is detached:
-// mutating it never touches the registry, and later observations never
-// mutate it.
-func (r *Registry) Snapshot() Snapshot {
 	var out Snapshot
-	r.Range(func(fs FamilySnapshot) bool {
-		out = append(out, fs)
-		return true
-	})
+	for _, f := range fams {
+		out = append(out, f.snapshot())
+	}
 	return out
 }
 

@@ -49,8 +49,9 @@ func (s *Server) handleMetricsHistory(w http.ResponseWriter, r *http.Request) {
 
 // accuracyResponse is the GET /v1/accuracy body.
 type accuracyResponse struct {
-	// Enabled reports whether the server has a store — without one
-	// there is nothing to pair.
+	// Enabled reports whether pairs reach the drift monitor: the
+	// server's store must be opened with an OnPair hook, or nothing is
+	// ever compared.
 	Enabled bool `json:"enabled"`
 	insight.AccuracyStatus
 }
@@ -60,7 +61,7 @@ type accuracyResponse struct {
 // so the answer already reflects every upgrade that has landed.
 func (s *Server) handleAccuracy(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, accuracyResponse{
-		Enabled:        s.cfg.Store != nil,
+		Enabled:        s.cfg.Store != nil && s.cfg.Store.PairHooked(),
 		AccuracyStatus: s.cfg.Insight.Drift().Status(),
 	})
 }

@@ -338,6 +338,28 @@ func TestInsightEventsEndpointValidation(t *testing.T) {
 	}
 }
 
+// TestAccuracyDisabledWithoutPairHook: a store opened without OnPair
+// never hands a pair to the drift monitor, so /v1/accuracy must report
+// the monitor disabled rather than enabled with nothing ever compared.
+func TestAccuracyDisabledWithoutPairHook(t *testing.T) {
+	reg := metrics.NewRegistry()
+	logger := telemetry.NewLogger(io.Discard, slog.LevelError+1)
+	plane := insight.New(insight.Config{Metrics: reg, Log: logger, Interval: time.Hour})
+	t.Cleanup(plane.Stop)
+	st, err := store.Open(store.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Metrics: reg, Log: logger, Insight: plane, Store: st})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Close()
+
+	if acc := getAccuracy(t, ts); acc.Enabled {
+		t.Errorf("/v1/accuracy with a hookless store: enabled = true, want false (%+v)", acc)
+	}
+}
+
 // TestInsightDisabledRoutes404: without a plane the three insight
 // routes do not exist — the fallback answers 404 in the standard
 // envelope, and GET /v1 does not advertise them.

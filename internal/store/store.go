@@ -693,3 +693,6 @@ func (s *Store) Stats() Stats {
 
 // Path returns the snapshot path ("" for memory-only stores).
 func (s *Store) Path() string { return s.cfg.Path }
+
+// PairHooked reports whether the store was opened with an OnPair hook.
+func (s *Store) PairHooked() bool { return s.cfg.OnPair != nil }

@@ -178,9 +178,14 @@ const (
 	KernelHotDataBytes uint64 = 32 << 10
 )
 
+// InstrBytes is every instruction's size (a fixed encoding, adequate
+// for I-side locality modelling), StrideStep the bytes a stride stream
+// advances per reference, and KernelBurst the blocks per kernel
+// episode.
 const (
-	instrBytes = 4 // fixed encoding; adequate for I-side locality modelling
-	strideStep = 8
+	InstrBytes  = 4
+	StrideStep  = 8
+	KernelBurst = 8
 )
 
 // branchKind classifies one static branch's behaviour.
@@ -203,34 +208,110 @@ type branchState struct {
 // read-only value instead of a table entry each.
 var coldBranch = branchState{kind: easyBranch, bias: 0.995}
 
+// Layout is what a Spec lays out before any random draw: the code
+// geometry, the instruction-mix thresholds, the easy branches' taken
+// share, the kernel-entry probability and the stride streams. The
+// generator runs on it, and the analytic engine reads it instead of
+// deriving the same values again.
+type Layout struct {
+	// Code geometry: the basic-block length in instructions (a
+	// conditional branch ends each block) and in bytes, the user
+	// code's blocks, the hot loop's and the warm working set's
+	// prefixes of them, and the kernel code's blocks.
+	BlockLen                                    int
+	BlockBytes                                  uint64
+	Blocks, HotBlocks, WarmBlocks, KernelBlocks int
+
+	// Streams is the number of stride streams; each scans its own
+	// StreamSpan bytes of the footprint.
+	Streams    int
+	StreamSpan uint64
+
+	// Instruction-mix thresholds over a non-branch slot: a uniform
+	// draw below PLoad is a load, below PLoadStore (PLoad + PStore) a
+	// store; an ALU slot's draw scaled by PALU is SIMD below PSIMD and
+	// FP below PSIMDFP. Both engines' count pins hold each float
+	// expression, association order included.
+	PLoad, PStore, PLoadStore, PALU, PSIMD, PSIMDFP float64
+
+	// EnterKernel is the per-block probability of starting a kernel
+	// episode, so that the long-run kernel fraction matches KernelFrac.
+	EnterKernel float64
+	// EasyTaken is the probability that an easy hot branch is seeded
+	// taken-biased, solved so that all branches hit TakenFrac overall.
+	EasyTaken float64
+}
+
+// NewLayout lays out spec, which must pass Validate.
+func NewLayout(spec Spec) Layout {
+	var l Layout
+	l.BlockLen = max(int(1/spec.BranchFrac+0.5), 2)
+	l.BlockBytes = uint64(l.BlockLen * InstrBytes)
+	l.Blocks = max(int(spec.CodeBytes/l.BlockBytes), 1)
+	l.HotBlocks = min(max(int(spec.HotCodeBytes/l.BlockBytes), 1), l.Blocks)
+	warmCode := spec.WarmCodeBytes
+	if warmCode == 0 {
+		warmCode = 96 << 10
+	}
+	l.WarmBlocks = min(max(int(warmCode/l.BlockBytes), l.HotBlocks), l.Blocks)
+	// Kernel code: a fixed-size region (128 KiB) of its own blocks.
+	l.KernelBlocks = max(int(KernelCodeBytes/l.BlockBytes), 1)
+
+	l.Streams = spec.MemStreams
+	if l.Streams <= 0 {
+		l.Streams = 4
+	}
+	l.StreamSpan = max(spec.FootprintBytes/uint64(l.Streams), 64)
+
+	nonBranch := 1 - spec.BranchFrac
+	l.PLoad = spec.LoadFrac / nonBranch
+	l.PStore = spec.StoreFrac / nonBranch
+	l.PLoadStore = l.PLoad + l.PStore
+	l.PALU = 1 - l.PLoad - l.PStore
+	l.PSIMD = spec.SIMDFrac / nonBranch
+	l.PSIMDFP = (spec.SIMDFrac + spec.FPFrac) / nonBranch
+	if spec.KernelFrac > 0 {
+		l.EnterKernel = spec.KernelFrac / (KernelBurst * (1 - spec.KernelFrac))
+		if l.EnterKernel > 1 {
+			l.EnterKernel = 1
+		}
+	}
+
+	// Solve for the easy branches' taken share so the hot mixture plus
+	// the cold-branch population hits TakenFrac overall:
+	//   taken = h*(e*0.5 + (1-e)*(P*0.5 + (1-P)*(q*0.98+0.01))) + (1-h)*0.99,
+	// where h is the hot share of branch executions (HotCodeFrac).
+	e, P, h := spec.BranchEntropy, spec.PatternFrac, spec.HotCodeFrac
+	l.EasyTaken = 0.5
+	if rest := (1 - e) * (1 - P); rest > 0 && h > 0 {
+		hotTaken := (spec.TakenFrac - (1-h)*0.99) / h
+		q := (hotTaken - e*0.5 - (1-e)*P*0.5) / rest
+		q = (q - 0.005) / 0.99
+		if q < 0 {
+			q = 0
+		}
+		if q > 1 {
+			q = 1
+		}
+		l.EasyTaken = q
+	}
+	return l
+}
+
 // Generator produces the event stream for one workload. It is not
 // safe for concurrent use; create one per goroutine.
 type Generator struct {
 	spec Spec
+	Layout
 
-	blockLen   int
-	nBlocks    int
-	hotBlocks  int
-	warmBlocks int
-	nKBlocks   int           // kernel code blocks
-	branches   []branchState // hot blocks only; colder ones are coldBranch
-	kbranches  []branchState
-	streams    []uint64
-	streamSpan uint64
+	branches  []branchState // hot blocks only; colder ones are coldBranch
+	kbranches []branchState
+	streams   []uint64
 
-	// Instruction-mix thresholds, derived once from the spec so the
-	// per-event hot path never re-divides. Each is computed with the
-	// exact float expression the per-event code historically used, so
-	// comparisons against them are bit-identical to recomputing.
-	pLoad      float64 // LoadFrac / (1 - BranchFrac)
-	pLoadStore float64 // (LoadFrac + StoreFrac) / (1 - BranchFrac), as pLoad + pStore
-	pALU       float64 // 1 - pLoad - pStore
-	pSIMD      float64 // SIMDFrac / (1 - BranchFrac)
-	pSIMDFP    float64 // (SIMDFrac + FPFrac) / (1 - BranchFrac)
-	pEnterKern float64 // per-block kernel-episode entry probability
-	dHotT      float64 // StrideFrac + HotFrac
-	dMidT      float64 // StrideFrac + HotFrac + MidFrac
-	dWarmT     float64 // StrideFrac + HotFrac + MidFrac + WarmFrac
+	// Data-region thresholds, derived once like the mix thresholds.
+	dHotT  float64 // StrideFrac + HotFrac
+	dMidT  float64 // StrideFrac + HotFrac + MidFrac
+	dWarmT float64 // StrideFrac + HotFrac + MidFrac + WarmFrac
 
 	// Per-instruction state.
 	curBlock   int
@@ -251,80 +332,21 @@ func NewGenerator(spec Spec, key string) (*Generator, error) {
 	}
 	g := &Generator{
 		spec:    spec,
+		Layout:  NewLayout(spec),
 		rBlock:  rng.NewKeyed(key, 1),
 		rMix:    rng.NewKeyed(key, 2),
 		rData:   rng.NewKeyed(key, 3),
 		rBranch: rng.NewKeyed(key, 4),
 		rKernel: rng.NewKeyed(key, 5),
 	}
-	g.blockLen = int(1/spec.BranchFrac + 0.5)
-	if g.blockLen < 2 {
-		g.blockLen = 2
-	}
-	blockBytes := uint64(g.blockLen * instrBytes)
-	g.nBlocks = int(spec.CodeBytes / blockBytes)
-	if g.nBlocks < 1 {
-		g.nBlocks = 1
-	}
-	g.hotBlocks = int(spec.HotCodeBytes / blockBytes)
-	if g.hotBlocks < 1 {
-		g.hotBlocks = 1
-	}
-	if g.hotBlocks > g.nBlocks {
-		g.hotBlocks = g.nBlocks
-	}
-	warmCode := spec.WarmCodeBytes
-	if warmCode == 0 {
-		warmCode = 96 << 10
-	}
-	g.warmBlocks = int(warmCode / blockBytes)
-	if g.warmBlocks < g.hotBlocks {
-		g.warmBlocks = g.hotBlocks
-	}
-	if g.warmBlocks > g.nBlocks {
-		g.warmBlocks = g.nBlocks
-	}
-	// Kernel code: a fixed-size region (128 KiB) of its own blocks.
-	g.nKBlocks = int(KernelCodeBytes / blockBytes)
-	if g.nKBlocks < 1 {
-		g.nKBlocks = 1
-	}
+	g.branches = make([]branchState, g.HotBlocks)
+	seedBranches(g.branches, spec, g.EasyTaken, g.rBranch)
+	g.kbranches = make([]branchState, g.KernelBlocks)
+	seedBranches(g.kbranches, spec, g.EasyTaken, g.rBranch)
 
-	g.branches = make([]branchState, g.hotBlocks)
-	seedBranches(g.branches, spec, g.rBranch)
-	g.kbranches = make([]branchState, g.nKBlocks)
-	seedBranches(g.kbranches, spec, g.rBranch)
-
-	n := spec.MemStreams
-	if n <= 0 {
-		n = 4
-	}
-	g.streams = make([]uint64, n)
-	g.streamSpan = spec.FootprintBytes / uint64(n)
-	if g.streamSpan < 64 {
-		g.streamSpan = 64
-	}
+	g.streams = make([]uint64, g.Streams)
 	for i := range g.streams {
-		g.streams[i] = uint64(i) * g.streamSpan
-	}
-
-	// Hot-path thresholds. The expressions (including association
-	// order) mirror the historical per-event computations exactly:
-	// FillBatch and Next must stay bit-identical to the code that
-	// derived these inline.
-	nonBranch := 1 - spec.BranchFrac
-	g.pLoad = spec.LoadFrac / nonBranch
-	ps := spec.StoreFrac / nonBranch
-	g.pLoadStore = g.pLoad + ps
-	g.pALU = 1 - g.pLoad - ps
-	g.pSIMD = spec.SIMDFrac / nonBranch
-	g.pSIMDFP = (spec.SIMDFrac + spec.FPFrac) / nonBranch
-	if spec.KernelFrac > 0 {
-		enter := spec.KernelFrac / (float64(kernelBurst) * (1 - spec.KernelFrac))
-		if enter > 1 {
-			enter = 1
-		}
-		g.pEnterKern = enter
+		g.streams[i] = uint64(i) * g.StreamSpan
 	}
 	g.dHotT = spec.StrideFrac + spec.HotFrac
 	g.dMidT = spec.StrideFrac + spec.HotFrac + spec.MidFrac
@@ -335,29 +357,14 @@ func NewGenerator(spec Spec, key string) (*Generator, error) {
 }
 
 // seedBranches assigns behaviour to the hot blocks' branches bs from
-// the hard/correlated/easy mixture. Branches of colder blocks are
+// the hard/correlated/easy mixture, an easy branch leaning taken with
+// probability q (Layout.EasyTaken). Branches of colder blocks are
 // uniformly strongly-taken (coldBranch), so their (rarely trained,
 // heavily aliased) predictor entries still agree — matching real
 // programs, whose cold paths remain predictable.
-func seedBranches(bs []branchState, spec Spec, r *rng.Rand) {
+func seedBranches(bs []branchState, spec Spec, q float64, r *rng.Rand) {
 	hotCount := len(bs)
-	// Solve for the easy branches' taken share so the hot mixture plus
-	// the cold-branch population hits TakenFrac overall:
-	//   taken = h*(e*0.5 + (1-e)*(P*0.5 + (1-P)*(q*0.98+0.01))) + (1-h)*0.99,
-	// where h is the hot share of branch executions (HotCodeFrac).
-	e, P, h := spec.BranchEntropy, spec.PatternFrac, spec.HotCodeFrac
-	q := 0.5
-	if rest := (1 - e) * (1 - P); rest > 0 && h > 0 {
-		hotTaken := (spec.TakenFrac - (1-h)*0.99) / h
-		q = (hotTaken - e*0.5 - (1-e)*P*0.5) / rest
-		q = (q - 0.005) / 0.99
-		if q < 0 {
-			q = 0
-		}
-		if q > 1 {
-			q = 1
-		}
-	}
+	e, P := spec.BranchEntropy, spec.PatternFrac
 	// Correlated branches occupy a contiguous run of blocks (a loop
 	// nest) that wraps the cycle boundary: the run's tail executes
 	// just before the phase flips and its head just after, so every
@@ -395,9 +402,6 @@ func seedBranches(bs []branchState, spec Spec, r *rng.Rand) {
 // Spec returns the specification the generator was built from.
 func (g *Generator) Spec() Spec { return g.spec }
 
-// BlockLen returns the derived basic-block length in instructions.
-func (g *Generator) BlockLen() int { return g.blockLen }
-
 // pickBlock selects the next basic block to execute. Hot-loop blocks
 // execute cyclically (sequential control flow, so history-based
 // predictors observe structured context and the fetch stream is
@@ -405,24 +409,21 @@ func (g *Generator) BlockLen() int { return g.blockLen }
 // block, modelling rarely-exercised paths.
 func (g *Generator) pickBlock() int {
 	if g.inKernel {
-		return g.rBlock.Intn(g.nKBlocks)
+		return g.rBlock.Intn(g.KernelBlocks)
 	}
 	if g.rBlock.Bool(g.spec.HotCodeFrac) {
 		g.curHot++
-		if g.curHot >= g.hotBlocks {
+		if g.curHot >= g.HotBlocks {
 			g.curHot = 0
 			g.phase = !g.phase // next loop iteration: flip the sweep phase
 		}
 		return g.curHot
 	}
 	if g.rBlock.Bool(0.95) {
-		return g.rBlock.Intn(g.warmBlocks)
+		return g.rBlock.Intn(g.WarmBlocks)
 	}
-	return g.rBlock.Intn(g.nBlocks)
+	return g.rBlock.Intn(g.Blocks)
 }
-
-// kernelBurst is the number of blocks per kernel episode.
-const kernelBurst = 8
 
 // Next fills ev with the next dynamic instruction.
 func (g *Generator) Next(ev *Event) {
@@ -436,9 +437,9 @@ func (g *Generator) Next(ev *Event) {
 				g.inKernel = false
 			}
 		} else if g.spec.KernelFrac > 0 {
-			if g.rKernel.Bool(g.pEnterKern) {
+			if g.rKernel.Bool(g.EnterKernel) {
 				g.inKernel = true
-				g.kernBudget = kernelBurst
+				g.kernBudget = KernelBurst
 			}
 		}
 		g.curBlock = g.pickBlock()
@@ -448,13 +449,13 @@ func (g *Generator) Next(ev *Event) {
 	if g.inKernel {
 		base = KernelCodeBase
 	}
-	pc := base + uint64(g.curBlock*g.blockLen+g.blockPos)*instrBytes
+	pc := base + uint64(g.curBlock*g.BlockLen+g.blockPos)*InstrBytes
 	ev.PC = pc
 	ev.Kernel = g.inKernel
 	ev.Addr = 0
 	ev.Taken = false
 
-	if g.blockPos == g.blockLen-1 {
+	if g.blockPos == g.BlockLen-1 {
 		// Block-terminating conditional branch.
 		ev.Kind = CondBranch
 		ev.Taken = g.outcome(g.branch(g.inKernel, g.curBlock))
@@ -467,23 +468,23 @@ func (g *Generator) Next(ev *Event) {
 	// proportions (thresholds precomputed at construction).
 	x := g.rMix.Float64()
 	switch {
-	case x < g.pLoad:
+	case x < g.PLoad:
 		ev.Kind = Load
 		ev.Addr = g.dataAddr()
-	case x < g.pLoadStore:
+	case x < g.PLoadStore:
 		ev.Kind = Store
 		ev.Addr = g.dataAddr()
 	default:
 		// ALU flavour by FP/SIMD fractions renormalized over ALU slots.
-		if g.pALU <= 0 {
+		if g.PALU <= 0 {
 			ev.Kind = IntOp
 			return
 		}
-		y := g.rMix.Float64() * g.pALU
+		y := g.rMix.Float64() * g.PALU
 		switch {
-		case y < g.pSIMD:
+		case y < g.PSIMD:
 			ev.Kind = SIMDOp
-		case y < g.pSIMDFP:
+		case y < g.PSIMDFP:
 			ev.Kind = FPOp
 		default:
 			ev.Kind = IntOp
@@ -503,12 +504,12 @@ func (g *Generator) Next(ev *Event) {
 // once-per-block prologue touches the Generator's fields.
 func (g *Generator) FillBatch(evs []Event) {
 	var (
-		blockLen          = g.blockLen
-		pLoad             = g.pLoad
-		pLoadStore        = g.pLoadStore
-		pALU              = g.pALU
-		pSIMD             = g.pSIMD
-		pSIMDFP           = g.pSIMDFP
+		blockLen          = g.BlockLen
+		pLoad             = g.PLoad
+		pLoadStore        = g.PLoadStore
+		pALU              = g.PALU
+		pSIMD             = g.PSIMD
+		pSIMDFP           = g.PSIMDFP
 		kernelFrac        = g.spec.KernelFrac
 		rMix              = g.rMix
 		pos               = g.blockPos
@@ -529,10 +530,10 @@ func (g *Generator) FillBatch(evs []Event) {
 					g.inKernel = false
 				}
 			} else if kernelFrac > 0 {
-				if g.rKernel.Bool(g.pEnterKern) {
+				if g.rKernel.Bool(g.EnterKernel) {
 					inKernel = true
 					g.inKernel = true
-					g.kernBudget = kernelBurst
+					g.kernBudget = KernelBurst
 				}
 			}
 			curBlock = g.pickBlock()
@@ -543,7 +544,7 @@ func (g *Generator) FillBatch(evs []Event) {
 			}
 		}
 
-		ev.PC = base + uint64(curBlock*blockLen+pos)*instrBytes
+		ev.PC = base + uint64(curBlock*blockLen+pos)*InstrBytes
 		ev.Kernel = inKernel
 		ev.Addr = 0
 		ev.Taken = false
@@ -626,9 +627,9 @@ func (g *Generator) dataAddr() uint64 {
 	switch {
 	case x < spec.StrideFrac:
 		i := g.rData.Intn(len(g.streams))
-		g.streams[i] += strideStep
-		if g.streams[i] >= uint64(i+1)*g.streamSpan {
-			g.streams[i] = uint64(i) * g.streamSpan
+		g.streams[i] += StrideStep
+		if g.streams[i] >= uint64(i+1)*g.StreamSpan {
+			g.streams[i] = uint64(i) * g.StreamSpan
 		}
 		return DataBase + g.streams[i]
 	case x < g.dHotT:

@@ -106,8 +106,8 @@ func TestInstructionMixMatchesSpec(t *testing.T) {
 	}
 	check("load", counts[Load], spec.LoadFrac)
 	check("store", counts[Store], spec.StoreFrac)
-	// Branch fraction is quantized to 1/blockLen.
-	wantBranch := 1 / float64(g.BlockLen())
+	// Branch fraction is quantized to 1/BlockLen.
+	wantBranch := 1 / float64(g.BlockLen)
 	check("branch", counts[CondBranch], wantBranch)
 	check("fp", counts[FPOp], spec.FPFrac)
 	check("simd", counts[SIMDOp], spec.SIMDFrac)
@@ -117,8 +117,8 @@ func TestBlockLenDerivation(t *testing.T) {
 	s := testSpec()
 	s.BranchFrac = 0.10
 	g, _ := NewGenerator(s, "bl")
-	if g.BlockLen() != 10 {
-		t.Fatalf("BlockLen = %d, want 10", g.BlockLen())
+	if g.BlockLen != 10 {
+		t.Fatalf("BlockLen = %d, want 10", g.BlockLen)
 	}
 	s.BranchFrac = 0.8 // degenerate: clamp to 2
 	s.LoadFrac, s.StoreFrac = 0.1, 0.05
@@ -126,8 +126,8 @@ func TestBlockLenDerivation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.BlockLen() != 2 {
-		t.Fatalf("BlockLen = %d, want clamp to 2", g.BlockLen())
+	if g.BlockLen != 2 {
+		t.Fatalf("BlockLen = %d, want clamp to 2", g.BlockLen)
 	}
 }
 
@@ -247,7 +247,7 @@ func TestStridePurelySequential(t *testing.T) {
 		if ev.Kind != Load && ev.Kind != Store {
 			continue
 		}
-		if seen && ev.Addr != last+strideStep && ev.Addr >= last {
+		if seen && ev.Addr != last+StrideStep && ev.Addr >= last {
 			t.Fatalf("stride stream jumped from %#x to %#x", last, ev.Addr)
 		}
 		last, seen = ev.Addr, true
