@@ -182,7 +182,7 @@ func Stored[V any](ctx context.Context, r Runner, tier engine.Tier, key store.Ke
 		return getOrCompute(ctx, key, compute)
 	}
 	return getOrCompute(ctx, key, func(fctx context.Context) (v V, err error) {
-		err = r.Do(fctx, key.ID(), func(jctx context.Context) error {
+		err = r.Do(fctx, jobLabel(fctx, key, 1), func(jctx context.Context) error {
 			v, err = compute(jctx)
 			return err
 		})
@@ -232,6 +232,20 @@ func (g *grid) pair(l *leaf) (Entry, *machine.Machine) {
 	return g.entries[l.i/n], g.machines[l.i%n]
 }
 
+// jobLabel names a scheduler job of n measurements, the first under
+// key, on ctx's trace: key's ID, then "+k" for the k others. The
+// Runner shows a label only on a traced ctx, so an untraced one gets
+// none and builds no string.
+func jobLabel(ctx context.Context, key store.Key, n int) string {
+	if telemetry.FromContext(ctx) == nil {
+		return ""
+	}
+	if n == 1 {
+		return key.ID()
+	}
+	return fmt.Sprintf("%s +%d", key.ID(), n-1)
+}
+
 // measureRun measures ru's leaves through the store on r and waits
 // for them. A one-leaf run is a Stored measurement; a longer run takes
 // one slot for all its leaves and shows its first key and its length
@@ -242,8 +256,7 @@ func (g *grid) measureRun(ctx context.Context, r Runner, ru *run) {
 		l.rc, ru.err = Stored(ctx, r, g.eng.Tier(), l.key, g.st.GetOrCompute, g.measurer(l))
 		return
 	}
-	label := fmt.Sprintf("%s +%d", ru.leaves[0].key.ID(), len(ru.leaves)-1)
-	ru.err = r.Do(ctx, label, func(jctx context.Context) error {
+	ru.err = r.Do(ctx, jobLabel(ctx, ru.leaves[0].key, len(ru.leaves)), func(jctx context.Context) error {
 		for _, l := range ru.leaves {
 			if err := jctx.Err(); err != nil {
 				return err
@@ -254,10 +267,11 @@ func (g *grid) measureRun(ctx context.Context, r Runner, ru *run) {
 	})
 }
 
-// measurer returns the computation of one leaf on the engine.
+// measurer returns the computation of one leaf on the engine. It
+// captures the leaf, not a copy of its entry.
 func (g *grid) measurer(l *leaf) func(context.Context) (*machine.RawCounts, error) {
-	e, m := g.pair(l)
 	return func(ctx context.Context) (*machine.RawCounts, error) {
+		e, m := g.pair(l)
 		return g.eng.Measure(ctx, m, e.Workload, g.opts)
 	}
 }

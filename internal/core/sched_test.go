@@ -4,13 +4,16 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/store"
+	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
 
@@ -341,5 +344,49 @@ func TestCharacterizeWithPreCanceled(t *testing.T) {
 	}
 	if n := r.n.Load(); n != 0 {
 		t.Errorf("scheduler submissions = %d, want 0", n)
+	}
+}
+
+// labelRunner records the label of each job it forwards.
+type labelRunner struct {
+	Runner
+	mu     sync.Mutex
+	labels []string
+}
+
+func (r *labelRunner) Do(ctx context.Context, label string, fn func(context.Context) error) error {
+	r.mu.Lock()
+	r.labels = append(r.labels, label)
+	r.mu.Unlock()
+	return r.Runner.Do(ctx, label, fn)
+}
+
+// TestRunLabelOnlyWhenTraced: a run's scheduler label, its first key's
+// ID and "+k" for its k other leaves, is built for a traced
+// characterization only; an untraced one passes an empty label.
+func TestRunLabelOnlyWhenTraced(t *testing.T) {
+	entries := schedEntries(t, "505.mcf_r", "541.leela_r", "525.x264_r", "508.namd_r")
+	machines := testMachines(t)[:2]
+	first := store.KeyForEngine(machines[0], entries[0].Workload, machine.RunOptions{}, string(engine.TierAnalytic))
+	tr := telemetry.NewTracer(telemetry.TracerConfig{})
+	traced, root := tr.StartTrace(context.Background(), "test", "")
+	defer root.End()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		want string
+	}{
+		{"untraced", context.Background(), ""},
+		{"traced", traced, first.ID() + " +7"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := &labelRunner{Runner: sched.NewPool(1, nil).Queue(0)}
+			if _, err := CharacterizeWith(tc.ctx, entries, machines, machine.RunOptions{}, nil, r, engine.Analytic{}); err != nil {
+				t.Fatal(err)
+			}
+			if len(r.labels) != 1 || r.labels[0] != tc.want {
+				t.Errorf("labels = %q, want [%q] (one run of all 8 leaves)", r.labels, tc.want)
+			}
+		})
 	}
 }

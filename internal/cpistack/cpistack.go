@@ -25,20 +25,24 @@ type Penalties struct {
 	MLP float64
 }
 
-// Validate reports nonsensical parameters.
+// Validate reports nonsensical parameters: of several negative
+// latencies, the first in field order.
 func (p Penalties) Validate() error {
 	if p.MLP < 1 {
 		return fmt.Errorf("cpistack: MLP %v must be >= 1", p.MLP)
 	}
-	for name, v := range map[string]float64{
-		"MispredictPenalty": p.MispredictPenalty,
-		"L2HitLatency":      p.L2HitLatency,
-		"L3HitLatency":      p.L3HitLatency,
-		"MemLatency":        p.MemLatency,
-		"PageWalkLatency":   p.PageWalkLatency,
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"MispredictPenalty", p.MispredictPenalty},
+		{"L2HitLatency", p.L2HitLatency},
+		{"L3HitLatency", p.L3HitLatency},
+		{"MemLatency", p.MemLatency},
+		{"PageWalkLatency", p.PageWalkLatency},
 	} {
-		if v < 0 {
-			return fmt.Errorf("cpistack: %s %v must be >= 0", name, v)
+		if f.v < 0 {
+			return fmt.Errorf("cpistack: %s %v must be >= 0", f.name, f.v)
 		}
 	}
 	return nil

@@ -28,6 +28,16 @@ func TestPenaltiesValidate(t *testing.T) {
 	if err := p.Validate(); err == nil {
 		t.Fatal("negative latency should be invalid")
 	}
+	// Of several negative latencies, the first in field order, on
+	// every call.
+	p = okPenalties()
+	p.L2HitLatency, p.L3HitLatency, p.MemLatency, p.PageWalkLatency = -1, -1, -1, -1
+	const want = "cpistack: L2HitLatency -1 must be >= 0"
+	for call := 0; call < 64; call++ {
+		if err := p.Validate(); err == nil || err.Error() != want {
+			t.Fatalf("call %d: Validate() = %v, want %q", call, err, want)
+		}
+	}
 }
 
 func TestComputeIdealWorkload(t *testing.T) {

@@ -35,18 +35,22 @@ import (
 )
 
 // Analytic is the closed-form estimation engine. It is deterministic,
-// allocation-light, and O(#streams × solver steps) per measurement:
-// each cache or TLB level solves for its characteristic time in ~11
-// occupancy sums over its streams. No trace generation, no per-event
-// work.
+// allocates only the counts it returns when untraced, and costs
+// O(#streams × solver steps) per measurement: each cache or TLB level
+// solves for its characteristic time in ~11 occupancy sums over its
+// streams. No trace generation, no per-event work.
 type Analytic struct{}
 
 // Tier returns TierAnalytic.
 func (Analytic) Tier() Tier { return TierAnalytic }
 
 // Measure estimates w on m, emitting an "estimate" leaf span (the
-// analytic analogue of the exact engine's "simulate").
+// analytic analogue of the exact engine's "simulate") when ctx is
+// traced. Untraced, an estimate allocates only the returned counts.
 func (Analytic) Measure(ctx context.Context, m *machine.Machine, w machine.Workload, opts machine.RunOptions) (*machine.RawCounts, error) {
+	if telemetry.FromContext(ctx) == nil {
+		return estimate(m, w, opts)
+	}
 	_, span := telemetry.StartSpan(ctx, "estimate", "machine", m.Name(), "workload", w.Key)
 	rc, err := estimate(m, w, opts)
 	span.End()
@@ -79,8 +83,10 @@ type stream struct {
 // levelMisses models one LRU level of the given capacity serving the
 // streams, where arrival[i] is stream i's inbound event rate at this
 // level (events per instruction; deeper levels see only the upstream
-// misses). It returns each stream's expected miss rate over an
-// n-instruction window preceded by a warmup-instruction warmup.
+// misses). It writes each stream's expected miss rate over an
+// n-instruction window preceded by a warmup-instruction warmup into
+// miss, which has one element per stream and may be arrival itself:
+// stream i's arrival is read before its miss rate is written.
 //
 // Repeat references follow the characteristic-time approximation: a
 // line survives in an LRU cache iff it is re-referenced within the
@@ -101,7 +107,7 @@ type stream struct {
 // short fidelities this cold-start term dominates sparsely revisited
 // streams (kernel regions, giant footprints) — exactly the misses a
 // pure steady-state model misses.
-func levelMisses(capacity, lineBytes float64, streams []*stream, arrival []float64, n, warmup float64, split bool) []float64 {
+func levelMisses(capacity, lineBytes float64, streams []*stream, arrival []float64, n, warmup float64, split bool, miss []float64) {
 	// The live streams' sizes and per-line rates, in stream order (a
 	// level serves at most 11 streams, so both fit on the stack).
 	var sizeBuf, muBuf [16]float64
@@ -122,21 +128,29 @@ func levelMisses(capacity, lineBytes float64, streams []*stream, arrival []float
 		t = characteristicTime(capacity, sizes, mus)
 	}
 
-	miss := make([]float64, len(streams))
 	for i, st := range streams {
 		if st.size <= 0 || arrival[i] <= 0 {
+			miss[i] = 0
 			continue
 		}
 		mu := arrival[i] * lineBytes / st.size
-		h := 1.0
+		// e^(−μT) and e^(−μ·horizon), each evaluated once: the horizon
+		// is T itself whenever the warmup outlasts T, and then both are
+		// the same float.
+		h, eT := 1.0, 0.0
 		if !math.IsInf(t, 1) {
-			h = 1 - math.Exp(-mu*t)
+			eT = math.Exp(-mu * t)
+			h = 1 - eT
 		}
 		horizon := warmup
 		if t < horizon {
 			horizon = t
 		}
-		hStart := 1 - math.Exp(-mu*horizon)
+		eH := eT
+		if horizon != t {
+			eH = math.Exp(-mu * horizon)
+		}
+		hStart := 1 - eH
 		if warmup <= t {
 			after := st.prime.afterAll
 			if split {
@@ -149,14 +163,13 @@ func levelMisses(capacity, lineBytes float64, streams []*stream, arrival []float
 			if pf := st.prime.frac * st.size; res > pf {
 				res = pf
 			}
-			hStart += math.Exp(-mu*horizon) * res / st.size
+			hStart += eH * res / st.size
 		}
 		lines := st.size / lineBytes
 		refs := arrival[i] * n
 		distinct := lines * (1 - math.Exp(-refs/lines))
 		miss[i] = ((refs-distinct)*(1-h) + distinct*(1-hStart)) / n
 	}
-	return miss
 }
 
 // occupancy returns the bytes a level holds at characteristic time t,
@@ -340,14 +353,16 @@ func cascade(code *[nCode]stream, data *[nData]stream, grain, n, wu, l1i, l1d fl
 	for i, st := range all {
 		arr[i] = st.rate
 	}
-	copy(arr[:], levelMisses(l1i, grain, all[:nCode], arr[:nCode], n, wu, true))
-	copy(arr[nCode:], levelMisses(l1d, grain, all[nCode:], arr[nCode:], n, wu, true))
+	// Each level's misses replace its arrivals in place: they are the
+	// next level's arrivals.
+	levelMisses(l1i, grain, all[:nCode], arr[:nCode], n, wu, true, arr[:nCode])
+	levelMisses(l1d, grain, all[nCode:], arr[nCode:], n, wu, true, arr[nCode:])
 	miss[0] = sides{sumSide(all[:], arr[:], true), sumSide(all[:], arr[:], false)}
 	for lvl, capacity := range unified {
 		if capacity == 0 {
 			break
 		}
-		copy(arr[:], levelMisses(capacity, grain, all[:], arr[:], n, wu, false))
+		levelMisses(capacity, grain, all[:], arr[:], n, wu, false, arr[:])
 		miss[lvl+1] = sides{sumSide(all[:], arr[:], true), sumSide(all[:], arr[:], false)}
 	}
 	return miss

@@ -43,10 +43,11 @@ const (
 // prices admission by the ratio. The analytic figure was a registry
 // sweep's per-leaf estimate time (BenchmarkAnalyticRegistry, 40-55 µs)
 // when it was set; since the characteristic-time solve replays its
-// bisection from a Newton bracket, that is 19-26 µs. The constant
-// stays 50 µs on purpose: it fixes the ÷50 admission price of an
-// analytic request and core's 20-leaf runs, which moving it would
-// resize. The exact figure is the analytic one times the 50x
+// bisection from a Newton bracket and the estimate stopped allocating
+// its scratch, that is 16-19 µs (8.8-10.6 ms per 560-estimate sweep).
+// The constant stays 50 µs on purpose: it fixes the ÷50 admission
+// price of an analytic request and core's 20-leaf runs, which moving
+// it would resize. The exact figure is the analytic one times the 50x
 // registry speedup the analytic tier is held to; an exact leaf costs
 // more even at specbench's sampled fidelity (2.6-3.2 ms at 20000
 // measured and 4000 warmup instructions), so it fills a job alone.

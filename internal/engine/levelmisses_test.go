@@ -3,6 +3,7 @@ package engine
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -145,7 +146,9 @@ func randomLevel(r *rand.Rand, escape bool) (capacity, lineBytes float64, stream
 // some float t or a neighbour of it; levels whose T lies below 2^-27,
 // where the 80-step cap ends the bisection before its bounds meet;
 // and flat tails, whose capacity falls short of the streams' total by
-// a relative 1e-9 to 1e-14, where Newton's bracket may stay open. Each path, and a Newton
+// a relative 1e-9 to 1e-14, where Newton's bracket may stay open.
+// levelMisses writes into a buffer of stale values, and in place over
+// the arrivals, with the same bits. Each path, and a Newton
 // iterate landing at or past T, must be reached at least once by the
 // constructed trials. A -race build runs a quarter of the trials.
 func TestLevelMissesMatchesReference(t *testing.T) {
@@ -170,12 +173,24 @@ func TestLevelMissesMatchesReference(t *testing.T) {
 		case 3: // a flat tail
 			capacity = total * (1 - math.Pow(10, -9-5*r.Float64()))
 		}
-		got := levelMisses(capacity, lineBytes, streams, arrival, n, warmup, split)
+		// Into a buffer of stale values, and in place over a copy of the
+		// arrivals, as cascade calls it.
+		got := make([]float64, len(streams))
+		for i := range got {
+			got[i] = math.NaN()
+		}
+		levelMisses(capacity, lineBytes, streams, arrival, n, warmup, split, got)
+		inPlace := slices.Clone(arrival)
+		levelMisses(capacity, lineBytes, streams, inPlace, n, warmup, split, inPlace)
 		want := levelMissesReference(capacity, lineBytes, streams, arrival, n, warmup, split)
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("trial %d (kind %d), stream %d of %d: miss rate %v, reference %v",
 					trial, kind, i, len(streams), got[i], want[i])
+			}
+			if math.Float64bits(inPlace[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d (kind %d), stream %d of %d: in-place miss rate %v, reference %v",
+					trial, kind, i, len(streams), inPlace[i], want[i])
 			}
 		}
 		if kind > 3 || len(sizes) == 0 || total <= capacity {

@@ -53,7 +53,7 @@ type labState struct {
 
 	// build coalesces the callers of the one fleet characterization;
 	// result holds its outcome once one is final.
-	build  flight.Group[*labResult]
+	build  flight.Group[string, *labResult]
 	result atomic.Pointer[labResult]
 }
 

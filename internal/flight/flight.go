@@ -26,10 +26,11 @@ import (
 	"sync"
 )
 
-// Group coalesces calls by key. The zero value is ready to use.
-type Group[V any] struct {
+// Group coalesces calls by a key of type K. The zero value is ready
+// to use.
+type Group[K comparable, V any] struct {
 	mu    sync.Mutex
-	calls map[string]*call[V]
+	calls map[K]*call[V]
 }
 
 // call is one flight and the callers waiting on it.
@@ -56,7 +57,7 @@ type call[V any] struct {
 // cancellation, and it is canceled when every caller has left. joined
 // reports whether this caller coalesced onto another caller's flight.
 // A caller whose own ctx ends gets ctx.Err().
-func (g *Group[V]) Do(ctx context.Context, key string, fn func(context.Context) (V, error)) (val V, err error, joined bool) {
+func (g *Group[K, V]) Do(ctx context.Context, key K, fn func(context.Context) (V, error)) (val V, err error, joined bool) {
 	return g.do(ctx, key, fn, false)
 }
 
@@ -68,11 +69,11 @@ func (g *Group[V]) Do(ctx context.Context, key string, fn func(context.Context) 
 // the leader's ctx ended, the flight counts as abandoned, so a joined
 // caller still live leads a fresh one. When a flight is already in
 // progress, DoInline joins it exactly like Do.
-func (g *Group[V]) DoInline(ctx context.Context, key string, fn func(context.Context) (V, error)) (val V, err error, joined bool) {
+func (g *Group[K, V]) DoInline(ctx context.Context, key K, fn func(context.Context) (V, error)) (val V, err error, joined bool) {
 	return g.do(ctx, key, fn, true)
 }
 
-func (g *Group[V]) do(ctx context.Context, key string, fn func(context.Context) (V, error), inline bool) (val V, err error, joined bool) {
+func (g *Group[K, V]) do(ctx context.Context, key K, fn func(context.Context) (V, error), inline bool) (val V, err error, joined bool) {
 	for {
 		g.mu.Lock()
 		c, ok := g.calls[key]
@@ -119,9 +120,9 @@ func (g *Group[V]) do(ctx context.Context, key string, fn func(context.Context) 
 
 // startLocked registers a new flight for key, led by the caller.
 // Caller holds g.mu.
-func (g *Group[V]) startLocked(key string, cancel context.CancelFunc) *call[V] {
+func (g *Group[K, V]) startLocked(key K, cancel context.CancelFunc) *call[V] {
 	if g.calls == nil {
-		g.calls = make(map[string]*call[V])
+		g.calls = make(map[K]*call[V])
 	}
 	c := &call[V]{refs: 1, cancel: cancel}
 	g.calls[key] = c
@@ -129,7 +130,7 @@ func (g *Group[V]) startLocked(key string, cancel context.CancelFunc) *call[V] {
 }
 
 // finish publishes c's result and ends the flight.
-func (g *Group[V]) finish(key string, c *call[V], v V, err error, abandoned bool) {
+func (g *Group[K, V]) finish(key K, c *call[V], v V, err error, abandoned bool) {
 	g.mu.Lock()
 	// Publish the result and wake the waiters in the same critical
 	// section that deletes the key: a caller that finds no flight
@@ -148,7 +149,7 @@ func (g *Group[V]) finish(key string, c *call[V], v V, err error, abandoned bool
 
 // leave drops one waiting caller from c, canceling the flight when it
 // was the last one.
-func (g *Group[V]) leave(key string, c *call[V]) {
+func (g *Group[K, V]) leave(key K, c *call[V]) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	c.refs--
@@ -163,7 +164,7 @@ func (g *Group[V]) leave(key string, c *call[V]) {
 // Waiting reports how many callers have joined key's flight in
 // progress (0 if none is). Tests use it to release a blocked flight
 // only after every expected caller has joined.
-func (g *Group[V]) Waiting(key string) int {
+func (g *Group[K, V]) Waiting(key K) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if c, ok := g.calls[key]; ok {

@@ -10,7 +10,7 @@ import (
 )
 
 func TestFlightCoalesces(t *testing.T) {
-	var g Group[any]
+	var g Group[string, any]
 	const callers = 8
 	var executions atomic.Int64
 	release := make(chan struct{})
@@ -62,7 +62,7 @@ func TestFlightCoalesces(t *testing.T) {
 }
 
 func TestFlightSequentialCallsRunSeparately(t *testing.T) {
-	var g Group[any]
+	var g Group[string, any]
 	var executions atomic.Int64
 	for i := 0; i < 3; i++ {
 		_, _, joined := g.Do(context.Background(), "k", func(context.Context) (any, error) {
@@ -79,7 +79,7 @@ func TestFlightSequentialCallsRunSeparately(t *testing.T) {
 }
 
 func TestFlightSharesError(t *testing.T) {
-	var g Group[any]
+	var g Group[string, any]
 	boom := errors.New("boom")
 	release := make(chan struct{})
 	var wg sync.WaitGroup
@@ -122,7 +122,7 @@ func TestFlightSharesError(t *testing.T) {
 // flight's context, and a live caller that joined a doomed flight
 // retries on a fresh one instead of inheriting the cancellation.
 func TestFlightCancellation(t *testing.T) {
-	var g Group[any]
+	var g Group[string, any]
 
 	// Lone caller cancels -> flight context canceled.
 	started := make(chan struct{})
@@ -174,7 +174,7 @@ func TestFlightCancellation(t *testing.T) {
 // re-ordering directly whenever the scheduler parks the flight
 // goroutine inside its delete-to-close window.
 func TestFlightResultPublishedBeforeKeyDeleted(t *testing.T) {
-	var g Group[any]
+	var g Group[string, any]
 	for trial := 0; trial < 200; trial++ {
 		release := make(chan struct{})
 		go func() {
@@ -229,7 +229,7 @@ func TestFlightResultPublishedBeforeKeyDeleted(t *testing.T) {
 // TestFlightSurvivesLeaderDeparture: when the leading caller leaves, a
 // caller still waiting keeps the flight running and gets its result.
 func TestFlightSurvivesLeaderDeparture(t *testing.T) {
-	var g Group[any]
+	var g Group[string, any]
 	release := make(chan struct{})
 	canceled := make(chan struct{}, 1)
 	fn := func(fctx context.Context) (any, error) {
@@ -296,7 +296,7 @@ func TestFlightSurvivesLeaderDeparture(t *testing.T) {
 // the leading caller's values but not its deadline or cancellation.
 func TestFlightContextCarriesLeaderValues(t *testing.T) {
 	type ctxKey struct{}
-	var g Group[any]
+	var g Group[string, any]
 	ctx, cancel := context.WithTimeout(context.WithValue(context.Background(), ctxKey{}, "leader"), time.Hour)
 	defer cancel()
 	v, err, _ := g.Do(ctx, "k", func(fctx context.Context) (any, error) {
@@ -311,7 +311,7 @@ func TestFlightContextCarriesLeaderValues(t *testing.T) {
 }
 
 // waitJoined waits until n callers have joined key's flight.
-func waitJoined(t *testing.T, g *Group[any], key string, n int) {
+func waitJoined(t *testing.T, g *Group[string, any], key string, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for g.Waiting(key) < n {
@@ -327,7 +327,7 @@ func waitJoined(t *testing.T, g *Group[any], key string, n int) {
 // join it and share its one result.
 func TestFlightDoInline(t *testing.T) {
 	type ctxKey struct{}
-	var g Group[any]
+	var g Group[string, any]
 	var executions atomic.Int64
 	release := make(chan struct{})
 	fn := func(context.Context) (any, error) {
@@ -391,7 +391,7 @@ func TestFlightDoInline(t *testing.T) {
 // ends and fn fails, a caller that joined and is still live leads a
 // fresh flight instead of inheriting the cancellation.
 func TestFlightDoInlineLeaderCanceled(t *testing.T) {
-	var g Group[any]
+	var g Group[string, any]
 	lctx, lcancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
 	lerr := make(chan error, 1)

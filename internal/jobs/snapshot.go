@@ -35,14 +35,7 @@ func (m *Manager) checkpoint() {
 	m.ckptMu.Lock()
 	defer m.ckptMu.Unlock()
 
-	m.mu.Lock()
-	snap := snapshotFile{Version: snapshotVersion, Jobs: make([]Job, 0, len(m.order))}
-	for _, id := range m.order {
-		snap.Jobs = append(snap.Jobs, m.jobs[id].job.clone())
-	}
-	m.mu.Unlock()
-
-	data, err := json.MarshalIndent(snap, "", "  ")
+	data, err := m.encodeSnapshot()
 	if err != nil {
 		m.cfg.Log.Error("jobs: checkpoint marshal", "error", err.Error())
 		return
@@ -52,6 +45,17 @@ func (m *Manager) checkpoint() {
 		return
 	}
 	m.met.checkpoints.Inc()
+}
+
+// encodeSnapshot returns the job table as a snapshot document.
+func (m *Manager) encodeSnapshot() ([]byte, error) {
+	m.mu.Lock()
+	snap := snapshotFile{Version: snapshotVersion, Jobs: make([]Job, 0, len(m.order))}
+	for _, id := range m.order {
+		snap.Jobs = append(snap.Jobs, m.jobs[id].job.clone())
+	}
+	m.mu.Unlock()
+	return json.MarshalIndent(snap, "", "  ")
 }
 
 // load restores the job table from cfg.Path. Jobs interrupted mid-run
@@ -66,6 +70,12 @@ func (m *Manager) load() error {
 	if err != nil {
 		return err
 	}
+	return m.restore(data)
+}
+
+// restore adds the jobs of a snapshot document to the table, as load
+// describes. A document it rejects adds none.
+func (m *Manager) restore(data []byte) error {
 	var snap snapshotFile
 	if err := json.Unmarshal(data, &snap); err != nil {
 		return fmt.Errorf("parse: %w", err)

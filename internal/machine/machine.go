@@ -383,7 +383,7 @@ func (m *Machine) adjustSpec(w Workload) trace.Spec {
 	}
 	// Compiler/system jitter: ±3% multiplicative noise on the mix and
 	// locality knobs, keyed by workload and machine.
-	r := rng.NewKeyed(w.Key+"|"+m.cfg.Name, 0xC0)
+	r := rng.NewKeyedJoin(0xC0, w.Key, "|", m.cfg.Name)
 	jitter := func(v float64) float64 {
 		return v * (1 + (r.Float64()-0.5)*0.06)
 	}

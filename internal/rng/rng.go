@@ -20,14 +20,23 @@ func New(seed uint64) *Rand {
 // branch outcomes, block selection, ...) of the same workload never
 // share a stream.
 func NewKeyed(key string, stream uint64) *Rand {
+	return NewKeyedJoin(stream, key)
+}
+
+// NewKeyedJoin is NewKeyed of the concatenation of parts, without
+// building it: NewKeyedJoin(s, a, "|", b) is the stream of
+// NewKeyed(a+"|"+b, s).
+func NewKeyedJoin(stream uint64, parts ...string) *Rand {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
+	for _, key := range parts {
+		for i := 0; i < len(key); i++ {
+			h ^= uint64(key[i])
+			h *= prime64
+		}
 	}
 	h ^= stream
 	h *= prime64

@@ -33,6 +33,18 @@ func TestKeyedStreamsIndependent(t *testing.T) {
 	}
 }
 
+// TestKeyedJoinMatchesConcatenation: NewKeyedJoin hashes exactly the
+// bytes of its parts' concatenation.
+func TestKeyedJoinMatchesConcatenation(t *testing.T) {
+	f := func(a, b string, stream uint64) bool {
+		return NewKeyedJoin(stream, a, "|", b).Uint64() == NewKeyed(a+"|"+b, stream).Uint64() &&
+			NewKeyedJoin(stream).Uint64() == NewKeyed("", stream).Uint64()
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestFloat64Range(t *testing.T) {
 	r := New(7)
 	for i := 0; i < 10000; i++ {

@@ -267,7 +267,7 @@ type Server struct {
 	routes  []routeDef
 	started time.Time
 
-	flight flight.Group[[]byte]
+	flight flight.Group[string, []byte]
 	sem    chan struct{}         // worker-pool slots (interactive requests)
 	pool   *sched.Pool           // shared simulation scheduler
 	queue  *sched.Queue          // the server's queue on pool (uncapped)

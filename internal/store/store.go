@@ -93,10 +93,9 @@ type Key struct {
 	Content string `json:"content"`
 }
 
-// ID returns the key's canonical string identity: the identity the
-// store's flights coalesce in-flight simulations by. It is injective
-// because Machine, Workload and Engine never contain '|' (load skips
-// records where they do).
+// ID returns the key's canonical string identity, as traces and
+// snapshots show it. It is injective because Machine, Workload and
+// Engine never contain '|' (load skips records where they do).
 func (k Key) ID() string {
 	b := make([]byte, 0, 160) // fits every key the fleet produces
 	b = append(b, k.Machine...)
@@ -133,7 +132,9 @@ func contentHash(cfg, w []byte) string {
 	h.Write(cfg)
 	h.Write(w)
 	var sum [sha256.Size]byte
-	return hex.EncodeToString(h.Sum(sum[:0])[:16])
+	var digits [32]byte
+	hex.Encode(digits[:], h.Sum(sum[:0])[:16])
+	return string(digits[:])
 }
 
 // KeyFor returns the store key of a single-copy measurement of w on m
@@ -266,10 +267,10 @@ type Stats struct {
 
 // table holds one kind of record (single- or multi-copy), keyed by
 // the structured Key so that snapshots never parse an ID back, with
-// the flights (by Key.ID) computing the ones not yet resident.
+// the flights (by Key too) computing the ones not yet resident.
 type table[V any] struct {
 	recs    map[Key]V // guarded by Store.mu
-	flights flight.Group[V]
+	flights flight.Group[Key, V]
 }
 
 // Store is a concurrency-safe measurement store. Create with Open (or
@@ -591,13 +592,13 @@ func (s *Store) pairLocked(key Key, v any) (analyticKey Key, analytic, exact *ma
 // callers that serve hits inline and send only misses to a scheduler.
 // A hit counts in spec17_store_hits_total and, when ctx is traced,
 // records a store.get span; a miss counts nothing. The untraced path
-// does not allocate.
+// neither allocates nor reads the clock.
 func (s *Store) Lookup(ctx context.Context, key Key) (*machine.RawCounts, bool) {
 	return lookupIn(ctx, s, &s.single, key)
 }
 
 func lookupIn[V any](ctx context.Context, s *Store, t *table[V], key Key) (V, bool) {
-	start := time.Now()
+	start := tracedNow(ctx)
 	s.mu.Lock()
 	v, ok := t.recs[key]
 	s.mu.Unlock()
@@ -605,6 +606,16 @@ func lookupIn[V any](ctx context.Context, s *Store, t *table[V], key Key) (V, bo
 		s.hit(ctx, key, start)
 	}
 	return v, ok
+}
+
+// tracedNow is the time now if ctx is traced, so that a span can start
+// there, and the zero time otherwise: an untraced caller never reads
+// the clock.
+func tracedNow(ctx context.Context) time.Time {
+	if telemetry.FromContext(ctx) == nil {
+		return time.Time{}
+	}
+	return time.Now()
 }
 
 // hit accounts for one record served without computing since start.
@@ -644,9 +655,8 @@ func getOrCompute[V any](ctx context.Context, s *Store, t *table[V], key Key, co
 	if v, ok := lookupIn(ctx, s, t, key); ok {
 		return v, nil
 	}
-	id := key.ID()
-	start := time.Now()
-	v, err, joined := t.flights.DoInline(ctx, id, func(fctx context.Context) (V, error) {
+	start := tracedNow(ctx)
+	v, err, joined := t.flights.DoInline(ctx, key, func(fctx context.Context) (V, error) {
 		// A flight for key may have stored the record since the
 		// lookup above.
 		if v, ok := lookupIn(fctx, s, t, key); ok {
@@ -657,10 +667,10 @@ func getOrCompute[V any](ctx context.Context, s *Store, t *table[V], key Key, co
 		if err != nil {
 			return v, err
 		}
-		putStart := time.Now()
+		putStart := tracedNow(fctx)
 		put(s, t, key, v)
 		if sp := telemetry.FromContext(fctx); sp != nil {
-			sp.Record("store.put", putStart, time.Now(), "key", id)
+			sp.Record("store.put", putStart, time.Now(), "key", key.ID())
 		}
 		return v, nil
 	})

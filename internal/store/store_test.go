@@ -516,7 +516,7 @@ func TestJoinCountsOneHit(t *testing.T) {
 		joined <- err
 	}()
 	deadline := time.Now().Add(10 * time.Second)
-	for s.single.flights.Waiting(key.ID()) != 1 {
+	for s.single.flights.Waiting(key) != 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("timed out waiting for the second caller to join")
 		}

@@ -125,16 +125,21 @@ type Spec struct {
 
 // Validate reports the first implausible field.
 func (s Spec) Validate() error {
-	fracs := map[string]float64{
-		"LoadFrac": s.LoadFrac, "StoreFrac": s.StoreFrac, "BranchFrac": s.BranchFrac,
-		"FPFrac": s.FPFrac, "SIMDFrac": s.SIMDFrac, "KernelFrac": s.KernelFrac,
-		"HotFrac": s.HotFrac, "MidFrac": s.MidFrac, "WarmFrac": s.WarmFrac, "StrideFrac": s.StrideFrac,
-		"HotCodeFrac": s.HotCodeFrac, "BranchEntropy": s.BranchEntropy, "PatternFrac": s.PatternFrac,
-		"TakenFrac": s.TakenFrac,
+	// The fractions in field order, so that of several out of range the
+	// first is reported, every time.
+	fracs := [...]struct {
+		name string
+		v    float64
+	}{
+		{"LoadFrac", s.LoadFrac}, {"StoreFrac", s.StoreFrac}, {"BranchFrac", s.BranchFrac},
+		{"FPFrac", s.FPFrac}, {"SIMDFrac", s.SIMDFrac}, {"KernelFrac", s.KernelFrac},
+		{"HotFrac", s.HotFrac}, {"MidFrac", s.MidFrac}, {"WarmFrac", s.WarmFrac}, {"StrideFrac", s.StrideFrac},
+		{"HotCodeFrac", s.HotCodeFrac}, {"BranchEntropy", s.BranchEntropy}, {"PatternFrac", s.PatternFrac},
+		{"TakenFrac", s.TakenFrac},
 	}
-	for name, f := range fracs {
-		if f < 0 || f > 1 {
-			return fmt.Errorf("trace: %s = %v outside [0,1]", name, f)
+	for _, f := range fracs {
+		if f.v < 0 || f.v > 1 {
+			return fmt.Errorf("trace: %s = %v outside [0,1]", f.name, f.v)
 		}
 	}
 	if s.LoadFrac+s.StoreFrac+s.BranchFrac > 1 {

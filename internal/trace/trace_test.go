@@ -45,6 +45,24 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
+// TestSpecValidateFirstInFieldOrder: of several out-of-range fractions,
+// Validate names the first in field order, with the same text on every
+// call. Thirteen are out of range here, so a scan in any other order
+// would pick another one on some of the calls.
+func TestSpecValidateFirstInFieldOrder(t *testing.T) {
+	s := testSpec()
+	s.StoreFrac, s.BranchFrac, s.FPFrac, s.SIMDFrac, s.KernelFrac = 1.5, 1.5, 1.5, 1.5, 1.5
+	s.HotFrac, s.MidFrac, s.WarmFrac, s.StrideFrac = 1.5, 1.5, 1.5, 1.5
+	s.HotCodeFrac, s.BranchEntropy, s.PatternFrac, s.TakenFrac = 1.5, -1, -1, -1
+	const want = "trace: StoreFrac = 1.5 outside [0,1]"
+	for call := 0; call < 64; call++ {
+		err := s.Validate()
+		if err == nil || err.Error() != want {
+			t.Fatalf("call %d: Validate() = %v, want %q", call, err, want)
+		}
+	}
+}
+
 func TestGeneratorDeterministic(t *testing.T) {
 	g1, err := NewGenerator(testSpec(), "wl")
 	if err != nil {
