@@ -56,12 +56,14 @@ race-all:
 	$(GO) test -race ./...
 
 # fuzz runs each native fuzz target (the query-string parser, the
-# store snapshot loader, the machine-config decoder, the jobs snapshot
-# loader) for a bounded time, starting from its committed seed corpus
-# under testdata/fuzz/. A failing input is written there too, and then
-# fails plain `go test` until fixed.
+# batch and job request-body decoder, the store snapshot loader, the
+# machine-config decoder, the jobs snapshot loader) for a bounded
+# time, starting from its committed seed corpus under testdata/fuzz/.
+# A failing input is written there too, and then fails plain `go test`
+# until fixed.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRunOptions$$' -fuzztime 10s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzBatchBody$$' -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreOpen$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzParseConfigs$$' -fuzztime 10s ./internal/machine
 	$(GO) test -run '^$$' -fuzz '^FuzzJobsLoad$$' -fuzztime 10s ./internal/jobs
@@ -75,15 +77,17 @@ bench:
 # 4-copy RunMulti leaf, clearing and priming a hierarchy) and the cold
 # analytic path's (a registry sweep of estimates, the
 # characteristic-time solver alone, a cold analytic fleet
-# characterization) and the server's result-cache hit (a table1-sized
-# and a fig10-sized cached result through the whole handler) once
-# each, so they keep compiling and running. The engine and experiments
-# lines add -benchmem, so the log shows the cold analytic path's
-# allocs/op.
+# characterization), keying the registry on the fleet with every
+# pair's content hash memoized, and the server's result-cache hit (a
+# table1-sized and a fig10-sized cached result through the whole
+# handler) once each, so they keep compiling and running. The engine,
+# store and experiments lines add -benchmem, so the log shows the cold
+# analytic path's allocs/op.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'EigenSym|FitPCA' -benchtime 1x ./internal/stats
 	$(GO) test -run '^$$' -bench 'ExactLeaf|RunMulti|Prime' -benchtime 1x ./internal/machine
 	$(GO) test -run '^$$' -bench 'AnalyticRegistry|LevelMisses' -benchtime 1x -benchmem ./internal/engine
+	$(GO) test -run '^$$' -bench 'KeyFleet' -benchtime 1x -benchmem ./internal/store
 	$(GO) test -run '^$$' -bench 'CharacterizeColdAnalytic' -benchtime 1x -benchmem ./internal/experiments
 	$(GO) test -run '^$$' -bench 'CachedExperiment' -benchtime 1x ./internal/server
 

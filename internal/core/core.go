@@ -91,7 +91,7 @@ func CharacterizeWith(ctx context.Context, entries []Entry, machines []*machine.
 	}
 
 	g := &grid{entries: entries, machines: machines, opts: opts, st: st, eng: eng}
-	kg := store.NewKeyGrid(machines, opts, string(eng.Tier()))
+	tier := string(eng.Tier())
 	runLen := leavesPerRun(eng.Tier())
 
 	leaves := make([]leaf, len(entries)*len(machines))
@@ -105,19 +105,14 @@ func CharacterizeWith(ctx context.Context, entries []Entry, machines []*machine.
 		}(cur)
 		cur = nil
 	}
-	var row []store.Key
 	for i := range leaves {
 		if ctx.Err() != nil {
 			break // canceled: stop submitting
 		}
-		j := i % len(machines)
-		if j == 0 {
-			// Keyed one entry at a time, so keying overlaps the first
-			// runs' work.
-			row = kg.Row(entries[i/len(machines)].Workload)
-		}
 		l := &leaves[i]
-		l.i, l.key = i, row[j]
+		l.i = i
+		e, m := g.pair(l)
+		l.key = store.KeyForEngine(m, e.Workload, opts, tier)
 		if rc, ok := st.Lookup(ctx, l.key); ok {
 			l.rc = rc
 			continue

@@ -11,6 +11,8 @@
 package machine
 
 import (
+	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -57,6 +59,12 @@ type Config struct {
 // concurrent use: each Run takes its own simulator state.
 type Machine struct {
 	cfg Config
+	// digest is the SHA-256 of cfg's JSON form, so equal
+	// configurations have equal digests however they were built. It is
+	// taken once, when first asked for, so like state a Machine that is
+	// never keyed spends nothing on it.
+	digest     [sha256.Size]byte
+	digestOnce sync.Once
 	// state pools cleared *simState values between runs, so a run
 	// does not allocate megabytes of tag arrays. It fills lazily: New
 	// and a Machine that never runs allocate none.
@@ -139,6 +147,19 @@ func New(cfg Config) (*Machine, error) {
 
 // Config returns the machine's configuration.
 func (m *Machine) Config() Config { return m.cfg }
+
+// ConfigDigest returns the SHA-256 of the machine's configuration as
+// JSON: a value that identifies the configuration, so two Machines
+// built from equal Configs share it.
+func (m *Machine) ConfigDigest() [sha256.Size]byte {
+	m.digestOnce.Do(func() {
+		// Marshalling a Config fails only on a NaN or infinite field;
+		// such a configuration digests as empty bytes.
+		enc, _ := json.Marshal(m.cfg)
+		m.digest = sha256.Sum256(enc)
+	})
+	return m.digest
+}
 
 // Name returns the machine's name.
 func (m *Machine) Name() string { return m.cfg.Name }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -102,22 +103,40 @@ func (lw *lineWriter) flushLocked() {
 	}
 }
 
-// parseBatchRequest extracts a batchRequest from either encoding. The
-// ResponseWriter is needed because MaxBytesReader uses it to close the
-// connection when the body limit trips (passing nil would panic there
-// in newer net/http, and silently skip the close in older ones); an
-// oversized body surfaces as *http.MaxBytesError for the caller to map
-// to 413. The route wrapper has already vetted the query: POST takes
-// none.
-func parseBatchRequest(w http.ResponseWriter, r *http.Request) (batchRequest, error) {
+// decodeBody decodes r's body into v: exactly one JSON value, of at
+// most limit bytes, with no unknown fields and nothing after it but
+// white space. On failure it answers the request itself, naming the
+// body what: 413 body_too_large if the body exceeds limit, else 400
+// bad_options. The ResponseWriter is needed because MaxBytesReader
+// uses it to close the connection when the limit trips.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, limit int64, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		} else if err == nil {
+			err = errors.New("data after the JSON value")
+		}
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, codeBodyTooLarge,
+			fmt.Sprintf("%s body exceeds the %d-byte limit", what, tooLarge.Limit), nil)
+		return false
+	}
+	writeError(w, http.StatusBadRequest, codeBadOptions, fmt.Sprintf("decoding %s body: %v", what, err), nil)
+	return false
+}
+
+// parseBatchRequest extracts a batchRequest from either encoding. On
+// failure it answers the request itself and returns false. The route
+// wrapper has already vetted the query: POST takes none.
+func parseBatchRequest(w http.ResponseWriter, r *http.Request) (batchRequest, bool) {
 	var req batchRequest
 	if r.Method == http.MethodPost {
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBodyBytes))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			return req, fmt.Errorf("decoding batch body: %w", err)
-		}
-		return req, nil
+		return req, decodeBody(w, r, "batch", maxBatchBodyBytes, &req)
 	}
 	q := r.URL.Query()
 	req.Engine = q.Get("engine")
@@ -137,12 +156,13 @@ func parseBatchRequest(w http.ResponseWriter, r *http.Request) (batchRequest, er
 		if v := q.Get(f.name); v != "" {
 			n, err := strconv.Atoi(v)
 			if err != nil {
-				return req, fmt.Errorf("%s=%q: must be an integer", f.name, v)
+				writeError(w, http.StatusBadRequest, codeBadOptions, fmt.Sprintf("%s=%q: must be an integer", f.name, v), nil)
+				return req, false
 			}
 			*f.dst = n
 		}
 	}
-	return req, nil
+	return req, true
 }
 
 // resolveBatchIDs validates and deduplicates the requested ids,
@@ -226,15 +246,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if s.refuseDraining(w) {
 		return
 	}
-	req, err := parseBatchRequest(w, r)
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, codeBodyTooLarge,
-				fmt.Sprintf("batch body exceeds the %d-byte limit", tooLarge.Limit), nil)
-			return
-		}
-		writeError(w, http.StatusBadRequest, codeBadOptions, err.Error(), nil)
+	req, ok := parseBatchRequest(w, r)
+	if !ok {
 		return
 	}
 	sw, ok := s.checkSweep(w, req)

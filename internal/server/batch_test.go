@@ -302,6 +302,47 @@ func TestBatchPost(t *testing.T) {
 	}
 }
 
+// TestBodyTrailingData: POST /v1/batch and POST /v1/jobs take exactly
+// one JSON value. A second value or garbage after it is a 400
+// bad_options that computes nothing, not a request for the first
+// value alone; trailing white space is still accepted.
+func TestBodyTrailingData(t *testing.T) {
+	s, computations := newTestServer(Config{})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	post := func(path, body string) (int, []byte) {
+		t.Helper()
+		resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, raw
+	}
+	const first = `{"experiments":["table1"]}`
+	for _, path := range []string{"/v1/batch", "/v1/jobs"} {
+		for _, trailer := range []string{`{"experiments":["fig1"]}`, " trailing garbage", "]", `"x"`, "\n0"} {
+			code, body := post(path, first+trailer)
+			var e errorEnvelope
+			if code != http.StatusBadRequest || json.Unmarshal(body, &e) != nil || e.Error.Code != codeBadOptions {
+				t.Errorf("%s with %q after the value: %d %s, want 400 %s", path, trailer, code, body, codeBadOptions)
+			}
+		}
+	}
+	if n := computations.Load(); n != 0 {
+		t.Fatalf("bodies with trailing data started %d computations, want 0", n)
+	}
+	if code, body := post("/v1/batch", first+" \r\n\t"); code != http.StatusOK {
+		t.Errorf("/v1/batch with trailing white space: %d %s, want 200", code, body)
+	}
+	if code, body := post("/v1/jobs", first+"\n"); code != http.StatusAccepted {
+		t.Errorf("/v1/jobs with a trailing newline: %d %s, want 202", code, body)
+	}
+}
+
 // TestBatchConcurrencyCap: a batch evaluates at most its concurrency
 // cap of experiments at once.
 func TestBatchConcurrencyCap(t *testing.T) {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/experiments"
 )
 
 // FuzzParseRunOptions feeds raw query strings to parseRunOptions. It
@@ -50,6 +52,51 @@ func FuzzParseRunOptions(f *testing.F) {
 		}
 		if computations.Load() != before {
 			t.Fatalf("%q: a rejected request computed", raw)
+		}
+	})
+}
+
+// FuzzBatchBody feeds raw POST /v1/batch bodies to decodeBody and then
+// checkSweep, the path every batch and job submission takes. It must
+// never panic. A body either is answered with a 400 or 413 in the
+// error envelope, or becomes a sweep of registry ids, at most
+// maxBatchExperiments of them, at a concurrency in [1,
+// BatchConcurrency] and a fidelity checkFidelity accepts. Seeds live
+// in testdata/fuzz/FuzzBatchBody; `make fuzz` runs the target for a
+// bounded time.
+func FuzzBatchBody(f *testing.F) {
+	s, _ := newTestServer(Config{JobsDisabled: true})
+	defer s.Close()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		w := httptest.NewRecorder()
+		r := httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body))
+		var req batchRequest
+		var sw sweep
+		ok := decodeBody(w, r, "batch", maxBatchBodyBytes, &req)
+		if ok {
+			sw, ok = s.checkSweep(w, req)
+		}
+		if !ok {
+			var e errorEnvelope
+			if derr := json.Unmarshal(w.Body.Bytes(), &e); (w.Code != http.StatusBadRequest && w.Code != http.StatusRequestEntityTooLarge) ||
+				derr != nil || e.Error.Code == "" {
+				t.Fatalf("%q rejected with %d %q (decode err %v)", body, w.Code, w.Body.Bytes(), derr)
+			}
+			return
+		}
+		if len(sw.ids) == 0 || len(sw.ids) > maxBatchExperiments {
+			t.Fatalf("%q: accepted %d ids", body, len(sw.ids))
+		}
+		for _, id := range sw.ids {
+			if _, ok := experiments.Lookup(id); !ok {
+				t.Fatalf("%q: accepted unknown id %q", body, id)
+			}
+		}
+		if sw.conc < 1 || sw.conc > s.cfg.BatchConcurrency {
+			t.Fatalf("%q: concurrency %d outside [1, %d]", body, sw.conc, s.cfg.BatchConcurrency)
+		}
+		if err := checkFidelity(sw.opts); err != nil {
+			t.Fatalf("%q: accepted fidelity %+v: %v", body, sw.opts, err)
 		}
 	})
 }

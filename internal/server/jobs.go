@@ -128,17 +128,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req jobSubmitRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, codeBodyTooLarge,
-				fmt.Sprintf("job body exceeds the %d-byte limit", tooLarge.Limit), nil)
-			return
-		}
-		writeError(w, http.StatusBadRequest, codeBadOptions,
-			fmt.Sprintf("decoding job body: %v", err), nil)
+	if !decodeBody(w, r, "job", maxJobBodyBytes, &req) {
 		return
 	}
 	sw, ok := s.checkSweep(w, req.batchRequest)

@@ -33,7 +33,6 @@
 package store
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -113,28 +112,62 @@ func (k Key) ID() string {
 	return string(append(b, k.Content...))
 }
 
-// encodeJSON is the bytes a json.Encoder writes for v: its JSON form
-// and a newline. Encoding cannot fail on the plain structs hashed
-// here; the error is dropped so the key constructors stay infallible.
-func encodeJSON(v any) []byte {
-	var buf bytes.Buffer
-	_ = json.NewEncoder(&buf).Encode(v)
-	return buf.Bytes()
-}
-
 // contentHash hashes the full measurement identity: the encoded
 // machine configuration followed by the encoded workload (spec, seed
-// key and ILP), as the first 32 hex digits of their SHA-256. JSON
-// marshalling of these structs is deterministic (fixed field order),
-// so equal inputs hash equally.
-func contentHash(cfg, w []byte) string {
+// key and ILP), each as a json.Encoder writes it, as the first 32 hex
+// digits of their SHA-256. JSON marshalling of these structs is
+// deterministic (fixed field order), so equal inputs hash equally. A
+// value that cannot be encoded (a NaN field) contributes no bytes, so
+// the key constructors stay infallible.
+func contentHash(cfg machine.Config, w machine.Workload) string {
 	h := sha256.New()
-	h.Write(cfg)
-	h.Write(w)
+	enc := json.NewEncoder(h)
+	_ = enc.Encode(cfg)
+	_ = enc.Encode(w)
 	var sum [sha256.Size]byte
 	var digits [32]byte
 	hex.Encode(digits[:], h.Sum(sum[:0])[:16])
 	return string(digits[:])
+}
+
+// pair is a content hash's identity: a machine configuration, by its
+// digest, and a workload, by value. A Workload holds no pointers, so a
+// pair is bound to the bytes that contentHash encodes; only workloads
+// that differ in the sign of a zero compare equal yet encode apart,
+// and they share the hash of the first one keyed.
+type pair struct {
+	cfg [sha256.Size]byte
+	w   machine.Workload
+}
+
+// contents memoizes contentHash for the process, so every key of one
+// (machine, workload) pair, at any fidelity and on any engine, shares
+// one hash string, computed when the pair is first keyed. It holds one
+// entry per distinct pair keyed; spec17d keys the built-in fleet times
+// the registry and a fixed set of replicas.
+var contents = struct {
+	sync.RWMutex
+	m map[pair]string
+}{m: make(map[pair]string)}
+
+// content returns the content hash of w on m, from the memo once the
+// pair has been keyed.
+func content(m *machine.Machine, w machine.Workload) string {
+	p := pair{m.ConfigDigest(), w}
+	contents.RLock()
+	c, ok := contents.m[p]
+	contents.RUnlock()
+	if !ok {
+		c = contentHash(m.Config(), w)
+		// A workload with a NaN field never equals itself, so its entry
+		// would never be found again: leaving it out bounds the memo.
+		if w == w {
+			contents.Lock()
+			contents.m[p] = c
+			contents.Unlock()
+		}
+	}
+	return c
 }
 
 // KeyFor returns the store key of a single-copy measurement of w on m
@@ -152,54 +185,23 @@ func KeyForMulti(m *machine.Machine, w machine.Workload, copies int, opts machin
 }
 
 // KeyForEngine returns the store key of a single-copy measurement of w
-// on m as produced by the named engine tier: the one-machine grid's
-// key for w.
+// on m, under the canonical form of opts, as produced by the named
+// engine tier. It is the one place a Key is built. The exact tier is
+// normalized to the empty string so exact records keep the identity
+// they had before engine tiers existed (old snapshots stay warm).
 func KeyForEngine(m *machine.Machine, w machine.Workload, opts machine.RunOptions, engineTier string) Key {
-	return NewKeyGrid([]*machine.Machine{m}, opts, engineTier).Row(w)[0]
-}
-
-// KeyGrid keys a grid of measurements: workloads on every machine of
-// a fleet, at one fidelity, on one engine tier. It is the one place a
-// Key is built. It encodes each machine's configuration once, and each
-// Row encodes its workload once, so keying a whole grid hashes every
-// pair from those same bytes.
-type KeyGrid struct {
-	machines []*machine.Machine
-	cfgs     [][]byte // encoded configurations, in machine order
-	opts     machine.RunOptions
-	engine   string
-}
-
-// NewKeyGrid returns the grid of machines under the canonical form of
-// opts on the named engine tier. The exact tier is normalized to the
-// empty string so exact records keep the identity they had before
-// engine tiers existed (old snapshots stay warm).
-func NewKeyGrid(machines []*machine.Machine, opts machine.RunOptions, engineTier string) *KeyGrid {
 	if engineTier == "exact" {
 		engineTier = ""
 	}
-	g := &KeyGrid{machines: machines, cfgs: make([][]byte, len(machines)), opts: opts.Canonical(), engine: engineTier}
-	for j, m := range machines {
-		g.cfgs[j] = encodeJSON(m.Config())
+	opts = opts.Canonical()
+	return Key{
+		Machine:      m.Name(),
+		Workload:     w.Key,
+		Instructions: opts.Instructions,
+		Warmup:       opts.WarmupInstructions,
+		Engine:       engineTier,
+		Content:      content(m, w),
 	}
-	return g
-}
-
-// Row returns w's key on every machine of the grid, in machine order.
-func (g *KeyGrid) Row(w machine.Workload) []Key {
-	enc := encodeJSON(w)
-	keys := make([]Key, len(g.machines))
-	for j, m := range g.machines {
-		keys[j] = Key{
-			Machine:      m.Name(),
-			Workload:     w.Key,
-			Instructions: g.opts.Instructions,
-			Warmup:       g.opts.WarmupInstructions,
-			Engine:       g.engine,
-			Content:      contentHash(g.cfgs[j], enc),
-		}
-	}
-	return keys
 }
 
 // Config configures a Store. The zero value is a usable, memory-only
@@ -282,10 +284,6 @@ type Store struct {
 	mu     sync.Mutex
 	single table[*machine.RawCounts]
 	multi  table[*machine.MultiCounts]
-	// contents interns Key.Content: every fidelity of one (machine,
-	// workload) pair has the same content hash, so resident keys share
-	// one copy of it.
-	contents map[string]string
 
 	// gen counts record writes; savedGen is the gen captured by the
 	// last successful Save. They differ exactly when the store holds
@@ -309,11 +307,10 @@ func Open(cfg Config) (*Store, error) {
 	}
 	cfg.Log = cfg.Log.With("component", "store")
 	s := &Store{
-		cfg:      cfg,
-		met:      newStoreMetrics(cfg.Metrics),
-		single:   table[*machine.RawCounts]{recs: make(map[Key]*machine.RawCounts)},
-		multi:    table[*machine.MultiCounts]{recs: make(map[Key]*machine.MultiCounts)},
-		contents: make(map[string]string),
+		cfg:    cfg,
+		met:    newStoreMetrics(cfg.Metrics),
+		single: table[*machine.RawCounts]{recs: make(map[Key]*machine.RawCounts)},
+		multi:  table[*machine.MultiCounts]{recs: make(map[Key]*machine.MultiCounts)},
 	}
 	if cfg.Path == "" {
 		return s, nil
@@ -338,6 +335,9 @@ type snapshotEntry struct {
 	Key    Key                  `json:"key"`
 	Counts *machine.RawCounts   `json:"counts,omitempty"`
 	Multi  *machine.MultiCounts `json:"multi,omitempty"`
+	// id is Key.ID(), built once per record for Save's sort; it is not
+	// written.
+	id string
 }
 
 // load restores the snapshot at cfg.Path. Any defect discards the
@@ -364,8 +364,8 @@ func (s *Store) load() error {
 	s.mu.Lock()
 	for _, e := range snap.Entries {
 		k := e.Key
-		if k.Machine == "" || k.Workload == "" || k.Content == "" ||
-			strings.ContainsRune(k.Machine+k.Workload+k.Engine, '|') {
+		if k.Machine == "" || k.Workload == "" || k.Content == "" || strings.ContainsRune(k.Machine, '|') ||
+			strings.ContainsRune(k.Workload, '|') || strings.ContainsRune(k.Engine, '|') {
 			// Malformed record: skip, never serve. A '|' inside a
 			// field would let two keys share one ID.
 			continue
@@ -396,16 +396,14 @@ func (s *Store) Save() error {
 	s.mu.Lock()
 	snap := snapshot{Version: snapshotVersion, Fingerprint: substrateFingerprint}
 	for k, rc := range s.single.recs {
-		snap.Entries = append(snap.Entries, snapshotEntry{Key: k, Counts: rc})
+		snap.Entries = append(snap.Entries, snapshotEntry{Key: k, Counts: rc, id: k.ID()})
 	}
 	for k, mc := range s.multi.recs {
-		snap.Entries = append(snap.Entries, snapshotEntry{Key: k, Multi: mc})
+		snap.Entries = append(snap.Entries, snapshotEntry{Key: k, Multi: mc, id: k.ID()})
 	}
 	gen := s.gen
 	s.mu.Unlock()
-	sort.Slice(snap.Entries, func(i, j int) bool {
-		return snap.Entries[i].Key.ID() < snap.Entries[j].Key.ID()
-	})
+	sort.Slice(snap.Entries, func(i, j int) bool { return snap.Entries[i].id < snap.Entries[j].id })
 	data, err := json.MarshalIndent(&snap, "", " ")
 	if err != nil {
 		return fmt.Errorf("store: encoding snapshot: %w", err)
@@ -550,11 +548,6 @@ func put[V any](s *Store, t *table[V], key Key, v V) {
 		if _, had := t.recs[key]; !had {
 			analyticKey, analytic, exact = s.pairLocked(key, v)
 		}
-	}
-	if c, ok := s.contents[key.Content]; ok {
-		key.Content = c
-	} else {
-		s.contents[key.Content] = key.Content
 	}
 	t.recs[key] = v
 	s.gen++

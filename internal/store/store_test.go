@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/machine"
 	"repro/internal/telemetry"
@@ -616,17 +617,10 @@ func TestLookup(t *testing.T) {
 	}
 }
 
-// TestKeyGridMatchesKeyForEngine: the keys of a grid reused across
-// rows equal KeyForEngine's one-pair keys, and both equal a reference
-// built field by field with the content hash the store has always
-// used, on every registry workload (input sets included) on every
-// fleet machine, for both engine tiers. So content hashes, and the
-// snapshots keyed by them, never change.
-func TestKeyGridMatchesKeyForEngine(t *testing.T) {
-	fleet, err := machine.Fleet()
-	if err != nil {
-		t.Fatal(err)
-	}
+// registryWorkloads is every characterized workload, as
+// experiments.Entries lists them: each profile's primary input, plus
+// each input set of a multi-input profile.
+func registryWorkloads() []machine.Workload {
 	var ws []machine.Workload
 	for _, p := range workloads.All() {
 		ws = append(ws, p.Workload())
@@ -634,19 +628,35 @@ func TestKeyGridMatchesKeyForEngine(t *testing.T) {
 			ws = append(ws, p.WorkloadInput(i))
 		}
 	}
+	return ws
+}
+
+// testFleet is a freshly built machine.Fleet.
+func testFleet(t testing.TB) []*machine.Machine {
+	t.Helper()
+	fleet, err := machine.Fleet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fleet
+}
+
+// TestKeyForEngineMatchesReference: KeyForEngine's key equals a
+// reference built field by field with the content hash the store has
+// always used, on every registry workload (input sets included) on
+// every fleet machine, for both engine tiers, whether the pair's hash
+// is computed or read back from the memo. So content hashes, and the
+// snapshots keyed by them, never change.
+func TestKeyForEngineMatchesReference(t *testing.T) {
+	fleet := testFleet(t)
 	opts := machine.RunOptions{Instructions: 20_000, WarmupInstructions: 4_000, Parallelism: 3}
 	for _, tier := range []string{"exact", "analytic"} {
 		engine := tier
 		if tier == "exact" {
 			engine = ""
 		}
-		grid := NewKeyGrid(fleet, opts, tier)
-		for _, w := range ws {
-			row := grid.Row(w)
-			if len(row) != len(fleet) {
-				t.Fatalf("%s: %s: %d keys, want %d", tier, w.Key, len(row), len(fleet))
-			}
-			for j, m := range fleet {
+		for _, w := range registryWorkloads() {
+			for _, m := range fleet {
 				want := Key{
 					Machine:      m.Name(),
 					Workload:     w.Key,
@@ -655,11 +665,10 @@ func TestKeyGridMatchesKeyForEngine(t *testing.T) {
 					Engine:       engine,
 					Content:      referenceContentHash(t, m.Config(), w),
 				}
-				if got := row[j]; got != want {
-					t.Fatalf("%s: %s on %s: grid key %+v, want %+v", tier, w.Key, m.Name(), got, want)
-				}
-				if got := KeyForEngine(m, w, opts, tier); got != want {
-					t.Fatalf("%s: %s on %s: KeyForEngine %+v, want %+v", tier, w.Key, m.Name(), got, want)
+				for pass := 0; pass < 2; pass++ {
+					if got := KeyForEngine(m, w, opts, tier); got != want {
+						t.Fatalf("%s: %s on %s, pass %d: KeyForEngine %+v, want %+v", tier, w.Key, m.Name(), pass, got, want)
+					}
 				}
 			}
 		}
@@ -667,6 +676,120 @@ func TestKeyGridMatchesKeyForEngine(t *testing.T) {
 	// The hash itself is pinned, not only its agreement with the reference.
 	if got := KeyFor(testMachine(t), testWorkload(t, "505.mcf_r"), testOpts).Content; got != "c713162b4a1f3ab3d82cf71d35bec096" {
 		t.Errorf("content hash = %s, want the pinned c713162b4a1f3ab3d82cf71d35bec096", got)
+	}
+}
+
+// TestContentBoundToBytes: the content hash follows the bytes it
+// binds, not the names. Changing one spec field or the ILP under an
+// unchanged Workload.Key, or one configuration field under an
+// unchanged machine name, changes Content to the reference hash of
+// the new bytes, while the memo still answers the original pair.
+func TestContentBoundToBytes(t *testing.T) {
+	m := testMachine(t)
+	w := testWorkload(t, "505.mcf_r")
+	base := KeyFor(m, w, testOpts).Content
+
+	spec, ilp := w, w
+	spec.Spec.LoadFrac += 0.01
+	ilp.ILP += 0.1
+	cfg := machine.SkylakeConfig()
+	cfg.FreqGHz += 0.1
+	faster, err := machine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		m    *machine.Machine
+		w    machine.Workload
+	}{
+		{"spec field", m, spec},
+		{"ILP", m, ilp},
+		{"machine config field", faster, w},
+	} {
+		k := KeyFor(c.m, c.w, testOpts)
+		if k.Machine != m.Name() || k.Workload != w.Key {
+			t.Fatalf("%s: key names %s|%s, want %s|%s", c.name, k.Machine, k.Workload, m.Name(), w.Key)
+		}
+		if k.Content == base {
+			t.Errorf("%s changed but Content stayed %s", c.name, base)
+		}
+		if want := referenceContentHash(t, c.m.Config(), c.w); k.Content != want {
+			t.Errorf("%s: Content %s, want the reference %s", c.name, k.Content, want)
+		}
+	}
+	if got := KeyFor(m, w, testOpts).Content; got != base {
+		t.Errorf("original pair now hashes %s, want %s", got, base)
+	}
+}
+
+// TestKeysShareAcrossFleets: keys depend on values, not on which
+// Machine or Workload instance was passed. Two separate Fleet() calls
+// and separately built equal workloads key identically and share one
+// Content string, so a client's own fleet (specbench's, say) finds
+// the records a server's fleet stored.
+func TestKeysShareAcrossFleets(t *testing.T) {
+	s, _ := Open(Config{})
+	ctx := context.Background()
+	serverFleet, clientFleet := testFleet(t), testFleet(t)
+	serverWs, clientWs := registryWorkloads(), registryWorkloads()
+	for _, w := range serverWs {
+		for _, m := range serverFleet {
+			s.Put(KeyForEngine(m, w, testOpts, "analytic"), &machine.RawCounts{})
+		}
+	}
+	for i, w := range clientWs {
+		for j, m := range clientFleet {
+			k := KeyForEngine(m, w, testOpts, "analytic")
+			sk := KeyForEngine(serverFleet[j], serverWs[i], testOpts, "analytic")
+			if k != sk || unsafe.StringData(k.Content) != unsafe.StringData(sk.Content) {
+				t.Fatalf("%s on %s: client key %+v does not share the server's %+v", w.Key, m.Name(), k, sk)
+			}
+			want, _ := s.Lookup(ctx, sk)
+			if rc, ok := s.Lookup(ctx, k); !ok || rc != want {
+				t.Fatalf("%s on %s: client key missed the server's record", w.Key, m.Name())
+			}
+		}
+	}
+}
+
+// TestKeyWarmGridAllocs: keying pairs already keyed allocates nothing.
+func TestKeyWarmGridAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	fleet, ws := testFleet(t), registryWorkloads()
+	keyAll := func() {
+		for _, w := range ws {
+			for _, m := range fleet {
+				KeyForEngine(m, w, testOpts, "analytic")
+			}
+		}
+	}
+	keyAll()
+	if allocs := testing.AllocsPerRun(10, keyAll); allocs != 0 {
+		t.Errorf("keying a warm %d-pair grid allocates %.1f objects, want 0", len(ws)*len(fleet), allocs)
+	}
+}
+
+// BenchmarkKeyFleet keys every registry workload on every fleet
+// machine through KeyForEngine, as a cold analytic characterization
+// does, with every pair's hash already in the memo.
+func BenchmarkKeyFleet(b *testing.B) {
+	fleet, ws := testFleet(b), registryWorkloads()
+	opts := machine.RunOptions{Instructions: 20_000}
+	keyAll := func() {
+		for _, w := range ws {
+			for _, m := range fleet {
+				KeyForEngine(m, w, opts, "analytic")
+			}
+		}
+	}
+	keyAll()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		keyAll()
 	}
 }
 
