@@ -234,28 +234,6 @@ func Cluster(points [][]float64, labels []string, method Linkage) (*Dendrogram, 
 	return &Dendrogram{Root: root, Labels: append([]string(nil), labels...), Points: pts, Method: method}, nil
 }
 
-// CutAtHeight cuts the dendrogram at the given linkage distance and
-// returns the resulting clusters (as sets of observation indices).
-// A vertical line at height h in the paper's dendrogram figures yields
-// exactly these clusters.
-func (d *Dendrogram) CutAtHeight(h float64) [][]int {
-	var clusters [][]int
-	var walk func(*Node)
-	walk = func(n *Node) {
-		if n.IsLeaf() || n.Height <= h {
-			clusters = append(clusters, n.Leaves())
-			return
-		}
-		walk(n.Left)
-		walk(n.Right)
-	}
-	if d.Root != nil {
-		walk(d.Root)
-	}
-	sortClusters(clusters)
-	return clusters
-}
-
 // CutToK cuts the dendrogram to exactly k clusters by undoing the
 // k-1 highest merges. k is clamped to [1, number of leaves].
 func (d *Dendrogram) CutToK(k int) [][]int {

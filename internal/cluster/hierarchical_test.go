@@ -57,36 +57,34 @@ func TestClusterErrors(t *testing.T) {
 	}
 }
 
-func TestCutAtHeight(t *testing.T) {
-	pts, labels := twoBlobs()
-	d, err := Cluster(pts, labels, Average)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// At height 1 the two blobs are separate; at a huge height all merge.
-	got := d.CutAtHeight(1)
-	if len(got) != 2 {
-		t.Fatalf("CutAtHeight(1) gave %d clusters, want 2: %v", len(got), got)
-	}
-	all := d.CutAtHeight(1e9)
-	if len(all) != 1 || len(all[0]) != 6 {
-		t.Fatalf("CutAtHeight(inf) = %v", all)
-	}
-	each := d.CutAtHeight(-1)
-	if len(each) != 6 {
-		t.Fatalf("CutAtHeight(-1) gave %d clusters, want 6", len(each))
-	}
-}
-
 func TestHeightForK(t *testing.T) {
 	pts, labels := twoBlobs()
 	d, err := Cluster(pts, labels, Average)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := d.HeightForK(2)
-	if got := d.CutAtHeight(h); len(got) != 2 {
-		t.Fatalf("cutting at HeightForK(2)=%v gave %d clusters", h, len(got))
+	// A cut at HeightForK(k) yields CutToK(k)'s clusters: members of
+	// one cluster merge at or below it, members of two above it.
+	for k := 1; k < len(labels); k++ {
+		h := d.HeightForK(k)
+		clusterOf := make([]int, len(labels))
+		for c, members := range d.CutToK(k) {
+			for _, i := range members {
+				clusterOf[i] = c
+			}
+		}
+		for i := range labels {
+			for j := i + 1; j < len(labels); j++ {
+				dist, err := d.CopheneticDistance(i, j)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if same := clusterOf[i] == clusterOf[j]; same != (dist <= h) {
+					t.Fatalf("k=%d: %s and %s merge at %v against HeightForK %v, same cluster %v",
+						k, labels[i], labels[j], dist, h, same)
+				}
+			}
+		}
 	}
 	if d.HeightForK(6) != 0 {
 		t.Fatal("HeightForK(n) must be 0")

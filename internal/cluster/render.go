@@ -98,9 +98,7 @@ func (d *Dendrogram) Render(width int) string {
 				}
 			}
 		}
-		top := minInt(t1, t2)
-		bottom := maxInt(b1, b2)
-		return top, bottom, (lo + hi) / 2, c
+		return min(t1, t2), max(b1, b2), (lo + hi) / 2, c
 	}
 	_, _, mid, end := draw(d.Root)
 	// Root stem.
@@ -122,20 +120,6 @@ func bytesFill(n int, c byte) []byte {
 	b := make([]byte, n)
 	for i := range b {
 		b[i] = c
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
 	}
 	return b
 }

@@ -25,10 +25,10 @@ type Penalties struct {
 	MLP float64
 }
 
-// Validate reports nonsensical parameters: of several negative
-// latencies, the first in field order.
+// Validate reports nonsensical parameters, NaN among them: of several
+// bad latencies, the first in field order.
 func (p Penalties) Validate() error {
-	if p.MLP < 1 {
+	if !(p.MLP >= 1) { // NaN fails too
 		return fmt.Errorf("cpistack: MLP %v must be >= 1", p.MLP)
 	}
 	for _, f := range [...]struct {
@@ -41,7 +41,7 @@ func (p Penalties) Validate() error {
 		{"MemLatency", p.MemLatency},
 		{"PageWalkLatency", p.PageWalkLatency},
 	} {
-		if f.v < 0 {
+		if !(f.v >= 0) {
 			return fmt.Errorf("cpistack: %s %v must be >= 0", f.name, f.v)
 		}
 	}

@@ -151,3 +151,19 @@ func TestMemoryBoundWorkloadDominatedByMemory(t *testing.T) {
 		t.Fatalf("memory component should dominate: %+v", s)
 	}
 }
+
+// TestPenaltiesValidateRejectsNaN: a NaN MLP or latency is rejected
+// like a value out of range.
+func TestPenaltiesValidateRejectsNaN(t *testing.T) {
+	for name, field := range map[string]func(*Penalties) *float64{
+		"MLP":               func(p *Penalties) *float64 { return &p.MLP },
+		"MispredictPenalty": func(p *Penalties) *float64 { return &p.MispredictPenalty },
+		"PageWalkLatency":   func(p *Penalties) *float64 { return &p.PageWalkLatency },
+	} {
+		p := okPenalties()
+		*field(&p) = math.NaN()
+		if err := p.Validate(); err == nil {
+			t.Errorf("NaN %s: no error", name)
+		}
+	}
+}

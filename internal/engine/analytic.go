@@ -420,7 +420,7 @@ func predictTakenProb(t float64) float64 {
 
 // estimate evaluates the closed-form model for one measurement.
 func estimate(m *machine.Machine, w machine.Workload, opts machine.RunOptions) (*machine.RawCounts, error) {
-	if w.ILP <= 0 {
+	if !(w.ILP > 0) { // NaN fails too
 		return nil, fmt.Errorf("machine: workload %q has non-positive ILP", w.Key)
 	}
 	spec := m.AdjustedSpec(w)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -83,6 +84,25 @@ func TestExactMatchesRun(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: Exact.Measure differs from machine.Run:\n got %+v\nwant %+v", m.Name(), got, want)
+		}
+	}
+}
+
+// TestAnalyticRejectsNaN: the analytic tier rejects a NaN ILP or spec
+// fraction, as the exact tier does, instead of estimating from it.
+func TestAnalyticRejectsNaN(t *testing.T) {
+	fleet, err := machine.Fleet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mutate := range map[string]func(*machine.Workload){
+		"ILP":      func(w *machine.Workload) { w.ILP = math.NaN() },
+		"LoadFrac": func(w *machine.Workload) { w.Spec.LoadFrac = math.NaN() },
+	} {
+		w := workloads.All()[0].Workload()
+		mutate(&w)
+		if _, err := (Analytic{}).Measure(context.Background(), fleet[0], w, crossvalOpts); err == nil {
+			t.Errorf("Analytic.Measure with NaN %s: no error", name)
 		}
 	}
 }

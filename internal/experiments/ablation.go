@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/perfdb"
 	"repro/internal/workloads"
 )
 
@@ -33,29 +33,24 @@ type LinkageRow struct {
 // this ablation shows what that does to subset quality.
 func AblateLinkage(lab *Lab) ([]LinkageRow, error) {
 	var rows []LinkageRow
-	for _, suite := range []workloads.Suite{workloads.SpeedINT, workloads.RateINT, workloads.SpeedFP, workloads.RateFP} {
-		c, err := lab.suiteChar(suite)
+	for _, suite := range subSuites() {
+		sub, _, err := lab.analyze(SuiteNames(suite), nil)
 		if err != nil {
 			return nil, err
 		}
-		cat, err := categoryKey(suite)
+		v, err := newValidator(sub, suite)
 		if err != nil {
 			return nil, err
 		}
-		db, err := c.BuildPerfDB(refMachineName, perfdb.SystemsFor(cat))
-		if err != nil {
-			return nil, err
-		}
-		all := SuiteNames(suite)
 		for _, method := range []cluster.Linkage{cluster.Single, cluster.Complete, cluster.Average, cluster.Ward} {
-			opts := core.DefaultSimilarityOptions()
+			opts := paperOptions()
 			opts.Linkage = method
-			sim, err := c.SimilarityCtx(lab.Context(), opts)
+			_, sim, err := lab.analyze(v.all, opts)
 			if err != nil {
 				return nil, err
 			}
 			res := sim.Subset(3)
-			v, err := db.ValidateWeighted(res.Representatives, clusterWeights(res), all)
+			val, err := v.subset(res)
 			if err != nil {
 				return nil, err
 			}
@@ -63,28 +58,12 @@ func AblateLinkage(lab *Lab) ([]LinkageRow, error) {
 				Suite:        suite,
 				Method:       method,
 				Subset:       res.Representatives,
-				AvgError:     v.Avg,
+				AvgError:     val.Avg,
 				MostDistinct: sim.MostDistinct(),
 			})
 		}
 	}
 	return rows, nil
-}
-
-// clusterWeights maps a subset's representatives to their cluster
-// sizes, in representative order.
-func clusterWeights(res core.SubsetResult) []float64 {
-	weights := make([]float64, len(res.Representatives))
-	for i, rep := range res.Representatives {
-		for _, cl := range res.Clusters {
-			for _, member := range cl {
-				if member == rep {
-					weights[i] = float64(len(cl))
-				}
-			}
-		}
-	}
-	return weights
 }
 
 // SubsetSizeRow reports subset quality at one size k.
@@ -108,44 +87,27 @@ func SubsetSizeSweep(lab *Lab, maxK int) ([]SubsetSizeRow, error) {
 		return nil, fmt.Errorf("experiments: maxK %d", maxK)
 	}
 	var rows []SubsetSizeRow
-	for _, suite := range []workloads.Suite{workloads.SpeedINT, workloads.RateINT, workloads.SpeedFP, workloads.RateFP} {
-		c, err := lab.suiteChar(suite)
+	for _, suite := range subSuites() {
+		sub, sim, err := lab.analyze(SuiteNames(suite), paperOptions())
 		if err != nil {
 			return nil, err
 		}
-		sim, err := c.SimilarityCtx(lab.Context(), core.DefaultSimilarityOptions())
+		v, err := newValidator(sub, suite)
 		if err != nil {
 			return nil, err
 		}
-		cat, err := categoryKey(suite)
-		if err != nil {
-			return nil, err
-		}
-		db, err := c.BuildPerfDB(refMachineName, perfdb.SystemsFor(cat))
-		if err != nil {
-			return nil, err
-		}
-		all := SuiteNames(suite)
-		icounts := make(map[string]float64)
-		for _, p := range workloads.BySuite(suite) {
-			icounts[p.Name] = p.DynInstrBillions
-		}
-		limit := maxK
-		if limit > len(all) {
-			limit = len(all)
-		}
-		for k := 1; k <= limit; k++ {
+		for k := 1; k <= min(maxK, len(v.all)); k++ {
 			res := sim.Subset(k)
-			v, err := db.ValidateWeighted(res.Representatives, clusterWeights(res), all)
+			val, err := v.subset(res)
 			if err != nil {
 				return nil, err
 			}
-			red, err := core.SimulationTimeReduction(res.Representatives, all, icounts)
+			red, err := simTimeReduction(suite, res.Representatives)
 			if err != nil {
 				return nil, err
 			}
 			rows = append(rows, SubsetSizeRow{
-				Suite: suite, K: k, AvgError: v.Avg, SimTimeReduction: red,
+				Suite: suite, K: k, AvgError: val.Avg, SimTimeReduction: red,
 			})
 		}
 	}
@@ -167,30 +129,16 @@ type WeightingRow struct {
 // Euclidean distance respect each component's variance share; this
 // ablation shows whether the headline subsets depend on it.
 func AblateScoreWeighting(lab *Lab) ([]WeightingRow, error) {
-	var rows []WeightingRow
-	for _, suite := range []workloads.Suite{workloads.SpeedINT, workloads.RateINT, workloads.SpeedFP, workloads.RateFP} {
-		c, err := lab.suiteChar(suite)
-		if err != nil {
-			return nil, err
-		}
-		weighted, err := c.SimilarityCtx(lab.Context(), core.DefaultSimilarityOptions())
-		if err != nil {
-			return nil, err
-		}
-		opts := core.DefaultSimilarityOptions()
-		opts.UnweightedScores = true
-		unweighted, err := c.SimilarityCtx(lab.Context(), opts)
-		if err != nil {
-			return nil, err
-		}
+	opts := paperOptions()
+	opts.UnweightedScores = true
+	return compareFits(lab, opts, func(suite workloads.Suite, weighted, unweighted *core.Similarity) WeightingRow {
 		w := weighted.Subset(3).Representatives
 		u := unweighted.Subset(3).Representatives
-		rows = append(rows, WeightingRow{
+		return WeightingRow{
 			Suite: suite, WeightedSubset: w, UnweightedSubset: u,
-			Agree: equalStrings(w, u),
-		})
-	}
-	return rows, nil
+			Agree: slices.Equal(w, u),
+		}
+	})
 }
 
 // PCSelectionRow compares the Kaiser criterion against a cumulative
@@ -207,41 +155,33 @@ type PCSelectionRow struct {
 // AblatePCSelection compares Kaiser-criterion dimensionality against
 // a 90% cumulative-variance target.
 func AblatePCSelection(lab *Lab) ([]PCSelectionRow, error) {
-	var rows []PCSelectionRow
-	for _, suite := range []workloads.Suite{workloads.SpeedINT, workloads.RateINT, workloads.SpeedFP, workloads.RateFP} {
-		c, err := lab.suiteChar(suite)
-		if err != nil {
-			return nil, err
-		}
-		kaiser, err := c.SimilarityCtx(lab.Context(), core.DefaultSimilarityOptions())
-		if err != nil {
-			return nil, err
-		}
-		opts := core.DefaultSimilarityOptions()
-		opts.VarianceTarget = 0.9
-		variance, err := c.SimilarityCtx(lab.Context(), opts)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, PCSelectionRow{
+	opts := paperOptions()
+	opts.VarianceTarget = 0.9
+	return compareFits(lab, opts, func(suite workloads.Suite, kaiser, variance *core.Similarity) PCSelectionRow {
+		return PCSelectionRow{
 			Suite:     suite,
 			KaiserPCs: kaiser.NumPCs, VariancePCs: variance.NumPCs,
-			SubsetsAgree: equalStrings(
+			SubsetsAgree: slices.Equal(
 				kaiser.Subset(3).Representatives,
 				variance.Subset(3).Representatives),
-		})
-	}
-	return rows, nil
+		}
+	})
 }
 
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// compareFits fits each CPU2017 sub-suite the paper's way and under
+// alt, and makes one row of each pair of fits.
+func compareFits[R any](lab *Lab, alt *core.SimilarityOptions, row func(workloads.Suite, *core.Similarity, *core.Similarity) R) ([]R, error) {
+	var rows []R
+	for _, suite := range subSuites() {
+		paper, err := fitSuite(lab, suite)
+		if err != nil {
+			return nil, err
 		}
+		_, other, err := lab.analyze(SuiteNames(suite), alt)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, row(suite, paper, other))
 	}
-	return true
+	return rows, nil
 }

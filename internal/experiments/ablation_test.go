@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -98,7 +99,7 @@ func TestAblateScoreWeighting(t *testing.T) {
 		if len(r.WeightedSubset) != 3 || len(r.UnweightedSubset) != 3 {
 			t.Errorf("%v: subset sizes wrong", r.Suite)
 		}
-		if r.Agree != equalStrings(r.WeightedSubset, r.UnweightedSubset) {
+		if r.Agree != slices.Equal(r.WeightedSubset, r.UnweightedSubset) {
 			t.Errorf("%v: Agree flag inconsistent", r.Suite)
 		}
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -24,122 +25,55 @@ type ScatterResult struct {
 	Similarity           *core.Similarity
 }
 
-func scatterFor(lab *Lab, labels []string, metrics []counters.Metric,
-	machines []string, pcx, pcy int) (*ScatterResult, error) {
-	c, err := lab.Characterization()
-	if err != nil {
-		return nil, err
-	}
-	sub, err := c.Select(labels)
-	if err != nil {
-		return nil, err
-	}
-	opts := core.DefaultSimilarityOptions()
+// metricScatter fits CPU2017 in the PC space of one metric group and
+// plots it (Figures 9 and 10).
+func metricScatter(lab *Lab, metrics []counters.Metric) (*ScatterResult, error) {
+	opts := paperOptions()
 	opts.Metrics = metrics
-	opts.Machines = machines
-	sim, err := sub.SimilarityCtx(lab.Context(), opts)
+	_, sim, err := lab.analyze(labelsOf(workloads.CPU2017()), opts)
 	if err != nil {
 		return nil, err
 	}
-	pts, err := sim.ScatterPoints(pcx, pcy)
+	return scatterOf(sim)
+}
+
+// scatterOf plots a fitted space's first two PCs, naming the metrics
+// that dominate each.
+func scatterOf(sim *core.Similarity) (*ScatterResult, error) {
+	pts, err := sim.ScatterPoints(0, 1)
 	if err != nil {
 		return nil, err
 	}
 	covered := 0.0
-	if pcy < len(sim.PCA.CumVarExplained) {
-		covered = sim.PCA.CumVarExplained[maxInt(pcx, pcy)]
+	if len(sim.PCA.CumVarExplained) > 1 {
+		covered = sim.PCA.CumVarExplained[1]
 	}
 	return &ScatterResult{
 		Labels: sim.Labels, Points: pts,
-		PCX: pcx, PCY: pcy,
-		DominantX:  sim.DominantColumns(pcx, 3),
-		DominantY:  sim.DominantColumns(pcy, 3),
+		PCX: 0, PCY: 1,
+		DominantX:  sim.DominantColumns(0, 3),
+		DominantY:  sim.DominantColumns(1, 3),
 		VarCovered: covered,
 		Similarity: sim,
 	}, nil
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func cpu2017Labels() []string {
-	var out []string
-	for _, p := range workloads.CPU2017() {
-		out = append(out, p.Name)
-	}
-	return out
-}
-
-func cpu2006Labels() []string {
-	var out []string
-	for _, p := range workloads.CPU2006() {
-		out = append(out, p.Name)
-	}
-	return out
-}
-
 // Fig9 reproduces Figure 9: all 43 CPU2017 benchmarks in the PC space
 // of the branch metrics.
 func Fig9(lab *Lab) (*ScatterResult, error) {
-	return scatterFor(lab, cpu2017Labels(), counters.BranchMetrics(), nil, 0, 1)
+	return metricScatter(lab, counters.BranchMetrics())
 }
 
 // Fig10 reproduces Figure 10: the data-cache (a) and instruction-cache
 // (b) PC scatters of the CPU2017 benchmarks.
 func Fig10(lab *Lab) (dcache, icache *ScatterResult, err error) {
-	dcache, err = scatterFor(lab, cpu2017Labels(), counters.DCacheMetrics(), nil, 0, 1)
-	if err != nil {
+	if dcache, err = metricScatter(lab, counters.DCacheMetrics()); err != nil {
 		return nil, nil, err
 	}
-	icache, err = scatterFor(lab, cpu2017Labels(), counters.ICacheMetrics(), nil, 0, 1)
-	if err != nil {
+	if icache, err = metricScatter(lab, counters.ICacheMetrics()); err != nil {
 		return nil, nil, err
 	}
 	return dcache, icache, nil
-}
-
-// TopByMetric returns the n labels with the largest value of one
-// Skylake metric — used to verify the paper's Figure 9/10 callouts
-// ("leela and mcf suffer the highest branch misprediction rates").
-func TopByMetric(lab *Lab, labels []string, metric counters.Metric, n int) ([]string, error) {
-	c, err := lab.Characterization()
-	if err != nil {
-		return nil, err
-	}
-	type lv struct {
-		label string
-		v     float64
-	}
-	var vals []lv
-	for _, l := range labels {
-		s, err := c.Sample(l, machine.Skylake)
-		if err != nil {
-			return nil, err
-		}
-		v, err := s.Value(metric)
-		if err != nil {
-			return nil, err
-		}
-		vals = append(vals, lv{l, v})
-	}
-	sort.Slice(vals, func(i, j int) bool {
-		if vals[i].v != vals[j].v {
-			return vals[i].v > vals[j].v
-		}
-		return vals[i].label < vals[j].label
-	})
-	if n > len(vals) {
-		n = len(vals)
-	}
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
-		out[i] = vals[i].label
-	}
-	return out, nil
 }
 
 // DomainRow is one row of Table VIII: an application domain and the
@@ -234,16 +168,8 @@ type CoverageResult struct {
 // planes, plus the list of removed CPU2006 benchmarks whose behaviour
 // CPU2017 does not cover.
 func Fig11(lab *Lab) (planes []CoverageResult, uncovered []string, err error) {
-	c, err := lab.Characterization()
-	if err != nil {
-		return nil, nil, err
-	}
-	l2017, l2006 := cpu2017Labels(), cpu2006Labels()
-	joint, err := c.Select(append(append([]string{}, l2017...), l2006...))
-	if err != nil {
-		return nil, nil, err
-	}
-	sim, err := joint.SimilarityCtx(lab.Context(), core.DefaultSimilarityOptions())
+	l2017, l2006 := labelsOf(workloads.CPU2017()), labelsOf(workloads.CPU2006())
+	_, sim, err := lab.analyze(slices.Concat(l2017, l2006), paperOptions())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -252,20 +178,7 @@ func Fig11(lab *Lab) (planes []CoverageResult, uncovered []string, err error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		res := CoverageResult{Plane: fmt.Sprintf("PC%d-PC%d", pcs[0]+1, pcs[1]+1)}
-		for i, l := range sim.Labels {
-			if i < len(l2017) {
-				res.Points2017 = append(res.Points2017, pts[i])
-				res.Labels2017 = append(res.Labels2017, l)
-			} else {
-				res.Points2006 = append(res.Points2006, pts[i])
-				res.Labels2006 = append(res.Labels2006, l)
-			}
-		}
-		res.Area2017 = stats.HullArea(res.Points2017)
-		res.Area2006 = stats.HullArea(res.Points2006)
-		res.FracOutside = stats.FractionOutside(res.Points2017, res.Points2006)
-		planes = append(planes, res)
+		planes = append(planes, coverage(fmt.Sprintf("PC%d-PC%d", pcs[0]+1, pcs[1]+1), sim.Labels, pts, len(l2017)))
 	}
 
 	// Coverage, the paper's way ("using PCA and hierarchical
@@ -315,6 +228,20 @@ func Fig11(lab *Lab) (planes []CoverageResult, uncovered []string, err error) {
 	return planes, uncovered, nil
 }
 
+// coverage compares the CPU2017 and CPU2006 hulls on one plane of a
+// joint fit, whose first n2017 rows are CPU2017's.
+func coverage(plane string, labels []string, pts []stats.Point, n2017 int) CoverageResult {
+	res := CoverageResult{
+		Plane:      plane,
+		Points2017: pts[:n2017], Points2006: pts[n2017:],
+		Labels2017: labels[:n2017], Labels2006: labels[n2017:],
+	}
+	res.Area2017 = stats.HullArea(res.Points2017)
+	res.Area2006 = stats.HullArea(res.Points2006)
+	res.FracOutside = stats.FractionOutside(res.Points2017, res.Points2006)
+	return res
+}
+
 // unrelatedNNScale returns the 75th percentile of the distances from
 // each CPU2017 benchmark to its nearest different-family CPU2017
 // benchmark.
@@ -351,49 +278,20 @@ func unrelatedNNScale(sim *core.Similarity, l2017 []string) (float64, error) {
 // Fig12 reproduces Figure 12: the power-metric PC space of CPU2017
 // versus CPU2006, measured on the three RAPL-capable Intel machines.
 func Fig12(lab *Lab) (*CoverageResult, *ScatterResult, error) {
-	c, err := lab.Characterization()
-	if err != nil {
-		return nil, nil, err
-	}
-	l2017, l2006 := cpu2017Labels(), cpu2006Labels()
-	all := append(append([]string{}, l2017...), l2006...)
-	joint, err := c.Select(all)
-	if err != nil {
-		return nil, nil, err
-	}
-	raplMachines := []string{machine.Skylake, machine.Broadwell, machine.Ivybridge}
-	opts := core.DefaultSimilarityOptions()
+	l2017 := labelsOf(workloads.CPU2017())
+	opts := paperOptions()
 	opts.Metrics = counters.PowerMetrics()
-	opts.Machines = raplMachines
-	sim, err := joint.SimilarityCtx(lab.Context(), opts)
+	opts.Machines = []string{machine.Skylake, machine.Broadwell, machine.Ivybridge}
+	_, sim, err := lab.analyze(slices.Concat(l2017, labelsOf(workloads.CPU2006())), opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	pts, err := sim.ScatterPoints(0, 1)
+	scatter, err := scatterOf(sim)
 	if err != nil {
 		return nil, nil, err
 	}
-	cov := &CoverageResult{Plane: "PC1-PC2 (power)"}
-	for i, l := range sim.Labels {
-		if i < len(l2017) {
-			cov.Points2017 = append(cov.Points2017, pts[i])
-			cov.Labels2017 = append(cov.Labels2017, l)
-		} else {
-			cov.Points2006 = append(cov.Points2006, pts[i])
-			cov.Labels2006 = append(cov.Labels2006, l)
-		}
-	}
-	cov.Area2017 = stats.HullArea(cov.Points2017)
-	cov.Area2006 = stats.HullArea(cov.Points2006)
-	cov.FracOutside = stats.FractionOutside(cov.Points2017, cov.Points2006)
-	scatter := &ScatterResult{
-		Labels: sim.Labels, Points: pts, PCX: 0, PCY: 1,
-		DominantX:  sim.DominantColumns(0, 3),
-		DominantY:  sim.DominantColumns(1, 3),
-		VarCovered: sim.PCA.CumVarExplained[1],
-		Similarity: sim,
-	}
-	return cov, scatter, nil
+	cov := coverage("PC1-PC2 (power)", sim.Labels, scatter.Points, len(l2017))
+	return &cov, scatter, nil
 }
 
 // EmergingResult is the Figure 13 analysis: CPU2017 versus EDA, graph,
@@ -411,20 +309,8 @@ type EmergingResult struct {
 // Fig13 reproduces Figure 13: similarity among CPU2017, EDA, graph
 // analytics, and database workloads.
 func Fig13(lab *Lab) (*EmergingResult, error) {
-	c, err := lab.Characterization()
-	if err != nil {
-		return nil, err
-	}
-	l2017 := cpu2017Labels()
-	var emerging []string
-	for _, p := range workloads.Emerging() {
-		emerging = append(emerging, p.Name)
-	}
-	joint, err := c.Select(append(append([]string{}, l2017...), emerging...))
-	if err != nil {
-		return nil, err
-	}
-	sim, err := joint.SimilarityCtx(lab.Context(), core.DefaultSimilarityOptions())
+	l2017, emerging := labelsOf(workloads.CPU2017()), labelsOf(workloads.Emerging())
+	_, sim, err := lab.analyze(slices.Concat(l2017, emerging), paperOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -463,45 +349,11 @@ type SensitivityTable struct {
 // predictor, L1 D-cache, and L1 D-TLB configuration across the four
 // most architecturally diverse machines.
 func Table9(lab *Lab) ([]SensitivityTable, error) {
-	c, err := lab.Characterization()
-	if err != nil {
-		return nil, err
-	}
-	sub, err := c.Select(cpu2017Labels())
-	if err != nil {
-		return nil, err
-	}
-	sens, err := machine.SensitivityFleet()
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, m := range sens {
-		names = append(names, m.Name())
-	}
-	structures := []struct {
-		name   string
-		metric counters.Metric
-	}{
+	return classify(lab, []structure{
 		{"Branch Prediction", counters.BranchMPKI},
 		{"L1 D-cache", counters.L1DMPKI},
 		{"L1 D-TLB", counters.DTLBMPMI},
-	}
-	var tables []SensitivityTable
-	for _, st := range structures {
-		res, err := sub.Sensitivity(st.metric, names)
-		if err != nil {
-			return nil, err
-		}
-		tables = append(tables, SensitivityTable{
-			Structure: st.name,
-			Metric:    st.metric,
-			High:      res.Labels(core.HighSensitivity),
-			Medium:    res.Labels(core.MediumSensitivity),
-			Low:       res.Labels(core.LowSensitivity),
-		})
-	}
-	return tables, nil
+	})
 }
 
 // Table9Extended runs the sensitivity classification over every
@@ -509,26 +361,7 @@ func Table9(lab *Lab) ([]SensitivityTable, error) {
 // prints — an extension for studies targeting L2/L3 or the
 // instruction side.
 func Table9Extended(lab *Lab) ([]SensitivityTable, error) {
-	c, err := lab.Characterization()
-	if err != nil {
-		return nil, err
-	}
-	sub, err := c.Select(cpu2017Labels())
-	if err != nil {
-		return nil, err
-	}
-	sens, err := machine.SensitivityFleet()
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, m := range sens {
-		names = append(names, m.Name())
-	}
-	structures := []struct {
-		name   string
-		metric counters.Metric
-	}{
+	return classify(lab, []structure{
 		{"Branch Prediction", counters.BranchMPKI},
 		{"L1 D-cache", counters.L1DMPKI},
 		{"L1 I-cache", counters.L1IMPKI},
@@ -536,10 +369,35 @@ func Table9Extended(lab *Lab) ([]SensitivityTable, error) {
 		{"Last-level cache", counters.L3MPKI},
 		{"L1 D-TLB", counters.DTLBMPMI},
 		{"L1 I-TLB", counters.ITLBMPMI},
+	})
+}
+
+// structure is a hardware structure Table IX classifies by, through
+// the metric that exposes it.
+type structure struct {
+	name   string
+	metric counters.Metric
+}
+
+// classify is Table IX's classifier: per structure, it ranks the
+// CPU2017 benchmarks by how much the structure's metric varies across
+// machine.SensitivityFleet.
+func classify(lab *Lab, structures []structure) ([]SensitivityTable, error) {
+	sub, _, err := lab.analyze(labelsOf(workloads.CPU2017()), nil)
+	if err != nil {
+		return nil, err
+	}
+	sens, err := machine.SensitivityFleet()
+	if err != nil {
+		return nil, err
+	}
+	machines := make([]string, len(sens))
+	for i, m := range sens {
+		machines[i] = m.Name()
 	}
 	var tables []SensitivityTable
 	for _, st := range structures {
-		res, err := sub.Sensitivity(st.metric, names)
+		res, err := sub.Sensitivity(st.metric, machines)
 		if err != nil {
 			return nil, err
 		}

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/counters"
 	"repro/internal/machine"
 	"repro/internal/workloads"
 )
@@ -363,6 +365,35 @@ func TestRateSpeedComparison(t *testing.T) {
 	}
 }
 
+// topByMetric returns the n labels with the largest value of one
+// Skylake metric, to check the paper's Figure 9/10 callouts ("leela
+// and mcf suffer the highest branch misprediction rates").
+func topByMetric(t *testing.T, labels []string, metric counters.Metric, n int) []string {
+	t.Helper()
+	c, err := lab(t).Characterization()
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := make(map[string]float64, len(labels))
+	for _, l := range labels {
+		s, err := c.Sample(l, machine.Skylake)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if value[l], err = s.Value(metric); err != nil {
+			t.Fatal(err)
+		}
+	}
+	top := append([]string(nil), labels...)
+	sort.Slice(top, func(i, j int) bool {
+		if value[top[i]] != value[top[j]] {
+			return value[top[i]] > value[top[j]]
+		}
+		return top[i] < top[j]
+	})
+	return top[:min(n, len(top))]
+}
+
 func TestFig9BranchScatter(t *testing.T) {
 	res, err := Fig9(lab(t))
 	if err != nil {
@@ -373,10 +404,7 @@ func TestFig9BranchScatter(t *testing.T) {
 	}
 	// Paper: leela and mcf suffer the highest branch misprediction
 	// rates.
-	top, err := TopByMetric(lab(t), res.Labels, "branch_mpki", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	top := topByMetric(t, res.Labels, "branch_mpki", 4)
 	topSet := strings.Join(top, " ")
 	if !strings.Contains(topSet, "leela") || !strings.Contains(topSet, "mcf") {
 		t.Errorf("top mispredictors %v should include leela and mcf", top)
@@ -395,10 +423,7 @@ func TestFig10CacheScatters(t *testing.T) {
 		t.Fatal("Figure 10 point counts wrong")
 	}
 	// Paper: worst data locality = mcf, cactuBSSN, fotonik3d.
-	topD, err := TopByMetric(lab(t), dc.Labels, "l1d_mpki", 6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	topD := topByMetric(t, dc.Labels, "l1d_mpki", 6)
 	joined := strings.Join(topD, " ")
 	for _, want := range []string{"mcf", "cactubSSN", "fotonik3d"} {
 		if !strings.Contains(joined, want) {
@@ -412,10 +437,7 @@ func TestFig10CacheScatters(t *testing.T) {
 	for _, s := range []workloads.Suite{workloads.RateINT, workloads.SpeedINT} {
 		intLabels = append(intLabels, SuiteNames(s)...)
 	}
-	topI, err := TopByMetric(lab(t), intLabels, "l1i_mpki", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	topI := topByMetric(t, intLabels, "l1i_mpki", 4)
 	joinedI := strings.Join(topI, " ")
 	if !strings.Contains(joinedI, "perlbench") || !strings.Contains(joinedI, "gcc") {
 		t.Errorf("top INT I-cache list %v should include perlbench and gcc", topI)

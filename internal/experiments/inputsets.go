@@ -46,16 +46,8 @@ type InputSetResult struct {
 }
 
 func inputSetAnalysis(lab *Lab, suites ...workloads.Suite) (*InputSetResult, error) {
-	c, err := lab.Characterization()
-	if err != nil {
-		return nil, err
-	}
 	labels := inputSetLabels(suites...)
-	sub, err := c.Select(labels)
-	if err != nil {
-		return nil, err
-	}
-	sim, err := sub.SimilarityCtx(lab.Context(), core.DefaultSimilarityOptions())
+	_, sim, err := lab.analyze(labels, paperOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -205,20 +197,12 @@ type RateSpeedRow struct {
 // RateSpeed reproduces the Section IV-D comparison: for every family
 // with both versions, how far apart do rate and speed land?
 func RateSpeed(lab *Lab) ([]RateSpeedRow, error) {
-	c, err := lab.Characterization()
-	if err != nil {
-		return nil, err
-	}
 	pairs := workloads.RateSpeedPairs()
 	var labels []string
 	for _, pr := range pairs {
 		labels = append(labels, pr[0].Name, pr[1].Name)
 	}
-	sub, err := c.Select(labels)
-	if err != nil {
-		return nil, err
-	}
-	sim, err := sub.SimilarityCtx(lab.Context(), core.DefaultSimilarityOptions())
+	_, sim, err := lab.analyze(labels, paperOptions())
 	if err != nil {
 		return nil, err
 	}

@@ -222,18 +222,63 @@ func (l *Lab) RunStoredMulti(m *machine.Machine, w machine.Workload, copies int,
 		})
 }
 
-// suiteChar returns the characterization restricted to one CPU2017
-// sub-suite's primary inputs.
-func (l *Lab) suiteChar(s workloads.Suite) (*core.Characterization, error) {
+// analyze is every experiment's one path from a label set to the
+// paper's analysis. It selects labels, in order, from the lab's
+// characterization and, unless opts is nil, fits their similarity
+// space (PCA, then clustering) under opts on the handle's context, so
+// the fit's spans land on the request's trace. It keeps no state, so
+// concurrent calls are safe.
+func (l *Lab) analyze(labels []string, opts *core.SimilarityOptions) (*core.Characterization, *core.Similarity, error) {
 	c, err := l.Characterization()
+	if err != nil {
+		return nil, nil, err
+	}
+	sub, err := c.Select(labels)
+	if err != nil || opts == nil {
+		return sub, nil, err
+	}
+	sim, err := sub.SimilarityCtx(l.Context(), *opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sub, sim, nil
+}
+
+// paperOptions returns the paper's similarity settings
+// (core.DefaultSimilarityOptions) for analyze; an experiment that
+// varies one setting changes it on the returned copy.
+func paperOptions() *core.SimilarityOptions {
+	opts := core.DefaultSimilarityOptions()
+	return &opts
+}
+
+// fitSuite fits one CPU2017 sub-suite's primary inputs the paper's
+// way.
+func fitSuite(lab *Lab, s workloads.Suite) (*core.Similarity, error) {
+	_, sim, err := lab.analyze(SuiteNames(s), paperOptions())
+	return sim, err
+}
+
+// refMachine returns the fleet's Skylake: the paper's reference
+// machine for CPI stacks and perfdb speedups, and the one the
+// extensions re-measure on.
+func (l *Lab) refMachine() (*machine.Machine, error) {
+	fleet, err := l.Fleet()
 	if err != nil {
 		return nil, err
 	}
-	var labels []string
-	for _, p := range workloads.BySuite(s) {
-		labels = append(labels, p.Name)
+	for _, m := range fleet {
+		if m.Name() == machine.Skylake {
+			return m, nil
+		}
 	}
-	return c.Select(labels)
+	return nil, fmt.Errorf("experiments: reference machine %q not in fleet", machine.Skylake)
+}
+
+// subSuites returns the four CPU2017 sub-suites in the order Tables V
+// and VI and the ablations report them.
+func subSuites() []workloads.Suite {
+	return []workloads.Suite{workloads.SpeedINT, workloads.RateINT, workloads.SpeedFP, workloads.RateFP}
 }
 
 // perSuite runs fn for every suite concurrently, one goroutine each,
@@ -262,27 +307,13 @@ func perSuite[T any](suites []workloads.Suite, fn func(workloads.Suite) (T, erro
 }
 
 // SuiteNames returns the primary-input labels of a sub-suite.
-func SuiteNames(s workloads.Suite) []string {
+func SuiteNames(s workloads.Suite) []string { return labelsOf(workloads.BySuite(s)) }
+
+// labelsOf returns the profiles' names, in order.
+func labelsOf(ps []workloads.Profile) []string {
 	var out []string
-	for _, p := range workloads.BySuite(s) {
+	for _, p := range ps {
 		out = append(out, p.Name)
 	}
 	return out
-}
-
-// categoryKey maps a CPU2017 sub-suite to its perfdb submission
-// category.
-func categoryKey(s workloads.Suite) (string, error) {
-	switch s {
-	case workloads.SpeedINT:
-		return "speed-int", nil
-	case workloads.RateINT:
-		return "rate-int", nil
-	case workloads.SpeedFP:
-		return "speed-fp", nil
-	case workloads.RateFP:
-		return "rate-fp", nil
-	default:
-		return "", fmt.Errorf("experiments: suite %v has no submission category", s)
-	}
 }

@@ -33,18 +33,9 @@ func MeasurementNoise(lab *Lab, benchmarks []string, replicas int) ([]NoiseRow, 
 	if benchmarks == nil {
 		benchmarks = []string{"505.mcf_r", "541.leela_r", "525.x264_r", "549.fotonik3d_r"}
 	}
-	fleet, err := lab.Fleet()
+	sky, err := lab.refMachine()
 	if err != nil {
 		return nil, err
-	}
-	var sky *machine.Machine
-	for _, m := range fleet {
-		if m.Name() == refMachineName {
-			sky = m
-		}
-	}
-	if sky == nil {
-		return nil, fmt.Errorf("experiments: reference machine missing")
 	}
 
 	metrics := []counters.Metric{

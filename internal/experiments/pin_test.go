@@ -38,6 +38,38 @@ const (
 // the experiments it bundles.
 const reportPinSHA256 = "00e3d09d06529f8a795a7564ef6b19ec519552740e089af891c121440f90c980"
 
+// Pins of the four registry experiments BuildReport leaves out, on the
+// same Lab: the SHA-256 of the registry result's JSON encoding followed
+// by a newline. With reportPinSHA256 they pin every registry id.
+const (
+	fig5PinSHA256           = "70aae0f7f211967b2768ed77047c49313d2bf1c65dbcb163607aa53cb02a1c51"
+	fig6PinSHA256           = "62106d10f5bff3d7f37c26b1612ff5d2e8e2c5fea60e915bdf6318b69cd3ef92"
+	table9ExtendedPinSHA256 = "15eb0f8673e2bac90da0e862772042a294c0b84a43fc9a7b35cdfdd5df455c64"
+	noisePinSHA256          = "3c714b5c7bb814d9bbdb94214e822b7bbd4511f07095e927e0c63e4c1fc988cd"
+)
+
+func TestUnreportedRegistryPinned(t *testing.T) {
+	lab := NewLabWithEngine(machine.RunOptions{}, nil, nil, engine.Analytic{})
+	for _, pin := range []struct{ id, want string }{
+		{"fig5", fig5PinSHA256},
+		{"fig6", fig6PinSHA256},
+		{"table9-extended", table9ExtendedPinSHA256},
+		{"noise", noisePinSHA256},
+	} {
+		d, ok := Lookup(pin.id)
+		if !ok {
+			t.Fatalf("%s: not in the registry", pin.id)
+		}
+		v, err := d.Run(lab)
+		if err != nil {
+			t.Fatalf("%s: %v", pin.id, err)
+		}
+		if got := pinHash(t, v); got != pin.want {
+			t.Errorf("%s JSON SHA-256 = %s, want %s", pin.id, got, pin.want)
+		}
+	}
+}
+
 func TestAnalysisOutputPinned(t *testing.T) {
 	lab := NewLabWithEngine(machine.RunOptions{}, nil, nil, engine.Analytic{})
 	t5, err := Table5(lab)

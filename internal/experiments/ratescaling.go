@@ -42,18 +42,9 @@ func RateScaling(lab *Lab, benchmarks []string, copies []int) ([]RateScalingRow,
 	if benchmarks == nil {
 		benchmarks = RateScalingBenchmarks
 	}
-	fleet, err := lab.Fleet()
+	sky, err := lab.refMachine()
 	if err != nil {
 		return nil, err
-	}
-	var sky *machine.Machine
-	for _, m := range fleet {
-		if m.Name() == refMachineName {
-			sky = m
-		}
-	}
-	if sky == nil {
-		return nil, fmt.Errorf("experiments: reference machine %q not in fleet", refMachineName)
 	}
 
 	opts := machine.RunOptions{Instructions: 60_000, WarmupInstructions: 15_000}

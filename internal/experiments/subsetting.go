@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/machine"
 	"repro/internal/perfdb"
 	"repro/internal/workloads"
 )
@@ -26,11 +27,7 @@ type DendrogramResult struct {
 }
 
 func dendrogramFor(lab *Lab, suite workloads.Suite) (*DendrogramResult, error) {
-	c, err := lab.suiteChar(suite)
-	if err != nil {
-		return nil, err
-	}
-	sim, err := c.SimilarityCtx(lab.Context(), core.DefaultSimilarityOptions())
+	sim, err := fitSuite(lab, suite)
 	if err != nil {
 		return nil, err
 	}
@@ -76,37 +73,31 @@ type SubsetRow struct {
 // Table5 reproduces Table V: representative 3-benchmark subsets of the
 // four CPU2017 sub-suites, with their simulation-time reductions.
 func Table5(lab *Lab) ([]SubsetRow, error) {
-	suites := []workloads.Suite{workloads.SpeedINT, workloads.RateINT, workloads.SpeedFP, workloads.RateFP}
-	return perSuite(suites, func(s workloads.Suite) (SubsetRow, error) {
-		row, err := subsetForSuite(lab, s, 3)
+	return perSuite(subSuites(), func(s workloads.Suite) (SubsetRow, error) {
+		sim, err := fitSuite(lab, s)
 		if err != nil {
 			return SubsetRow{}, err
 		}
-		return *row, nil
+		res := sim.Subset(3)
+		red, err := simTimeReduction(s, res.Representatives)
+		return SubsetRow{
+			Suite:            s,
+			Subset:           res.Representatives,
+			Clusters:         res.Clusters,
+			CutHeight:        res.CutHeight,
+			SimTimeReduction: red,
+		}, err
 	})
 }
 
-func subsetForSuite(lab *Lab, suite workloads.Suite, k int) (*SubsetRow, error) {
-	d, err := dendrogramFor(lab, suite)
-	if err != nil {
-		return nil, err
-	}
-	res := d.Similarity.Subset(k)
+// simTimeReduction is the Table V saving of simulating subset instead
+// of its whole sub-suite, from the published instruction counts.
+func simTimeReduction(suite workloads.Suite, subset []string) (float64, error) {
 	icounts := make(map[string]float64)
 	for _, p := range workloads.BySuite(suite) {
 		icounts[p.Name] = p.DynInstrBillions
 	}
-	red, err := core.SimulationTimeReduction(res.Representatives, SuiteNames(suite), icounts)
-	if err != nil {
-		return nil, err
-	}
-	return &SubsetRow{
-		Suite:            suite,
-		Subset:           res.Representatives,
-		Clusters:         res.Clusters,
-		CutHeight:        res.CutHeight,
-		SimTimeReduction: red,
-	}, nil
+	return core.SimulationTimeReduction(subset, SuiteNames(suite), icounts)
 }
 
 // ValidationRow is one sub-suite's subset-validation outcome —
@@ -126,30 +117,72 @@ type ValidationRow struct {
 }
 
 func validateSuite(lab *Lab, suite workloads.Suite) (*ValidationRow, error) {
-	c, err := lab.suiteChar(suite)
+	sub, sim, err := lab.analyze(SuiteNames(suite), paperOptions())
 	if err != nil {
 		return nil, err
 	}
-	row, err := subsetForSuite(lab, suite, 3)
+	v, err := newValidator(sub, suite)
 	if err != nil {
 		return nil, err
 	}
-	cat, err := categoryKey(suite)
+	res := sim.Subset(3)
+	out := &ValidationRow{
+		Suite:    suite,
+		Subset:   res.Representatives,
+		RandSet1: perfdb.RandomSubset(v.all, 3, 1),
+		RandSet2: perfdb.RandomSubset(v.all, 3, 2),
+	}
+	if out.Identified, err = v.subset(res); err != nil {
+		return nil, err
+	}
+	// Random subsets have no cluster structure and are scored with the
+	// plain geomean.
+	if out.Rand1, err = v.db.Validate(out.RandSet1, v.all); err != nil {
+		return nil, err
+	}
+	if out.Rand2, err = v.db.Validate(out.RandSet2, v.all); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// validator scores subsets of one CPU2017 sub-suite against the
+// whole sub-suite's score on the synthetic commercial systems of its
+// submission category.
+type validator struct {
+	all []string
+	db  *perfdb.DB
+}
+
+// newValidator builds the validator of a sub-suite from its
+// characterization, sub, on the reference machine.
+func newValidator(sub *core.Characterization, suite workloads.Suite) (*validator, error) {
+	category := map[workloads.Suite]string{
+		workloads.SpeedINT: "speed-int", workloads.RateINT: "rate-int",
+		workloads.SpeedFP: "speed-fp", workloads.RateFP: "rate-fp",
+	}[suite]
+	if category == "" {
+		return nil, fmt.Errorf("experiments: suite %v has no submission category", suite)
+	}
+	db, err := sub.BuildPerfDB(machine.Skylake, perfdb.SystemsFor(category))
 	if err != nil {
 		return nil, err
 	}
-	db, err := c.BuildPerfDB(refMachineName, perfdb.SystemsFor(cat))
-	if err != nil {
-		return nil, err
-	}
-	all := SuiteNames(suite)
-	out := &ValidationRow{Suite: suite, Subset: row.Subset}
-	// The identified subset is scored with cluster-size weights: each
-	// representative stands for its whole cluster. Random subsets have
-	// no cluster structure and are scored with the plain geomean.
-	weights := make([]float64, len(row.Subset))
-	for i, rep := range row.Subset {
-		for _, cl := range row.Clusters {
+	return &validator{all: sub.Labels, db: db}, nil
+}
+
+// subset scores a clustered subset with cluster-size weights: each
+// representative stands for its whole cluster.
+func (v *validator) subset(res core.SubsetResult) (perfdb.Validation, error) {
+	return v.db.ValidateWeighted(res.Representatives, clusterWeights(res), v.all)
+}
+
+// clusterWeights maps a subset's representatives to their cluster
+// sizes, in representative order.
+func clusterWeights(res core.SubsetResult) []float64 {
+	weights := make([]float64, len(res.Representatives))
+	for i, rep := range res.Representatives {
+		for _, cl := range res.Clusters {
 			for _, member := range cl {
 				if member == rep {
 					weights[i] = float64(len(cl))
@@ -157,21 +190,7 @@ func validateSuite(lab *Lab, suite workloads.Suite) (*ValidationRow, error) {
 			}
 		}
 	}
-	out.Identified, err = db.ValidateWeighted(row.Subset, weights, all)
-	if err != nil {
-		return nil, err
-	}
-	out.RandSet1 = perfdb.RandomSubset(all, 3, 1)
-	out.RandSet2 = perfdb.RandomSubset(all, 3, 2)
-	out.Rand1, err = db.Validate(out.RandSet1, all)
-	if err != nil {
-		return nil, err
-	}
-	out.Rand2, err = db.Validate(out.RandSet2, all)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return weights
 }
 
 // Fig5 reproduces Figure 5: validation of the SPECspeed INT and
@@ -199,13 +218,8 @@ type Table6Result []*ValidationRow
 // Table6 reproduces Table VI: identified-subset accuracy versus two
 // random subsets across all four sub-suites.
 func Table6(lab *Lab) (Table6Result, error) {
-	return validateSuites(lab,
-		workloads.SpeedINT, workloads.RateINT, workloads.SpeedFP, workloads.RateFP)
+	return validateSuites(lab, subSuites()...)
 }
-
-// refMachineName is the reference machine for CPI stacks and perfdb
-// speedups (the paper characterizes on Skylake).
-const refMachineName = "skylake-i7-6700"
 
 // RenderTable6 formats Table VI.
 func RenderTable6(rows []*ValidationRow) string {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/workloads"
 )
 
@@ -29,23 +30,23 @@ func RateSpeedTreeSimilarity(lab *Lab) ([]TreeSimilarityRow, error) {
 		{"INT rate vs speed", workloads.RateINT, workloads.SpeedINT},
 		{"FP rate vs speed", workloads.RateFP, workloads.SpeedFP},
 	}
-	// The four dendrograms, in pair order: rate then speed per pair.
+	// The four fits, in pair order: rate then speed per pair.
 	var suites []workloads.Suite
 	for _, p := range pairs {
 		suites = append(suites, p.rate, p.speed)
 	}
-	dens, err := perSuite(suites, func(s workloads.Suite) (*DendrogramResult, error) {
-		return dendrogramFor(lab, s)
+	sims, err := perSuite(suites, func(s workloads.Suite) (*core.Similarity, error) {
+		return fitSuite(lab, s)
 	})
 	if err != nil {
 		return nil, err
 	}
 	var rows []TreeSimilarityRow
 	for i, p := range pairs {
-		rateDen, speedDen := dens[2*i], dens[2*i+1]
+		rate, speed := sims[2*i], sims[2*i+1]
 		// Pair by family: indices of each family's member in each tree.
-		rateIdx := indexByBase(p.rate, rateDen.Similarity.Labels)
-		speedIdx := indexByBase(p.speed, speedDen.Similarity.Labels)
+		rateIdx := indexByBase(p.rate, rate.Labels)
+		speedIdx := indexByBase(p.speed, speed.Labels)
 		var families []string
 		var ia, ib []int
 		for base, ri := range rateIdx {
@@ -58,8 +59,7 @@ func RateSpeedTreeSimilarity(lab *Lab) ([]TreeSimilarityRow, error) {
 			ib = append(ib, si)
 		}
 		sortByFamily(families, ia, ib)
-		corr, err := cluster.CopheneticCorrelation(
-			rateDen.Similarity.Dendrogram, speedDen.Similarity.Dendrogram, ia, ib)
+		corr, err := cluster.CopheneticCorrelation(rate.Dendrogram, speed.Dendrogram, ia, ib)
 		if err != nil {
 			return nil, err
 		}

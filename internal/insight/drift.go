@@ -73,17 +73,17 @@ type AccuracyStatus struct {
 type Drift struct {
 	events *EventLog
 
-	ratio      *metrics.HistogramVec
-	pairsCtr   *metrics.Counter
+	ratio *metrics.HistogramVec
+	// pairs and violations are also the totals Status reports, so
+	// each event is counted once.
+	pairs      *metrics.Counter
 	violations *metrics.Counter
 
 	powerOnce sync.Once
 	hasPower  map[string]bool
 
 	mu      sync.Mutex
-	pairs   int64
 	samples int64
-	nviol   int64
 	worst   float64
 	cells   map[string]*Offender
 }
@@ -95,7 +95,7 @@ func newDrift(reg *metrics.Registry, events *EventLog) *Drift {
 			"Analytic-vs-exact disagreement per compared metric, as the fraction of the tolerance band consumed (>1 = violation).",
 			[]float64{0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1, 1.5, 2, 4},
 			"metric"),
-		pairsCtr: reg.Counter("spec17d_engine_drift_pairs_total",
+		pairs: reg.Counter("spec17d_engine_drift_pairs_total",
 			"Analytic/exact record pairs compared by the drift monitor."),
 		violations: reg.Counter("spec17d_engine_drift_violations_total",
 			"Drift samples whose disagreement exceeded the committed tolerance band."),
@@ -116,10 +116,7 @@ func (d *Drift) ObservePair(key store.Key, analytic, exact *machine.RawCounts) {
 	if aErr != nil || xErr != nil {
 		return // zero-instruction records carry no metrics to compare
 	}
-	d.pairsCtr.Inc()
-	d.mu.Lock()
-	d.pairs++
-	d.mu.Unlock()
+	d.pairs.Inc()
 	for _, m := range aSample.Metrics() {
 		d.observeMetric(key, m, aSample.MustValue(m), xSample.MustValue(m))
 	}
@@ -149,12 +146,8 @@ func (d *Drift) observeMetric(key store.Key, m counters.Metric, a, x float64) {
 	if ratio > cell.WorstRatio {
 		cell.WorstRatio, cell.Analytic, cell.Exact = ratio, a, x
 	}
-	violated := ratio > 1
-	if violated {
-		d.nviol++
-	}
 	d.mu.Unlock()
-	if violated {
+	if ratio > 1 {
 		d.violations.Inc()
 		d.events.Emit(EventBandViolation,
 			fmt.Sprintf("analytic %s for %s on %s drifted %.2fx beyond its tolerance band",
@@ -194,9 +187,9 @@ func (d *Drift) pruneCellsLocked() {
 func (d *Drift) Status() AccuracyStatus {
 	d.mu.Lock()
 	st := AccuracyStatus{
-		Pairs:      d.pairs,
+		Pairs:      int64(d.pairs.Value()),
 		Samples:    d.samples,
-		Violations: d.nviol,
+		Violations: int64(d.violations.Value()),
 		WorstRatio: d.worst,
 	}
 	worst := make([]Offender, 0, len(d.cells))

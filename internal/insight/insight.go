@@ -95,7 +95,7 @@ type Plane struct {
 	drift   *Drift
 	events  *EventLog
 	slo     *sloMonitor
-	samples *metrics.Counter
+	samples *metrics.Counter // ticks taken; Status reports it too
 
 	// tickMu serializes Tick: the loop is one goroutine, but Tick is
 	// also callable directly (tests, handlers wanting freshness), and
@@ -108,7 +108,6 @@ type Plane struct {
 	lastShed      float64
 	haveShed      bool
 	lastShedEvent time.Time
-	nsamples      int64
 
 	quit     chan struct{}
 	done     chan struct{}
@@ -183,7 +182,6 @@ func (p *Plane) Tick() {
 	p.samples.Inc()
 	slo := p.slo.evaluate(p.rec, now)
 	p.mu.Lock()
-	p.nsamples++
 	p.sloStatus = slo
 	p.mu.Unlock()
 	p.detectShedSpike(snap, now)
@@ -232,13 +230,12 @@ func (p *Plane) Interval() time.Duration { return p.cfg.Interval }
 func (p *Plane) Status() Status {
 	p.mu.Lock()
 	slo := append([]EndpointSLO(nil), p.sloStatus...)
-	n := p.nsamples
 	p.mu.Unlock()
 	return Status{
 		IntervalSeconds: p.cfg.Interval.Seconds(),
 		RingCapacity:    p.rec.Capacity(),
 		SeriesTracked:   p.rec.SeriesCount(),
-		Samples:         n,
+		Samples:         int64(p.samples.Value()),
 		EventsBuffered:  p.events.Len(),
 		EventsTotal:     p.events.Total(),
 		SLO:             slo,

@@ -219,22 +219,6 @@ func Fleet() ([]*Machine, error) {
 	return machines, nil
 }
 
-// RAPLFleet returns the three Intel machines with power instrumentation
-// (Skylake, Ivybridge, Broadwell), used for the Figure 12 power study.
-func RAPLFleet() ([]*Machine, error) {
-	all, err := Fleet()
-	if err != nil {
-		return nil, err
-	}
-	var out []*Machine
-	for _, m := range all {
-		if m.Config().HasRAPL {
-			out = append(out, m)
-		}
-	}
-	return out, nil
-}
-
 // SensitivityFleet returns the four machines used for the paper's
 // Table IX sensitivity ranking (the paper uses "four different
 // machines"; we pick the four most architecturally diverse, including

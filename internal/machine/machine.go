@@ -120,7 +120,7 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.IssueWidth < 1 {
 		return nil, fmt.Errorf("machine %s: issue width %d", cfg.Name, cfg.IssueWidth)
 	}
-	if cfg.FreqGHz <= 0 {
+	if !(cfg.FreqGHz > 0) { // NaN fails too
 		return nil, fmt.Errorf("machine %s: frequency %v", cfg.Name, cfg.FreqGHz)
 	}
 	// Validate geometry without building anything; the first Run
@@ -279,7 +279,7 @@ func (o RunOptions) Validate() error {
 
 // Run measures one workload on the machine.
 func (m *Machine) Run(w Workload, opts RunOptions) (*RawCounts, error) {
-	if w.ILP <= 0 {
+	if !(w.ILP > 0) { // NaN fails too
 		return nil, fmt.Errorf("machine: workload %q has non-positive ILP", w.Key)
 	}
 	opts = opts.withDefaults()

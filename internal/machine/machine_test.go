@@ -50,16 +50,6 @@ func TestFleetConstruction(t *testing.T) {
 	}
 }
 
-func TestRAPLFleet(t *testing.T) {
-	rapl, err := RAPLFleet()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rapl) != 3 {
-		t.Fatalf("RAPL fleet has %d machines, want 3 (Skylake/Broadwell/Ivybridge)", len(rapl))
-	}
-}
-
 func TestSensitivityFleet(t *testing.T) {
 	sens, err := SensitivityFleet()
 	if err != nil {
@@ -284,5 +274,43 @@ func TestRunOptionsCanonical(t *testing.T) {
 	b := RunOptions{Instructions: 5000, WarmupInstructions: 1000}.Canonical()
 	if a != b {
 		t.Errorf("equivalent fidelities canonicalize differently: %+v vs %+v", a, b)
+	}
+}
+
+// TestNaNRejected: a NaN frequency, penalty, power coefficient, ILP or
+// spec fraction fails validation the way an out-of-range value does.
+// Passed through, it would run, and the content hash, which reads the
+// JSON encoding that NaN has none of, could not tell two such inputs
+// apart.
+func TestNaNRejected(t *testing.T) {
+	nan := math.NaN()
+	for name, mutate := range map[string]func(*Config){
+		"FreqGHz":    func(c *Config) { c.FreqGHz = nan },
+		"MLP":        func(c *Config) { c.Penalties.MLP = nan },
+		"MemLatency": func(c *Config) { c.Penalties.MemLatency = nan },
+		"DRAMPerMPC": func(c *Config) { c.Power.DRAMPerMPC = nan },
+	} {
+		cfg := SkylakeConfig()
+		mutate(&cfg)
+		if _, err := New(cfg); err == nil {
+			t.Errorf("New with NaN %s: no error", name)
+		}
+	}
+	m, err := New(SkylakeConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mutate := range map[string]func(*Workload){
+		"ILP":      func(w *Workload) { w.ILP = nan },
+		"LoadFrac": func(w *Workload) { w.Spec.LoadFrac = nan },
+	} {
+		w := testWorkload()
+		mutate(&w)
+		if _, err := m.Run(w, quickOpts()); err == nil {
+			t.Errorf("Run with NaN %s: no error", name)
+		}
+		if _, err := m.RunMulti(w, 2, quickOpts()); err == nil {
+			t.Errorf("RunMulti with NaN %s: no error", name)
+		}
 	}
 }

@@ -46,7 +46,7 @@ func (m *Machine) RunMulti(w Workload, copies int, opts RunOptions) (*MultiCount
 	if copies < 1 {
 		return nil, fmt.Errorf("machine: copies %d", copies)
 	}
-	if w.ILP <= 0 {
+	if !(w.ILP > 0) { // NaN fails too
 		return nil, fmt.Errorf("machine: workload %q has non-positive ILP", w.Key)
 	}
 	opts = opts.withDefaults()

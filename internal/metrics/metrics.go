@@ -12,6 +12,7 @@ import (
 	"io"
 	"math"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -182,7 +183,7 @@ func (r *Registry) register(name, help, typ string, labels []string, bounds []fl
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f, ok := r.byName[name]; ok {
-		if f.typ != typ || !equalStrings(f.labels, labels) {
+		if f.typ != typ || !slices.Equal(f.labels, labels) {
 			panic(fmt.Sprintf("metrics: %q re-registered with a different type or label set", name))
 		}
 		return f
@@ -196,18 +197,6 @@ func (r *Registry) register(name, help, typ string, labels []string, bounds []fl
 	r.families = append(r.families, f)
 	r.byName[name] = f
 	return f
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // get returns the series for the given label values, creating it with

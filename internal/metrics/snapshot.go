@@ -1,5 +1,7 @@
 package metrics
 
+import "slices"
+
 // The typed read path of the registry. Prometheus text exposition
 // (WritePrometheus) was historically the registry's only way out; the
 // Snapshot/Range API gives in-process consumers — the /v1/status
@@ -73,7 +75,7 @@ func (s Snapshot) Value(name string, labelValues ...string) float64 {
 		return 0
 	}
 	for _, ss := range fs.Series {
-		if equalStrings(ss.LabelValues, labelValues) {
+		if slices.Equal(ss.LabelValues, labelValues) {
 			return ss.Value
 		}
 	}

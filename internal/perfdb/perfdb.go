@@ -127,13 +127,6 @@ func Build(stacks map[string]cpistack.Stack, systems []System) (*DB, error) {
 	return db, nil
 }
 
-// Systems returns the systems in the database, in insertion order.
-func (db *DB) Systems() []System {
-	out := make([]System, len(db.systems))
-	copy(out, db.systems)
-	return out
-}
-
 // Speedup returns one benchmark's speedup on one system.
 func (db *DB) Speedup(system, benchmark string) (float64, error) {
 	per, ok := db.scores[system]
@@ -192,24 +185,6 @@ func (db *DB) WeightedScore(system string, benchmarks []string, weights []float6
 		logSum += weights[i] / total * math.Log(v)
 	}
 	return math.Exp(logSum), nil
-}
-
-// SubsetError returns |score(subset) - score(all)| / score(all) for
-// one system — the per-system bars of Figures 5 and 6.
-func (db *DB) SubsetError(system string, subset, all []string) (float64, error) {
-	s, err := db.Score(system, subset)
-	if err != nil {
-		return 0, err
-	}
-	full, err := db.Score(system, all)
-	if err != nil {
-		return 0, err
-	}
-	e := (s - full) / full
-	if e < 0 {
-		e = -e
-	}
-	return e, nil
 }
 
 // Validation summarizes subset accuracy across every system in the DB.

@@ -23,16 +23,20 @@ type Model struct {
 	DRAMStatic, DRAMPerMPC float64
 }
 
-// Validate rejects negative coefficients.
+// Validate rejects negative and NaN coefficients: of several, the
+// first in field order.
 func (m Model) Validate() error {
-	for name, v := range map[string]float64{
-		"CoreStatic": m.CoreStatic, "CorePerIPC": m.CorePerIPC,
-		"FPWeight": m.FPWeight, "SIMDWeight": m.SIMDWeight,
-		"LLCStatic": m.LLCStatic, "LLCPerAPC": m.LLCPerAPC,
-		"DRAMStatic": m.DRAMStatic, "DRAMPerMPC": m.DRAMPerMPC,
+	for _, c := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"CoreStatic", m.CoreStatic}, {"CorePerIPC", m.CorePerIPC},
+		{"FPWeight", m.FPWeight}, {"SIMDWeight", m.SIMDWeight},
+		{"LLCStatic", m.LLCStatic}, {"LLCPerAPC", m.LLCPerAPC},
+		{"DRAMStatic", m.DRAMStatic}, {"DRAMPerMPC", m.DRAMPerMPC},
 	} {
-		if v < 0 {
-			return fmt.Errorf("power: negative coefficient %s = %v", name, v)
+		if !(c.v >= 0) {
+			return fmt.Errorf("power: coefficient %s = %v must be >= 0", c.name, c.v)
 		}
 	}
 	return nil

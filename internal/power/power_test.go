@@ -122,3 +122,27 @@ func TestStaticFloor(t *testing.T) {
 		t.Fatalf("power must not fall below static floor: %+v", b)
 	}
 }
+
+// TestValidateRejectsNaN: a NaN coefficient is rejected like a
+// negative one.
+func TestValidateRejectsNaN(t *testing.T) {
+	m := DefaultModel()
+	m.LLCPerAPC = math.NaN()
+	if err := m.Validate(); err == nil {
+		t.Fatal("NaN coefficient must be rejected")
+	}
+}
+
+// TestValidateFirstInFieldOrder: of several bad coefficients, Validate
+// names the first in field order, with the same text on every call.
+func TestValidateFirstInFieldOrder(t *testing.T) {
+	m := DefaultModel()
+	m.FPWeight, m.SIMDWeight, m.LLCStatic, m.LLCPerAPC = -1, -1, -1, -1
+	m.DRAMStatic, m.DRAMPerMPC = -1, -1
+	const want = "power: coefficient FPWeight = -1 must be >= 0"
+	for call := 0; call < 64; call++ {
+		if err := m.Validate(); err == nil || err.Error() != want {
+			t.Fatalf("call %d: Validate() = %v, want %q", call, err, want)
+		}
+	}
+}

@@ -121,28 +121,6 @@ func (m *Matrix) T() *Matrix {
 	return out
 }
 
-// Mul returns the matrix product m × b.
-func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
-	if m.cols != b.rows {
-		return nil, fmt.Errorf("stats: cannot multiply %dx%d by %dx%d", m.rows, m.cols, b.rows, b.cols)
-	}
-	out := NewMatrix(m.rows, b.cols)
-	for i := 0; i < m.rows; i++ {
-		mi := m.data[i*m.cols : (i+1)*m.cols]
-		oi := out.data[i*b.cols : (i+1)*b.cols]
-		for k, mik := range mi {
-			if mik == 0 {
-				continue
-			}
-			bk := b.data[k*b.cols : (k+1)*b.cols]
-			for j, bkj := range bk {
-				oi[j] += mik * bkj
-			}
-		}
-	}
-	return out, nil
-}
-
 // firstNonFinite returns the row and column of the first NaN or ±Inf
 // element of m in row-major order, and whether there is one.
 func firstNonFinite(m *Matrix) (i, j int, ok bool) {
@@ -196,32 +174,6 @@ func (m *Matrix) ColumnStddevs() ([]float64, error) {
 		sds[j] = math.Sqrt(sds[j] / float64(m.rows-1))
 	}
 	return sds, nil
-}
-
-// Standardize returns a new matrix with each column z-scored:
-// (x - mean) / stddev. Columns with zero variance become all zeros
-// rather than NaN, so constant metrics are harmless to PCA.
-func (m *Matrix) Standardize() (*Matrix, error) {
-	means, err := m.ColumnMeans()
-	if err != nil {
-		return nil, err
-	}
-	sds, err := m.ColumnStddevs()
-	if err != nil {
-		return nil, err
-	}
-	out := NewMatrix(m.rows, m.cols)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			sd := sds[j]
-			if sd == 0 {
-				out.data[i*m.cols+j] = 0
-				continue
-			}
-			out.data[i*m.cols+j] = (m.data[i*m.cols+j] - means[j]) / sd
-		}
-	}
-	return out, nil
 }
 
 // Covariance returns the sample covariance matrix (cols×cols) of the

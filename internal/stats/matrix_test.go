@@ -96,27 +96,6 @@ func TestMatrixTranspose(t *testing.T) {
 	}
 }
 
-func TestMatrixMul(t *testing.T) {
-	a, _ := MatrixFromRows([][]float64{{1, 2}, {3, 4}})
-	b, _ := MatrixFromRows([][]float64{{5, 6}, {7, 8}})
-	c, err := a.Mul(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := MatrixFromRows([][]float64{{19, 22}, {43, 50}})
-	if !c.Equal(want, 1e-12) {
-		t.Fatalf("Mul = %+v", c)
-	}
-}
-
-func TestMatrixMulShapeError(t *testing.T) {
-	a := NewMatrix(2, 3)
-	b := NewMatrix(2, 3)
-	if _, err := a.Mul(b); err == nil {
-		t.Fatal("expected shape error")
-	}
-}
-
 func TestColumnMeansAndStddevs(t *testing.T) {
 	m, _ := MatrixFromRows([][]float64{{1, 10}, {2, 20}, {3, 30}})
 	means, err := m.ColumnMeans()
@@ -132,30 +111,6 @@ func TestColumnMeansAndStddevs(t *testing.T) {
 	}
 	if math.Abs(sds[0]-1) > 1e-12 || math.Abs(sds[1]-10) > 1e-12 {
 		t.Fatalf("stddevs=%v", sds)
-	}
-}
-
-func TestStandardize(t *testing.T) {
-	m, _ := MatrixFromRows([][]float64{{1, 5, 7}, {2, 5, 9}, {3, 5, 11}})
-	z, err := m.Standardize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	means, _ := z.ColumnMeans()
-	sds, _ := z.ColumnStddevs()
-	for j := 0; j < 3; j++ {
-		if math.Abs(means[j]) > 1e-12 {
-			t.Fatalf("column %d mean %v, want 0", j, means[j])
-		}
-	}
-	if math.Abs(sds[0]-1) > 1e-12 || math.Abs(sds[2]-1) > 1e-12 {
-		t.Fatalf("stddevs=%v, want 1 for varying columns", sds)
-	}
-	// Constant column standardizes to zeros, not NaN.
-	for i := 0; i < 3; i++ {
-		if z.At(i, 1) != 0 {
-			t.Fatalf("constant column should standardize to 0, got %v", z.At(i, 1))
-		}
 	}
 }
 

@@ -138,7 +138,7 @@ func (s Spec) Validate() error {
 		{"TakenFrac", s.TakenFrac},
 	}
 	for _, f := range fracs {
-		if f.v < 0 || f.v > 1 {
+		if !(f.v >= 0 && f.v <= 1) { // NaN fails too
 			return fmt.Errorf("trace: %s = %v outside [0,1]", f.name, f.v)
 		}
 	}

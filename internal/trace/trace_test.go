@@ -316,3 +316,20 @@ func TestKindString(t *testing.T) {
 		}
 	}
 }
+
+// TestSpecValidateRejectsNaN: a NaN fraction is outside [0,1] like any
+// other value there.
+func TestSpecValidateRejectsNaN(t *testing.T) {
+	for name, field := range map[string]func(*Spec) *float64{
+		"LoadFrac":      func(s *Spec) *float64 { return &s.LoadFrac },
+		"HotFrac":       func(s *Spec) *float64 { return &s.HotFrac },
+		"BranchEntropy": func(s *Spec) *float64 { return &s.BranchEntropy },
+		"TakenFrac":     func(s *Spec) *float64 { return &s.TakenFrac },
+	} {
+		s := testSpec()
+		*field(&s) = math.NaN()
+		if err := s.Validate(); err == nil {
+			t.Errorf("NaN %s: no error", name)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 )
@@ -68,6 +69,29 @@ func TestPublicPipeline(t *testing.T) {
 	}
 	if !strings.Contains(sim.Dendrogram.Render(40), "505.mcf_r") {
 		t.Fatal("dendrogram rendering broken")
+	}
+}
+
+// TestCharacterizeRejectsNaN: a workload with a NaN field fails
+// characterization instead of being measured and stored under a
+// content hash that cannot tell it from another NaN workload.
+func TestCharacterizeRejectsNaN(t *testing.T) {
+	fleet, err := Fleet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mutate := range map[string]func(*Workload){
+		"ILP":       func(w *Workload) { w.ILP = math.NaN() },
+		"StoreFrac": func(w *Workload) { w.Spec.StoreFrac = math.NaN() },
+	} {
+		p, _ := ProfileByName("505.mcf_r")
+		w := p.Workload()
+		mutate(&w)
+		_, err := Characterize(context.Background(), []Entry{{Label: p.Name, Workload: w}},
+			fleet[:1], RunOptions{Instructions: 40_000, WarmupInstructions: 10_000})
+		if err == nil {
+			t.Errorf("NaN %s: Characterize succeeded", name)
+		}
 	}
 }
 
