@@ -16,9 +16,9 @@ RACE_PKGS ?= ./internal/server/... ./internal/metrics/... ./internal/core/... \
              ./internal/engine/... ./internal/jobs/... ./internal/insight/... \
              ./internal/flight/...
 
-.PHONY: ci fmt-check vet build test race race-analysis race-machine race-all fuzz bench bench-smoke bench-snapshot bench-gate smoke loc clean
+.PHONY: ci fmt-check vet build test race race-analysis race-machine race-engine race-all fuzz bench bench-smoke bench-snapshot bench-gate smoke loc clean
 
-ci: fmt-check vet build test race race-analysis race-machine fuzz bench-smoke
+ci: fmt-check vet build test race race-analysis race-machine race-engine fuzz bench-smoke
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -51,6 +51,12 @@ race-analysis:
 # freshly built one.
 race-machine:
 	$(GO) test -race -run 'TestConcurrentRunsShareMachine|TestRunReuseBitIdentical' ./internal/machine
+
+# race-engine race-checks the analytic engine's per-pair memo of
+# first-level characteristic times: concurrent estimates of one pair,
+# racing to solve and store its times, must equal the serial one.
+race-engine:
+	$(GO) test -race -count=10 -run 'TestFirstLevelMemoConcurrent' ./internal/engine
 
 race-all:
 	$(GO) test -race ./...

@@ -8,7 +8,10 @@
 // paper's Figure 1 and the CPI column of Table I.
 package cpistack
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Penalties holds a machine's stall costs, in cycles.
 type Penalties struct {
@@ -25,11 +28,14 @@ type Penalties struct {
 	MLP float64
 }
 
-// Validate reports nonsensical parameters, NaN among them: of several
-// bad latencies, the first in field order.
+// Validate reports nonsensical parameters, NaN and +Inf among them: of
+// several bad latencies, the first in field order.
 func (p Penalties) Validate() error {
 	if !(p.MLP >= 1) { // NaN fails too
 		return fmt.Errorf("cpistack: MLP %v must be >= 1", p.MLP)
+	}
+	if math.IsInf(p.MLP, 1) {
+		return fmt.Errorf("cpistack: MLP %v must be finite", p.MLP)
 	}
 	for _, f := range [...]struct {
 		name string
@@ -43,6 +49,9 @@ func (p Penalties) Validate() error {
 	} {
 		if !(f.v >= 0) {
 			return fmt.Errorf("cpistack: %s %v must be >= 0", f.name, f.v)
+		}
+		if math.IsInf(f.v, 1) {
+			return fmt.Errorf("cpistack: %s %v must be finite", f.name, f.v)
 		}
 	}
 	return nil

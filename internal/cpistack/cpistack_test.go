@@ -152,18 +152,20 @@ func TestMemoryBoundWorkloadDominatedByMemory(t *testing.T) {
 	}
 }
 
-// TestPenaltiesValidateRejectsNaN: a NaN MLP or latency is rejected
-// like a value out of range.
+// TestPenaltiesValidateRejectsNaN: a NaN or infinite MLP or latency is
+// rejected like a value out of range.
 func TestPenaltiesValidateRejectsNaN(t *testing.T) {
-	for name, field := range map[string]func(*Penalties) *float64{
-		"MLP":               func(p *Penalties) *float64 { return &p.MLP },
-		"MispredictPenalty": func(p *Penalties) *float64 { return &p.MispredictPenalty },
-		"PageWalkLatency":   func(p *Penalties) *float64 { return &p.PageWalkLatency },
-	} {
-		p := okPenalties()
-		*field(&p) = math.NaN()
-		if err := p.Validate(); err == nil {
-			t.Errorf("NaN %s: no error", name)
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		for name, field := range map[string]func(*Penalties) *float64{
+			"MLP":               func(p *Penalties) *float64 { return &p.MLP },
+			"MispredictPenalty": func(p *Penalties) *float64 { return &p.MispredictPenalty },
+			"PageWalkLatency":   func(p *Penalties) *float64 { return &p.PageWalkLatency },
+		} {
+			p := okPenalties()
+			*field(&p) = bad
+			if err := p.Validate(); err == nil {
+				t.Errorf("%v %s: no error", bad, name)
+			}
 		}
 	}
 }

@@ -10,9 +10,12 @@ import (
 )
 
 // TestAnalyticMeasureAllocs: an untraced estimate allocates only the
-// *RawCounts it returns, on every registry workload and fleet machine.
-// The race detector's instrumentation allocates on its own, so a -race
-// build skips it.
+// *RawCounts it returns, on every registry workload and fleet machine,
+// once its pair's split first-level times are in the memo. The first
+// estimate of each pair here is AllocsPerRun's warm-up run, which
+// fills the memo, so every counted estimate is a memo hit. The race
+// detector's instrumentation allocates on its own, so a -race build
+// skips it.
 func TestAnalyticMeasureAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")

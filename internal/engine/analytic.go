@@ -35,10 +35,12 @@ import (
 )
 
 // Analytic is the closed-form estimation engine. It is deterministic,
-// allocates only the counts it returns when untraced, and costs
-// O(#streams × solver steps) per measurement: each cache or TLB level
-// solves for its characteristic time in ~11 occupancy sums over its
-// streams. No trace generation, no per-event work.
+// allocates only the counts it returns when untraced (once its pair is
+// in the first-level memo), and costs O(#streams × solver steps) per
+// measurement: each cache or TLB level solves for its characteristic
+// time in ~12 occupancy sums over its streams, the split first levels
+// once per (machine, workload) pair (firstLevels). No trace
+// generation, no per-event work.
 type Analytic struct{}
 
 // Tier returns TierAnalytic.
@@ -80,34 +82,13 @@ type stream struct {
 	prime primeInfo
 }
 
-// levelMisses models one LRU level of the given capacity serving the
-// streams, where arrival[i] is stream i's inbound event rate at this
-// level (events per instruction; deeper levels see only the upstream
-// misses). It writes each stream's expected miss rate over an
-// n-instruction window preceded by a warmup-instruction warmup into
-// miss, which has one element per stream and may be arrival itself:
-// stream i's arrival is read before its miss rate is written.
-//
-// Repeat references follow the characteristic-time approximation: a
-// line survives in an LRU cache iff it is re-referenced within the
-// cache's characteristic time T, so a stream touching its
-// size/lineBytes lines uniformly at per-line rate
-// μ = arrival·lineBytes/size keeps the fraction 1−exp(−μT) of them
-// resident. T is the fixed point at which the resident fractions
-// exactly fill the capacity (characteristicTime). Unlike a pure
-// capacity partition, this keeps rate in the model: a small working
-// set referenced rarely (kernel code between bursts) loses its lines
-// to high-rate streaming traffic, exactly as the simulator's true-LRU
-// caches behave.
-//
-// The first window touch of each line additionally depends on the
-// state measurement started in: the line hits only if the warmup
-// re-touched it within T, or the prime() residue for its stream
-// outlived both the rest of the prime sequence and the warmup. At
-// short fidelities this cold-start term dominates sparsely revisited
-// streams (kernel regions, giant footprints) — exactly the misses a
-// pure steady-state model misses.
-func levelMisses(capacity, lineBytes float64, streams []*stream, arrival []float64, n, warmup float64, split bool, miss []float64) {
+// levelTime returns the characteristic time T of one LRU level of the
+// given capacity serving the streams, where arrival[i] is stream i's
+// inbound event rate at this level (events per instruction; deeper
+// levels see only the upstream misses). T is the fixed point at which
+// the streams' resident fractions exactly fill the capacity
+// (characteristicTime), or +Inf when the live streams fit whole.
+func levelTime(capacity, lineBytes float64, streams []*stream, arrival []float64) float64 {
 	// The live streams' sizes and per-line rates, in stream order (a
 	// level serves at most 11 streams, so both fit on the stack).
 	var sizeBuf, muBuf [16]float64
@@ -120,14 +101,40 @@ func levelMisses(capacity, lineBytes float64, streams []*stream, arrival []float
 			total += st.size
 		}
 	}
-	t := math.Inf(1)
-	if len(sizes) > 0 && total > capacity {
-		if recordSolve != nil {
-			recordSolve(capacity, slices.Clone(sizes), slices.Clone(mus))
-		}
-		t = characteristicTime(capacity, sizes, mus)
+	if len(sizes) == 0 || total <= capacity {
+		return math.Inf(1)
 	}
+	if recordSolve != nil {
+		recordSolve(capacity, slices.Clone(sizes), slices.Clone(mus))
+	}
+	return characteristicTime(capacity, sizes, mus)
+}
 
+// levelMisses models one LRU level of the given capacity and
+// characteristic time t (levelTime) serving the streams at the given
+// arrival rates. It writes each stream's expected miss rate over an
+// n-instruction window preceded by a warmup-instruction warmup into
+// miss, which has one element per stream and may be arrival itself:
+// stream i's arrival is read before its miss rate is written.
+//
+// Repeat references follow the characteristic-time approximation: a
+// line survives in an LRU cache iff it is re-referenced within the
+// cache's characteristic time T, so a stream touching its
+// size/lineBytes lines uniformly at per-line rate
+// μ = arrival·lineBytes/size keeps the fraction 1−exp(−μT) of them
+// resident. Unlike a pure capacity partition, this keeps rate in the
+// model: a small working set referenced rarely (kernel code between
+// bursts) loses its lines to high-rate streaming traffic, exactly as
+// the simulator's true-LRU caches behave.
+//
+// The first window touch of each line additionally depends on the
+// state measurement started in: the line hits only if the warmup
+// re-touched it within T, or the prime() residue for its stream
+// outlived both the rest of the prime sequence and the warmup. At
+// short fidelities this cold-start term dominates sparsely revisited
+// streams (kernel regions, giant footprints) — exactly the misses a
+// pure steady-state model misses.
+func levelMisses(capacity, lineBytes float64, streams []*stream, arrival []float64, t, n, warmup float64, split bool, miss []float64) {
 	for i, st := range streams {
 		if st.size <= 0 || arrival[i] <= 0 {
 			miss[i] = 0
@@ -332,18 +339,14 @@ func sumSide(streams []*stream, rates []float64, wantInstr bool) float64 {
 // cold annuli of user code, kernel code), then seven data streams.
 const nCode, nData = 4, 7
 
-// sides is one level's misses per instruction on each side.
+// sides holds one value per side of a level, instruction and data: a
+// level's misses per instruction, or a split level's capacities or
+// characteristic times.
 type sides struct{ instr, data float64 }
 
-// cascade runs one hierarchy of caches or TLBs at a grain of `grain`
-// bytes over the code and data streams: a first level split into an
-// instruction side of capacity l1i and a data side of capacity l1d,
-// then each unified level of the given capacities in turn, stopping at
-// the first that is zero (absent). Each deeper level sees only the
-// upstream misses as its arrival rates. Levels past the last read zero.
-func cascade(code *[nCode]stream, data *[nData]stream, grain, n, wu, l1i, l1d float64, unified ...float64) (miss [3]sides) {
-	var all [nCode + nData]*stream
-	var arr [nCode + nData]float64
+// streamTable lists one cascade's streams, code then data, with their
+// first-level arrival rates: the streams' own rates.
+func streamTable(code *[nCode]stream, data *[nData]stream) (all [nCode + nData]*stream, rates [nCode + nData]float64) {
 	for i := range code {
 		all[i] = &code[i]
 	}
@@ -351,22 +354,62 @@ func cascade(code *[nCode]stream, data *[nData]stream, grain, n, wu, l1i, l1d fl
 		all[nCode+i] = &data[i]
 	}
 	for i, st := range all {
-		arr[i] = st.rate
+		rates[i] = st.rate
 	}
+	return all, rates
+}
+
+// splitTimes returns the characteristic times of a cascade's first
+// level, split into an instruction side and a data side of capacities
+// l1. Unlike a deeper level's, its arrivals are the streams' own
+// rates, which estimate derives from the adjusted spec and the layout
+// alone, never from the fidelity: so a (machine, workload) pair has
+// the same split times at every fidelity (pairTimes).
+func splitTimes(code *[nCode]stream, data *[nData]stream, grain float64, l1 sides) sides {
+	all, arr := streamTable(code, data)
+	return sides{
+		levelTime(l1.instr, grain, all[:nCode], arr[:nCode]),
+		levelTime(l1.data, grain, all[nCode:], arr[nCode:]),
+	}
+}
+
+// cascade runs one hierarchy of caches or TLBs at a grain of `grain`
+// bytes over the code and data streams: a first level split into an
+// instruction side and a data side of capacities l1 and characteristic
+// times t1 (splitTimes), then each unified level of the given
+// capacities in turn, stopping at the first that is zero (absent).
+// Each deeper level sees only the upstream misses as its arrival
+// rates, so its time is solved here, at every fidelity. Levels past
+// the last read zero.
+func cascade(code *[nCode]stream, data *[nData]stream, grain, n, wu float64, l1, t1 sides, unified ...float64) (miss [3]sides) {
+	all, arr := streamTable(code, data)
 	// Each level's misses replace its arrivals in place: they are the
 	// next level's arrivals.
-	levelMisses(l1i, grain, all[:nCode], arr[:nCode], n, wu, true, arr[:nCode])
-	levelMisses(l1d, grain, all[nCode:], arr[nCode:], n, wu, true, arr[nCode:])
+	levelMisses(l1.instr, grain, all[:nCode], arr[:nCode], t1.instr, n, wu, true, arr[:nCode])
+	levelMisses(l1.data, grain, all[nCode:], arr[nCode:], t1.data, n, wu, true, arr[nCode:])
 	miss[0] = sides{sumSide(all[:], arr[:], true), sumSide(all[:], arr[:], false)}
 	for lvl, capacity := range unified {
 		if capacity == 0 {
 			break
 		}
-		levelMisses(capacity, grain, all[:], arr[:], n, wu, false, arr[:])
+		t := levelTime(capacity, grain, all[:], arr[:])
+		levelMisses(capacity, grain, all[:], arr[:], t, n, wu, false, arr[:])
 		miss[lvl+1] = sides{sumSide(all[:], arr[:], true), sumSide(all[:], arr[:], false)}
 	}
 	return miss
 }
+
+// pairTimes is one (machine, workload) pair's split first-level
+// characteristic times: L1I and L1D, then ITLB and DTLB.
+type pairTimes struct{ cache, tlb sides }
+
+// firstLevels memoizes each pair's pairTimes for the process, so an
+// estimate solves only its deeper levels, whose arrivals carry the
+// fidelity's cold-start misses, once its pair has been estimated at
+// any fidelity. It holds one entry per distinct pair estimated (the
+// store's content memo keeps the same bound); spec17d estimates the
+// built-in fleet times the registry.
+var firstLevels machine.PairMemo[pairTimes]
 
 // counterMiss is the stationary mispredict rate of a two-bit
 // saturating counter observing Bernoulli(p) outcomes: the birth-death
@@ -420,8 +463,8 @@ func predictTakenProb(t float64) float64 {
 
 // estimate evaluates the closed-form model for one measurement.
 func estimate(m *machine.Machine, w machine.Workload, opts machine.RunOptions) (*machine.RawCounts, error) {
-	if !(w.ILP > 0) { // NaN fails too
-		return nil, fmt.Errorf("machine: workload %q has non-positive ILP", w.Key)
+	if err := w.CheckILP(); err != nil {
+		return nil, err
 	}
 	spec := m.AdjustedSpec(w)
 	if err := spec.Validate(); err != nil {
@@ -729,28 +772,35 @@ func estimate(m *machine.Machine, w machine.Workload, opts machine.RunOptions) (
 		}
 	}
 
-	// Cache cascade: split L1, unified L2, optional unified L3.
+	// Cache cascade: split L1, unified L2, optional unified L3; TLB
+	// cascade over the same working sets at page grain: split I/D TLBs,
+	// optional unified L2 TLB. Both first levels' times come from one
+	// memo lookup.
 	const lineBytes = 64
 	code, fetchRate := codeStreams(lineBytes)
 	data := dataStreams(lineBytes)
+	l1 := sides{float64(cfg.Caches.L1I.SizeBytes), float64(cfg.Caches.L1D.SizeBytes)}
+	pageBytes := float64(uint64(1) << tlb.PageShift)
+	itCode, itRate := codeStreams(pageBytes)
+	dtData := dataStreams(pageBytes)
+	tlb1 := sides{float64(cfg.TLBs.ITLB.Entries) * pageBytes, float64(cfg.TLBs.DTLB.Entries) * pageBytes}
+	p := m.PairOf(w)
+	t1, ok := firstLevels.Load(&p)
+	if !ok {
+		t1 = pairTimes{splitTimes(&code, &data, lineBytes, l1), splitTimes(&itCode, &dtData, pageBytes, tlb1)}
+		firstLevels.Store(&p, t1)
+	}
+
 	l3 := 0.0
 	if cfg.Caches.L3 != nil {
 		l3 = float64(cfg.Caches.L3.SizeBytes)
 	}
-	cm := cascade(&code, &data, lineBytes, n, wu, float64(cfg.Caches.L1I.SizeBytes),
-		float64(cfg.Caches.L1D.SizeBytes), float64(cfg.Caches.L2.SizeBytes), l3)
-
-	// TLB cascade over the same working sets at page grain: split
-	// I/D TLBs, optional unified L2 TLB.
-	pageBytes := float64(uint64(1) << tlb.PageShift)
-	itCode, itRate := codeStreams(pageBytes)
-	dtData := dataStreams(pageBytes)
+	cm := cascade(&code, &data, lineBytes, n, wu, l1, t1.cache, float64(cfg.Caches.L2.SizeBytes), l3)
 	l2t := 0.0
 	if cfg.TLBs.L2 != nil {
 		l2t = float64(cfg.TLBs.L2.Entries) * pageBytes
 	}
-	tm := cascade(&itCode, &dtData, pageBytes, n, wu, float64(cfg.TLBs.ITLB.Entries)*pageBytes,
-		float64(cfg.TLBs.DTLB.Entries)*pageBytes, l2t)
+	tm := cascade(&itCode, &dtData, pageBytes, n, wu, tlb1, t1.tlb, l2t)
 	dtlbMiss := tm[0].data
 	l2tlbMiss := tm[1].instr + tm[1].data
 

@@ -12,8 +12,11 @@ import (
 // registrySweep measures every registry workload on every fleet
 // machine at default fidelity (400k instructions) — one op is the
 // full sweep. The exact/analytic ns-per-op ratio is the analytic
-// engine's headline number; `make bench-gate` pins it at ≥50×.
-func benchmarkRegistrySweep(b *testing.B, eng Engine) {
+// engine's headline number; `make bench-gate` pins it at ≥50×. With
+// memoCold set, each op starts from an empty first-level memo, so it
+// times a process's first sweep; otherwise every op after the first
+// reads each pair's split first-level times from the memo.
+func benchmarkRegistrySweep(b *testing.B, eng Engine, memoCold bool) {
 	fleet, err := machine.Fleet()
 	if err != nil {
 		b.Fatal(err)
@@ -23,6 +26,9 @@ func benchmarkRegistrySweep(b *testing.B, eng Engine) {
 	opts := machine.RunOptions{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if memoCold {
+			emptyFirstLevels()
+		}
 		for _, p := range profiles {
 			w := p.Workload()
 			for _, m := range fleet {
@@ -34,13 +40,19 @@ func benchmarkRegistrySweep(b *testing.B, eng Engine) {
 	}
 }
 
-func BenchmarkExactRegistry(b *testing.B)    { benchmarkRegistrySweep(b, Exact{}) }
-func BenchmarkAnalyticRegistry(b *testing.B) { benchmarkRegistrySweep(b, Analytic{}) }
+func BenchmarkExactRegistry(b *testing.B) { benchmarkRegistrySweep(b, Exact{}, false) }
+
+func BenchmarkAnalyticRegistry(b *testing.B) {
+	b.Run("memo-cold", func(b *testing.B) { benchmarkRegistrySweep(b, Analytic{}, true) })
+	b.Run("memo-warm", func(b *testing.B) { benchmarkRegistrySweep(b, Analytic{}, false) })
+}
 
 // BenchmarkLevelMisses times the characteristic-time solver alone, per
 // solve: over the 4096 levels needing a solve among seeded randomLevel
 // draws, and over every level a registry sweep at default fidelity
-// solves on the fleet's first machine.
+// solves on the fleet's first machine. The sweep starts from an empty
+// first-level memo, so it records the split first levels too, whatever
+// ran before it in the process.
 func BenchmarkLevelMisses(b *testing.B) {
 	b.Run("random", func(b *testing.B) {
 		r := rand.New(rand.NewSource(1))
@@ -59,6 +71,7 @@ func BenchmarkLevelMisses(b *testing.B) {
 			b.Fatal(err)
 		}
 		var levels []solveInput
+		emptyFirstLevels()
 		recordSolve = func(capacity float64, sizes, mus []float64) {
 			levels = append(levels, solveInput{capacity, sizes, mus})
 		}

@@ -42,9 +42,11 @@ const (
 // internal/core sizes its scheduler jobs from it and internal/server
 // prices admission by the ratio. The analytic figure was a registry
 // sweep's per-leaf estimate time (BenchmarkAnalyticRegistry, 40-55 µs)
-// when it was set; since the characteristic-time solve replays its
-// bisection from a Newton bracket and the estimate stopped allocating
-// its scratch, that is 16-19 µs (8.8-10.6 ms per 560-estimate sweep).
+// when it was set. Since the characteristic-time solve replays its
+// bisection from a Newton bracket, the estimate stopped allocating its
+// scratch and each pair's split first-level times are memoized, a
+// leaf whose pair is in the memo takes 10-13 µs (5.8-7.4 ms per
+// 560-estimate sweep), and a process's first sweep 20-25 µs per leaf.
 // The constant stays 50 µs on purpose: it fixes the ÷50 admission
 // price of an analytic request and core's 20-leaf runs, which moving
 // it would resize. The exact figure is the analytic one times the 50x

@@ -88,21 +88,23 @@ func TestExactMatchesRun(t *testing.T) {
 	}
 }
 
-// TestAnalyticRejectsNaN: the analytic tier rejects a NaN ILP or spec
-// fraction, as the exact tier does, instead of estimating from it.
+// TestAnalyticRejectsNaN: the analytic tier rejects a NaN or infinite
+// ILP or a NaN spec fraction, as the exact tier does, instead of
+// estimating from it.
 func TestAnalyticRejectsNaN(t *testing.T) {
 	fleet, err := machine.Fleet()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, mutate := range map[string]func(*machine.Workload){
-		"ILP":      func(w *machine.Workload) { w.ILP = math.NaN() },
-		"LoadFrac": func(w *machine.Workload) { w.Spec.LoadFrac = math.NaN() },
+		"NaN ILP":      func(w *machine.Workload) { w.ILP = math.NaN() },
+		"+Inf ILP":     func(w *machine.Workload) { w.ILP = math.Inf(1) },
+		"NaN LoadFrac": func(w *machine.Workload) { w.Spec.LoadFrac = math.NaN() },
 	} {
 		w := workloads.All()[0].Workload()
 		mutate(&w)
 		if _, err := (Analytic{}).Measure(context.Background(), fleet[0], w, crossvalOpts); err == nil {
-			t.Errorf("Analytic.Measure with NaN %s: no error", name)
+			t.Errorf("Analytic.Measure with %s: no error", name)
 		}
 	}
 }

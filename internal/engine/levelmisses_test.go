@@ -179,9 +179,10 @@ func TestLevelMissesMatchesReference(t *testing.T) {
 		for i := range got {
 			got[i] = math.NaN()
 		}
-		levelMisses(capacity, lineBytes, streams, arrival, n, warmup, split, got)
+		ct := levelTime(capacity, lineBytes, streams, arrival)
+		levelMisses(capacity, lineBytes, streams, arrival, ct, n, warmup, split, got)
 		inPlace := slices.Clone(arrival)
-		levelMisses(capacity, lineBytes, streams, inPlace, n, warmup, split, inPlace)
+		levelMisses(capacity, lineBytes, streams, inPlace, ct, n, warmup, split, inPlace)
 		want := levelMissesReference(capacity, lineBytes, streams, arrival, n, warmup, split)
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {

@@ -17,6 +17,29 @@ import (
 // through their outputs, and only at default fidelity.
 const analyticRegistrySHA = "72633b1f84bc22a7813b0f7dcd8606bb819f8f9a10e4ca14a8eb1b50c282379f"
 
+// registryEntries lists every registry entry: each profile's primary
+// input, then each of its input sets when it has several.
+func registryEntries() []machine.Workload {
+	var entries []machine.Workload
+	for _, p := range workloads.All() {
+		entries = append(entries, p.Workload())
+		if p.InputSets > 1 {
+			for i := 1; i <= p.InputSets; i++ {
+				entries = append(entries, p.WorkloadInput(i))
+			}
+		}
+	}
+	return entries
+}
+
+// pinFidelities are the fidelities TestAnalyticRegistryPinned hashes.
+var pinFidelities = []machine.RunOptions{
+	{},
+	{Instructions: 20_000, WarmupInstructions: 4_000},
+	{Instructions: 5_000, WarmupInstructions: 1_000},
+	{Instructions: 1_000, WarmupInstructions: 0},
+}
+
 // TestAnalyticRegistryPinned hashes json.Marshal(*RawCounts) for every
 // registry entry (each profile's primary input, then each of its input
 // sets when it has several) × Fleet() then SensitivityFleet() × four
@@ -30,25 +53,10 @@ func TestAnalyticRegistryPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var entries []machine.Workload
-	for _, p := range workloads.All() {
-		entries = append(entries, p.Workload())
-		if p.InputSets > 1 {
-			for i := 1; i <= p.InputSets; i++ {
-				entries = append(entries, p.WorkloadInput(i))
-			}
-		}
-	}
-	fidelities := []machine.RunOptions{
-		{},
-		{Instructions: 20_000, WarmupInstructions: 4_000},
-		{Instructions: 5_000, WarmupInstructions: 1_000},
-		{Instructions: 1_000, WarmupInstructions: 0},
-	}
 	h := sha256.New()
-	for _, w := range entries {
+	for _, w := range registryEntries() {
 		for _, m := range append(fleet, sens...) {
-			for _, opts := range fidelities {
+			for _, opts := range pinFidelities {
 				rc, err := (Analytic{}).Measure(context.Background(), m, w, opts)
 				if err != nil {
 					t.Fatalf("%s on %s at %+v: %v", w.Key, m.Name(), opts, err)

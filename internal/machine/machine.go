@@ -14,6 +14,8 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"sync"
 
 	"repro/internal/branch"
@@ -59,10 +61,12 @@ type Config struct {
 // concurrent use: each Run takes its own simulator state.
 type Machine struct {
 	cfg Config
-	// digest is the SHA-256 of cfg's JSON form, so equal
-	// configurations have equal digests however they were built. It is
-	// taken once, when first asked for, so like state a Machine that is
-	// never keyed spends nothing on it.
+	// encoded is cfg's JSON form as json.Encoder writes it (with its
+	// trailing newline) and digest the JSON's SHA-256, so equal
+	// configurations have equal digests however they were built. Both
+	// are taken once, when first asked for, so like state a Machine that
+	// is never keyed spends nothing on them.
+	encoded    []byte
 	digest     [sha256.Size]byte
 	digestOnce sync.Once
 	// state pools cleared *simState values between runs, so a run
@@ -120,7 +124,7 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.IssueWidth < 1 {
 		return nil, fmt.Errorf("machine %s: issue width %d", cfg.Name, cfg.IssueWidth)
 	}
-	if !(cfg.FreqGHz > 0) { // NaN fails too
+	if !(cfg.FreqGHz > 0) || math.IsInf(cfg.FreqGHz, 1) { // NaN fails too
 		return nil, fmt.Errorf("machine %s: frequency %v", cfg.Name, cfg.FreqGHz)
 	}
 	// Validate geometry without building anything; the first Run
@@ -137,10 +141,11 @@ func New(cfg Config) (*Machine, error) {
 	if err := cfg.Penalties.Validate(); err != nil {
 		return nil, fmt.Errorf("machine %s: %w", cfg.Name, err)
 	}
-	if cfg.HasRAPL {
-		if err := cfg.Power.Validate(); err != nil {
-			return nil, fmt.Errorf("machine %s: %w", cfg.Name, err)
-		}
+	// Power is consulted only when HasRAPL is set, but it is part of the
+	// configuration's identity either way: with every float field
+	// finite, the configuration always encodes (ConfigDigest).
+	if err := cfg.Power.Validate(); err != nil {
+		return nil, fmt.Errorf("machine %s: %w", cfg.Name, err)
 	}
 	return &Machine{cfg: cfg}, nil
 }
@@ -152,13 +157,28 @@ func (m *Machine) Config() Config { return m.cfg }
 // JSON: a value that identifies the configuration, so two Machines
 // built from equal Configs share it.
 func (m *Machine) ConfigDigest() [sha256.Size]byte {
+	m.encode()
+	return m.digest
+}
+
+// EncodeConfig writes the machine's configuration to w as a
+// json.Encoder writes it: the JSON that ConfigDigest hashes, then a
+// newline. The configuration is encoded once per Machine.
+func (m *Machine) EncodeConfig(w io.Writer) error {
+	m.encode()
+	_, err := w.Write(m.encoded)
+	return err
+}
+
+// encode fills encoded and digest on first use. Marshalling a Config
+// fails only on a NaN or infinite field, which New rejects in every
+// one of them.
+func (m *Machine) encode() {
 	m.digestOnce.Do(func() {
-		// Marshalling a Config fails only on a NaN or infinite field;
-		// such a configuration digests as empty bytes.
 		enc, _ := json.Marshal(m.cfg)
 		m.digest = sha256.Sum256(enc)
+		m.encoded = append(enc, '\n')
 	})
-	return m.digest
 }
 
 // Name returns the machine's name.
@@ -175,6 +195,16 @@ type Workload struct {
 	// ILP is the workload's average exploitable instruction-level
 	// parallelism, bounding its ideal CPI from below by 1/ILP.
 	ILP float64
+}
+
+// CheckILP reports an ILP that is not positive and finite: NaN and
+// +Inf fail as zero does. Every measurement, exact or analytic, checks
+// it first.
+func (w Workload) CheckILP() error {
+	if !(w.ILP > 0) || math.IsInf(w.ILP, 1) { // NaN fails too
+		return fmt.Errorf("machine: workload %q has ILP %v, want positive and finite", w.Key, w.ILP)
+	}
+	return nil
 }
 
 // RawCounts are the per-run event totals — the simulated equivalent of
@@ -279,8 +309,8 @@ func (o RunOptions) Validate() error {
 
 // Run measures one workload on the machine.
 func (m *Machine) Run(w Workload, opts RunOptions) (*RawCounts, error) {
-	if !(w.ILP > 0) { // NaN fails too
-		return nil, fmt.Errorf("machine: workload %q has non-positive ILP", w.Key)
+	if err := w.CheckILP(); err != nil {
+		return nil, err
 	}
 	opts = opts.withDefaults()
 

@@ -277,23 +277,27 @@ func TestRunOptionsCanonical(t *testing.T) {
 	}
 }
 
-// TestNaNRejected: a NaN frequency, penalty, power coefficient, ILP or
-// spec fraction fails validation the way an out-of-range value does.
-// Passed through, it would run, and the content hash, which reads the
-// JSON encoding that NaN has none of, could not tell two such inputs
-// apart.
+// TestNaNRejected: a NaN or infinite frequency, penalty, power
+// coefficient or ILP, or a NaN spec fraction, fails validation the way
+// an out-of-range value does, and so does a non-finite power
+// coefficient on a machine without RAPL, whose power model is never
+// consulted but is part of the configuration. Passed through, it would
+// run, and the content hash, which reads the JSON encoding that NaN and
+// ±Inf have none of, could not tell two such inputs apart.
 func TestNaNRejected(t *testing.T) {
-	nan := math.NaN()
-	for name, mutate := range map[string]func(*Config){
-		"FreqGHz":    func(c *Config) { c.FreqGHz = nan },
-		"MLP":        func(c *Config) { c.Penalties.MLP = nan },
-		"MemLatency": func(c *Config) { c.Penalties.MemLatency = nan },
-		"DRAMPerMPC": func(c *Config) { c.Power.DRAMPerMPC = nan },
-	} {
-		cfg := SkylakeConfig()
-		mutate(&cfg)
-		if _, err := New(cfg); err == nil {
-			t.Errorf("New with NaN %s: no error", name)
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		for name, mutate := range map[string]func(*Config){
+			"FreqGHz":             func(c *Config) { c.FreqGHz = bad },
+			"MLP":                 func(c *Config) { c.Penalties.MLP = bad },
+			"MemLatency":          func(c *Config) { c.Penalties.MemLatency = bad },
+			"DRAMPerMPC":          func(c *Config) { c.Power.DRAMPerMPC = bad },
+			"non-RAPL CoreStatic": func(c *Config) { c.HasRAPL = false; c.Power.CoreStatic = bad },
+		} {
+			cfg := SkylakeConfig()
+			mutate(&cfg)
+			if _, err := New(cfg); err == nil {
+				t.Errorf("New with %v %s: no error", bad, name)
+			}
 		}
 	}
 	m, err := New(SkylakeConfig())
@@ -301,16 +305,17 @@ func TestNaNRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, mutate := range map[string]func(*Workload){
-		"ILP":      func(w *Workload) { w.ILP = nan },
-		"LoadFrac": func(w *Workload) { w.Spec.LoadFrac = nan },
+		"NaN ILP":      func(w *Workload) { w.ILP = math.NaN() },
+		"+Inf ILP":     func(w *Workload) { w.ILP = math.Inf(1) },
+		"NaN LoadFrac": func(w *Workload) { w.Spec.LoadFrac = math.NaN() },
 	} {
 		w := testWorkload()
 		mutate(&w)
 		if _, err := m.Run(w, quickOpts()); err == nil {
-			t.Errorf("Run with NaN %s: no error", name)
+			t.Errorf("Run with %s: no error", name)
 		}
 		if _, err := m.RunMulti(w, 2, quickOpts()); err == nil {
-			t.Errorf("RunMulti with NaN %s: no error", name)
+			t.Errorf("RunMulti with %s: no error", name)
 		}
 	}
 }

@@ -46,8 +46,8 @@ func (m *Machine) RunMulti(w Workload, copies int, opts RunOptions) (*MultiCount
 	if copies < 1 {
 		return nil, fmt.Errorf("machine: copies %d", copies)
 	}
-	if !(w.ILP > 0) { // NaN fails too
-		return nil, fmt.Errorf("machine: workload %q has non-positive ILP", w.Key)
+	if err := w.CheckILP(); err != nil {
+		return nil, err
 	}
 	opts = opts.withDefaults()
 	spec := m.adjustSpec(w)

@@ -5,7 +5,10 @@
 // simulation substrate, reproducing the power spectrum of Figure 12.
 package power
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Model holds a machine's power coefficients. Units are watts for
 // static terms and watts per unit activity for dynamic terms; activity
@@ -23,8 +26,8 @@ type Model struct {
 	DRAMStatic, DRAMPerMPC float64
 }
 
-// Validate rejects negative and NaN coefficients: of several, the
-// first in field order.
+// Validate rejects negative, NaN and infinite coefficients: of several,
+// the first in field order.
 func (m Model) Validate() error {
 	for _, c := range [...]struct {
 		name string
@@ -37,6 +40,9 @@ func (m Model) Validate() error {
 	} {
 		if !(c.v >= 0) {
 			return fmt.Errorf("power: coefficient %s = %v must be >= 0", c.name, c.v)
+		}
+		if math.IsInf(c.v, 1) {
+			return fmt.Errorf("power: coefficient %s = %v must be finite", c.name, c.v)
 		}
 	}
 	return nil

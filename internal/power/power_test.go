@@ -123,13 +123,15 @@ func TestStaticFloor(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsNaN: a NaN coefficient is rejected like a
-// negative one.
+// TestValidateRejectsNaN: a NaN or infinite coefficient is rejected
+// like a negative one.
 func TestValidateRejectsNaN(t *testing.T) {
-	m := DefaultModel()
-	m.LLCPerAPC = math.NaN()
-	if err := m.Validate(); err == nil {
-		t.Fatal("NaN coefficient must be rejected")
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		m := DefaultModel()
+		m.LLCPerAPC = bad
+		if err := m.Validate(); err == nil {
+			t.Fatalf("%v coefficient must be rejected", bad)
+		}
 	}
 }
 

@@ -116,56 +116,38 @@ func (k Key) ID() string {
 // machine configuration followed by the encoded workload (spec, seed
 // key and ILP), each as a json.Encoder writes it, as the first 32 hex
 // digits of their SHA-256. JSON marshalling of these structs is
-// deterministic (fixed field order), so equal inputs hash equally. A
-// value that cannot be encoded (a NaN field) contributes no bytes, so
-// the key constructors stay infallible.
-func contentHash(cfg machine.Config, w machine.Workload) string {
+// deterministic (fixed field order), so equal inputs hash equally. The
+// configuration's bytes are the ones its Machine encoded once. Writes
+// to a hash never fail, and a workload that cannot be encoded (a NaN
+// field) contributes no bytes, so the key constructors stay
+// infallible.
+func contentHash(m *machine.Machine, w machine.Workload) string {
 	h := sha256.New()
-	enc := json.NewEncoder(h)
-	_ = enc.Encode(cfg)
-	_ = enc.Encode(w)
+	_ = m.EncodeConfig(h)
+	_ = json.NewEncoder(h).Encode(w)
 	var sum [sha256.Size]byte
 	var digits [32]byte
 	hex.Encode(digits[:], h.Sum(sum[:0])[:16])
 	return string(digits[:])
 }
 
-// pair is a content hash's identity: a machine configuration, by its
-// digest, and a workload, by value. A Workload holds no pointers, so a
-// pair is bound to the bytes that contentHash encodes; only workloads
-// that differ in the sign of a zero compare equal yet encode apart,
-// and they share the hash of the first one keyed.
-type pair struct {
-	cfg [sha256.Size]byte
-	w   machine.Workload
-}
-
 // contents memoizes contentHash for the process, so every key of one
 // (machine, workload) pair, at any fidelity and on any engine, shares
-// one hash string, computed when the pair is first keyed. It holds one
-// entry per distinct pair keyed; spec17d keys the built-in fleet times
-// the registry and a fixed set of replicas.
-var contents = struct {
-	sync.RWMutex
-	m map[pair]string
-}{m: make(map[pair]string)}
+// one hash string, computed when the pair is first keyed. A pair is
+// bound to the bytes that contentHash encodes; only workloads that
+// differ in the sign of a zero compare equal yet encode apart, and
+// they share the hash of the first one keyed. spec17d keys the
+// built-in fleet times the registry and a fixed set of replicas.
+var contents machine.PairMemo[string]
 
 // content returns the content hash of w on m, from the memo once the
 // pair has been keyed.
 func content(m *machine.Machine, w machine.Workload) string {
-	p := pair{m.ConfigDigest(), w}
-	contents.RLock()
-	c, ok := contents.m[p]
-	contents.RUnlock()
+	p := m.PairOf(w)
+	c, ok := contents.Load(&p)
 	if !ok {
-		c = contentHash(m.Config(), w)
-		// A workload with a NaN field never equals itself, so its entry
-		// would never be found again: leaving it out bounds the memo.
-		if w == w {
-			contents.Lock()
-			contents.m[p] = c
-			contents.Unlock()
-		}
+		c = contentHash(m, w)
+		contents.Store(&p, c)
 	}
 	return c
 }

@@ -774,7 +774,10 @@ func TestKeyWarmGridAllocs(t *testing.T) {
 
 // BenchmarkKeyFleet keys every registry workload on every fleet
 // machine through KeyForEngine, as a cold analytic characterization
-// does, with every pair's hash already in the memo.
+// does: memo-warm with every pair's hash already in the memo, as on
+// every request after a process's first, and memo-cold from an empty
+// memo, as on its first, where each pair hashes its configuration's
+// bytes (encoded once per Machine) and its workload.
 func BenchmarkKeyFleet(b *testing.B) {
 	fleet, ws := testFleet(b), registryWorkloads()
 	opts := machine.RunOptions{Instructions: 20_000}
@@ -785,12 +788,22 @@ func BenchmarkKeyFleet(b *testing.B) {
 			}
 		}
 	}
-	keyAll()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	b.Run("memo-warm", func(b *testing.B) {
 		keyAll()
-	}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			keyAll()
+		}
+	})
+	b.Run("memo-cold", func(b *testing.B) {
+		defer keyAll() // leave the memo filled, as the other tests find it
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			contents = machine.PairMemo[string]{}
+			keyAll()
+		}
+	})
 }
 
 // referenceContentHash is the content hash as the store first defined
