@@ -4,8 +4,9 @@
 # characterizations, which the race runtime slows by ~20x (minutes per
 # Lab); `ci` therefore runs -race on the concurrent packages (server,
 # flight, metrics, core, cluster, stats, ...) where it has teeth, plus
-# the analysis fan-out tests and the Lab's build coalescing in
-# internal/experiments (`race-analysis`) and concurrent runs on one
+# the analysis fan-out tests, the Lab's build coalescing and concurrent
+# analytic characterizations sharing one store in internal/experiments
+# (`race-analysis`) and concurrent runs on one
 # shared Machine, whose simulator state is pooled (`race-machine`);
 # `race-all` remains available for the exhaustive run.
 
@@ -40,10 +41,11 @@ race:
 # internal/experiments without the package's full Lab-building suite:
 # the output pins, the fan-out helper, the cold-then-warm store pass,
 # a Lab build that outlives the caller that started it, concurrent
-# analytic runs sharing one store, and a RunStored of a pair inside a
-# run that holds the only worker, all on the analytic engine.
+# analytic characterizations and a RunStored sharing one store, and
+# estimates that finish while the only worker is held, all on the
+# analytic engine.
 race-analysis:
-	$(GO) test -race -run 'Pinned|TestPerSuiteOrder|TestTable5ColdThenWarmStore|TestLabBuildSurvivesLeaderCancel|TestAnalyticRunsComputeEachKeyOnce|TestAnalyticRunStoredTakesNoSlot' ./internal/experiments
+	$(GO) test -race -run 'Pinned|TestPerSuiteOrder|TestTable5ColdThenWarmStore|TestLabBuildSurvivesLeaderCancel|TestAnalyticComputesEachKeyOnce|TestAnalyticTakesNoSlot' ./internal/experiments
 
 # race-machine race-checks concurrent Run calls on one shared Machine,
 # which hand simulator state through a sync.Pool: every concurrent

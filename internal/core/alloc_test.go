@@ -14,7 +14,7 @@ import (
 // maxColdAnalyticAllocsPerLeaf bounds the allocations of one leaf of a
 // cold, untraced analytic characterization: its key, store flight and
 // record, its estimate's counts, its sample, and its share of the
-// runs, maps and result. It measures 7.6 on the registry × fleet grid
+// maps and result. It measures 7.6 on the registry × fleet grid
 // (4,257 per characterization of 560 leaves); the bound leaves ~20%
 // headroom. Before the estimate stopped allocating its scratch, a leaf
 // took 21.5.

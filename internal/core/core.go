@@ -11,9 +11,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strconv"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"repro/internal/counters"
 	"repro/internal/engine"
@@ -57,21 +58,24 @@ type Runner interface {
 // scheduler pool of opts.Parallelism workers (0 = GOMAXPROCS, 1 =
 // serial).
 //
-// The key carries the engine's tier, so analytic and exact records
-// coexist in one store without ever answering for each other. A pair
-// already in the store is served directly, without a scheduler job.
-// The misses go to the Runner in runs of about runTarget of work each
-// (engine.Tier.LeafCost), submitted as each run fills. Every
-// measurement coalesces with any concurrent one of the same key —
-// another pair of this grid, another characterization, a
-// Lab.RunStored — through the store's flight for it (see Stored), so
-// a key the grid repeats is measured once; runs queue with the
-// Runner's FIFO fairness.
+// opts.Parallelism pullers (0 = GOMAXPROCS) take the grid's pairs in
+// order from one shared index. For each pair a puller builds the
+// store key, which carries the engine's tier, so analytic and exact
+// records coexist in one store without ever answering for each other.
+// An estimate (the analytic tier) is looked up or computed by the
+// puller itself, through the store, and takes no scheduler slot. An
+// exact pair already in the store is served directly; a miss becomes
+// a Stored measurement on a goroutine of its own, so it queues with
+// the Runner's FIFO fairness at once. Every measurement coalesces with
+// any concurrent one of the same key — another pair of this grid,
+// another characterization, a Lab.RunStored — through the store's
+// flight for it, so a key the grid repeats is measured once.
 //
 // Results are stored by (label, machine) and are deterministic
 // regardless of scheduling; of several failed pairs, the first in grid
 // order is reported. Canceling ctx abandons the remaining measurements
-// and returns the context's error.
+// and returns the context's error. The call returns only after every
+// goroutine it started has exited.
 func CharacterizeWith(ctx context.Context, entries []Entry, machines []*machine.Machine, opts machine.RunOptions, st *store.Store, r Runner, eng engine.Engine) (*Characterization, error) {
 	c, err := newCharacterization(entries, machines)
 	if err != nil {
@@ -90,44 +94,43 @@ func CharacterizeWith(ctx context.Context, entries []Entry, machines []*machine.
 		st, _ = store.Open(store.Config{}) // a memory-only Open never fails
 	}
 
-	g := &grid{entries: entries, machines: machines, opts: opts, st: st, eng: eng}
-	tier := string(eng.Tier())
-	runLen := leavesPerRun(eng.Tier())
-
+	g := &grid{entries: entries, machines: machines, opts: opts, eng: eng}
+	tier := eng.Tier()
 	leaves := make([]leaf, len(entries)*len(machines))
-	var cur *run
+	pullers := opts.Parallelism
+	if pullers <= 0 {
+		pullers = runtime.GOMAXPROCS(0)
+	}
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	submit := func() {
+	for range min(pullers, len(leaves)) {
 		wg.Add(1)
-		go func(ru *run) {
+		go func() {
 			defer wg.Done()
-			g.measureRun(ctx, r, ru)
-		}(cur)
-		cur = nil
-	}
-	for i := range leaves {
-		if ctx.Err() != nil {
-			break // canceled: stop submitting
-		}
-		l := &leaves[i]
-		l.i = i
-		e, m := g.pair(l)
-		l.key = store.KeyForEngine(m, e.Workload, opts, tier)
-		if rc, ok := st.Lookup(ctx, l.key); ok {
-			l.rc = rc
-			continue
-		}
-		if cur == nil {
-			cur = &run{leaves: make([]*leaf, 0, runLen)}
-		}
-		l.run = cur
-		cur.leaves = append(cur.leaves, l)
-		if len(cur.leaves) == runLen {
-			submit()
-		}
-	}
-	if cur != nil {
-		submit()
+			for ctx.Err() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= len(leaves) {
+					return
+				}
+				l := &leaves[i]
+				l.i = i
+				e, m := g.pair(l)
+				l.key = store.KeyForEngine(m, e.Workload, opts, string(tier))
+				if estimates(tier) {
+					l.rc, l.err = st.GetOrCompute(ctx, l.key, g.measurer(l))
+					continue
+				}
+				if rc, ok := st.Lookup(ctx, l.key); ok {
+					l.rc = rc
+					continue
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					l.rc, l.err = Stored(ctx, r, tier, l.key, st.GetOrCompute, g.measurer(l))
+				}()
+			}
+		}()
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
@@ -137,47 +140,40 @@ func CharacterizeWith(ctx context.Context, entries []Entry, machines []*machine.
 	for i := range leaves {
 		l := &leaves[i]
 		e, m := g.pair(l)
-		rc, err := l.result()
 		var sample *counters.Sample
+		err := l.err
 		if err == nil {
-			sample, err = counters.FromRaw(m.Name(), m.Config().HasRAPL, rc)
+			sample, err = counters.FromRaw(m.Name(), m.Config().HasRAPL, l.rc)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("core: %s on %s: %w", e.Label, m.Name(), err)
 		}
 		c.samples[e.Label][m.Name()] = sample
-		c.raw[e.Label][m.Name()] = rc
+		c.raw[e.Label][m.Name()] = l.rc
 	}
 	return c, nil
 }
 
-// runTarget is the least estimated work (engine.Tier.LeafCost) one
-// scheduler job of a characterization carries: enough that the job's
-// own cost — a goroutine, the pool lock, a wake-up — is small beside
-// it. Analytic misses therefore travel ~20 to a job; an exact
-// measurement alone outweighs it.
-const runTarget = time.Millisecond
-
-// leavesPerRun is the number of tier's measurements one job carries.
-func leavesPerRun(tier engine.Tier) int { return max(1, int(runTarget/tier.LeafCost())) }
+// estimates reports whether tier's measurements are estimates: cheap
+// enough to compute on the caller's goroutine, without a scheduler
+// slot. Only the analytic tier's are.
+func estimates(tier engine.Tier) bool { return tier == engine.TierAnalytic }
 
 // Stored returns key's record through getOrCompute — a store's
 // GetOrCompute or GetOrComputeMulti — computing a miss with compute.
-// An exact measurement is a job of its own: it enters the store's
-// flight first and takes a worker slot of r only to lead it, so a
-// caller joining another's measurement holds no slot or worker while
-// it waits. A lone measurement of a tier that travels in runs
-// (analytic) is worth no job: it is computed inline, without a slot.
-// So no flight's leader waits for a slot while a run, which holds its
-// slot across its leaves' flights, can join it.
+// An estimate is computed inline, without a slot. An exact measurement
+// is a job of its own: it enters the store's flight first and takes a
+// worker slot of r only to lead it, so a caller joining another's
+// measurement holds no slot while it waits, and a slot is only ever
+// held by the computation it was taken for.
 func Stored[V any](ctx context.Context, r Runner, tier engine.Tier, key store.Key,
 	getOrCompute func(context.Context, store.Key, func(context.Context) (V, error)) (V, error),
 	compute func(context.Context) (V, error)) (V, error) {
-	if leavesPerRun(tier) > 1 {
+	if estimates(tier) {
 		return getOrCompute(ctx, key, compute)
 	}
 	return getOrCompute(ctx, key, func(fctx context.Context) (v V, err error) {
-		err = r.Do(fctx, jobLabel(fctx, key, 1), func(jctx context.Context) error {
+		err = r.Do(fctx, jobLabel(fctx, key), func(jctx context.Context) error {
 			v, err = compute(jctx)
 			return err
 		})
@@ -190,35 +186,16 @@ type grid struct {
 	entries  []Entry
 	machines []*machine.Machine
 	opts     machine.RunOptions
-	st       *store.Store
 	eng      engine.Engine
 }
 
 // leaf is one (entry, machine) pair of the grid: entries[i/len(machines)]
-// on machines[i%len(machines)].
+// on machines[i%len(machines)], and its outcome.
 type leaf struct {
 	i   int
 	key store.Key
-	// rc and err are the pair's outcome. A store hit sets rc at
-	// submission; a run's job sets them for its leaves.
 	rc  *machine.RawCounts
 	err error
-	// run is the run measuring the pair, if it missed.
-	run *run
-}
-
-// result is the leaf's outcome: its own, or its run's failure.
-func (l *leaf) result() (*machine.RawCounts, error) {
-	if l.run != nil && l.run.err != nil {
-		return nil, l.run.err
-	}
-	return l.rc, l.err
-}
-
-// run is a group of missed leaves measured by one scheduler job.
-type run struct {
-	leaves []*leaf
-	err    error
 }
 
 // pair returns the leaf's entry and machine.
@@ -227,39 +204,14 @@ func (g *grid) pair(l *leaf) (Entry, *machine.Machine) {
 	return g.entries[l.i/n], g.machines[l.i%n]
 }
 
-// jobLabel names a scheduler job of n measurements, the first under
-// key, on ctx's trace: key's ID, then "+k" for the k others. The
+// jobLabel names key's scheduler job on ctx's trace: key's ID. The
 // Runner shows a label only on a traced ctx, so an untraced one gets
 // none and builds no string.
-func jobLabel(ctx context.Context, key store.Key, n int) string {
+func jobLabel(ctx context.Context, key store.Key) string {
 	if telemetry.FromContext(ctx) == nil {
 		return ""
 	}
-	if n == 1 {
-		return key.ID()
-	}
-	return fmt.Sprintf("%s +%d", key.ID(), n-1)
-}
-
-// measureRun measures ru's leaves through the store on r and waits
-// for them. A one-leaf run is a Stored measurement; a longer run takes
-// one slot for all its leaves and shows its first key and its length
-// on the trace.
-func (g *grid) measureRun(ctx context.Context, r Runner, ru *run) {
-	if len(ru.leaves) == 1 {
-		l := ru.leaves[0]
-		l.rc, ru.err = Stored(ctx, r, g.eng.Tier(), l.key, g.st.GetOrCompute, g.measurer(l))
-		return
-	}
-	ru.err = r.Do(ctx, jobLabel(ctx, ru.leaves[0].key, len(ru.leaves)), func(jctx context.Context) error {
-		for _, l := range ru.leaves {
-			if err := jctx.Err(); err != nil {
-				return err
-			}
-			l.rc, l.err = g.st.GetOrCompute(jctx, l.key, g.measurer(l))
-		}
-		return nil
-	})
+	return key.ID()
 }
 
 // measurer returns the computation of one leaf on the engine. It
@@ -272,7 +224,8 @@ func (g *grid) measurer(l *leaf) func(context.Context) (*machine.RawCounts, erro
 }
 
 // newCharacterization validates the inputs and allocates the empty
-// result maps.
+// result maps. Labels and machine names key the results, so each must
+// be non-empty and unique.
 func newCharacterization(entries []Entry, machines []*machine.Machine) (*Characterization, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("core: no workloads to characterize")
@@ -289,6 +242,18 @@ func newCharacterization(entries []Entry, machines []*machine.Machine) (*Charact
 			return nil, fmt.Errorf("core: duplicate label %q", e.Label)
 		}
 		seen[e.Label] = true
+	}
+	names := make(map[string]bool, len(machines))
+	for _, m := range machines {
+		switch {
+		case m == nil:
+			return nil, fmt.Errorf("core: nil machine")
+		case m.Name() == "":
+			return nil, fmt.Errorf("core: machine with empty name")
+		case names[m.Name()]:
+			return nil, fmt.Errorf("core: duplicate machine name %q", m.Name())
+		}
+		names[m.Name()] = true
 	}
 
 	c := &Characterization{

@@ -98,6 +98,23 @@ func TestCharacterizeErrors(t *testing.T) {
 	if _, err := CharacterizeWith(context.Background(), []Entry{{Label: "", Workload: p.Workload()}}, ms, machine.RunOptions{}, nil, nil, nil); err == nil {
 		t.Fatal("empty label must error")
 	}
+	// Machine names key the results: a nil machine, an empty name or a
+	// name given twice would lose a machine's measurements.
+	opteron := machine.OpteronConfig()
+	opteron.Name = ms[0].Name()
+	renamed, err := machine.New(opteron)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, fleet := range map[string][]*machine.Machine{
+		"duplicate machine name": {ms[0], renamed},
+		"empty machine name":     {ms[0], &machine.Machine{}},
+		"nil machine":            {ms[0], nil},
+	} {
+		if _, err := CharacterizeWith(context.Background(), []Entry{e}, fleet, machine.RunOptions{Instructions: 1000}, nil, nil, nil); err == nil {
+			t.Errorf("%s must error", name)
+		}
+	}
 	bad := Entry{Label: "bad", Workload: machine.Workload{Key: "bad", ILP: 0}}
 	if _, err := CharacterizeWith(context.Background(), []Entry{bad}, ms, machine.RunOptions{Instructions: 1000}, nil, nil, nil); err == nil {
 		t.Fatal("invalid workload must surface an error")

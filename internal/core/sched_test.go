@@ -3,7 +3,10 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -361,13 +364,14 @@ func (r *labelRunner) Do(ctx context.Context, label string, fn func(context.Cont
 	return r.Runner.Do(ctx, label, fn)
 }
 
-// TestRunLabelOnlyWhenTraced: a run's scheduler label, its first key's
-// ID and "+k" for its k other leaves, is built for a traced
-// characterization only; an untraced one passes an empty label.
+// TestRunLabelOnlyWhenTraced: an exact miss's Runner job is labelled
+// with its key's ID on a traced characterization only; an untraced one
+// passes an empty label and builds no string.
 func TestRunLabelOnlyWhenTraced(t *testing.T) {
-	entries := schedEntries(t, "505.mcf_r", "541.leela_r", "525.x264_r", "508.namd_r")
-	machines := testMachines(t)[:2]
-	first := store.KeyForEngine(machines[0], entries[0].Workload, machine.RunOptions{}, string(engine.TierAnalytic))
+	entries := schedEntries(t, "505.mcf_r")
+	machines := testMachines(t)[:1]
+	opts := machine.RunOptions{Instructions: 2_000}
+	key := store.KeyForEngine(machines[0], entries[0].Workload, opts, string(engine.TierExact))
 	tr := telemetry.NewTracer(telemetry.TracerConfig{})
 	traced, root := tr.StartTrace(context.Background(), "test", "")
 	defer root.End()
@@ -377,16 +381,135 @@ func TestRunLabelOnlyWhenTraced(t *testing.T) {
 		want string
 	}{
 		{"untraced", context.Background(), ""},
-		{"traced", traced, first.ID() + " +7"},
+		{"traced", traced, key.ID()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := &labelRunner{Runner: sched.NewPool(1, nil).Queue(0)}
-			if _, err := CharacterizeWith(tc.ctx, entries, machines, machine.RunOptions{}, nil, r, engine.Analytic{}); err != nil {
+			if _, err := CharacterizeWith(tc.ctx, entries, machines, opts, nil, r, nil); err != nil {
 				t.Fatal(err)
 			}
 			if len(r.labels) != 1 || r.labels[0] != tc.want {
-				t.Errorf("labels = %q, want [%q] (one run of all 8 leaves)", r.labels, tc.want)
+				t.Errorf("labels = %q, want [%q] (one job for the one miss)", r.labels, tc.want)
 			}
 		})
+	}
+}
+
+// peakEngine is the analytic engine recording the most measurements it
+// ever ran at once. Each measurement sleeps briefly, so concurrent
+// callers overlap even on one CPU.
+type peakEngine struct {
+	engine.Analytic
+	mu        sync.Mutex
+	cur, peak int
+}
+
+func (e *peakEngine) Measure(ctx context.Context, m *machine.Machine, w machine.Workload, opts machine.RunOptions) (*machine.RawCounts, error) {
+	e.mu.Lock()
+	e.cur++
+	e.peak = max(e.peak, e.cur)
+	e.mu.Unlock()
+	defer func() {
+		e.mu.Lock()
+		e.cur--
+		e.mu.Unlock()
+	}()
+	time.Sleep(2 * time.Millisecond)
+	return e.Analytic.Measure(ctx, m, w, opts)
+}
+
+// TestParallelismBoundsEstimates: an analytic characterization
+// estimates on opts.Parallelism goroutines of its own, at most that
+// many at once, and starts no scheduler job.
+func TestParallelismBoundsEstimates(t *testing.T) {
+	entries := schedEntries(t, "505.mcf_r", "541.leela_r", "525.x264_r", "508.namd_r")
+	machines := testMachines(t)
+	for _, par := range []int{1, 2} {
+		eng := &peakEngine{}
+		pool := sched.NewPool(1, nil)
+		opts := machine.RunOptions{Instructions: 2_000, Parallelism: par}
+		if _, err := CharacterizeWith(context.Background(), entries, machines, opts, nil, pool.Queue(0), eng); err != nil {
+			t.Fatal(err)
+		}
+		if eng.peak != par {
+			t.Errorf("parallelism %d: at most %d measurements ran at once, want %d", par, eng.peak, par)
+		}
+		if started := pool.Stats().Started; started != 0 {
+			t.Errorf("parallelism %d: %d scheduler jobs started, want 0", par, started)
+		}
+	}
+}
+
+// errInjected is the failure faultEngine injects.
+var errInjected = errors.New("injected failure")
+
+// faultEngine wraps a tier's engine. It counts the measurements in
+// progress, fails every measurement of the workloads in fail with an
+// error naming the workload, and calls cancel as its cancelAt-th
+// measurement starts.
+type faultEngine struct {
+	engine.Engine
+	fail     map[string]bool
+	cancelAt int64
+	cancel   context.CancelFunc
+	started  atomic.Int64
+	active   atomic.Int64
+}
+
+func (e *faultEngine) Measure(ctx context.Context, m *machine.Machine, w machine.Workload, opts machine.RunOptions) (*machine.RawCounts, error) {
+	e.active.Add(1)
+	defer e.active.Add(-1)
+	if e.started.Add(1) == e.cancelAt {
+		e.cancel()
+	}
+	if e.fail[w.Key] {
+		return nil, fmt.Errorf("%s: %w", w.Key, errInjected)
+	}
+	return e.Engine.Measure(ctx, m, w, opts)
+}
+
+// TestCharacterizeWithLeavesNoGoroutines: on both tiers, after a
+// success, a failing measurement and a cancellation mid-grid,
+// CharacterizeWith returns with no measurement in progress and the
+// goroutine count back at its baseline. The failure reported is the
+// first failed pair in grid order.
+func TestCharacterizeWithLeavesNoGoroutines(t *testing.T) {
+	entries := schedEntries(t, "505.mcf_r", "541.leela_r", "525.x264_r", "508.namd_r")
+	machines := testMachines(t)
+	for _, inner := range []engine.Engine{engine.Exact{}, engine.Analytic{}} {
+		for _, tc := range []struct {
+			name     string
+			fail     []Entry
+			cancelAt int64
+			want     error
+		}{
+			{name: "success"},
+			{name: "failure", fail: []Entry{entries[3], entries[1]}, want: errInjected},
+			{name: "cancel", cancelAt: 3, want: context.Canceled},
+		} {
+			t.Run(string(inner.Tier())+"/"+tc.name, func(t *testing.T) {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				eng := &faultEngine{Engine: inner, fail: make(map[string]bool), cancelAt: tc.cancelAt, cancel: cancel}
+				for _, e := range tc.fail {
+					eng.fail[e.Workload.Key] = true
+				}
+				baseline := runtime.NumGoroutine()
+				opts := machine.RunOptions{Instructions: 2_000, Parallelism: 2}
+				_, err := CharacterizeWith(ctx, entries, machines, opts, nil, nil, eng)
+				if n := eng.active.Load(); n != 0 {
+					t.Errorf("%d measurements still running after the call returned", n)
+				}
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("err = %v, want %v", err, tc.want)
+				}
+				if tc.fail != nil && !strings.Contains(err.Error(), entries[1].Label+" on "+machines[0].Name()) {
+					t.Errorf("err = %v, want the first failed pair in grid order (%s on %s)", err, entries[1].Label, machines[0].Name())
+				}
+				// A goroutine past its last statement may still be
+				// counted for an instant.
+				waitUntil(t, "goroutines to exit", func() bool { return runtime.NumGoroutine() <= baseline })
+			})
+		}
 	}
 }

@@ -39,33 +39,23 @@ const (
 )
 
 // Nominal wall time of one measurement on each tier, on a 2-vCPU host.
-// internal/core sizes its scheduler jobs from it and internal/server
-// prices admission by the ratio. The analytic figure was a registry
-// sweep's per-leaf estimate time (BenchmarkAnalyticRegistry, 40-55 µs)
-// when it was set. Since the characteristic-time solve replays its
-// bisection from a Newton bracket, the estimate stopped allocating its
-// scratch and each pair's split first-level times are memoized, a
-// leaf whose pair is in the memo takes 10-13 µs (5.8-7.4 ms per
-// 560-estimate sweep), and a process's first sweep 20-25 µs per leaf.
-// The constant stays 50 µs on purpose: it fixes the ÷50 admission
-// price of an analytic request and core's 20-leaf runs, which moving
-// it would resize. The exact figure is the analytic one times the 50x
-// registry speedup the analytic tier is held to; an exact leaf costs
-// more even at specbench's sampled fidelity (2.6-3.2 ms at 20000
-// measured and 4000 warmup instructions), so it fills a job alone.
+// internal/server prices admission by their ratio. The analytic figure
+// was a registry sweep's per-leaf estimate time
+// (BenchmarkAnalyticRegistry, 40-55 µs) when it was set. Since the
+// characteristic-time solve replays its bisection from a Newton
+// bracket, the estimate stopped allocating its scratch and each pair's
+// split first-level times are memoized, a leaf whose pair is in the
+// memo takes 10-13 µs (5.8-7.4 ms per 560-estimate sweep), and a
+// process's first sweep 20-25 µs per leaf. The constant stays 50 µs on
+// purpose: it fixes the ÷50 admission price of an analytic request,
+// which moving it would change. The exact figure is the analytic one
+// times the 50x registry speedup the analytic tier is held to; an
+// exact leaf costs more even at specbench's sampled fidelity (2.6-3.2
+// ms at 20000 measured and 4000 warmup instructions).
 const (
 	AnalyticLeafCost = 50 * time.Microsecond
 	ExactLeafCost    = 50 * AnalyticLeafCost
 )
-
-// LeafCost returns the tier's nominal cost of one measurement. A tier
-// this package does not define is priced as exact.
-func (t Tier) LeafCost() time.Duration {
-	if t == TierAnalytic {
-		return AnalyticLeafCost
-	}
-	return ExactLeafCost
-}
 
 // ParseTier validates a user-supplied tier name. Unknown names are
 // rejected with the allowed set in the message — never silently mapped

@@ -203,7 +203,7 @@ func (l *Lab) Fleet() ([]*machine.Machine, error) {
 // — extra fidelities, replicas, multi-copy runs — route through here
 // so their measurements are cached and persisted like everything else.
 // A store hit, or a join onto a concurrent measurement of the same
-// key, is served without a scheduler job, and so is a lone analytic
+// key, is served without a scheduler job, and so is every analytic
 // estimate (see core.Stored).
 func (l *Lab) RunStored(m *machine.Machine, w machine.Workload, opts machine.RunOptions) (*machine.RawCounts, error) {
 	s := l.state

@@ -176,14 +176,18 @@ func (r *cancelFirst) Do(ctx context.Context, _ string, fn func(context.Context)
 // TestLabDoesNotKeepCanceledBuild: a canceled build is about the
 // callers that left, not the lab, so the next Characterization builds
 // afresh instead of answering the stale cancellation until the lab is
-// evicted.
+// evicted. The build is exact, so its misses reach the Runner.
 func TestLabDoesNotKeepCanceledBuild(t *testing.T) {
-	lab := NewLabWithEngine(machine.RunOptions{}, nil, &cancelFirst{}, engine.Analytic{})
+	r := &cancelFirst{}
+	lab := NewLabWithEngine(machine.RunOptions{Instructions: 2_000}, nil, r, engine.Exact{})
 	if _, err := lab.Characterization(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("first build error = %v, want context.Canceled", err)
 	}
 	if _, err := lab.Characterization(); err != nil {
 		t.Fatalf("second build error = %v, want the characterization", err)
+	}
+	if r.calls.Load() < 2 {
+		t.Errorf("Runner saw %d submissions; the second build submitted none", r.calls.Load())
 	}
 }
 
@@ -204,20 +208,40 @@ func (e *countingEngine) Measure(ctx context.Context, m *machine.Machine, w mach
 	return e.Analytic.Measure(ctx, m, w, opts)
 }
 
-// TestAnalyticRunsComputeEachKeyOnce: the store's flights alone keep
-// two concurrent characterizations of one grid, whose analytic misses
-// travel in multi-measurement runs, and a RunStored of one of its
-// pairs from measuring any key twice. Every run of both
-// characterizations holds a worker, and the RunStored measures (a lone
-// analytic estimate takes no worker), before any measurement may
+// measuring is the number of keys e has started to measure.
+func (e *countingEngine) measuring() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.n)
+}
+
+// joinCounter is a context counting the calls to its Done method. An
+// analytic characterization calls Done only to wait on another
+// caller's store flight, once per join, so the count is how many it
+// has joined.
+type joinCounter struct {
+	context.Context
+	n atomic.Int64
+}
+
+func (c *joinCounter) Done() <-chan struct{} {
+	c.n.Add(1)
+	return c.Context.Done()
+}
+
+// TestAnalyticComputesEachKeyOnce: the store's flights alone keep two
+// concurrent characterizations of one grid and a RunStored of one of
+// its pairs from measuring any key twice. The first characterization's
+// two estimators hold the grid's first two keys, the second joins both,
+// and the RunStored holds a later key, before any measurement may
 // finish. Both characterizations equal an ungated one.
-func TestAnalyticRunsComputeEachKeyOnce(t *testing.T) {
+func TestAnalyticComputesEachKeyOnce(t *testing.T) {
 	fleet, err := machine.Fleet()
 	if err != nil {
 		t.Fatal(err)
 	}
 	entries, machines := Entries()[:12], fleet[:3]
-	opts := machine.RunOptions{Instructions: 30_000}
+	opts := machine.RunOptions{Instructions: 30_000, Parallelism: 2}
 	distinct := make(map[string]bool)
 	for _, e := range entries {
 		for _, m := range machines {
@@ -227,52 +251,48 @@ func TestAnalyticRunsComputeEachKeyOnce(t *testing.T) {
 	if len(distinct) == len(entries)*len(machines) {
 		t.Fatal("test grid has no repeated key; pick entries that share a workload")
 	}
-	perRun := int(time.Millisecond / engine.AnalyticLeafCost) // core's run target over the leaf cost
-	runs := (len(distinct) + perRun - 1) / perRun
-	if runs < 2 {
-		t.Fatalf("test grid makes %d run; it needs several", runs)
-	}
 
 	st, err := store.Open(store.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := sched.NewPool(2*runs+2, nil)
+	pool := sched.NewPool(1, nil)
 	gate := make(chan struct{})
 	eng := &countingEngine{gate: gate, n: make(map[string]int)}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s; %d keys measuring", what, eng.measuring())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 
 	type result struct {
 		c   *core.Characterization
 		err error
 	}
 	results := make(chan result, 2)
-	for i := 0; i < 2; i++ {
+	characterize := func(ctx context.Context) {
 		go func() {
-			c, err := core.CharacterizeWith(context.Background(), entries, machines, opts, st, pool.Queue(0), eng)
+			c, err := core.CharacterizeWith(ctx, entries, machines, opts, st, pool.Queue(0), eng)
 			results <- result{c, err}
 		}()
 	}
+	characterize(context.Background())
+	waitFor("the first characterization to measure two keys", func() bool { return eng.measuring() == 2 })
+	joiner := &joinCounter{Context: context.Background()}
+	characterize(joiner)
+	waitFor("the second characterization to join both", func() bool { return joiner.n.Load() == 2 })
 	lab := NewLabWithEngine(opts, st, pool.Queue(0), eng)
 	ran := make(chan error, 1)
 	go func() {
 		_, err := lab.RunStored(machines[1], entries[2].Workload, opts)
 		ran <- err
 	}()
-	// The runs of the two characterizations share their first keys:
-	// one of each pair measures, the other joins. The RunStored's pair
-	// sits inside a run, so it leads that key.
-	measuring := func() int {
-		eng.mu.Lock()
-		defer eng.mu.Unlock()
-		return len(eng.n)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for pool.Stats().Inflight != 2*runs || measuring() != runs+1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for every run and the RunStored; stats %+v, %d keys measuring", pool.Stats(), measuring())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor("RunStored to measure", func() bool { return eng.measuring() == 3 })
 	close(gate)
 
 	want, err := core.CharacterizeWith(context.Background(), entries, machines, opts, nil, nil, engine.Analytic{})
@@ -302,14 +322,16 @@ func TestAnalyticRunsComputeEachKeyOnce(t *testing.T) {
 	if misses := st.Stats().Misses; misses != int64(len(distinct)) {
 		t.Errorf("store misses = %d, want %d", misses, len(distinct))
 	}
+	if started := pool.Stats().Started; started != 0 {
+		t.Errorf("scheduler jobs started = %d, want 0 (estimates take no slot)", started)
+	}
 }
 
-// TestAnalyticRunStoredTakesNoSlot: on a one-worker pool, a RunStored
-// of a pair inside a run that holds the worker measures at once,
-// without a worker. Had it led the pair's flight and then waited for
-// the worker, the run would reach the pair, wait on that flight, and
-// never free the worker.
-func TestAnalyticRunStoredTakesNoSlot(t *testing.T) {
+// TestAnalyticTakesNoSlot: on a one-worker pool whose only worker is
+// held by a blocked job, an analytic characterization and an analytic
+// RunStored both finish, and no scheduler job starts: an estimate
+// never waits for a slot, and never holds one.
+func TestAnalyticTakesNoSlot(t *testing.T) {
 	fleet, err := machine.Fleet()
 	if err != nil {
 		t.Fatal(err)
@@ -321,39 +343,37 @@ func TestAnalyticRunStoredTakesNoSlot(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := sched.NewPool(1, nil)
-	gate := make(chan struct{})
-	eng := gatedEngine{gate: gate}
+	gate, blocked := make(chan struct{}), make(chan error, 1)
+	go func() {
+		blocked <- pool.Queue(0).Do(context.Background(), "blocker", func(context.Context) error {
+			<-gate
+			return nil
+		})
+	}()
+	defer func() {
+		close(gate)
+		<-blocked
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for pool.Stats().Inflight != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for the blocker to hold the worker")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	started := pool.Stats().Started
 
 	chars := make(chan error, 1)
 	go func() {
-		_, err := core.CharacterizeWith(context.Background(), entries, machines, opts, st, pool.Queue(0), eng)
+		_, err := core.CharacterizeWith(context.Background(), entries, machines, opts, st, pool.Queue(0), engine.Analytic{})
 		chars <- err
 	}()
-	waitFor := func(what string, cond func() bool) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for !cond() {
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s; stats %+v", what, pool.Stats())
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	// The grid's one run holds the worker, its first measurement at the
-	// gate.
-	waitFor("the run to hold the worker", func() bool { return st.Stats().Misses == 1 })
-	lab := NewLabWithEngine(opts, st, pool.Queue(0), eng)
+	lab := NewLabWithEngine(opts, st, pool.Queue(0), engine.Analytic{})
 	ran := make(chan error, 1)
 	go func() {
-		_, err := lab.RunStored(machines[2], entries[1].Workload, opts)
+		_, err := lab.RunStored(fleet[5], entries[1].Workload, opts)
 		ran <- err
 	}()
-	waitFor("RunStored to measure", func() bool { return st.Stats().Misses == 2 })
-	if s := pool.Stats(); s.Depth != 0 || s.Started != 1 {
-		t.Errorf("RunStored queued a job: %+v", s)
-	}
-	close(gate)
-
 	for what, c := range map[string]chan error{"characterization": chars, "RunStored": ran} {
 		select {
 		case err := <-c:
@@ -361,7 +381,10 @@ func TestAnalyticRunStoredTakesNoSlot(t *testing.T) {
 				t.Fatalf("%s: %v", what, err)
 			}
 		case <-time.After(10 * time.Second):
-			t.Fatalf("%s deadlocked", what)
+			t.Fatalf("%s waited for the held worker", what)
 		}
+	}
+	if s := pool.Stats(); s.Started != started || s.Depth != 0 {
+		t.Errorf("estimates queued scheduler jobs: %+v, want %d started and none pending", s, started)
 	}
 }

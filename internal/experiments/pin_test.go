@@ -138,9 +138,10 @@ func TestReportPinned(t *testing.T) {
 }
 
 // TestTable5ColdThenWarmStore runs Table5 on a store- and
-// scheduler-backed Lab twice: cold, then on a fresh Lab over the now
-// warm store, where every leaf is a store hit and no scheduler job
-// starts. Both must match the store-less pin.
+// scheduler-backed analytic Lab twice: cold, where each distinct key
+// is estimated once, then on a fresh Lab over the now warm store, where
+// every leaf is a store hit. Estimates take no scheduler slot, so
+// neither pass starts a job. Both must match the store-less pin.
 func TestTable5ColdThenWarmStore(t *testing.T) {
 	st, err := store.Open(store.Config{})
 	if err != nil {
@@ -151,10 +152,16 @@ func TestTable5ColdThenWarmStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	leaves := int64(len(Entries()) * len(fleet))
+	keys := make(map[store.Key]bool)
+	for _, e := range Entries() {
+		for _, m := range fleet {
+			keys[store.KeyForEngine(m, e.Workload, machine.RunOptions{}, string(engine.TierAnalytic))] = true
+		}
+	}
 	pool := sched.NewPool(2, nil)
 
 	for _, pass := range []string{"cold", "warm"} {
-		startedBefore, hitsBefore := pool.Stats().Started, st.Stats().Hits
+		startedBefore, before := pool.Stats().Started, st.Stats()
 		lab := NewLabWithEngine(machine.RunOptions{}, st, pool.Queue(0), engine.Analytic{})
 		rows, err := Table5(lab)
 		if err != nil {
@@ -163,17 +170,16 @@ func TestTable5ColdThenWarmStore(t *testing.T) {
 		if got := pinHash(t, rows); got != table5PinSHA256 {
 			t.Errorf("%s Table5 JSON SHA-256 = %s, want %s", pass, got, table5PinSHA256)
 		}
-		started := pool.Stats().Started - startedBefore
-		hits := st.Stats().Hits - hitsBefore
+		if started := pool.Stats().Started - startedBefore; started != 0 {
+			t.Errorf("%s pass started %d scheduler jobs, want 0", pass, started)
+		}
+		hits, misses := st.Stats().Hits-before.Hits, st.Stats().Misses-before.Misses
 		switch pass {
 		case "cold":
-			if started == 0 {
-				t.Error("cold pass started no scheduler jobs")
+			if misses != int64(len(keys)) {
+				t.Errorf("cold pass store misses = %d, want %d (one per distinct key)", misses, len(keys))
 			}
 		case "warm":
-			if started != 0 {
-				t.Errorf("warm pass started %d scheduler jobs, want 0", started)
-			}
 			if hits != leaves {
 				t.Errorf("warm pass store hits = %d, want %d (one per leaf)", hits, leaves)
 			}

@@ -239,9 +239,11 @@ type RunOptions struct {
 	// Defaults to Instructions/5.
 	WarmupInstructions int
 	// Parallelism bounds the number of concurrent per-machine runs a
-	// fleet characterization may use (see core.CharacterizeWith). It does
-	// not affect a single Run, and it never affects results — runs are
-	// deterministic regardless of scheduling. 0 means GOMAXPROCS;
+	// fleet characterization may use (see core.CharacterizeWith): the
+	// goroutines that key, look up and estimate its pairs, and the
+	// workers of its private scheduler pool when it is given none. It
+	// does not affect a single Run, and it never affects results — runs
+	// are deterministic regardless of scheduling. 0 means GOMAXPROCS;
 	// 1 forces fully serial measurement.
 	Parallelism int
 }
