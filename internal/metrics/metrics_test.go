@@ -113,6 +113,64 @@ func TestWritePrometheusFormat(t *testing.T) {
 	}
 }
 
+// TestWritePrometheusPinned compares the whole exposition with bytes
+// captured from a known-good renderer: an unlabelled counter, a
+// labelled counter with an empty and an escaped value, a gauge without
+// help, labelled and unlabelled histograms with custom bounds (one
+// observation above the top bound), and a family with no series.
+func TestWritePrometheusPinned(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("a_total", "A counter.").Add(2)
+	cv := r.CounterVec("c_total", "Labelled\\counter,\nescaped help.", "x", "y")
+	cv.With("", "plain").Inc()
+	cv.With(`quo"te`, "back\\slash").Add(3.5)
+	r.Gauge("b", "").Set(-1.5)
+	hv := r.HistogramVec("h_seconds", "A histogram.", []float64{0.5, 1, 2.5}, "stage")
+	hv.With("fast").Observe(0.25)
+	hv.With("fast").Observe(1)
+	hv.With("slow").Observe(7)
+	r.Histogram("u_seconds", "Unlabelled.", []float64{1}).Observe(0.5)
+	r.CounterVec("unused_total", "Never incremented.", "x")
+
+	const want = `# HELP a_total A counter.
+# TYPE a_total counter
+a_total 2
+# HELP c_total Labelled\\counter,\nescaped help.
+# TYPE c_total counter
+c_total{x="",y="plain"} 1
+c_total{x="quo\"te",y="back\\slash"} 3.5
+# TYPE b gauge
+b -1.5
+# HELP h_seconds A histogram.
+# TYPE h_seconds histogram
+h_seconds_bucket{stage="fast",le="0.5"} 1
+h_seconds_bucket{stage="fast",le="1"} 2
+h_seconds_bucket{stage="fast",le="2.5"} 2
+h_seconds_bucket{stage="fast",le="+Inf"} 2
+h_seconds_sum{stage="fast"} 1.25
+h_seconds_count{stage="fast"} 2
+h_seconds_bucket{stage="slow",le="0.5"} 0
+h_seconds_bucket{stage="slow",le="1"} 0
+h_seconds_bucket{stage="slow",le="2.5"} 0
+h_seconds_bucket{stage="slow",le="+Inf"} 1
+h_seconds_sum{stage="slow"} 7
+h_seconds_count{stage="slow"} 1
+# HELP u_seconds Unlabelled.
+# TYPE u_seconds histogram
+u_seconds_bucket{le="1"} 1
+u_seconds_bucket{le="+Inf"} 1
+u_seconds_sum 0.5
+u_seconds_count 1
+`
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != want {
+		t.Errorf("exposition changed:\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestRegistrationPanics(t *testing.T) {
 	expectPanic := func(name string, fn func()) {
 		t.Helper()
