@@ -7,8 +7,12 @@
 # the analysis fan-out tests, the Lab's build coalescing and concurrent
 # analytic characterizations sharing one store in internal/experiments
 # (`race-analysis`) and concurrent runs on one
-# shared Machine, whose simulator state is pooled (`race-machine`);
-# `race-all` remains available for the exhaustive run.
+# shared Machine, whose simulator state is pooled (`race-machine`).
+# `race-sched` repeats the scheduler's ordering tests: its FIFO relies
+# on Go's runtime waking a channel's blocked senders in arrival order,
+# which the language spec does not promise, so a toolchain that changes
+# the wake order fails CI there. `race-all` remains available for the
+# exhaustive run.
 
 GO ?= go
 RACE_PKGS ?= ./internal/server/... ./internal/metrics/... ./internal/core/... \
@@ -17,9 +21,9 @@ RACE_PKGS ?= ./internal/server/... ./internal/metrics/... ./internal/core/... \
              ./internal/engine/... ./internal/jobs/... ./internal/insight/... \
              ./internal/flight/...
 
-.PHONY: ci fmt-check vet build test race race-analysis race-machine race-engine race-all fuzz bench bench-smoke bench-snapshot bench-gate smoke loc clean
+.PHONY: ci fmt-check vet build test race race-analysis race-machine race-engine race-sched race-all fuzz bench bench-smoke bench-snapshot bench-gate smoke loc clean
 
-ci: fmt-check vet build test race race-analysis race-machine race-engine fuzz bench-smoke
+ci: fmt-check vet build test race race-analysis race-machine race-engine race-sched fuzz bench-smoke
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -60,12 +64,20 @@ race-machine:
 race-engine:
 	$(GO) test -race -count=10 -run 'TestFirstLevelMemoConcurrent' ./internal/engine
 
+# race-sched repeats the tests that pin the scheduler's order: jobs
+# start in submission order, a capped queue's backlog lets other
+# queues through, and a caller that leaves while waiting gives back
+# what it took.
+race-sched:
+	$(GO) test -race -count=20 -run 'TestFIFOOrder|TestQueueCapDoesNotStarveOthers|TestCancellation' ./internal/sched
+
 race-all:
 	$(GO) test -race ./...
 
 # fuzz runs each native fuzz target (the query-string parser, the
 # batch and job request-body decoder, the store snapshot loader, the
-# machine-config decoder, the jobs snapshot loader) for a bounded
+# machine-config decoder, the jobs snapshot loader, the tolerance
+# bands' ratio) for a bounded
 # time, starting from its committed seed corpus under testdata/fuzz/.
 # A failing input is written there too, and then fails plain `go test`
 # until fixed.
@@ -75,6 +87,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreOpen$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzParseConfigs$$' -fuzztime 10s ./internal/machine
 	$(GO) test -run '^$$' -fuzz '^FuzzJobsLoad$$' -fuzztime 10s ./internal/jobs
+	$(GO) test -run '^$$' -fuzz '^FuzzBandRatio$$' -fuzztime 10s ./internal/engine
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

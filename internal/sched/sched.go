@@ -7,20 +7,25 @@
 //
 // Structure:
 //
-//   - A Pool owns the worker slots and a global FIFO of pending jobs.
-//     Jobs start strictly in submission order (fairness across
-//     requests), bounded by the pool's worker count.
+//   - A Pool is a buffered channel of worker slots: a job holds one
+//     slot while it runs, so at most the pool's worker count run at
+//     once. Go's runtime hands a freed slot to the channel's blocked
+//     senders in arrival order, so jobs start in submission order
+//     (fairness across requests); `make race-sched` checks that order.
 //   - A Queue is one submitter's handle on the pool — a batch, a
 //     request, a CLI run — with an optional concurrency cap of its
-//     own, so one enormous batch cannot monopolize the workers while
-//     other queues' jobs starve behind it.
-//   - Do waits for a slot, runs the job on the caller's goroutine
-//     under the caller's context, and releases the slot.
+//     own: a capped queue's job first takes one of the queue's own
+//     slots, then a pool slot. Its backlog waits on the queue's
+//     channel, not the pool's, so one enormous batch cannot monopolize
+//     the workers while other queues' jobs starve behind it.
+//   - Do waits for its slots, runs the job on the caller's goroutine
+//     under the caller's context, and releases the slots.
 //
-// A caller whose context ends while its job is still pending leaves
-// the queue at once, so abandoned work never occupies a worker. The
-// pool never sheds a job: shedding load is the admission layer's
-// decision, made once per request before any of its jobs exist.
+// A caller whose context ends while its job still waits leaves at
+// once, returning any slot it took, so abandoned work never occupies a
+// worker. The pool never sheds a job: shedding load is the admission
+// layer's decision, made once per request before any of its jobs
+// exist.
 package sched
 
 import (
@@ -55,33 +60,18 @@ func newPoolMetrics(r *metrics.Registry) poolMetrics {
 	}
 }
 
-// job is one submission's place in the pending FIFO: its caller waits
-// on ready for a worker slot.
-type job struct {
-	queue *Queue
-	// submitted is when the job entered the pending FIFO; the gap to
-	// dispatch is surfaced as a sched.wait span on the caller's trace.
-	submitted time.Time
-	// ready is closed when a worker slot is granted.
-	ready chan struct{}
-
-	// Pending-list links, guarded by Pool.mu; nil once dispatched or
-	// abandoned.
-	prev, next *job
-	pending    bool
-}
-
 // Pool is a bounded FIFO of worker slots shared by any number of
 // Queues. Create with NewPool; the zero value is not usable.
 type Pool struct {
-	met     poolMetrics
-	workers int
+	met   poolMetrics
+	slots chan struct{} // one token per running job
 
+	// mu orders every change to depth and inflight with the gauges
+	// that publish them, so a gauge never keeps a stale count after
+	// concurrent releases.
 	mu       sync.Mutex
-	running  int
-	npending int
-	head     *job // pending FIFO
-	tail     *job
+	depth    int
+	inflight int
 }
 
 // NewPool returns a pool running at most workers jobs concurrently
@@ -95,33 +85,34 @@ func NewPool(workers int, reg *metrics.Registry) *Pool {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	return &Pool{met: newPoolMetrics(reg), workers: workers}
+	return &Pool{met: newPoolMetrics(reg), slots: make(chan struct{}, workers)}
 }
 
 // Queue is one submitter's handle on a Pool. Queues are cheap; create
 // one per logical request or batch so its cap (and cancellation)
 // stays scoped to that submitter's work.
 type Queue struct {
-	pool *Pool
-	cap  int // max concurrently running jobs of this queue; 0 = pool bound only
-	// running counts this queue's jobs currently holding a worker,
-	// guarded by pool.mu.
-	running int
+	pool  *Pool
+	slots chan struct{} // one token per running job of this queue; nil when uncapped
 }
 
 // Queue returns a new submission handle. cap bounds how many of the
 // queue's jobs may run concurrently (<= 0: no per-queue bound — the
 // pool's worker count is the only limit).
 func (p *Pool) Queue(cap int) *Queue {
-	return &Queue{pool: p, cap: cap}
+	q := &Queue{pool: p}
+	if cap > 0 {
+		q.slots = make(chan struct{}, cap)
+	}
+	return q
 }
 
 // Workers returns the pool's concurrency bound.
-func (p *Pool) Workers() int { return p.workers }
+func (p *Pool) Workers() int { return cap(p.slots) }
 
 // Cap returns the queue's per-queue concurrency cap (0: only the
 // pool's worker count bounds it).
-func (q *Queue) Cap() int { return q.cap }
+func (q *Queue) Cap() int { return cap(q.slots) }
 
 // Stats is a point-in-time snapshot of the pool's counters, for tests
 // and callers that want to wait for the queue to settle.
@@ -136,62 +127,20 @@ func (p *Pool) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return Stats{
-		Depth:    p.npending,
-		Inflight: p.running,
+		Depth:    p.depth,
+		Inflight: p.inflight,
 		Started:  int64(p.met.started.Value()),
 	}
 }
 
-// pushPending appends j to the FIFO. Caller holds p.mu.
-func (p *Pool) pushPending(j *job) {
-	j.pending = true
-	j.prev = p.tail
-	if p.tail != nil {
-		p.tail.next = j
-	} else {
-		p.head = j
-	}
-	p.tail = j
-	p.npending++
-	p.met.depth.Set(float64(p.npending))
-}
-
-// removePending unlinks j from the FIFO. Caller holds p.mu.
-func (p *Pool) removePending(j *job) {
-	if j.prev != nil {
-		j.prev.next = j.next
-	} else {
-		p.head = j.next
-	}
-	if j.next != nil {
-		j.next.prev = j.prev
-	} else {
-		p.tail = j.prev
-	}
-	j.prev, j.next = nil, nil
-	j.pending = false
-	p.npending--
-	p.met.depth.Set(float64(p.npending))
-}
-
-// dispatch starts pending jobs while workers are free, in FIFO order,
-// skipping jobs whose queue is at its cap. Caller holds p.mu.
-func (p *Pool) dispatch() {
-	for j := p.head; j != nil && p.running < p.workers; {
-		next := j.next
-		if j.queue.cap > 0 && j.queue.running >= j.queue.cap {
-			j = next
-			continue // queue at cap: let later queues' jobs through
-		}
-		p.removePending(j)
-		p.met.queueWait.Observe(time.Since(j.submitted).Seconds())
-		j.queue.running++
-		p.running++
-		p.met.inflight.Set(float64(p.running))
-		p.met.started.Inc()
-		close(j.ready)
-		j = next
-	}
+// move adds to the pending and running counts and publishes both.
+func (p *Pool) move(pending, running int) {
+	p.mu.Lock()
+	p.depth += pending
+	p.inflight += running
+	p.met.depth.Set(float64(p.depth))
+	p.met.inflight.Set(float64(p.inflight))
+	p.mu.Unlock()
 }
 
 // Do waits for a worker slot, runs fn on the caller's goroutine under
@@ -199,55 +148,56 @@ func (p *Pool) dispatch() {
 // pending is recorded as a sched.wait span on ctx's trace, with label
 // as its key attribute. Do fails without running fn only with ctx's
 // error, when ctx ends before the slot is granted; a pending job whose
-// ctx ends is dropped from the queue.
+// ctx ends leaves the queue at once.
 func (q *Queue) Do(ctx context.Context, label string, fn func(context.Context) error) error {
-	if err := q.acquire(ctx, label); err != nil {
-		return err
-	}
-	defer q.release()
-	return fn(ctx)
-}
-
-// acquire queues a job in the pending FIFO and waits for its worker
-// slot.
-func (q *Queue) acquire(ctx context.Context, label string) error {
 	p := q.pool
-	p.mu.Lock()
-	j := &job{queue: q, submitted: time.Now(), ready: make(chan struct{})}
-	p.pushPending(j)
-	p.dispatch()
-	p.mu.Unlock()
-
-	select {
-	case <-j.ready:
-	case <-ctx.Done():
-		p.mu.Lock()
-		if j.pending {
-			p.removePending(j) // never started: drop it from the queue
-			p.mu.Unlock()
-			return ctx.Err()
-		}
-		p.mu.Unlock() // dispatched in the meantime: the slot is ours
-	}
-	if err := ctx.Err(); err != nil {
-		q.release() // granted as the caller left: run nothing
+	submitted := time.Now()
+	p.move(1, 0)
+	if err := q.acquire(ctx); err != nil {
+		p.move(-1, 0)
 		return err
+	}
+	p.move(-1, 1)
+	p.met.started.Inc()
+	p.met.queueWait.Observe(time.Since(submitted).Seconds())
+	defer q.release()
+	if err := ctx.Err(); err != nil {
+		return err // granted as the caller left: run nothing
 	}
 	// The queueing delay is request-visible latency the job's own
 	// spans never show; attribute it to the caller's trace.
 	if sp := telemetry.FromContext(ctx); sp != nil {
-		sp.Record("sched.wait", j.submitted, time.Now(), "key", label)
+		sp.Record("sched.wait", submitted, time.Now(), "key", label)
 	}
-	return nil
+	return fn(ctx)
 }
 
-// release returns a worker slot held by one of q's jobs.
+// acquire takes a slot of q's cap, if it has one, then a pool slot,
+// giving back what it took if ctx ends first.
+func (q *Queue) acquire(ctx context.Context) error {
+	if q.slots != nil {
+		select {
+		case q.slots <- struct{}{}:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	select {
+	case q.pool.slots <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		if q.slots != nil {
+			<-q.slots
+		}
+		return ctx.Err()
+	}
+}
+
+// release returns the slots held by one of q's running jobs.
 func (q *Queue) release() {
-	p := q.pool
-	p.mu.Lock()
-	q.running--
-	p.running--
-	p.met.inflight.Set(float64(p.running))
-	p.dispatch()
-	p.mu.Unlock()
+	q.pool.move(0, -1)
+	<-q.pool.slots
+	if q.slots != nil {
+		<-q.slots
+	}
 }

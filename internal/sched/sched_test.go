@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/telemetry"
 )
 
@@ -22,6 +25,21 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// parked counts goroutines blocked in acquire. A goroutine shows as
+// blocked only once it has joined a slot channel's wait queue, so
+// waiting for the count fixes the order in which jobs arrived there.
+func parked() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "[select") && strings.Contains(g, "sched.(*Queue).acquire") {
+			n++
+		}
+	}
+	return n
 }
 
 func TestFIFOOrder(t *testing.T) {
@@ -54,7 +72,7 @@ func TestFIFOOrder(t *testing.T) {
 			})
 		}()
 		// Serialize submission so the FIFO order is deterministic.
-		waitFor(t, "job queued", func() bool { return p.Stats().Depth == i+1 })
+		waitFor(t, "job queued", func() bool { return p.Stats().Depth == i+1 && parked() == i+1 })
 	}
 	close(blocker)
 	wg.Wait()
@@ -104,6 +122,58 @@ func TestQueueCapDoesNotStarveOthers(t *testing.T) {
 	}
 	close(aRelease)
 	waitFor(t, "drain", func() bool { s := p.Stats(); return s.Depth == 0 && s.Inflight == 0 })
+}
+
+// TestCanceledPastCapReturnsCapSlot: a capped queue's job that got
+// past its queue's cap and is canceled while it waits for a pool slot
+// gives its cap slot back, so the queue's next job runs once a pool
+// slot frees.
+func TestCanceledPastCapReturnsCapSlot(t *testing.T) {
+	p := NewPool(1, nil)
+	qa, qb := p.Queue(1), p.Queue(0)
+
+	bRelease := make(chan struct{})
+	bDone := make(chan error, 1)
+	go func() {
+		bDone <- qb.Do(context.Background(), "b1", func(context.Context) error {
+			<-bRelease
+			return nil
+		})
+	}()
+	waitFor(t, "b1 running", func() bool { return p.Stats().Inflight == 1 })
+
+	// a1 holds queue A's only cap slot while it waits for the worker.
+	ctx, cancel := context.WithCancel(context.Background())
+	a1 := make(chan error, 1)
+	go func() {
+		a1 <- qa.Do(ctx, "a1", func(context.Context) error {
+			t.Error("a1 ran after its caller departed")
+			return nil
+		})
+	}()
+	waitFor(t, "a1 waiting for the worker", func() bool { return len(qa.slots) == 1 && parked() == 1 })
+	cancel()
+	if err := <-a1; !errors.Is(err, context.Canceled) {
+		t.Fatalf("a1 error = %v, want context.Canceled", err)
+	}
+
+	a2 := make(chan error, 1)
+	go func() {
+		a2 <- qa.Do(context.Background(), "a2", func(context.Context) error { return nil })
+	}()
+	close(bRelease)
+	if err := <-bDone; err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-a2:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("queue A's next job never ran: the canceled job kept its cap slot")
+	}
+	waitFor(t, "pool idle", func() bool { s := p.Stats(); return s.Depth == 0 && s.Inflight == 0 })
 }
 
 func TestPoolBound(t *testing.T) {
@@ -196,9 +266,10 @@ func TestCancellation(t *testing.T) {
 
 // TestStress hammers the pool from many goroutines and queues with
 // random cancellation; run under -race this is the scheduler's
-// data-race net.
+// data-race net. Once it drains, the published gauges read 0 too.
 func TestStress(t *testing.T) {
-	p := NewPool(4, nil)
+	reg := metrics.NewRegistry()
+	p := NewPool(4, reg)
 	var execs atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -230,6 +301,12 @@ func TestStress(t *testing.T) {
 	waitFor(t, "drain", func() bool { s := p.Stats(); return s.Depth == 0 && s.Inflight == 0 })
 	if execs.Load() == 0 {
 		t.Error("nothing executed")
+	}
+	snap := reg.Snapshot()
+	for _, name := range []string{"spec17_sched_queue_depth", "spec17_sched_inflight"} {
+		if v := snap.Value(name); v != 0 {
+			t.Errorf("%s = %v after the pool drained, want 0", name, v)
+		}
 	}
 }
 
