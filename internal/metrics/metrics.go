@@ -286,56 +286,41 @@ func checkBounds(name string, bounds []float64) []float64 {
 	return append([]float64(nil), bounds...)
 }
 
-// WritePrometheus renders every family in registration order as
-// Prometheus text exposition format.
+// WritePrometheus renders Snapshot's families, in registration order,
+// as Prometheus text exposition format; families with no series are
+// left out.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	fams := append([]*family(nil), r.families...)
-	r.mu.Unlock()
-
 	var b strings.Builder
-	for _, f := range fams {
-		f.write(&b)
+	for _, f := range r.Snapshot() {
+		if len(f.Series) == 0 {
+			continue
+		}
+		if f.Help != "" {
+			fmt.Fprintf(&b, "# HELP %s %s\n", f.Name, escapeHelp(f.Help))
+		}
+		fmt.Fprintf(&b, "# TYPE %s %s\n", f.Name, f.Type)
+		for _, s := range f.Series {
+			labels := labelString(f.LabelNames, s.LabelValues, "", 0)
+			if f.Type != typeHistogram {
+				fmt.Fprintf(&b, "%s%s %s\n", f.Name, labels, formatFloat(s.Value))
+				continue
+			}
+			cum := uint64(0)
+			for i, n := range s.Buckets {
+				cum += n
+				bound := math.Inf(1)
+				if i < len(f.Bounds) {
+					bound = f.Bounds[i]
+				}
+				fmt.Fprintf(&b, "%s_bucket%s %d\n", f.Name,
+					labelString(f.LabelNames, s.LabelValues, "le", bound), cum)
+			}
+			fmt.Fprintf(&b, "%s_sum%s %s\n", f.Name, labels, formatFloat(s.Sum))
+			fmt.Fprintf(&b, "%s_count%s %d\n", f.Name, labels, s.Count)
+		}
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-func (f *family) write(b *strings.Builder) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(f.order) == 0 {
-		return
-	}
-	if f.help != "" {
-		fmt.Fprintf(b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
-	}
-	fmt.Fprintf(b, "# TYPE %s %s\n", f.name, f.typ)
-	for _, key := range f.order {
-		var values []string
-		if key != "" || len(f.labels) > 0 {
-			values = strings.Split(key, "\x00")
-		}
-		switch s := f.series[key].(type) {
-		case *Counter:
-			fmt.Fprintf(b, "%s%s %s\n", f.name, labelString(f.labels, values, "", 0), formatFloat(s.Value()))
-		case *Gauge:
-			fmt.Fprintf(b, "%s%s %s\n", f.name, labelString(f.labels, values, "", 0), formatFloat(s.Value()))
-		case *Histogram:
-			buckets, sum, count := s.snapshot()
-			cum := uint64(0)
-			for i, bound := range s.bounds {
-				cum += buckets[i]
-				fmt.Fprintf(b, "%s_bucket%s %d\n", f.name,
-					labelString(f.labels, values, "le", bound), cum)
-			}
-			cum += buckets[len(s.bounds)]
-			fmt.Fprintf(b, "%s_bucket%s %d\n", f.name,
-				labelString(f.labels, values, "le", math.Inf(1)), cum)
-			fmt.Fprintf(b, "%s_sum%s %s\n", f.name, labelString(f.labels, values, "", 0), formatFloat(sum))
-			fmt.Fprintf(b, "%s_count%s %d\n", f.name, labelString(f.labels, values, "", 0), count)
-		}
-	}
 }
 
 // labelString renders {k="v",...}, optionally with a trailing le bound

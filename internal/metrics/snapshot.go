@@ -1,13 +1,15 @@
 package metrics
 
-import "slices"
+import (
+	"slices"
+	"strings"
+)
 
-// The typed read path of the registry. Prometheus text exposition
-// (WritePrometheus) was historically the registry's only way out; the
-// Snapshot/Range API gives in-process consumers — the /v1/status
-// handler, the insight plane's metric-history recorder — the same
-// self-consistent view as typed Go values, without parsing text or
-// holding private metric handles.
+// The registry's one read path. Snapshot gives in-process consumers —
+// the /v1/status handler, the insight plane's metric-history recorder —
+// a self-consistent view as typed Go values, without parsing text or
+// holding private metric handles, and WritePrometheus renders the
+// Prometheus text from it.
 
 // SeriesSnapshot is one labelled series' state at capture time. For
 // counters and gauges only Value is meaningful; for histograms,
@@ -37,9 +39,8 @@ type FamilySnapshot struct {
 
 // Snapshot captures every registered family, in registration order,
 // with a point-in-time snapshot of its series. Each family is captured
-// under its own lock (the same discipline WritePrometheus uses), so a
-// snapshot is self-consistent per family even while observations land
-// concurrently. The result is detached: mutating it never touches the
+// under its own lock, so a snapshot is self-consistent per family even
+// while observations land concurrently. The result is detached: mutating it never touches the
 // registry, and later observations never mutate it.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
@@ -97,7 +98,7 @@ func (f *family) snapshot() FamilySnapshot {
 	for _, key := range f.order {
 		var values []string
 		if len(f.labels) > 0 {
-			values = splitLabelKey(key)
+			values = strings.Split(key, "\x00")
 		}
 		ss := SeriesSnapshot{LabelValues: values}
 		switch s := f.series[key].(type) {
@@ -111,17 +112,4 @@ func (f *family) snapshot() FamilySnapshot {
 		fs.Series = append(fs.Series, ss)
 	}
 	return fs
-}
-
-// splitLabelKey reverses the "\x00"-joined series key.
-func splitLabelKey(key string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(key); i++ {
-		if key[i] == 0 {
-			out = append(out, key[start:i])
-			start = i + 1
-		}
-	}
-	return append(out, key[start:])
 }
