@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/telemetry"
 )
 
 // EventType names one anomaly class. The set is closed: handlers
@@ -67,20 +68,18 @@ type Event struct {
 // EventLog is the bounded ring of recorded events. Safe for concurrent
 // use; Emit never blocks and never allocates beyond the event itself.
 type EventLog struct {
-	capacity int
-	ctr      *metrics.CounterVec
-	log      *slog.Logger
-	now      func() time.Time
+	ctr *metrics.CounterVec
+	log *slog.Logger
+	now func() time.Time
 
 	mu   sync.Mutex
-	ring []Event
-	next int
+	ring *telemetry.Ring[Event]
 	seq  uint64
 }
 
 func newEventLog(capacity int, reg *metrics.Registry, log *slog.Logger, now func() time.Time) *EventLog {
 	return &EventLog{
-		capacity: capacity,
+		ring: telemetry.NewRing[Event](capacity),
 		ctr: reg.CounterVec("spec17d_insight_events_total",
 			"Anomaly events recorded by the insight plane, by type.", "type"),
 		log: log,
@@ -109,12 +108,7 @@ func (e *EventLog) record(typ EventType, msg string, attrs map[string]string) {
 	e.mu.Lock()
 	e.seq++
 	ev.Seq = e.seq
-	if len(e.ring) < e.capacity {
-		e.ring = append(e.ring, ev)
-	} else {
-		e.ring[e.next] = ev
-		e.next = (e.next + 1) % e.capacity
-	}
+	e.ring.Add(ev)
 	e.mu.Unlock()
 	e.ctr.With(string(typ)).Inc()
 }
@@ -124,10 +118,7 @@ func (e *EventLog) record(typ EventType, msg string, attrs map[string]string) {
 // after since), capped at limit (<= 0 means no cap).
 func (e *EventLog) Events(typ EventType, since time.Time, limit int) []Event {
 	e.mu.Lock()
-	// Chronological order: the ring is [next:] ++ [:next] once full.
-	all := make([]Event, 0, len(e.ring))
-	all = append(all, e.ring[e.next:]...)
-	all = append(all, e.ring[:e.next]...)
+	all := e.ring.Copy()
 	e.mu.Unlock()
 	out := make([]Event, 0, len(all))
 	for i := len(all) - 1; i >= 0; i-- {
@@ -150,7 +141,7 @@ func (e *EventLog) Events(typ EventType, since time.Time, limit int) []Event {
 func (e *EventLog) Len() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.ring)
+	return e.ring.Len()
 }
 
 // Total returns the number of events ever emitted (the latest seq).

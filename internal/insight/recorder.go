@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/telemetry"
 )
 
 // point is one sampled observation of one series.
@@ -29,30 +30,13 @@ type point struct {
 // series is one labelled time series' ring.
 type series struct {
 	labelValues []string
-	ring        []point
-	next        int
-}
-
-func (s *series) add(p point, capacity int) {
-	if len(s.ring) < capacity {
-		s.ring = append(s.ring, p)
-		return
-	}
-	s.ring[s.next] = p
-	s.next = (s.next + 1) % capacity
-}
-
-// chronological returns the ring's points oldest-first.
-func (s *series) chronological() []point {
-	out := make([]point, 0, len(s.ring))
-	out = append(out, s.ring[s.next:]...)
-	return append(out, s.ring[:s.next]...)
+	ring        *telemetry.Ring[point]
 }
 
 // window returns the points with t in [now-window, now], oldest-first.
 // A zero window keeps everything retained.
 func (s *series) window(window time.Duration, now time.Time) []point {
-	pts := s.chronological()
+	pts := s.ring.Copy()
 	if window <= 0 {
 		return pts
 	}
@@ -122,7 +106,7 @@ func (r *Recorder) sample(snap metrics.Snapshot, now time.Time) {
 			key := strings.Join(ss.LabelValues, "\x00")
 			sr, ok := f.series[key]
 			if !ok {
-				sr = &series{labelValues: ss.LabelValues}
+				sr = &series{labelValues: ss.LabelValues, ring: telemetry.NewRing[point](r.capacity)}
 				f.series[key] = sr
 				f.order = append(f.order, key)
 			}
@@ -131,7 +115,7 @@ func (r *Recorder) sample(snap metrics.Snapshot, now time.Time) {
 				p.value = float64(ss.Count)
 				p.buckets = append([]uint64(nil), ss.Buckets...)
 			}
-			sr.add(p, r.capacity)
+			sr.ring.Add(p)
 		}
 	}
 }

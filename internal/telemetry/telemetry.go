@@ -81,8 +81,7 @@ type Tracer struct {
 	stage *metrics.HistogramVec
 
 	mu       sync.Mutex
-	ring     []*TraceData // newest at (next-1+len)%len once full
-	next     int
+	ring     *Ring[*TraceData]
 	finished uint64
 }
 
@@ -96,7 +95,8 @@ func NewTracer(cfg TracerConfig) *Tracer {
 		cfg.Metrics = metrics.NewRegistry()
 	}
 	return &Tracer{
-		cfg: cfg,
+		cfg:  cfg,
+		ring: NewRing[*TraceData](cfg.Capacity),
 		stage: cfg.Metrics.HistogramVec("spec17_stage_duration_seconds",
 			"Span durations by pipeline stage (span name).",
 			StageBuckets, "stage"),
@@ -136,7 +136,7 @@ func (t *Tracer) Buffered() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.ring)
+	return t.ring.Len()
 }
 
 // trace is one in-progress trace: the identity shared by its spans.
@@ -290,12 +290,7 @@ func (t *Tracer) observeStage(stage string, d time.Duration) {
 func (t *Tracer) finish(tr *trace) {
 	data := tr.snapshot()
 	t.mu.Lock()
-	if len(t.ring) < t.cfg.Capacity {
-		t.ring = append(t.ring, data)
-	} else {
-		t.ring[t.next] = data
-		t.next = (t.next + 1) % t.cfg.Capacity
-	}
+	t.ring.Add(data)
 	t.finished++
 	t.mu.Unlock()
 
@@ -402,16 +397,12 @@ func (t *Tracer) Traces(f Filter) []*TraceData {
 		return nil
 	}
 	t.mu.Lock()
-	all := make([]*TraceData, 0, len(t.ring))
-	// Ring order: oldest at next once full, else index 0. Collect
-	// newest-first.
-	for i := len(t.ring) - 1; i >= 0; i-- {
-		all = append(all, t.ring[(t.next+i)%len(t.ring)])
-	}
+	all := t.ring.Copy()
 	t.mu.Unlock()
 
 	out := make([]*TraceData, 0, len(all))
-	for _, tr := range all {
+	for i := len(all) - 1; i >= 0; i-- { // newest first
+		tr := all[i]
 		if f.MinDuration > 0 && tr.DurationMS < float64(f.MinDuration)/float64(time.Millisecond) {
 			continue
 		}
