@@ -161,6 +161,15 @@ func (c *Controller) Config() Config {
 // bucket state is kept. Cost larger than Burst is clamped to Burst,
 // so oversized requests drain a full bucket instead of never passing.
 func (c *Controller) Admit(client string, cost float64) Decision {
+	dec := c.take(client, cost)
+	if !dec.OK {
+		c.rejected.With(dec.Reason).Inc()
+	}
+	return dec
+}
+
+// take is Admit without counting a rejection.
+func (c *Controller) take(client string, cost float64) Decision {
 	if c == nil || c.cfg.Rate <= 0 || cost <= 0 {
 		return admitted
 	}
@@ -183,7 +192,6 @@ func (c *Controller) Admit(client string, cost float64) Decision {
 	b.lastUse = now
 	if b.tokens < cost {
 		retry := time.Duration((cost - b.tokens) / c.cfg.Rate * float64(time.Second))
-		c.rejected.With(ReasonRateLimited).Inc()
 		return Decision{Reason: ReasonRateLimited, RetryAfter: retry}
 	}
 	b.tokens -= cost
@@ -199,12 +207,12 @@ func (c *Controller) Admit(client string, cost float64) Decision {
 // interactive traffic pays, which is what keeps a registry-scale
 // sweep from starving the submitter's own interactive requests.
 //
-// Each blocked attempt counts one rate_limited rejection (the retry
-// sleeps for the controller's own refill estimate, so a waiting item
-// typically records one rejection per wait, not a busy-loop's worth).
+// A wait is not a rejection: nothing is refused, so AdmitWait counts
+// nothing in spec17_admission_rejected_total. Each retry sleeps for
+// the controller's own refill estimate.
 func (c *Controller) AdmitWait(ctx context.Context, client string, cost float64) error {
 	for {
-		dec := c.Admit(client, cost)
+		dec := c.take(client, cost)
 		if dec.OK {
 			return nil
 		}

@@ -13,8 +13,8 @@ import (
 
 // TestAdmitWait exercises the blocking admission mode used by async
 // job items: a drained bucket makes AdmitWait block until refill (real
-// clock, tiny amounts), and a canceled context unblocks it with the
-// context's error.
+// clock, tiny amounts) without counting a rejection, and a canceled
+// context unblocks it with the context's error.
 func TestAdmitWait(t *testing.T) {
 	c := New(Config{Rate: 50, Burst: 1, Metrics: metrics.NewRegistry()})
 	if err := c.AdmitWait(context.Background(), "bg", 1); err != nil {
@@ -27,6 +27,10 @@ func TestAdmitWait(t *testing.T) {
 	}
 	if waited := time.Since(start); waited < 5*time.Millisecond {
 		t.Fatalf("AdmitWait returned after %v; expected to block for the refill", waited)
+	}
+	// A wait refuses nothing, so it is not counted as a rejection.
+	if r := c.Snapshot().Rejected; len(r) != 0 {
+		t.Errorf("blocked AdmitWait counted rejections %v, want none", r)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -44,6 +48,9 @@ func TestAdmitWait(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("AdmitWait did not honor cancellation")
+	}
+	if r := slow.Snapshot().Rejected; len(r) != 0 {
+		t.Errorf("canceled AdmitWait counted rejections %v, want none", r)
 	}
 
 	// nil controller admits without blocking.
