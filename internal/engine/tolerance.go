@@ -34,20 +34,8 @@ func (b Band) Holds(a, x float64) bool { return b.Ratio(a, x) <= 1 }
 // sample regardless of the metric's units. A degenerate zero-width
 // band returns 0 on exact agreement and +Inf otherwise.
 func (b Band) Ratio(a, x float64) float64 {
-	diff := a - x
-	if diff < 0 {
-		diff = -diff
-	}
-	m := a
-	if m < 0 {
-		m = -m
-	}
-	if xa := x; xa >= 0 && xa > m {
-		m = xa
-	} else if xa < 0 && -xa > m {
-		m = -xa
-	}
-	width := b.Abs + b.Rel*m
+	diff := math.Abs(a - x)
+	width := b.Abs + b.Rel*math.Max(math.Abs(a), math.Abs(x))
 	if width == 0 {
 		if diff == 0 {
 			return 0
