@@ -31,8 +31,8 @@ const maxJobBodyBytes = 1 << 20
 const sseKeepalive = 15 * time.Second
 
 // exactSecondsPerCostToken converts admission cost tokens (one token =
-// one default-fidelity measurement, admission.DefaultCostInstructions)
-// into wall seconds for job ETAs: the exact_leaf entry of the
+// one experiment at default fidelity; see admission.Cost) into wall
+// seconds for job ETAs: the exact_leaf entry of the
 // committed BENCH_<n>.json snapshot, rounded up. Only an ETA prior —
 // observed item times take over after the first completion.
 const exactSecondsPerCostToken = 0.1

@@ -4,13 +4,8 @@
 // bounded worker pool in front of the expensive fleet
 // characterizations.
 //
-// Endpoints:
-//
-//	GET /v1/experiments                  experiment catalog
-//	GET /v1/experiments/{id}?instructions=N&warmup=M
-//	GET /v1/report?instructions=N&warmup=M
-//	GET /healthz
-//	GET /metrics                         Prometheus text exposition
+// Every endpoint is listed once, in routeTable (routes.go), and
+// documented in docs/API.md.
 //
 // Results are cached by (experiment id, canonical RunOptions), encoded
 // once when computed; the measurement substrate is deterministic, so
