@@ -41,7 +41,8 @@ type FamilySnapshot struct {
 // with a point-in-time snapshot of its series. Each family is captured
 // under its own lock, so a snapshot is self-consistent per family even
 // while observations land concurrently. The result is detached: mutating it never touches the
-// registry, and later observations never mutate it.
+// registry, its label names and bounds included, and later observations
+// never mutate it.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	fams := append([]*family(nil), r.families...)
@@ -89,8 +90,8 @@ func (f *family) snapshot() FamilySnapshot {
 		Name:       f.name,
 		Help:       f.help,
 		Type:       f.typ,
-		LabelNames: f.labels,
-		Bounds:     f.bounds,
+		LabelNames: slices.Clone(f.labels),
+		Bounds:     slices.Clone(f.bounds),
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -85,6 +86,43 @@ func TestSnapshotDetached(t *testing.T) {
 	fs, _ := snap.Family("h")
 	if fs.Series[0].Count != 1 || fs.Series[0].Buckets[0] != 1 {
 		t.Errorf("snapshot mutated by later observations: %+v", fs.Series[0])
+	}
+}
+
+// TestSnapshotMetadataDetached: a snapshot's label names and bounds are
+// copies too. Overwriting them changes neither where a later Observe
+// lands nor what /metrics prints.
+func TestSnapshotMetadataDetached(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("h", "", []float64{1, 2})
+	v := r.CounterVec("c_total", "", "code")
+	v.With("200").Inc()
+	snap := r.Snapshot()
+	for i := range snap {
+		if len(snap[i].Bounds) > 0 {
+			snap[i].Bounds[0] = 100
+		}
+		if len(snap[i].LabelNames) > 0 {
+			snap[i].LabelNames[0] = "mutated"
+		}
+	}
+	h.Observe(0.5)
+	fs, _ := r.Snapshot().Family("h")
+	if got := fs.Series[0].Buckets; got[0] != 1 {
+		t.Errorf("Observe(0.5) after mutating a snapshot's bounds: buckets %v, want the first one", got)
+	}
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, want := range []string{`h_bucket{le="1"} 1`, `c_total{code="200"} 1`} {
+		if !strings.Contains(out, want) {
+			t.Errorf("/metrics lacks %q after mutating a snapshot:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "100") || strings.Contains(out, "mutated") {
+		t.Errorf("/metrics shows a snapshot's mutation:\n%s", out)
 	}
 }
 
