@@ -11,8 +11,9 @@
 # `race-sched` repeats the scheduler's ordering tests: its FIFO relies
 # on Go's runtime waking a channel's blocked senders in arrival order,
 # which the language spec does not promise, so a toolchain that changes
-# the wake order fails CI there. `race-all` remains available for the
-# exhaustive run.
+# the wake order fails CI there. `race-store` repeats the store's
+# eviction tests, where records are evicted while flights run and while
+# pairs form. `race-all` remains available for the exhaustive run.
 
 GO ?= go
 RACE_PKGS ?= ./internal/server/... ./internal/metrics/... ./internal/core/... \
@@ -21,9 +22,9 @@ RACE_PKGS ?= ./internal/server/... ./internal/metrics/... ./internal/core/... \
              ./internal/engine/... ./internal/jobs/... ./internal/insight/... \
              ./internal/flight/...
 
-.PHONY: ci fmt-check vet build test race race-analysis race-machine race-engine race-sched race-all fuzz bench bench-smoke bench-snapshot bench-gate smoke loc clean
+.PHONY: ci fmt-check vet build test race race-analysis race-machine race-engine race-sched race-store race-all fuzz bench bench-smoke bench-snapshot bench-gate smoke loc clean
 
-ci: fmt-check vet build test race race-analysis race-machine race-engine race-sched fuzz bench-smoke
+ci: fmt-check vet build test race race-analysis race-machine race-engine race-sched race-store fuzz bench-smoke
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -71,6 +72,14 @@ race-engine:
 race-sched:
 	$(GO) test -race -count=20 -run 'TestFIFOOrder|TestQueueCapDoesNotStarveOthers|TestCancellation' ./internal/sched
 
+# race-store repeats the store's eviction tests under the race
+# detector: GetOrCompute over more keys than a shrunken bound holds, so
+# records go while other keys' flights run; both halves of many pairs
+# put while unrelated records evict them; and concurrent evicting puts,
+# after which the size gauges must equal the store's own counts.
+race-store:
+	$(GO) test -race -count=10 -run 'TestEvictionRacesFlights|TestEvictionRacesOnPair|TestGaugesTrackConcurrentPuts' ./internal/store
+
 race-all:
 	$(GO) test -race ./...
 
@@ -99,7 +108,8 @@ bench:
 # analytic path's (a registry sweep of estimates, the
 # characteristic-time solver alone, a cold analytic fleet
 # characterization), keying the registry on the fleet with every
-# pair's content hash memoized, and the server's result-cache hit (a
+# pair's content hash memoized, putting a fresh analytic grid into a
+# store full to its bound, and the server's result-cache hit (a
 # table1-sized and a fig10-sized cached result through the whole
 # handler) once each, so they keep compiling and running. The engine,
 # store and experiments lines add -benchmem, so the log shows the cold
@@ -108,7 +118,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'EigenSym|FitPCA' -benchtime 1x ./internal/stats
 	$(GO) test -run '^$$' -bench 'ExactLeaf|RunMulti|Prime' -benchtime 1x ./internal/machine
 	$(GO) test -run '^$$' -bench 'AnalyticRegistry|LevelMisses' -benchtime 1x -benchmem ./internal/engine
-	$(GO) test -run '^$$' -bench 'KeyFleet' -benchtime 1x -benchmem ./internal/store
+	$(GO) test -run '^$$' -bench 'KeyFleet|FidelitySweep' -benchtime 1x -benchmem ./internal/store
 	$(GO) test -run '^$$' -bench 'CharacterizeColdAnalytic' -benchtime 1x -benchmem ./internal/experiments
 	$(GO) test -run '^$$' -bench 'CachedExperiment' -benchtime 1x ./internal/server
 

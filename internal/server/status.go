@@ -67,6 +67,8 @@ type jobsStatus struct {
 type storeStatus struct {
 	Path     string  `json:"path,omitempty"`
 	Entries  int64   `json:"entries"`
+	Bytes    int64   `json:"bytes"`
+	Evicted  int64   `json:"evicted"`
 	Dirty    bool    `json:"dirty"`
 	Hits     int64   `json:"hits"`
 	Misses   int64   `json:"misses"`
@@ -142,6 +144,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		resp.Store = &storeStatus{
 			Path:     st.Path(),
 			Entries:  stats.Entries,
+			Bytes:    stats.Bytes,
+			Evicted:  stats.Evicted,
 			Dirty:    st.Dirty(),
 			Hits:     stats.Hits,
 			Misses:   stats.Misses,

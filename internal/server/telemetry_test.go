@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/machine"
 	"repro/internal/store"
 	"repro/internal/telemetry"
 )
@@ -52,6 +53,7 @@ func TestStatusEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	st.Put(store.Key{Machine: "m", Workload: "w", Content: "c"}, &machine.RawCounts{})
 	s := newTracedServer(Config{Store: st})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -70,6 +72,8 @@ func TestStatusEndpoint(t *testing.T) {
 		Draining  bool    `json:"draining"`
 		Store     *struct {
 			Entries int64 `json:"entries"`
+			Bytes   int64 `json:"bytes"`
+			Evicted int64 `json:"evicted"`
 			Dirty   bool  `json:"dirty"`
 		} `json:"store"`
 		Sched struct {
@@ -99,6 +103,9 @@ func TestStatusEndpoint(t *testing.T) {
 	}
 	if got.Store == nil {
 		t.Error("store section missing despite a configured store")
+	} else if stats := st.Stats(); got.Store.Entries != 1 || got.Store.Bytes <= 0 || got.Store.Bytes != stats.Bytes || got.Store.Evicted != 0 {
+		t.Errorf("store entries/bytes/evicted = %d/%d/%d, want 1/%d/0",
+			got.Store.Entries, got.Store.Bytes, got.Store.Evicted, stats.Bytes)
 	}
 	if got.Sched.Workers <= 0 {
 		t.Errorf("sched.workers = %d, want > 0", got.Sched.Workers)

@@ -10,7 +10,9 @@
 //
 //   - An in-memory map serves repeated measurements of the same
 //     (machine, workload, options) triple instantly, across all
-//     experiments sharing the store.
+//     experiments sharing the store. It holds at most maxBytes of
+//     records and evicts what is cheapest to recompute first
+//     (GreedyDual-Size, see evict.go).
 //   - A per-key flight (internal/flight) coalesces concurrent requests
 //     for one uncomputed measurement onto a single simulation. It is
 //     the process's one coalescing point for a measurement: callers
@@ -29,7 +31,8 @@
 // substrate is silently discarded and everything is recomputed.
 // Records are bit-identical to fresh measurements — the substrate is
 // deterministic and float64 values round-trip exactly through JSON —
-// so enabling the store never changes a result.
+// so enabling the store never changes a result. Nor does eviction: an
+// evicted record is a miss the next time, measured again bit-identical.
 package store
 
 import (
@@ -207,24 +210,30 @@ type Config struct {
 	// has its exact twin: same key, Engine "analytic" against "". The
 	// put that completes a pair calls it on the storing goroutine
 	// after the lock is released; puts are serialized, so exactly one
-	// of a pair's two puts sees the other. Records loaded from the
-	// snapshot form no pairs. The insight plane's drift monitor scores
-	// pairs here.
+	// of a pair's two puts sees the other, unless the first was evicted
+	// before the second landed. Records loaded from the snapshot form no
+	// pairs. The insight plane's drift monitor scores pairs here.
 	OnPair func(analyticKey Key, analytic, exact *machine.RawCounts)
 }
 
 // storeMetrics bundles the store's instruments.
 type storeMetrics struct {
-	hits        *metrics.Counter
-	misses      *metrics.Counter
-	loaded      *metrics.Counter
-	persisted   *metrics.Counter
-	entries     *metrics.Gauge
-	checkpoints *metrics.Counter
+	hits      *metrics.Counter
+	misses    *metrics.Counter
+	loaded    *metrics.Counter
+	persisted *metrics.Counter
+	entries   *metrics.Gauge
+	bytes     *metrics.Gauge
+	evictions *metrics.CounterVec
+	// evictedExact and evictedAnalytic are evictions' two common
+	// series, resolved once.
+	evictedExact    *metrics.Counter
+	evictedAnalytic *metrics.Counter
+	checkpoints     *metrics.Counter
 }
 
 func newStoreMetrics(r *metrics.Registry) storeMetrics {
-	return storeMetrics{
+	m := storeMetrics{
 		hits: r.Counter("spec17_store_hits_total",
 			"Measurements served from the store without simulating: resident records and joins onto another caller's computation."),
 		misses: r.Counter("spec17_store_misses_total",
@@ -235,9 +244,29 @@ func newStoreMetrics(r *metrics.Registry) storeMetrics {
 			"Records written to the on-disk snapshot across saves."),
 		entries: r.Gauge("spec17_store_entries",
 			"Records currently resident in the store."),
+		bytes: r.Gauge("spec17_store_bytes",
+			"Accounted bytes of the resident records, at most the store's bound."),
+		evictions: r.CounterVec("spec17_store_evictions_total",
+			"Records evicted to keep the store within its byte bound, by the engine that produced them.", "engine"),
 		checkpoints: r.Counter("spec17_store_checkpoints_total",
 			"Background snapshot saves performed by StartCheckpointing."),
 	}
+	m.evictedExact = m.evictions.With("exact")
+	m.evictedAnalytic = m.evictions.With(analyticEngine)
+	return m
+}
+
+// evictedBy returns the eviction counter of records whose Key.Engine
+// is engineTier. Engines other than the two tiers, which only a
+// snapshot can carry, share the series "other".
+func (m storeMetrics) evictedBy(engineTier string) *metrics.Counter {
+	switch engineTier {
+	case "":
+		return m.evictedExact
+	case analyticEngine:
+		return m.evictedAnalytic
+	}
+	return m.evictions.With("other")
 }
 
 // Stats is a snapshot of the store's counters.
@@ -247,13 +276,15 @@ type Stats struct {
 	Loaded    int64 // records restored from the snapshot at open
 	Persisted int64 // records written across all saves
 	Entries   int64 // records currently resident
+	Bytes     int64 // accounted bytes of the resident records
+	Evicted   int64 // records evicted to stay within the byte bound
 }
 
 // table holds one kind of record (single- or multi-copy), keyed by
 // the structured Key so that snapshots never parse an ID back, with
 // the flights (by Key too) computing the ones not yet resident.
 type table[V any] struct {
-	recs    map[Key]V // guarded by Store.mu
+	recs    map[Key]int32 // index into Store.slots, whose v is a V; guarded by Store.mu
 	flights flight.Group[Key, V]
 }
 
@@ -266,6 +297,19 @@ type Store struct {
 	mu     sync.Mutex
 	single table[*machine.RawCounts]
 	multi  table[*machine.MultiCounts]
+	// The records and their eviction state (evict.go), guarded by mu:
+	// every record's slot, the indices of freed slots, the cost
+	// classes, the resident bytes and their bound (maxBytes except in
+	// tests, which shrink it through open), GreedyDual-Size's inflation
+	// L, the touch clock and the evictions so far.
+	slots     []slot
+	free      []int32
+	classes   []lru
+	bytes     int64
+	limit     int64
+	inflation float64
+	clock     uint64
+	evicted   int64
 
 	// gen counts record writes; savedGen is the gen captured by the
 	// last successful Save. They differ exactly when the store holds
@@ -281,6 +325,11 @@ type Store struct {
 // is advisory — it describes a discarded snapshot (callers typically
 // log it) and the Store is fully usable regardless.
 func Open(cfg Config) (*Store, error) {
+	return open(cfg, maxBytes)
+}
+
+// open is Open with the byte bound as a parameter, for tests.
+func open(cfg Config, limit int64) (*Store, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
@@ -291,8 +340,9 @@ func Open(cfg Config) (*Store, error) {
 	s := &Store{
 		cfg:    cfg,
 		met:    newStoreMetrics(cfg.Metrics),
-		single: table[*machine.RawCounts]{recs: make(map[Key]*machine.RawCounts)},
-		multi:  table[*machine.MultiCounts]{recs: make(map[Key]*machine.MultiCounts)},
+		single: table[*machine.RawCounts]{recs: make(map[Key]int32)},
+		multi:  table[*machine.MultiCounts]{recs: make(map[Key]int32)},
+		limit:  limit,
 	}
 	if cfg.Path == "" {
 		return s, nil
@@ -323,7 +373,9 @@ type snapshotEntry struct {
 }
 
 // load restores the snapshot at cfg.Path. Any defect discards the
-// snapshot and leaves the store empty; the error describes why.
+// snapshot and leaves the store empty; the error describes why. Records
+// enter in the snapshot's order, each as a put would, so a snapshot
+// larger than the bound is trimmed by the eviction policy.
 func (s *Store) load() error {
 	data, err := os.ReadFile(s.cfg.Path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -354,17 +406,16 @@ func (s *Store) load() error {
 		}
 		switch {
 		case e.Multi != nil:
-			s.multi.recs[k] = e.Multi
+			insertLocked(s, &s.multi, k, e.Multi)
 			n++
 		case e.Counts != nil:
-			s.single.recs[k] = e.Counts
+			insertLocked(s, &s.single, k, e.Counts)
 			n++
 		}
 	}
-	total := s.lenLocked()
+	s.publishLocked()
 	s.mu.Unlock()
 	s.met.loaded.Add(float64(n))
-	s.met.entries.Set(float64(total))
 	return nil
 }
 
@@ -377,11 +428,11 @@ func (s *Store) Save() error {
 	}
 	s.mu.Lock()
 	snap := snapshot{Version: snapshotVersion, Fingerprint: substrateFingerprint}
-	for k, rc := range s.single.recs {
-		snap.Entries = append(snap.Entries, snapshotEntry{Key: k, Counts: rc, id: k.ID()})
+	for k, i := range s.single.recs {
+		snap.Entries = append(snap.Entries, snapshotEntry{Key: k, Counts: s.slots[i].v.(*machine.RawCounts), id: k.ID()})
 	}
-	for k, mc := range s.multi.recs {
-		snap.Entries = append(snap.Entries, snapshotEntry{Key: k, Multi: mc, id: k.ID()})
+	for k, i := range s.multi.recs {
+		snap.Entries = append(snap.Entries, snapshotEntry{Key: k, Multi: s.slots[i].v.(*machine.MultiCounts), id: k.ID()})
 	}
 	gen := s.gen
 	s.mu.Unlock()
@@ -502,12 +553,25 @@ func (s *Store) StartCheckpointing(interval time.Duration) (stop func()) {
 	}
 }
 
-// Get returns the stored single-copy record for key, if present.
+// Get returns the stored single-copy record for key, if present, and
+// refreshes its place in the eviction order.
 func (s *Store) Get(key Key) (*machine.RawCounts, bool) {
 	s.mu.Lock()
-	rc, ok := s.single.recs[key]
+	rc, ok := getLocked(s, &s.single, key)
 	s.mu.Unlock()
 	return rc, ok
+}
+
+// getLocked returns key's resident record in t, refreshing its place
+// in the eviction order. Caller holds s.mu.
+func getLocked[V any](s *Store, t *table[V], key Key) (V, bool) {
+	i, ok := t.recs[key]
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	s.touchLocked(i)
+	return s.slots[i].v.(V), true
 }
 
 // Put stores a single-copy record. Records must be treated as
@@ -520,8 +584,9 @@ func (s *Store) Put(key Key, rc *machine.RawCounts) {
 // exact twins carry Engine "".
 const analyticEngine = "analytic"
 
-// put stores one record in t. A new single-copy record that completes
-// an analytic/exact pair goes to cfg.OnPair once the lock is released.
+// put stores one record in t, evicting as the bound requires. A new
+// single-copy record that completes an analytic/exact pair goes to
+// cfg.OnPair once the lock is released.
 func put[V any](s *Store, t *table[V], key Key, v V) {
 	var analyticKey Key
 	var analytic, exact *machine.RawCounts
@@ -531,14 +596,20 @@ func put[V any](s *Store, t *table[V], key Key, v V) {
 			analyticKey, analytic, exact = s.pairLocked(key, v)
 		}
 	}
-	t.recs[key] = v
+	insertLocked(s, t, key, v)
 	s.gen++
-	n := s.lenLocked()
+	s.publishLocked()
 	s.mu.Unlock()
-	s.met.entries.Set(float64(n))
 	if analytic != nil && exact != nil {
 		s.cfg.OnPair(analyticKey, analytic, exact)
 	}
+}
+
+// publishLocked sets the size gauges. It runs under s.mu, so two
+// writers cannot publish their counts out of order.
+func (s *Store) publishLocked() {
+	s.met.entries.Set(float64(s.lenLocked()))
+	s.met.bytes.Set(float64(s.bytes))
 }
 
 // pairLocked returns the analytic/exact pair that storing v under key
@@ -554,12 +625,20 @@ func (s *Store) pairLocked(key Key, v any) (analyticKey Key, analytic, exact *ma
 	switch key.Engine {
 	case "":
 		twin.Engine = analyticEngine
-		return twin, s.single.recs[twin], rc
 	case analyticEngine:
 		twin.Engine = ""
-		return key, rc, s.single.recs[twin]
+	default:
+		return Key{}, nil, nil
 	}
-	return Key{}, nil, nil
+	i, ok := s.single.recs[twin]
+	if !ok {
+		return Key{}, nil, nil
+	}
+	other := s.slots[i].v.(*machine.RawCounts)
+	if key.Engine == "" {
+		return twin, other, rc
+	}
+	return key, rc, other
 }
 
 // Lookup returns the resident single-copy record for key without
@@ -575,7 +654,7 @@ func (s *Store) Lookup(ctx context.Context, key Key) (*machine.RawCounts, bool) 
 func lookupIn[V any](ctx context.Context, s *Store, t *table[V], key Key) (V, bool) {
 	start := tracedNow(ctx)
 	s.mu.Lock()
-	v, ok := t.recs[key]
+	v, ok := getLocked(s, t, key)
 	s.mu.Unlock()
 	if ok {
 		s.hit(ctx, key, start)
@@ -667,13 +746,16 @@ func (s *Store) lenLocked() int { return len(s.single.recs) + len(s.multi.recs) 
 
 // Stats returns a snapshot of the store's counters.
 func (s *Store) Stats() Stats {
-	return Stats{
+	st := Stats{
 		Hits:      int64(s.met.hits.Value()),
 		Misses:    int64(s.met.misses.Value()),
 		Loaded:    int64(s.met.loaded.Value()),
 		Persisted: int64(s.met.persisted.Value()),
-		Entries:   int64(s.Len()),
 	}
+	s.mu.Lock()
+	st.Entries, st.Bytes, st.Evicted = int64(s.lenLocked()), s.bytes, s.evicted
+	s.mu.Unlock()
+	return st
 }
 
 // Path returns the snapshot path ("" for memory-only stores).
