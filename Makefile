@@ -7,7 +7,8 @@
 # the analysis fan-out tests, the Lab's build coalescing and concurrent
 # analytic characterizations sharing one store in internal/experiments
 # (`race-analysis`) and concurrent runs on one
-# shared Machine, whose simulator state is pooled (`race-machine`).
+# shared Machine, whose simulator state is pooled, and on the
+# process-wide fleet (`race-machine`).
 # `race-sched` repeats the scheduler's ordering tests: its FIFO relies
 # on Go's runtime waking a channel's blocked senders in arrival order,
 # which the language spec does not promise, so a toolchain that changes
@@ -53,11 +54,12 @@ race-analysis:
 	$(GO) test -race -run 'Pinned|TestPerSuiteOrder|TestTable5ColdThenWarmStore|TestLabBuildSurvivesLeaderCancel|TestAnalyticComputesEachKeyOnce|TestAnalyticTakesNoSlot' ./internal/experiments
 
 # race-machine race-checks concurrent Run calls on one shared Machine,
-# which hand simulator state through a sync.Pool: every concurrent
-# result must equal the serial one, and a reused state must equal a
-# freshly built one.
+# which hand simulator state through a sync.Pool, and concurrent Runs
+# and RunMultis from two callers on the process-wide fleet, as two Labs
+# make them: every concurrent result must equal the serial one, and a
+# reused state must equal a freshly built one.
 race-machine:
-	$(GO) test -race -run 'TestConcurrentRunsShareMachine|TestRunReuseBitIdentical' ./internal/machine
+	$(GO) test -race -run 'TestConcurrentRunsShareMachine|TestRunReuseBitIdentical|TestConcurrentCallersShareFleet' ./internal/machine
 
 # race-engine race-checks the analytic engine's per-pair memo of
 # first-level characteristic times: concurrent estimates of one pair,

@@ -7,6 +7,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -47,13 +48,26 @@ func (c Config) Validate() error {
 // Sets returns the number of sets implied by the geometry.
 func (c Config) Sets() int { return c.SizeBytes / (c.LineBytes * c.Ways) }
 
+// AddrLimit returns the bound below which a valid geometry's cache
+// holds every address. A tag is the line address above the set index,
+// kept in 32 bits with invalidTag reserved, so an address of
+// (2^32-1)·SizeBytes/Ways or more has no tag. A Cache does not check
+// its addresses; a caller bounds them with this.
+func (c Config) AddrLimit() uint64 {
+	shift := bits.TrailingZeros(uint(c.SizeBytes / c.Ways))
+	if shift > 32 {
+		return math.MaxUint64 // every tag is below 2^31
+	}
+	return uint64(invalidTag) << shift
+}
+
 // invalidTag marks an empty way. Real tags are line addresses shifted
-// down by the set-index width, so a tag of all-ones would require an
-// address beyond 2^63 — unreachable in the generated address space.
-// Only a materialized set's empty ways hold it: a set that has not
-// been touched since the last Clear holds whatever it held before, and
-// its contents are rebuilt when something first touches it.
-const invalidTag = ^uint64(0)
+// down by the set-index width, so a tag of all-ones needs an address at
+// or above Config.AddrLimit, which callers never pass. Only a
+// materialized set's empty ways hold it: a set that has not been
+// touched since the last Clear holds whatever it held before, and its
+// contents are rebuilt when something first touches it.
+const invalidTag = ^uint32(0)
 
 // logCap bounds the deferred-sweep log. Priming logs at most seven
 // ranges per level (kernel code and data, user code, the warm, mid and
@@ -84,16 +98,16 @@ type span struct {
 // in order, to an empty set would leave; it is materialized — written
 // out in full and stamped — when an access or a sweep first touches it.
 // So Clear is O(1), and priming writes only the sets the run then
-// uses. Stamps are one byte per set — 210 KB beside the 13 MB of tags
-// of a fleet's simulator state — so the generation wraps every 255
-// Clears, and that Clear zeroes the stamps.
+// uses. Stamps are one byte per set — 210 KB beside the 6.5 MB of
+// 32-bit tags of a fleet's simulator state — so the generation wraps
+// every 255 Clears, and that Clear zeroes the stamps.
 type Cache struct {
 	cfg       Config
 	sets      int
 	lineShift uint
 	setShift  uint
 	setMask   uint64
-	lines     []uint64     // sets × ways, recency-ordered tags of live sets
+	lines     []uint32     // sets × ways, recency-ordered tags of live sets
 	stamp     []uint8      // per set: gen when the set is live
 	gen       uint8        // never 0, so a zeroed stamp is stale
 	live      int          // sets whose stamp is gen
@@ -122,7 +136,7 @@ func newCache(cfg Config) *Cache {
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		setShift:  uint(bits.TrailingZeros(uint(sets))),
 		setMask:   uint64(sets - 1),
-		lines:     make([]uint64, sets*cfg.Ways),
+		lines:     make([]uint32, sets*cfg.Ways),
 		stamp:     make([]uint8, sets),
 		gen:       1,
 	}
@@ -166,7 +180,7 @@ func (c *Cache) materializeAll() {
 
 // fillSet writes into s, one set's block, what the deferred sweeps
 // leave in that set when applied in order to an empty set.
-func (c *Cache) fillSet(s []uint64, set uint64) {
+func (c *Cache) fillSet(s []uint32, set uint64) {
 	for i := range s {
 		s[i] = invalidTag
 	}
@@ -194,7 +208,7 @@ func (c *Cache) linesIn(set, lo, n uint64) (j, k uint64) {
 // accesses to the consecutive lines lo, lo+1, ..., lo+n-1: the set
 // takes the last min(k, ways) of the k range lines that map to it,
 // most recent first, and its old contents shift down behind them.
-func (c *Cache) missSet(s []uint64, set, lo, n uint64) {
+func (c *Cache) missSet(s []uint32, set, lo, n uint64) {
 	j, k := c.linesIn(set, lo, n)
 	if k == 0 {
 		return
@@ -206,7 +220,7 @@ func (c *Cache) missSet(s []uint64, set, lo, n uint64) {
 	}
 	last := lo + j + (k-1)*sets
 	for p := uint64(0); p < m; p++ {
-		s[p] = (last - p*sets) >> c.setShift
+		s[p] = uint32((last - p*sets) >> c.setShift)
 	}
 }
 
@@ -225,7 +239,7 @@ func (c *Cache) Config() Config { return c.cfg }
 func (c *Cache) Access(addr uint64) bool {
 	line := addr >> c.lineShift
 	set := int(line & c.setMask)
-	tag := line >> c.setShift
+	tag := uint32(line >> c.setShift)
 	ways := c.cfg.Ways
 	base := set * ways
 	c.accesses++
@@ -258,7 +272,7 @@ func (c *Cache) Access(addr uint64) bool {
 // consecutive lines lo, ..., lo+n-1: every one of the k range lines
 // that map to the set is held, so they move to the front, most recent
 // first, and the set's other lines keep their order behind them.
-func (c *Cache) hitSet(s []uint64, set, lo, n uint64) {
+func (c *Cache) hitSet(s []uint32, set, lo, n uint64) {
 	j, k := c.linesIn(set, lo, n)
 	if k == 0 {
 		return
@@ -269,27 +283,27 @@ func (c *Cache) hitSet(s []uint64, set, lo, n uint64) {
 	w := c.lastHeld(s, set, lo, hi, k) + 1
 	for p := w - 1; p >= 0; p-- {
 		tag := s[p]
-		if line := tag<<c.setShift | set; line < lo || line > hi {
+		if line := uint64(tag)<<c.setShift | set; line < lo || line > hi {
 			w--
 			s[w] = tag
 		}
 	}
 	last := lo + j + (k-1)*uint64(c.sets)
 	for p := range w {
-		s[p] = (last - uint64(p)*uint64(c.sets)) >> c.setShift
+		s[p] = uint32((last - uint64(p)*uint64(c.sets)) >> c.setShift)
 	}
 }
 
 // lastHeld returns the position in s, the block of set, of the last of
 // the k lines in lo..hi that map to set, or -1 if s holds fewer than k
 // of them.
-func (c *Cache) lastHeld(s []uint64, set, lo, hi, k uint64) int {
+func (c *Cache) lastHeld(s []uint32, set, lo, hi, k uint64) int {
 	held := uint64(0)
 	for p, tag := range s {
 		if tag == invalidTag {
 			break // empty slots sink to the tail
 		}
-		if line := tag<<c.setShift | set; line >= lo && line <= hi {
+		if line := uint64(tag)<<c.setShift | set; line >= lo && line <= hi {
 			if held++; held == k {
 				return p
 			}
@@ -359,7 +373,7 @@ func (c *Cache) sweepMisses(base, step, n uint64) bool {
 				if tag == invalidTag {
 					break // empty slots sink to the tail
 				}
-				if line := tag<<c.setShift | set; line >= lo && line <= hi {
+				if line := uint64(tag)<<c.setShift | set; line >= lo && line <= hi {
 					return false
 				}
 			}
@@ -511,6 +525,16 @@ type Hierarchy struct {
 type HierarchyConfig struct {
 	L1I, L1D, L2 Config
 	L3           *Config
+}
+
+// AddrLimit returns the least Config.AddrLimit of the levels: the
+// bound below which every level holds every address.
+func (cfg HierarchyConfig) AddrLimit() uint64 {
+	limit := min(cfg.L1I.AddrLimit(), cfg.L1D.AddrLimit(), cfg.L2.AddrLimit())
+	if cfg.L3 != nil {
+		limit = min(limit, cfg.L3.AddrLimit())
+	}
+	return limit
 }
 
 // Validate reports the first invalid level, prefixed with its name,

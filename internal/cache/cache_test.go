@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -267,5 +269,43 @@ func TestHierarchyResetStats(t *testing.T) {
 	cts := h.Counts()
 	if cts != (Counts{}) {
 		t.Fatalf("counts after reset: %+v", cts)
+	}
+}
+
+// TestAddrLimitIsTagBound: below a geometry's AddrLimit every address
+// has a 32-bit tag that is not invalidTag, and the limit itself has
+// invalidTag, for set counts from one to past 2^32 lines.
+func TestAddrLimitIsTagBound(t *testing.T) {
+	for _, cfg := range []Config{
+		{SizeBytes: 64 << 10, Ways: 64 << 10 / 4096, LineBytes: 4096}, // one set of pages
+		{SizeBytes: 16 << 10, Ways: 4, LineBytes: 64},
+		{SizeBytes: 32 << 20, Ways: 16, LineBytes: 64},
+		{SizeBytes: 1 << 40, Ways: 1, LineBytes: 1 << 20},
+	} {
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		shift := uint(bits.TrailingZeros(uint(cfg.SizeBytes / cfg.Ways)))
+		limit := cfg.AddrLimit()
+		tag := func(addr uint64) uint64 { return addr >> shift }
+		if shift > 32 {
+			if limit != math.MaxUint64 || tag(math.MaxUint64) >= uint64(invalidTag) {
+				t.Errorf("%+v: limit %#x, top tag %#x", cfg, limit, tag(math.MaxUint64))
+			}
+			continue
+		}
+		if got := tag(limit - 1); got >= uint64(invalidTag) {
+			t.Errorf("%+v: address %#x below the limit has tag %#x", cfg, limit-1, got)
+		}
+		if got := tag(limit); got != uint64(invalidTag) {
+			t.Errorf("%+v: the limit %#x has tag %#x, want invalidTag", cfg, limit, got)
+		}
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Access(limit-1) || !c.Access(limit-1) {
+			t.Errorf("%+v: the highest address below the limit is not held after a miss", cfg)
+		}
 	}
 }

@@ -13,16 +13,16 @@ import (
 // every set's tags in recency order.
 type cacheState struct {
 	accesses, misses uint64
-	sets             [][]uint64
+	sets             [][]uint32
 }
 
 // state returns c's observable state. A stale set is materialized into
 // a copy, so taking the state changes nothing.
 func (c *Cache) state() cacheState {
-	st := cacheState{accesses: c.accesses, misses: c.misses, sets: make([][]uint64, c.sets)}
+	st := cacheState{accesses: c.accesses, misses: c.misses, sets: make([][]uint32, c.sets)}
 	ways := c.cfg.Ways
 	for set := range st.sets {
-		s := make([]uint64, ways)
+		s := make([]uint32, ways)
 		if c.stamp[set] == c.gen {
 			copy(s, c.lines[set*ways:(set+1)*ways])
 		} else {
@@ -34,9 +34,9 @@ func (c *Cache) state() cacheState {
 }
 
 func (c *eagerCache) state() cacheState {
-	st := cacheState{accesses: c.accesses, misses: c.misses, sets: make([][]uint64, c.sets)}
+	st := cacheState{accesses: c.accesses, misses: c.misses, sets: make([][]uint32, c.sets)}
 	for set := range st.sets {
-		st.sets[set] = append([]uint64(nil), c.set(set)...)
+		st.sets[set] = append([]uint32(nil), c.set(set)...)
 	}
 	return st
 }

@@ -12,7 +12,7 @@ type eagerCache struct {
 	lineShift uint
 	setShift  uint
 	setMask   uint64
-	lines     []uint64 // sets × ways, recency-ordered tags
+	lines     []uint32 // sets × ways, recency-ordered tags
 	accesses  uint64
 	misses    uint64
 }
@@ -25,7 +25,7 @@ func newEagerCache(cfg Config) *eagerCache {
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		setShift:  uint(bits.TrailingZeros(uint(sets))),
 		setMask:   uint64(sets - 1),
-		lines:     make([]uint64, sets*cfg.Ways),
+		lines:     make([]uint32, sets*cfg.Ways),
 	}
 	c.Clear()
 	return c
@@ -43,7 +43,7 @@ func (c *eagerCache) ResetStats() { c.accesses, c.misses = 0, 0 }
 func (c *eagerCache) Access(addr uint64) bool {
 	line := addr >> c.lineShift
 	set := int(line & c.setMask)
-	tag := line >> c.setShift
+	tag := uint32(line >> c.setShift)
 	ways := c.cfg.Ways
 	base := set * ways
 	c.accesses++
@@ -71,7 +71,7 @@ func (c *eagerCache) holds(addr uint64) bool {
 	line := addr >> c.lineShift
 	set := int(line & c.setMask)
 	for _, tag := range c.lines[set*c.cfg.Ways : (set+1)*c.cfg.Ways] {
-		if tag == line>>c.setShift {
+		if tag == uint32(line>>c.setShift) {
 			return true
 		}
 	}
@@ -92,7 +92,7 @@ func (c *eagerCache) sweepMisses(base, step, n uint64) bool {
 			if tag == invalidTag {
 				break
 			}
-			if line := tag<<c.setShift | set; line >= lo && line <= hi {
+			if line := uint64(tag)<<c.setShift | set; line >= lo && line <= hi {
 				return false
 			}
 		}
@@ -107,7 +107,7 @@ func (c *eagerCache) sweepMisses(base, step, n uint64) bool {
 		}
 		last := lo + j + (k-1)*sets
 		for p := uint64(0); p < m; p++ {
-			s[p] = (last - p*sets) >> c.setShift
+			s[p] = uint32((last - p*sets) >> c.setShift)
 		}
 	}
 	c.accesses += n
@@ -133,7 +133,7 @@ func (c *eagerCache) sweepHits(base, step, n uint64) bool {
 	return true
 }
 
-func (c *eagerCache) set(set int) []uint64 {
+func (c *eagerCache) set(set int) []uint32 {
 	return c.lines[set*c.cfg.Ways : (set+1)*c.cfg.Ways]
 }
 

@@ -30,8 +30,7 @@ func buildStream(t *testing.T, m *Machine, w Workload, slabSize int) *simStream 
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := newSimStream(gen, caches, tlbs, pred, &RawCounts{}, 0)
-	st.slab = make([]trace.Event, slabSize)
+	st := newSimStream(gen, caches, tlbs, pred, &RawCounts{}, 0, make([]trace.Event, slabSize))
 	prime(caches, tlbs, spec)
 	return st
 }

@@ -2,6 +2,8 @@ package machine
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/branch"
 	"repro/internal/cache"
@@ -203,7 +205,19 @@ func OpteronConfig() Config {
 }
 
 // Fleet returns the seven machines of Table IV, in the paper's order.
+// The machines are built once per process, so every caller shares
+// their simulator-state pools and configuration digests; each call
+// returns a fresh slice of them.
 func Fleet() ([]*Machine, error) {
+	machines, err := fleet()
+	if err != nil {
+		return nil, err
+	}
+	return slices.Clone(machines), nil
+}
+
+// fleet builds the process's fleet on first use.
+var fleet = sync.OnceValues(func() ([]*Machine, error) {
 	cfgs := []Config{
 		SkylakeConfig(), BroadwellConfig(), IvybridgeConfig(),
 		HarpertownConfig(), SparcIVConfig(), SparcT4Config(), OpteronConfig(),
@@ -217,7 +231,7 @@ func Fleet() ([]*Machine, error) {
 		machines = append(machines, m)
 	}
 	return machines, nil
-}
+})
 
 // SensitivityFleet returns the four machines used for the paper's
 // Table IX sensitivity ranking (the paper uses "four different

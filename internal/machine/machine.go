@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"sync"
 
 	"repro/internal/branch"
@@ -61,6 +62,10 @@ type Config struct {
 // concurrent use: each Run takes its own simulator state.
 type Machine struct {
 	cfg Config
+	// addrLimit is the bound below which every cache and TLB level can
+	// tag an address (cache.Config.AddrLimit); a run that could reach
+	// it is refused before it starts.
+	addrLimit uint64
 	// encoded is cfg's JSON form as json.Encoder writes it (with its
 	// trailing newline) and digest the JSON's SHA-256, so equal
 	// configurations have equal digests however they were built. Both
@@ -71,16 +76,20 @@ type Machine struct {
 	digestOnce sync.Once
 	// state pools cleared *simState values between runs, so a run
 	// does not allocate megabytes of tag arrays. It fills lazily: New
-	// and a Machine that never runs allocate none.
+	// and a Machine that never runs allocate none. The fleet's
+	// machines are built once per process (Fleet), so their pools
+	// serve every Lab and every request.
 	state sync.Pool
 }
 
 // simState is the simulator state one Run drives: what NewHierarchy,
-// tlb.NewHierarchy and branch.New build, kept between runs.
+// tlb.NewHierarchy and branch.New build, and the stream's event slab,
+// kept between runs.
 type simState struct {
 	caches *cache.Hierarchy
 	tlbs   *tlb.Hierarchy
 	pred   *branch.Predictor
+	slab   []trace.Event
 }
 
 // getState returns freshly built or cleared simulator state. Neither
@@ -102,7 +111,7 @@ func (m *Machine) getState() (*simState, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &simState{caches: caches, tlbs: tlbs, pred: pred}, nil
+	return &simState{caches: caches, tlbs: tlbs, pred: pred, slab: make([]trace.Event, simSlabSize)}, nil
 }
 
 // putState clears s back to its constructors' state and pools it.
@@ -147,11 +156,48 @@ func New(cfg Config) (*Machine, error) {
 	if err := cfg.Power.Validate(); err != nil {
 		return nil, fmt.Errorf("machine %s: %w", cfg.Name, err)
 	}
-	return &Machine{cfg: cfg}, nil
+	return &Machine{
+		cfg:       cfg.clone(),
+		addrLimit: min(cfg.Caches.AddrLimit(), cfg.TLBs.AddrLimit()),
+	}, nil
 }
 
-// Config returns the machine's configuration.
-func (m *Machine) Config() Config { return m.cfg }
+// Config returns a copy of the machine's configuration that shares no
+// memory with it: writing through the copy's L3 or L2 TLB pointer
+// changes no Machine.
+func (m *Machine) Config() Config { return m.cfg.clone() }
+
+// clone returns cfg with its pointed-to levels copied.
+func (cfg Config) clone() Config {
+	if cfg.Caches.L3 != nil {
+		l3 := *cfg.Caches.L3
+		cfg.Caches.L3 = &l3
+	}
+	if cfg.TLBs.L2 != nil {
+		l2 := *cfg.TLBs.L2
+		cfg.TLBs.L2 = &l2
+	}
+	return cfg
+}
+
+// checkAddrs refuses, before anything is built or simulated, a run of
+// copies copies of spec (w's adjusted spec) whose addresses some cache
+// or TLB level could not tag: spec's AddrEnd plus the last copy's data
+// offset must not pass the machine's addrLimit. Adding the offset to
+// the code's bound too, as this does, refuses only code regions larger
+// than the data footprint plus 4 GiB.
+func (m *Machine) checkAddrs(w Workload, spec trace.Spec, copies int) error {
+	if err := spec.Validate(); err != nil {
+		return fmt.Errorf("machine %s: workload %q: %w", m.cfg.Name, w.Key, err)
+	}
+	hi, off := bits.Mul64(uint64(copies-1), copyStride)
+	end, carry := bits.Add64(spec.AddrEnd(), off, 0)
+	if hi != 0 || carry != 0 || end > m.addrLimit {
+		return fmt.Errorf("machine %s: workload %q with %d copies reaches address %#x, but its caches and TLBs tag addresses below %#x",
+			m.cfg.Name, w.Key, copies, end, m.addrLimit)
+	}
+	return nil
+}
 
 // ConfigDigest returns the SHA-256 of the machine's configuration as
 // JSON: a value that identifies the configuration, so two Machines
@@ -317,6 +363,9 @@ func (m *Machine) Run(w Workload, opts RunOptions) (*RawCounts, error) {
 	opts = opts.withDefaults()
 
 	spec := m.adjustSpec(w)
+	if err := m.checkAddrs(w, spec, 1); err != nil {
+		return nil, err
+	}
 	gen, err := trace.NewGenerator(spec, w.Key+"@"+m.cfg.Name)
 	if err != nil {
 		return nil, fmt.Errorf("machine %s: workload %q: %w", m.cfg.Name, w.Key, err)
@@ -328,7 +377,7 @@ func (m *Machine) Run(w Workload, opts RunOptions) (*RawCounts, error) {
 	defer m.putState(state)
 
 	rc := &RawCounts{}
-	st := newSimStream(gen, state.caches, state.tlbs, state.pred, rc, 0)
+	st := newSimStream(gen, state.caches, state.tlbs, state.pred, rc, 0, state.slab)
 
 	prime(state.caches, state.tlbs, spec)
 	st.warmup(opts.WarmupInstructions)

@@ -51,6 +51,9 @@ func (m *Machine) RunMulti(w Workload, copies int, opts RunOptions) (*MultiCount
 	}
 	opts = opts.withDefaults()
 	spec := m.adjustSpec(w)
+	if err := m.checkAddrs(w, spec, copies); err != nil {
+		return nil, err
+	}
 
 	// Shared L3 (when the machine has one); private L1/L2 per copy.
 	var sharedL3 *cache.Cache
@@ -84,7 +87,7 @@ func (m *Machine) RunMulti(w Workload, copies int, opts RunOptions) (*MultiCount
 		if err != nil {
 			return nil, err
 		}
-		streams[i] = newSimStream(gen, caches, tlbs, pred, &counts[i], uint64(i)*copyStride)
+		streams[i] = newSimStream(gen, caches, tlbs, pred, &counts[i], uint64(i)*copyStride, make([]trace.Event, simSlabSize))
 		primeOffset(caches, tlbs, spec, streams[i].offset)
 	}
 

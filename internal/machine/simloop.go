@@ -58,8 +58,9 @@ type simStream struct {
 	slab []trace.Event
 }
 
-// newSimStream assembles a stream around freshly built components.
-func newSimStream(gen *trace.Generator, caches *cache.Hierarchy, tlbs *tlb.Hierarchy, pred *branch.Predictor, rc *RawCounts, offset uint64) *simStream {
+// newSimStream assembles a stream around its components and an event
+// slab of simSlabSize events.
+func newSimStream(gen *trace.Generator, caches *cache.Hierarchy, tlbs *tlb.Hierarchy, pred *branch.Predictor, rc *RawCounts, offset uint64, slab []trace.Event) *simStream {
 	return &simStream{
 		gen: gen, caches: caches, tlbs: tlbs, pred: pred,
 		rc:        rc,
@@ -67,7 +68,7 @@ func newSimStream(gen *trace.Generator, caches *cache.Hierarchy, tlbs *tlb.Hiera
 		hasL3:     caches.L3 != nil,
 		lineShift: uint(bits.TrailingZeros(uint(caches.L1I.Config().LineBytes))),
 		lastILine: ^uint64(0), lastIPage: ^uint64(0),
-		slab: make([]trace.Event, simSlabSize),
+		slab: slab,
 	}
 }
 

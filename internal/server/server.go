@@ -48,11 +48,6 @@ import (
 // deliberately not a valid experiment id.
 const reportID = "__report__"
 
-// maxInstructions caps the per-run fidelity a request may ask for.
-// Characterization cost is linear in this value; the cap keeps one
-// request from tying up a worker for hours.
-const maxInstructions = 10_000_000
-
 // analyticCostDivisor discounts the admission price of analytic (and
 // auto) requests by the tiers' nominal leaf-cost ratio: an analytic
 // request consumes a proportionally smaller compute budget.
@@ -725,13 +720,13 @@ func parseRunOptions(r *http.Request) (machine.RunOptions, engine.Tier, error) {
 }
 
 // checkFidelity applies the fidelity limits every compute endpoint
-// shares: the maxInstructions cap, then machine.RunOptions.Validate.
+// shares: the store.MaxInstructions cap, then machine.RunOptions.Validate.
 func checkFidelity(opts machine.RunOptions) error {
-	if opts.Instructions > maxInstructions {
-		return fmt.Errorf("instructions=%d exceeds the maximum %d", opts.Instructions, maxInstructions)
+	if opts.Instructions > store.MaxInstructions {
+		return fmt.Errorf("instructions=%d exceeds the maximum %d", opts.Instructions, store.MaxInstructions)
 	}
-	if opts.WarmupInstructions > maxInstructions {
-		return fmt.Errorf("warmup=%d exceeds the maximum %d", opts.WarmupInstructions, maxInstructions)
+	if opts.WarmupInstructions > store.MaxInstructions {
+		return fmt.Errorf("warmup=%d exceeds the maximum %d", opts.WarmupInstructions, store.MaxInstructions)
 	}
 	return opts.Validate()
 }

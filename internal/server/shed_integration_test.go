@@ -3,8 +3,10 @@
 package server
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -86,11 +88,44 @@ func TestInFlightBoundShedsWholeRequests(t *testing.T) {
 	}
 }
 
+// holdWorkers takes every worker slot of s's scheduler until the
+// returned release is called (or the test ends), so leaves submitted
+// meanwhile queue however fast they would run.
+func holdWorkers(t *testing.T, s *Server) (release func()) {
+	t.Helper()
+	n := s.pool.Workers()
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = s.pool.Queue(0).Do(context.Background(), "hold", func(context.Context) error {
+				<-done
+				return nil
+			})
+		}()
+	}
+	waitForPool(t, s, "every worker held", func(st sched.Stats) bool { return st.Inflight == n })
+	var once sync.Once
+	release = func() {
+		once.Do(func() {
+			close(done)
+			wg.Wait()
+		})
+	}
+	t.Cleanup(release)
+	return release
+}
+
 // TestRetryAfterIgnoresQueueDepth: a request shed while a cold exact
 // build has hundreds of leaves queued is told to retry within
-// seconds, not after a delay scaled by the scheduler's backlog.
+// seconds, not after a delay scaled by the scheduler's backlog. The
+// test holds both workers while the build submits its leaves, so the
+// backlog forms whatever a leaf costs.
 func TestRetryAfterIgnoresQueueDepth(t *testing.T) {
 	s, _, ts := newShedTestServer(t, Config{MaxInFlight: 1, SimWorkers: 2})
+	release := holdWorkers(t, s)
 	first := make(chan int, 1)
 	go func() {
 		code, _ := get(t, ts, "/v1/experiments/table1?instructions=20000&warmup=4000")
@@ -102,6 +137,7 @@ func TestRetryAfterIgnoresQueueDepth(t *testing.T) {
 	if secs := requireShedEnvelope(t, resp, body); secs > 5 {
 		t.Errorf("Retry-After = %d, want <= 5", secs)
 	}
+	release()
 	if code := <-first; code != http.StatusOK {
 		t.Errorf("build answered %d, want 200", code)
 	}

@@ -443,3 +443,92 @@ func BenchmarkFidelitySweep(b *testing.B) {
 		}
 	}
 }
+
+// TestSnapshotCannotPinStore: records that no caller can produce are
+// refused at load and counted, so they cannot pin the store. Twenty
+// single-copy records claiming 2^50 instructions once filled a
+// 20-record bound at a priority no real record reaches, and each fresh
+// exact record was then evicted by its own put. Refused too: a single
+// record with copies, multi records whose copy count does not match
+// their per-copy counts (or is zero, or has a missing count), and a
+// warmup above the cap. The producible records beside them load, and
+// fresh records put afterwards stay resident.
+func TestSnapshotCannotPinStore(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "snap.json")
+	src, err := open(Config{Path: path}, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bound = 20
+	for i := 0; i < bound; i++ {
+		k := seqKey(i, "")
+		k.Instructions = 1 << 50
+		src.Put(k, counts(i))
+	}
+	bad := bound
+	put := func(k Key) {
+		src.Put(k, counts(1))
+		bad++
+	}
+	k := seqKey(100, "")
+	k.Copies = 3
+	put(k)
+	k = seqKey(101, analyticEngine)
+	k.Warmup = MaxInstructions + 1
+	put(k)
+	putMulti := func(k Key, perCopy []*machine.RawCounts) {
+		mc := &machine.MultiCounts{Copies: len(perCopy), PerCopy: perCopy, Throughput: 1}
+		if _, err := src.GetOrComputeMulti(context.Background(), k, func(context.Context) (*machine.MultiCounts, error) {
+			return mc, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, perCopy := range [][]*machine.RawCounts{{counts(1)}, nil, {counts(1), nil}} {
+		k := seqKey(200+i, "")
+		k.Copies = 2
+		putMulti(k, perCopy)
+		bad++
+	}
+	k = seqKey(210, "")
+	k.Copies = 0
+	putMulti(k, nil)
+	bad++
+
+	good := []Key{seqKey(300, ""), seqKey(301, analyticEngine)}
+	for i, k := range good {
+		src.Put(k, counts(i))
+	}
+	goodMulti := seqKey(302, "")
+	goodMulti.Copies = 2
+	putMulti(goodMulti, []*machine.RawCounts{counts(1), counts(2)})
+	if err := src.Save(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := open(Config{Path: path}, bound*singleBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Rejected != int64(bad) || st.Loaded != int64(len(good)+1) || st.Evicted != 0 {
+		t.Fatalf("stats %+v, want %d rejected, %d loaded, none evicted", st, bad, len(good)+1)
+	}
+	for _, k := range good {
+		if _, ok := s.Get(k); !ok {
+			t.Errorf("producible record %s did not load", k.ID())
+		}
+	}
+	if _, ok := s.multi.recs[goodMulti]; !ok {
+		t.Errorf("producible multi record %s did not load", goodMulti.ID())
+	}
+	for i := 0; i < 5; i++ {
+		k := seqKey(400+i, "")
+		s.Put(k, counts(i))
+		if _, ok := s.Get(k); !ok {
+			t.Fatalf("fresh exact record %d was evicted by its own put (stats %+v)", i, s.Stats())
+		}
+	}
+	if st := s.Stats(); st.Evicted != 0 {
+		t.Errorf("fresh records evicted: %+v", st)
+	}
+}

@@ -45,6 +45,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -221,6 +222,7 @@ type storeMetrics struct {
 	hits      *metrics.Counter
 	misses    *metrics.Counter
 	loaded    *metrics.Counter
+	rejected  *metrics.Counter
 	persisted *metrics.Counter
 	entries   *metrics.Gauge
 	bytes     *metrics.Gauge
@@ -240,6 +242,8 @@ func newStoreMetrics(r *metrics.Registry) storeMetrics {
 			"Measurements the store had to compute (simulations led)."),
 		loaded: r.Counter("spec17_store_loaded_entries_total",
 			"Records restored from the on-disk snapshot at open."),
+		rejected: r.Counter("spec17_store_rejected_entries_total",
+			"Snapshot records refused at open: a malformed key, or one no caller can produce."),
 		persisted: r.Counter("spec17_store_persisted_entries_total",
 			"Records written to the on-disk snapshot across saves."),
 		entries: r.Gauge("spec17_store_entries",
@@ -274,6 +278,7 @@ type Stats struct {
 	Hits      int64 // measurements served without computing: resident or joined
 	Misses    int64 // measurements computed (simulations led)
 	Loaded    int64 // records restored from the snapshot at open
+	Rejected  int64 // snapshot records refused at open (see load)
 	Persisted int64 // records written across all saves
 	Entries   int64 // records currently resident
 	Bytes     int64 // accounted bytes of the resident records
@@ -375,7 +380,9 @@ type snapshotEntry struct {
 // load restores the snapshot at cfg.Path. Any defect discards the
 // snapshot and leaves the store empty; the error describes why. Records
 // enter in the snapshot's order, each as a put would, so a snapshot
-// larger than the bound is trimmed by the eviction policy.
+// larger than the bound is trimmed by the eviction policy. A record
+// whose key is malformed, or one that no caller can produce (see
+// producible), is refused and counted, and the rest load.
 func (s *Store) load() error {
 	data, err := os.ReadFile(s.cfg.Path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -394,7 +401,7 @@ func (s *Store) load() error {
 	if snap.Fingerprint != substrateFingerprint {
 		return fmt.Errorf("substrate fingerprint %q, want %q", snap.Fingerprint, substrateFingerprint)
 	}
-	n := 0
+	n, rejected := 0, 0
 	s.mu.Lock()
 	for _, e := range snap.Entries {
 		k := e.Key
@@ -402,21 +409,51 @@ func (s *Store) load() error {
 			strings.ContainsRune(k.Workload, '|') || strings.ContainsRune(k.Engine, '|') {
 			// Malformed record: skip, never serve. A '|' inside a
 			// field would let two keys share one ID.
+			rejected++
 			continue
 		}
 		switch {
+		case !producible(e):
+			rejected++
 		case e.Multi != nil:
 			insertLocked(s, &s.multi, k, e.Multi)
 			n++
 		case e.Counts != nil:
 			insertLocked(s, &s.single, k, e.Counts)
 			n++
+		default:
+			rejected++ // no counts at all
 		}
 	}
 	s.publishLocked()
 	s.mu.Unlock()
 	s.met.loaded.Add(float64(n))
+	s.met.rejected.Add(float64(rejected))
 	return nil
+}
+
+// MaxInstructions is the highest fidelity a key can carry, measured or
+// warmup instructions. The daemon refuses requests above it:
+// characterization cost is linear in the fidelity, and the cap keeps
+// one request from tying up a worker for hours. Open refuses snapshot
+// records above it.
+const MaxInstructions = 10_000_000
+
+// producible reports whether some caller could have stored e: a single
+// record has Copies 0, a multi record one per-copy count for each of
+// its Copies (at least one), and neither a fidelity outside [0,
+// MaxInstructions]. Eviction prices a record by these fields (cost),
+// so a record that claims more than any caller measures would
+// otherwise outlast every record a caller can store.
+func producible(e snapshotEntry) bool {
+	k := e.Key
+	if k.Instructions < 0 || k.Instructions > MaxInstructions || k.Warmup < 0 || k.Warmup > MaxInstructions {
+		return false
+	}
+	if e.Multi == nil {
+		return k.Copies == 0
+	}
+	return k.Copies >= 1 && k.Copies == len(e.Multi.PerCopy) && !slices.Contains(e.Multi.PerCopy, nil)
 }
 
 // Save writes the snapshot atomically (write to a temp file in the
@@ -750,6 +787,7 @@ func (s *Store) Stats() Stats {
 		Hits:      int64(s.met.hits.Value()),
 		Misses:    int64(s.met.misses.Value()),
 		Loaded:    int64(s.met.loaded.Value()),
+		Rejected:  int64(s.met.rejected.Value()),
 		Persisted: int64(s.met.persisted.Value()),
 	}
 	s.mu.Lock()

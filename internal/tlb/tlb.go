@@ -55,6 +55,10 @@ func (c Config) cacheConfig() cache.Config {
 	}
 }
 
+// AddrLimit returns the bound below which a valid level holds every
+// address (cache.Config.AddrLimit of its page-granule geometry).
+func (c Config) AddrLimit() uint64 { return c.cacheConfig().AddrLimit() }
+
 // validateLevel checks cfg and the cache geometry New builds from it,
 // with New's error text.
 func validateLevel(cfg Config) error {
@@ -123,6 +127,15 @@ func (cfg HierarchyConfig) Validate() error {
 		}
 	}
 	return nil
+}
+
+// AddrLimit returns the least Config.AddrLimit of the levels.
+func (cfg HierarchyConfig) AddrLimit() uint64 {
+	limit := min(cfg.ITLB.AddrLimit(), cfg.DTLB.AddrLimit())
+	if cfg.L2 != nil {
+		limit = min(limit, cfg.L2.AddrLimit())
+	}
+	return limit
 }
 
 // NewHierarchy builds and validates the hierarchy.

@@ -16,6 +16,8 @@ package trace
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"repro/internal/rng"
 )
@@ -205,13 +207,27 @@ const (
 // branchState is the behavioural state of one static branch.
 type branchState struct {
 	kind branchKind
-	bias float64 // Bernoulli taken probability (easy/hard)
+	// taken is the rng.Threshold of the Bernoulli taken probability
+	// (easy/hard branches).
+	taken uint64
 }
+
+// The rng.Threshold of each constant probability the generator draws
+// against: an easy branch's taken probability, 0.995 or 0.005 (also a
+// correlated branch's chance to break its phase); a cold-code
+// excursion's chance to stay in the warm code; a kernel reference's
+// chance to hit the hot kernel data.
+var (
+	tStrong    = rng.Threshold(0.995)
+	tWeak      = rng.Threshold(0.005)
+	tWarmCode  = rng.Threshold(0.95)
+	tKernelHot = rng.Threshold(0.8)
+)
 
 // coldBranch is the behaviour of every branch outside the hot loop:
 // strongly taken, drawn from no RNG. All cold blocks share this one
 // read-only value instead of a table entry each.
-var coldBranch = branchState{kind: easyBranch, bias: 0.995}
+var coldBranch = branchState{kind: easyBranch, taken: tStrong}
 
 // Layout is what a Spec lays out before any random draw: the code
 // geometry, the instruction-mix thresholds, the easy branches' taken
@@ -309,14 +325,23 @@ type Generator struct {
 	spec Spec
 	Layout
 
-	branches  []branchState // hot blocks only; colder ones are coldBranch
+	branches []branchState // hot blocks only; colder ones are coldBranch
+	// kbranches is the kernel code's table, seeded from kseed on the
+	// first kernel block: most workloads never enter the kernel.
 	kbranches []branchState
+	kseed     rng.Rand
 	streams   []uint64
 
-	// Data-region thresholds, derived once like the mix thresholds.
-	dHotT  float64 // StrideFrac + HotFrac
-	dMidT  float64 // StrideFrac + HotFrac + MidFrac
-	dWarmT float64 // StrideFrac + HotFrac + MidFrac + WarmFrac
+	// The rng.Threshold of every probability a draw is tested against,
+	// derived once: Layout's mix thresholds (the ALU ones scaled by
+	// PALU, as the draw is), the hot-code and kernel-entry
+	// probabilities, and the data regions' cumulative fractions.
+	tLoad, tLoadStore, tSIMD, tSIMDFP uint64
+	tHotCode, tEnterKernel            uint64
+	tStride                           uint64 // StrideFrac
+	tHot                              uint64 // StrideFrac + HotFrac
+	tMid                              uint64 // StrideFrac + HotFrac + MidFrac
+	tWarm                             uint64 // StrideFrac + HotFrac + MidFrac + WarmFrac
 
 	// Per-instruction state.
 	curBlock   int
@@ -326,7 +351,7 @@ type Generator struct {
 	kernBudget int
 	phase      bool // hot-loop iteration phase (flips per pass)
 
-	rBlock, rMix, rData, rBranch, rKernel *rng.Rand
+	rBlock, rMix, rData, rBranch, rKernel rng.Rand
 }
 
 // NewGenerator builds a generator for spec. The key seeds all random
@@ -338,27 +363,102 @@ func NewGenerator(spec Spec, key string) (*Generator, error) {
 	g := &Generator{
 		spec:    spec,
 		Layout:  NewLayout(spec),
-		rBlock:  rng.NewKeyed(key, 1),
-		rMix:    rng.NewKeyed(key, 2),
-		rData:   rng.NewKeyed(key, 3),
-		rBranch: rng.NewKeyed(key, 4),
-		rKernel: rng.NewKeyed(key, 5),
+		rBlock:  *rng.NewKeyed(key, 1),
+		rMix:    *rng.NewKeyed(key, 2),
+		rData:   *rng.NewKeyed(key, 3),
+		rBranch: *rng.NewKeyed(key, 4),
+		rKernel: *rng.NewKeyed(key, 5),
 	}
 	g.branches = make([]branchState, g.HotBlocks)
-	seedBranches(g.branches, spec, g.EasyTaken, g.rBranch)
-	g.kbranches = make([]branchState, g.KernelBlocks)
-	seedBranches(g.kbranches, spec, g.EasyTaken, g.rBranch)
+	seedBranches(g.branches, spec, g.EasyTaken, &g.rBranch)
+	// The kernel table would be seeded next, from the same stream:
+	// keep the stream where it starts and skip the draws it takes.
+	g.kseed = g.rBranch
+	g.rBranch.Skip(seedDraws(g.KernelBlocks, spec.PatternFrac))
 
 	g.streams = make([]uint64, g.Streams)
 	for i := range g.streams {
 		g.streams[i] = uint64(i) * g.StreamSpan
 	}
-	g.dHotT = spec.StrideFrac + spec.HotFrac
-	g.dMidT = spec.StrideFrac + spec.HotFrac + spec.MidFrac
-	g.dWarmT = spec.StrideFrac + spec.HotFrac + spec.MidFrac + spec.WarmFrac
+	g.tLoad = rng.Threshold(g.PLoad)
+	g.tLoadStore = rng.Threshold(g.PLoadStore)
+	if g.PALU > 0 {
+		g.tSIMD = rng.ScaledThreshold(g.PALU, g.PSIMD)
+		g.tSIMDFP = rng.ScaledThreshold(g.PALU, g.PSIMDFP)
+	}
+	g.tHotCode = rng.Threshold(spec.HotCodeFrac)
+	g.tEnterKernel = rng.Threshold(g.EnterKernel)
+	g.tStride = rng.Threshold(spec.StrideFrac)
+	g.tHot = rng.Threshold(spec.StrideFrac + spec.HotFrac)
+	g.tMid = rng.Threshold(spec.StrideFrac + spec.HotFrac + spec.MidFrac)
+	g.tWarm = rng.Threshold(spec.StrideFrac + spec.HotFrac + spec.MidFrac + spec.WarmFrac)
 
 	g.curBlock = g.pickBlock()
 	return g, nil
+}
+
+// AddrEnd returns a bound above every address a generator for s
+// emits and every address priming its regions touches: the data
+// footprint above DataBase (the stride streams' spans included), the
+// user code, and the kernel's code and data. s must pass Validate.
+// The sums saturate, so a bound past 2^64 reads as the largest uint64.
+func (s Spec) AddrEnd() uint64 {
+	l := NewLayout(s)
+	return max(
+		satAdd(DataBase, max(s.FootprintBytes, satMul(uint64(l.Streams), l.StreamSpan))),
+		satAdd(UserCodeBase, max(s.CodeBytes, satMul(uint64(l.Blocks), l.BlockBytes))),
+		satAdd(KernelCodeBase, max(KernelCodeBytes, satMul(uint64(l.KernelBlocks), l.BlockBytes))),
+		KernelDataBase+KernelDataBytes,
+	)
+}
+
+// satAdd and satMul are a+b and a·b, or math.MaxUint64 if that
+// overflows.
+func satAdd(a, b uint64) uint64 {
+	if sum, carry := bits.Add64(a, b, 0); carry == 0 {
+		return sum
+	}
+	return math.MaxUint64
+}
+
+func satMul(a, b uint64) uint64 {
+	if hi, lo := bits.Mul64(a, b); hi == 0 {
+		return lo
+	}
+	return math.MaxUint64
+}
+
+// correlatedRun returns how many of a table's hotCount leading and
+// trailing blocks hold correlated branches, for a pattern fraction P.
+// Correlated branches occupy a contiguous run of blocks (a loop nest)
+// that wraps the cycle boundary: the run's tail executes just before
+// the phase flips and its head just after, so every correlated branch
+// — including the first ones of a new phase — sees phase-valued bits
+// in its recent history. That stable context is exactly what a gshare
+// predictor needs to learn the phase; a bimodal counter sees only the
+// alternation.
+func correlatedRun(hotCount int, P float64) (head, tail int) {
+	nCorr := int(P * float64(hotCount))
+	tail = min(nCorr/2, 12)
+	return nCorr - tail, tail
+}
+
+// seedDraws returns the draws seedBranches takes to seed a table of
+// hotCount blocks: two for each block that is not correlated.
+func seedDraws(hotCount int, P float64) uint64 {
+	head, tail := correlatedRun(hotCount, P)
+	return 2 * uint64(hotCount-head-tail)
+}
+
+// kernelBranches returns the kernel code's branch table, seeding it on
+// first use exactly as NewGenerator would have seeded it up front.
+func (g *Generator) kernelBranches() []branchState {
+	if g.kbranches == nil {
+		g.kbranches = make([]branchState, g.KernelBlocks)
+		r := g.kseed
+		seedBranches(g.kbranches, g.spec, g.EasyTaken, &r)
+	}
+	return g.kbranches
 }
 
 // seedBranches assigns behaviour to the hot blocks' branches bs from
@@ -369,20 +469,8 @@ func NewGenerator(spec Spec, key string) (*Generator, error) {
 // programs, whose cold paths remain predictable.
 func seedBranches(bs []branchState, spec Spec, q float64, r *rng.Rand) {
 	hotCount := len(bs)
-	e, P := spec.BranchEntropy, spec.PatternFrac
-	// Correlated branches occupy a contiguous run of blocks (a loop
-	// nest) that wraps the cycle boundary: the run's tail executes
-	// just before the phase flips and its head just after, so every
-	// correlated branch — including the first ones of a new phase —
-	// sees phase-valued bits in its recent history. That stable
-	// context is exactly what a gshare predictor needs to learn the
-	// phase; a bimodal counter sees only the alternation.
-	nCorr := int(P * float64(hotCount))
-	tail := nCorr / 2
-	if tail > 12 {
-		tail = 12
-	}
-	head := nCorr - tail
+	e := spec.BranchEntropy
+	head, tail := correlatedRun(hotCount, spec.PatternFrac)
 	for i := range bs {
 		b := &bs[i]
 		if i < head || i >= hotCount-tail {
@@ -392,13 +480,13 @@ func seedBranches(bs []branchState, spec Spec, q float64, r *rng.Rand) {
 		switch {
 		case r.Bool(e):
 			b.kind = hardBranch
-			b.bias = 0.35 + r.Float64()*0.3
+			b.taken = rng.Threshold(0.35 + r.Float64()*0.3)
 		default:
 			b.kind = easyBranch
 			if r.Bool(q) {
-				b.bias = 0.995
+				b.taken = tStrong
 			} else {
-				b.bias = 0.005
+				b.taken = tWeak
 			}
 		}
 	}
@@ -416,7 +504,7 @@ func (g *Generator) pickBlock() int {
 	if g.inKernel {
 		return g.rBlock.Intn(g.KernelBlocks)
 	}
-	if g.rBlock.Bool(g.spec.HotCodeFrac) {
+	if g.rBlock.Below(g.tHotCode) {
 		g.curHot++
 		if g.curHot >= g.HotBlocks {
 			g.curHot = 0
@@ -424,7 +512,7 @@ func (g *Generator) pickBlock() int {
 		}
 		return g.curHot
 	}
-	if g.rBlock.Bool(0.95) {
+	if g.rBlock.Below(tWarmCode) {
 		return g.rBlock.Intn(g.WarmBlocks)
 	}
 	return g.rBlock.Intn(g.Blocks)
@@ -442,7 +530,7 @@ func (g *Generator) Next(ev *Event) {
 				g.inKernel = false
 			}
 		} else if g.spec.KernelFrac > 0 {
-			if g.rKernel.Bool(g.EnterKernel) {
+			if g.rKernel.Below(g.tEnterKernel) {
 				g.inKernel = true
 				g.kernBudget = KernelBurst
 			}
@@ -471,12 +559,12 @@ func (g *Generator) Next(ev *Event) {
 
 	// Non-branch slot: loads, stores, and ALU ops in their renormalized
 	// proportions (thresholds precomputed at construction).
-	x := g.rMix.Float64()
+	x := g.rMix.Uint64() >> 11
 	switch {
-	case x < g.PLoad:
+	case x < g.tLoad:
 		ev.Kind = Load
 		ev.Addr = g.dataAddr()
-	case x < g.PLoadStore:
+	case x < g.tLoadStore:
 		ev.Kind = Store
 		ev.Addr = g.dataAddr()
 	default:
@@ -485,11 +573,11 @@ func (g *Generator) Next(ev *Event) {
 			ev.Kind = IntOp
 			return
 		}
-		y := g.rMix.Float64() * g.PALU
+		y := g.rMix.Uint64() >> 11
 		switch {
-		case y < g.PSIMD:
+		case y < g.tSIMD:
 			ev.Kind = SIMDOp
-		case y < g.PSIMDFP:
+		case y < g.tSIMDFP:
 			ev.Kind = FPOp
 		default:
 			ev.Kind = IntOp
@@ -510,13 +598,13 @@ func (g *Generator) Next(ev *Event) {
 func (g *Generator) FillBatch(evs []Event) {
 	var (
 		blockLen          = g.BlockLen
-		pLoad             = g.PLoad
-		pLoadStore        = g.PLoadStore
+		tLoad             = g.tLoad
+		tLoadStore        = g.tLoadStore
 		pALU              = g.PALU
-		pSIMD             = g.PSIMD
-		pSIMDFP           = g.PSIMDFP
+		tSIMD             = g.tSIMD
+		tSIMDFP           = g.tSIMDFP
 		kernelFrac        = g.spec.KernelFrac
-		rMix              = g.rMix
+		rMix              = &g.rMix
 		pos               = g.blockPos
 		curBlock          = g.curBlock
 		inKernel          = g.inKernel
@@ -535,7 +623,7 @@ func (g *Generator) FillBatch(evs []Event) {
 					g.inKernel = false
 				}
 			} else if kernelFrac > 0 {
-				if g.rKernel.Bool(g.EnterKernel) {
+				if g.rKernel.Below(g.tEnterKernel) {
 					inKernel = true
 					g.inKernel = true
 					g.kernBudget = KernelBurst
@@ -562,12 +650,12 @@ func (g *Generator) FillBatch(evs []Event) {
 		}
 		pos++
 
-		x := rMix.Float64()
+		x := rMix.Uint64() >> 11
 		switch {
-		case x < pLoad:
+		case x < tLoad:
 			ev.Kind = Load
 			ev.Addr = g.dataAddr()
-		case x < pLoadStore:
+		case x < tLoadStore:
 			ev.Kind = Store
 			ev.Addr = g.dataAddr()
 		default:
@@ -575,11 +663,11 @@ func (g *Generator) FillBatch(evs []Event) {
 				ev.Kind = IntOp
 				continue
 			}
-			y := rMix.Float64() * pALU
+			y := rMix.Uint64() >> 11
 			switch {
-			case y < pSIMD:
+			case y < tSIMD:
 				ev.Kind = SIMDOp
-			case y < pSIMDFP:
+			case y < tSIMDFP:
 				ev.Kind = FPOp
 			default:
 				ev.Kind = IntOp
@@ -593,7 +681,7 @@ func (g *Generator) FillBatch(evs []Event) {
 // branch returns the behaviour of the branch ending block.
 func (g *Generator) branch(inKernel bool, block int) *branchState {
 	if inKernel {
-		return &g.kbranches[block]
+		return &g.kernelBranches()[block]
 	}
 	if block < len(g.branches) {
 		return &g.branches[block]
@@ -608,11 +696,11 @@ func (g *Generator) outcome(b *branchState) bool {
 	switch b.kind {
 	case corrBranch:
 		taken = g.phase
-		if g.rBranch.Bool(0.005) {
+		if g.rBranch.Below(tWeak) {
 			taken = !taken
 		}
 	default:
-		taken = g.rBranch.Bool(b.bias)
+		taken = g.rBranch.Below(b.taken)
 	}
 	return taken
 }
@@ -623,25 +711,25 @@ func (g *Generator) dataAddr() uint64 {
 	if g.inKernel {
 		// Kernel data: mostly hot kernel structures, with a colder
 		// tail over the wider kernel region.
-		if g.rData.Bool(0.8) {
+		if g.rData.Below(tKernelHot) {
 			return KernelDataBase + g.rData.Uint64n(KernelHotDataBytes)&^7
 		}
 		return KernelDataBase + g.rData.Uint64n(KernelDataBytes)&^7
 	}
-	x := g.rData.Float64()
+	x := g.rData.Uint64() >> 11
 	switch {
-	case x < spec.StrideFrac:
+	case x < g.tStride:
 		i := g.rData.Intn(len(g.streams))
 		g.streams[i] += StrideStep
 		if g.streams[i] >= uint64(i+1)*g.StreamSpan {
 			g.streams[i] = uint64(i) * g.StreamSpan
 		}
 		return DataBase + g.streams[i]
-	case x < g.dHotT:
+	case x < g.tHot:
 		return DataBase + g.rData.Uint64n(spec.HotBytes)&^7
-	case x < g.dMidT:
+	case x < g.tMid:
 		return DataBase + g.rData.Uint64n(spec.MidBytes)&^7
-	case x < g.dWarmT:
+	case x < g.tWarm:
 		return DataBase + g.rData.Uint64n(spec.WarmBytes)&^7
 	default:
 		return DataBase + g.rData.Uint64n(spec.FootprintBytes)&^7
