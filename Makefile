@@ -23,13 +23,30 @@ RACE_PKGS ?= ./internal/server/... ./internal/metrics/... ./internal/core/... \
              ./internal/engine/... ./internal/jobs/... ./internal/insight/... \
              ./internal/flight/...
 
-.PHONY: ci fmt-check vet build test race race-analysis race-machine race-engine race-sched race-store race-all fuzz bench bench-smoke bench-snapshot bench-gate smoke loc clean
+.PHONY: ci fmt-check fma-check vet build test race race-analysis race-machine race-engine race-sched race-store race-all fuzz bench bench-smoke bench-snapshot bench-gate smoke loc clean
 
-ci: fmt-check vet build test race race-analysis race-machine race-engine race-sched race-store fuzz bench-smoke
+ci: fmt-check fma-check vet build test race race-analysis race-machine race-engine race-sched race-store fuzz bench-smoke
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# fma-check cross-compiles internal/stats, whose eigenvectors and
+# distances feed every pinned analysis, for the architectures on which
+# Go fuses x*y + z into one multiply-add, and fails if the compiler's
+# assembly (-gcflags=-S; a cached build replays it) holds one. A fused
+# result is rounded once instead of twice, so it would give other bits
+# than amd64, which never fuses; an explicit float64(x*y) conversion
+# keeps the product rounded. The builds also prove that the portable
+# rotateGo fallback compiles.
+FMA_ARCHS ?= arm64 ppc64le s390x
+
+fma-check:
+	@for arch in $(FMA_ARCHS); do \
+		asm=$$(GOARCH=$$arch $(GO) build -gcflags=-S ./internal/stats 2>&1) || { echo "$$asm"; exit 1; }; \
+		fused=$$(echo "$$asm" | grep -E '\bFN?M(ADD|SUB)[DS]?\b'); \
+		if [ -n "$$fused" ]; then echo "fused multiply-add in internal/stats on $$arch:"; echo "$$fused"; exit 1; fi; \
+	done; echo "fma-check: no fused multiply-add in internal/stats on $(FMA_ARCHS)"
 
 vet:
 	$(GO) vet ./...

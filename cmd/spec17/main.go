@@ -6,6 +6,9 @@
 //
 //	spec17 [-exp id[,id...]] [-instructions n] [-warmup n] [-width n] [-store file] [-engine exact|analytic]
 //
+// -store refuses -instructions or -warmup above store.MaxInstructions,
+// since the snapshot's next load would refuse every record above it.
+//
 // -exp takes ids from the experiment registry (an unknown id lists
 // them), or "all" (default) for every experiment in registry order.
 //
@@ -79,6 +82,15 @@ func spec17(args []string, stdout, stderr io.Writer) int {
 		Instructions:       *instrs,
 		WarmupInstructions: *warmup,
 		Parallelism:        *parallel,
+	}
+	// A snapshot keeps no record above the store's fidelity cap: its
+	// next Open would refuse every one of them. The cap is checked
+	// first, as the daemon does.
+	if *storePath != "" {
+		if err := store.CheckFidelity(opts); err != nil {
+			fmt.Fprintf(stderr, "spec17: -store: %v\n", err)
+			return 2
+		}
 	}
 	if err := opts.Validate(); err != nil {
 		fmt.Fprintf(stderr, "spec17: %v\n", err)

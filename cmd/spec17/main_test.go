@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/store"
 )
 
 // TestTextRendersRegistry runs text mode for every experiment and
@@ -59,6 +63,31 @@ func TestUnrenderableResultFails(t *testing.T) {
 	for _, want := range []string{"mystery", "struct { X int }"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+}
+
+// TestStoreRefusesFidelityAboveCap: with -store, a fidelity above
+// store.MaxInstructions exits 2 with an error naming the cap and
+// writes no snapshot, whose next load would refuse every record.
+func TestStoreRefusesFidelityAboveCap(t *testing.T) {
+	over := fmt.Sprint(store.MaxInstructions + 1)
+	for _, flags := range [][]string{
+		{"-instructions", over},
+		{"-warmup", over},
+		{"-instructions", over, "-warmup", over},
+	} {
+		path := filepath.Join(t.TempDir(), "s.json")
+		args := append([]string{"-engine", "analytic", "-exp", "table1", "-store", path}, flags...)
+		var stdout, stderr bytes.Buffer
+		if code := spec17(args, &stdout, &stderr); code != 2 {
+			t.Fatalf("%v: exit %d, want 2; stderr:\n%s", flags, code, stderr.String())
+		}
+		if want := fmt.Sprint(store.MaxInstructions); !strings.Contains(stderr.String(), want) {
+			t.Errorf("%v: stderr %q does not name the cap %s", flags, stderr.String(), want)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%v: snapshot written (stat err %v)", flags, err)
 		}
 	}
 }

@@ -720,13 +720,11 @@ func parseRunOptions(r *http.Request) (machine.RunOptions, engine.Tier, error) {
 }
 
 // checkFidelity applies the fidelity limits every compute endpoint
-// shares: the store.MaxInstructions cap, then machine.RunOptions.Validate.
+// shares: the store.MaxInstructions cap (store.CheckFidelity), then
+// machine.RunOptions.Validate.
 func checkFidelity(opts machine.RunOptions) error {
-	if opts.Instructions > store.MaxInstructions {
-		return fmt.Errorf("instructions=%d exceeds the maximum %d", opts.Instructions, store.MaxInstructions)
-	}
-	if opts.WarmupInstructions > store.MaxInstructions {
-		return fmt.Errorf("warmup=%d exceeds the maximum %d", opts.WarmupInstructions, store.MaxInstructions)
+	if err := store.CheckFidelity(opts); err != nil {
+		return err
 	}
 	return opts.Validate()
 }

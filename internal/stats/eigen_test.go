@@ -204,6 +204,21 @@ func productionData(rows, cols int, seed int64) *Matrix {
 	return x
 }
 
+// withConstantColumns sets k seeded, distinct columns of x to
+// constants, as a metric that reads the same on every program does,
+// and returns x. The constants are small integers, whose column mean
+// is exact, so Correlation gives each such column an isolated row.
+func withConstantColumns(x *Matrix, k int, seed int64) *Matrix {
+	rng := rand.New(rand.NewSource(seed))
+	for _, j := range rng.Perm(x.cols)[:k] {
+		v := float64(rng.Intn(101))
+		for i := 0; i < x.rows; i++ {
+			x.Set(i, j, v)
+		}
+	}
+	return x
+}
+
 // TestEigenSymMatchesReference pins EigenSym bit for bit against the
 // straightforward At/Set implementation it replaced: every eigenvalue
 // and eigenvector component must have identical float64 bits.
@@ -221,6 +236,35 @@ func TestEigenSymMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases = append(cases, tc{"correlation-10x142", corr})
+	// Table V's shape: 17 of the 142 columns are constant, so their
+	// rows of the correlation matrix are isolated.
+	for _, rows := range []int{10, 13} {
+		corr, err := withConstantColumns(productionData(rows, 142, 7), 17, 7).Correlation()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, tc{fmt.Sprintf("correlation-%dx142-17-constant", rows), corr})
+	}
+	// Every row isolated: nothing to sweep. Some off-diagonals are -0.
+	diag := NewMatrix(7, 7)
+	for i := 0; i < 7; i++ {
+		diag.Set(i, i, float64((i*5)%7)-2.5)
+	}
+	for _, pq := range [][2]int{{0, 3}, {2, 6}} {
+		diag.Set(pq[0], pq[1], math.Copysign(0, -1))
+		diag.Set(pq[1], pq[0], math.Copysign(0, -1))
+	}
+	cases = append(cases, tc{"all-isolated", diag})
+	// Row 3 is isolated, and a[0][1] lies between the skip thresholds
+	// of order 4 and order 3, so it is rotated only if the threshold
+	// stays that of the full matrix.
+	tiny, _ := MatrixFromRows([][]float64{
+		{1, 8e-14, 0.5, 0},
+		{8e-14, 2, 0.25, 0},
+		{0.5, 0.25, 3, 0},
+		{0, 0, 0, 4},
+	})
+	cases = append(cases, tc{"skip-threshold-of-full-order", tiny})
 	// Exact-zero off-diagonals outside a few coupled pairs exercise the
 	// skip test.
 	sparse := NewMatrix(9, 9)
@@ -269,15 +313,69 @@ func TestEigenSymMatchesReference(t *testing.T) {
 	}
 }
 
+// TestRotateMatchesGo checks rotate, the SSE2 kernel on amd64, against
+// rotateGo bit for bit: every length up to 9 (each path through the
+// four-, two- and one-element loops), the pipeline's 125 and 142, and
+// entries that are ±0, subnormal or large enough to overflow. Entries
+// of y past len(x) must be left alone.
+func TestRotateMatchesGo(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	special := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 2.2250738585072014e-308,
+		-1e-310, math.MaxFloat64, -math.MaxFloat64, 1e300, -3e307, 1, -1}
+	entry := func() float64 {
+		if rng.Intn(3) == 0 {
+			return special[rng.Intn(len(special))]
+		}
+		return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(41)-20))
+	}
+	rotations := [][2]float64{{1, 0}, {1, math.Copysign(0, -1)}, {0.6, 0.8}, {0.6, -0.8}, {1e-200, 1}, {1, -1e-300}}
+	for i := 0; i < 20; i++ {
+		theta := rng.Float64() * 2 * math.Pi
+		rotations = append(rotations, [2]float64{math.Abs(math.Cos(theta)), math.Sin(theta)})
+	}
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 125, 142} {
+		for _, cs := range rotations {
+			x := make([]float64, n)
+			y := make([]float64, n+2)
+			for k := range x {
+				x[k] = entry()
+			}
+			for k := range y {
+				y[k] = entry()
+			}
+			gx, gy := append([]float64(nil), x...), append([]float64(nil), y...)
+			rotate(x, y, cs[0], cs[1])
+			rotateGo(gx, gy, cs[0], cs[1])
+			for k := range gy {
+				if k < n && math.Float64bits(x[k]) != math.Float64bits(gx[k]) {
+					t.Fatalf("n=%d c=%v s=%v: x[%d] = %v, rotateGo %v", n, cs[0], cs[1], k, x[k], gx[k])
+				}
+				if math.Float64bits(y[k]) != math.Float64bits(gy[k]) {
+					t.Fatalf("n=%d c=%v s=%v: y[%d] = %v, rotateGo %v", n, cs[0], cs[1], k, y[k], gy[k])
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkEigenSym diagonalizes correlation matrices of the analysis
-// pipeline's shape: 142 metric columns over 10 and 13 programs.
+// pipeline's shape: 142 metric columns over 10 and 13 programs, and
+// Table V's shape, 13 programs with 17 constant columns.
 func BenchmarkEigenSym(b *testing.B) {
-	for _, rows := range []int{10, 13} {
-		corr, err := productionData(rows, 142, 1).Correlation()
+	for _, bc := range []struct {
+		rows, constant int
+	}{{10, 0}, {13, 0}, {13, 17}} {
+		x := productionData(bc.rows, 142, 1)
+		name := fmt.Sprintf("%dx142", bc.rows)
+		if bc.constant > 0 {
+			x = withConstantColumns(x, bc.constant, 1)
+			name += fmt.Sprintf("-%d-constant", bc.constant)
+		}
+		corr, err := x.Correlation()
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(fmt.Sprintf("%dx142", rows), func(b *testing.B) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := EigenSym(corr); err != nil {
@@ -288,8 +386,11 @@ func BenchmarkEigenSym(b *testing.B) {
 	}
 }
 
-// eigenSymReference is the original EigenSym, kept verbatim as the
-// bit-identity oracle for the optimized loop.
+// eigenSymReference is the original EigenSym, kept as the bit-identity
+// oracle for the optimized loop. Its only edits are float64
+// conversions of each product, which change no amd64 bit and keep
+// other architectures from fusing it into a multiply-add, so the
+// oracle computes the same bits on every host.
 func eigenSymReference(a *Matrix) (values []float64, vectors [][]float64, err error) {
 	n := a.rows
 	if n != a.cols {
@@ -323,7 +424,7 @@ func eigenSymReference(a *Matrix) (values []float64, vectors [][]float64, err er
 		off := 0.0
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				off += w.At(i, j) * w.At(i, j)
+				off += float64(w.At(i, j) * w.At(i, j))
 			}
 		}
 		if off < eps {
@@ -340,31 +441,31 @@ func eigenSymReference(a *Matrix) (values []float64, vectors [][]float64, err er
 				theta := (aqq - app) / (2 * apq)
 				var t float64
 				if theta >= 0 {
-					t = 1 / (theta + math.Sqrt(1+theta*theta))
+					t = 1 / (theta + math.Sqrt(1+float64(theta*theta)))
 				} else {
-					t = -1 / (-theta + math.Sqrt(1+theta*theta))
+					t = -1 / (-theta + math.Sqrt(1+float64(theta*theta)))
 				}
-				c := 1 / math.Sqrt(1+t*t)
+				c := 1 / math.Sqrt(1+float64(t*t))
 				s := t * c
 
 				// Apply the rotation J(p,q,theta): W = Jᵀ W J.
 				for k := 0; k < n; k++ {
 					wkp := w.At(k, p)
 					wkq := w.At(k, q)
-					w.Set(k, p, c*wkp-s*wkq)
-					w.Set(k, q, s*wkp+c*wkq)
+					w.Set(k, p, float64(c*wkp)-float64(s*wkq))
+					w.Set(k, q, float64(s*wkp)+float64(c*wkq))
 				}
 				for k := 0; k < n; k++ {
 					wpk := w.At(p, k)
 					wqk := w.At(q, k)
-					w.Set(p, k, c*wpk-s*wqk)
-					w.Set(q, k, s*wpk+c*wqk)
+					w.Set(p, k, float64(c*wpk)-float64(s*wqk))
+					w.Set(q, k, float64(s*wpk)+float64(c*wqk))
 				}
 				for k := 0; k < n; k++ {
 					vkp := v.At(k, p)
 					vkq := v.At(k, q)
-					v.Set(k, p, c*vkp-s*vkq)
-					v.Set(k, q, s*vkp+c*vkq)
+					v.Set(k, p, float64(c*vkp)-float64(s*vkq))
+					v.Set(k, q, float64(s*vkp)+float64(c*vkq))
 				}
 			}
 		}

@@ -42,7 +42,7 @@ func ConvexHull(pts []Point) []Point {
 	}
 
 	cross := func(o, a, b Point) float64 {
-		return (a.X-o.X)*(b.Y-o.Y) - (a.Y-o.Y)*(b.X-o.X)
+		return float64((a.X-o.X)*(b.Y-o.Y)) - float64((a.Y-o.Y)*(b.X-o.X))
 	}
 	var hull []Point
 	// Lower hull.
@@ -73,7 +73,7 @@ func PolygonArea(poly []Point) float64 {
 	sum := 0.0
 	for i, p := range poly {
 		q := poly[(i+1)%len(poly)]
-		sum += p.X*q.Y - q.X*p.Y
+		sum += float64(p.X*q.Y) - float64(q.X*p.Y)
 	}
 	return math.Abs(sum) / 2
 }
@@ -92,15 +92,15 @@ func PointInPolygon(p Point, poly []Point) bool {
 	const eps = 1e-12
 	// Boundary check: p on segment (a,b)?
 	onSeg := func(a, b Point) bool {
-		cross := (b.X-a.X)*(p.Y-a.Y) - (b.Y-a.Y)*(p.X-a.X)
+		cross := float64((b.X-a.X)*(p.Y-a.Y)) - float64((b.Y-a.Y)*(p.X-a.X))
 		if math.Abs(cross) > eps*(1+math.Abs(b.X-a.X)+math.Abs(b.Y-a.Y)) {
 			return false
 		}
-		dot := (p.X-a.X)*(b.X-a.X) + (p.Y-a.Y)*(b.Y-a.Y)
+		dot := float64((p.X-a.X)*(b.X-a.X)) + float64((p.Y-a.Y)*(b.Y-a.Y))
 		if dot < -eps {
 			return false
 		}
-		sq := (b.X-a.X)*(b.X-a.X) + (b.Y-a.Y)*(b.Y-a.Y)
+		sq := float64((b.X-a.X)*(b.X-a.X)) + float64((b.Y-a.Y)*(b.Y-a.Y))
 		return dot <= sq+eps
 	}
 	inside := false
@@ -152,7 +152,7 @@ func Euclidean(a, b []float64) float64 {
 	sum := 0.0
 	for i := range a {
 		d := a[i] - b[i]
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return math.Sqrt(sum)
 }

@@ -167,7 +167,7 @@ func (m *Matrix) ColumnStddevs() ([]float64, error) {
 	for i := 0; i < m.rows; i++ {
 		for j := 0; j < m.cols; j++ {
 			d := m.data[i*m.cols+j] - means[j]
-			sds[j] += d * d
+			sds[j] += float64(d * d)
 		}
 	}
 	for j := range sds {
@@ -195,7 +195,7 @@ func (m *Matrix) Covariance() (*Matrix, error) {
 				continue
 			}
 			for b := a; b < m.cols; b++ {
-				cov.data[a*m.cols+b] += da * (row[b] - means[b])
+				cov.data[a*m.cols+b] += float64(da * (row[b] - means[b]))
 			}
 		}
 	}

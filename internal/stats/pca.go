@@ -12,7 +12,10 @@ import (
 type PCA struct {
 	// Eigenvalues of the correlation (or covariance) matrix, in
 	// descending order. For correlation-based PCA their sum equals the
-	// number of non-constant input variables.
+	// number of input variables, constant ones included: Correlation
+	// puts 1 on a constant column's diagonal, so each constant column
+	// adds an eigenvalue of exactly 1 whose component scores are all
+	// zero, and KaiserComponents counts it.
 	Eigenvalues []float64
 
 	// Loadings[k][j] is the weight of original variable j in principal
@@ -154,7 +157,7 @@ func (p *PCA) Project(obs []float64) []float64 {
 	for k, load := range p.Loadings {
 		sum := 0.0
 		for j, w := range load {
-			sum += w * z[j]
+			sum += float64(w * z[j])
 		}
 		out[k] = sum
 	}

@@ -255,3 +255,62 @@ func BenchmarkFitPCA(b *testing.B) {
 		})
 	}
 }
+
+// TestConstantColumnsAddUnitEigenvalues pins a known flaw: Correlation
+// puts 1 on a constant column's diagonal, so each constant column adds
+// an eigenvalue of exactly 1 whose loading is that column's unit vector
+// and whose scores are all zero. The eigenvalues sum to the number of
+// columns, not of non-constant ones; KaiserComponents counts each
+// phantom, and VarExplained divides by a total that includes them.
+// Fixing Correlation must change this test on purpose.
+func TestConstantColumnsAddUnitEigenvalues(t *testing.T) {
+	x := withConstantColumns(productionData(6, 8, 5), 3, 5)
+	constant := map[int]bool{}
+	sds, err := x.ColumnStddevs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, sd := range sds {
+		if sd == 0 {
+			constant[j] = true
+		}
+	}
+	if len(constant) != 3 {
+		t.Fatalf("%d constant columns, want 3", len(constant))
+	}
+	p, err := FitPCA(x, PCAOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, kept := 0.0, 0
+	phantoms := map[int]bool{}
+	for k, v := range p.Eigenvalues {
+		sum += v
+		load := p.Loadings[k]
+		unit := -1
+		for j, w := range load {
+			if w == 1 {
+				unit = j
+			}
+		}
+		if v == 1 && unit >= 0 && constant[unit] {
+			phantoms[unit] = true
+			for i, s := range p.Scores {
+				if s[k] != 0 {
+					t.Errorf("phantom component %d: observation %d scores %v, want 0", k, i, s[k])
+				}
+			}
+		} else if v >= 1 {
+			kept++
+		}
+	}
+	if len(phantoms) != 3 {
+		t.Fatalf("phantom unit eigenvalues on columns %v, want one per constant column %v", phantoms, constant)
+	}
+	if math.Abs(sum-8) > 1e-9 {
+		t.Errorf("eigenvalues sum to %v, want 8 (every column, the constant ones included)", sum)
+	}
+	if got := p.KaiserComponents(); got != kept+3 {
+		t.Errorf("KaiserComponents = %d, want %d real + 3 phantom", got, kept)
+	}
+}

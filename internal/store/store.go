@@ -439,6 +439,20 @@ func (s *Store) load() error {
 // records above it.
 const MaxInstructions = 10_000_000
 
+// CheckFidelity refuses run options whose measured or warmup
+// instructions exceed MaxInstructions: records at such a fidelity
+// would be stored, and then refused by every later Open. The daemon
+// and spec17 -store check their options here.
+func CheckFidelity(opts machine.RunOptions) error {
+	if opts.Instructions > MaxInstructions {
+		return fmt.Errorf("instructions=%d exceeds the maximum %d", opts.Instructions, MaxInstructions)
+	}
+	if opts.WarmupInstructions > MaxInstructions {
+		return fmt.Errorf("warmup=%d exceeds the maximum %d", opts.WarmupInstructions, MaxInstructions)
+	}
+	return nil
+}
+
 // producible reports whether some caller could have stored e: a single
 // record has Copies 0, a multi record one per-copy count for each of
 // its Copies (at least one), and neither a fidelity outside [0,
