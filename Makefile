@@ -31,22 +31,25 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# fma-check cross-compiles internal/stats, whose eigenvectors and
-# distances feed every pinned analysis, for the architectures on which
-# Go fuses x*y + z into one multiply-add, and fails if the compiler's
-# assembly (-gcflags=-S; a cached build replays it) holds one. A fused
-# result is rounded once instead of twice, so it would give other bits
-# than amd64, which never fuses; an explicit float64(x*y) conversion
-# keeps the product rounded. The builds also prove that the portable
-# rotateGo fallback compiles.
-FMA_ARCHS ?= arm64 ppc64le s390x
+# fma-check cross-compiles the packages whose floating-point results
+# feed pinned outputs (internal/stats' eigenvectors and distances, the
+# cluster linkage and cophenetic correlation, the counter metrics, the
+# power model, the experiments' noise statistics) for the
+# architectures on which Go fuses x*y + z into one multiply-add, and
+# fails if the compiler's assembly (-gcflags=-S; a cached build
+# replays it) holds one. A fused result is rounded once instead of
+# twice, so it would give other bits than amd64, which never fuses;
+# an explicit float64(x*y) conversion keeps the product rounded. The
+# builds also prove that the portable rotateGo fallback compiles.
+FMA_ARCHS ?= arm64 ppc64le riscv64 s390x
+FMA_PKGS ?= ./internal/stats ./internal/cluster ./internal/counters ./internal/power ./internal/experiments
 
 fma-check:
 	@for arch in $(FMA_ARCHS); do \
-		asm=$$(GOARCH=$$arch $(GO) build -gcflags=-S ./internal/stats 2>&1) || { echo "$$asm"; exit 1; }; \
+		asm=$$(GOARCH=$$arch $(GO) build -gcflags=-S $(FMA_PKGS) 2>&1) || { echo "$$asm"; exit 1; }; \
 		fused=$$(echo "$$asm" | grep -E '\bFN?M(ADD|SUB)[DS]?\b'); \
-		if [ -n "$$fused" ]; then echo "fused multiply-add in internal/stats on $$arch:"; echo "$$fused"; exit 1; fi; \
-	done; echo "fma-check: no fused multiply-add in internal/stats on $(FMA_ARCHS)"
+		if [ -n "$$fused" ]; then echo "fused multiply-add on $$arch:"; echo "$$fused"; exit 1; fi; \
+	done; echo "fma-check: no fused multiply-add in $(FMA_PKGS) on $(FMA_ARCHS)"
 
 vet:
 	$(GO) vet ./...

@@ -12,7 +12,7 @@
 //	        [-read-header-timeout d] [-read-timeout d] [-idle-timeout d]
 //	        [-rate-limit r] [-burst n] [-max-inflight n]
 //	        [-request-timeout d]
-//	        [-jobs] [-max-jobs n] [-job-workers n] [-webhook-timeout d]
+//	        [-jobs] [-max-jobs n] [-job-workers n]
 //	        [-trace] [-trace-ring n] [-trace-slow d]
 //	        [-insight] [-insight-interval d] [-slo-latency-ms n]
 //	        [-pprof-addr addr] [-log-level level]
@@ -39,6 +39,9 @@
 //	GET  /v1/events                       recorded anomaly events
 //	GET  /healthz
 //	GET  /metrics                         Prometheus text format
+//
+// A job's completion is read by polling GET /v1/jobs/{id} or by
+// streaming GET /v1/jobs/{id}/events; spec17d sends no callbacks.
 //
 // See docs/API.md for the full endpoint reference, docs/JOBS.md for
 // the async-job subsystem, docs/SERVER.md for caching and metrics
@@ -91,7 +94,6 @@ type daemonConfig struct {
 	jobs       bool
 	maxJobs    int
 	jobWorkers int
-	webhookTO  time.Duration
 
 	trace     bool
 	traceRing int
@@ -133,10 +135,9 @@ func parseFlags(args []string, stderr io.Writer) (*daemonConfig, error) {
 	fs.Float64Var(&cfg.burst, "burst", 0, "per-client admission bucket capacity (0 = max(rate-limit, 1))")
 	fs.IntVar(&cfg.maxInflt, "max-inflight", 0, "max concurrently admitted compute requests across all clients (0 = unlimited)")
 	fs.DurationVar(&cfg.requestTO, "request-timeout", 0, "server-side deadline per compute request (0 disables)")
-	fs.BoolVar(&cfg.jobs, "jobs", true, "serve the async-job endpoints (/v1/jobs)")
+	fs.BoolVar(&cfg.jobs, "jobs", true, "serve the async-job endpoints (/v1/jobs); completion is read by polling /v1/jobs/{id} or streaming /v1/jobs/{id}/events (SSE)")
 	fs.IntVar(&cfg.maxJobs, "max-jobs", 256, "max retained job records; submitting past it evicts the oldest finished job")
 	fs.IntVar(&cfg.jobWorkers, "job-workers", 2, "max jobs executing concurrently")
-	fs.DurationVar(&cfg.webhookTO, "webhook-timeout", 5*time.Second, "per-attempt webhook delivery timeout (negative disables webhooks)")
 	fs.BoolVar(&cfg.trace, "trace", true, "record per-request span trees, served at /v1/traces")
 	fs.IntVar(&cfg.traceRing, "trace-ring", 256, "finished traces to retain in memory")
 	fs.DurationVar(&cfg.traceSlow, "trace-slow", 0, "log the full span tree of traces slower than this (0 disables)")
@@ -280,7 +281,6 @@ func main() {
 		JobsDisabled:      !cfg.jobs,
 		MaxJobs:           cfg.maxJobs,
 		JobWorkers:        cfg.jobWorkers,
-		WebhookTimeout:    cfg.webhookTO,
 		Store:             st,
 		Metrics:           reg,
 		Log:               logger,

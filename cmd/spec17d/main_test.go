@@ -45,19 +45,13 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if cfg.jobWorkers != 2 {
 		t.Errorf("jobWorkers = %d, want 2", cfg.jobWorkers)
 	}
-	if cfg.webhookTO != 5*time.Second {
-		t.Errorf("webhookTO = %v, want 5s", cfg.webhookTO)
-	}
 }
 
-// Jobs flags land in the config verbatim; -webhook-timeout accepts a
-// negative duration because that is the documented way to disable
-// webhook delivery entirely.
+// Jobs flags land in the config verbatim.
 func TestParseFlagsJobs(t *testing.T) {
 	var buf strings.Builder
 	cfg, err := parseFlags([]string{
 		"-jobs=false", "-max-jobs", "16", "-job-workers", "1",
-		"-webhook-timeout", "-1s",
 	}, &buf)
 	if err != nil {
 		t.Fatalf("parseFlags() = %v; stderr:\n%s", err, buf.String())
@@ -67,9 +61,6 @@ func TestParseFlagsJobs(t *testing.T) {
 	}
 	if cfg.maxJobs != 16 || cfg.jobWorkers != 1 {
 		t.Errorf("maxJobs = %d, jobWorkers = %d", cfg.maxJobs, cfg.jobWorkers)
-	}
-	if cfg.webhookTO != -time.Second {
-		t.Errorf("webhookTO = %v, want -1s", cfg.webhookTO)
 	}
 }
 
@@ -100,6 +91,20 @@ func TestParseFlagsValid(t *testing.T) {
 	}
 	if cfg.storePath != "/tmp/s.json" || cfg.drain != 5*time.Second {
 		t.Errorf("storePath = %q, drain = %v", cfg.storePath, cfg.drain)
+	}
+}
+
+// TestParseFlagsWebhookTimeoutRemoved: spec17d sends no job
+// callbacks, so -webhook-timeout is an unknown flag, which main exits
+// 2 on, and stderr names it.
+func TestParseFlagsWebhookTimeoutRemoved(t *testing.T) {
+	var buf strings.Builder
+	_, err := parseFlags([]string{"-webhook-timeout", "5s"}, &buf)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("parseFlags(-webhook-timeout 5s) = %v, want a parse error", err)
+	}
+	if !strings.Contains(buf.String(), "-webhook-timeout") {
+		t.Errorf("stderr does not name -webhook-timeout:\n%s", buf.String())
 	}
 }
 

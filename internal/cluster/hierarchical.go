@@ -203,11 +203,11 @@ func Cluster(points [][]float64, labels []string, method Linkage) (*Dendrogram, 
 			case Complete:
 				d = math.Max(dik, djk)
 			case Average:
-				d = (si*dik + sj*djk) / (si + sj)
+				d = (float64(si*dik) + float64(sj*djk)) / (si + sj)
 			case Ward:
 				sk := float64(active[k].size)
 				tot := si + sj + sk
-				d = ((si+sk)*dik + (sj+sk)*djk - sk*dist[bi][bj]) / tot
+				d = (float64((si+sk)*dik) + float64((sj+sk)*djk) - float64(sk*dist[bi][bj])) / tot
 			default:
 				return nil, fmt.Errorf("cluster: unknown linkage %v", method)
 			}

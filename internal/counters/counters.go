@@ -157,7 +157,7 @@ func FromRaw(machineName string, hasPower bool, rc *machine.RawCounts) (*Sample,
 		perKI(rc.TakenBranches),
 
 		pct(rc.KernelInstrs),
-		100 - pct(rc.KernelInstrs),
+		100 - float64(pct(rc.KernelInstrs)),
 		pct(intOps),
 		pct(rc.FPOps),
 		pct(rc.Loads),

@@ -90,7 +90,7 @@ func coefficientOfVariation(xs []float64) float64 {
 	sd := 0.0
 	for _, x := range xs {
 		d := x - mean
-		sd += d * d
+		sd += float64(d * d)
 	}
 	sd = math.Sqrt(sd / float64(len(xs)))
 	return sd / (mean + 0.5)

@@ -3,12 +3,12 @@ package insight
 // The event ring: a bounded in-memory log of typed anomalies. Metrics
 // answer "how much"; events answer "what happened, when" — a tolerance
 // band violated, a shed spike, a slow request, a checkpoint that
-// failed to persist, a webhook whose retries ran out, an SLO starting
-// to burn. Every event reaches the structured log once (so an operator
-// tailing stderr sees it live): the plane logs the anomalies it
-// detects, and the tracer, store and jobs log the ones they report
-// through the plane's hooks. Each is counted in
-// spec17d_insight_events_total{type}; GET /v1/events serves the ring.
+// failed to persist, an SLO starting to burn. Every event reaches the
+// structured log once (so an operator tailing stderr sees it live):
+// the plane logs the anomalies it detects, and the tracer and store
+// log the ones they report through the plane's hooks. Each is counted
+// in spec17d_insight_events_total{type}; GET /v1/events serves the
+// ring.
 
 import (
 	"log/slog"
@@ -36,9 +36,6 @@ const (
 	// EventCheckpointFailure: a background store checkpoint failed to
 	// save (the previous on-disk snapshot stays intact).
 	EventCheckpointFailure EventType = "checkpoint_failure"
-	// EventWebhookExhausted: a job webhook ran out of delivery
-	// attempts; the callback was lost until the next boot redelivers.
-	EventWebhookExhausted EventType = "webhook_exhausted"
 	// EventSLOBurn: an endpoint began burning its latency or error
 	// budget in both the fast and slow windows.
 	EventSLOBurn EventType = "slo_burn"
@@ -49,7 +46,7 @@ const (
 func KnownEventTypes() []EventType {
 	return []EventType{
 		EventBandViolation, EventShedSpike, EventSlowTrace,
-		EventCheckpointFailure, EventWebhookExhausted, EventSLOBurn,
+		EventCheckpointFailure, EventSLOBurn,
 	}
 }
 

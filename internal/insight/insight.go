@@ -9,7 +9,7 @@
 //     background, once per pair as the store forms it
 //     (GET /v1/accuracy);
 //   - a typed anomaly-event ring — band violations, shed spikes, slow
-//     traces, checkpoint failures, exhausted webhooks, SLO burns
+//     traces, checkpoint failures, SLO burns
 //     (GET /v1/events);
 //   - per-endpoint SLO burn rates derived from the recorder's own
 //     rings (inside GET /v1/status).
@@ -261,19 +261,4 @@ func (p *Plane) OnSlowTrace(td *telemetry.TraceData) {
 func (p *Plane) OnCheckpointError(err error) {
 	p.events.record(EventCheckpointFailure,
 		"background store checkpoint failed: "+err.Error(), nil)
-}
-
-// OnWebhookExhausted adapts the plane to
-// jobs.Config.OnWebhookExhausted.
-func (p *Plane) OnWebhookExhausted(jobID, url string, attempts int, lastErr error) {
-	attrs := map[string]string{
-		"job":      jobID,
-		"url":      url,
-		"attempts": strconv.Itoa(attempts),
-	}
-	if lastErr != nil {
-		attrs["error"] = lastErr.Error()
-	}
-	p.events.record(EventWebhookExhausted,
-		fmt.Sprintf("webhook for job %s lost after %d attempts", jobID, attempts), attrs)
 }

@@ -433,17 +433,12 @@ func TestPlaneHooks(t *testing.T) {
 
 	p.OnSlowTrace(&telemetry.TraceData{TraceID: "t1", DurationMS: 1234})
 	p.OnCheckpointError(errors.New("disk full"))
-	p.OnWebhookExhausted("job-1", "http://example/hook", 5, errors.New("status 503"))
 
 	if got := len(p.Events().Events(EventSlowTrace, time.Time{}, 0)); got != 1 {
 		t.Fatalf("slow_trace events = %d", got)
 	}
 	if got := len(p.Events().Events(EventCheckpointFailure, time.Time{}, 0)); got != 1 {
 		t.Fatalf("checkpoint_failure events = %d", got)
-	}
-	evs := p.Events().Events(EventWebhookExhausted, time.Time{}, 0)
-	if len(evs) != 1 || evs[0].Attrs["job"] != "job-1" || evs[0].Attrs["attempts"] != "5" {
-		t.Fatalf("webhook_exhausted events = %+v", evs)
 	}
 }
 

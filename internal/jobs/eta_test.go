@@ -38,9 +38,9 @@ func TestETAFromCostModel(t *testing.T) {
 	if g, _ := m.Get(j.ID); g.ETASeconds != 7.5 {
 		t.Fatalf("Get ETASeconds = %v, want 7.5", g.ETASeconds)
 	}
-	snap, _, cancel, ok := m.Subscribe(j.ID)
-	if !ok {
-		t.Fatal("subscribe failed")
+	snap, _, cancel, err := m.Subscribe(j.ID)
+	if err != nil {
+		t.Fatal(err)
 	}
 	cancel()
 	if snap.ETASeconds != 7.5 {

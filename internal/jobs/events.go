@@ -1,9 +1,10 @@
 package jobs
 
-// Push delivery, half one: per-job event streams. A subscriber gets a
-// synthetic "state" snapshot first (so a late subscriber knows the
-// full current picture without any history retention), then live
-// events until the job goes terminal. The server turns this into SSE.
+// Per-job event streams. A subscriber gets a synthetic "state"
+// snapshot first (so a late subscriber knows the full current picture
+// without any history retention), then live events until the job goes
+// terminal. The server turns this into SSE; a client that only polls
+// GET /v1/jobs/{id} reads the same progress from the job record.
 
 // Event is one job-progress notification.
 type Event struct {
@@ -39,38 +40,59 @@ func (e Event) Terminal() bool { return e.Type == "state" && e.State.Terminal() 
 // than allowed to block the manager.
 func subCap(items int) int { return items + 8 }
 
+// Subscriber bounds. Each live subscriber holds a buffer of subCap
+// events here and a streaming goroutine in the server, so both one
+// job's subscribers and all jobs' together are capped.
+const (
+	maxJobSubscribers = 32
+	maxSubscribers    = 256
+)
+
 // Subscribe attaches a subscriber to a job. It returns a snapshot
 // event describing the job right now, a channel of subsequent events
 // (closed when the job reaches a terminal state or the subscriber is
 // dropped), and a cancel function the caller must invoke when done.
-// For a job already terminal the channel comes back closed.
-func (m *Manager) Subscribe(id string) (snap Event, ch <-chan Event, cancel func(), ok bool) {
+// For a job already terminal the channel comes back closed. The error
+// is ErrUnknownJob, or ErrTooManySubscribers past either bound.
+func (m *Manager) Subscribe(id string) (snap Event, ch <-chan Event, cancel func(), err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	t, okk := m.jobs[id]
-	if !okk {
-		return Event{}, nil, nil, false
+	t, ok := m.jobs[id]
+	if !ok {
+		return Event{}, nil, nil, ErrUnknownJob
 	}
 	snap = m.stateEventLocked(t)
-	c := make(chan Event, subCap(len(t.job.Items)))
 	if t.job.State.Terminal() {
+		c := make(chan Event)
 		close(c)
-		return snap, c, func() {}, true
+		return snap, c, func() {}, nil
 	}
+	if len(t.subs) >= maxJobSubscribers || m.nsubs >= maxSubscribers {
+		return Event{}, nil, nil, ErrTooManySubscribers
+	}
+	c := make(chan Event, subCap(len(t.job.Items)))
 	n := t.nextSub
 	t.nextSub++
 	t.subs[n] = c
+	m.nsubs++
 	m.met.subscribers.Inc()
 	cancel = func() {
 		m.mu.Lock()
-		if cur, live := t.subs[n]; live {
-			delete(t.subs, n)
-			close(cur)
-			m.met.subscribers.Dec()
-		}
+		m.dropSubLocked(t, n)
 		m.mu.Unlock()
 	}
-	return snap, c, cancel, true
+	return snap, c, cancel, nil
+}
+
+// dropSubLocked detaches subscriber n of t, if still attached, and
+// closes its channel. Caller holds m.mu.
+func (m *Manager) dropSubLocked(t *tracked, n int) {
+	if c, live := t.subs[n]; live {
+		delete(t.subs, n)
+		close(c)
+		m.nsubs--
+		m.met.subscribers.Dec()
+	}
 }
 
 // stateEventLocked builds a job-level event from current state.
@@ -103,10 +125,8 @@ func (m *Manager) emitState(id string) {
 	ev := m.stateEventLocked(t)
 	m.broadcastLocked(t, ev)
 	if ev.Terminal() {
-		for n, c := range t.subs {
-			delete(t.subs, n)
-			close(c)
-			m.met.subscribers.Dec()
+		for n := range t.subs {
+			m.dropSubLocked(t, n)
 		}
 	}
 	m.mu.Unlock()
@@ -148,9 +168,7 @@ func (m *Manager) broadcastLocked(t *tracked, ev Event) {
 		select {
 		case c <- ev:
 		default:
-			delete(t.subs, n)
-			close(c)
-			m.met.subscribers.Dec()
+			m.dropSubLocked(t, n)
 			m.cfg.Log.Warn("jobs: dropped slow event subscriber", "job", t.job.ID)
 		}
 	}

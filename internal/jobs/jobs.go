@@ -19,9 +19,9 @@
 // results are warm in the store anyway), so a resumed sweep completes
 // bit-identically to an uninterrupted one.
 //
-// Completion is pushed, not polled: per-job subscribers receive Events
-// (served as SSE by the server), and jobs carrying a webhook URL get a
-// terminal-state callback with bounded retry/backoff. See docs/JOBS.md.
+// Completion is read, never pushed to an address the submitter names:
+// poll the job record (GET /v1/jobs/{id}), or subscribe to its Events,
+// which the server streams as SSE. See docs/JOBS.md.
 package jobs
 
 import (
@@ -34,7 +34,6 @@ import (
 	"math"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -51,6 +50,10 @@ var (
 	// ErrUnknownJob is returned for operations on an id the manager
 	// does not hold.
 	ErrUnknownJob = errors.New("jobs: unknown job")
+	// ErrTooManySubscribers is returned by Subscribe when the job, or
+	// the manager as a whole, already has as many live subscribers as
+	// it allows.
+	ErrTooManySubscribers = errors.New("jobs: too many event subscribers; retry after some close")
 )
 
 // State is a job's lifecycle state.
@@ -98,8 +101,6 @@ type Spec struct {
 	// Concurrency caps how many of the job's items run at once
 	// (default 1: background sweeps trickle through the pool).
 	Concurrency int `json:"concurrency,omitempty"`
-	// Webhook, when set, is POSTed the job's terminal state.
-	Webhook string `json:"webhook,omitempty"`
 	// Client is the submitter's admission identity; item execution is
 	// charged against it so a background sweep spends the same budget
 	// the submitter's interactive traffic would.
@@ -132,9 +133,6 @@ type Job struct {
 	ETASeconds float64 `json:"eta_seconds,omitempty"`
 	// Resumed marks a job that survived at least one restart.
 	Resumed bool `json:"resumed,omitempty"`
-	// WebhookDelivered and WebhookAttempts track push delivery.
-	WebhookDelivered bool `json:"webhook_delivered,omitempty"`
-	WebhookAttempts  int  `json:"webhook_attempts,omitempty"`
 }
 
 // Counts returns how many items are terminal and how many of those
@@ -235,18 +233,10 @@ type Config struct {
 	// item completions provide an observed rate. The server derives it
 	// from the admission cost model. Nil disables model-based ETAs.
 	EstimateItemSeconds func(spec Spec) float64
-	// Webhook configures push delivery of terminal states.
-	Webhook WebhookConfig
-	// OnWebhookExhausted, when set, is invoked (from the delivery
-	// goroutine) when a job's webhook delivery runs out of retry
-	// attempts — the point where at-least-once delivery has, for this
-	// process lifetime, become zero times. The insight plane hooks this
-	// to surface the loss as a typed operator event.
-	OnWebhookExhausted func(jobID, url string, attempts int, lastErr error)
 	// Metrics receives the spec17d_jobs_* instruments. Nil uses a
 	// private registry.
 	Metrics *metrics.Registry
-	// Log receives lifecycle and delivery warnings. Defaults to an
+	// Log receives lifecycle and checkpoint warnings. Defaults to an
 	// info-level logger on stderr.
 	Log *slog.Logger
 }
@@ -258,7 +248,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxRunning <= 0 {
 		c.MaxRunning = 2
 	}
-	c.Webhook = c.Webhook.withDefaults()
 	if c.Metrics == nil {
 		c.Metrics = metrics.NewRegistry()
 	}
@@ -273,7 +262,6 @@ type jobMetrics struct {
 	finished    *metrics.CounterVec // state
 	running     *metrics.Gauge
 	items       *metrics.CounterVec // status
-	webhooks    *metrics.CounterVec // status
 	resumed     *metrics.Counter
 	checkpoints *metrics.Counter
 	subscribers *metrics.Gauge
@@ -290,9 +278,6 @@ func newJobMetrics(r *metrics.Registry) jobMetrics {
 			"Async jobs currently executing."),
 		items: r.CounterVec("spec17d_jobs_items_total",
 			"Job sweep items finished, by status (done, error).",
-			"status"),
-		webhooks: r.CounterVec("spec17d_jobs_webhook_deliveries_total",
-			"Webhook delivery outcomes, by status (ok, retry, failed).",
 			"status"),
 		resumed: r.Counter("spec17d_jobs_resumed_total",
 			"Interrupted jobs re-enqueued from the snapshot at boot."),
@@ -324,15 +309,14 @@ type Manager struct {
 	cancel context.CancelFunc
 	queue  chan string
 	wg     sync.WaitGroup // job workers
-	whWG   sync.WaitGroup // webhook deliveries
 
 	startOnce sync.Once
 	stopOnce  sync.Once
-	killed    atomic.Bool
 
 	mu    sync.Mutex
 	jobs  map[string]*tracked
 	order []string // submission order, for listing and eviction
+	nsubs int      // live subscribers over every job
 
 	// ckptMu serializes snapshot writes so a slow write can never be
 	// overtaken (and clobbered) by a newer one.
@@ -374,25 +358,15 @@ func (m *Manager) Start() {
 	m.startOnce.Do(func() {
 		m.mu.Lock()
 		var resumed []string
-		var redeliver []Job
 		for _, id := range m.order {
-			t := m.jobs[id]
-			if t.job.State == StatePending && t.job.Resumed {
+			if t := m.jobs[id]; t.job.State == StatePending && t.job.Resumed {
 				resumed = append(resumed, id)
-			}
-			if t.job.State.Terminal() && t.job.Spec.Webhook != "" && !t.job.WebhookDelivered {
-				redeliver = append(redeliver, t.job.clone())
 			}
 		}
 		m.mu.Unlock()
 		for _, id := range resumed {
 			m.met.resumed.Inc()
 			m.enqueue(id)
-		}
-		// Terminal jobs whose webhook never landed (crash between
-		// completion and delivery) get their push retried.
-		for _, j := range redeliver {
-			m.deliverAsync(j)
 		}
 		for i := 0; i < m.cfg.MaxRunning; i++ {
 			m.wg.Add(1)
@@ -547,17 +521,14 @@ func (m *Manager) Cancel(id string) (Job, error) {
 	m.mu.Unlock()
 
 	if wasRunning && cancel != nil {
-		// runJob's finalize path emits the terminal event, checkpoints,
-		// and triggers the webhook once the item goroutines unwind.
+		// runJob's finalize path emits the terminal event and
+		// checkpoints once the item goroutines unwind.
 		cancel()
 		return j, nil
 	}
 	m.met.finished.With(string(StateCancelled)).Inc()
 	m.emitState(id)
 	m.checkpoint()
-	if j.Spec.Webhook != "" {
-		m.deliverAsync(j)
-	}
 	return j, nil
 }
 
@@ -576,8 +547,8 @@ func (m *Manager) worker() {
 
 // runJob executes one job: items in spec order, at most
 // Spec.Concurrency in flight, each through cfg.Runner. Every item
-// completion is an event and a checkpoint; the terminal transition
-// additionally fires the webhook.
+// completion and the terminal transition are each an event and a
+// checkpoint.
 func (m *Manager) runJob(id string) {
 	m.mu.Lock()
 	t, ok := m.jobs[id]
@@ -656,15 +627,11 @@ func (m *Manager) runJob(id string) {
 	m.mu.Lock()
 	t.cancel = nil
 	if t.job.State == StateCancelled {
-		j := t.job.clone()
 		m.mu.Unlock()
 		m.met.finished.With(string(StateCancelled)).Inc()
 		m.emitState(id)
 		m.checkpoint()
 		finish(StateCancelled)
-		if j.Spec.Webhook != "" {
-			m.deliverAsync(j)
-		}
 		return
 	}
 	if m.ctx.Err() != nil {
@@ -686,27 +653,22 @@ func (m *Manager) runJob(id string) {
 	fin := time.Now()
 	t.job.State = final
 	t.job.Finished = &fin
-	j := t.job.clone()
 	m.mu.Unlock()
 
 	m.met.finished.With(string(final)).Inc()
 	m.emitState(id)
 	m.checkpoint()
 	finish(final)
-	if j.Spec.Webhook != "" {
-		m.deliverAsync(j)
-	}
 }
 
 // Close shuts the manager down gracefully: running items are
 // interrupted, interrupted jobs revert to pending, and a final
 // checkpoint records that state so the next boot resumes them. Blocks
-// until workers and webhook deliveries exit.
+// until the workers exit.
 func (m *Manager) Close() {
 	m.stopOnce.Do(func() {
 		m.cancel()
 		m.wg.Wait()
-		m.whWG.Wait()
 		m.checkpoint()
 	})
 }
@@ -715,12 +677,11 @@ func (m *Manager) Close() {
 // final checkpoint — on-disk state is whatever the last per-item
 // checkpoint wrote, exactly as if the process had died. Used when a
 // forced shutdown must not block on IO, and by crash-resume tests.
+// Blocks until the workers exit.
 func (m *Manager) Kill() {
-	m.killed.Store(true)
 	m.stopOnce.Do(func() {
 		m.cancel()
 		m.wg.Wait()
-		m.whWG.Wait()
 	})
 }
 

@@ -1,23 +1,19 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/insight"
-	"repro/internal/metrics"
 	"repro/internal/telemetry"
 )
 
@@ -76,9 +72,9 @@ func TestJobLifecycleAndEvents(t *testing.T) {
 	}
 
 	// Subscribe before Start so every event is observed.
-	snap, ch, cancel, ok := m.Subscribe(j.ID)
-	if !ok {
-		t.Fatal("Subscribe failed")
+	snap, ch, cancel, err := m.Subscribe(j.ID)
+	if err != nil {
+		t.Fatal(err)
 	}
 	defer cancel()
 	if snap.Type != "state" || snap.State != StatePending || snap.Total != 3 {
@@ -160,9 +156,9 @@ func TestCancelRunningJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	_, ch, cancelSub, ok := m.Subscribe(j.ID)
-	if !ok {
-		t.Fatal("Subscribe failed")
+	_, ch, cancelSub, err := m.Subscribe(j.ID)
+	if err != nil {
+		t.Fatal(err)
 	}
 	defer cancelSub()
 	if _, err := m.Cancel(j.ID); err != nil {
@@ -312,224 +308,6 @@ func TestSnapshotDiscardedOnCorruption(t *testing.T) {
 	}
 }
 
-func TestWebhookRetryThenDeliver(t *testing.T) {
-	var hits atomic.Int32
-	var gotBody atomic.Value
-	sink := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if hits.Add(1) < 3 {
-			w.WriteHeader(http.StatusInternalServerError)
-			return
-		}
-		b, _ := io.ReadAll(r.Body)
-		gotBody.Store(string(b))
-	}))
-	defer sink.Close()
-
-	cfg := quietCfg(okRunner)
-	cfg.Webhook = WebhookConfig{backoff: time.Millisecond}
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	m.Start()
-	j, err := m.Submit(Spec{Experiments: []string{"a"}, Webhook: sink.URL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if got, _ := m.Get(j.ID); got.WebhookDelivered {
-			if got.WebhookAttempts != 3 {
-				t.Errorf("attempts = %d, want 3", got.WebhookAttempts)
-			}
-			body, _ := gotBody.Load().(string)
-			for _, want := range []string{`"event":"job.done"`, j.ID} {
-				if !strings.Contains(body, want) {
-					t.Errorf("webhook body missing %q:\n%s", want, body)
-				}
-			}
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatal("webhook never delivered")
-}
-
-func TestWebhookGivesUpAfterMaxAttempts(t *testing.T) {
-	var hits atomic.Int32
-	sink := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		w.WriteHeader(http.StatusBadGateway)
-	}))
-	defer sink.Close()
-
-	cfg := quietCfg(okRunner)
-	cfg.Webhook = WebhookConfig{backoff: time.Millisecond}
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Start()
-	j, err := m.Submit(Spec{Experiments: []string{"a"}, Webhook: sink.URL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, m, j.ID, StateDone)
-	// Wait for the delivery loop to exhaust its attempts before Close:
-	// shutdown aborts a pending retry by design (redelivery happens at
-	// the next boot), so closing early would end the loop at one attempt.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if got, _ := m.Get(j.ID); got.WebhookAttempts == webhookAttempts {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("webhook attempts never recorded (got %d)", func() int { j, _ := m.Get(j.ID); return j.WebhookAttempts }())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	m.Close()
-	if hits.Load() != webhookAttempts {
-		t.Errorf("sink hit %d times, want %d", hits.Load(), webhookAttempts)
-	}
-	if got, _ := m.Get(j.ID); got.WebhookDelivered || got.WebhookAttempts != webhookAttempts {
-		t.Errorf("delivery record = delivered=%v attempts=%d", got.WebhookDelivered, got.WebhookAttempts)
-	}
-}
-
-// TestWebhookExhaustedLogsOnce: with one logger shared by the jobs
-// manager and the insight plane, as spec17d wires them, a webhook that
-// runs out of attempts gives one warn line, from jobs, and one event.
-// Each failed attempt before it logs at info.
-func TestWebhookExhaustedLogsOnce(t *testing.T) {
-	var logs strings.Builder
-	var mu sync.Mutex
-	log := telemetry.NewLogger(writerFunc(func(p []byte) (int, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		return logs.Write(p)
-	}), slog.LevelInfo)
-	plane := insight.New(insight.Config{Metrics: metrics.NewRegistry(), Log: log, Interval: time.Hour})
-	defer plane.Stop()
-
-	cfg := quietCfg(okRunner)
-	cfg.Log = log
-	cfg.Webhook = WebhookConfig{backoff: time.Millisecond, Client: &http.Client{Transport: failingTransport{}}}
-	cfg.OnWebhookExhausted = plane.OnWebhookExhausted
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Start()
-	j, err := m.Submit(Spec{Experiments: []string{"a"}, Webhook: "http://unreachable.invalid/hook"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for len(plane.Events().Events(insight.EventWebhookExhausted, time.Time{}, 0)) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no webhook_exhausted event")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	m.Close()
-
-	mu.Lock()
-	out := logs.String()
-	mu.Unlock()
-	var warns, infos int
-	for _, line := range strings.Split(out, "\n") {
-		switch {
-		case strings.Contains(line, "level=warn"):
-			warns++
-			if !strings.Contains(line, `msg="jobs: webhook exhausted"`) || !strings.Contains(line, j.ID) {
-				t.Errorf("unexpected warn line: %s", line)
-			}
-		case strings.Contains(line, `level=info msg="jobs: webhook delivery failed"`):
-			infos++
-		}
-	}
-	if warns != 1 || infos != webhookAttempts {
-		t.Errorf("%d warn lines and %d failed-attempt info lines, want 1 and %d:\n%s", warns, infos, webhookAttempts, out)
-	}
-	if n := len(plane.Events().Events(insight.EventWebhookExhausted, time.Time{}, 0)); n != 1 {
-		t.Errorf("%d webhook_exhausted events, want 1", n)
-	}
-}
-
-type writerFunc func([]byte) (int, error)
-
-func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
-
-// TestRedeliverAfterRestart: a crash between job completion and
-// webhook delivery redelivers at the next boot.
-func TestRedeliverAfterRestart(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "jobs.json")
-
-	// Phase 1: job completes but every delivery attempt fails.
-	cfg1 := quietCfg(okRunner)
-	cfg1.Path = path
-	cfg1.Webhook = WebhookConfig{backoff: time.Millisecond,
-		Client: &http.Client{Transport: failingTransport{}}}
-	m1, err := New(cfg1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m1.Start()
-	j, err := m1.Submit(Spec{Experiments: []string{"a"}, Webhook: "http://unreachable.invalid/hook"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, m1, j.ID, StateDone)
-	m1.Close()
-
-	// Phase 2: boot with a working sink; Start redelivers.
-	delivered := make(chan struct{})
-	sink := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		close(delivered)
-	}))
-	defer sink.Close()
-	cfg2 := quietCfg(okRunner)
-	cfg2.Path = path
-	cfg2.Webhook = WebhookConfig{backoff: time.Millisecond,
-		Client: rewriteClient(sink.URL)}
-	m2, err := New(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m2.Close()
-	m2.Start()
-	select {
-	case <-delivered:
-	case <-time.After(10 * time.Second):
-		t.Fatal("undelivered webhook not retried after restart")
-	}
-}
-
-// failingTransport refuses every request without touching the network.
-type failingTransport struct{}
-
-func (failingTransport) RoundTrip(*http.Request) (*http.Response, error) {
-	return nil, errors.New("synthetic network failure")
-}
-
-// rewriteClient sends every request to base regardless of its URL.
-func rewriteClient(base string) *http.Client {
-	return &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
-		rewritten, err := http.NewRequestWithContext(r.Context(), r.Method, base, r.Body)
-		if err != nil {
-			return nil, err
-		}
-		rewritten.Header = r.Header
-		return http.DefaultTransport.RoundTrip(rewritten)
-	})}
-}
-
-type roundTripFunc func(*http.Request) (*http.Response, error)
-
-func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
-
 func TestMaxJobsEviction(t *testing.T) {
 	block := make(chan struct{})
 	cfg := quietCfg(func(ctx context.Context, j Job, item string) error {
@@ -613,8 +391,8 @@ func TestSubmitValidationAndClose(t *testing.T) {
 		t.Errorf("post-close submit err = %v, want ErrClosed", err)
 	}
 	// Subscribe to a terminal-free unknown id.
-	if _, _, _, ok := m.Subscribe("nope"); ok {
-		t.Error("Subscribe to unknown job succeeded")
+	if _, _, _, err := m.Subscribe("nope"); !errors.Is(err, ErrUnknownJob) {
+		t.Errorf("Subscribe to unknown job: err = %v, want ErrUnknownJob", err)
 	}
 }
 
@@ -630,9 +408,9 @@ func TestSubscribeToTerminalJobReplaysAndCloses(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, m, j.ID, StateDone)
-	snap, ch, cancel, ok := m.Subscribe(j.ID)
-	if !ok {
-		t.Fatal("Subscribe failed")
+	snap, ch, cancel, err := m.Subscribe(j.ID)
+	if err != nil {
+		t.Fatal(err)
 	}
 	defer cancel()
 	if !snap.Terminal() || snap.State != StateDone || snap.Done != 1 {
@@ -640,5 +418,164 @@ func TestSubscribeToTerminalJobReplaysAndCloses(t *testing.T) {
 	}
 	if _, open := <-ch; open {
 		t.Error("terminal job's event channel not closed")
+	}
+}
+
+// TestSubscriberCaps: a job takes maxJobSubscribers live subscribers
+// and refuses the next; cancelling one makes room again. Past
+// maxSubscribers over all jobs, a job with none is refused too, and
+// the subscribers gauge counts exactly the live ones throughout.
+func TestSubscriberCaps(t *testing.T) {
+	m, err := New(quietCfg(okRunner)) // never started: jobs stay pending
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	submit := func() string {
+		j, err := m.Submit(Spec{Experiments: []string{"a"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j.ID
+	}
+	gauge := func(want int) {
+		t.Helper()
+		if g := m.met.subscribers.Value(); g != float64(want) {
+			t.Fatalf("subscribers gauge = %v, want %d", g, want)
+		}
+	}
+	fill := func(id string) []func() {
+		var cancels []func()
+		for i := 0; i < maxJobSubscribers; i++ {
+			_, _, cancel, err := m.Subscribe(id)
+			if err != nil {
+				t.Fatalf("subscriber %d of %d: %v", i+1, maxJobSubscribers, err)
+			}
+			cancels = append(cancels, cancel)
+		}
+		return cancels
+	}
+
+	first := submit()
+	cancels := fill(first)
+	gauge(maxJobSubscribers)
+	if _, _, _, err := m.Subscribe(first); !errors.Is(err, ErrTooManySubscribers) {
+		t.Fatalf("subscriber past the per-job cap: err = %v, want ErrTooManySubscribers", err)
+	}
+	gauge(maxJobSubscribers)
+	cancels[0]()
+	cancels[0]() // idempotent: counts once
+	gauge(maxJobSubscribers - 1)
+	if _, _, cancel, err := m.Subscribe(first); err != nil {
+		t.Fatalf("subscriber after one cancelled: %v", err)
+	} else {
+		cancels[0] = cancel
+	}
+	gauge(maxJobSubscribers)
+
+	for n := maxJobSubscribers; n < maxSubscribers; n += maxJobSubscribers {
+		fill(submit())
+	}
+	gauge(maxSubscribers)
+	if _, _, _, err := m.Subscribe(submit()); !errors.Is(err, ErrTooManySubscribers) {
+		t.Fatalf("subscriber past the total cap: err = %v, want ErrTooManySubscribers", err)
+	}
+
+	// A terminal job's stream closes at once and holds no slot.
+	if _, err := m.Cancel(first); err != nil {
+		t.Fatal(err)
+	}
+	gauge(maxSubscribers - maxJobSubscribers)
+	if _, ch, _, err := m.Subscribe(first); err != nil {
+		t.Fatalf("subscribing to a terminal job: %v", err)
+	} else if _, open := <-ch; open {
+		t.Error("terminal job's event channel not closed")
+	}
+	gauge(maxSubscribers - maxJobSubscribers)
+}
+
+// TestSubscribersConcurrent: subscribers that attach and cancel from
+// many goroutines while a job runs to completion leave no slot taken
+// and the gauge at zero.
+func TestSubscribersConcurrent(t *testing.T) {
+	m, err := New(quietCfg(okRunner))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	j, err := m.Submit(Spec{Experiments: []string{"a", "b", "c", "d"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				_, ch, cancel, err := m.Subscribe(j.ID)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if i%2 == 0 {
+					for range ch {
+					}
+				}
+				cancel()
+			}
+		}()
+	}
+	m.Start()
+	waitState(t, m, j.ID, StateDone)
+	wg.Wait()
+	m.mu.Lock()
+	n := m.nsubs
+	m.mu.Unlock()
+	if g := m.met.subscribers.Value(); n != 0 || g != 0 {
+		t.Fatalf("after every subscriber left: %d counted, gauge %v", n, g)
+	}
+}
+
+// TestLoadSnapshotWithWebhookFields: a snapshot written while jobs
+// could carry a webhook URL still loads. Its spec.webhook,
+// webhook_delivered and webhook_attempts keys are ignored, the job is
+// kept, and the next checkpoint no longer writes them.
+func TestLoadSnapshotWithWebhookFields(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.json")
+	old := `{"version": 1, "jobs": [{
+		"id": "00000000000000ff",
+		"spec": {"experiments": ["table2"], "webhook": "http://127.0.0.1:1/hook"},
+		"state": "done",
+		"created": "2026-01-02T03:04:05Z",
+		"finished": "2026-01-02T03:04:05Z",
+		"items": [{"id": "table2", "status": "done"}],
+		"webhook_delivered": false,
+		"webhook_attempts": 5
+	}]}`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := quietCfg(okRunner)
+	cfg.Path = path
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatalf("old snapshot refused: %v", err)
+	}
+	m.Start()
+	j, ok := m.Get("00000000000000ff")
+	if !ok {
+		t.Fatal("job from the old snapshot not kept")
+	}
+	if j.State != StateDone || len(j.Items) != 1 || j.Items[0].Status != ItemDone {
+		t.Fatalf("loaded job = %+v", j)
+	}
+	m.Close() // writes the final checkpoint
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(data, []byte("00000000000000ff")) || bytes.Contains(data, []byte("webhook")) {
+		t.Fatalf("checkpoint after load:\n%s", data)
 	}
 }

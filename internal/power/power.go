@@ -96,7 +96,7 @@ func (m Model) Estimate(a Activity) (Breakdown, error) {
 		simdFrac = float64(a.SIMDOps) / float64(a.Instructions)
 	}
 	return Breakdown{
-		Core: m.CoreStatic + m.CorePerIPC*ipc*(1+m.FPWeight*fpFrac+m.SIMDWeight*simdFrac),
+		Core: m.CoreStatic + float64(m.CorePerIPC*ipc*(1+float64(m.FPWeight*fpFrac)+float64(m.SIMDWeight*simdFrac))),
 		LLC:  m.LLCStatic + m.LLCPerAPC*float64(a.LLCAccesses)/cyc,
 		DRAM: m.DRAMStatic + m.DRAMPerMPC*float64(a.MemAccesses)/cyc,
 	}, nil

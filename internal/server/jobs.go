@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/url"
 	"strconv"
 	"time"
 
@@ -49,12 +48,6 @@ func (s *Server) estimateItemSeconds(spec jobs.Spec) float64 {
 // job gets a root job.run trace spanning the whole sweep, and job
 // state checkpoints next to the measurement store's snapshot.
 func (s *Server) newJobManager() {
-	// A lost webhook is invisible to the submitter until they poll; the
-	// insight plane turns it into a typed operator event.
-	var onExhausted func(string, string, int, error)
-	if ins := s.cfg.Insight; ins != nil {
-		onExhausted = ins.OnWebhookExhausted
-	}
 	m, err := jobs.New(jobs.Config{
 		Path:       s.cfg.JobsPath,
 		MaxJobs:    s.cfg.MaxJobs,
@@ -75,13 +68,8 @@ func (s *Server) newJobManager() {
 			}
 		},
 		EstimateItemSeconds: s.estimateItemSeconds,
-		Webhook: jobs.WebhookConfig{
-			Timeout:  s.cfg.WebhookTimeout,
-			Disabled: s.cfg.WebhookTimeout < 0,
-		},
-		OnWebhookExhausted: onExhausted,
-		Metrics:            s.cfg.Metrics,
-		Log:                s.cfg.Log,
+		Metrics:             s.cfg.Metrics,
+		Log:                 s.cfg.Log,
 	})
 	if err != nil {
 		s.cfg.Log.Warn("jobs snapshot discarded", "err", err)
@@ -112,36 +100,22 @@ func (s *Server) runJobItem(ctx context.Context, j jobs.Job, item string) error 
 	return err
 }
 
-// jobSubmitRequest is the POST /v1/jobs body: a batch request plus
-// push delivery.
-type jobSubmitRequest struct {
-	batchRequest
-	// Webhook, when set, receives the job's terminal state by POST.
-	Webhook string `json:"webhook,omitempty"`
-}
-
 // handleJobSubmit is POST /v1/jobs: validate the sweep up front
-// (everything a batch request validates, plus the webhook URL),
-// submit, answer 202 with the job record and a Location header.
+// (its body is a batch request, validated the same way, so an unknown
+// key is a 400), submit, answer 202 with the job record and a
+// Location header. Completion is read by polling the job or streaming
+// its events.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.refuseDraining(w) {
 		return
 	}
-	var req jobSubmitRequest
+	var req batchRequest
 	if !decodeBody(w, r, "job", maxJobBodyBytes, &req) {
 		return
 	}
-	sw, ok := s.checkSweep(w, req.batchRequest)
+	sw, ok := s.checkSweep(w, req)
 	if !ok {
 		return
-	}
-	if req.Webhook != "" {
-		u, err := url.Parse(req.Webhook)
-		if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-			writeError(w, http.StatusBadRequest, codeBadOptions,
-				fmt.Sprintf("webhook=%q: must be an absolute http(s) URL", req.Webhook), nil)
-			return
-		}
 	}
 
 	j, err := s.jobs.Submit(jobs.Spec{
@@ -150,7 +124,6 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		Warmup:       req.Warmup,
 		Engine:       req.Engine,
 		Concurrency:  sw.conc,
-		Webhook:      req.Webhook,
 		Client:       clientKey(r),
 	})
 	switch {
@@ -265,10 +238,15 @@ func (s *Server) handleJobResults(w http.ResponseWriter, r *http.Request) {
 // nothing they still need), then carries one event per item
 // completion and state transition, and ends itself once the job is
 // terminal. Deliberately untraced: a stream that lives for the whole
-// sweep must not pin an admission in-flight slot.
+// sweep must not pin an admission in-flight slot. The manager bounds
+// live streams per job and overall; past a bound the answer is 429.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	snap, ch, cancel, ok := s.jobs.Subscribe(r.PathValue("id"))
-	if !ok {
+	snap, ch, cancel, err := s.jobs.Subscribe(r.PathValue("id"))
+	switch {
+	case errors.Is(err, jobs.ErrTooManySubscribers):
+		writeShed(w, err.Error(), 0)
+		return
+	case err != nil:
 		writeError(w, http.StatusNotFound, codeUnknownJob,
 			fmt.Sprintf("unknown job %q", r.PathValue("id")), nil)
 		return

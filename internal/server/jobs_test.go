@@ -5,12 +5,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -129,39 +130,6 @@ func readSSE(t *testing.T, ts *httptest.Server, id string) []sseEvent {
 	return evs
 }
 
-// webhookSink records every delivery it receives and signals each one.
-type webhookSink struct {
-	ts     *httptest.Server
-	mu     sync.Mutex
-	bodies [][]byte
-	got    chan struct{}
-}
-
-func newWebhookSink() *webhookSink {
-	sink := &webhookSink{got: make(chan struct{}, 16)}
-	sink.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var buf bytes.Buffer
-		buf.ReadFrom(r.Body)
-		sink.mu.Lock()
-		sink.bodies = append(sink.bodies, buf.Bytes())
-		sink.mu.Unlock()
-		sink.got <- struct{}{}
-	}))
-	return sink
-}
-
-func (s *webhookSink) wait(t *testing.T) []byte {
-	t.Helper()
-	select {
-	case <-s.got:
-	case <-time.After(10 * time.Second):
-		t.Fatal("webhook never delivered")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bodies[len(s.bodies)-1]
-}
-
 // resultLine is one parsed NDJSON line, reduced to the fields that
 // must be identical between a job's results and a batch response
 // (elapsed_ms, cached, and trace_id legitimately differ per request).
@@ -187,13 +155,10 @@ func parseLines(t *testing.T, body []byte) []resultLine {
 }
 
 // TestJobLifecycle drives the whole async path over HTTP: submit a
-// sweep, watch it through SSE, fetch the results, and receive the
-// webhook — and the result bytes must equal what /v1/batch returns
-// for the same inputs.
+// sweep, watch it through SSE, poll it to done and fetch the results
+// — and the result bytes must equal what /v1/batch returns for the
+// same inputs.
 func TestJobLifecycle(t *testing.T) {
-	sink := newWebhookSink()
-	defer sink.ts.Close()
-
 	s, computations := newTestServer(Config{})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
@@ -202,7 +167,6 @@ func TestJobLifecycle(t *testing.T) {
 	j := submitJob(t, ts, map[string]any{
 		"experiments":  []string{"table1", "table2", "fig2"},
 		"instructions": 5000,
-		"webhook":      sink.ts.URL,
 	})
 	if len(j.Items) != 3 {
 		t.Fatalf("job has %d items, want 3", len(j.Items))
@@ -269,16 +233,6 @@ func TestJobLifecycle(t *testing.T) {
 		}
 	}
 
-	// The webhook delivery carries the terminal record.
-	payload := sink.wait(t)
-	if !strings.Contains(string(payload), `"event": "job.done"`) &&
-		!strings.Contains(string(payload), `"event":"job.done"`) {
-		t.Errorf("webhook payload missing job.done event: %s", payload)
-	}
-	if !strings.Contains(string(payload), j.ID) {
-		t.Errorf("webhook payload missing job id %s: %s", j.ID, payload)
-	}
-
 	// Every item computed exactly once across job + batch + results:
 	// the three share the cache, so 3 items = 3 computations.
 	if n := computations.Load(); n != 3 {
@@ -314,6 +268,54 @@ func TestJobResultsBeforeDone(t *testing.T) {
 	}
 	close(release)
 	waitJobDone(t, ts, j.ID)
+}
+
+// TestJobEventsShedPastSubscriberCap: once a job has as many live
+// event streams as the manager allows, GET /v1/jobs/{id}/events
+// answers 429 with Retry-After; when one stream ends, a new one opens.
+func TestJobEventsShedPastSubscriberCap(t *testing.T) {
+	s, _ := newTestServer(Config{})
+	defer s.Close()
+	release := make(chan struct{})
+	inner := s.jobsRunner
+	s.jobsRunner = func(ctx context.Context, j jobs.Job, item string) error {
+		<-release
+		return inner(ctx, j, item)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	j := submitJob(t, ts, map[string]any{"experiments": []string{"table1"}, "instructions": 5000})
+	var cancels []func()
+	for {
+		_, _, cancel, err := s.jobs.Subscribe(j.ID)
+		if errors.Is(err, jobs.ErrTooManySubscribers) {
+			break
+		}
+		if err != nil || len(cancels) > 1024 {
+			t.Fatalf("after %d subscribers: err = %v", len(cancels), err)
+		}
+		cancels = append(cancels, cancel)
+	}
+	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + j.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("events past the cap: status %d, Retry-After %q, body %s",
+			resp.StatusCode, resp.Header.Get("Retry-After"), body)
+	}
+
+	cancels[0]()
+	close(release)
+	if evs := readSSE(t, ts, j.ID); len(evs) == 0 || !evs[len(evs)-1].data.Terminal() {
+		t.Fatalf("stream after one subscriber left: %+v", evs)
+	}
+	for _, cancel := range cancels[1:] {
+		cancel()
+	}
 }
 
 // TestJobCancel: DELETE /v1/jobs/{id} cancels a running sweep; its
@@ -385,16 +387,17 @@ func TestJobSubmitValidation(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		req  map[string]any
+		code string
 		want string
 	}{
-		{"no experiments", map[string]any{}, ""},
-		{"unknown experiment", map[string]any{"experiments": []string{"nope"}}, "nope"},
-		{"bad engine", map[string]any{"experiments": []string{"table1"}, "engine": "warp"}, "valid: exact, analytic, auto"},
-		{"relative webhook", map[string]any{"experiments": []string{"table1"}, "webhook": "/hook"}, "absolute http(s) URL"},
-		{"ftp webhook", map[string]any{"experiments": []string{"table1"}, "webhook": "ftp://x/hook"}, "absolute http(s) URL"},
-		{"negative concurrency", map[string]any{"experiments": []string{"table1"}, "concurrency": -1}, "non-negative"},
-		{"unknown field", map[string]any{"experiments": []string{"table1"}, "priority": 9}, "priority"},
-		{"negative instructions", map[string]any{"experiments": []string{"table1"}, "instructions": -5}, ""},
+		{"no experiments", map[string]any{}, codeUnknownExperiment, ""},
+		{"unknown experiment", map[string]any{"experiments": []string{"nope"}}, codeUnknownExperiment, "nope"},
+		{"bad engine", map[string]any{"experiments": []string{"table1"}, "engine": "warp"}, codeBadOptions, "valid: exact, analytic, auto"},
+		// Jobs take no callback URL: completion is polled or streamed.
+		{"webhook", map[string]any{"experiments": []string{"table1"}, "webhook": "http://127.0.0.1:1/hook"}, codeBadOptions, "webhook"},
+		{"negative concurrency", map[string]any{"experiments": []string{"table1"}, "concurrency": -1}, codeBadOptions, "non-negative"},
+		{"unknown field", map[string]any{"experiments": []string{"table1"}, "priority": 9}, codeBadOptions, "priority"},
+		{"negative instructions", map[string]any{"experiments": []string{"table1"}, "instructions": -5}, codeBadOptions, ""},
 	} {
 		code, _, body := postJSON(t, ts, "/v1/jobs", tc.req)
 		if code != http.StatusBadRequest {
@@ -408,6 +411,9 @@ func TestJobSubmitValidation(t *testing.T) {
 		}
 		if e.Error.Code == "" || e.Error.Message == "" {
 			t.Errorf("%s: envelope missing code/message: %s", tc.name, body)
+		}
+		if e.Error.Code != tc.code {
+			t.Errorf("%s: code %q, want %q", tc.name, e.Error.Code, tc.code)
 		}
 		if tc.want != "" && !strings.Contains(string(body), tc.want) {
 			t.Errorf("%s: body %s does not contain %q", tc.name, body, tc.want)

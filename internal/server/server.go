@@ -124,9 +124,6 @@ type Config struct {
 	// persistent store, jobs are memory-only and do not survive
 	// restarts.
 	JobsPath string
-	// WebhookTimeout bounds one job-webhook delivery attempt. 0
-	// defaults to 5s; negative disables webhook delivery entirely.
-	WebhookTimeout time.Duration
 	// Store, when set, backs every Lab the server builds: measurements
 	// are content-addressed, deduplicated across fidelities, and — when
 	// the store has a snapshot path — survive restarts, so a warm
@@ -179,9 +176,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.JobWorkers <= 0 {
 		c.JobWorkers = 2
-	}
-	if c.WebhookTimeout == 0 {
-		c.WebhookTimeout = 5 * time.Second
 	}
 	if c.JobsPath == "" && c.Store != nil && c.Store.Path() != "" {
 		c.JobsPath = c.Store.Path() + ".jobs"

@@ -136,19 +136,29 @@ func firstNonFinite(m *Matrix) (i, j int, ok bool) {
 // row or column.
 var ErrEmptyMatrix = errors.New("stats: empty matrix")
 
-// ColumnMeans returns the per-column means.
+// ColumnMeans returns the per-column means. A column whose values
+// are all equal has exactly that value as its mean, so it centres to
+// exact zeros: ten rows of 0.1 sum to a mean of 0.09999999999999999,
+// which would leave rounding noise where ColumnStddevs, Covariance and
+// Correlation must give 0. (An all-zero column's sum is already +0.)
 func (m *Matrix) ColumnMeans() ([]float64, error) {
 	if m.rows == 0 || m.cols == 0 {
 		return nil, ErrEmptyMatrix
 	}
 	means := make([]float64, m.cols)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			means[j] += m.data[i*m.cols+j]
-		}
-	}
 	for j := range means {
-		means[j] /= float64(m.rows)
+		first := m.data[j]
+		sum, constant := 0.0, true
+		for i := 0; i < m.rows; i++ {
+			x := m.data[i*m.cols+j]
+			sum += x
+			constant = constant && x == first
+		}
+		if constant && first != 0 {
+			means[j] = first
+		} else {
+			means[j] = sum / float64(m.rows)
+		}
 	}
 	return means, nil
 }

@@ -157,6 +157,56 @@ func TestCorrelationConstantColumn(t *testing.T) {
 	}
 }
 
+// TestConstantColumnIsExact: a column of ten 0.1s, whose summed mean
+// is 0.09999999999999999, still has mean 0.1, standard deviation 0,
+// zero covariances and zero correlations with every other column.
+func TestConstantColumnIsExact(t *testing.T) {
+	rows := make([][]float64, 10)
+	for i := range rows {
+		rows[i] = []float64{0.1, float64(i * i), -0.3}
+	}
+	var sum float64
+	for range rows {
+		sum += 0.1
+	}
+	if sum/10 == 0.1 {
+		t.Fatalf("summed mean of ten 0.1s is exact (%v); the case tests nothing", sum/10)
+	}
+	m, _ := MatrixFromRows(rows)
+	means, err := m.ColumnMeans()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if means[0] != 0.1 || means[2] != -0.3 {
+		t.Fatalf("means = %v, want 0.1 and -0.3 for the constant columns", means)
+	}
+	sds, err := m.ColumnStddevs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sds[0] != 0 || sds[2] != 0 || sds[1] <= 0 {
+		t.Fatalf("stddevs = %v", sds)
+	}
+	cov, err := m.Covariance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	corr, err := m.Correlation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []int{0, 2} {
+		for k := 0; k < 3; k++ {
+			if cov.At(c, k) != 0 || cov.At(k, c) != 0 {
+				t.Errorf("cov(%d,%d) = %v, cov(%d,%d) = %v, want 0", c, k, cov.At(c, k), k, c, cov.At(k, c))
+			}
+			if k != c && (corr.At(c, k) != 0 || corr.At(k, c) != 0) {
+				t.Errorf("corr(%d,%d) = %v, corr(%d,%d) = %v, want 0", c, k, corr.At(c, k), k, c, corr.At(k, c))
+			}
+		}
+	}
+}
+
 func TestCovarianceNeedsTwoRows(t *testing.T) {
 	m := NewMatrix(1, 3)
 	if _, err := m.Covariance(); err == nil {
