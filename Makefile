@@ -41,8 +41,12 @@ fmt-check:
 # twice, so it would give other bits than amd64, which never fuses;
 # an explicit float64(x*y) conversion keeps the product rounded. The
 # builds also prove that the portable rotateGo fallback compiles.
+# internal/admission and internal/insight feed no result, but their
+# floats decide what is shed and what raises an event, which should
+# not differ by host either.
 FMA_ARCHS ?= arm64 ppc64le riscv64 s390x
-FMA_PKGS ?= ./internal/stats ./internal/cluster ./internal/counters ./internal/power ./internal/experiments
+FMA_PKGS ?= ./internal/stats ./internal/cluster ./internal/counters ./internal/power ./internal/experiments \
+	./internal/admission ./internal/insight
 
 fma-check:
 	@for arch in $(FMA_ARCHS); do \

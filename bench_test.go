@@ -345,10 +345,10 @@ func TestStoreHitFastPathAllocs(t *testing.T) {
 }
 
 // TestStoreHitFastPathAllocsWithInsight extends the same contract to
-// the insight plane: metric sampling runs on a ticker goroutine and
-// drift scoring on the put that completes a pair (store.OnPair), so a
-// store with a live plane attached — even one that has already
-// sampled — must keep the identical warm-hit allocation bound. A
+// the insight plane: the shed-spike check runs on a ticker goroutine
+// and drift scoring on the put that completes a pair (store.OnPair),
+// so a store with a live plane attached — even one that has already
+// ticked — must keep the identical warm-hit allocation bound. A
 // future per-Get drift hook would trip this immediately.
 func TestStoreHitFastPathAllocsWithInsight(t *testing.T) {
 	plane := insight.New(insight.Config{
@@ -363,7 +363,7 @@ func TestStoreHitFastPathAllocsWithInsight(t *testing.T) {
 	}
 	key := store.Key{Machine: "m", Workload: "w", Instructions: 400_000, Content: "deadbeef"}
 	st.Put(key, &machine.RawCounts{})
-	plane.Tick() // sample the registry once
+	plane.Tick() // tick once
 	ctx := context.Background()
 	compute := func(context.Context) (*machine.RawCounts, error) {
 		panic("compute called on a warm hit")

@@ -14,7 +14,7 @@
 //	        [-request-timeout d]
 //	        [-jobs] [-max-jobs n] [-job-workers n]
 //	        [-trace] [-trace-ring n] [-trace-slow d]
-//	        [-insight] [-insight-interval d] [-slo-latency-ms n]
+//	        [-insight] [-insight-interval d]
 //	        [-pprof-addr addr] [-log-level level]
 //
 // Endpoints:
@@ -34,7 +34,6 @@
 //	GET  /v1/healthz                      liveness (503 once draining)
 //	GET  /v1/status                       runtime introspection
 //	GET  /v1/traces                       finished request traces
-//	GET  /v1/metrics/history              sampled metric time series
 //	GET  /v1/accuracy                     analytic-vs-exact drift totals
 //	GET  /v1/events                       recorded anomaly events
 //	GET  /healthz
@@ -101,7 +100,6 @@ type daemonConfig struct {
 
 	insight         bool
 	insightInterval time.Duration
-	sloLatencyMS    int
 
 	pprofAddr string
 	logLevel  slog.Level
@@ -141,9 +139,8 @@ func parseFlags(args []string, stderr io.Writer) (*daemonConfig, error) {
 	fs.BoolVar(&cfg.trace, "trace", true, "record per-request span trees, served at /v1/traces")
 	fs.IntVar(&cfg.traceRing, "trace-ring", 256, "finished traces to retain in memory")
 	fs.DurationVar(&cfg.traceSlow, "trace-slow", 0, "log the full span tree of traces slower than this (0 disables)")
-	fs.BoolVar(&cfg.insight, "insight", true, "run the self-monitoring plane (/v1/metrics/history, /v1/accuracy, /v1/events)")
-	fs.DurationVar(&cfg.insightInterval, "insight-interval", 5*time.Second, "insight sampling period, at least 1s; history keeps the SLO's 1h slow window at this period")
-	fs.IntVar(&cfg.sloLatencyMS, "slo-latency-ms", 500, "per-request latency objective for SLO burn tracking, in milliseconds (0 disables)")
+	fs.BoolVar(&cfg.insight, "insight", true, "run the self-monitoring plane (/v1/accuracy, /v1/events)")
+	fs.DurationVar(&cfg.insightInterval, "insight-interval", 5*time.Second, "insight tick period, at least 1s; a shed spike is 10 admission rejections within one tick")
 	fs.StringVar(&cfg.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this address (empty disables; keep it private)")
 	fs.TextVar(&cfg.logLevel, "log-level", slog.LevelInfo, "minimum log `level` (debug, info, warn, error)")
 	if err := fs.Parse(args); err != nil {
@@ -166,7 +163,6 @@ func parseFlags(args []string, stderr io.Writer) (*daemonConfig, error) {
 		{"request-timeout", cfg.requestTO < 0},
 		{"max-jobs", cfg.maxJobs < 0},
 		{"job-workers", cfg.jobWorkers < 0},
-		{"slo-latency-ms", cfg.sloLatencyMS < 0},
 	} {
 		if check.bad {
 			err := fmt.Errorf("must not be negative")
@@ -175,8 +171,9 @@ func parseFlags(args []string, stderr io.Writer) (*daemonConfig, error) {
 			return nil, err
 		}
 	}
-	// The history rings hold the SLO's slow window at this period, so
-	// their memory grows as 1/interval: ~4 MB at 5s, ~17 MB at 1s.
+	// Each tick snapshots the whole registry, and a shed spike is
+	// counted within one tick: a shorter period would cost more and
+	// would take a faster overload to report one.
 	if cfg.insightInterval < minInsightInterval {
 		err := fmt.Errorf("must be at least %v", minInsightInterval)
 		fmt.Fprintf(stderr, "invalid value %v for flag -insight-interval: %v\n", cfg.insightInterval, err)
@@ -211,9 +208,6 @@ func main() {
 			Metrics:  reg,
 			Log:      logger,
 			Interval: cfg.insightInterval,
-			SLO: insight.SLOConfig{
-				Latency: time.Duration(cfg.sloLatencyMS) * time.Millisecond,
-			},
 		})
 	}
 
@@ -256,8 +250,7 @@ func main() {
 	if plane != nil {
 		plane.Start()
 		defer plane.Stop()
-		logger.Info("insight plane sampling", "interval", plane.Interval(),
-			"ring", plane.Recorder().Capacity(), "slo_latency_ms", cfg.sloLatencyMS)
+		logger.Info("insight plane sampling", "interval", plane.Interval())
 	}
 
 	if cfg.pprofAddr != "" {

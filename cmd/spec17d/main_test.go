@@ -190,10 +190,9 @@ func TestParseFlagsAdmission(t *testing.T) {
 }
 
 // Insight flags default to an enabled plane at a 5s cadence, land in
-// the config verbatim, and reject negative values, an interval under
-// the 1s floor (the history rings grow as 1/interval), and the removed
-// -insight-ring at parse time (exit 2 in main) with stderr naming the
-// offending flag.
+// the config verbatim, and reject a negative interval, one under the
+// 1s floor, and the removed -insight-ring and -slo-latency-ms at parse
+// time (exit 2 in main) with stderr naming the offending flag.
 func TestParseFlagsInsight(t *testing.T) {
 	var buf strings.Builder
 	cfg, err := parseFlags(nil, &buf)
@@ -206,22 +205,16 @@ func TestParseFlagsInsight(t *testing.T) {
 	if cfg.insightInterval != 5*time.Second {
 		t.Errorf("insightInterval = %v, want 5s", cfg.insightInterval)
 	}
-	if cfg.sloLatencyMS != 500 {
-		t.Errorf("sloLatencyMS = %d, want 500", cfg.sloLatencyMS)
-	}
 
-	cfg, err = parseFlags([]string{
-		"-insight=false", "-insight-interval", "1s", "-slo-latency-ms", "250",
-	}, &buf)
+	cfg, err = parseFlags([]string{"-insight=false", "-insight-interval", "1s"}, &buf)
 	if err != nil {
 		t.Fatalf("parseFlags() = %v; stderr:\n%s", err, buf.String())
 	}
 	if cfg.insight {
 		t.Error("insight = true, want false")
 	}
-	if cfg.insightInterval != time.Second || cfg.sloLatencyMS != 250 {
-		t.Errorf("insightInterval = %v, sloLatencyMS = %d",
-			cfg.insightInterval, cfg.sloLatencyMS)
+	if cfg.insightInterval != time.Second {
+		t.Errorf("insightInterval = %v, want 1s", cfg.insightInterval)
 	}
 
 	for _, tc := range []struct {
@@ -230,8 +223,8 @@ func TestParseFlagsInsight(t *testing.T) {
 	}{
 		{[]string{"-insight-interval", "-1s"}, "-insight-interval"},
 		{[]string{"-insight-interval", "500ms"}, "-insight-interval"},
-		{[]string{"-slo-latency-ms", "-100"}, "-slo-latency-ms"},
-		{[]string{"-insight-ring", "60"}, "-insight-ring"}, // removed: history spans the SLO window
+		{[]string{"-insight-ring", "60"}, "-insight-ring"},      // removed with the history rings
+		{[]string{"-slo-latency-ms", "500"}, "-slo-latency-ms"}, // removed: burn rates are PromQL over /metrics
 	} {
 		var buf strings.Builder
 		_, err := parseFlags(tc.args, &buf)

@@ -187,7 +187,7 @@ func (c *Controller) take(client string, cost float64) Decision {
 		c.buckets[client] = b
 	}
 	// Refill since last update, capped at Burst.
-	b.tokens = math.Min(c.cfg.Burst, b.tokens+now.Sub(b.updated).Seconds()*c.cfg.Rate)
+	b.tokens = math.Min(c.cfg.Burst, b.tokens+float64(now.Sub(b.updated).Seconds()*c.cfg.Rate))
 	b.updated = now
 	b.lastUse = now
 	if b.tokens < cost {
@@ -242,7 +242,7 @@ func (c *Controller) evictLocked(now time.Time) {
 	var lruKey string
 	var lruUse time.Time
 	for k, b := range c.buckets {
-		if b.tokens+now.Sub(b.updated).Seconds()*c.cfg.Rate >= c.cfg.Burst {
+		if b.tokens+float64(now.Sub(b.updated).Seconds()*c.cfg.Rate) >= c.cfg.Burst {
 			delete(c.buckets, k)
 			continue
 		}

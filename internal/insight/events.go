@@ -3,12 +3,11 @@ package insight
 // The event ring: a bounded in-memory log of typed anomalies. Metrics
 // answer "how much"; events answer "what happened, when" — a tolerance
 // band violated, a shed spike, a slow request, a checkpoint that
-// failed to persist, an SLO starting to burn. Every event reaches the
-// structured log once (so an operator tailing stderr sees it live):
-// the plane logs the anomalies it detects, and the tracer and store
-// log the ones they report through the plane's hooks. Each is counted
-// in spec17d_insight_events_total{type}; GET /v1/events serves the
-// ring.
+// failed to persist. Every event reaches the structured log once (so
+// an operator tailing stderr sees it live): the plane logs the
+// anomalies it detects, and the tracer and store log the ones they
+// report through the plane's hooks. Each is counted in
+// spec17d_insight_events_total{type}; GET /v1/events serves the ring.
 
 import (
 	"log/slog"
@@ -36,9 +35,6 @@ const (
 	// EventCheckpointFailure: a background store checkpoint failed to
 	// save (the previous on-disk snapshot stays intact).
 	EventCheckpointFailure EventType = "checkpoint_failure"
-	// EventSLOBurn: an endpoint began burning its latency or error
-	// budget in both the fast and slow windows.
-	EventSLOBurn EventType = "slo_burn"
 )
 
 // KnownEventTypes returns the closed event-type set, for validation
@@ -46,7 +42,7 @@ const (
 func KnownEventTypes() []EventType {
 	return []EventType{
 		EventBandViolation, EventShedSpike, EventSlowTrace,
-		EventCheckpointFailure, EventSLOBurn,
+		EventCheckpointFailure,
 	}
 }
 

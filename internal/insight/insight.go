@@ -1,23 +1,21 @@
 // Package insight is spec17d's self-monitoring plane: the daemon
-// watching itself with no external dependencies. Four cooperating
+// watching itself with no external dependencies. Two cooperating
 // pieces:
 //
-//   - a metric-history recorder capturing the whole metrics registry
-//     into bounded in-memory rings (GET /v1/metrics/history);
 //   - an accuracy-drift monitor comparing analytically-served results
 //     against the exact re-measurements the auto tier lands in the
 //     background, once per pair as the store forms it
 //     (GET /v1/accuracy);
 //   - a typed anomaly-event ring — band violations, shed spikes, slow
-//     traces, checkpoint failures, SLO burns
-//     (GET /v1/events);
-//   - per-endpoint SLO burn rates derived from the recorder's own
-//     rings (inside GET /v1/status).
+//     traces, checkpoint failures (GET /v1/events).
 //
-// Everything is strictly bounded in memory. Sampling happens on a
-// background ticker; the one request-path cost is scoring a drift
-// pair, paid by the put that completes it. A daemon built without a
-// Plane serves byte-identical responses.
+// Metric history and SLO burn rates are not kept here: a scraper of
+// /metrics keeps the history, and docs/OBSERVABILITY.md gives the
+// burn rates as PromQL over it. Everything is strictly bounded in
+// memory. Shed-spike detection runs on a background ticker; the one
+// request-path cost is scoring a drift pair, paid by the put that
+// completes it. A daemon built without a Plane serves byte-identical
+// responses.
 package insight
 
 import (
@@ -46,19 +44,16 @@ const eventRing = 256
 // Config configures a Plane. Metrics is required; everything else has
 // a usable default.
 type Config struct {
-	// Metrics is the registry to sample (and where the plane's own
-	// instruments land).
+	// Metrics is the registry whose admission rejections each tick
+	// reads (and where the plane's own instruments land).
 	Metrics *metrics.Registry
 	// Log receives the events the plane detects itself (the hooks'
 	// callers log theirs). Defaults to an info-level structured logger
 	// on stderr.
 	Log *slog.Logger
-	// Interval is the sampling period. Defaults to 5s. The history
-	// rings hold the SLO's slow window at this period, so their memory
-	// scales with slowWindow/Interval (721 samples a series at 5s).
+	// Interval is the tick period, over which a shed spike is
+	// counted. Defaults to 5s.
 	Interval time.Duration
-	// SLO sets the per-endpoint objectives.
-	SLO SLOConfig
 	// Now overrides the clock (tests).
 	Now func() time.Time
 }
@@ -78,33 +73,24 @@ func (c Config) withDefaults() Config {
 
 // Status is the insight section of GET /v1/status.
 type Status struct {
-	IntervalSeconds float64       `json:"interval_seconds"`
-	RingCapacity    int           `json:"ring_capacity"`
-	SeriesTracked   int           `json:"series_tracked"`
-	Samples         int64         `json:"samples"`
-	EventsBuffered  int           `json:"events_buffered"`
-	EventsTotal     uint64        `json:"events_total"`
-	SLO             []EndpointSLO `json:"slo,omitempty"`
+	IntervalSeconds float64 `json:"interval_seconds"`
+	Samples         int64   `json:"samples"`
+	EventsBuffered  int     `json:"events_buffered"`
+	EventsTotal     uint64  `json:"events_total"`
 }
 
 // Plane is the self-monitoring plane. Create with New, wire the
-// hooks, then Start; Stop halts the sampling loop.
+// hooks, then Start; Stop halts the tick loop.
 type Plane struct {
 	cfg     Config
-	rec     *Recorder
 	drift   *Drift
 	events  *EventLog
-	slo     *sloMonitor
 	samples *metrics.Counter // ticks taken; Status reports it too
 
-	// tickMu serializes Tick: the loop is one goroutine, but Tick is
-	// also callable directly (tests, handlers wanting freshness), and
-	// the SLO monitor's transition state assumes one evaluator.
-	tickMu sync.Mutex
-
-	// mu guards the published tick results.
+	// mu guards the shed-spike state one tick carries to the next, and
+	// orders ticks: the loop is one goroutine, but tests call Tick
+	// directly.
 	mu            sync.Mutex
-	sloStatus     []EndpointSLO
 	lastShed      float64
 	haveShed      bool
 	lastShedEvent time.Time
@@ -121,26 +107,17 @@ func New(cfg Config) *Plane {
 	cfg = cfg.withDefaults()
 	p := &Plane{
 		cfg: cfg,
-		rec: newRecorder(historySamples(cfg.Interval)),
 		samples: cfg.Metrics.Counter("spec17d_insight_samples_total",
-			"Sampling ticks the insight recorder has performed."),
+			"Ticks the insight plane has taken to check for shed spikes."),
 		quit: make(chan struct{}),
 		done: make(chan struct{}),
 	}
 	p.events = newEventLog(eventRing, cfg.Metrics, cfg.Log, cfg.Now)
 	p.drift = newDrift(cfg.Metrics, p.events)
-	p.slo = newSLOMonitor(cfg.SLO, p.events)
 	return p
 }
 
-// historySamples is the ring capacity that keeps a sample taken
-// slowWindow ago at the given sampling period, so the slow SLO window
-// reads from the point where it begins.
-func historySamples(interval time.Duration) int {
-	return int((slowWindow+interval-1)/interval) + 1
-}
-
-// Start launches the sampling loop. Safe to call once.
+// Start launches the tick loop. Safe to call once.
 func (p *Plane) Start() {
 	p.startO.Do(func() {
 		go func() {
@@ -159,7 +136,7 @@ func (p *Plane) Start() {
 	})
 }
 
-// Stop halts the sampling loop and waits for it to exit. Safe to call
+// Stop halts the tick loop and waits for it to exit. Safe to call
 // without Start, and more than once.
 func (p *Plane) Stop() {
 	p.stopOnce.Do(func() {
@@ -169,40 +146,24 @@ func (p *Plane) Stop() {
 	})
 }
 
-// Tick performs one sampling pass: snapshot the registry, append to
-// the history rings, recompute SLO burn rates, and check for shed
-// spikes. Exported so tests (and the
-// handlers' freshness needs) can drive the plane deterministically.
+// Tick checks for a shed spike: it raises a shed_spike event when the
+// growth of admission rejections since the previous tick crosses the
+// threshold, the signal that the daemon has started refusing work.
+// Exported so tests can drive the plane deterministically.
 func (p *Plane) Tick() {
-	p.tickMu.Lock()
-	defer p.tickMu.Unlock()
-	now := p.cfg.Now()
-	snap := p.cfg.Metrics.Snapshot()
-	p.rec.sample(snap, now)
-	p.samples.Inc()
-	slo := p.slo.evaluate(p.rec, now)
 	p.mu.Lock()
-	p.sloStatus = slo
-	p.mu.Unlock()
-	p.detectShedSpike(snap, now)
-}
-
-// detectShedSpike raises a shed_spike event when the tick-over-tick
-// growth of admission rejections crosses the threshold — the signal
-// that the daemon has started refusing work.
-func (p *Plane) detectShedSpike(snap metrics.Snapshot, now time.Time) {
+	now := p.cfg.Now()
 	var shed float64
-	if fs, ok := snap.Family("spec17_admission_rejected_total"); ok {
+	if fs, ok := p.cfg.Metrics.Snapshot().Family("spec17_admission_rejected_total"); ok {
 		for _, ss := range fs.Series {
 			shed += ss.Value
 		}
 	}
-	p.mu.Lock()
-	prev, have := p.lastShed, p.haveShed
-	p.lastShed, p.haveShed = shed, true
-	delta := shed - prev
-	fire := have && delta >= shedSpikeThreshold &&
+	p.samples.Inc()
+	delta := shed - p.lastShed
+	fire := p.haveShed && delta >= shedSpikeThreshold &&
 		now.Sub(p.lastShedEvent) >= shedSpikeCooldown
+	p.lastShed, p.haveShed = shed, true
 	if fire {
 		p.lastShedEvent = now
 	}
@@ -214,31 +175,22 @@ func (p *Plane) detectShedSpike(snap metrics.Snapshot, now time.Time) {
 	}
 }
 
-// Recorder returns the metric-history recorder.
-func (p *Plane) Recorder() *Recorder { return p.rec }
-
 // Drift returns the accuracy-drift monitor.
 func (p *Plane) Drift() *Drift { return p.drift }
 
 // Events returns the anomaly-event ring.
 func (p *Plane) Events() *EventLog { return p.events }
 
-// Interval returns the sampling period.
+// Interval returns the tick period.
 func (p *Plane) Interval() time.Duration { return p.cfg.Interval }
 
 // Status returns the insight section of /v1/status.
 func (p *Plane) Status() Status {
-	p.mu.Lock()
-	slo := append([]EndpointSLO(nil), p.sloStatus...)
-	p.mu.Unlock()
 	return Status{
 		IntervalSeconds: p.cfg.Interval.Seconds(),
-		RingCapacity:    p.rec.Capacity(),
-		SeriesTracked:   p.rec.SeriesCount(),
 		Samples:         int64(p.samples.Value()),
 		EventsBuffered:  p.events.Len(),
 		EventsTotal:     p.events.Total(),
-		SLO:             slo,
 	}
 }
 

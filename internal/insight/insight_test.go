@@ -19,7 +19,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// testClock is a manually-advanced clock for deterministic sampling.
+// testClock is a manually-advanced clock for deterministic ticks.
 type testClock struct{ t time.Time }
 
 func newTestClock() *testClock {
@@ -32,97 +32,16 @@ func quietLog() *slog.Logger {
 	return telemetry.NewLogger(io.Discard, slog.LevelError+1)
 }
 
-func newTestPlane(t *testing.T, reg *metrics.Registry, clk *testClock, slo SLOConfig) *Plane {
+func newTestPlane(t *testing.T, reg *metrics.Registry, clk *testClock) *Plane {
 	t.Helper()
 	p := New(Config{
 		Metrics:  reg,
 		Log:      quietLog(),
 		Interval: 5 * time.Second,
-		SLO:      slo,
 		Now:      clk.now,
 	})
 	t.Cleanup(p.Stop)
 	return p
-}
-
-func TestRecorderHistory(t *testing.T) {
-	reg := metrics.NewRegistry()
-	ctr := reg.Counter("test_total", "a counter")
-	g := reg.Gauge("test_gauge", "a gauge")
-	h := reg.Histogram("test_seconds", "a histogram", []float64{1, 2})
-	clk := newTestClock()
-	rec := newRecorder(8)
-
-	rec.sample(reg.Snapshot(), clk.now())
-	ctr.Add(10)
-	g.Set(3)
-	h.Observe(0.5)
-	h.Observe(1.5)
-	h.Observe(3)
-	clk.advance(10 * time.Second)
-	rec.sample(reg.Snapshot(), clk.now())
-
-	hist, ok := rec.History("test_total", 0, 5*time.Second, clk.now())
-	if !ok || len(hist.Series) != 1 {
-		t.Fatalf("counter history: ok=%v series=%d", ok, len(hist.Series))
-	}
-	s := hist.Series[0]
-	if len(s.Points) != 2 || s.Points[1].Value != 10 {
-		t.Fatalf("counter points = %+v", s.Points)
-	}
-	if s.Rate == nil || *s.Rate != 1 { // 10 over 10s
-		t.Fatalf("counter rate = %v, want 1/s", s.Rate)
-	}
-
-	gh, _ := rec.History("test_gauge", 0, 5*time.Second, clk.now())
-	if gh.Series[0].Rate != nil {
-		t.Fatalf("gauge grew a rate: %v", *gh.Series[0].Rate)
-	}
-
-	hh, ok := rec.History("test_seconds", 0, 5*time.Second, clk.now())
-	if !ok {
-		t.Fatal("histogram history missing")
-	}
-	hs := hh.Series[0]
-	if hs.Rate == nil || *hs.Rate != 0.3 { // 3 observations over 10s
-		t.Fatalf("histogram count rate = %v, want 0.3/s", hs.Rate)
-	}
-	// Three observations in buckets (≤1, ≤2, +Inf): p50 interpolates to
-	// 1.5 inside the second bucket; p99 lands in +Inf and answers the
-	// highest finite bound.
-	if hs.P50 == nil || *hs.P50 != 1.5 {
-		t.Fatalf("p50 = %v, want 1.5", hs.P50)
-	}
-	if hs.P99 == nil || *hs.P99 != 2 {
-		t.Fatalf("p99 = %v, want 2 (highest finite bound)", hs.P99)
-	}
-
-	if _, ok := rec.History("no_such_metric", 0, time.Second, clk.now()); ok {
-		t.Fatal("unknown metric produced a history")
-	}
-}
-
-func TestRecorderWindowAndRingBound(t *testing.T) {
-	reg := metrics.NewRegistry()
-	ctr := reg.Counter("test_total", "a counter")
-	clk := newTestClock()
-	rec := newRecorder(4)
-
-	for i := 0; i < 10; i++ {
-		ctr.Inc()
-		rec.sample(reg.Snapshot(), clk.now())
-		clk.advance(5 * time.Second)
-	}
-	h, _ := rec.History("test_total", 0, 5*time.Second, clk.now())
-	if got := len(h.Series[0].Points); got != 4 {
-		t.Fatalf("ring retained %d points, capacity 4", got)
-	}
-	// Only the last two samples fall inside a 12s window (now is 5s
-	// past the final sample).
-	h, _ = rec.History("test_total", 12*time.Second, 5*time.Second, clk.now())
-	if got := len(h.Series[0].Points); got != 2 {
-		t.Fatalf("12s window kept %d points, want 2", got)
-	}
 }
 
 func TestEventLogRingAndFilters(t *testing.T) {
@@ -312,94 +231,11 @@ func TestDriftRestartDoesNotRealert(t *testing.T) {
 	}
 }
 
-func TestSLOBurnAndTransitionEvent(t *testing.T) {
-	reg := metrics.NewRegistry()
-	requests := reg.CounterVec("spec17d_requests_total", "requests", "endpoint", "code")
-	latency := reg.HistogramVec("spec17d_request_duration_seconds", "latency",
-		[]float64{0.1, 0.5, 1}, "endpoint")
-	clk := newTestClock()
-	p := newTestPlane(t, reg, clk, SLOConfig{Latency: 500 * time.Millisecond})
-
-	// Baseline tick with the series present but empty.
-	requests.With("/v1/report", "200").Add(0)
-	requests.With("/v1/report", "500").Add(0)
-	latency.With("/v1/report").Observe(0.01)
-	p.Tick()
-
-	// 40% errors and every request over the latency objective.
-	requests.With("/v1/report", "200").Add(6)
-	requests.With("/v1/report", "500").Add(4)
-	for i := 0; i < 10; i++ {
-		latency.With("/v1/report").Observe(0.9)
-	}
-	clk.advance(5 * time.Second)
-	p.Tick()
-
-	st := p.Status()
-	if len(st.SLO) != 1 {
-		t.Fatalf("slo endpoints = %+v", st.SLO)
-	}
-	ep := st.SLO[0]
-	if ep.Endpoint != "/v1/report" || !ep.Burning {
-		t.Fatalf("endpoint not burning: %+v", ep)
-	}
-	if ep.ErrorBurnFast < 100 { // 0.4 error fraction / 0.001 budget
-		t.Fatalf("error burn fast = %v, want hundreds", ep.ErrorBurnFast)
-	}
-	if ep.LatencyBurnFast <= 1 {
-		t.Fatalf("latency burn fast = %v, want > 1", ep.LatencyBurnFast)
-	}
-	if got := len(p.Events().Events(EventSLOBurn, time.Time{}, 0)); got != 1 {
-		t.Fatalf("slo_burn events = %d, want 1", got)
-	}
-
-	// Still burning next tick: no second transition event.
-	clk.advance(5 * time.Second)
-	p.Tick()
-	if got := len(p.Events().Events(EventSLOBurn, time.Time{}, 0)); got != 1 {
-		t.Fatalf("slo_burn events after sustained burn = %d, want 1", got)
-	}
-}
-
-// TestSLOSlowWindowSeesItsStart: at the default sampling interval the
-// history rings reach back the whole slow window, so errors 59 minutes
-// old still count toward the slow burn rate. A ring shorter than the
-// window would have dropped them and read the burn as 0.
-func TestSLOSlowWindowSeesItsStart(t *testing.T) {
-	reg := metrics.NewRegistry()
-	requests := reg.CounterVec("spec17d_requests_total", "requests", "endpoint", "code")
-	clk := newTestClock()
-	p := New(Config{Metrics: reg, Log: quietLog(), Now: clk.now})
-	t.Cleanup(p.Stop)
-
-	requests.With("/v1/report", "200").Add(0)
-	requests.With("/v1/report", "500").Add(0)
-	p.Tick()
-	requests.With("/v1/report", "200").Add(90)
-	requests.With("/v1/report", "500").Add(10)
-	for elapsed := time.Duration(0); elapsed < 59*time.Minute; elapsed += p.Interval() {
-		clk.advance(p.Interval())
-		p.Tick()
-	}
-
-	st := p.Status()
-	if len(st.SLO) != 1 {
-		t.Fatalf("slo endpoints = %+v", st.SLO)
-	}
-	// 10% errors against a 0.1% budget.
-	if got := st.SLO[0].ErrorBurnSlow; got < 99 || got > 101 {
-		t.Errorf("slow error burn 59 min after the errors = %v, want 100", got)
-	}
-	if got := st.SLO[0].ErrorBurnFast; got != 0 {
-		t.Errorf("fast error burn 59 min after the errors = %v, want 0", got)
-	}
-}
-
 func TestShedSpikeDetection(t *testing.T) {
 	reg := metrics.NewRegistry()
 	rejected := reg.CounterVec("spec17_admission_rejected_total", "rejections", "reason")
 	clk := newTestClock()
-	p := newTestPlane(t, reg, clk, SLOConfig{})
+	p := newTestPlane(t, reg, clk)
 
 	p.Tick() // baseline
 	// Every reason counts toward the spike.
@@ -429,7 +265,7 @@ func TestShedSpikeDetection(t *testing.T) {
 func TestPlaneHooks(t *testing.T) {
 	reg := metrics.NewRegistry()
 	clk := newTestClock()
-	p := newTestPlane(t, reg, clk, SLOConfig{})
+	p := newTestPlane(t, reg, clk)
 
 	p.OnSlowTrace(&telemetry.TraceData{TraceID: "t1", DurationMS: 1234})
 	p.OnCheckpointError(errors.New("disk full"))

@@ -11,13 +11,18 @@
 // manager itself only tracks *state*: which items are done, which are
 // pending, and who wants to hear about it.
 //
-// Durability follows the measurement store's snapshot discipline
-// (store.AtomicWriteFile): job state is checkpointed after every item
+// Job state follows the measurement store's snapshot discipline
+// (store.AtomicWriteFile): it is checkpointed after every item
 // completion and state transition, so a crash loses at most the items
 // in flight. On restart, Load reverts interrupted jobs to pending and
-// Start re-enqueues them; completed items are never re-run (and their
-// results are warm in the store anyway), so a resumed sweep completes
-// bit-identically to an uninterrupted one.
+// Start re-enqueues them; a resumed job does not run its completed
+// items again, and it completes bit-identically to an uninterrupted
+// one. A job keeps no results, though: they are read back through the
+// ordinary fetch path, so they are exactly as durable as the store.
+// spec17d saves the store at a graceful shutdown and on its
+// -checkpoint timer only; after a kill without -checkpoint, every
+// completed item's measurements are recomputed when its results are
+// read.
 //
 // Completion is read, never pushed to an address the submitter names:
 // poll the job record (GET /v1/jobs/{id}), or subscribe to its Events,

@@ -6,7 +6,7 @@ import (
 )
 
 // The registry's one read path. Snapshot gives in-process consumers —
-// the /v1/status handler, the insight plane's metric-history recorder —
+// the /v1/status handler, the insight plane's shed-spike check —
 // a self-consistent view as typed Go values, without parsing text or
 // holding private metric handles, and WritePrometheus renders the
 // Prometheus text from it.

@@ -1,11 +1,10 @@
 package server
 
-// The insight plane's HTTP surface: metric history, accuracy drift,
-// and anomaly events. These routes exist only when Config.Insight is
-// set — a daemon without the plane 404s them through the ordinary
-// fallback — and, like the rest of the observability surface, they
-// are untraced and unadmitted, so a saturated daemon still answers
-// them.
+// The insight plane's HTTP surface: accuracy drift and anomaly
+// events. These routes exist only when Config.Insight is set — a
+// daemon without the plane 404s them through the ordinary fallback —
+// and, like the rest of the observability surface, they are untraced
+// and unadmitted, so a saturated daemon still answers them.
 
 import (
 	"fmt"
@@ -15,37 +14,6 @@ import (
 
 	"repro/internal/insight"
 )
-
-// handleMetricsHistory is GET /v1/metrics/history: one metric family's
-// sampled time series over ?window=, with rate and percentile
-// derivation (see insight.Recorder.History).
-func (s *Server) handleMetricsHistory(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	name := q.Get("name")
-	if name == "" {
-		writeError(w, http.StatusBadRequest, codeBadOptions,
-			"missing required query parameter \"name\"", nil)
-		return
-	}
-	var window time.Duration
-	if v := q.Get("window"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d <= 0 {
-			writeError(w, http.StatusBadRequest, codeBadOptions,
-				fmt.Sprintf("window=%q: must be a positive duration (e.g. 5m)", v), nil)
-			return
-		}
-		window = d
-	}
-	ins := s.cfg.Insight
-	h, ok := ins.Recorder().History(name, window, ins.Interval(), time.Now())
-	if !ok {
-		writeError(w, http.StatusNotFound, codeNotFound,
-			fmt.Sprintf("no sampled metric named %q", name), ins.Recorder().Names())
-		return
-	}
-	writeJSON(w, http.StatusOK, h)
-}
 
 // accuracyResponse is the GET /v1/accuracy body.
 type accuracyResponse struct {

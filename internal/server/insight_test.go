@@ -8,6 +8,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -213,77 +215,6 @@ func TestInsightDriftEndToEnd(t *testing.T) {
 	}
 }
 
-// TestInsightMetricsHistoryEndpoint: the history endpoint serves
-// sampled series once the plane has ticked, 404s unknown names with
-// the known list, and rejects malformed parameters.
-func TestInsightMetricsHistoryEndpoint(t *testing.T) {
-	s, plane, _ := newInsightTestServer(t, Config{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	defer s.Close()
-
-	// Generate traffic, then sample it into the rings.
-	get(t, ts, "/v1/status")
-	plane.Tick()
-
-	code, body := get(t, ts, "/v1/metrics/history?name=spec17d_requests_total&window=5m")
-	if code != http.StatusOK {
-		t.Fatalf("history: status %d: %s", code, body)
-	}
-	var h struct {
-		Name   string `json:"name"`
-		Type   string `json:"type"`
-		Series []struct {
-			Labels map[string]string `json:"labels,omitempty"`
-			Points []struct {
-				Value float64 `json:"value"`
-			} `json:"points"`
-		} `json:"series"`
-	}
-	if err := json.Unmarshal(body, &h); err != nil {
-		t.Fatal(err)
-	}
-	if h.Name != "spec17d_requests_total" || len(h.Series) == 0 {
-		t.Fatalf("history body = %s", body)
-	}
-	found := false
-	for _, sr := range h.Series {
-		found = found || sr.Labels["endpoint"] == "/v1/status"
-	}
-	if !found {
-		t.Errorf("sampled history missing the /v1/status series: %s", body)
-	}
-
-	for _, tc := range []struct {
-		path string
-		code int
-		want string
-	}{
-		{"/v1/metrics/history", http.StatusBadRequest, "name"},
-		{"/v1/metrics/history?name=", http.StatusBadRequest, "empty"},
-		{"/v1/metrics/history?name=spec17d_requests_total&window=bogus", http.StatusBadRequest, "positive duration"},
-		{"/v1/metrics/history?name=spec17d_requests_total&window=-5m", http.StatusBadRequest, "positive duration"},
-		{"/v1/metrics/history?name=spec17d_requests_total&frob=1", http.StatusBadRequest, "unknown query parameter"},
-		{"/v1/metrics/history?name=a&name=b", http.StatusBadRequest, "at most once"},
-		{"/v1/metrics/history?name=no_such_metric", http.StatusNotFound, "no sampled metric"},
-	} {
-		code, body := get(t, ts, tc.path)
-		if code != tc.code {
-			t.Errorf("GET %s: status %d, want %d (body %s)", tc.path, code, tc.code, body)
-		}
-		if !strings.Contains(string(body), tc.want) {
-			t.Errorf("GET %s: body %q does not contain %q", tc.path, body, tc.want)
-		}
-	}
-
-	// The unknown-name 404 lists what is known, so a client can correct
-	// itself without a second round trip.
-	_, body = get(t, ts, "/v1/metrics/history?name=no_such_metric")
-	if !strings.Contains(string(body), "spec17d_requests_total") {
-		t.Errorf("unknown-name 404 does not list known metrics: %s", body)
-	}
-}
-
 // TestInsightEventsEndpointValidation: /v1/events rejects malformed
 // filters in the standard envelope and filters correctly otherwise.
 func TestInsightEventsEndpointValidation(t *testing.T) {
@@ -314,6 +245,17 @@ func TestInsightEventsEndpointValidation(t *testing.T) {
 			t.Errorf("GET %s: body %q does not contain %q", tc.path, body, tc.want)
 		}
 	}
+	// slo_burn left with the SLO monitor: it is an unknown type, and
+	// the 400 lists the four that remain.
+	code, body := get(t, ts, "/v1/events?type=slo_burn")
+	var e errorEnvelope
+	if err := json.Unmarshal(body, &e); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"band_violation", "shed_spike", "slow_trace", "checkpoint_failure"}
+	if code != http.StatusBadRequest || !slices.Equal(e.Error.Known, want) {
+		t.Errorf("GET /v1/events?type=slo_burn: status %d, known %q; want 400 and %q", code, e.Error.Known, want)
+	}
 
 	var evs struct {
 		Count  int `json:"count"`
@@ -321,7 +263,7 @@ func TestInsightEventsEndpointValidation(t *testing.T) {
 			Type string `json:"type"`
 		} `json:"events"`
 	}
-	code, body := get(t, ts, "/v1/events?type=slow_trace")
+	code, body = get(t, ts, "/v1/events?type=slow_trace")
 	if code != http.StatusOK {
 		t.Fatalf("/v1/events: %d", code)
 	}
@@ -360,22 +302,34 @@ func TestAccuracyDisabledWithoutPairHook(t *testing.T) {
 	}
 }
 
-// TestInsightDisabledRoutes404: without a plane the three insight
+// TestInsightDisabledRoutes404: without a plane the two insight
 // routes do not exist — the fallback answers 404 in the standard
-// envelope, and GET /v1 does not advertise them.
+// envelope, and GET /v1 does not advertise them. The removed metric
+// history route is a 404 with the plane on as well.
 func TestInsightDisabledRoutes404(t *testing.T) {
 	s, _ := newTestServer(Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.Close()
+	ins, _, _ := newInsightTestServer(t, Config{})
+	tsIns := httptest.NewServer(ins.Handler())
+	defer tsIns.Close()
+	defer ins.Close()
 
-	for _, path := range []string{"/v1/metrics/history?name=x", "/v1/accuracy", "/v1/events"} {
-		code, body := get(t, ts, path)
+	for _, tc := range []struct {
+		ts   *httptest.Server
+		path string
+	}{
+		{ts, "/v1/accuracy"},
+		{ts, "/v1/events"},
+		{tsIns, "/v1/metrics/history?name=spec17d_requests_total"},
+	} {
+		code, body := get(t, tc.ts, tc.path)
 		if code != http.StatusNotFound {
-			t.Errorf("GET %s without insight: status %d, want 404 (body %s)", path, code, body)
+			t.Errorf("GET %s: status %d, want 404 (body %s)", tc.path, code, body)
 		}
 		if !strings.Contains(string(body), "no such endpoint") {
-			t.Errorf("GET %s: body %q is not the standard 404 envelope", path, body)
+			t.Errorf("GET %s: body %q is not the standard 404 envelope", tc.path, body)
 		}
 	}
 	code, body := get(t, ts, "/v1")
@@ -419,7 +373,8 @@ func TestInsightDisabledIsInvisible(t *testing.T) {
 }
 
 // TestStatusCarriesInsight: /v1/status grows an insight section when
-// the plane is wired, and omits it entirely otherwise.
+// the plane is wired, and omits it entirely otherwise. The section
+// counts ticks and events only: no SLO block and no ring sizes.
 func TestStatusCarriesInsight(t *testing.T) {
 	s, plane, _ := newInsightTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -432,12 +387,7 @@ func TestStatusCarriesInsight(t *testing.T) {
 		t.Fatalf("/v1/status: %d", code)
 	}
 	var st struct {
-		Insight *struct {
-			IntervalSeconds float64 `json:"interval_seconds"`
-			RingCapacity    int     `json:"ring_capacity"`
-			SeriesTracked   int     `json:"series_tracked"`
-			Samples         int64   `json:"samples"`
-		} `json:"insight"`
+		Insight map[string]json.Number `json:"insight"`
 	}
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
@@ -445,8 +395,17 @@ func TestStatusCarriesInsight(t *testing.T) {
 	if st.Insight == nil {
 		t.Fatalf("/v1/status has no insight section: %s", body)
 	}
-	if st.Insight.Samples < 1 || st.Insight.SeriesTracked == 0 || st.Insight.RingCapacity == 0 {
-		t.Errorf("insight status = %+v", st.Insight)
+	want := []string{"events_buffered", "events_total", "interval_seconds", "samples"}
+	var got []string
+	for k := range st.Insight {
+		got = append(got, k)
+	}
+	sort.Strings(got)
+	if !slices.Equal(got, want) {
+		t.Errorf("insight section fields = %q, want %q", got, want)
+	}
+	if n, err := st.Insight["samples"].Int64(); err != nil || n < 1 {
+		t.Errorf("insight samples = %q, want >= 1", st.Insight["samples"])
 	}
 
 	plainS, _ := newTestServer(Config{})

@@ -67,9 +67,6 @@ func (s *Server) routeTable() []routeDef {
 	}
 	if s.cfg.Insight != nil {
 		routes = append(routes,
-			routeDef{method: "GET", pattern: "/v1/metrics/history", h: s.handleMetricsHistory,
-				params: []string{"name", "window"},
-				desc:   "one metric family's sampled history with rate/percentile derivation"},
 			routeDef{method: "GET", pattern: "/v1/accuracy", h: s.handleAccuracy,
 				desc: "analytic-vs-exact drift totals and worst offenders"},
 			routeDef{method: "GET", pattern: "/v1/events", h: s.handleEvents,

@@ -165,9 +165,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Unlock()
 	// Counter reads go through the registry's typed Snapshot — one
 	// self-consistent capture instead of a handful of ad-hoc handle
-	// reads (and the same view the insight recorder samples). Labelled
-	// series that never fired read as 0, like an absent Prometheus
-	// sample.
+	// reads. Labelled series that never fired read as 0, like an absent
+	// Prometheus sample.
 	snap := s.cfg.Metrics.Snapshot()
 	hits := int64(snap.Value("spec17d_cache_hits_total"))
 	misses := int64(snap.Value("spec17d_cache_misses_total"))

@@ -146,13 +146,12 @@ func TestFidelitySweepBounded(t *testing.T) {
 	}
 
 	// The heap holds the records, plus what accounting leaves out:
-	// size-class rounding and the map's empty slots. A Go map never
-	// shrinks, and it rehashes into twice the slots when deletions'
-	// tombstones fill a table, so it grows under churn until deletions
-	// stop leaving tombstones. On a 2-vCPU amd64 host the heap grew
-	// 4.5 MiB beyond the bound over this sweep, and 11.0 MiB over
-	// sweeps of 20 to 160 times the bound. Three quarters of the bound
-	// covers that steady state.
+	// size-class rounding and the map's empty slots. On a 2-vCPU amd64
+	// host the heap grew 4.5 MiB beyond the bound over this sweep.
+	// Before eviction rebuilt the churned map it grew 11.0 MiB over
+	// sweeps of 20 to 160 times the bound, which three quarters of the
+	// bound still covers; TestLongSweepHeapBounded checks the tighter
+	// figure on a long sweep.
 	const slack = maxBytes * 3 / 4
 	var m1 runtime.MemStats
 	runtime.GC()
@@ -177,6 +176,52 @@ func TestFidelitySweepBounded(t *testing.T) {
 	// 1.3 KB; these sparse ones to less.
 	if n := int64(len(snap.Entries)); n != st.Entries || int64(len(data)) > 2048*n {
 		t.Errorf("snapshot has %d records in %d bytes, want the %d resident in at most 2 KiB each", n, len(data), st.Entries)
+	}
+}
+
+// TestLongSweepHeapBounded: a sweep of twenty times the bound keeps
+// the heap near the bound. A Go map never shrinks, and it rehashes
+// into twice the slots when deletions' tombstones fill a table, so
+// under eviction churn it grows until deletions stop leaving
+// tombstones. On a 2-vCPU amd64 host the heap held 27.0 MiB for the
+// 16 MiB of records after this sweep before eviction rebuilt the map,
+// and 20.5 MiB after.
+func TestLongSweepHeapBounded(t *testing.T) {
+	var m0 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+
+	s, err := Open(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var put int64
+	var last []Key
+	for fid := 400_001; put < 20*maxBytes; fid++ {
+		last = gridKeys(fid, analyticEngine)
+		for i, k := range last {
+			s.Put(k, counts(i))
+			put += singleBytes
+		}
+	}
+
+	var m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	grown := int64(m1.HeapInuse) - int64(m0.HeapInuse)
+	if limit := int64(maxBytes + maxBytes/2); grown > limit {
+		t.Errorf("heap in use grew %d bytes over a 20x sweep, want at most %d", grown, limit)
+	}
+
+	// The rebuilt map still holds every resident record, each under
+	// its own key.
+	if st := s.Stats(); st.Entries != maxBytes/singleBytes {
+		t.Errorf("%d records resident, want %d", st.Entries, maxBytes/singleBytes)
+	}
+	for i, k := range last {
+		if rc, ok := s.Get(k); !ok || rc.Instructions != uint64(i) {
+			t.Fatalf("newest grid's record %s: %v, %v", k.ID(), rc, ok)
+		}
 	}
 }
 

@@ -290,6 +290,7 @@ type Stats struct {
 // the flights (by Key too) computing the ones not yet resident.
 type table[V any] struct {
 	recs    map[Key]int32 // index into Store.slots, whose v is a V; guarded by Store.mu
+	evicted int           // evictions from recs since it was last rebuilt; guarded by Store.mu
 	flights flight.Group[Key, V]
 }
 

@@ -134,8 +134,7 @@ func main() {
 	// near-zero -rate-limit gives every client a one-token bucket that
 	// essentially never refills, so the second compute request below
 	// must be shed — driving the admission path end to end.
-	// -insight-interval at its 1s floor, so the history rings fill
-	// while the smoke test watches.
+	// -insight-interval at its 1s floor, which the flag accepts.
 	defer stopDaemons()
 	base := startDaemon(bin, "daemon", "-trace-slow", "5m", "-rate-limit", "0.01",
 		"-insight-interval", "1s")
@@ -223,33 +222,6 @@ func main() {
 		fatalf("/v1/traces?limit=1&limit=2: status %d body %s, want 400 bad_options", code, body)
 	}
 	fmt.Println("smoke: repeated query parameter rejected with 400")
-
-	// Insight plane: the sampled history of the request counter must
-	// appear once the recorder has ticked over the report traffic.
-	histDeadline := time.Now().Add(5 * time.Second)
-	for {
-		code, body = get(base, "/v1/metrics/history?name=spec17d_requests_total&window=5m")
-		if code == http.StatusOK {
-			break
-		}
-		if time.Now().After(histDeadline) {
-			fatalf("/v1/metrics/history never served the request counter: %d: %s", code, body)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	var hist struct {
-		Name   string `json:"name"`
-		Series []struct {
-			Points []json.RawMessage `json:"points"`
-		} `json:"series"`
-	}
-	if err := json.Unmarshal(body, &hist); err != nil {
-		fatalf("/v1/metrics/history: %v\n%s", err, body)
-	}
-	if hist.Name != "spec17d_requests_total" || len(hist.Series) == 0 || len(hist.Series[0].Points) == 0 {
-		fatalf("/v1/metrics/history: no sampled points in %s", body)
-	}
-	fmt.Println("smoke: /v1/metrics/history sampled the request counter")
 
 	// /v1/accuracy answers the drift monitor's totals (no pairs yet —
 	// nothing analytic has been upgraded — but the contract is live).
@@ -428,7 +400,7 @@ func main() {
 	// routes at all: 404 through the ordinary fallback, not an empty
 	// 200 — clients can trust the discovery document.
 	base2 := startDaemon(bin, "insight-less daemon", "-insight=false", "-jobs=false")
-	for _, path := range []string{"/v1/metrics/history?name=x", "/v1/accuracy", "/v1/events"} {
+	for _, path := range []string{"/v1/accuracy", "/v1/events"} {
 		code, body := get(base2, path)
 		if code != http.StatusNotFound || !strings.Contains(string(body), "no such endpoint") {
 			fatalf("insight-less GET %s: status %d body %s, want the standard 404", path, code, body)
