@@ -20,8 +20,7 @@ GO ?= go
 RACE_PKGS ?= ./internal/server/... ./internal/metrics/... ./internal/core/... \
              ./internal/cluster/... ./internal/stats/... ./internal/store/... \
              ./internal/sched/... ./internal/telemetry/... ./internal/admission/... \
-             ./internal/engine/... ./internal/jobs/... ./internal/insight/... \
-             ./internal/flight/...
+             ./internal/engine/... ./internal/insight/... ./internal/flight/...
 
 .PHONY: ci fmt-check fma-check vet build test race race-analysis race-machine race-engine race-sched race-store race-all fuzz bench bench-smoke bench-snapshot bench-gate smoke loc clean
 
@@ -34,7 +33,9 @@ fmt-check:
 # fma-check cross-compiles the packages whose floating-point results
 # feed pinned outputs (internal/stats' eigenvectors and distances, the
 # cluster linkage and cophenetic correlation, the counter metrics, the
-# power model, the experiments' noise statistics) for the
+# power model, the experiments' noise statistics, the sensitivity
+# classes, the synthetic speedups and geomeans, every workload's
+# spec) for the
 # architectures on which Go fuses x*y + z into one multiply-add, and
 # fails if the compiler's assembly (-gcflags=-S; a cached build
 # replays it) holds one. A fused result is rounded once instead of
@@ -46,7 +47,7 @@ fmt-check:
 # not differ by host either.
 FMA_ARCHS ?= arm64 ppc64le riscv64 s390x
 FMA_PKGS ?= ./internal/stats ./internal/cluster ./internal/counters ./internal/power ./internal/experiments \
-	./internal/admission ./internal/insight
+	./internal/core ./internal/perfdb ./internal/workloads ./internal/admission ./internal/insight
 
 fma-check:
 	@for arch in $(FMA_ARCHS); do \
@@ -110,9 +111,8 @@ race-all:
 	$(GO) test -race ./...
 
 # fuzz runs each native fuzz target (the query-string parser, the
-# batch and job request-body decoder, the store snapshot loader, the
-# machine-config decoder, the jobs snapshot loader, the tolerance
-# bands' ratio) for a bounded
+# batch request-body decoder, the store snapshot loader, the
+# machine-config decoder, the tolerance bands' ratio) for a bounded
 # time, starting from its committed seed corpus under testdata/fuzz/.
 # A failing input is written there too, and then fails plain `go test`
 # until fixed.
@@ -121,7 +121,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchBody$$' -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreOpen$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzParseConfigs$$' -fuzztime 10s ./internal/machine
-	$(GO) test -run '^$$' -fuzz '^FuzzJobsLoad$$' -fuzztime 10s ./internal/jobs
 	$(GO) test -run '^$$' -fuzz '^FuzzBandRatio$$' -fuzztime 10s ./internal/engine
 
 bench:

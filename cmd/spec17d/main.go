@@ -12,7 +12,6 @@
 //	        [-read-header-timeout d] [-read-timeout d] [-idle-timeout d]
 //	        [-rate-limit r] [-burst n] [-max-inflight n]
 //	        [-request-timeout d]
-//	        [-jobs] [-max-jobs n] [-job-workers n]
 //	        [-trace] [-trace-ring n] [-trace-slow d]
 //	        [-insight] [-insight-interval d]
 //	        [-pprof-addr addr] [-log-level level]
@@ -25,12 +24,6 @@
 //	GET  /v1/report?instructions=N&warmup=M
 //	GET  /v1/batch?experiments=a,b,c      NDJSON result stream
 //	POST /v1/batch                        same, JSON body
-//	POST /v1/jobs                         submit an async experiment sweep
-//	GET  /v1/jobs                         list jobs (paginated)
-//	GET  /v1/jobs/{id}                    job record and per-item progress
-//	DEL  /v1/jobs/{id}                    cancel a job
-//	GET  /v1/jobs/{id}/results            finished job's results, NDJSON
-//	GET  /v1/jobs/{id}/events             job progress as SSE
 //	GET  /v1/healthz                      liveness (503 once draining)
 //	GET  /v1/status                       runtime introspection
 //	GET  /v1/traces                       finished request traces
@@ -39,12 +32,13 @@
 //	GET  /healthz
 //	GET  /metrics                         Prometheus text format
 //
-// A job's completion is read by polling GET /v1/jobs/{id} or by
-// streaming GET /v1/jobs/{id}/events; spec17d sends no callbacks.
+// A sweep that must survive a restart is a /v1/batch re-POSTed to a
+// daemon run with -store and -checkpoint: every leaf already in the
+// store is a hit, and only the rest is computed again.
 //
-// See docs/API.md for the full endpoint reference, docs/JOBS.md for
-// the async-job subsystem, docs/SERVER.md for caching and metrics
-// details, and docs/OBSERVABILITY.md for tracing and logging.
+// See docs/API.md for the full endpoint reference, docs/SERVER.md for
+// caching and metrics details, and docs/OBSERVABILITY.md for tracing
+// and logging.
 package main
 
 import (
@@ -90,10 +84,6 @@ type daemonConfig struct {
 	maxInflt  int
 	requestTO time.Duration
 
-	jobs       bool
-	maxJobs    int
-	jobWorkers int
-
 	trace     bool
 	traceRing int
 	traceSlow time.Duration
@@ -133,9 +123,6 @@ func parseFlags(args []string, stderr io.Writer) (*daemonConfig, error) {
 	fs.Float64Var(&cfg.burst, "burst", 0, "per-client admission bucket capacity (0 = max(rate-limit, 1))")
 	fs.IntVar(&cfg.maxInflt, "max-inflight", 0, "max concurrently admitted compute requests across all clients (0 = unlimited)")
 	fs.DurationVar(&cfg.requestTO, "request-timeout", 0, "server-side deadline per compute request (0 disables)")
-	fs.BoolVar(&cfg.jobs, "jobs", true, "serve the async-job endpoints (/v1/jobs); completion is read by polling /v1/jobs/{id} or streaming /v1/jobs/{id}/events (SSE)")
-	fs.IntVar(&cfg.maxJobs, "max-jobs", 256, "max retained job records; submitting past it evicts the oldest finished job")
-	fs.IntVar(&cfg.jobWorkers, "job-workers", 2, "max jobs executing concurrently")
 	fs.BoolVar(&cfg.trace, "trace", true, "record per-request span trees, served at /v1/traces")
 	fs.IntVar(&cfg.traceRing, "trace-ring", 256, "finished traces to retain in memory")
 	fs.DurationVar(&cfg.traceSlow, "trace-slow", 0, "log the full span tree of traces slower than this (0 disables)")
@@ -161,8 +148,6 @@ func parseFlags(args []string, stderr io.Writer) (*daemonConfig, error) {
 		{"burst", cfg.burst < 0},
 		{"max-inflight", cfg.maxInflt < 0},
 		{"request-timeout", cfg.requestTO < 0},
-		{"max-jobs", cfg.maxJobs < 0},
-		{"job-workers", cfg.jobWorkers < 0},
 	} {
 		if check.bad {
 			err := fmt.Errorf("must not be negative")
@@ -171,9 +156,8 @@ func parseFlags(args []string, stderr io.Writer) (*daemonConfig, error) {
 			return nil, err
 		}
 	}
-	// Each tick snapshots the whole registry, and a shed spike is
-	// counted within one tick: a shorter period would cost more and
-	// would take a faster overload to report one.
+	// A shed spike is counted within one tick: a shorter period would
+	// take a faster overload to report one.
 	if cfg.insightInterval < minInsightInterval {
 		err := fmt.Errorf("must be at least %v", minInsightInterval)
 		fmt.Fprintf(stderr, "invalid value %v for flag -insight-interval: %v\n", cfg.insightInterval, err)
@@ -271,9 +255,6 @@ func main() {
 		Burst:             cfg.burst,
 		MaxInFlight:       cfg.maxInflt,
 		RequestTimeout:    cfg.requestTO,
-		JobsDisabled:      !cfg.jobs,
-		MaxJobs:           cfg.maxJobs,
-		JobWorkers:        cfg.jobWorkers,
 		Store:             st,
 		Metrics:           reg,
 		Log:               logger,

@@ -36,31 +36,21 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if cfg.drain != 30*time.Second {
 		t.Errorf("drain = %v, want 30s", cfg.drain)
 	}
-	if !cfg.jobs {
-		t.Error("jobs should default to true")
-	}
-	if cfg.maxJobs != 256 {
-		t.Errorf("maxJobs = %d, want 256", cfg.maxJobs)
-	}
-	if cfg.jobWorkers != 2 {
-		t.Errorf("jobWorkers = %d, want 2", cfg.jobWorkers)
-	}
 }
 
-// Jobs flags land in the config verbatim.
+// TestParseFlagsJobs: spec17d has no async jobs, so each former job
+// flag is an unknown flag, which main exits 2 on, and stderr names it.
 func TestParseFlagsJobs(t *testing.T) {
-	var buf strings.Builder
-	cfg, err := parseFlags([]string{
-		"-jobs=false", "-max-jobs", "16", "-job-workers", "1",
-	}, &buf)
-	if err != nil {
-		t.Fatalf("parseFlags() = %v; stderr:\n%s", err, buf.String())
-	}
-	if cfg.jobs {
-		t.Error("jobs = true, want false")
-	}
-	if cfg.maxJobs != 16 || cfg.jobWorkers != 1 {
-		t.Errorf("maxJobs = %d, jobWorkers = %d", cfg.maxJobs, cfg.jobWorkers)
+	for _, args := range [][]string{{"-jobs=false"}, {"-max-jobs", "16"}, {"-job-workers", "1"}} {
+		var buf strings.Builder
+		_, err := parseFlags(args, &buf)
+		if err == nil || errors.Is(err, flag.ErrHelp) {
+			t.Errorf("parseFlags(%v) = %v, want a parse error", args, err)
+			continue
+		}
+		if name := strings.SplitN(args[0], "=", 2)[0]; !strings.Contains(buf.String(), name) {
+			t.Errorf("parseFlags(%v) stderr does not name %s:\n%s", args, name, buf.String())
+		}
 	}
 }
 
@@ -94,7 +84,7 @@ func TestParseFlagsValid(t *testing.T) {
 	}
 }
 
-// TestParseFlagsWebhookTimeoutRemoved: spec17d sends no job
+// TestParseFlagsWebhookTimeoutRemoved: spec17d sends no
 // callbacks, so -webhook-timeout is an unknown flag, which main exits
 // 2 on, and stderr names it.
 func TestParseFlagsWebhookTimeoutRemoved(t *testing.T) {
@@ -149,8 +139,6 @@ func TestParseFlagsInvalidAdmission(t *testing.T) {
 		{[]string{"-burst", "-0.5"}, "-burst"},
 		{[]string{"-max-inflight", "-2"}, "-max-inflight"},
 		{[]string{"-request-timeout", "-3s"}, "-request-timeout"},
-		{[]string{"-max-jobs", "-1"}, "-max-jobs"},
-		{[]string{"-job-workers", "-2"}, "-job-workers"},
 	} {
 		var buf strings.Builder
 		_, err := parseFlags(tc.args, &buf)

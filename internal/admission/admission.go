@@ -28,7 +28,6 @@
 package admission
 
 import (
-	"context"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -161,15 +160,6 @@ func (c *Controller) Config() Config {
 // bucket state is kept. Cost larger than Burst is clamped to Burst,
 // so oversized requests drain a full bucket instead of never passing.
 func (c *Controller) Admit(client string, cost float64) Decision {
-	dec := c.take(client, cost)
-	if !dec.OK {
-		c.rejected.With(dec.Reason).Inc()
-	}
-	return dec
-}
-
-// take is Admit without counting a rejection.
-func (c *Controller) take(client string, cost float64) Decision {
 	if c == nil || c.cfg.Rate <= 0 || cost <= 0 {
 		return admitted
 	}
@@ -192,42 +182,11 @@ func (c *Controller) take(client string, cost float64) Decision {
 	b.lastUse = now
 	if b.tokens < cost {
 		retry := time.Duration((cost - b.tokens) / c.cfg.Rate * float64(time.Second))
+		c.rejected.With(ReasonRateLimited).Inc()
 		return Decision{Reason: ReasonRateLimited, RetryAfter: retry}
 	}
 	b.tokens -= cost
 	return admitted
-}
-
-// AdmitWait charges cost tokens against client's bucket, blocking
-// until the bucket can afford it or ctx ends. This is the admission
-// mode for background work (async job sweeps): where an interactive
-// request is shed with 429 and retried by its client, a job item has
-// no client waiting on the wire, so it waits for its refill here —
-// background throughput is throttled to the same per-client budget
-// interactive traffic pays, which is what keeps a registry-scale
-// sweep from starving the submitter's own interactive requests.
-//
-// A wait is not a rejection: nothing is refused, so AdmitWait counts
-// nothing in spec17_admission_rejected_total. Each retry sleeps for
-// the controller's own refill estimate.
-func (c *Controller) AdmitWait(ctx context.Context, client string, cost float64) error {
-	for {
-		dec := c.take(client, cost)
-		if dec.OK {
-			return nil
-		}
-		wait := dec.RetryAfter
-		if wait <= 0 {
-			wait = 50 * time.Millisecond
-		}
-		t := time.NewTimer(wait)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return ctx.Err()
-		case <-t.C:
-		}
-	}
 }
 
 // evictLocked makes room for one more bucket when the table is at

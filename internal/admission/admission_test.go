@@ -1,7 +1,6 @@
 package admission
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -10,55 +9,6 @@ import (
 
 	"repro/internal/metrics"
 )
-
-// TestAdmitWait exercises the blocking admission mode used by async
-// job items: a drained bucket makes AdmitWait block until refill (real
-// clock, tiny amounts) without counting a rejection, and a canceled
-// context unblocks it with the context's error.
-func TestAdmitWait(t *testing.T) {
-	c := New(Config{Rate: 50, Burst: 1, Metrics: metrics.NewRegistry()})
-	if err := c.AdmitWait(context.Background(), "bg", 1); err != nil {
-		t.Fatalf("first AdmitWait: %v", err)
-	}
-	// Bucket drained: the next token arrives in ~20ms.
-	start := time.Now()
-	if err := c.AdmitWait(context.Background(), "bg", 1); err != nil {
-		t.Fatalf("second AdmitWait: %v", err)
-	}
-	if waited := time.Since(start); waited < 5*time.Millisecond {
-		t.Fatalf("AdmitWait returned after %v; expected to block for the refill", waited)
-	}
-	// A wait refuses nothing, so it is not counted as a rejection.
-	if r := c.Snapshot().Rejected; len(r) != 0 {
-		t.Errorf("blocked AdmitWait counted rejections %v, want none", r)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	slow := New(Config{Rate: 0.001, Burst: 1, Metrics: metrics.NewRegistry()})
-	if err := slow.AdmitWait(ctx, "bg", 1); err != nil {
-		t.Fatalf("drain AdmitWait: %v", err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- slow.AdmitWait(ctx, "bg", 1) }()
-	cancel()
-	select {
-	case err := <-done:
-		if err != context.Canceled {
-			t.Fatalf("canceled AdmitWait: %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("AdmitWait did not honor cancellation")
-	}
-	if r := slow.Snapshot().Rejected; len(r) != 0 {
-		t.Errorf("canceled AdmitWait counted rejections %v, want none", r)
-	}
-
-	// nil controller admits without blocking.
-	var nilC *Controller
-	if err := nilC.AdmitWait(context.Background(), "bg", 1); err != nil {
-		t.Fatalf("nil AdmitWait: %v", err)
-	}
-}
 
 // fakeClock is a manually advanced clock for deterministic bucket
 // refill tests.

@@ -138,7 +138,7 @@ func meanStddev(xs []float64) (mean, sd float64) {
 	mean /= float64(len(xs))
 	for _, x := range xs {
 		d := x - mean
-		sd += d * d
+		sd += float64(d * d)
 	}
 	sd = math.Sqrt(sd / float64(len(xs)))
 	return mean, sd

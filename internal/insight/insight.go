@@ -154,7 +154,7 @@ func (p *Plane) Tick() {
 	p.mu.Lock()
 	now := p.cfg.Now()
 	var shed float64
-	if fs, ok := p.cfg.Metrics.Snapshot().Family("spec17_admission_rejected_total"); ok {
+	if fs, ok := p.cfg.Metrics.Family("spec17_admission_rejected_total"); ok {
 		for _, ss := range fs.Series {
 			shed += ss.Value
 		}

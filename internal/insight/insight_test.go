@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -259,6 +260,26 @@ func TestShedSpikeDetection(t *testing.T) {
 	p.Tick()
 	if got := len(p.Events().Events(EventShedSpike, time.Time{}, 0)); got != 2 {
 		t.Fatalf("shed_spike events after cooldown = %d, want 2", got)
+	}
+}
+
+// TestTickAllocsIndependentOfSeries: a tick reads the one family it
+// checks, so its allocations do not grow with the registry's other
+// series.
+func TestTickAllocsIndependentOfSeries(t *testing.T) {
+	reg := metrics.NewRegistry()
+	rejected := reg.CounterVec("spec17_admission_rejected_total", "rejections", "reason")
+	rejected.With("inflight").Inc()
+	rejected.With("rate_limited").Inc()
+	p := newTestPlane(t, reg, newTestClock())
+	few := testing.AllocsPerRun(100, p.Tick)
+
+	requests := reg.CounterVec("spec17d_requests_total", "requests", "endpoint", "code")
+	for i := 0; i < 200; i++ {
+		requests.With("/v1/e"+strconv.Itoa(i), "200").Inc()
+	}
+	if many := testing.AllocsPerRun(100, p.Tick); many != few {
+		t.Errorf("Tick allocates %v objects with 200 more series, %v without; want the same", many, few)
 	}
 }
 

@@ -54,6 +54,19 @@ func (r *Registry) Snapshot() Snapshot {
 	return out
 }
 
+// Family captures the one named family as Snapshot would, without
+// capturing any other: a reader of one family pays for its series
+// only, however many the registry holds.
+func (r *Registry) Family(name string) (FamilySnapshot, bool) {
+	r.mu.Lock()
+	f, ok := r.byName[name]
+	r.mu.Unlock()
+	if !ok {
+		return FamilySnapshot{}, false
+	}
+	return f.snapshot(), true
+}
+
 // Snapshot is a full registry capture, with lookup helpers.
 type Snapshot []FamilySnapshot
 

@@ -117,9 +117,9 @@ func Build(stacks map[string]cpistack.Stack, systems []System) (*DB, error) {
 				(st.L2+st.L3+st.Memory)/sys.MemBoost
 			speedup := sys.Freq * total / newCPI
 			// Deterministic submission noise (compiler flags, firmware):
-			// +/-2.5%.
+			// +/-2.5%. Each float64() keeps a product from fusing.
 			r := rng.NewKeyed("perfdb:"+sys.Name+"/"+bench, 1)
-			speedup *= 1 + (r.Float64()-0.5)*0.05
+			speedup *= 1 + float64((float64(r.Float64())-0.5)*0.05)
 			per[bench] = speedup
 		}
 		db.scores[sys.Name] = per
@@ -182,7 +182,7 @@ func (db *DB) WeightedScore(system string, benchmarks []string, weights []float6
 		if err != nil {
 			return 0, err
 		}
-		logSum += weights[i] / total * math.Log(v)
+		logSum += float64(weights[i] / total * math.Log(v))
 	}
 	return math.Exp(logSum), nil
 }

@@ -110,10 +110,6 @@ func (p *Pool) Queue(cap int) *Queue {
 // Workers returns the pool's concurrency bound.
 func (p *Pool) Workers() int { return cap(p.slots) }
 
-// Cap returns the queue's per-queue concurrency cap (0: only the
-// pool's worker count bounds it).
-func (q *Queue) Cap() int { return cap(q.slots) }
-
 // Stats is a point-in-time snapshot of the pool's counters, for tests
 // and callers that want to wait for the queue to settle.
 type Stats struct {

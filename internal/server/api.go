@@ -24,11 +24,10 @@ import (
 	"sync"
 )
 
-// Error-envelope codes. Stable: clients switch on these strings, so
-// they only ever grow.
+// Error-envelope codes. Stable: clients switch on these strings, so a
+// code is removed only with the routes that answer it.
 const (
 	codeUnknownExperiment = "unknown_experiment"
-	codeUnknownJob        = "unknown_job"
 	codeBadOptions        = "bad_options"
 	codeDraining          = "draining"
 	codeCanceled          = "canceled"
@@ -38,7 +37,6 @@ const (
 	codeBodyTooLarge      = "body_too_large"
 	codeNotFound          = "not_found"
 	codeMethodNotAllowed  = "method_not_allowed"
-	codeJobNotDone        = "job_not_done"
 )
 
 // errorDetail is the error half of the envelope.

@@ -68,9 +68,7 @@ type batchLine struct {
 }
 
 // lineWriter serializes NDJSON result lines onto one response,
-// flushing after each so clients see lines as they complete. Shared
-// by the batch stream and the job-results endpoint, so both emit the
-// same bytes for the same results.
+// flushing after each so clients see lines as they complete.
 type lineWriter struct {
 	mu      sync.Mutex
 	enc     *json.Encoder
@@ -199,7 +197,7 @@ func resolveBatchIDs(ids []string) ([]string, error) {
 	return out, nil
 }
 
-// sweep is a validated batch or job request.
+// sweep is a validated batch request.
 type sweep struct {
 	ids  []string
 	opts machine.RunOptions
@@ -207,7 +205,7 @@ type sweep struct {
 	conc int         // items evaluated at once
 }
 
-// checkSweep validates a batch or job request — ids, fidelity limits,
+// checkSweep validates a batch request — ids, fidelity limits,
 // engine tier, concurrency — and clamps its concurrency to the
 // server's BatchConcurrency. On failure it answers the 400 itself.
 func (s *Server) checkSweep(w http.ResponseWriter, req batchRequest) (sweep, bool) {

@@ -302,8 +302,7 @@ func TestBatchPost(t *testing.T) {
 	}
 }
 
-// TestBodyTrailingData: POST /v1/batch and POST /v1/jobs take exactly
-// one JSON value. A second value or garbage after it is a 400
+// TestBodyTrailingData: POST /v1/batch takes exactly one JSON value. A second value or garbage after it is a 400
 // bad_options that computes nothing, not a request for the first
 // value alone; trailing white space is still accepted.
 func TestBodyTrailingData(t *testing.T) {
@@ -323,13 +322,11 @@ func TestBodyTrailingData(t *testing.T) {
 		return resp.StatusCode, raw
 	}
 	const first = `{"experiments":["table1"]}`
-	for _, path := range []string{"/v1/batch", "/v1/jobs"} {
-		for _, trailer := range []string{`{"experiments":["fig1"]}`, " trailing garbage", "]", `"x"`, "\n0"} {
-			code, body := post(path, first+trailer)
-			var e errorEnvelope
-			if code != http.StatusBadRequest || json.Unmarshal(body, &e) != nil || e.Error.Code != codeBadOptions {
-				t.Errorf("%s with %q after the value: %d %s, want 400 %s", path, trailer, code, body, codeBadOptions)
-			}
+	for _, trailer := range []string{`{"experiments":["fig1"]}`, " trailing garbage", "]", `"x"`, "\n0"} {
+		code, body := post("/v1/batch", first+trailer)
+		var e errorEnvelope
+		if code != http.StatusBadRequest || json.Unmarshal(body, &e) != nil || e.Error.Code != codeBadOptions {
+			t.Errorf("/v1/batch with %q after the value: %d %s, want 400 %s", trailer, code, body, codeBadOptions)
 		}
 	}
 	if n := computations.Load(); n != 0 {
@@ -337,9 +334,6 @@ func TestBodyTrailingData(t *testing.T) {
 	}
 	if code, body := post("/v1/batch", first+" \r\n\t"); code != http.StatusOK {
 		t.Errorf("/v1/batch with trailing white space: %d %s, want 200", code, body)
-	}
-	if code, body := post("/v1/jobs", first+"\n"); code != http.StatusAccepted {
-		t.Errorf("/v1/jobs with a trailing newline: %d %s, want 202", code, body)
 	}
 }
 

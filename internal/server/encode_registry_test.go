@@ -20,9 +20,9 @@ import (
 
 // TestRegistrySplicedResponses runs every registry experiment and the
 // report on an analytic Lab at sampled fidelity, and holds each
-// response built from the cached bytes — the envelopes, a batch
-// stream's lines and a job's result lines — to the reference encoding
-// of the value the computation returned.
+// response built from the cached bytes — the envelopes and a batch
+// stream's lines — to the reference encoding of the value the
+// computation returned.
 //
 // Excluded from -race builds: the registry's analyses take minutes
 // under the race detector. TestSplicedResponsesMatchEncoder runs the
@@ -77,32 +77,19 @@ func TestRegistrySplicedResponses(t *testing.T) {
 		t.Fatalf("report: spliced body differs from the encoded value (%d vs %d bytes)", len(body), len(want))
 	}
 
-	checkLines := func(what string, body []byte) {
-		t.Helper()
-		for _, raw := range strings.SplitAfter(string(body), "\n") {
-			if raw == "" {
-				continue
-			}
-			l := decodeBatchLine(t, raw)
-			ref := legacyBatchLine{ID: l.ID, Status: l.Status, Engine: l.Engine, Cached: l.Cached,
-				TraceID: l.TraceID, ElapsedMS: l.ElapsedMS, Result: values[l.ID]}
-			if l.Status != "ok" || raw != referenceLine(ref) {
-				t.Fatalf("%s line for %s differs from the encoded value:\n%s", what, l.ID, raw)
-			}
-		}
-	}
 	code, body = get(t, ts, "/v1/batch?experiments=all&"+q)
 	if code != http.StatusOK {
 		t.Fatalf("batch: status %d: %s", code, body)
 	}
-	checkLines("batch", body)
-
-	j := submitJob(t, ts, map[string]any{"experiments": []string{"table1", "fig10"},
-		"instructions": 20000, "warmup": 4000, "engine": "analytic"})
-	waitJobDone(t, ts, j.ID)
-	code, body = get(t, ts, "/v1/jobs/"+j.ID+"/results")
-	if code != http.StatusOK {
-		t.Fatalf("job results: status %d: %s", code, body)
+	for _, raw := range strings.SplitAfter(string(body), "\n") {
+		if raw == "" {
+			continue
+		}
+		l := decodeBatchLine(t, raw)
+		ref := legacyBatchLine{ID: l.ID, Status: l.Status, Engine: l.Engine, Cached: l.Cached,
+			TraceID: l.TraceID, ElapsedMS: l.ElapsedMS, Result: values[l.ID]}
+		if l.Status != "ok" || raw != referenceLine(ref) {
+			t.Fatalf("batch line for %s differs from the encoded value:\n%s", l.ID, raw)
+		}
 	}
-	checkLines("job", body)
 }

@@ -81,8 +81,8 @@ func emittedLine(l batchLine) string {
 
 // checkSpliced holds every response shape that carries v — both
 // envelopes under each engine and every combination of the
-// upgrade_pending, cached and coalesced flags, a batch line and a
-// job-results line — to its reference encoding.
+// upgrade_pending, cached and coalesced flags, an untraced and a
+// traced batch line — to its reference encoding.
 func checkSpliced(t *testing.T, name string, v any) {
 	t.Helper()
 	body, err := encodeResult(context.Background(), v)
@@ -103,7 +103,7 @@ func checkSpliced(t *testing.T, name string, v any) {
 				t.Fatalf("%s %s flags %03b: report body\n%s\nwant\n%s", name, tier, flags, got, want)
 			}
 		}
-		for _, traceID := range []string{"", "4bf92f3577b34da6"} { // a job line, a traced batch line
+		for _, traceID := range []string{"", "4bf92f3577b34da6"} { // untraced, traced
 			line := batchLine{ID: name, Status: "ok", Engine: string(tier), Cached: true,
 				TraceID: traceID, ElapsedMS: 12, Result: body}
 			ref := legacyBatchLine{ID: name, Status: "ok", Engine: string(tier), Cached: true,

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -185,7 +186,7 @@ func TestEngineAutoUpgrades(t *testing.T) {
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Engine.Default != "exact" || st.Engine.UpgradeWorkers != cap(s.jobsSem) {
+	if st.Engine.Default != "exact" || st.Engine.UpgradeWorkers != cap(s.bgSem) {
 		t.Errorf("status engine defaults = %+v", st.Engine)
 	}
 	if st.Engine.Queued < 1 || st.Engine.Done < 1 {
@@ -204,10 +205,9 @@ func TestEngineAutoUpgrades(t *testing.T) {
 
 // TestEngineAutoUpgradeOnBackgroundLane: an exact upgrade computes on
 // the background lane, never in an interactive worker slot or on the
-// uncapped interactive queue, and the lane exists with the jobs
-// subsystem off, so auto still converges to exact there.
+// uncapped interactive queue, and auto converges to exact there.
 func TestEngineAutoUpgradeOnBackgroundLane(t *testing.T) {
-	s := New(Config{JobsDisabled: true})
+	s := New(Config{})
 	lanes := make(chan bool, 4)
 	s.compute = func(_ context.Context, id string, _ machine.RunOptions, tier engine.Tier, background bool) (any, error) {
 		if tier == engine.TierExact {
@@ -233,9 +233,110 @@ func TestEngineAutoUpgradeOnBackgroundLane(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for getEngine(t, ts, "/v1/experiments/table1?engine=auto").Engine != "exact" {
 		if time.Now().After(deadline) {
-			t.Fatal("auto never converged to exact with jobs disabled")
+			t.Fatal("auto never converged to exact")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// reportP99 issues n sequential uncached /v1/report requests (each a
+// distinct fidelity, so each is a real computation) and returns the
+// p99 latency.
+func reportP99(t *testing.T, ts *httptest.Server, n, instrBase int) time.Duration {
+	t.Helper()
+	durs := make([]time.Duration, 0, n)
+	for i := 0; i < n; i++ {
+		start := time.Now()
+		code, body := get(t, ts, fmt.Sprintf("/v1/report?instructions=%d", instrBase+i))
+		if code != http.StatusOK {
+			t.Fatalf("report: status %d: %s", code, body)
+		}
+		durs = append(durs, time.Since(start))
+	}
+	slices.Sort(durs)
+	return durs[len(durs)*99/100]
+}
+
+// TestInteractiveLatencyDuringUpgrades is the isolation guarantee:
+// exact upgrades occupying every background-lane slot must not move
+// interactive /v1/report latency, because the lane's slots stay below
+// the server's worker count. The upgrades block for the whole
+// measurement window — the worst case — and p99 must stay within 10%
+// (plus a small absolute allowance for scheduler noise) of the idle
+// baseline.
+func TestInteractiveLatencyDuringUpgrades(t *testing.T) {
+	s, _ := newTestServer(Config{Workers: 4})
+	defer s.Close()
+	release := make(chan struct{})
+	blocked := make(chan struct{}, upgradeQueueCap)
+	inner := s.compute
+	s.compute = func(ctx context.Context, id string, opts machine.RunOptions, tier engine.Tier, background bool) (any, error) {
+		if background {
+			blocked <- struct{}{}
+			select {
+			case <-release:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		time.Sleep(2 * time.Millisecond) // a small, fixed interactive cost
+		return inner(ctx, id, opts, tier, background)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const samples = 50
+	baseline := reportP99(t, ts, samples, 100_000)
+
+	// More distinct auto requests than the lane has slots: each answers
+	// analytically and queues an exact upgrade, which holds its slot
+	// until release closes.
+	const upgrades = 16
+	for i := 0; i < upgrades; i++ {
+		if er := getEngine(t, ts, fmt.Sprintf("/v1/experiments/table1?engine=auto&instructions=%d", 300_000+i)); er.Engine != "analytic" {
+			t.Fatalf("auto request %d: engine %q, want analytic", i, er.Engine)
+		}
+	}
+	for i := 0; i < cap(s.bgSem); i++ {
+		select {
+		case <-blocked:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of %d background slots filled", i, cap(s.bgSem))
+		}
+	}
+	during := reportP99(t, ts, samples, 200_000)
+
+	// The upgrades must still be pending, or the measurement proved
+	// nothing: none can finish until release closes.
+	s.mu.Lock()
+	pending := len(s.upgradePending)
+	s.mu.Unlock()
+	if pending != upgrades {
+		t.Fatalf("%d upgrades pending during the measurement, want %d", pending, upgrades)
+	}
+
+	close(release)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		s.mu.Lock()
+		pending = len(s.upgradePending)
+		s.mu.Unlock()
+		if pending == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d upgrades still pending after release", pending)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if v := metricValue(t, ts, `spec17d_engine_upgrades_total{status="done"}`); v != upgrades {
+		t.Errorf("upgrades done = %v, want %d", v, upgrades)
+	}
+
+	limit := baseline + baseline/10 + 10*time.Millisecond
+	if during > limit {
+		t.Errorf("interactive p99 during upgrades = %v, baseline %v (limit %v): the background lane starves interactive traffic",
+			during, baseline, limit)
 	}
 }
 

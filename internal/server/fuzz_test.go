@@ -19,7 +19,7 @@ import (
 // Seeds live in testdata/fuzz/FuzzParseRunOptions; `make fuzz` runs
 // the target for a bounded time.
 func FuzzParseRunOptions(f *testing.F) {
-	s, computations := newTestServer(Config{JobsDisabled: true})
+	s, computations := newTestServer(Config{})
 	defer s.Close()
 	h := s.Handler()
 	f.Fuzz(func(t *testing.T, raw string) {
@@ -57,7 +57,7 @@ func FuzzParseRunOptions(f *testing.F) {
 }
 
 // FuzzBatchBody feeds raw POST /v1/batch bodies to decodeBody and then
-// checkSweep, the path every batch and job submission takes. It must
+// checkSweep, the path every batch submission takes. It must
 // never panic. A body either is answered with a 400 or 413 in the
 // error envelope, or becomes a sweep of registry ids, at most
 // maxBatchExperiments of them, at a concurrency in [1,
@@ -65,7 +65,7 @@ func FuzzParseRunOptions(f *testing.F) {
 // in testdata/fuzz/FuzzBatchBody; `make fuzz` runs the target for a
 // bounded time.
 func FuzzBatchBody(f *testing.F) {
-	s, _ := newTestServer(Config{JobsDisabled: true})
+	s, _ := newTestServer(Config{})
 	defer s.Close()
 	f.Fuzz(func(t *testing.T, body []byte) {
 		w := httptest.NewRecorder()

@@ -74,23 +74,6 @@ func (s *Server) routeTable() []routeDef {
 				desc:   "recorded anomaly events, newest first"},
 		)
 	}
-	if !s.cfg.JobsDisabled {
-		routes = append(routes,
-			routeDef{method: "POST", pattern: "/v1/jobs", traced: true, h: s.handleJobSubmit,
-				desc: "submit an async experiment sweep; answers 202 with the job record"},
-			routeDef{method: "GET", pattern: "/v1/jobs", h: s.handleJobList,
-				params: []string{"limit", "offset"},
-				desc:   "list jobs, newest first (paginated)"},
-			routeDef{method: "GET", pattern: "/v1/jobs/{id}", h: s.handleJobGet,
-				desc: "one job's record and per-item progress"},
-			routeDef{method: "DELETE", pattern: "/v1/jobs/{id}", h: s.handleJobCancel,
-				desc: "cancel a job (idempotent)"},
-			routeDef{method: "GET", pattern: "/v1/jobs/{id}/results", traced: true, h: s.handleJobResults,
-				desc: "a finished job's results as NDJSON, in submission order"},
-			routeDef{method: "GET", pattern: "/v1/jobs/{id}/events", h: s.handleJobEvents,
-				desc: "per-job progress events as SSE, ending at the terminal state"},
-		)
-	}
 	return routes
 }
 

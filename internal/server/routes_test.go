@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -72,26 +73,39 @@ func TestWrongMethodEveryRoute(t *testing.T) {
 }
 
 // TestNotFoundEnvelope: unknown paths get the envelope too, pointing
-// at the discovery document.
+// at the discovery document. The async-job routes are gone, so they
+// are unknown paths like any other.
 func TestNotFoundEnvelope(t *testing.T) {
 	s, _ := newTestServer(Config{})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	for _, path := range []string{"/v1/nope", "/nope", "/v1/jobs/x/y/z"} {
-		code, body := get(t, ts, path)
-		if code != http.StatusNotFound {
-			t.Errorf("GET %s: status %d, want 404", path, code)
+	for _, tc := range []struct{ method, path string }{
+		{"GET", "/v1/nope"}, {"GET", "/nope"}, {"GET", "/v1/jobs/x/y/z"},
+		{"POST", "/v1/jobs"}, {"GET", "/v1/jobs/x"},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(`{"experiments":["table1"]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s: status %d, want 404", tc.method, tc.path, resp.StatusCode)
 			continue
 		}
 		var e errorEnvelope
 		if err := json.Unmarshal(body, &e); err != nil {
-			t.Errorf("GET %s: body is not the error envelope: %s", path, body)
+			t.Errorf("%s %s: body is not the error envelope: %s", tc.method, tc.path, body)
 			continue
 		}
 		if e.Error.Code != "not_found" {
-			t.Errorf("GET %s: code %q, want not_found", path, e.Error.Code)
+			t.Errorf("%s %s: code %q, want not_found", tc.method, tc.path, e.Error.Code)
 		}
 	}
 }
@@ -213,7 +227,6 @@ func TestEmptyParamRejected(t *testing.T) {
 		"/v1/experiments/table1?warmup=",
 		"/v1/report?instructions=",
 		"/v1/batch?experiments=table1&concurrency=",
-		"/v1/jobs?offset=",
 	} {
 		code, body := get(t, ts, path)
 		if code != http.StatusBadRequest {

@@ -36,7 +36,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/flight"
 	"repro/internal/insight"
-	"repro/internal/jobs"
 	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/sched"
@@ -110,20 +109,6 @@ type Config struct {
 	// makes the daemon answer analytically and upgrade in the
 	// background by default.
 	DefaultEngine engine.Tier
-	// JobsDisabled turns the async-job subsystem off: the /v1/jobs
-	// routes are not registered and no job state is loaded.
-	JobsDisabled bool
-	// MaxJobs bounds retained async jobs (running and finished).
-	// Defaults to 256.
-	MaxJobs int
-	// JobWorkers bounds concurrently executing async jobs. Defaults
-	// to 2.
-	JobWorkers int
-	// JobsPath is the job-state snapshot file. Empty defaults to the
-	// store's snapshot path + ".jobs" when the store persists; with no
-	// persistent store, jobs are memory-only and do not survive
-	// restarts.
-	JobsPath string
 	// Store, when set, backs every Lab the server builds: measurements
 	// are content-addressed, deduplicated across fidelities, and — when
 	// the store has a snapshot path — survive restarts, so a warm
@@ -170,15 +155,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DefaultEngine == "" {
 		c.DefaultEngine = engine.TierExact
-	}
-	if c.MaxJobs <= 0 {
-		c.MaxJobs = 256
-	}
-	if c.JobWorkers <= 0 {
-		c.JobWorkers = 2
-	}
-	if c.JobsPath == "" && c.Store != nil && c.Store.Path() != "" {
-		c.JobsPath = c.Store.Path() + ".jobs"
 	}
 	if c.Metrics == nil {
 		c.Metrics = metrics.NewRegistry()
@@ -257,24 +233,15 @@ type Server struct {
 	queue  *sched.Queue          // the server's queue on pool (uncapped)
 	adm    *admission.Controller // overload-protection gate
 
-	// The background lane runs job items and exact upgrades. jobsSem
-	// bounds its computations strictly below Workers when Workers > 1,
-	// and jobsQueue is a scheduler queue capped one below the pool's
-	// worker count when it has more than one, so background work whose
-	// items all stall can never hold every worker slot or simulation
-	// worker interactive traffic needs. Where Workers or the pool has
-	// just one, the lane may take it and interactive work queues
-	// behind it.
-	jobsSem   chan struct{}
-	jobsQueue *sched.Queue
-
-	// jobs is the async-job subsystem (nil when JobsDisabled).
-	jobs      *jobs.Manager
-	jobsStart sync.Once
-	// jobsRunner executes one job item; defaults to runJobItem.
-	// Overridable in tests (before the first Handler call) to observe
-	// or interrupt job execution.
-	jobsRunner func(ctx context.Context, j jobs.Job, item string) error
+	// The background lane runs exact upgrades. bgSem bounds its
+	// computations strictly below Workers when Workers > 1, and bgQueue
+	// is a scheduler queue capped one below the pool's worker count
+	// when it has more than one, so upgrades that all stall can never
+	// hold every worker slot or simulation worker interactive traffic
+	// needs. Where Workers or the pool has just one, the lane may take
+	// it and interactive work queues behind it.
+	bgSem   chan struct{}
+	bgQueue *sched.Queue
 
 	// draining is set once Shutdown begins; computation endpoints then
 	// answer 503 instead of starting work the drain deadline would
@@ -297,8 +264,8 @@ type Server struct {
 	// tests to observe and control the computation path; the default
 	// runs the experiment registry on a cached Lab. The context is the
 	// flight's: canceled when every waiting request has disconnected.
-	// background marks job items and exact upgrades, which run on the
-	// background lane instead of the interactive one.
+	// background marks exact upgrades, which run on the background
+	// lane instead of the interactive one.
 	compute func(ctx context.Context, id string, opts machine.RunOptions, tier engine.Tier, background bool) (any, error)
 	// computeStarted, when set (tests), is invoked by the flight
 	// leader right before compute.
@@ -329,15 +296,10 @@ func New(cfg Config) *Server {
 		upgradePending: make(map[string]bool),
 	}
 	s.queue = s.pool.Queue(0)
-	s.jobsQueue = s.pool.Queue(max(s.pool.Workers()-1, 1))
-	s.jobsSem = make(chan struct{}, max(cfg.Workers-1, 1))
+	s.bgQueue = s.pool.Queue(max(s.pool.Workers()-1, 1))
+	s.bgSem = make(chan struct{}, max(cfg.Workers-1, 1))
 	s.compute = s.runExperiment
 	s.upgradeCtx, s.upgradeCancel = context.WithCancel(context.Background())
-
-	if !cfg.JobsDisabled {
-		s.jobsRunner = s.runJobItem
-		s.newJobManager()
-	}
 
 	s.routes = s.routeTable()
 	s.mux = s.newMux()
@@ -348,16 +310,8 @@ func New(cfg Config) *Server {
 func (s *Server) Metrics() *metrics.Registry { return s.cfg.Metrics }
 
 // Handler returns the server's HTTP handler, for mounting in tests or
-// a caller-owned http.Server. The first call starts the async-job
-// workers (so tests can swap the job runner between New and Handler).
-func (s *Server) Handler() http.Handler {
-	s.jobsStart.Do(func() {
-		if s.jobs != nil {
-			s.jobs.Start()
-		}
-	})
-	return s.mux
-}
+// a caller-owned http.Server.
+func (s *Server) Handler() http.Handler { return s.mux }
 
 // Serve accepts connections on l until Shutdown. It returns nil after
 // a clean shutdown.
@@ -394,11 +348,6 @@ func (s *Server) ListenAndServe(addr string) error {
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	s.upgradeCancel()
-	if s.jobs != nil {
-		// Graceful: interrupt running items, revert them to pending, and
-		// write a final checkpoint so the next boot resumes mid-sweep.
-		s.jobs.Close()
-	}
 	s.httpMu.Lock()
 	srv := s.httpSrv
 	s.httpMu.Unlock()
@@ -415,11 +364,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 func (s *Server) Close() error {
 	s.draining.Store(true)
 	s.upgradeCancel()
-	if s.jobs != nil {
-		// SIGKILL-shaped: no final checkpoint — on-disk job state stays
-		// whatever the last per-item checkpoint wrote.
-		s.jobs.Kill()
-	}
 	s.httpMu.Lock()
 	srv := s.httpSrv
 	s.httpMu.Unlock()
@@ -455,8 +399,8 @@ func (s *Server) labFor(opts machine.RunOptions, tier engine.Tier, background bo
 	key := cacheKey("", opts, tier)
 	queue := s.queue
 	if background {
-		key = "jobs|" + key
-		queue = s.jobsQueue
+		key = "bg|" + key
+		queue = s.bgQueue
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -517,7 +461,7 @@ func encodeResult(ctx context.Context, v any) ([]byte, error) {
 // lane onto one computation, and bounding concurrent computations by
 // the lane's worker slots. Flights are keyed by lane, the way labFor
 // keys Labs, so an interactive request never waits in a background
-// flight queued on jobsSem, nor background work rides an interactive
+// flight queued on bgSem, nor background work rides an interactive
 // slot; the result cache is shared. A result that fails to encode
 // fails the flight and is not cached. Canceling ctx abandons this
 // caller's wait; a computation all of whose callers have disconnected
@@ -537,7 +481,7 @@ func (s *Server) fetch(ctx context.Context, id string, opts machine.RunOptions, 
 	// that coalesce onto the flight share its result, not its spans.
 	flightKey, sem := key, s.sem
 	if background {
-		flightKey, sem = "jobs|"+key, s.jobsSem
+		flightKey, sem = "bg|"+key, s.bgSem
 	}
 	body, err, joined := s.flight.Do(ctx, flightKey, func(fctx context.Context) ([]byte, error) {
 		select {
@@ -962,10 +906,6 @@ func (s *Server) estimateCost(r *http.Request, endpoint string) float64 {
 		n = 1
 	case "/v1/report":
 		n = len(experiments.Registry())
-	case "/v1/jobs":
-		// Submitting a sweep costs a flat token; the sweep's items are
-		// charged one by one (blocking, not shedding) as they execute.
-		return 1
 	default:
 		return 0
 	}

@@ -644,7 +644,7 @@ func (c *doneCounter) Done() <-chan struct{} {
 // interactive table2 computes on its own lane at once; the queued
 // background flight then finds the result cached.
 func TestFetchFlightsKeyedByLane(t *testing.T) {
-	s := New(Config{Workers: 2, JobsDisabled: true})
+	s := New(Config{Workers: 2})
 	defer s.Close()
 	stalled := make(chan struct{})
 	release := make(chan struct{})

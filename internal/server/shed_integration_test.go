@@ -4,13 +4,13 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/jobs"
 	"repro/internal/sched"
 	"repro/internal/store"
 )
@@ -143,20 +143,29 @@ func TestRetryAfterIgnoresQueueDepth(t *testing.T) {
 	}
 }
 
-// TestJobOutlivesRequestTimeout: the request timeout is a deadline on
-// interactive requests only. A job has no client on the wire, so its
-// leaves may wait in the scheduler far longer than the timeout and
-// the job still finishes.
-func TestJobOutlivesRequestTimeout(t *testing.T) {
+// TestUpgradeOutlivesRequestTimeout: the request timeout is a deadline
+// on interactive requests only. An exact upgrade has no client on the
+// wire, so its leaves may run far longer than the timeout, and auto
+// still converges to exact. The auto requests themselves may answer
+// 504 while the analytic tier is cold; only convergence is asserted.
+func TestUpgradeOutlivesRequestTimeout(t *testing.T) {
 	_, _, ts := newShedTestServer(t, Config{SimWorkers: 2, RequestTimeout: 100 * time.Millisecond})
-	j := submitJob(t, ts, map[string]any{
-		"experiments":  []string{"table1"},
-		"instructions": 2000,
-		"warmup":       400,
-		"engine":       "exact",
-	})
-	j = waitJobDone(t, ts, j.ID)
-	if j.State != jobs.StateDone || len(j.Items) != 1 || j.Items[0].Status != jobs.ItemDone {
-		t.Fatalf("job = state %s, items %+v; want done with its item done", j.State, j.Items)
+	const path = "/v1/experiments/table1?instructions=2000&warmup=400&engine=auto"
+	deadline := time.Now().Add(2 * time.Minute)
+	for {
+		code, body := get(t, ts, path)
+		var er struct {
+			Engine string `json:"engine"`
+		}
+		if code == http.StatusOK && json.Unmarshal(body, &er) == nil && er.Engine == "exact" {
+			return
+		}
+		if code != http.StatusOK && code != http.StatusGatewayTimeout {
+			t.Fatalf("GET %s: status %d: %s", path, code, body)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("auto never converged to exact under a 100ms request timeout (last: %d %s)", code, body)
+		}
+		time.Sleep(50 * time.Millisecond)
 	}
 }

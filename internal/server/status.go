@@ -11,7 +11,6 @@ import (
 	"repro/internal/admission"
 	"repro/internal/engine"
 	"repro/internal/insight"
-	"repro/internal/jobs"
 	"repro/internal/telemetry"
 )
 
@@ -47,21 +46,7 @@ type statusResponse struct {
 	Engine    engineStatus       `json:"engine"`
 	Trace     traceStatus        `json:"tracing"`
 	Admission admission.Snapshot `json:"admission"`
-	Jobs      *jobsStatus        `json:"jobs,omitempty"`
 	Insight   *insight.Status    `json:"insight,omitempty"`
-}
-
-// jobsStatus reports the async-job subsystem: the state census plus
-// the background queue's share of the simulation pool.
-type jobsStatus struct {
-	jobs.Stats
-	Workers int `json:"workers"`
-	// QueueCap is the background queue's concurrency cap on the shared
-	// simulation pool: one below the pool's worker count, so sweeps
-	// cannot starve interactive traffic, except on a one-worker pool,
-	// where it is 1.
-	QueueCap int    `json:"queue_cap"`
-	Path     string `json:"path,omitempty"`
 }
 
 type storeStatus struct {
@@ -96,9 +81,9 @@ type cacheStatus struct {
 // background exact-upgrade pipeline's health.
 type engineStatus struct {
 	Default string `json:"default"`
-	// UpgradeWorkers is the background lane's computation slots, which
-	// upgrades share with job items; UpgradeDepth and UpgradePending
-	// both count the upgrades waiting for or holding one.
+	// UpgradeWorkers is the background lane's computation slots;
+	// UpgradeDepth and UpgradePending both count the upgrades waiting
+	// for or holding one.
 	UpgradeWorkers int   `json:"upgrade_workers"`
 	UpgradeDepth   int   `json:"upgrade_queue_depth"`
 	UpgradePending int   `json:"upgrade_pending"`
@@ -184,7 +169,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Unlock()
 	resp.Engine = engineStatus{
 		Default:        string(s.cfg.DefaultEngine),
-		UpgradeWorkers: cap(s.jobsSem),
+		UpgradeWorkers: cap(s.bgSem),
 		UpgradeDepth:   nPending,
 		UpgradePending: nPending,
 		Queued:         int64(snap.Value("spec17d_engine_upgrades_total", "queued")),
@@ -193,14 +178,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		Dropped:        int64(snap.Value("spec17d_engine_upgrades_total", "dropped")),
 		ServedExact:    int64(snap.Value("spec17d_engine_requests_total", string(engine.TierExact))),
 		ServedAnalytic: int64(snap.Value("spec17d_engine_requests_total", string(engine.TierAnalytic))),
-	}
-	if s.jobs != nil {
-		resp.Jobs = &jobsStatus{
-			Stats:    s.jobs.Stats(),
-			Workers:  s.cfg.JobWorkers,
-			QueueCap: s.jobsQueue.Cap(),
-			Path:     s.cfg.JobsPath,
-		}
 	}
 	if ins := s.cfg.Insight; ins != nil {
 		st := ins.Status()

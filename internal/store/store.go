@@ -494,7 +494,7 @@ func (s *Store) Save() error {
 		return fmt.Errorf("store: encoding snapshot: %w", err)
 	}
 
-	if err := AtomicWriteFile(s.cfg.Path, data); err != nil {
+	if err := atomicWriteFile(s.cfg.Path, data); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	s.mu.Lock()
@@ -506,13 +506,10 @@ func (s *Store) Save() error {
 	return nil
 }
 
-// AtomicWriteFile publishes data at path with the store's snapshot
-// discipline: write to a temp file in the destination directory,
-// fsync, chmod, rename. A crash mid-write leaves any previous file at
-// path intact. Shared by the measurement snapshot and the job-state
-// snapshot (internal/jobs), so every durable artifact in the system
-// survives crashes the same way.
-func AtomicWriteFile(path string, data []byte) error {
+// atomicWriteFile publishes the snapshot data at path: write to a
+// temp file in the destination directory, fsync, chmod, rename. A
+// crash mid-write leaves any previous snapshot at path intact.
+func atomicWriteFile(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err

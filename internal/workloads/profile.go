@@ -144,13 +144,13 @@ func (p Profile) WorkloadInput(i int) machine.Workload {
 	if i > 1 {
 		// Deterministic, benchmark-shape-preserving perturbation:
 		// inputs differ mostly in footprint and branch bias.
-		f := 1 + 0.08*float64(i-1)
-		spec.FootprintBytes = uint64(float64(spec.FootprintBytes) * f)
+		f := 1 + float64(0.08*float64(i-1))
+		spec.FootprintBytes = uint64(float64(float64(spec.FootprintBytes) * f))
 		if spec.FootprintBytes < spec.WarmBytes {
 			spec.FootprintBytes = spec.WarmBytes
 		}
-		spec.TakenFrac = clampFrac(spec.TakenFrac*(1+0.02*float64(i-1)), 0.02, 0.98)
-		spec.WarmFrac = clampFrac(spec.WarmFrac*(1+0.05*float64(i-1)), 0, 0.9)
+		spec.TakenFrac = clampFrac(spec.TakenFrac*(1+float64(0.02*float64(i-1))), 0.02, 0.98)
+		spec.WarmFrac = clampFrac(spec.WarmFrac*(1+float64(0.05*float64(i-1))), 0, 0.9)
 		// Renormalize to just below 1 so floating-point rounding cannot
 		// push the reconstructed sum over the validation limit.
 		if s := spec.HotFrac + spec.MidFrac + spec.WarmFrac + spec.StrideFrac; s > 0.999 {
@@ -249,7 +249,7 @@ func buildSpec(p params) trace.Spec {
 	if refs > 0 {
 		// Stride streams touch a new line every 8 references and miss
 		// every level; account for their contribution first.
-		sEff := p.stride / 8
+		sEff := float64(p.stride / 8)
 		cold = p.l3/1000/refs - sEff
 		warm = (p.l2d - p.l3) / 1000 / refs
 		// The mid region's L1 miss rate on the 32 KiB Skylake L1D.
@@ -294,7 +294,7 @@ func buildSpec(p params) trace.Spec {
 	// their own I-cache misses (random picks over the kernel code),
 	// which the user-code cold-pick rate must not double-count.
 	const coldMissRate = 0.95*(96.0-32)/96 + 0.05
-	kernelMPKI := p.kernel / blockLen * 0.85 * 1000 * linesPerBlock
+	kernelMPKI := float64(p.kernel / blockLen * 0.85 * 1000 * linesPerBlock)
 	userMPKI := p.l1i - kernelMPKI
 	if userMPKI < 0.1 {
 		userMPKI = 0.1
@@ -323,9 +323,9 @@ func buildSpec(p params) trace.Spec {
 	targetRate := p.brMPKI / 1000 / p.branch
 	hotTarget := targetRate
 	if hotCode > 0 {
-		hotTarget = (targetRate - (1-hotCode)*0.015) / hotCode
+		hotTarget = (targetRate - float64((1-hotCode)*0.015)) / hotCode
 	}
-	baseRate := pattern*0.10 + (1-pattern)*0.007
+	baseRate := float64(pattern*0.10) + float64((1-pattern)*0.007)
 	entropy := 0.0
 	if hotTarget > baseRate {
 		// Hard branches cost ~55% once two-bit-counter churn is

@@ -12,7 +12,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -307,99 +306,10 @@ func main() {
 	}
 	fmt.Println("smoke: admission shed the over-budget request with 429 + Retry-After", ra)
 
-	// Async jobs: submit a one-item sweep, watch it complete over SSE
-	// and fetch its results — completion is read, never pushed to an
-	// address the client names, so a body that asks for a callback is
-	// refused. Fresh API keys throughout: the earlier legs' buckets are
-	// spent by design.
-	postJob := func(key, body string) (*http.Response, []byte) {
-		req, _ := http.NewRequest("POST", base+"/v1/jobs", strings.NewReader(body))
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("X-API-Key", key)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			fatalf("job submit: %v", err)
-		}
-		rbody, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		return resp, rbody
-	}
-	resp, rbody = postJob("smoke-jobs-callback",
-		`{"experiments":["table1"],"instructions":2000,"engine":"analytic","webhook":"http://127.0.0.1:1/hook"}`)
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(rbody), `"bad_options"`) ||
-		!strings.Contains(string(rbody), "webhook") {
-		fatalf("job submit with a callback URL: status %d, want 400 bad_options naming the key: %s", resp.StatusCode, rbody)
-	}
-	fmt.Println("smoke: POST /v1/jobs refused a callback URL with 400 bad_options")
-
-	resp, rbody = postJob("smoke-jobs", `{"experiments":["table1"],"instructions":2000,"engine":"analytic"}`)
-	if resp.StatusCode != http.StatusAccepted {
-		fatalf("job submit: status %d, want 202: %s", resp.StatusCode, rbody)
-	}
-	var job struct {
-		ID string `json:"id"`
-	}
-	if err := json.Unmarshal(rbody, &job); err != nil || job.ID == "" {
-		fatalf("job submit: no job id in %s (err %v)", rbody, err)
-	}
-	if loc := resp.Header.Get("Location"); loc != "/v1/jobs/"+job.ID {
-		fatalf("job submit: Location %q, want /v1/jobs/%s", loc, job.ID)
-	}
-	fmt.Println("smoke: POST /v1/jobs accepted job", job.ID)
-
-	// SSE until the terminal event.
-	resp, err = http.Get(base + "/v1/jobs/" + job.ID + "/events")
-	if err != nil {
-		fatalf("job events: %v", err)
-	}
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "text/event-stream" {
-		fatalf("job events: status %d, Content-Type %q", resp.StatusCode, resp.Header.Get("Content-Type"))
-	}
-	sawTerminal := false
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if strings.HasPrefix(line, "data: ") && strings.Contains(line, `"state":"done"`) &&
-			strings.Contains(line, `"type":"state"`) {
-			sawTerminal = true
-			break
-		}
-	}
-	resp.Body.Close()
-	if !sawTerminal {
-		fatalf("job events: stream ended without a terminal done event")
-	}
-	fmt.Println("smoke: /v1/jobs/{id}/events streamed the sweep to completion")
-
-	// Results: one NDJSON ok line for table1.
-	req, _ = http.NewRequest("GET", base+"/v1/jobs/"+job.ID+"/results", nil)
-	req.Header.Set("X-API-Key", "smoke-job-results")
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		fatalf("job results: %v", err)
-	}
-	rbody, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		fatalf("job results: status %d: %s", resp.StatusCode, rbody)
-	}
-	var line struct {
-		ID     string          `json:"id"`
-		Status string          `json:"status"`
-		Result json.RawMessage `json:"result"`
-	}
-	if err := json.Unmarshal([]byte(strings.TrimSpace(string(rbody))), &line); err != nil {
-		fatalf("job results: parsing NDJSON line: %v\n%s", err, rbody)
-	}
-	if line.ID != "table1" || line.Status != "ok" || len(line.Result) == 0 {
-		fatalf("job results: id %q status %q (%d result bytes), want table1/ok", line.ID, line.Status, len(line.Result))
-	}
-	fmt.Println("smoke: /v1/jobs/{id}/results served the sweep's measurement")
-
 	// A daemon booted with -insight=false must not have the insight
 	// routes at all: 404 through the ordinary fallback, not an empty
 	// 200 — clients can trust the discovery document.
-	base2 := startDaemon(bin, "insight-less daemon", "-insight=false", "-jobs=false")
+	base2 := startDaemon(bin, "insight-less daemon", "-insight=false")
 	for _, path := range []string{"/v1/accuracy", "/v1/events"} {
 		code, body := get(base2, path)
 		if code != http.StatusNotFound || !strings.Contains(string(body), "no such endpoint") {
@@ -408,9 +318,9 @@ func main() {
 	}
 	fmt.Println("smoke: -insight=false daemon 404s the insight routes")
 
-	// Auto-upgrades run on the background lane, which exists with the
-	// jobs subsystem off: the first auto answer is analytic with an
-	// upgrade pending, and polling converges to exact.
+	// Auto-upgrades run on the background lane: the first auto answer
+	// is analytic with an upgrade pending, and polling converges to
+	// exact.
 	var auto struct {
 		Engine         string `json:"engine"`
 		UpgradePending bool   `json:"upgrade_pending"`
@@ -419,58 +329,43 @@ func main() {
 	code, body = get(base2, autoPath)
 	if err := json.Unmarshal(body, &auto); code != http.StatusOK || err != nil ||
 		auto.Engine != "analytic" || !auto.UpgradePending {
-		fatalf("-jobs=false auto request: status %d body %s, want analytic with upgrade_pending", code, body)
+		fatalf("auto request: status %d body %s, want analytic with upgrade_pending", code, body)
 	}
 	deadline := time.Now().Add(2 * time.Minute)
 	for auto.Engine != "exact" {
 		if time.Now().After(deadline) {
-			fatalf("-jobs=false auto request never upgraded to exact: %s", body)
+			fatalf("auto request never upgraded to exact: %s", body)
 		}
 		time.Sleep(100 * time.Millisecond)
 		code, body = get(base2, autoPath)
 		if err := json.Unmarshal(body, &auto); code != http.StatusOK || err != nil {
-			fatalf("-jobs=false auto poll: status %d body %s", code, body)
+			fatalf("auto poll: status %d body %s", code, body)
 		}
 	}
-	fmt.Println("smoke: -jobs=false daemon upgraded an auto request to exact")
+	fmt.Println("smoke: auto request upgraded to exact")
 
-	// -request-timeout is a deadline on interactive requests only: a
-	// job of a cold exact fleet build, whose leaves queue far longer
-	// than the timeout, still finishes.
+	// -request-timeout is a deadline on interactive requests only: the
+	// exact upgrade of an auto request, a cold exact fleet build whose
+	// leaves run far longer than the timeout, still lands. The auto
+	// answers may be 504 while the analytic tier is cold.
 	base3 := startDaemon(bin, "request-timeout daemon", "-request-timeout", "100ms", "-sim-workers", "2")
-	req, _ = http.NewRequest("POST", base3+"/v1/jobs", strings.NewReader(
-		`{"experiments":["table1"],"instructions":2000,"warmup":400,"engine":"exact"}`))
-	req.Header.Set("Content-Type", "application/json")
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		fatalf("request-timeout job submit: %v", err)
-	}
-	rbody, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err := json.Unmarshal(rbody, &job); resp.StatusCode != http.StatusAccepted || err != nil || job.ID == "" {
-		fatalf("request-timeout job submit: status %d body %s, want 202 with a job id", resp.StatusCode, rbody)
-	}
-	var state struct {
-		State string `json:"state"`
-		Items []struct {
-			Status string `json:"status"`
-			Error  string `json:"error"`
-		} `json:"items"`
-	}
+	const timeoutPath = "/v1/experiments/table1?instructions=2000&warmup=400&engine=auto"
 	deadline = time.Now().Add(2 * time.Minute)
-	for state.State != "done" {
-		if time.Now().After(deadline) || state.State == "failed" || state.State == "cancelled" {
-			fatalf("request-timeout job: %s, want done", body)
+	for auto.Engine = ""; auto.Engine != "exact"; {
+		if time.Now().After(deadline) {
+			fatalf("request-timeout auto request never upgraded to exact: %s", body)
+		}
+		code, body = get(base3, timeoutPath)
+		if code != http.StatusOK && code != http.StatusGatewayTimeout {
+			fatalf("request-timeout auto request: status %d body %s", code, body)
+		}
+		if code == http.StatusOK {
+			if err := json.Unmarshal(body, &auto); err != nil {
+				fatalf("request-timeout auto request: %v: %s", err, body)
+			}
 		}
 		time.Sleep(50 * time.Millisecond)
-		code, body = get(base3, "/v1/jobs/"+job.ID)
-		if err := json.Unmarshal(body, &state); code != http.StatusOK || err != nil {
-			fatalf("request-timeout job poll: status %d body %s", code, body)
-		}
 	}
-	if len(state.Items) != 1 || state.Items[0].Status != "done" {
-		fatalf("request-timeout job: %s, want its one item done", body)
-	}
-	fmt.Println("smoke: a cold exact job outlived -request-timeout 100ms and finished done")
+	fmt.Println("smoke: an exact upgrade outlived -request-timeout 100ms; auto converged to exact")
 	fmt.Println("smoke: PASS")
 }
