@@ -35,7 +35,8 @@ fmt-check:
 # cluster linkage and cophenetic correlation, the counter metrics, the
 # power model, the experiments' noise statistics, the sensitivity
 # classes, the synthetic speedups and geomeans, every workload's
-# spec) for the
+# spec, each machine's jittered workload spec and CPI, the trace
+# generator's branch layout) for the
 # architectures on which Go fuses x*y + z into one multiply-add, and
 # fails if the compiler's assembly (-gcflags=-S; a cached build
 # replays it) holds one. A fused result is rounded once instead of
@@ -43,11 +44,12 @@ fmt-check:
 # an explicit float64(x*y) conversion keeps the product rounded. The
 # builds also prove that the portable rotateGo fallback compiles.
 # internal/admission and internal/insight feed no result, but their
-# floats decide what is shed and what raises an event, which should
-# not differ by host either.
+# floats decide what is shed and which drift counts as a band
+# violation, which should not differ by host either.
 FMA_ARCHS ?= arm64 ppc64le riscv64 s390x
 FMA_PKGS ?= ./internal/stats ./internal/cluster ./internal/counters ./internal/power ./internal/experiments \
-	./internal/core ./internal/perfdb ./internal/workloads ./internal/admission ./internal/insight
+	./internal/core ./internal/perfdb ./internal/workloads ./internal/admission ./internal/insight \
+	./internal/machine ./internal/trace
 
 fma-check:
 	@for arch in $(FMA_ARCHS); do \

@@ -16,7 +16,6 @@ import (
 	"log/slog"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/insight"
 	"repro/internal/machine"
@@ -345,25 +344,18 @@ func TestStoreHitFastPathAllocs(t *testing.T) {
 }
 
 // TestStoreHitFastPathAllocsWithInsight extends the same contract to
-// the insight plane: the shed-spike check runs on a ticker goroutine
-// and drift scoring on the put that completes a pair (store.OnPair),
-// so a store with a live plane attached — even one that has already
-// ticked — must keep the identical warm-hit allocation bound. A
-// future per-Get drift hook would trip this immediately.
+// the drift monitor: it scores a pair on the put that completes it
+// (store.OnPair), so a store with the monitor attached must keep the
+// identical warm-hit allocation bound. A future per-Get drift hook
+// would trip this immediately.
 func TestStoreHitFastPathAllocsWithInsight(t *testing.T) {
-	plane := insight.New(insight.Config{
-		Metrics:  metrics.NewRegistry(),
-		Log:      telemetry.NewLogger(io.Discard, slog.LevelError+1),
-		Interval: time.Hour,
-	})
-	defer plane.Stop()
-	st, err := store.Open(store.Config{OnPair: plane.Drift().ObservePair})
+	drift := insight.NewDrift(metrics.NewRegistry(), telemetry.NewLogger(io.Discard, slog.LevelError+1))
+	st, err := store.Open(store.Config{OnPair: drift.ObservePair})
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := store.Key{Machine: "m", Workload: "w", Instructions: 400_000, Content: "deadbeef"}
 	st.Put(key, &machine.RawCounts{})
-	plane.Tick() // tick once
 	ctx := context.Background()
 	compute := func(context.Context) (*machine.RawCounts, error) {
 		panic("compute called on a warm hit")

@@ -13,7 +13,7 @@
 //	        [-rate-limit r] [-burst n] [-max-inflight n]
 //	        [-request-timeout d]
 //	        [-trace] [-trace-ring n] [-trace-slow d]
-//	        [-insight] [-insight-interval d]
+//	        [-insight]
 //	        [-pprof-addr addr] [-log-level level]
 //
 // Endpoints:
@@ -28,7 +28,6 @@
 //	GET  /v1/status                       runtime introspection
 //	GET  /v1/traces                       finished request traces
 //	GET  /v1/accuracy                     analytic-vs-exact drift totals
-//	GET  /v1/events                       recorded anomaly events
 //	GET  /healthz
 //	GET  /metrics                         Prometheus text format
 //
@@ -88,15 +87,11 @@ type daemonConfig struct {
 	traceRing int
 	traceSlow time.Duration
 
-	insight         bool
-	insightInterval time.Duration
+	insight bool
 
 	pprofAddr string
 	logLevel  slog.Level
 }
-
-// minInsightInterval is the shortest -insight-interval accepted.
-const minInsightInterval = time.Second
 
 // parseFlags parses the daemon's command line. Errors (including an
 // invalid duration or log level) are printed to stderr naming the
@@ -126,8 +121,7 @@ func parseFlags(args []string, stderr io.Writer) (*daemonConfig, error) {
 	fs.BoolVar(&cfg.trace, "trace", true, "record per-request span trees, served at /v1/traces")
 	fs.IntVar(&cfg.traceRing, "trace-ring", 256, "finished traces to retain in memory")
 	fs.DurationVar(&cfg.traceSlow, "trace-slow", 0, "log the full span tree of traces slower than this (0 disables)")
-	fs.BoolVar(&cfg.insight, "insight", true, "run the self-monitoring plane (/v1/accuracy, /v1/events)")
-	fs.DurationVar(&cfg.insightInterval, "insight-interval", 5*time.Second, "insight tick period, at least 1s; a shed spike is 10 admission rejections within one tick")
+	fs.BoolVar(&cfg.insight, "insight", true, "run the accuracy-drift monitor (/v1/accuracy)")
 	fs.StringVar(&cfg.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this address (empty disables; keep it private)")
 	fs.TextVar(&cfg.logLevel, "log-level", slog.LevelInfo, "minimum log `level` (debug, info, warn, error)")
 	if err := fs.Parse(args); err != nil {
@@ -156,14 +150,6 @@ func parseFlags(args []string, stderr io.Writer) (*daemonConfig, error) {
 			return nil, err
 		}
 	}
-	// A shed spike is counted within one tick: a shorter period would
-	// take a faster overload to report one.
-	if cfg.insightInterval < minInsightInterval {
-		err := fmt.Errorf("must be at least %v", minInsightInterval)
-		fmt.Fprintf(stderr, "invalid value %v for flag -insight-interval: %v\n", cfg.insightInterval, err)
-		fs.Usage()
-		return nil, err
-	}
 	return cfg, nil
 }
 
@@ -183,36 +169,23 @@ func main() {
 	// spec17_sched_*, and spec17_stage_* too.
 	reg := metrics.NewRegistry()
 
-	// The insight plane is created before the tracer and the store so
-	// both can deliver their hooks (slow traces, checkpoint failures,
-	// analytic/exact pairs) into it.
-	var plane *insight.Plane
-	if cfg.insight {
-		plane = insight.New(insight.Config{
-			Metrics:  reg,
-			Log:      logger,
-			Interval: cfg.insightInterval,
-		})
-	}
-
 	var tracer *telemetry.Tracer
 	if cfg.trace {
-		tcfg := telemetry.TracerConfig{
+		tracer = telemetry.NewTracer(telemetry.TracerConfig{
 			Capacity:      cfg.traceRing,
 			SlowThreshold: cfg.traceSlow,
 			Metrics:       reg,
 			Log:           logger,
-		}
-		if plane != nil {
-			tcfg.OnSlow = plane.OnSlowTrace
-		}
-		tracer = telemetry.NewTracer(tcfg)
+		})
 	}
 
+	// The drift monitor is fed by the store, which hands it each
+	// analytic/exact pair as the pair forms.
+	var drift *insight.Drift
 	scfg := store.Config{Path: cfg.storePath, Metrics: reg, Log: logger}
-	if plane != nil {
-		scfg.OnCheckpointError = plane.OnCheckpointError
-		scfg.OnPair = plane.Drift().ObservePair
+	if cfg.insight {
+		drift = insight.NewDrift(reg, logger)
+		scfg.OnPair = drift.ObservePair
 	}
 	st, err := store.Open(scfg)
 	if err != nil {
@@ -229,12 +202,6 @@ func main() {
 			defer stop()
 			logger.Info("checkpointing store", "interval", cfg.checkpoint)
 		}
-	}
-
-	if plane != nil {
-		plane.Start()
-		defer plane.Stop()
-		logger.Info("insight plane sampling", "interval", plane.Interval())
 	}
 
 	if cfg.pprofAddr != "" {
@@ -259,7 +226,7 @@ func main() {
 		Metrics:           reg,
 		Log:               logger,
 		Tracer:            tracer,
-		Insight:           plane,
+		Insight:           drift,
 	})
 
 	l, err := net.Listen("tcp", cfg.addr)

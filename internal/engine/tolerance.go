@@ -28,7 +28,7 @@ func (b Band) Holds(a, x float64) bool { return b.Ratio(a, x) <= 1 }
 //	|a − x| / (Abs + Rel·max(|a|, |x|))
 //
 // 0 is perfect agreement, 1 sits exactly on the band edge, and values
-// above 1 are violations. The insight plane's drift monitor feeds
+// above 1 are violations. The insight package's drift monitor feeds
 // these ratios into the spec17d_engine_drift_ratio{metric} histograms,
 // so "how close to the contract are we running" is one number per
 // sample regardless of the metric's units. A degenerate zero-width

@@ -1,24 +1,28 @@
-package insight
-
-// The accuracy-drift monitor: the daemon's auto tier answers
-// analytically first and upgrades to exact in the background, which
-// means the store routinely holds *both* measurements of one
-// (machine, workload, fidelity) identity — the analytic record under
-// Key.Engine="analytic" and its exact twin under Engine="". The store
-// hands each pair to ObservePair once, when its second record lands
-// (store.Config.OnPair), and the monitor replays the cross-validation
-// contract in production: every metric's relative disagreement is
-// expressed as the fraction of its committed engine.Tolerances band it
-// consumes (Band.Ratio), fed into spec17d_engine_drift_ratio{metric},
-// and a ratio above 1 — an answer the daemon already served that the
-// exact engine later contradicted beyond contract — raises a
-// band_violation event. GET /v1/accuracy serves the running totals
+// Package insight is spec17d's accuracy-drift monitor. The daemon's
+// auto tier answers analytically first and upgrades to exact in the
+// background, which means the store routinely holds *both*
+// measurements of one (machine, workload, fidelity) identity — the
+// analytic record under Key.Engine="analytic" and its exact twin under
+// Engine="". The store hands each pair to ObservePair once, when its
+// second record lands (store.Config.OnPair), and the monitor replays
+// the cross-validation contract in production: every metric's relative
+// disagreement is expressed as the fraction of its committed
+// engine.Tolerances band it consumes (Band.Ratio), fed into
+// spec17d_engine_drift_ratio{metric}, and a ratio above 1 — an answer
+// the daemon already served that the exact engine later contradicted
+// beyond contract — is counted in spec17d_engine_drift_violations_total
+// and logged once at warn. GET /v1/accuracy serves the running totals
 // and the worst offenders. The totals cover the pairs this process
 // formed: records loaded from a snapshot form none, so a restart does
-// not raise its predecessor's violations again.
+// not raise its predecessor's violations again. Memory is bounded by
+// the offender table; the one request-path cost is scoring a pair,
+// paid by the put that completes it.
+package insight
 
 import (
 	"fmt"
+	"log/slog"
+	"os"
 	"sort"
 	"strconv"
 	"sync"
@@ -28,6 +32,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/store"
+	"repro/internal/telemetry"
 )
 
 // maxOffenders bounds the worst-offenders table served by
@@ -71,11 +76,11 @@ type AccuracyStatus struct {
 // Drift scores the disagreement between analytic store records and
 // their exact twins. Safe for concurrent use.
 type Drift struct {
-	events *EventLog
+	log *slog.Logger
 
 	ratio *metrics.HistogramVec
 	// pairs and violations are also the totals Status reports, so
-	// each event is counted once.
+	// each pair and violation is counted once.
 	pairs      *metrics.Counter
 	violations *metrics.Counter
 
@@ -88,9 +93,16 @@ type Drift struct {
 	cells   map[string]*Offender
 }
 
-func newDrift(reg *metrics.Registry, events *EventLog) *Drift {
+// NewDrift returns a drift monitor whose instruments
+// (spec17d_engine_drift_*) land in reg and whose band violations are
+// logged to log, which defaults to an info-level structured logger on
+// stderr.
+func NewDrift(reg *metrics.Registry, log *slog.Logger) *Drift {
+	if log == nil {
+		log = telemetry.NewLogger(os.Stderr, slog.LevelInfo)
+	}
 	return &Drift{
-		events: events,
+		log: log,
 		ratio: reg.HistogramVec("spec17d_engine_drift_ratio",
 			"Analytic-vs-exact disagreement per compared metric, as the fraction of the tolerance band consumed (>1 = violation).",
 			[]float64{0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1, 1.5, 2, 4},
@@ -149,17 +161,15 @@ func (d *Drift) observeMetric(key store.Key, m counters.Metric, a, x float64) {
 	d.mu.Unlock()
 	if ratio > 1 {
 		d.violations.Inc()
-		d.events.Emit(EventBandViolation,
-			fmt.Sprintf("analytic %s for %s on %s drifted %.2fx beyond its tolerance band",
+		d.log.Warn("insight event", "type", "band_violation",
+			"msg", fmt.Sprintf("analytic %s for %s on %s drifted %.2fx beyond its tolerance band",
 				m, key.Workload, key.Machine, ratio),
-			map[string]string{
-				"machine":  key.Machine,
-				"workload": key.Workload,
-				"metric":   string(m),
-				"analytic": strconv.FormatFloat(a, 'g', 6, 64),
-				"exact":    strconv.FormatFloat(x, 'g', 6, 64),
-				"ratio":    strconv.FormatFloat(ratio, 'g', 4, 64),
-			})
+			"machine", key.Machine,
+			"workload", key.Workload,
+			"metric", string(m),
+			"analytic", strconv.FormatFloat(a, 'g', 6, 64),
+			"exact", strconv.FormatFloat(x, 'g', 6, 64),
+			"ratio", strconv.FormatFloat(ratio, 'g', 4, 64))
 	}
 }
 

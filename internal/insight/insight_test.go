@@ -3,12 +3,9 @@ package insight
 import (
 	"bytes"
 	"context"
-	"errors"
-	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -19,86 +16,6 @@ import (
 	"repro/internal/store"
 	"repro/internal/telemetry"
 )
-
-// testClock is a manually-advanced clock for deterministic ticks.
-type testClock struct{ t time.Time }
-
-func newTestClock() *testClock {
-	return &testClock{t: time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)}
-}
-func (c *testClock) now() time.Time          { return c.t }
-func (c *testClock) advance(d time.Duration) { c.t = c.t.Add(d) }
-
-func quietLog() *slog.Logger {
-	return telemetry.NewLogger(io.Discard, slog.LevelError+1)
-}
-
-func newTestPlane(t *testing.T, reg *metrics.Registry, clk *testClock) *Plane {
-	t.Helper()
-	p := New(Config{
-		Metrics:  reg,
-		Log:      quietLog(),
-		Interval: 5 * time.Second,
-		Now:      clk.now,
-	})
-	t.Cleanup(p.Stop)
-	return p
-}
-
-func TestEventLogRingAndFilters(t *testing.T) {
-	reg := metrics.NewRegistry()
-	clk := newTestClock()
-	e := newEventLog(4, reg, quietLog(), clk.now)
-
-	for i := 0; i < 6; i++ {
-		typ := EventShedSpike
-		if i%2 == 1 {
-			typ = EventSlowTrace
-		}
-		e.Emit(typ, "event", nil)
-		clk.advance(time.Second)
-	}
-	if e.Len() != 4 || e.Total() != 6 {
-		t.Fatalf("len=%d total=%d, want 4/6", e.Len(), e.Total())
-	}
-	all := e.Events("", time.Time{}, 0)
-	if len(all) != 4 || all[0].Seq != 6 || all[3].Seq != 3 {
-		t.Fatalf("events newest-first = %+v", all)
-	}
-	slow := e.Events(EventSlowTrace, time.Time{}, 0)
-	if len(slow) != 2 {
-		t.Fatalf("type filter kept %d, want 2", len(slow))
-	}
-	since := e.Events("", all[0].Time, 0)
-	if len(since) != 1 || since[0].Seq != 6 {
-		t.Fatalf("since filter = %+v", since)
-	}
-	if got := e.Events("", time.Time{}, 1); len(got) != 1 || got[0].Seq != 6 {
-		t.Fatalf("limit=1 = %+v", got)
-	}
-	var buf [512]byte
-	w := &writerTo{buf: buf[:0]}
-	if err := reg.WritePrometheus(w); err != nil {
-		t.Fatal(err)
-	}
-	body := string(w.buf)
-	if !contains(body, `spec17d_insight_events_total{type="shed_spike"} 3`) {
-		t.Fatalf("events counter missing from exposition:\n%s", body)
-	}
-}
-
-type writerTo struct{ buf []byte }
-
-func (w *writerTo) Write(p []byte) (int, error) { w.buf = append(w.buf, p...); return len(p), nil }
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}
 
 // syntheticCounts builds a plausible RawCounts; mispredicts is the
 // knob the drift tests turn.
@@ -139,18 +56,17 @@ func putPair(t *testing.T, st *store.Store, workload string, analytic, exact *ma
 	return k
 }
 
-// newPairedDrift returns a drift monitor with its event log, and a
+// newPairedDrift returns a drift monitor logging into logs, and a
 // memory-only store that hands it every pair as it forms.
-func newPairedDrift(t *testing.T) (*Drift, *EventLog, *store.Store) {
+func newPairedDrift(t *testing.T) (*Drift, *lockedBuffer, *store.Store) {
 	t.Helper()
-	reg := metrics.NewRegistry()
-	events := newEventLog(16, reg, quietLog(), newTestClock().now)
-	d := newDrift(reg, events)
+	logs := new(lockedBuffer)
+	d := NewDrift(metrics.NewRegistry(), telemetry.NewLogger(logs, slog.LevelInfo))
 	st, err := store.Open(store.Config{OnPair: d.ObservePair})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, events, st
+	return d, logs, st
 }
 
 func TestDriftPairInBand(t *testing.T) {
@@ -166,7 +82,7 @@ func TestDriftPairInBand(t *testing.T) {
 }
 
 func TestDriftPairViolation(t *testing.T) {
-	d, events, st := newPairedDrift(t)
+	d, logs, st := newPairedDrift(t)
 	// 100 vs 10 mispredicts per 1000 instructions: 100 MPKI vs 10 MPKI
 	// against BranchMPKI's band {Abs: 3.5, Rel: 0.60} → ratio ≈ 1.42.
 	putPair(t, st, "wl-drift", syntheticCounts(100), syntheticCounts(10))
@@ -183,12 +99,9 @@ func TestDriftPairViolation(t *testing.T) {
 	if status.Worst[0].WorstRatio <= 1 {
 		t.Fatalf("worst ratio %v should exceed 1", status.Worst[0].WorstRatio)
 	}
-	evs := events.Events(EventBandViolation, time.Time{}, 0)
-	if len(evs) != 1 {
-		t.Fatalf("band_violation events = %d, want 1", len(evs))
-	}
-	if evs[0].Attrs["metric"] != "branch_mpki" || evs[0].Attrs["machine"] != "test-machine" {
-		t.Fatalf("event attrs = %+v", evs[0].Attrs)
+	if n := logs.count("level=warn", "type=band_violation", "machine=test-machine",
+		"workload=wl-drift", "metric=branch_mpki", "analytic=100", "exact=10", "ratio="); n != 1 {
+		t.Fatalf("%d band_violation warn lines, want 1:\n%s", n, logs.String())
 	}
 }
 
@@ -207,9 +120,8 @@ func TestDriftRestartDoesNotRealert(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reg := metrics.NewRegistry()
-	events := newEventLog(16, reg, quietLog(), newTestClock().now)
-	d := newDrift(reg, events)
+	var logs lockedBuffer
+	d := NewDrift(metrics.NewRegistry(), telemetry.NewLogger(&logs, slog.LevelInfo))
 	fired := 0
 	after, err := store.Open(store.Config{Path: path, OnPair: func(k store.Key, a, x *machine.RawCounts) {
 		fired++
@@ -227,75 +139,8 @@ func TestDriftRestartDoesNotRealert(t *testing.T) {
 	if st := d.Status(); st.Pairs != 0 || st.Violations != 0 {
 		t.Errorf("status after restart = %+v, want no pairs", st)
 	}
-	if evs := events.Events(EventBandViolation, time.Time{}, 0); len(evs) != 0 {
-		t.Errorf("restart re-raised %d band_violation events", len(evs))
-	}
-}
-
-func TestShedSpikeDetection(t *testing.T) {
-	reg := metrics.NewRegistry()
-	rejected := reg.CounterVec("spec17_admission_rejected_total", "rejections", "reason")
-	clk := newTestClock()
-	p := newTestPlane(t, reg, clk)
-
-	p.Tick() // baseline
-	// Every reason counts toward the spike.
-	rejected.With("inflight").Add(6)
-	rejected.With("rate_limited").Add(6)
-	clk.advance(5 * time.Second)
-	p.Tick()
-	if got := len(p.Events().Events(EventShedSpike, time.Time{}, 0)); got != 1 {
-		t.Fatalf("shed_spike events = %d, want 1", got)
-	}
-	// A second spike inside the cooldown is the same incident.
-	rejected.With("rate_limited").Add(20)
-	clk.advance(5 * time.Second)
-	p.Tick()
-	if got := len(p.Events().Events(EventShedSpike, time.Time{}, 0)); got != 1 {
-		t.Fatalf("shed_spike events inside cooldown = %d, want 1", got)
-	}
-	// Past the cooldown a sustained overload may fire again.
-	rejected.With("inflight").Add(20)
-	clk.advance(2 * time.Minute)
-	p.Tick()
-	if got := len(p.Events().Events(EventShedSpike, time.Time{}, 0)); got != 2 {
-		t.Fatalf("shed_spike events after cooldown = %d, want 2", got)
-	}
-}
-
-// TestTickAllocsIndependentOfSeries: a tick reads the one family it
-// checks, so its allocations do not grow with the registry's other
-// series.
-func TestTickAllocsIndependentOfSeries(t *testing.T) {
-	reg := metrics.NewRegistry()
-	rejected := reg.CounterVec("spec17_admission_rejected_total", "rejections", "reason")
-	rejected.With("inflight").Inc()
-	rejected.With("rate_limited").Inc()
-	p := newTestPlane(t, reg, newTestClock())
-	few := testing.AllocsPerRun(100, p.Tick)
-
-	requests := reg.CounterVec("spec17d_requests_total", "requests", "endpoint", "code")
-	for i := 0; i < 200; i++ {
-		requests.With("/v1/e"+strconv.Itoa(i), "200").Inc()
-	}
-	if many := testing.AllocsPerRun(100, p.Tick); many != few {
-		t.Errorf("Tick allocates %v objects with 200 more series, %v without; want the same", many, few)
-	}
-}
-
-func TestPlaneHooks(t *testing.T) {
-	reg := metrics.NewRegistry()
-	clk := newTestClock()
-	p := newTestPlane(t, reg, clk)
-
-	p.OnSlowTrace(&telemetry.TraceData{TraceID: "t1", DurationMS: 1234})
-	p.OnCheckpointError(errors.New("disk full"))
-
-	if got := len(p.Events().Events(EventSlowTrace, time.Time{}, 0)); got != 1 {
-		t.Fatalf("slow_trace events = %d", got)
-	}
-	if got := len(p.Events().Events(EventCheckpointFailure, time.Time{}, 0)); got != 1 {
-		t.Fatalf("checkpoint_failure events = %d", got)
+	if n := logs.count("type=band_violation"); n != 0 {
+		t.Errorf("restart re-logged %d band violations", n)
 	}
 }
 
@@ -309,6 +154,12 @@ func (w *lockedBuffer) Write(p []byte) (int, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.b.Write(p)
+}
+
+func (w *lockedBuffer) String() string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.b.String()
 }
 
 // count returns how many logged lines contain every one of subs.
@@ -328,19 +179,20 @@ func (w *lockedBuffer) count(subs ...string) int {
 	return n
 }
 
-// TestHookedAnomaliesLogOnce: with one logger shared by the tracer,
-// the store and the plane, as spec17d wires them, a slow trace and a
-// failed checkpoint each give one warn line, from the component that
-// hit it, and one event. The hooks add no line of their own.
-func TestHookedAnomaliesLogOnce(t *testing.T) {
+// TestAnomaliesLogOnce: with one logger and one registry shared by
+// the tracer, the store and the drift monitor, as spec17d wires them,
+// a slow trace, a failed checkpoint and a band violation each give one
+// warn line, from the component that hit it, and each is still
+// countable or served: the tracer's ring keeps the slow trace for
+// /v1/traces?min_ms=, and the two counters rise.
+func TestAnomaliesLogOnce(t *testing.T) {
 	var logs lockedBuffer
 	log := telemetry.NewLogger(&logs, slog.LevelInfo)
 	reg := metrics.NewRegistry()
-	p := New(Config{Metrics: reg, Log: log, Interval: time.Hour})
-	t.Cleanup(p.Stop)
+	drift := NewDrift(reg, log)
 
 	tracer := telemetry.NewTracer(telemetry.TracerConfig{
-		Capacity: 4, SlowThreshold: time.Nanosecond, Metrics: reg, Log: log, OnSlow: p.OnSlowTrace,
+		Capacity: 4, SlowThreshold: time.Nanosecond, Metrics: reg, Log: log,
 	})
 	_, root := tracer.StartTrace(context.Background(), "http.request", "")
 	time.Sleep(time.Millisecond)
@@ -354,7 +206,7 @@ func TestHookedAnomaliesLogOnce(t *testing.T) {
 	}
 	st, err := store.Open(store.Config{
 		Path: filepath.Join(dir, "store.json"), Metrics: reg, Log: log,
-		OnCheckpointError: p.OnCheckpointError,
+		OnPair: drift.ObservePair,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -365,41 +217,26 @@ func TestHookedAnomaliesLogOnce(t *testing.T) {
 	if err := os.WriteFile(dir, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st.Put(store.Key{Machine: "m", Workload: "w", Instructions: 1000, Content: "c"}, syntheticCounts(1))
+	// 100 vs 10 mispredicts per 1000 instructions violates only
+	// BranchMPKI's band.
+	putPair(t, st, "wl-drift", syntheticCounts(100), syntheticCounts(10))
 	st.StartCheckpointing(time.Hour)() // only stop's flush saves
 
-	for _, c := range []struct {
-		typ EventType
-		msg string
-	}{
-		{EventSlowTrace, `msg="slow trace"`},
-		{EventCheckpointFailure, `msg="checkpoint failed"`},
-	} {
-		events := len(p.Events().Events(c.typ, time.Time{}, 0))
-		if lines := logs.count("level=warn", c.msg); events != 1 || lines != 1 {
-			t.Errorf("%s: %d events, %d warn lines; want 1 and 1", c.typ, events, lines)
+	for _, msg := range []string{`msg="slow trace"`, `msg="checkpoint failed"`, `type=band_violation`} {
+		if lines := logs.count("level=warn", msg); lines != 1 {
+			t.Errorf("%s: %d warn lines, want 1", msg, lines)
 		}
 	}
-	if got := logs.count("level=warn"); got != 2 {
-		t.Errorf("%d warn lines, want 2 (one per anomaly):\n%s", got, logs.b.String())
+	if got := logs.count("level=warn"); got != 3 {
+		t.Errorf("%d warn lines, want 3 (one per anomaly):\n%s", got, logs.String())
 	}
-}
-
-func TestPlaneStartStop(t *testing.T) {
-	reg := metrics.NewRegistry()
-	p := New(Config{Metrics: reg, Log: quietLog(), Interval: time.Millisecond})
-	p.Start()
-	deadline := time.Now().Add(2 * time.Second)
-	for p.Status().Samples == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	if got := len(tracer.Traces(telemetry.Filter{MinDuration: time.Nanosecond})); got != 1 {
+		t.Errorf("tracer ring holds %d slow traces, want 1", got)
 	}
-	if p.Status().Samples == 0 {
-		t.Fatal("sampling loop never ticked")
+	snap := reg.Snapshot()
+	for _, name := range []string{"spec17_store_checkpoint_failures_total", "spec17d_engine_drift_violations_total"} {
+		if v := snap.Value(name); v != 1 {
+			t.Errorf("%s = %g, want 1", name, v)
+		}
 	}
-	p.Stop()
-	p.Stop() // idempotent
-
-	// Never-started planes stop cleanly too.
-	q := New(Config{Metrics: metrics.NewRegistry(), Log: quietLog()})
-	q.Stop()
 }

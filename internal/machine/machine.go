@@ -487,7 +487,7 @@ func (m *Machine) adjustSpec(w Workload) trace.Spec {
 	// locality knobs, keyed by workload and machine.
 	r := rng.NewKeyedJoin(0xC0, w.Key, "|", m.cfg.Name)
 	jitter := func(v float64) float64 {
-		return v * (1 + (r.Float64()-0.5)*0.06)
+		return v * (1 + float64((float64(r.Float64())-0.5)*0.06))
 	}
 	spec.LoadFrac = clamp01(jitter(spec.LoadFrac))
 	spec.StoreFrac = clamp01(jitter(spec.StoreFrac))

@@ -256,6 +256,6 @@ func (st *simStream) finalize(issueWidth int, ilp float64, pen cpistack.Penaltie
 	}
 	rc.Stack = stack
 	rc.CPI = stack.Total()
-	rc.Cycles = uint64(rc.CPI * float64(rc.Instructions))
+	rc.Cycles = uint64(float64(rc.CPI * float64(rc.Instructions)))
 	return nil
 }

@@ -6,10 +6,9 @@ import (
 )
 
 // The registry's one read path. Snapshot gives in-process consumers —
-// the /v1/status handler, the insight plane's shed-spike check —
-// a self-consistent view as typed Go values, without parsing text or
-// holding private metric handles, and WritePrometheus renders the
-// Prometheus text from it.
+// the /v1/status handler — a self-consistent view as typed Go values,
+// without parsing text or holding private metric handles, and
+// WritePrometheus renders the Prometheus text from it.
 
 // SeriesSnapshot is one labelled series' state at capture time. For
 // counters and gauges only Value is meaningful; for histograms,
@@ -52,19 +51,6 @@ func (r *Registry) Snapshot() Snapshot {
 		out = append(out, f.snapshot())
 	}
 	return out
-}
-
-// Family captures the one named family as Snapshot would, without
-// capturing any other: a reader of one family pays for its series
-// only, however many the registry holds.
-func (r *Registry) Family(name string) (FamilySnapshot, bool) {
-	r.mu.Lock()
-	f, ok := r.byName[name]
-	r.mu.Unlock()
-	if !ok {
-		return FamilySnapshot{}, false
-	}
-	return f.snapshot(), true
 }
 
 // Snapshot is a full registry capture, with lookup helpers.

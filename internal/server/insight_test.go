@@ -3,13 +3,10 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"slices"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -46,12 +43,12 @@ func insightCounts(mispredicts uint64) *machine.RawCounts {
 	return rc
 }
 
-// newInsightTestServer builds a server with the insight plane wired in
+// newInsightTestServer builds a server with the drift monitor wired in
 // and the compute path stubbed to mimic the Lab's store side-effect:
 // every computation lands one synthetic measurement in the store,
 // keyed analytic or exact by the tier it ran at — exactly the pair
 // shape the drift monitor feeds on.
-func newInsightTestServer(t *testing.T, cfg Config) (*Server, *insight.Plane, *atomic.Int64) {
+func newInsightTestServer(t *testing.T, cfg Config) (*Server, *atomic.Int64) {
 	t.Helper()
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
@@ -59,16 +56,9 @@ func newInsightTestServer(t *testing.T, cfg Config) (*Server, *insight.Plane, *a
 	if cfg.Log == nil {
 		cfg.Log = telemetry.NewLogger(io.Discard, slog.LevelError+1)
 	}
-	plane := insight.New(insight.Config{
-		Metrics: cfg.Metrics,
-		Log:     cfg.Log,
-		// The loop never ticks on its own inside a test; the store
-		// feeds the drift monitor each pair as it forms.
-		Interval: time.Hour,
-	})
-	t.Cleanup(plane.Stop)
-	cfg.Insight = plane
-	st, err := store.Open(store.Config{OnPair: plane.Drift().ObservePair})
+	drift := insight.NewDrift(cfg.Metrics, cfg.Log)
+	cfg.Insight = drift
+	st, err := store.Open(store.Config{OnPair: drift.ObservePair})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +82,7 @@ func newInsightTestServer(t *testing.T, cfg Config) (*Server, *insight.Plane, *a
 		st.Put(k, insightCounts(10))
 		return map[string]any{"id": id, "tier": string(tier)}, nil
 	}
-	return s, plane, &computations
+	return s, &computations
 }
 
 type accuracyBody struct {
@@ -125,10 +115,11 @@ func getAccuracy(t *testing.T, ts *httptest.Server) accuracyBody {
 // request is answered analytically and upgraded to exact in the
 // background; once both measurements of the same identity sit in the
 // store, /v1/accuracy reports the compared pair inside its tolerance
-// bands. A perturbed analytic record injected afterwards turns into a
-// band_violation event on /v1/events.
+// bands. A perturbed analytic record injected afterwards is counted
+// as a violation and heads the worst offenders. /v1/accuracy takes no
+// query parameters.
 func TestInsightDriftEndToEnd(t *testing.T) {
-	s, plane, _ := newInsightTestServer(t, Config{})
+	s, _ := newInsightTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.Close()
@@ -187,94 +178,11 @@ func TestInsightDriftEndToEnd(t *testing.T) {
 		t.Errorf("worst offender = %+v, want branch_mpki first", acc.Worst)
 	}
 
-	code, body := get(t, ts, "/v1/events?type=band_violation")
-	if code != http.StatusOK {
-		t.Fatalf("/v1/events: status %d: %s", code, body)
-	}
-	var evs struct {
-		Count  int `json:"count"`
-		Events []struct {
-			Type  string            `json:"type"`
-			Attrs map[string]string `json:"attrs"`
-		} `json:"events"`
-	}
-	if err := json.Unmarshal(body, &evs); err != nil {
-		t.Fatal(err)
-	}
-	if evs.Count < 1 {
-		t.Fatalf("no band_violation events after a confirmed violation: %s", body)
-	}
-	ev := evs.Events[0]
-	if ev.Type != "band_violation" || ev.Attrs["workload"] != "drifted-wl" || ev.Attrs["metric"] != "branch_mpki" {
-		t.Errorf("band_violation event = %+v", ev)
+	if w := acc.Worst[0]; w.Workload != "drifted-wl" || w.Machine != "test-machine" {
+		t.Errorf("worst offender = %+v, want the drifted pair", w)
 	}
 
-	// The plane's status section reflects the activity.
-	if got := plane.Status().EventsTotal; got < 1 {
-		t.Errorf("plane recorded %d events, want >= 1", got)
-	}
-}
-
-// TestInsightEventsEndpointValidation: /v1/events rejects malformed
-// filters in the standard envelope and filters correctly otherwise.
-func TestInsightEventsEndpointValidation(t *testing.T) {
-	s, plane, _ := newInsightTestServer(t, Config{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	defer s.Close()
-
-	plane.OnCheckpointError(errors.New("disk full"))
-	plane.OnSlowTrace(&telemetry.TraceData{TraceID: "t1", DurationMS: 2500})
-
-	for _, tc := range []struct {
-		path string
-		want string
-	}{
-		{"/v1/events?type=bogus", "unknown event type"},
-		{"/v1/events?since=notatime", "RFC 3339"},
-		{"/v1/events?limit=0", "positive integer"},
-		{"/v1/events?limit=x", "positive integer"},
-		{"/v1/events?frob=1", "unknown query parameter"},
-		{"/v1/events?type=", "empty"},
-	} {
-		code, body := get(t, ts, tc.path)
-		if code != http.StatusBadRequest {
-			t.Errorf("GET %s: status %d, want 400", tc.path, code)
-		}
-		if !strings.Contains(string(body), tc.want) {
-			t.Errorf("GET %s: body %q does not contain %q", tc.path, body, tc.want)
-		}
-	}
-	// slo_burn left with the SLO monitor: it is an unknown type, and
-	// the 400 lists the four that remain.
-	code, body := get(t, ts, "/v1/events?type=slo_burn")
-	var e errorEnvelope
-	if err := json.Unmarshal(body, &e); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"band_violation", "shed_spike", "slow_trace", "checkpoint_failure"}
-	if code != http.StatusBadRequest || !slices.Equal(e.Error.Known, want) {
-		t.Errorf("GET /v1/events?type=slo_burn: status %d, known %q; want 400 and %q", code, e.Error.Known, want)
-	}
-
-	var evs struct {
-		Count  int `json:"count"`
-		Events []struct {
-			Type string `json:"type"`
-		} `json:"events"`
-	}
-	code, body = get(t, ts, "/v1/events?type=slow_trace")
-	if code != http.StatusOK {
-		t.Fatalf("/v1/events: %d", code)
-	}
-	if err := json.Unmarshal(body, &evs); err != nil {
-		t.Fatal(err)
-	}
-	if evs.Count != 1 || evs.Events[0].Type != "slow_trace" {
-		t.Errorf("type filter returned %s", body)
-	}
-	// /v1/accuracy takes no parameters at all.
-	code, body = get(t, ts, "/v1/accuracy?verbose=1")
+	code, body := get(t, ts, "/v1/accuracy?verbose=1")
 	if code != http.StatusBadRequest || !strings.Contains(string(body), "no query parameters") {
 		t.Errorf("/v1/accuracy?verbose=1: %d %s", code, body)
 	}
@@ -286,13 +194,11 @@ func TestInsightEventsEndpointValidation(t *testing.T) {
 func TestAccuracyDisabledWithoutPairHook(t *testing.T) {
 	reg := metrics.NewRegistry()
 	logger := telemetry.NewLogger(io.Discard, slog.LevelError+1)
-	plane := insight.New(insight.Config{Metrics: reg, Log: logger, Interval: time.Hour})
-	t.Cleanup(plane.Stop)
 	st, err := store.Open(store.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(Config{Metrics: reg, Log: logger, Insight: plane, Store: st})
+	s := New(Config{Metrics: reg, Log: logger, Insight: insight.NewDrift(reg, logger), Store: st})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.Close()
@@ -302,16 +208,16 @@ func TestAccuracyDisabledWithoutPairHook(t *testing.T) {
 	}
 }
 
-// TestInsightDisabledRoutes404: without a plane the two insight
-// routes do not exist — the fallback answers 404 in the standard
-// envelope, and GET /v1 does not advertise them. The removed metric
-// history route is a 404 with the plane on as well.
+// TestInsightDisabledRoutes404: without a drift monitor /v1/accuracy
+// does not exist — the fallback answers 404 in the standard envelope,
+// and GET /v1 does not advertise it. The removed metric history and
+// event routes are 404s with the monitor on as well.
 func TestInsightDisabledRoutes404(t *testing.T) {
 	s, _ := newTestServer(Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.Close()
-	ins, _, _ := newInsightTestServer(t, Config{})
+	ins, _ := newInsightTestServer(t, Config{})
 	tsIns := httptest.NewServer(ins.Handler())
 	defer tsIns.Close()
 	defer ins.Close()
@@ -322,6 +228,7 @@ func TestInsightDisabledRoutes404(t *testing.T) {
 	}{
 		{ts, "/v1/accuracy"},
 		{ts, "/v1/events"},
+		{tsIns, "/v1/events"},
 		{tsIns, "/v1/metrics/history?name=spec17d_requests_total"},
 	} {
 		code, body := get(t, tc.ts, tc.path)
@@ -337,19 +244,19 @@ func TestInsightDisabledRoutes404(t *testing.T) {
 		t.Fatalf("/v1: %d", code)
 	}
 	if strings.Contains(string(body), "/v1/accuracy") {
-		t.Errorf("discovery document advertises insight routes on a plane-less server")
+		t.Errorf("discovery document advertises /v1/accuracy on a server without a drift monitor")
 	}
 }
 
-// TestInsightDisabledIsInvisible: a daemon without the plane serves
+// TestInsightDisabledIsInvisible: a daemon without the monitor serves
 // byte-identical compute responses — the insight integration costs
 // nothing when it is off, and nothing leaks into the wire format when
 // it is on.
 func TestInsightDisabledIsInvisible(t *testing.T) {
 	plain, _ := newTestServer(Config{})
-	insightful, _, _ := newInsightTestServer(t, Config{})
+	insightful, _ := newInsightTestServer(t, Config{})
 	// The insight stub returns a tier field the plain stub lacks; use
-	// identical stubs so only the plane differs.
+	// identical stubs so only the monitor differs.
 	insightful.compute = plain.compute
 	tsPlain := httptest.NewServer(plain.Handler())
 	defer tsPlain.Close()
@@ -366,54 +273,37 @@ func TestInsightDisabledIsInvisible(t *testing.T) {
 		codeP, bodyP := get(t, tsPlain, path)
 		codeI, bodyI := get(t, tsIns, path)
 		if codeP != codeI || string(bodyP) != string(bodyI) {
-			t.Errorf("%s: insight plane changed the response (%d/%d, %d vs %d bytes)",
+			t.Errorf("%s: drift monitor changed the response (%d/%d, %d vs %d bytes)",
 				path, codeP, codeI, len(bodyP), len(bodyI))
 		}
 	}
 }
 
-// TestStatusCarriesInsight: /v1/status grows an insight section when
-// the plane is wired, and omits it entirely otherwise. The section
-// counts ticks and events only: no SLO block and no ring sizes.
-func TestStatusCarriesInsight(t *testing.T) {
-	s, plane, _ := newInsightTestServer(t, Config{})
+// TestStatusHasNoInsightSection: /v1/status carries no insight key,
+// with the drift monitor wired or not. The monitor's totals are
+// /v1/accuracy's and its counters'; the event ring and tick counts the
+// section once held are gone.
+func TestStatusHasNoInsightSection(t *testing.T) {
+	s, _ := newInsightTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.Close()
-
-	plane.Tick()
-	code, body := get(t, ts, "/v1/status")
-	if code != http.StatusOK {
-		t.Fatalf("/v1/status: %d", code)
-	}
-	var st struct {
-		Insight map[string]json.Number `json:"insight"`
-	}
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Insight == nil {
-		t.Fatalf("/v1/status has no insight section: %s", body)
-	}
-	want := []string{"events_buffered", "events_total", "interval_seconds", "samples"}
-	var got []string
-	for k := range st.Insight {
-		got = append(got, k)
-	}
-	sort.Strings(got)
-	if !slices.Equal(got, want) {
-		t.Errorf("insight section fields = %q, want %q", got, want)
-	}
-	if n, err := st.Insight["samples"].Int64(); err != nil || n < 1 {
-		t.Errorf("insight samples = %q, want >= 1", st.Insight["samples"])
-	}
-
 	plainS, _ := newTestServer(Config{})
 	tsPlain := httptest.NewServer(plainS.Handler())
 	defer tsPlain.Close()
 	defer plainS.Close()
-	_, body = get(t, tsPlain, "/v1/status")
-	if strings.Contains(string(body), `"insight"`) {
-		t.Errorf("plane-less /v1/status mentions insight: %s", body)
+
+	for _, srv := range []*httptest.Server{ts, tsPlain} {
+		code, body := get(t, srv, "/v1/status")
+		if code != http.StatusOK {
+			t.Fatalf("/v1/status: %d", code)
+		}
+		var st map[string]json.RawMessage
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := st["insight"]; ok {
+			t.Errorf("/v1/status has an insight section: %s", body)
+		}
 	}
 }

@@ -68,11 +68,7 @@ func (s *Server) routeTable() []routeDef {
 	if s.cfg.Insight != nil {
 		routes = append(routes,
 			routeDef{method: "GET", pattern: "/v1/accuracy", h: s.handleAccuracy,
-				desc: "analytic-vs-exact drift totals and worst offenders"},
-			routeDef{method: "GET", pattern: "/v1/events", h: s.handleEvents,
-				params: []string{"type", "since", "limit"},
-				desc:   "recorded anomaly events, newest first"},
-		)
+				desc: "analytic-vs-exact drift totals and worst offenders"})
 	}
 	return routes
 }

@@ -73,17 +73,18 @@ func TestWrongMethodEveryRoute(t *testing.T) {
 }
 
 // TestNotFoundEnvelope: unknown paths get the envelope too, pointing
-// at the discovery document. The async-job routes are gone, so they
-// are unknown paths like any other.
+// at the discovery document. The async-job routes and the anomaly-event
+// route are gone, so they are unknown paths like any other, even with
+// the drift monitor wired.
 func TestNotFoundEnvelope(t *testing.T) {
-	s, _ := newTestServer(Config{})
+	s, _ := newInsightTestServer(t, Config{})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	for _, tc := range []struct{ method, path string }{
 		{"GET", "/v1/nope"}, {"GET", "/nope"}, {"GET", "/v1/jobs/x/y/z"},
-		{"POST", "/v1/jobs"}, {"GET", "/v1/jobs/x"},
+		{"POST", "/v1/jobs"}, {"GET", "/v1/jobs/x"}, {"GET", "/v1/events"},
 	} {
 		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(`{"experiments":["table1"]}`))
 		if err != nil {
@@ -252,7 +253,7 @@ func TestEmptyParamRejected(t *testing.T) {
 // routes that take no parameters at all, and the repeated-experiments
 // batch that once streamed only its first list.
 func TestStrictQueryEveryRoute(t *testing.T) {
-	s, _, computations := newInsightTestServer(t, Config{})
+	s, computations := newInsightTestServer(t, Config{})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -125,13 +125,11 @@ type Config struct {
 	// Nil disables tracing entirely: no X-Trace-Id header, no trace
 	// ids in batch lines, and no per-request allocations for spans.
 	Tracer *telemetry.Tracer
-	// Insight is the self-monitoring plane (internal/insight). When
-	// set, the server registers GET /v1/accuracy and /v1/events, and
-	// reports insight state in /v1/status. The drift monitor is fed by
+	// Insight is the accuracy-drift monitor (internal/insight). When
+	// set, the server registers GET /v1/accuracy. The monitor is fed by
 	// the store (store.Config.OnPair), not by the server. Nil disables
-	// all of it — the routes 404 and compute responses are
-	// byte-identical.
-	Insight *insight.Plane
+	// it — the route 404s and compute responses are byte-identical.
+	Insight *insight.Drift
 }
 
 func (c Config) withDefaults() Config {

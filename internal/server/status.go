@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/engine"
-	"repro/internal/insight"
 	"repro/internal/telemetry"
 )
 
@@ -46,7 +45,6 @@ type statusResponse struct {
 	Engine    engineStatus       `json:"engine"`
 	Trace     traceStatus        `json:"tracing"`
 	Admission admission.Snapshot `json:"admission"`
-	Insight   *insight.Status    `json:"insight,omitempty"`
 }
 
 type storeStatus struct {
@@ -178,10 +176,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		Dropped:        int64(snap.Value("spec17d_engine_upgrades_total", "dropped")),
 		ServedExact:    int64(snap.Value("spec17d_engine_requests_total", string(engine.TierExact))),
 		ServedAnalytic: int64(snap.Value("spec17d_engine_requests_total", string(engine.TierAnalytic))),
-	}
-	if ins := s.cfg.Insight; ins != nil {
-		st := ins.Status()
-		resp.Insight = &st
 	}
 	if t := s.cfg.Tracer; t != nil {
 		resp.Trace = traceStatus{

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/telemetry"
 )
 
@@ -194,5 +196,58 @@ func TestCheckpointFailureLogsWarn(t *testing.T) {
 	lines := strings.Split(strings.TrimSuffix(log.String(), "\n"), "\n")
 	if len(lines) != 1 || !strings.Contains(lines[0], ` level=warn msg="checkpoint failed" component=store err=`) {
 		t.Fatalf("log = %q, want one warn checkpoint line tagged component=store", log.String())
+	}
+}
+
+// TestCheckpointFailureCounted: every failed background save raises
+// spec17_store_checkpoint_failures_total, the counter an alert reads,
+// and none counts as a checkpoint. A failed save leaves the store
+// dirty, so each tick retries it and fails again.
+func TestCheckpointFailureCounted(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "snap")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	s, err := Open(Config{
+		Path:    filepath.Join(dir, "measurements.json"),
+		Metrics: reg,
+		Log:     telemetry.NewLogger(io.Discard, slog.LevelInfo),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m := testMachine(t)
+	w := testWorkload(t, "505.mcf_r")
+	rc, err := m.Run(w, testOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Put(KeyFor(m, w, testOpts), rc)
+
+	stop := s.StartCheckpointing(5 * time.Millisecond)
+	failures := func() float64 {
+		return reg.Snapshot().Value("spec17_store_checkpoint_failures_total")
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for failures() < 2 {
+		if time.Now().After(deadline) {
+			stop()
+			t.Fatalf("failures counter = %g after 10s of failing ticks, want >= 2", failures())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	stop()
+	if n := reg.Snapshot().Value("spec17_store_checkpoints_total"); n != 0 {
+		t.Errorf("failed saves counted %g checkpoints, want 0", n)
+	}
+	if !s.Dirty() {
+		t.Error("store reports clean after every save failed")
 	}
 }

@@ -202,18 +202,13 @@ type Config struct {
 	// Log receives checkpoint warnings, tagged component=store.
 	// Defaults to an info-level logger on stderr.
 	Log *slog.Logger
-	// OnCheckpointError, when set, is invoked (from the checkpoint
-	// goroutine) for every failed background save — how the insight
-	// plane turns a silently-logged persistence failure into a typed
-	// operator event. The snapshot on disk stays intact either way.
-	OnCheckpointError func(error)
 	// OnPair, when set, is called once for every analytic record that
 	// has its exact twin: same key, Engine "analytic" against "". The
 	// put that completes a pair calls it on the storing goroutine
 	// after the lock is released; puts are serialized, so exactly one
 	// of a pair's two puts sees the other, unless the first was evicted
 	// before the second landed. Records loaded from the snapshot form no
-	// pairs. The insight plane's drift monitor scores pairs here.
+	// pairs. The insight package's drift monitor scores pairs here.
 	OnPair func(analyticKey Key, analytic, exact *machine.RawCounts)
 }
 
@@ -232,6 +227,7 @@ type storeMetrics struct {
 	evictedExact    *metrics.Counter
 	evictedAnalytic *metrics.Counter
 	checkpoints     *metrics.Counter
+	ckptFailures    *metrics.Counter
 }
 
 func newStoreMetrics(r *metrics.Registry) storeMetrics {
@@ -239,7 +235,7 @@ func newStoreMetrics(r *metrics.Registry) storeMetrics {
 		hits: r.Counter("spec17_store_hits_total",
 			"Measurements served from the store without simulating: resident records and joins onto another caller's computation."),
 		misses: r.Counter("spec17_store_misses_total",
-			"Measurements the store had to compute (simulations led)."),
+			"Store flights led: lookups that found no record and started computing one, counted before the computation waits for a slot, so ones later cancelled or failed count too. Simulations started are spec17_sched_jobs_started_total."),
 		loaded: r.Counter("spec17_store_loaded_entries_total",
 			"Records restored from the on-disk snapshot at open."),
 		rejected: r.Counter("spec17_store_rejected_entries_total",
@@ -254,6 +250,8 @@ func newStoreMetrics(r *metrics.Registry) storeMetrics {
 			"Records evicted to keep the store within its byte bound, by the engine that produced them.", "engine"),
 		checkpoints: r.Counter("spec17_store_checkpoints_total",
 			"Background snapshot saves performed by StartCheckpointing."),
+		ckptFailures: r.Counter("spec17_store_checkpoint_failures_total",
+			"Background snapshot saves by StartCheckpointing that failed; the previous snapshot stays intact."),
 	}
 	m.evictedExact = m.evictions.With("exact")
 	m.evictedAnalytic = m.evictions.With(analyticEngine)
@@ -276,7 +274,7 @@ func (m storeMetrics) evictedBy(engineTier string) *metrics.Counter {
 // Stats is a snapshot of the store's counters.
 type Stats struct {
 	Hits      int64 // measurements served without computing: resident or joined
-	Misses    int64 // measurements computed (simulations led)
+	Misses    int64 // flights led, including ones cancelled or failed; not simulations run
 	Loaded    int64 // records restored from the snapshot at open
 	Rejected  int64 // snapshot records refused at open (see load)
 	Persisted int64 // records written across all saves
@@ -572,9 +570,7 @@ func (s *Store) StartCheckpointing(interval time.Duration) (stop func()) {
 		}
 		if err := s.Save(); err != nil {
 			s.cfg.Log.Warn("checkpoint failed", "err", err)
-			if s.cfg.OnCheckpointError != nil {
-				s.cfg.OnCheckpointError(err)
-			}
+			s.met.ckptFailures.Inc()
 			return
 		}
 		s.met.checkpoints.Inc()

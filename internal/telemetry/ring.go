@@ -2,12 +2,12 @@ package telemetry
 
 // Ring is a fixed-capacity buffer that keeps the newest values: once
 // full, each Add overwrites the oldest. It backs the tracer's finished
-// traces and the insight plane's event log and metric history. It is
-// not safe for concurrent use; its owner guards it with its own lock.
+// traces. It is not safe for concurrent use; its owner guards it with
+// its own lock.
 type Ring[T any] struct {
 	// buf grows by append until it holds size values, so a ring that
-	// is never filled (a short-lived process's metric history) never
-	// pays for its full capacity.
+	// is never filled (a short-lived process's traces) never pays for
+	// its full capacity.
 	buf  []T
 	size int
 	next int // the oldest value's index once buf is full

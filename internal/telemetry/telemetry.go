@@ -66,12 +66,6 @@ type TracerConfig struct {
 	Metrics *metrics.Registry
 	// Log receives slow-trace lines. Nil logs nothing.
 	Log *slog.Logger
-	// OnSlow, when set alongside a positive SlowThreshold, receives
-	// every finished trace that crossed the threshold (after it has
-	// been snapshotted into the ring). The insight plane hooks this to
-	// turn slow traces into typed operator events; the callback runs on
-	// the request goroutine, so it must be cheap and must not block.
-	OnSlow func(*TraceData)
 }
 
 // Tracer records traces into a bounded ring. Create with NewTracer; a
@@ -294,19 +288,14 @@ func (t *Tracer) finish(tr *trace) {
 	t.finished++
 	t.mu.Unlock()
 
-	if t.cfg.SlowThreshold > 0 &&
+	if t.cfg.SlowThreshold > 0 && t.cfg.Log != nil &&
 		data.DurationMS >= float64(t.cfg.SlowThreshold)/float64(time.Millisecond) {
-		if t.cfg.Log != nil {
-			tree, _ := json.Marshal(data)
-			t.cfg.Log.Warn("slow trace",
-				"trace", data.TraceID,
-				"dur_ms", data.DurationMS,
-				"spans", countSpans(&data.Root),
-				"tree", string(tree))
-		}
-		if t.cfg.OnSlow != nil {
-			t.cfg.OnSlow(data)
-		}
+		tree, _ := json.Marshal(data)
+		t.cfg.Log.Warn("slow trace",
+			"trace", data.TraceID,
+			"dur_ms", data.DurationMS,
+			"spans", countSpans(&data.Root),
+			"tree", string(tree))
 	}
 }
 

@@ -305,8 +305,8 @@ func NewLayout(spec Spec) Layout {
 	e, P, h := spec.BranchEntropy, spec.PatternFrac, spec.HotCodeFrac
 	l.EasyTaken = 0.5
 	if rest := (1 - e) * (1 - P); rest > 0 && h > 0 {
-		hotTaken := (spec.TakenFrac - (1-h)*0.99) / h
-		q := (hotTaken - e*0.5 - (1-e)*P*0.5) / rest
+		hotTaken := (spec.TakenFrac - float64((1-h)*0.99)) / h
+		q := (hotTaken - float64(e*0.5) - float64((1-e)*P*0.5)) / rest
 		q = (q - 0.005) / 0.99
 		if q < 0 {
 			q = 0
@@ -480,7 +480,7 @@ func seedBranches(bs []branchState, spec Spec, q float64, r *rng.Rand) {
 		switch {
 		case r.Bool(e):
 			b.kind = hardBranch
-			b.taken = rng.Threshold(0.35 + r.Float64()*0.3)
+			b.taken = rng.Threshold(0.35 + float64(float64(r.Float64())*0.3))
 		default:
 			b.kind = easyBranch
 			if r.Bool(q) {

@@ -133,10 +133,8 @@ func main() {
 	// near-zero -rate-limit gives every client a one-token bucket that
 	// essentially never refills, so the second compute request below
 	// must be shed — driving the admission path end to end.
-	// -insight-interval at its 1s floor, which the flag accepts.
 	defer stopDaemons()
-	base := startDaemon(bin, "daemon", "-trace-slow", "5m", "-rate-limit", "0.01",
-		"-insight-interval", "1s")
+	base := startDaemon(bin, "daemon", "-trace-slow", "5m", "-rate-limit", "0.01")
 	fmt.Println("smoke: /v1/healthz live")
 
 	// /v1/status must report an enabled tracer and a running scheduler.
@@ -230,18 +228,6 @@ func main() {
 	}
 	fmt.Println("smoke: /v1/accuracy ok")
 
-	// /v1/events serves the (possibly empty) anomaly ring, and rejects
-	// an unknown event type with the known taxonomy.
-	code, body = get(base, "/v1/events")
-	if code != http.StatusOK || !strings.Contains(string(body), `"count"`) {
-		fatalf("/v1/events: %d: %s", code, body)
-	}
-	code, body = get(base, "/v1/events?type=bogus")
-	if code != http.StatusBadRequest || !strings.Contains(string(body), "band_violation") {
-		fatalf("/v1/events?type=bogus: status %d body %s, want 400 naming the known types", code, body)
-	}
-	fmt.Println("smoke: /v1/events ok (unknown type rejected with the taxonomy)")
-
 	// Measurement engines: the same experiment served analytic and
 	// exact, each under a fresh API key (the near-zero refill rate means
 	// the default client's bucket is already spent), and a bogus engine
@@ -306,17 +292,15 @@ func main() {
 	}
 	fmt.Println("smoke: admission shed the over-budget request with 429 + Retry-After", ra)
 
-	// A daemon booted with -insight=false must not have the insight
-	// routes at all: 404 through the ordinary fallback, not an empty
-	// 200 — clients can trust the discovery document.
+	// A daemon booted with -insight=false must not have /v1/accuracy
+	// at all: 404 through the ordinary fallback, not an empty 200 —
+	// clients can trust the discovery document.
 	base2 := startDaemon(bin, "insight-less daemon", "-insight=false")
-	for _, path := range []string{"/v1/accuracy", "/v1/events"} {
-		code, body := get(base2, path)
-		if code != http.StatusNotFound || !strings.Contains(string(body), "no such endpoint") {
-			fatalf("insight-less GET %s: status %d body %s, want the standard 404", path, code, body)
-		}
+	code, body = get(base2, "/v1/accuracy")
+	if code != http.StatusNotFound || !strings.Contains(string(body), "no such endpoint") {
+		fatalf("insight-less GET /v1/accuracy: status %d body %s, want the standard 404", code, body)
 	}
-	fmt.Println("smoke: -insight=false daemon 404s the insight routes")
+	fmt.Println("smoke: -insight=false daemon 404s /v1/accuracy")
 
 	// Auto-upgrades run on the background lane: the first auto answer
 	// is analytic with an upgrade pending, and polling converges to
