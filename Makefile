@@ -14,7 +14,7 @@
 # which the language spec does not promise, so a toolchain that changes
 # the wake order fails CI there. `race-store` repeats the store's
 # eviction tests, where records are evicted while flights run and while
-# pairs form. `race-all` remains available for the exhaustive run.
+# pairs form, and its key interning. `race-all` remains available for the exhaustive run.
 
 GO ?= go
 RACE_PKGS ?= ./internal/server/... ./internal/metrics/... ./internal/core/... \
@@ -104,10 +104,12 @@ race-sched:
 # race-store repeats the store's eviction tests under the race
 # detector: GetOrCompute over more keys than a shrunken bound holds, so
 # records go while other keys' flights run; both halves of many pairs
-# put while unrelated records evict them; and concurrent evicting puts,
-# after which the size gauges must equal the store's own counts.
+# put while unrelated records evict them; concurrent evicting puts,
+# after which the size gauges must equal the store's own counts; and
+# goroutines keying the same new pairs at once, which must all get one
+# interned pair per workload.
 race-store:
-	$(GO) test -race -count=10 -run 'TestEvictionRacesFlights|TestEvictionRacesOnPair|TestGaugesTrackConcurrentPuts' ./internal/store
+	$(GO) test -race -count=10 -run 'TestEvictionRacesFlights|TestEvictionRacesOnPair|TestGaugesTrackConcurrentPuts|TestKeyInterningConcurrent' ./internal/store
 
 race-all:
 	$(GO) test -race ./...
@@ -135,7 +137,7 @@ bench:
 # analytic path's (a registry sweep of estimates, the
 # characteristic-time solver alone, a cold analytic fleet
 # characterization), keying the registry on the fleet with every
-# pair's content hash memoized, putting a fresh analytic grid into a
+# pair already interned, putting a fresh analytic grid into a
 # store full to its bound, and the server's result-cache hit (a
 # table1-sized and a fig10-sized cached result through the whole
 # handler) once each, so they keep compiling and running. The engine,

@@ -22,6 +22,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/store"
 	"repro/internal/telemetry"
+	"repro/internal/workloads"
 )
 
 var (
@@ -327,7 +328,7 @@ func TestStoreHitFastPathAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := store.Key{Machine: "m", Workload: "w", Instructions: 400_000, Content: "deadbeef"}
+	key := storeHitKey(t)
 	st.Put(key, &machine.RawCounts{})
 	ctx := context.Background()
 	compute := func(context.Context) (*machine.RawCounts, error) {
@@ -354,7 +355,7 @@ func TestStoreHitFastPathAllocsWithInsight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := store.Key{Machine: "m", Workload: "w", Instructions: 400_000, Content: "deadbeef"}
+	key := storeHitKey(t)
 	st.Put(key, &machine.RawCounts{})
 	ctx := context.Background()
 	compute := func(context.Context) (*machine.RawCounts, error) {
@@ -370,6 +371,17 @@ func TestStoreHitFastPathAllocsWithInsight(t *testing.T) {
 	}
 }
 
+// storeHitKey is the key of the store-hit tests: a registry workload on
+// the first fleet machine at the default fidelity.
+func storeHitKey(tb testing.TB) store.Key {
+	tb.Helper()
+	fleet, err := machine.Fleet()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return store.KeyForEngine(fleet[0], workloads.CPU2017()[0].Workload(), machine.RunOptions{}, "exact")
+}
+
 // BenchmarkStoreHit measures the warm-hit path the daemon leans on
 // once its store is populated. Run with -benchmem to watch the
 // allocation guard's numbers directly.
@@ -378,7 +390,7 @@ func BenchmarkStoreHit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	key := store.Key{Machine: "m", Workload: "w", Instructions: 400_000, Content: "deadbeef"}
+	key := storeHitKey(b)
 	st.Put(key, &machine.RawCounts{})
 	ctx := context.Background()
 	compute := func(context.Context) (*machine.RawCounts, error) {

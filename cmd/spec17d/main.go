@@ -198,6 +198,9 @@ func main() {
 		if cfg.storePath == "" {
 			logger.Warn("-checkpoint without -store has nothing to persist")
 		} else {
+			// Deferred, stop runs after the exit's saveStore, and saves
+			// only records that no save has tried: a failed final save
+			// is logged once, as "persisting store".
 			stop := st.StartCheckpointing(cfg.checkpoint)
 			defer stop()
 			logger.Info("checkpointing store", "interval", cfg.checkpoint)

@@ -118,7 +118,11 @@ func storeHit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	key := store.Key{Machine: "m", Workload: "w", Instructions: 400_000, Content: "deadbeef"}
+	fleet, err := machine.Fleet()
+	if err != nil {
+		b.Fatal(err)
+	}
+	key := store.KeyForEngine(fleet[0], workloads.CPU2017()[0].Workload(), machine.RunOptions{}, "exact")
 	st.Put(key, &machine.RawCounts{})
 	ctx := context.Background()
 	compute := func(context.Context) (*machine.RawCounts, error) {

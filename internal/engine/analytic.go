@@ -406,9 +406,9 @@ type pairTimes struct{ cache, tlb sides }
 // firstLevels memoizes each pair's pairTimes for the process, so an
 // estimate solves only its deeper levels, whose arrivals carry the
 // fidelity's cold-start misses, once its pair has been estimated at
-// any fidelity. It holds one entry per distinct pair estimated (the
-// store's content memo keeps the same bound); spec17d estimates the
-// built-in fleet times the registry.
+// any fidelity. It is indexed by the pair's handle, the one a store key
+// of the same leaf carries, and holds one entry per distinct pair
+// estimated; spec17d estimates the built-in fleet times the registry.
 var firstLevels machine.PairMemo[pairTimes]
 
 // counterMiss is the stationary mispredict rate of a two-bit
@@ -785,10 +785,10 @@ func estimate(m *machine.Machine, w machine.Workload, opts machine.RunOptions) (
 	dtData := dataStreams(pageBytes)
 	tlb1 := sides{float64(cfg.TLBs.ITLB.Entries) * pageBytes, float64(cfg.TLBs.DTLB.Entries) * pageBytes}
 	p := m.PairOf(w)
-	t1, ok := firstLevels.Load(&p)
+	t1, ok := firstLevels.Load(p)
 	if !ok {
 		t1 = pairTimes{splitTimes(&code, &data, lineBytes, l1), splitTimes(&itCode, &dtData, pageBytes, tlb1)}
-		firstLevels.Store(&p, t1)
+		firstLevels.Store(p, t1)
 	}
 
 	l3 := 0.0

@@ -2,21 +2,21 @@
 // auto tier answers analytically first and upgrades to exact in the
 // background, which means the store routinely holds *both*
 // measurements of one (machine, workload, fidelity) identity — the
-// analytic record under Key.Engine="analytic" and its exact twin under
-// Engine="". The store hands each pair to ObservePair once, when its
-// second record lands (store.Config.OnPair), and the monitor replays
-// the cross-validation contract in production: every metric's relative
-// disagreement is expressed as the fraction of its committed
-// engine.Tolerances band it consumes (Band.Ratio), fed into
-// spec17d_engine_drift_ratio{metric}, and a ratio above 1 — an answer
-// the daemon already served that the exact engine later contradicted
-// beyond contract — is counted in spec17d_engine_drift_violations_total
-// and logged once at warn. GET /v1/accuracy serves the running totals
-// and the worst offenders. The totals cover the pairs this process
-// formed: records loaded from a snapshot form none, so a restart does
-// not raise its predecessor's violations again. Memory is bounded by
-// the offender table; the one request-path cost is scoring a pair,
-// paid by the put that completes it.
+// analytic record and its exact twin. The store hands each pair to
+// ObservePair once, when its second record lands
+// (store.Config.OnPair), and the monitor replays the cross-validation
+// contract in production: every metric's relative disagreement is
+// expressed as the fraction of its committed engine.Tolerances band it
+// consumes (Band.Ratio), fed into spec17d_engine_drift_ratio{metric},
+// and a ratio above 1 — an answer the daemon already served that the
+// exact engine later contradicted beyond contract — is counted in
+// spec17d_engine_drift_violations_total; a pair with any logs once at
+// warn. GET /v1/accuracy serves the running totals and the worst
+// offenders. The totals cover the pairs this process formed: records
+// loaded from a snapshot form none, so a restart does not raise its
+// predecessor's violations again. Memory is bounded by the offender
+// table; the one request-path cost is scoring a pair, paid by the put
+// that completes it.
 package insight
 
 import (
@@ -120,56 +120,82 @@ func NewDrift(reg *metrics.Registry, log *slog.Logger) *Drift {
 // pseudo-metric, against its engine.Tolerances band. It is the
 // store's OnPair hook: records are immutable and the engines
 // deterministic, so the one comparison the store makes per pair is
-// definitive.
+// definitive. A pair with metrics out of band counts each of them in
+// spec17d_engine_drift_violations_total and logs one warn line, naming
+// the worst of them and how many there were.
 func (d *Drift) ObservePair(key store.Key, analytic, exact *machine.RawCounts) {
-	hp := d.machineHasPower(key.Machine)
-	aSample, aErr := counters.FromRaw(key.Machine, hp, analytic)
-	xSample, xErr := counters.FromRaw(key.Machine, hp, exact)
+	name, workload := key.Machine(), key.Workload()
+	hp := d.machineHasPower(name)
+	aSample, aErr := counters.FromRaw(name, hp, analytic)
+	xSample, xErr := counters.FromRaw(name, hp, exact)
 	if aErr != nil || xErr != nil {
 		return // zero-instruction records carry no metrics to compare
 	}
 	d.pairs.Inc()
-	for _, m := range aSample.Metrics() {
-		d.observeMetric(key, m, aSample.MustValue(m), xSample.MustValue(m))
+	var worst drifted
+	out := 0
+	observe := func(m counters.Metric, a, x float64) {
+		band, ok := engine.Tolerances[m]
+		if !ok {
+			return
+		}
+		r := drifted{m, a, x, band.Ratio(a, x)}
+		d.observeMetric(name, workload, r)
+		if r.ratio > 1 {
+			out++
+			if r.ratio > worst.ratio {
+				worst = r
+			}
+		}
 	}
-	d.observeMetric(key, engine.MetricCPI, analytic.CPI, exact.CPI)
-}
-
-func (d *Drift) observeMetric(key store.Key, m counters.Metric, a, x float64) {
-	band, ok := engine.Tolerances[m]
-	if !ok {
+	for _, m := range aSample.Metrics() {
+		observe(m, aSample.MustValue(m), xSample.MustValue(m))
+	}
+	observe(engine.MetricCPI, analytic.CPI, exact.CPI)
+	if out == 0 {
 		return
 	}
-	ratio := band.Ratio(a, x)
-	d.ratio.With(string(m)).Observe(ratio)
+	d.violations.Add(float64(out))
+	d.log.Warn("insight event", "type", "band_violation",
+		"msg", fmt.Sprintf("analytic %s for %s on %s drifted %.2fx beyond its tolerance band (%d metrics out of band)",
+			worst.metric, workload, name, worst.ratio, out),
+		"machine", name,
+		"workload", workload,
+		"metric", string(worst.metric),
+		"analytic", strconv.FormatFloat(worst.a, 'g', 6, 64),
+		"exact", strconv.FormatFloat(worst.x, 'g', 6, 64),
+		"ratio", strconv.FormatFloat(worst.ratio, 'g', 4, 64),
+		"out_of_band", strconv.Itoa(out))
+}
+
+// drifted is one metric's comparison: its analytic and exact values
+// and the fraction of its band their disagreement consumes.
+type drifted struct {
+	metric counters.Metric
+	a, x   float64
+	ratio  float64
+}
+
+// observeMetric records one metric's comparison in the ratio
+// histogram, the totals and its offender cell.
+func (d *Drift) observeMetric(name, workload string, r drifted) {
+	d.ratio.With(string(r.metric)).Observe(r.ratio)
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	d.samples++
-	if ratio > d.worst {
-		d.worst = ratio
+	if r.ratio > d.worst {
+		d.worst = r.ratio
 	}
-	cellKey := key.Machine + "|" + key.Workload + "|" + string(m)
+	cellKey := name + "|" + workload + "|" + string(r.metric)
 	cell, exists := d.cells[cellKey]
 	if !exists {
-		cell = &Offender{Machine: key.Machine, Workload: key.Workload, Metric: string(m)}
+		cell = &Offender{Machine: name, Workload: workload, Metric: string(r.metric)}
 		d.cells[cellKey] = cell
 		d.pruneCellsLocked()
 	}
 	cell.Count++
-	if ratio > cell.WorstRatio {
-		cell.WorstRatio, cell.Analytic, cell.Exact = ratio, a, x
-	}
-	d.mu.Unlock()
-	if ratio > 1 {
-		d.violations.Inc()
-		d.log.Warn("insight event", "type", "band_violation",
-			"msg", fmt.Sprintf("analytic %s for %s on %s drifted %.2fx beyond its tolerance band",
-				m, key.Workload, key.Machine, ratio),
-			"machine", key.Machine,
-			"workload", key.Workload,
-			"metric", string(m),
-			"analytic", strconv.FormatFloat(a, 'g', 6, 64),
-			"exact", strconv.FormatFloat(x, 'g', 6, 64),
-			"ratio", strconv.FormatFloat(ratio, 'g', 4, 64))
+	if r.ratio > cell.WorstRatio {
+		cell.WorstRatio, cell.Analytic, cell.Exact = r.ratio, r.a, r.x
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -39,20 +40,21 @@ func syntheticCounts(mispredicts uint64) *machine.RawCounts {
 	return rc
 }
 
+// putPair stores an analytic record and its exact twin for workload
+// on a machine named test-machine, which no fleet machine is.
 func putPair(t *testing.T, st *store.Store, workload string, analytic, exact *machine.RawCounts) store.Key {
 	t.Helper()
-	k := store.Key{
-		Machine:      "test-machine",
-		Workload:     workload,
-		Instructions: 50_000,
-		Warmup:       10_000,
-		Engine:       "analytic",
-		Content:      "content-" + workload,
+	cfg := machine.SkylakeConfig()
+	cfg.Name = "test-machine"
+	m, err := machine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	w := machine.Workload{Key: workload, ILP: 1}
+	opts := machine.RunOptions{Instructions: 50_000, WarmupInstructions: 10_000}
+	k := store.KeyForEngine(m, w, opts, "analytic")
 	st.Put(k, analytic)
-	twin := k
-	twin.Engine = ""
-	st.Put(twin, exact)
+	st.Put(store.KeyForEngine(m, w, opts, "exact"), exact)
 	return k
 }
 
@@ -102,6 +104,29 @@ func TestDriftPairViolation(t *testing.T) {
 	if n := logs.count("level=warn", "type=band_violation", "machine=test-machine",
 		"workload=wl-drift", "metric=branch_mpki", "analytic=100", "exact=10", "ratio="); n != 1 {
 		t.Fatalf("%d band_violation warn lines, want 1:\n%s", n, logs.String())
+	}
+}
+
+// TestDriftPairLogsOnce: a pair with three metrics out of band counts
+// three violations and logs one band_violation line, naming the worst
+// metric, its ratio and the count out of band.
+func TestDriftPairLogsOnce(t *testing.T) {
+	d, logs, st := newPairedDrift(t)
+	analytic := syntheticCounts(100)
+	analytic.Cache.L1DMisses, analytic.Cache.L3Misses = 100, 50
+	putPair(t, st, "wl-drift", analytic, syntheticCounts(10))
+	status := d.Status()
+	if status.Pairs != 1 || status.Violations != 3 {
+		t.Fatalf("status = %+v, want 1 pair with 3 violations", status)
+	}
+	worst := status.Worst[0]
+	if n := logs.count("type=band_violation"); n != 1 {
+		t.Fatalf("%d band_violation lines for one pair, want 1:\n%s", n, logs.String())
+	}
+	ratio := strconv.FormatFloat(worst.WorstRatio, 'g', 4, 64)
+	if n := logs.count("level=warn", "type=band_violation", "metric="+worst.Metric+" ", "ratio="+ratio, "out_of_band=3"); n != 1 {
+		t.Errorf("the band_violation line does not name the worst metric %s at ratio %s and 3 out of band:\n%s",
+			worst.Metric, ratio, logs.String())
 	}
 }
 

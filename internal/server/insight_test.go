@@ -68,21 +68,25 @@ func newInsightTestServer(t *testing.T, cfg Config) (*Server, *atomic.Int64) {
 	var computations atomic.Int64
 	s.compute = func(_ context.Context, id string, opts machine.RunOptions, tier engine.Tier, _ bool) (any, error) {
 		computations.Add(1)
-		c := opts.Canonical()
-		k := store.Key{
-			Machine:      "test-machine",
-			Workload:     id,
-			Instructions: c.Instructions,
-			Warmup:       c.WarmupInstructions,
-			Content:      "content-" + id,
+		if tier != engine.TierAnalytic {
+			tier = engine.TierExact
 		}
-		if tier == engine.TierAnalytic {
-			k.Engine = string(engine.TierAnalytic)
-		}
-		st.Put(k, insightCounts(10))
+		st.Put(testKey(id, opts, string(tier)), insightCounts(10))
 		return map[string]any{"id": id, "tier": string(tier)}, nil
 	}
 	return s, &computations
+}
+
+// testKey is the store key of workload on a machine named
+// test-machine, which no fleet machine is, from the named engine tier.
+func testKey(workload string, opts machine.RunOptions, tier string) store.Key {
+	cfg := machine.SkylakeConfig()
+	cfg.Name = "test-machine"
+	m, err := machine.New(cfg)
+	if err != nil {
+		panic(err) // the Skylake model under another name is valid
+	}
+	return store.KeyForEngine(m, machine.Workload{Key: workload, ILP: 1}, opts, tier)
 }
 
 type accuracyBody struct {
@@ -157,18 +161,9 @@ func TestInsightDriftEndToEnd(t *testing.T) {
 	// Inject an out-of-band analytic record with an exact twin — the
 	// shape a genuinely drifted estimator would leave behind.
 	st := s.cfg.Store
-	bad := store.Key{
-		Machine:      "test-machine",
-		Workload:     "drifted-wl",
-		Instructions: 50_000,
-		Warmup:       10_000,
-		Engine:       string(engine.TierAnalytic),
-		Content:      "content-drifted",
-	}
-	st.Put(bad, insightCounts(100))
-	twin := bad
-	twin.Engine = ""
-	st.Put(twin, insightCounts(10))
+	opts := machine.RunOptions{Instructions: 50_000, WarmupInstructions: 10_000}
+	st.Put(testKey("drifted-wl", opts, "analytic"), insightCounts(100))
+	st.Put(testKey("drifted-wl", opts, "exact"), insightCounts(10))
 
 	acc = getAccuracy(t, ts)
 	if acc.Violations < 1 {

@@ -53,7 +53,7 @@ func TestStatusEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.Put(store.Key{Machine: "m", Workload: "w", Content: "c"}, &machine.RawCounts{})
+	st.Put(testKey("w", machine.RunOptions{}, "exact"), &machine.RawCounts{})
 	s := newTracedServer(Config{Store: st})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -34,8 +34,8 @@ func gridKeys(instructions int, engineTier string) []Key {
 	keys := make([]Key, 0, len(gridMachines)*len(gridWorkloads))
 	for _, m := range gridMachines {
 		for _, w := range gridWorkloads {
-			keys = append(keys, Key{Machine: m, Workload: w, Instructions: instructions,
-				Warmup: instructions / 5, Engine: engineTier, Content: w})
+			keys = append(keys, snapshotKey{Machine: m, Workload: w, Instructions: instructions,
+				Warmup: instructions / 5, Engine: engineTier, Content: w}.key())
 		}
 	}
 	return keys
@@ -48,8 +48,8 @@ func counts(i int) *machine.RawCounts {
 
 // seqKey returns the i-th key of a sequence on the given engine.
 func seqKey(i int, engineTier string) Key {
-	return Key{Machine: "m", Workload: fmt.Sprintf("w%d", i), Instructions: 5_000, Warmup: 1_000,
-		Engine: engineTier, Content: "c"}
+	return snapshotKey{Machine: "m", Workload: fmt.Sprintf("w%d", i), Instructions: 5_000, Warmup: 1_000,
+		Engine: engineTier, Content: "c"}.key()
 }
 
 // TestEvictionOrder pins GreedyDual-Size on single-copy records: with
@@ -483,7 +483,7 @@ func BenchmarkFidelitySweep(b *testing.B) {
 	for n := 0; n < b.N; n++ {
 		keys := grids[n%len(grids)]
 		for i := range keys {
-			keys[i].Instructions += len(grids)
+			keys[i].instructions += len(grids)
 			s.Put(keys[i], counts(i))
 		}
 	}
@@ -507,7 +507,7 @@ func TestSnapshotCannotPinStore(t *testing.T) {
 	const bound = 20
 	for i := 0; i < bound; i++ {
 		k := seqKey(i, "")
-		k.Instructions = 1 << 50
+		k.instructions = 1 << 50
 		src.Put(k, counts(i))
 	}
 	bad := bound
@@ -516,10 +516,10 @@ func TestSnapshotCannotPinStore(t *testing.T) {
 		bad++
 	}
 	k := seqKey(100, "")
-	k.Copies = 3
+	k.copies = 3
 	put(k)
 	k = seqKey(101, analyticEngine)
-	k.Warmup = MaxInstructions + 1
+	k.warmup = MaxInstructions + 1
 	put(k)
 	putMulti := func(k Key, perCopy []*machine.RawCounts) {
 		mc := &machine.MultiCounts{Copies: len(perCopy), PerCopy: perCopy, Throughput: 1}
@@ -531,12 +531,12 @@ func TestSnapshotCannotPinStore(t *testing.T) {
 	}
 	for i, perCopy := range [][]*machine.RawCounts{{counts(1)}, nil, {counts(1), nil}} {
 		k := seqKey(200+i, "")
-		k.Copies = 2
+		k.copies = 2
 		putMulti(k, perCopy)
 		bad++
 	}
 	k = seqKey(210, "")
-	k.Copies = 0
+	k.copies = 0
 	putMulti(k, nil)
 	bad++
 
@@ -545,7 +545,7 @@ func TestSnapshotCannotPinStore(t *testing.T) {
 		src.Put(k, counts(i))
 	}
 	goodMulti := seqKey(302, "")
-	goodMulti.Copies = 2
+	goodMulti.copies = 2
 	putMulti(goodMulti, []*machine.RawCounts{counts(1), counts(2)})
 	if err := src.Save(); err != nil {
 		t.Fatal(err)

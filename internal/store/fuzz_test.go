@@ -31,7 +31,7 @@ func FuzzStoreOpen(f *testing.F) {
 			if n := s.Len(); n != 0 {
 				t.Fatalf("rejected snapshot (%v) left %d records", err, n)
 			}
-			k := Key{Machine: "m", Workload: "w", Content: "c"}
+			k := snapshotKey{Machine: "m", Workload: "w", Content: "c"}.key()
 			s.Put(k, &machine.RawCounts{Instructions: 1})
 			if rc, ok := s.Get(k); !ok || rc.Instructions != 1 {
 				t.Fatalf("store from a rejected snapshot (%v) is unusable", err)
@@ -39,7 +39,7 @@ func FuzzStoreOpen(f *testing.F) {
 			return
 		}
 		check := func(k Key) {
-			if strings.ContainsRune(k.Machine+k.Workload+k.Engine, '|') {
+			if n := k.named(); strings.ContainsRune(n.Machine+n.Workload+n.Engine, '|') {
 				t.Fatalf("loaded key %+v contains '|'", k)
 			}
 		}

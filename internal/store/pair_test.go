@@ -41,16 +41,16 @@ func (p *pairRecorder) total() int {
 
 // pairKeys returns the analytic key of pair i and its exact twin.
 func pairKeys(i int) (analytic, exact Key) {
-	analytic = Key{
+	analytic = snapshotKey{
 		Machine:      "m",
 		Workload:     fmt.Sprintf("w%d", i),
 		Instructions: 5_000,
 		Warmup:       1_000,
 		Engine:       analyticEngine,
 		Content:      fmt.Sprintf("c%d", i%7),
-	}
+	}.key()
 	exact = analytic
-	exact.Engine = ""
+	exact.engine = exactTier
 	return analytic, exact
 }
 
@@ -136,14 +136,14 @@ func TestOnPairIgnoresNonPairs(t *testing.T) {
 	a, x := pairKeys(0)
 	multi := func(context.Context) (*machine.MultiCounts, error) { return &machine.MultiCounts{}, nil }
 	for _, k := range []Key{a, x} {
-		k.Copies = 4
+		k.copies = 4
 		if _, err := s.GetOrComputeMulti(ctx, k, multi); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	other, twin := pairKeys(1)
-	other.Engine = "sampled"
+	other.engine = engineOf("sampled")
 	s.Put(other, &machine.RawCounts{})
 	s.Put(twin, &machine.RawCounts{})
 

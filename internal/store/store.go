@@ -37,8 +37,6 @@ package store
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -72,88 +70,111 @@ const substrateFingerprint = "spec17-substrate-v1"
 // headers.
 func Fingerprint() string { return substrateFingerprint }
 
-// Key identifies one measurement: a workload on a machine at a
-// fidelity, plus a content hash binding the key to the exact machine
-// configuration and workload specification that produced the record.
+// Key identifies one measurement: a pair (machine.Pair: a workload on
+// a machine, bound to their contents by the pair's content digest) at a
+// fidelity, a copy count and an engine tier. It is fixed-size and
+// holds no pointers, so the store's maps hash and compare it as plain
+// memory. The fidelity and the copies keep a caller's int whole, so no
+// two run options share a key.
 type Key struct {
-	// Machine is the measuring machine's name.
-	Machine string `json:"machine"`
-	// Workload is the workload's seed key (machine.Workload.Key).
-	Workload string `json:"workload"`
-	// Instructions and Warmup are the canonical run options.
-	Instructions int `json:"instructions"`
-	Warmup       int `json:"warmup"`
-	// Copies is the concurrent-copy count of a multi-copy (SPECrate)
+	// instructions and warmup are the canonical run options.
+	instructions, warmup int
+	// copies is the concurrent-copy count of a multi-copy (SPECrate)
 	// record; 0 for single-copy measurements.
-	Copies int `json:"copies,omitempty"`
-	// Engine is the measurement engine tier that produced the record;
-	// "" means the exact (trace-driven) engine, so records written
-	// before engines existed keep their identity and stay warm.
-	Engine string `json:"engine,omitempty"`
-	// Content is the hash of the machine configuration and workload
-	// specification. A changed profile or machine model changes the
-	// hash, so stale records become unreachable instead of wrong.
-	Content string `json:"content"`
+	copies int
+	pair   machine.Pair
+	// engine is the tier that produced the record, by its index in
+	// engines: exactTier, analyticTier or another that a caller or a
+	// snapshot named.
+	engine uint32
+}
+
+// The engine tiers of Key.engine. The exact tier is named "", so that
+// records written before engines existed keep their identity.
+const (
+	exactTier uint32 = iota
+	analyticTier
+)
+
+// tiers names exactTier and analyticTier.
+var tiers = [...]string{"", analyticEngine}
+
+// engines interns Key.engine's names: each engine other than the two
+// tiers takes the next index when first named.
+var engines = struct {
+	sync.Mutex
+	names []string
+	ids   map[string]uint32
+}{names: tiers[:], ids: map[string]uint32{}}
+
+// engineOf returns the index of the named engine, interning it. A tier
+// takes no lock.
+func engineOf(name string) uint32 {
+	if i := slices.Index(tiers[:], name); i >= 0 {
+		return uint32(i)
+	}
+	engines.Lock()
+	defer engines.Unlock()
+	id, ok := engines.ids[name]
+	if !ok {
+		id = uint32(len(engines.names))
+		engines.names = append(engines.names, name)
+		engines.ids[name] = id
+	}
+	return id
+}
+
+// Machine returns the name of the measuring machine.
+func (k Key) Machine() string { return k.pair.Machine() }
+
+// Workload returns the workload's seed key (machine.Workload.Key).
+func (k Key) Workload() string { return k.pair.Workload() }
+
+// snapshotKey is a Key as snapshots write it, by name.
+type snapshotKey struct {
+	Machine      string `json:"machine"`
+	Workload     string `json:"workload"`
+	Instructions int    `json:"instructions"`
+	Warmup       int    `json:"warmup"`
+	Copies       int    `json:"copies,omitempty"`
+	Engine       string `json:"engine,omitempty"`
+	Content      string `json:"content"`
+}
+
+// named returns k by name.
+func (k Key) named() snapshotKey {
+	engines.Lock()
+	engine := engines.names[k.engine]
+	engines.Unlock()
+	return snapshotKey{k.pair.Machine(), k.pair.Workload(), k.instructions, k.warmup, k.copies, engine, k.pair.Content()}
+}
+
+// key returns the Key named n, interning its pair and engine.
+func (n snapshotKey) key() Key {
+	return Key{n.Instructions, n.Warmup, n.Copies, machine.InternPair(n.Machine, n.Workload, n.Content), engineOf(n.Engine)}
 }
 
 // ID returns the key's canonical string identity, as traces and
-// snapshots show it. It is injective because Machine, Workload and
-// Engine never contain '|' (load skips records where they do).
-func (k Key) ID() string {
+// snapshots show it. It is injective because a key's machine, workload
+// and engine never contain '|' (load skips records where they do).
+func (k Key) ID() string { return k.named().id() }
+
+// id is the ID of the key n names.
+func (n snapshotKey) id() string {
 	b := make([]byte, 0, 160) // fits every key the fleet produces
-	b = append(b, k.Machine...)
+	b = append(b, n.Machine...)
 	b = append(b, '|')
-	b = append(b, k.Workload...)
+	b = append(b, n.Workload...)
 	b = append(b, "|i"...)
-	b = strconv.AppendInt(b, int64(k.Instructions), 10)
+	b = strconv.AppendInt(b, int64(n.Instructions), 10)
 	b = append(b, "|w"...)
-	b = strconv.AppendInt(b, int64(k.Warmup), 10)
+	b = strconv.AppendInt(b, int64(n.Warmup), 10)
 	b = append(b, "|c"...)
-	b = strconv.AppendInt(b, int64(k.Copies), 10)
+	b = strconv.AppendInt(b, int64(n.Copies), 10)
 	b = append(b, "|e"...)
-	b = append(b, k.Engine...)
+	b = append(b, n.Engine...)
 	b = append(b, '|')
-	return string(append(b, k.Content...))
-}
-
-// contentHash hashes the full measurement identity: the encoded
-// machine configuration followed by the encoded workload (spec, seed
-// key and ILP), each as a json.Encoder writes it, as the first 32 hex
-// digits of their SHA-256. JSON marshalling of these structs is
-// deterministic (fixed field order), so equal inputs hash equally. The
-// configuration's bytes are the ones its Machine encoded once. Writes
-// to a hash never fail, and a workload that cannot be encoded (a NaN
-// field) contributes no bytes, so the key constructors stay
-// infallible.
-func contentHash(m *machine.Machine, w machine.Workload) string {
-	h := sha256.New()
-	_ = m.EncodeConfig(h)
-	_ = json.NewEncoder(h).Encode(w)
-	var sum [sha256.Size]byte
-	var digits [32]byte
-	hex.Encode(digits[:], h.Sum(sum[:0])[:16])
-	return string(digits[:])
-}
-
-// contents memoizes contentHash for the process, so every key of one
-// (machine, workload) pair, at any fidelity and on any engine, shares
-// one hash string, computed when the pair is first keyed. A pair is
-// bound to the bytes that contentHash encodes; only workloads that
-// differ in the sign of a zero compare equal yet encode apart, and
-// they share the hash of the first one keyed. spec17d keys the
-// built-in fleet times the registry and a fixed set of replicas.
-var contents machine.PairMemo[string]
-
-// content returns the content hash of w on m, from the memo once the
-// pair has been keyed.
-func content(m *machine.Machine, w machine.Workload) string {
-	p := m.PairOf(w)
-	c, ok := contents.Load(&p)
-	if !ok {
-		c = contentHash(m, w)
-		contents.Store(&p, c)
-	}
-	return c
+	return string(append(b, n.Content...))
 }
 
 // KeyFor returns the store key of a single-copy measurement of w on m
@@ -166,28 +187,22 @@ func KeyFor(m *machine.Machine, w machine.Workload, opts machine.RunOptions) Key
 // (SPECrate-style) measurement of w on m.
 func KeyForMulti(m *machine.Machine, w machine.Workload, copies int, opts machine.RunOptions) Key {
 	k := KeyFor(m, w, opts)
-	k.Copies = copies
+	k.copies = copies
 	return k
 }
 
 // KeyForEngine returns the store key of a single-copy measurement of w
 // on m, under the canonical form of opts, as produced by the named
-// engine tier. It is the one place a Key is built. The exact tier is
-// normalized to the empty string so exact records keep the identity
-// they had before engine tiers existed (old snapshots stay warm).
+// engine tier. It is the one place a caller's Key is built. The exact
+// tier is normalized to the empty string so exact records keep the
+// identity they had before engine tiers existed (old snapshots stay
+// warm). Keying a pair keyed before neither locks nor allocates.
 func KeyForEngine(m *machine.Machine, w machine.Workload, opts machine.RunOptions, engineTier string) Key {
 	if engineTier == "exact" {
 		engineTier = ""
 	}
 	opts = opts.Canonical()
-	return Key{
-		Machine:      m.Name(),
-		Workload:     w.Key,
-		Instructions: opts.Instructions,
-		Warmup:       opts.WarmupInstructions,
-		Engine:       engineTier,
-		Content:      content(m, w),
-	}
+	return Key{instructions: opts.Instructions, warmup: opts.WarmupInstructions, pair: m.PairOf(w), engine: engineOf(engineTier)}
 }
 
 // Config configures a Store. The zero value is a usable, memory-only
@@ -222,12 +237,11 @@ type storeMetrics struct {
 	entries   *metrics.Gauge
 	bytes     *metrics.Gauge
 	evictions *metrics.CounterVec
-	// evictedExact and evictedAnalytic are evictions' two common
-	// series, resolved once.
-	evictedExact    *metrics.Counter
-	evictedAnalytic *metrics.Counter
-	checkpoints     *metrics.Counter
-	ckptFailures    *metrics.Counter
+	// evictedTier is evictions' series of the two tiers, by
+	// Key.engine, resolved once.
+	evictedTier  [2]*metrics.Counter
+	checkpoints  *metrics.Counter
+	ckptFailures *metrics.Counter
 }
 
 func newStoreMetrics(r *metrics.Registry) storeMetrics {
@@ -253,20 +267,15 @@ func newStoreMetrics(r *metrics.Registry) storeMetrics {
 		ckptFailures: r.Counter("spec17_store_checkpoint_failures_total",
 			"Background snapshot saves by StartCheckpointing that failed; the previous snapshot stays intact."),
 	}
-	m.evictedExact = m.evictions.With("exact")
-	m.evictedAnalytic = m.evictions.With(analyticEngine)
+	m.evictedTier = [2]*metrics.Counter{m.evictions.With("exact"), m.evictions.With(analyticEngine)}
 	return m
 }
 
-// evictedBy returns the eviction counter of records whose Key.Engine
-// is engineTier. Engines other than the two tiers, which only a
-// snapshot can carry, share the series "other".
-func (m storeMetrics) evictedBy(engineTier string) *metrics.Counter {
-	switch engineTier {
-	case "":
-		return m.evictedExact
-	case analyticEngine:
-		return m.evictedAnalytic
+// evictedBy returns the eviction counter of records whose Key.engine
+// is engine. Engines other than the two tiers share the series "other".
+func (m storeMetrics) evictedBy(engine uint32) *metrics.Counter {
+	if engine <= analyticTier {
+		return m.evictedTier[engine]
 	}
 	return m.evictions.With("other")
 }
@@ -283,8 +292,7 @@ type Stats struct {
 	Evicted   int64 // records evicted to stay within the byte bound
 }
 
-// table holds one kind of record (single- or multi-copy), keyed by
-// the structured Key so that snapshots never parse an ID back, with
+// table holds one kind of record (single- or multi-copy) by Key, with
 // the flights (by Key too) computing the ones not yet resident.
 type table[V any] struct {
 	recs    map[Key]int32 // index into Store.slots, whose v is a V; guarded by Store.mu
@@ -316,10 +324,10 @@ type Store struct {
 	evicted   int64
 
 	// gen counts record writes; savedGen is the gen captured by the
-	// last successful Save. They differ exactly when the store holds
-	// records the snapshot doesn't — what checkpointing looks at.
-	gen      int64
-	savedGen int64
+	// last successful Save, and triedGen by the last Save at all. gen
+	// and savedGen differ exactly when the store holds records the
+	// snapshot doesn't — what checkpointing looks at.
+	gen, savedGen, triedGen int64
 }
 
 // Open returns a ready Store, loading the snapshot at cfg.Path when
@@ -328,9 +336,7 @@ type Store struct {
 // snapshot is discarded so everything recomputes. The returned error
 // is advisory — it describes a discarded snapshot (callers typically
 // log it) and the Store is fully usable regardless.
-func Open(cfg Config) (*Store, error) {
-	return open(cfg, maxBytes)
-}
+func Open(cfg Config) (*Store, error) { return open(cfg, maxBytes) }
 
 // open is Open with the byte bound as a parameter, for tests.
 func open(cfg Config, limit int64) (*Store, error) {
@@ -351,8 +357,7 @@ func open(cfg Config, limit int64) (*Store, error) {
 	if cfg.Path == "" {
 		return s, nil
 	}
-	err := s.load()
-	if err != nil {
+	if err := s.load(); err != nil {
 		return s, fmt.Errorf("store: snapshot %s discarded: %w", cfg.Path, err)
 	}
 	return s, nil
@@ -368,7 +373,7 @@ type snapshot struct {
 
 // snapshotEntry is one record; exactly one of Counts and Multi is set.
 type snapshotEntry struct {
-	Key    Key                  `json:"key"`
+	Key    snapshotKey          `json:"key"`
 	Counts *machine.RawCounts   `json:"counts,omitempty"`
 	Multi  *machine.MultiCounts `json:"multi,omitempty"`
 	// id is Key.ID(), built once per record for Save's sort; it is not
@@ -415,10 +420,10 @@ func (s *Store) load() error {
 		case !producible(e):
 			rejected++
 		case e.Multi != nil:
-			insertLocked(s, &s.multi, k, e.Multi)
+			insertLocked(s, &s.multi, k.key(), e.Multi)
 			n++
 		case e.Counts != nil:
-			insertLocked(s, &s.single, k, e.Counts)
+			insertLocked(s, &s.single, k.key(), e.Counts)
 			n++
 		default:
 			rejected++ // no counts at all
@@ -479,12 +484,15 @@ func (s *Store) Save() error {
 	s.mu.Lock()
 	snap := snapshot{Version: snapshotVersion, Fingerprint: substrateFingerprint}
 	for k, i := range s.single.recs {
-		snap.Entries = append(snap.Entries, snapshotEntry{Key: k, Counts: s.slots[i].v.(*machine.RawCounts), id: k.ID()})
+		n := k.named()
+		snap.Entries = append(snap.Entries, snapshotEntry{Key: n, Counts: s.slots[i].v.(*machine.RawCounts), id: n.id()})
 	}
 	for k, i := range s.multi.recs {
-		snap.Entries = append(snap.Entries, snapshotEntry{Key: k, Multi: s.slots[i].v.(*machine.MultiCounts), id: k.ID()})
+		n := k.named()
+		snap.Entries = append(snap.Entries, snapshotEntry{Key: n, Multi: s.slots[i].v.(*machine.MultiCounts), id: n.id()})
 	}
 	gen := s.gen
+	s.triedGen = gen
 	s.mu.Unlock()
 	sort.Slice(snap.Entries, func(i, j int) bool { return snap.Entries[i].id < snap.Entries[j].id })
 	data, err := json.MarshalIndent(&snap, "", " ")
@@ -496,9 +504,7 @@ func (s *Store) Save() error {
 		return fmt.Errorf("store: %w", err)
 	}
 	s.mu.Lock()
-	if gen > s.savedGen {
-		s.savedGen = gen
-	}
+	s.savedGen = max(s.savedGen, gen)
 	s.mu.Unlock()
 	s.met.persisted.Add(float64(len(snap.Entries)))
 	return nil
@@ -554,18 +560,23 @@ func (s *Store) Dirty() bool {
 // A crash therefore loses at most one interval's worth of
 // measurements instead of everything since boot. Failures are logged
 // and retried at the next tick; the previous snapshot stays intact
-// (Save is atomic). The returned stop function halts the loop,
-// performs one final dirty-check save, and waits for the goroutine to
-// exit; it is safe to call once. No-op (stop does nothing) for
-// memory-only stores or non-positive intervals.
+// (Save is atomic). The returned stop function halts the loop, saves
+// the records written since the last Save was tried, if any, and waits
+// for the goroutine to exit; it is safe to call more than once. So a
+// caller whose own final Save just failed does not see stop fail it
+// again. No-op (stop does nothing) for memory-only stores or
+// non-positive intervals.
 func (s *Store) StartCheckpointing(interval time.Duration) (stop func()) {
 	if s.cfg.Path == "" || interval <= 0 {
 		return func() {}
 	}
 	quit := make(chan struct{})
 	done := make(chan struct{})
-	save := func() {
-		if !s.Dirty() {
+	save := func(final bool) {
+		s.mu.Lock()
+		pending := s.gen != s.savedGen && (!final || s.gen != s.triedGen)
+		s.mu.Unlock()
+		if !pending {
 			return
 		}
 		if err := s.Save(); err != nil {
@@ -582,9 +593,9 @@ func (s *Store) StartCheckpointing(interval time.Duration) (stop func()) {
 		for {
 			select {
 			case <-t.C:
-				save()
+				save(false)
 			case <-quit:
-				save()
+				save(true)
 				return
 			}
 		}
@@ -625,8 +636,8 @@ func (s *Store) Put(key Key, rc *machine.RawCounts) {
 	put(s, &s.single, key, rc)
 }
 
-// analyticEngine is Key.Engine of the analytic tier's records, whose
-// exact twins carry Engine "".
+// analyticEngine names the analytic tier's records, whose exact twins
+// are named "".
 const analyticEngine = "analytic"
 
 // put stores one record in t, evicting as the bound requires. A new
@@ -663,24 +674,14 @@ func (s *Store) publishLocked() {
 // not resident returns nils. Caller holds s.mu.
 func (s *Store) pairLocked(key Key, v any) (analyticKey Key, analytic, exact *machine.RawCounts) {
 	rc, single := v.(*machine.RawCounts)
-	if !single {
-		return Key{}, nil, nil
-	}
 	twin := key
-	switch key.Engine {
-	case "":
-		twin.Engine = analyticEngine
-	case analyticEngine:
-		twin.Engine = ""
-	default:
-		return Key{}, nil, nil
-	}
+	twin.engine ^= 1 // exactTier <-> analyticTier
 	i, ok := s.single.recs[twin]
-	if !ok {
+	if !single || key.engine > analyticTier || !ok {
 		return Key{}, nil, nil
 	}
 	other := s.slots[i].v.(*machine.RawCounts)
-	if key.Engine == "" {
+	if key.engine == exactTier {
 		return twin, other, rc
 	}
 	return key, rc, other

@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-	"unsafe"
 
 	"repro/internal/machine"
 	"repro/internal/telemetry"
@@ -73,7 +72,7 @@ func TestKeyIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := KeyFor(m2, w, testOpts)
-	if c.Content == a.Content {
+	if c.pair.Content() == a.pair.Content() {
 		t.Error("changed machine config kept the same content hash")
 	}
 }
@@ -298,7 +297,7 @@ func TestSnapshotRejectsSeparatorInKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := []Key{good, good, good}
+	bad := []snapshotKey{good.named(), good.named(), good.named()}
 	bad[0].Workload = "x||"
 	bad[1].Machine = "a|b"
 	bad[2].Engine = "e|"
@@ -322,7 +321,7 @@ func TestSnapshotRejectsSeparatorInKey(t *testing.T) {
 		t.Errorf("loaded %d records, want 1 (the bad ones skipped)", st.Len())
 	}
 	for _, k := range bad {
-		if _, ok := st.Get(k); ok {
+		if _, ok := st.Get(k.key()); ok {
 			t.Errorf("record with key %+v served", k)
 		}
 	}
@@ -657,7 +656,7 @@ func TestKeyForEngineMatchesReference(t *testing.T) {
 		}
 		for _, w := range registryWorkloads() {
 			for _, m := range fleet {
-				want := Key{
+				want := snapshotKey{
 					Machine:      m.Name(),
 					Workload:     w.Key,
 					Instructions: 20_000,
@@ -666,7 +665,7 @@ func TestKeyForEngineMatchesReference(t *testing.T) {
 					Content:      referenceContentHash(t, m.Config(), w),
 				}
 				for pass := 0; pass < 2; pass++ {
-					if got := KeyForEngine(m, w, opts, tier); got != want {
+					if got := KeyForEngine(m, w, opts, tier); got.named() != want || got != want.key() {
 						t.Fatalf("%s: %s on %s, pass %d: KeyForEngine %+v, want %+v", tier, w.Key, m.Name(), pass, got, want)
 					}
 				}
@@ -674,7 +673,7 @@ func TestKeyForEngineMatchesReference(t *testing.T) {
 		}
 	}
 	// The hash itself is pinned, not only its agreement with the reference.
-	if got := KeyFor(testMachine(t), testWorkload(t, "505.mcf_r"), testOpts).Content; got != "c713162b4a1f3ab3d82cf71d35bec096" {
+	if got := KeyFor(testMachine(t), testWorkload(t, "505.mcf_r"), testOpts).pair.Content(); got != "c713162b4a1f3ab3d82cf71d35bec096" {
 		t.Errorf("content hash = %s, want the pinned c713162b4a1f3ab3d82cf71d35bec096", got)
 	}
 }
@@ -687,7 +686,7 @@ func TestKeyForEngineMatchesReference(t *testing.T) {
 func TestContentBoundToBytes(t *testing.T) {
 	m := testMachine(t)
 	w := testWorkload(t, "505.mcf_r")
-	base := KeyFor(m, w, testOpts).Content
+	base := KeyFor(m, w, testOpts).pair.Content()
 
 	spec, ilp := w, w
 	spec.Spec.LoadFrac += 0.01
@@ -708,26 +707,26 @@ func TestContentBoundToBytes(t *testing.T) {
 		{"machine config field", faster, w},
 	} {
 		k := KeyFor(c.m, c.w, testOpts)
-		if k.Machine != m.Name() || k.Workload != w.Key {
-			t.Fatalf("%s: key names %s|%s, want %s|%s", c.name, k.Machine, k.Workload, m.Name(), w.Key)
+		if k.Machine() != m.Name() || k.Workload() != w.Key {
+			t.Fatalf("%s: key names %s|%s, want %s|%s", c.name, k.Machine(), k.Workload(), m.Name(), w.Key)
 		}
-		if k.Content == base {
+		if k.pair.Content() == base {
 			t.Errorf("%s changed but Content stayed %s", c.name, base)
 		}
-		if want := referenceContentHash(t, c.m.Config(), c.w); k.Content != want {
-			t.Errorf("%s: Content %s, want the reference %s", c.name, k.Content, want)
+		if want := referenceContentHash(t, c.m.Config(), c.w); k.pair.Content() != want {
+			t.Errorf("%s: Content %s, want the reference %s", c.name, k.pair.Content(), want)
 		}
 	}
-	if got := KeyFor(m, w, testOpts).Content; got != base {
+	if got := KeyFor(m, w, testOpts).pair.Content(); got != base {
 		t.Errorf("original pair now hashes %s, want %s", got, base)
 	}
 }
 
 // TestKeysShareAcrossFleets: keys depend on values, not on which
 // Machine or Workload instance was passed. Two separate Fleet() calls
-// and separately built equal workloads key identically and share one
-// Content string, so a client's own fleet (specbench's, say) finds
-// the records a server's fleet stored.
+// and separately built equal workloads key identically, through one
+// pair, so a client's own fleet (specbench's, say) finds the records a
+// server's fleet stored.
 func TestKeysShareAcrossFleets(t *testing.T) {
 	s, _ := Open(Config{})
 	ctx := context.Background()
@@ -742,7 +741,7 @@ func TestKeysShareAcrossFleets(t *testing.T) {
 		for j, m := range clientFleet {
 			k := KeyForEngine(m, w, testOpts, "analytic")
 			sk := KeyForEngine(serverFleet[j], serverWs[i], testOpts, "analytic")
-			if k != sk || unsafe.StringData(k.Content) != unsafe.StringData(sk.Content) {
+			if k != sk {
 				t.Fatalf("%s on %s: client key %+v does not share the server's %+v", w.Key, m.Name(), k, sk)
 			}
 			want, _ := s.Lookup(ctx, sk)
@@ -774,10 +773,8 @@ func TestKeyWarmGridAllocs(t *testing.T) {
 
 // BenchmarkKeyFleet keys every registry workload on every fleet
 // machine through KeyForEngine, as a cold analytic characterization
-// does: memo-warm with every pair's hash already in the memo, as on
-// every request after a process's first, and memo-cold from an empty
-// memo, as on its first, where each pair hashes its configuration's
-// bytes (encoded once per Machine) and its workload.
+// does, with every pair already interned, as on every request after a
+// process's first. machine's BenchmarkPairFleet measures the first.
 func BenchmarkKeyFleet(b *testing.B) {
 	fleet, ws := testFleet(b), registryWorkloads()
 	opts := machine.RunOptions{Instructions: 20_000}
@@ -793,14 +790,6 @@ func BenchmarkKeyFleet(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			keyAll()
-		}
-	})
-	b.Run("memo-cold", func(b *testing.B) {
-		defer keyAll() // leave the memo filled, as the other tests find it
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			contents = machine.PairMemo[string]{}
 			keyAll()
 		}
 	})
